@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-broker bench-broker-smoke bench-shard bench-shard-smoke bench-cluster bench-cluster-smoke chaos cover fuzz-smoke rebalance-test live-rebalance-test cluster-test cluster-live-test api-check verify
+.PHONY: build test vet race bench bench-build bench-broker bench-broker-smoke bench-shard bench-shard-smoke bench-cluster bench-cluster-smoke chaos cover fuzz-smoke rebalance-test live-rebalance-test cluster-test cluster-live-test api-check verify
 
 build:
 	$(GO) build ./...
@@ -21,9 +21,16 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./...
 
-# Bench tier: serial-vs-parallel compute benchmarks (bench_test.go).
+# Bench tier: the repo benchmark (BENCHMARK.json; benchmark/README.md has
+# the workloads, the flags and every recorded run).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchScore|BenchmarkTrainEpoch' -benchmem .
+	bash benchmark/run.sh
+
+# Bench-build tier: benchmark/ is a Go module of its own that imports
+# internal/..., so the root `go build ./...` cannot see it. Vet and test
+# it whenever an API it imports may have moved.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Broker bench tier: measures WAL append throughput/latency, consume
 # throughput, and end-to-end slice-vs-broker pipeline overhead, writing
@@ -87,11 +94,11 @@ cluster-live-test:
 # API tier: the admin-surface contract. The script enforces that every
 # non-2xx answer flows through the shared envelope helpers (no
 # http.Error, no hand-rolled 4xx/5xx WriteHeader, no hand-spelled
-# /admin/v1 paths); the tests pin legacy-alias byte parity and the
-# envelope across 400/405/409/413/429/503.
+# /admin/v1 paths); the tests pin that the unversioned paths are gone
+# and the envelope across 400/405/409/413/429/503.
 api-check:
 	sh scripts/api-check.sh
-	$(GO) test -race -count=1 -run 'TestAdminVersionedAliasParity|TestAdminErrorEnvelope' ./cmd/logsynergy/
+	$(GO) test -race -count=1 -run 'TestAdminUnversionedPathsGone|TestAdminErrorEnvelope' ./cmd/logsynergy/
 
 # Cluster bench tier: prices the router hop — fleet end-to-end lines/s
 # through the front router versus the single-process runtime over the
@@ -134,4 +141,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/drain/
 	$(GO) test -run '^$$' -fuzz FuzzSlide -fuzztime 10s ./internal/window/
 
-verify: vet test api-check chaos rebalance-test live-rebalance-test cluster-test cluster-live-test bench-broker-smoke bench-shard-smoke bench-cluster-smoke race
+verify: vet test bench-build api-check chaos rebalance-test live-rebalance-test cluster-test cluster-live-test bench-broker-smoke bench-shard-smoke bench-cluster-smoke race

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -92,44 +91,22 @@ func decodeEnvelope(t *testing.T, body []byte, wantCode string) *httpapi.Detail 
 	return d
 }
 
-// TestAdminVersionedAliasParity: every pre-existing unversioned admin
-// path stays mounted as a thin alias of its /admin/v1 twin — same
-// handler, so status, headers and body are byte-identical, success and
-// error answers alike.
-func TestAdminVersionedAliasParity(t *testing.T) {
+// TestAdminUnversionedPathsGone: the admin surface is mounted under
+// /admin/v1 only — the pre-versioning paths answer 404, and the
+// versioned ones name their accepted method on a 405.
+func TestAdminUnversionedPathsGone(t *testing.T) {
 	_, srv := openAdminFleet(t, 2, 0, nil)
-
-	cases := []struct {
-		name, method, legacy, versioned string
-		wantStatus                      int
-	}{
-		{"status GET", http.MethodGet, "/admin/status", httpapi.Prefix + "/status", http.StatusOK},
-		{"status POST (405)", http.MethodPost, "/admin/status", httpapi.Prefix + "/status", http.StatusMethodNotAllowed},
-		{"rebalance GET (405)", http.MethodGet, "/admin/rebalance?to=3", httpapi.Prefix + "/rebalance?to=3", http.StatusMethodNotAllowed},
-		{"rebalance POST bad param (400)", http.MethodPost, "/admin/rebalance?to=x", httpapi.Prefix + "/rebalance?to=x", http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		lst, lh, lb := fetch(t, tc.method, srv.URL+tc.legacy, nil)
-		vst, vh, vb := fetch(t, tc.method, srv.URL+tc.versioned, nil)
-		if lst != tc.wantStatus || vst != tc.wantStatus {
-			t.Fatalf("%s: legacy %d / versioned %d, want %d", tc.name, lst, vst, tc.wantStatus)
+	for _, tc := range []struct{ path, wrong, allow string }{
+		{"/status", http.MethodPost, http.MethodGet},
+		{"/rebalance", http.MethodGet, http.MethodPost},
+	} {
+		if st, _, _ := fetch(t, tc.allow, srv.URL+"/admin"+tc.path, nil); st != http.StatusNotFound {
+			t.Fatalf("%s /admin%s: %d, want 404", tc.allow, tc.path, st)
 		}
-		if !bytes.Equal(lb, vb) {
-			t.Fatalf("%s: alias bodies differ:\nlegacy:    %s\nversioned: %s", tc.name, lb, vb)
+		st, h, _ := fetch(t, tc.wrong, srv.URL+httpapi.Prefix+tc.path, nil)
+		if st != http.StatusMethodNotAllowed || h.Get("Allow") != tc.allow {
+			t.Fatalf("%s %s%s: %d with Allow %q, want 405 naming %s", tc.wrong, httpapi.Prefix, tc.path, st, h.Get("Allow"), tc.allow)
 		}
-		if la, va := lh.Get("Allow"), vh.Get("Allow"); la != va {
-			t.Fatalf("%s: Allow header %q vs %q", tc.name, la, va)
-		}
-	}
-
-	// The 405 answers must name the accepted method.
-	_, h, _ := fetch(t, http.MethodGet, srv.URL+httpapi.Prefix+"/rebalance", nil)
-	if h.Get("Allow") != http.MethodPost {
-		t.Fatalf("rebalance 405 Allow %q, want POST", h.Get("Allow"))
-	}
-	_, h, _ = fetch(t, http.MethodPost, srv.URL+httpapi.Prefix+"/status", nil)
-	if h.Get("Allow") != http.MethodGet {
-		t.Fatalf("status 405 Allow %q, want GET", h.Get("Allow"))
 	}
 }
 

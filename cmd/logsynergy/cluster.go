@@ -32,9 +32,9 @@ type clusterServeOptions struct {
 // cross-process shard fleet. The manifest at -cluster says which
 // partitions this node owns; only their WAL directories are opened, and
 // the node serves /ingest, /healthz, /metrics, /metrics.json and
-// /admin/refresh for the front router. With -manifest-watch the node
+// /admin/v1/refresh for the front router. With -manifest-watch the node
 // also polls the manifest, adopting partitions a newer epoch assigns to
-// it (the failover path, if the router's /admin/refresh poke was lost)
+// it (the failover path, if the router's /admin/v1/refresh poke was lost)
 // and dropping ones assigned elsewhere (the self-fence for a node that
 // was deposed while wedged).
 func runServeCluster(opts clusterServeOptions) error {

@@ -11,6 +11,7 @@ import (
 
 	"logsynergy/internal/core"
 	"logsynergy/internal/embed"
+	"logsynergy/internal/httpapi"
 	"logsynergy/internal/lei"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
@@ -93,7 +94,7 @@ func openServeFleet(t *testing.T, shards int) (*shard.Runtime, *httptest.Server)
 }
 
 // TestRunRebalanceLiveEndToEnd drives the full client path: the CLI
-// POSTs to a serving fleet's /admin/rebalance, the fleet grows 2→3
+// POSTs to a serving fleet's /admin/v1/rebalance, the fleet grows 2→3
 // under its live-cutover protocol, and the call returns only once the
 // new layout is serving.
 func TestRunRebalanceLiveEndToEnd(t *testing.T) {
@@ -128,7 +129,7 @@ func TestRunRebalanceLiveEndToEnd(t *testing.T) {
 func TestAdminRebalanceHandler(t *testing.T) {
 	rt, srv := openServeFleet(t, 2)
 
-	resp, err := http.Get(srv.URL + "/admin/rebalance?to=3")
+	resp, err := http.Get(srv.URL + httpapi.Prefix + "/rebalance?to=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestAdminRebalanceHandler(t *testing.T) {
 	}
 
 	for _, q := range []string{"", "?to=0", "?to=x"} {
-		resp, err = http.Post(srv.URL+"/admin/rebalance"+q, "text/plain", nil)
+		resp, err = http.Post(srv.URL+httpapi.Prefix+"/rebalance"+q, "text/plain", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestAdminRebalanceHandler(t *testing.T) {
 
 	// Shrinking live is refused by the runtime; the handler surfaces
 	// that as a conflict rather than a success.
-	resp, err = http.Post(srv.URL+"/admin/rebalance?to=1", "text/plain", nil)
+	resp, err = http.Post(srv.URL+httpapi.Prefix+"/rebalance?to=1", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -503,12 +503,12 @@ type serveStatus struct {
 // newShardServeMux wires the sharded serve surface on the shared admin
 // mux (httpapi.Mux mounts /metrics, /metrics.json, /debug/vars and the
 // pprof pages): /ingest routes to shards, /admin/v1/rebalance grows the
-// fleet live (POST, to=N; the unversioned path stays as an alias), and
-// /admin/v1/status reports the live-cutover phase for progress polling.
+// fleet live (POST, to=N), and /admin/v1/status reports the live-cutover
+// phase for progress polling.
 func newShardServeMux(rt *shard.Runtime, maxBatchBytes int64) *http.ServeMux {
 	mux := httpapi.Mux(httpapi.MuxOptions{Snapshot: rt.Snapshot})
 	mux.Handle("/ingest", rt.IngestHandler(maxBatchBytes))
-	httpapi.HandleVersioned(mux, "/admin/rebalance", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(httpapi.Prefix+"/rebalance", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpapi.MethodNotAllowed(w, http.MethodPost, "rebalance accepts POST only")
 			return
@@ -532,8 +532,8 @@ func newShardServeMux(rt *shard.Runtime, maxBatchBytes int64) *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(rep)
-	}))
-	httpapi.HandleVersioned(mux, "/admin/status", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	})
+	mux.HandleFunc(httpapi.Prefix+"/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			httpapi.MethodNotAllowed(w, http.MethodGet, "status accepts GET only")
 			return
@@ -546,7 +546,7 @@ func newShardServeMux(rt *shard.Runtime, maxBatchBytes int64) *http.ServeMux {
 			Cutover: rt.CutoverStatus(),
 			Build:   httpapi.Build(),
 		})
-	}))
+	})
 	return mux
 }
 

@@ -107,6 +107,20 @@ func conflict(w http.ResponseWriter, err error) {
 	httpapi.Error(w, http.StatusConflict, httpapi.Detail{Code: httpapi.CodeConflict, Message: err.Error()})
 }
 
+// cutoverKey guards the per-key cutover endpoints: POST, epoch-fenced,
+// with a ?key= parameter. Returns false when it wrote the refusal.
+func (n *Node) cutoverKey(w http.ResponseWriter, r *http.Request, step string) (string, bool) {
+	if !n.cutoverPost(w, r) {
+		return "", false
+	}
+	key := r.URL.Query().Get("key")
+	if key == "" {
+		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: step + " needs ?key="})
+		return "", false
+	}
+	return key, true
+}
+
 func answerJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
@@ -156,7 +170,7 @@ func (n *Node) beginCutover(spec shard.CutoverSpec) (*shard.CutoverBeginResult, 
 		}
 		n.mu.Unlock()
 	}
-	res, err := n.rt.BeginCutover(spec)
+	res, err := n.rt.BeginCutover(spec, nil)
 	if err != nil && acquired != nil {
 		n.mu.Lock()
 		acquired.Release()
@@ -212,12 +226,8 @@ func (n *Node) handleCutoverKeys(w http.ResponseWriter, r *http.Request) {
 // the key's splice from its donor partition. Refused (409, retryable)
 // until the donor has consumed through its freeze point.
 func (n *Node) handleCutoverCapture(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: "capture needs ?key="})
+	key, ok := n.cutoverKey(w, r, "capture")
+	if !ok {
 		return
 	}
 	sp, err := n.rt.CaptureKey(key)
@@ -255,12 +265,8 @@ func (n *Node) handleCutoverStage(w http.ResponseWriter, r *http.Request) {
 // handleCutoverInstall is POST /admin/v1/cutover/install?key=K: apply
 // the key's staged splice to the live destination partition.
 func (n *Node) handleCutoverInstall(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: "install needs ?key="})
+	key, ok := n.cutoverKey(w, r, "install")
+	if !ok {
 		return
 	}
 	if err := n.rt.InstallSplice(key); err != nil {
@@ -273,12 +279,8 @@ func (n *Node) handleCutoverInstall(w http.ResponseWriter, r *http.Request) {
 // handleCutoverForget is POST /admin/v1/cutover/forget?key=K: drop the
 // moved key's tail from its donor partition.
 func (n *Node) handleCutoverForget(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: "forget needs ?key="})
+	key, ok := n.cutoverKey(w, r, "forget")
+	if !ok {
 		return
 	}
 	if err := n.rt.ForgetKey(key); err != nil {

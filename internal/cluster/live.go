@@ -7,9 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,11 +18,12 @@ import (
 )
 
 // Networked live rebalancing: grow a running fleet N -> N+1 partitions
-// under traffic, driving the in-process journaled per-key cutover
-// (internal/shard/live.go) over the admin API. The router is the
-// coordinator; the journal lives in the cluster directory next to
-// cluster.json and is the single source of truth for crash recovery on
-// every participant:
+// under traffic. The protocol is shard.Coordinator's (see
+// internal/shard/live.go); this file is what a fleet adds to it — the
+// router as host, and the HTTP client that makes each node a
+// shard.Participant over its /admin/v1/cutover/* endpoints. The journal
+// lives in the cluster directory next to cluster.json and is the single
+// source of truth for crash recovery on every participant:
 //
 //   - a NODE restarting mid-cutover reads the journal via StartNode and
 //     opens straight into the protocol state (donors at the old layout
@@ -42,79 +41,13 @@ import (
 // moving key is double-written (donor + destination partition, acked
 // only when both land) from the instant the journal exists until its
 // entry reads "released"; donor freeze offsets are captured under each
-// node's route write lock inside cutover/begin, so no acknowledged
-// line ever sits past a donor's freeze point without a destination
-// copy.
+// node's route write lock inside cutover/begin and the router's gate
+// stays closed until the journal is durable, so no acknowledged line
+// ever sits past a donor's freeze point without a destination copy.
 
-// cutoverJournalName is the journal file next to cluster.json.
-const cutoverJournalName = "live-cutover.json"
-
-// clusterJournal is the cluster-level live-cutover journal. It extends
-// the in-process journal's shape with the destination node, so every
-// participant (and any router) can reconstruct the full topology of the
-// move from the file alone.
-type clusterJournal struct {
-	Version int `json:"version"`
-	From    int `json:"from"`
-	To      int `json:"to"`
-	Vnodes  int `json:"vnodes"`
-	// DestNode hosts the new partition To-1 until the manifest bump
-	// assigns it there permanently.
-	DestNode string `json:"dest_node"`
-	// Freeze maps donor partition -> first double-written offset,
-	// captured on the owning nodes at begin.
-	Freeze map[int]uint64 `json:"freeze"`
-	// Keys is the per-key ledger: key -> "committed" | "released";
-	// pending keys are absent.
-	Keys map[string]string `json:"keys"`
-}
-
-// clusterJournalPath locates the journal next to the manifest.
-func clusterJournalPath(manifestPath string) string {
-	return filepath.Join(filepath.Dir(manifestPath), cutoverJournalName)
-}
-
-// loadClusterJournal reads the journal, nil when none exists.
-func loadClusterJournal(path string) (*clusterJournal, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reading cutover journal: %w", err)
-	}
-	var j clusterJournal
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, fmt.Errorf("cluster: corrupt cutover journal %s: %w", path, err)
-	}
-	if j.To != j.From+1 || j.From < 1 || j.DestNode == "" {
-		return nil, fmt.Errorf("cluster: cutover journal %s is inconsistent (%d -> %d, dest %q)", path, j.From, j.To, j.DestNode)
-	}
-	return &j, nil
-}
-
-// saveClusterJournal writes the journal with the manifest's atomic
-// rename + fsync discipline — each per-key commit must be durable
-// before the key's destination copy is the one detection consumes.
-func saveClusterJournal(path string, j *clusterJournal) error {
-	data, err := json.MarshalIndent(j, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cluster: encoding cutover journal: %w", err)
-	}
-	return atomicWriteFile(path, append(data, '\n'))
-}
-
-// removeClusterJournal deletes the journal — the cutover's commit point
-// — and syncs the directory so the removal survives a crash.
-func removeClusterJournal(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("cluster: removing cutover journal: %w", err)
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+// cutoverJournalPath locates the journal next to the manifest.
+func cutoverJournalPath(manifestPath string) string {
+	return filepath.Join(filepath.Dir(manifestPath), shard.CutoverJournalName)
 }
 
 // routeCutover is the router's routing overlay while a cutover is in
@@ -130,7 +63,7 @@ type routeCutover struct {
 	released map[string]bool
 }
 
-func newRouteCutover(j *clusterJournal) *routeCutover {
+func newRouteCutover(j *shard.CutoverJournal) *routeCutover {
 	rc := &routeCutover{
 		from:     j.From,
 		to:       j.To,
@@ -139,10 +72,8 @@ func newRouteCutover(j *clusterJournal) *routeCutover {
 		newRing:  shard.NewPartitionerVnodes(j.To, j.Vnodes),
 		released: map[string]bool{},
 	}
-	for k, ph := range j.Keys {
-		if ph == "released" {
-			rc.released[k] = true
-		}
+	for _, k := range j.KeysAt("released") {
+		rc.released[k] = true
 	}
 	return rc
 }
@@ -165,18 +96,22 @@ func (rc *routeCutover) release(key string) {
 }
 
 // reloadCutover converges the router's routing overlay on the on-disk
-// journal. Called after every manifest reload and at router start: a
-// journal for a cutover the router does not know about installs the
-// overlay (the stale-router path — double-writes resume immediately);
-// a journal the router already follows only merges newly released keys
-// (the overlay object stays, because the driving coordinator mutates
-// it); no journal, or one the manifest has caught up with, clears it.
+// journal. Called after every manifest reload, at router start and once
+// a cutover this router coordinates has begun: a journal for a cutover
+// the router does not know about installs the overlay (the stale-router
+// path — double-writes resume immediately); a journal the router already
+// follows only merges newly released keys (the overlay object stays,
+// because the driving coordinator mutates it); no journal, or one the
+// manifest has caught up with, clears it. A journal that fails to load
+// is NOT "no cutover": the current overlay stays and the failure is
+// counted.
 func (r *Router) reloadCutover() {
 	if r.cfg.ManifestPath == "" {
 		return
 	}
-	j, err := loadClusterJournal(clusterJournalPath(r.cfg.ManifestPath))
+	j, err := shard.LoadCutoverJournal(cutoverJournalPath(r.cfg.ManifestPath))
 	if err != nil {
+		r.journalErrs.Inc()
 		return
 	}
 	m := r.Manifest()
@@ -188,10 +123,8 @@ func (r *Router) reloadCutover() {
 		return
 	}
 	if cur != nil && cur.from == j.From && cur.to == j.To {
-		for k, ph := range j.Keys {
-			if ph == "released" {
-				cur.release(k)
-			}
+		for _, k := range j.KeysAt("released") {
+			cur.release(k)
 		}
 		return
 	}
@@ -199,13 +132,15 @@ func (r *Router) reloadCutover() {
 }
 
 // LiveRebalance grows the fleet from the manifest's shard count to
-// `to` partitions under traffic — the networked form of
-// shard.Runtime.LiveRebalance, with this router as the coordinator.
-// destNode names the node that hosts the new partition (empty picks
-// the node owning the fewest partitions). Blocks until every moving
-// key is released and the epoch-bumped manifest with the new count is
-// installed; safe to call again after any crash — the journal decides
-// whether it starts fresh, resumes driving, or only finishes.
+// `to` partitions under traffic — shard.Runtime.LiveRebalance's
+// Coordinator over HTTP participants, with this router as the host: it
+// contributes the routing gate, the double-write overlay, and the
+// epoch-bumped manifest install at finish. destNode names the node that
+// hosts the new partition (empty picks the node owning the fewest
+// partitions). Blocks until every moving key is released and the new
+// manifest is installed; safe to call again after any crash — the
+// journal decides whether it starts fresh, resumes driving, or only
+// finishes.
 func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport, error) {
 	r.liveMu.Lock()
 	defer r.liveMu.Unlock()
@@ -214,56 +149,71 @@ func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport,
 	}
 	start := time.Now()
 	_ = r.Reload() // freshest view; also installs the overlay from any existing journal
-	jpath := clusterJournalPath(r.cfg.ManifestPath)
-	j, err := loadClusterJournal(jpath)
+	jpath := cutoverJournalPath(r.cfg.ManifestPath)
+	j, err := shard.LoadCutoverJournal(jpath)
 	if err != nil {
 		return nil, err
 	}
 	m := r.Manifest()
 
-	if j == nil && m.Shards == to {
+	switch {
+	case j == nil && m.Shards == to:
 		return &shard.RebalanceReport{From: to, To: to, Dir: m.Dir, AlreadyBalanced: true}, nil
-	}
-	if j != nil && j.To != to {
+	case j != nil && j.To != to:
 		return nil, fmt.Errorf("cluster: a live cutover %d -> %d is journaled; finish it before asking for %d partitions", j.From, j.To, to)
-	}
-	if j == nil {
-		if to != m.Shards+1 {
-			return nil, fmt.Errorf("cluster: live rebalance grows one partition at a time; fleet serves %d, asked for %d", m.Shards, to)
-		}
+	case j == nil && to != m.Shards+1:
+		return nil, fmt.Errorf("cluster: live rebalance grows one partition at a time; fleet serves %d, asked for %d", m.Shards, to)
+	case j == nil:
 		if destNode == "" {
 			destNode = pickDestNode(m)
-		} else if _, ok := m.Nodes[destNode]; !ok {
-			return nil, fmt.Errorf("cluster: destination node %q is not in the manifest (nodes: %v)", destNode, m.NodeNames())
 		}
-		j, err = r.beginFleet(m, to, destNode)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		destNode = j.DestNode
-		if m.Shards != j.To {
-			// Mid-drive resume: re-begin every participant with the
-			// journaled freezes and phases, then keep driving.
-			if err := r.resumeFleet(m, j); err != nil {
-				return nil, err
-			}
-		}
-		// m.Shards == j.To: the manifest bump landed but the journal
-		// removal did not — finish-only.
+		j = shard.NewCutoverJournal(m.Shards, to, m.Vnodes, destNode)
+	}
+	if _, ok := m.Nodes[j.DestNode]; !ok {
+		return nil, fmt.Errorf("cluster: destination node %q is not in the manifest (nodes: %v)", j.DestNode, m.NodeNames())
 	}
 
-	report := &shard.RebalanceReport{From: j.From, To: j.To, Dir: m.Dir}
-	if m.Shards != j.To {
-		moved, lines, err := r.driveFleet(m, j, jpath)
-		if err != nil {
-			return nil, err
-		}
-		report.MovedKeys, report.MovedLines = moved, lines
+	// One client per node: the coordinator tells participants apart by
+	// identity. Partition To-1 is the destination node's even before the
+	// manifest says so.
+	clients := map[string]*nodeClient{}
+	c := &shard.Coordinator{
+		JournalPath: jpath,
+		Owner: func(p int) shard.Participant {
+			name := j.DestNode
+			if p < j.From {
+				name = m.Assignments[p]
+			}
+			if clients[name] == nil {
+				clients[name] = &nodeClient{r: r, name: name, addr: m.Nodes[name].Addr}
+			}
+			return clients[name]
+		},
+		Gate: func(flip func() error) error {
+			r.gate.Lock()
+			defer r.gate.Unlock()
+			return flip()
+		},
+		OnBegin: r.reloadCutover,
+		OnRelease: func(key string) {
+			if rc := r.rcut.Load(); rc != nil {
+				rc.release(key)
+			}
+		},
+		OnFinish: func() error { return r.installGrown(j) },
+		Hook:     r.liveHook,
 	}
-	if err := r.finishFleet(m, j, jpath); err != nil {
+	report, err := c.Run(j)
+	if err != nil {
 		return nil, err
 	}
+	// Best-effort immediate adoption of the new epoch fleet-wide; a node
+	// that misses the poke catches up through the data-path epoch fence.
+	final := r.Manifest()
+	for _, name := range final.NodeNames() {
+		_ = r.pokeRefresh(final.Nodes[name].Addr)
+	}
+	report.Dir = m.Dir
 	report.Duration = time.Since(start)
 	return report, nil
 }
@@ -281,302 +231,92 @@ func pickDestNode(m *Manifest) string {
 	return best
 }
 
-// participants lists every node serving a donor partition plus the
-// destination node, name-ordered.
-func participants(m *Manifest, from int, destNode string) []string {
-	set := map[string]bool{destNode: true}
-	for p := 0; p < from && p < len(m.Assignments); p++ {
-		set[m.Assignments[p]] = true
-	}
-	names := make([]string, 0, len(set))
-	for name := range set {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// beginFleet runs the fresh flip: with routing gated, every participant
-// begins the cutover (the destination node first opens and fences the
-// new partition; each node captures freeze offsets for its donors under
-// its route write lock), and only when every begin has answered is the
-// journal written and double-write routing installed. A begin that
-// fails leaves no journal — the begun nodes' gating causes retryable
-// rejections until they restart, but nothing is ever lost and nothing
-// resumes: the cleanest abort.
-func (r *Router) beginFleet(m *Manifest, to int, destNode string) (*clusterJournal, error) {
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	from := m.Shards
-	freeze := map[int]uint64{}
-	for _, name := range participants(m, from, destNode) {
-		spec := shard.CutoverSpec{From: from, To: to, Vnodes: m.Vnodes, Dest: name == destNode}
-		res, err := r.beginNode(m, name, spec)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: beginning cutover on node %q: %w", name, err)
-		}
-		for p, off := range res.Freeze {
-			freeze[p] = off
-		}
-	}
-	for p := 0; p < from; p++ {
-		if _, ok := freeze[p]; !ok {
-			return nil, fmt.Errorf("cluster: no node reported a freeze offset for donor partition %d", p)
-		}
-	}
-	j := &clusterJournal{Version: 1, From: from, To: to, Vnodes: m.Vnodes, DestNode: destNode, Freeze: freeze, Keys: map[string]string{}}
-	if err := saveClusterJournal(clusterJournalPath(r.cfg.ManifestPath), j); err != nil {
-		return nil, err
-	}
-	r.rcut.Store(newRouteCutover(j))
-	return j, nil
-}
-
-// resumeFleet re-begins every participant from the journal (idempotent
-// on nodes already in the cutover; nodes that restarted since re-enter
-// it with the journaled freezes and phases) and installs the routing
-// overlay.
-func (r *Router) resumeFleet(m *Manifest, j *clusterJournal) error {
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	for _, name := range participants(m, j.From, j.DestNode) {
-		spec := shard.CutoverSpec{From: j.From, To: j.To, Vnodes: j.Vnodes, Freeze: j.Freeze, Keys: j.Keys, Dest: name == j.DestNode}
-		if _, err := r.beginNode(m, name, spec); err != nil {
-			return fmt.Errorf("cluster: resuming cutover on node %q: %w", name, err)
-		}
-	}
-	if cur := r.rcut.Load(); cur == nil || cur.from != j.From || cur.to != j.To {
-		r.rcut.Store(newRouteCutover(j))
-	}
-	return nil
-}
-
-// driveFleet runs the per-key cutover sequence over the network until
-// no donor holds a pending moving key. Keys already journaled
-// "committed" are rolled forward first (install + forget + release) —
-// exactly one layout owns each key at every step, resumable from any
-// crash point.
-func (r *Router) driveFleet(m *Manifest, j *clusterJournal, jpath string) (movedKeys, movedLines int, err error) {
-	rc := r.rcut.Load()
-	if rc == nil {
-		return 0, 0, fmt.Errorf("cluster: no routing overlay installed for the cutover")
-	}
-	committed := make([]string, 0, len(j.Keys))
-	for k, ph := range j.Keys {
-		if ph == "committed" {
-			committed = append(committed, k)
-		}
-	}
-	sort.Strings(committed)
-	for _, k := range committed {
-		if err := r.rollForward(m, j, jpath, rc, k); err != nil {
-			return movedKeys, movedLines, err
-		}
-		movedKeys++
-	}
-	for {
-		pending, err := r.pendingFleetKeys(m, j)
-		if err != nil {
-			return movedKeys, movedLines, err
-		}
-		if len(pending) == 0 {
-			return movedKeys, movedLines, nil
-		}
-		for _, k := range pending {
-			lines, err := r.moveFleetKey(m, j, jpath, rc, k)
-			if err != nil {
-				return movedKeys, movedLines, err
-			}
-			movedKeys++
-			movedLines += lines
-		}
-	}
-}
-
-// pendingFleetKeys unions every donor node's pending moving keys.
-func (r *Router) pendingFleetKeys(m *Manifest, j *clusterJournal) ([]string, error) {
-	seen := map[string]bool{}
-	var keys []string
-	for _, name := range participants(m, j.From, j.DestNode) {
-		var body struct {
-			Keys []string `json:"keys"`
-		}
-		err := r.adminRetry(fmt.Sprintf("listing pending keys on node %q", name), func() error {
-			return r.adminJSON(http.MethodGet, m.Nodes[name].Addr, httpapi.Prefix+"/cutover/keys", nil, &body)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range body.Keys {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// moveFleetKey cuts one pending key over across the network: capture
-// on the donor's node (refused until the donor consumed through its
-// freeze point — the capture retry loop is the networked await), stage
-// on the destination's, commit in the journal, install, forget,
-// release. The per-key order of operations is identical to the
-// in-process moveKey; only the transport changed.
-func (r *Router) moveFleetKey(m *Manifest, j *clusterJournal, jpath string, rc *routeCutover, key string) (int, error) {
-	donorNode := m.NodeFor(rc.oldRing.Partition(key))
-	donorAddr := m.Nodes[donorNode].Addr
-	destAddr := m.Nodes[j.DestNode].Addr
-	if err := r.callLiveHook("double-write", key); err != nil {
-		return 0, err
-	}
-
-	var sp shard.KeySplice
-	err := r.adminRetry(fmt.Sprintf("capturing key %q on node %q", key, donorNode), func() error {
-		return r.adminJSON(http.MethodPost, donorAddr, httpapi.Prefix+"/cutover/capture?key="+queryEscape(key), nil, &sp)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := r.callLiveHook("tail-landed", key); err != nil {
-		return 0, err
-	}
-
-	err = r.adminRetry(fmt.Sprintf("staging key %q on node %q", key, j.DestNode), func() error {
-		return r.adminJSON(http.MethodPost, destAddr, httpapi.Prefix+"/cutover/stage", sp, nil)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := r.callLiveHook("staged", key); err != nil {
-		return 0, err
-	}
-
-	// Commit: from here the key is destination-owned and any recovery
-	// rolls it forward.
-	j.Keys[key] = "committed"
-	if err := saveClusterJournal(jpath, j); err != nil {
-		return 0, err
-	}
-	r.syncFleetKey(m, j, key, "committed", donorNode)
-	if err := r.callLiveHook("committed", key); err != nil {
-		return 0, err
-	}
-
-	if err := r.rollForward(m, j, jpath, rc, key); err != nil {
-		return 0, err
-	}
-	return len(sp.Tail.Lines), nil
-}
-
-// rollForward takes a journaled-committed key the rest of the way:
-// install the staged splice on the destination, forget the tail on the
-// donor, journal "released", and stop double-writing it.
-func (r *Router) rollForward(m *Manifest, j *clusterJournal, jpath string, rc *routeCutover, key string) error {
-	donorNode := m.NodeFor(rc.oldRing.Partition(key))
-	donorAddr := m.Nodes[donorNode].Addr
-	destAddr := m.Nodes[j.DestNode].Addr
-
-	err := r.adminRetry(fmt.Sprintf("installing key %q on node %q", key, j.DestNode), func() error {
-		return r.adminJSON(http.MethodPost, destAddr, httpapi.Prefix+"/cutover/install?key="+queryEscape(key), nil, nil)
-	})
-	if err != nil {
-		return err
-	}
-	err = r.adminRetry(fmt.Sprintf("forgetting key %q on node %q", key, donorNode), func() error {
-		return r.adminJSON(http.MethodPost, donorAddr, httpapi.Prefix+"/cutover/forget?key="+queryEscape(key), nil, nil)
-	})
-	if err != nil {
-		return err
-	}
-
-	j.Keys[key] = "released"
-	if err := saveClusterJournal(jpath, j); err != nil {
-		return err
-	}
-	r.syncFleetKey(m, j, key, "released", donorNode)
-	rc.release(key)
-	return r.callLiveHook("released", key)
-}
-
-// syncFleetKey pokes the key's donor and destination nodes with its new
-// journal phase. Best-effort with retries: a node that stays down
-// re-reads the journal at restart, so the poke is an optimization (it
-// unparks the destination's consumer now instead of then), not a
-// correctness step.
-func (r *Router) syncFleetKey(m *Manifest, j *clusterJournal, key, phase, donorNode string) {
-	body := map[string]map[string]string{"keys": {key: phase}}
-	for _, name := range []string{donorNode, j.DestNode} {
-		addr := m.Nodes[name].Addr
-		_ = r.adminRetry(fmt.Sprintf("syncing key %q on node %q", key, name), func() error {
-			return r.adminJSON(http.MethodPost, addr, httpapi.Prefix+"/cutover/sync", body, nil)
-		})
-		if name == donorNode && donorNode == j.DestNode {
-			break
-		}
-	}
-}
-
-// finishFleet ends the cutover: with routing gated, every participant
-// restamps at the new layout (idempotent), the epoch-bumped manifest
-// with the new shard count installs, and the journal is removed — the
-// commit point. Every node is then poked to refresh; one that misses
-// the poke catches up through the data-path epoch fence.
-func (r *Router) finishFleet(m *Manifest, j *clusterJournal, jpath string) error {
-	if err := r.callLiveHook("finish", ""); err != nil {
-		return err
-	}
-	r.gate.Lock()
-	for _, name := range participants(m, j.From, j.DestNode) {
-		addr := m.Nodes[name].Addr
-		err := r.adminRetry(fmt.Sprintf("finishing cutover on node %q", name), func() error {
-			return r.adminJSON(http.MethodPost, addr, httpapi.Prefix+fmt.Sprintf("/cutover/finish?to=%d", j.To), nil, nil)
-		})
-		if err != nil {
-			r.gate.Unlock()
-			return err
-		}
-	}
-	cur := r.Manifest()
-	if cur.Shards != j.To {
+// installGrown is the fleet's half of the finish flip: every participant
+// has restamped at the new layout, so the epoch-bumped manifest with the
+// new shard count installs (idempotent — a finish-only resume finds it
+// in place) and the routing overlay drops. The coordinator removes the
+// journal next.
+func (r *Router) installGrown(j *shard.CutoverJournal) error {
+	if cur := r.Manifest(); cur.Shards != j.To {
 		nm := cur.Clone()
 		nm.Epoch++
 		nm.Shards = j.To
 		nm.Assignments = append(nm.Assignments, j.DestNode)
 		if err := Save(r.cfg.ManifestPath, nm); err != nil {
-			r.gate.Unlock()
 			return err
 		}
 		r.mu.Lock()
-		if err := r.installLocked(nm); err != nil {
-			r.mu.Unlock()
-			r.gate.Unlock()
+		err := r.installLocked(nm)
+		r.mu.Unlock()
+		if err != nil {
 			return err
 		}
-		r.mu.Unlock()
-	}
-	if err := removeClusterJournal(jpath); err != nil {
-		r.gate.Unlock()
-		return err
 	}
 	r.rcut.Store(nil)
-	r.gate.Unlock()
-
-	// Best-effort immediate adoption of the new epoch fleet-wide.
-	final := r.Manifest()
-	for _, name := range final.NodeNames() {
-		_ = r.pokeRefresh(final.Nodes[name].Addr)
-	}
 	return nil
 }
 
-// callLiveHook fires the router's test hook (nil in production).
-func (r *Router) callLiveHook(phase, key string) error {
-	if r.liveHook == nil {
-		return nil
+// nodeClient is the networked shard.Participant: each method is one
+// /admin/v1/cutover/* round trip to the node, retried against transient
+// failures — the far side calls the same method on the node's runtime.
+type nodeClient struct {
+	r          *Router
+	name, addr string
+}
+
+func (c *nodeClient) call(step, method, path string, in, out any) error {
+	return c.r.adminRetry(fmt.Sprintf("%s on node %q", step, c.name), func() error {
+		return c.r.adminJSON(method, c.addr, httpapi.Prefix+"/cutover/"+path, in, out)
+	})
+}
+
+func (c *nodeClient) BeginCutover(spec shard.CutoverSpec, commit func(map[int]uint64) error) (*shard.CutoverBeginResult, error) {
+	var res shard.CutoverBeginResult
+	if err := c.call("cutover/begin", http.MethodPost, "begin", spec, &res); err != nil {
+		return nil, err
 	}
-	return r.liveHook(phase, key)
+	if commit != nil {
+		if err := commit(res.Freeze); err != nil {
+			return nil, err
+		}
+	}
+	return &res, nil
+}
+
+// PendingMovingKeys blocks node-side until the donors' tails land; a
+// request that times out first is retried like any transient failure.
+func (c *nodeClient) PendingMovingKeys() ([]string, error) {
+	var body struct {
+		Keys []string `json:"keys"`
+	}
+	err := c.call("listing pending keys", http.MethodGet, "keys", nil, &body)
+	return body.Keys, err
+}
+
+func (c *nodeClient) CaptureKey(key string) (shard.KeySplice, error) {
+	var sp shard.KeySplice
+	err := c.call(fmt.Sprintf("capturing key %q", key), http.MethodPost, "capture?key="+url.QueryEscape(key), nil, &sp)
+	return sp, err
+}
+
+func (c *nodeClient) StageSplice(sp shard.KeySplice) error {
+	return c.call(fmt.Sprintf("staging key %q", sp.Key), http.MethodPost, "stage", sp, nil)
+}
+
+func (c *nodeClient) InstallSplice(key string) error {
+	return c.call(fmt.Sprintf("installing key %q", key), http.MethodPost, "install?key="+url.QueryEscape(key), nil, nil)
+}
+
+func (c *nodeClient) ForgetKey(key string) error {
+	return c.call(fmt.Sprintf("forgetting key %q", key), http.MethodPost, "forget?key="+url.QueryEscape(key), nil, nil)
+}
+
+func (c *nodeClient) SyncCutover(keys map[string]string) error {
+	return c.call("syncing cutover phases", http.MethodPost, "sync", map[string]map[string]string{"keys": keys}, nil)
+}
+
+func (c *nodeClient) CompleteCutover(to int) error {
+	return c.call("finishing cutover", http.MethodPost, fmt.Sprintf("finish?to=%d", to), nil, nil)
 }
 
 // adminRetry retries fn against transient failures (a node restarting
@@ -647,20 +387,6 @@ func (r *Router) adminJSON(method, addr, path string, in, out any) error {
 	return nil
 }
 
-// beginNode POSTs one node's cutover/begin with retries.
-func (r *Router) beginNode(m *Manifest, name string, spec shard.CutoverSpec) (*shard.CutoverBeginResult, error) {
-	var res shard.CutoverBeginResult
-	err := r.adminRetry(fmt.Sprintf("cutover/begin on node %q", name), func() error {
-		return r.adminJSON(http.MethodPost, m.Nodes[name].Addr, httpapi.Prefix+"/cutover/begin", spec, &res)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-func queryEscape(s string) string { return url.QueryEscape(s) }
-
 // RouterCutoverStatus is the live-rebalance progress block of the
 // router's status answer, read from the journal.
 type RouterCutoverStatus struct {
@@ -692,17 +418,9 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		st.Nodes[name] = !nodes[name].dead.Load()
 	}
 	if r.cfg.ManifestPath != "" {
-		if j, err := loadClusterJournal(clusterJournalPath(r.cfg.ManifestPath)); err == nil && j != nil {
-			cs := &RouterCutoverStatus{From: j.From, To: j.To, DestNode: j.DestNode}
-			for _, ph := range j.Keys {
-				switch ph {
-				case "committed":
-					cs.Committed++
-				case "released":
-					cs.Released++
-				}
-			}
-			st.Cutover = cs
+		if j, err := shard.LoadCutoverJournal(cutoverJournalPath(r.cfg.ManifestPath)); err == nil && j != nil {
+			st.Cutover = &RouterCutoverStatus{From: j.From, To: j.To, DestNode: j.DestNode,
+				Committed: len(j.KeysAt("committed")), Released: len(j.KeysAt("released"))}
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

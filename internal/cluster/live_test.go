@@ -194,7 +194,7 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	if _, err := r.LiveRebalance(3, "b"); !errors.Is(err, boom) {
 		t.Fatalf("LiveRebalance with injected crash: err = %v, want the injected crash", err)
 	}
-	jpath := clusterJournalPath(manifestPath)
+	jpath := cutoverJournalPath(manifestPath)
 	if _, err := os.Stat(jpath); err != nil {
 		t.Fatalf("cluster journal missing after the crash: %v", err)
 	}
@@ -330,74 +330,103 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 // Failover is refused while a live cutover is journaled: the journal's
 // freeze offsets and double-write topology are pinned to the current
 // assignment, so reassigning a dead node's partitions mid-cutover would
-// strand them.
+// strand them. A journal that fails to load is not "no cutover" either:
+// the router keeps the overlay it has, counts the failure, and failover
+// refuses naming the file.
 func TestClusterFailoverRefusedDuringLiveCutover(t *testing.T) {
-	root := t.TempDir()
-	manifestPath := filepath.Join(root, "cluster.json")
-	ln := localListener(t)
-	addr := ln.Addr().String()
-	ln.Close() // nobody listens: the node is dead on arrival
-	m := &Manifest{
-		Epoch:  1,
-		Shards: 2,
-		Dir:    filepath.Join(root, "data"),
-		Nodes: map[string]NodeSpec{
-			"a":       {Addr: addr},
-			"b":       {Addr: addr},
-			"standby": {Addr: addr, Standby: true},
-		},
-		Assignments: []string{"a", "b"},
-	}
-	if err := Save(manifestPath, m); err != nil {
-		t.Fatal(err)
-	}
-	j := &clusterJournal{Version: 1, From: 2, To: 3, DestNode: "b",
-		Freeze: map[int]uint64{0: 1, 1: 1}, Keys: map[string]string{}}
-	if err := saveClusterJournal(clusterJournalPath(manifestPath), j); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name, corruptWith, wantErr string
+	}{
+		{name: "journaled", wantErr: "refusing failover"},
+		{name: "corrupt journal", corruptWith: "{not json", wantErr: shard.CutoverJournalName},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			manifestPath := filepath.Join(root, "cluster.json")
+			ln := localListener(t)
+			addr := ln.Addr().String()
+			ln.Close() // nobody listens: the node is dead on arrival
+			m := &Manifest{
+				Epoch:  1,
+				Shards: 2,
+				Dir:    filepath.Join(root, "data"),
+				Nodes: map[string]NodeSpec{
+					"a":       {Addr: addr},
+					"b":       {Addr: addr},
+					"standby": {Addr: addr, Standby: true},
+				},
+				Assignments: []string{"a", "b"},
+			}
+			if err := Save(manifestPath, m); err != nil {
+				t.Fatal(err)
+			}
+			jpath := cutoverJournalPath(manifestPath)
+			journal := `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":1,"1":1},"keys":{}}`
+			if err := os.WriteFile(jpath, []byte(journal), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	reg := obs.NewRegistry()
-	r, err := NewRouter(RouterConfig{
-		ManifestPath: manifestPath,
-		Metrics:      reg,
-		FailAfter:    1,
-		Failover:     true,
-		Attempts:     1,
-		Sleep:        func(time.Duration) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+			reg := obs.NewRegistry()
+			r, err := NewRouter(RouterConfig{
+				ManifestPath: manifestPath,
+				Metrics:      reg,
+				FailAfter:    1,
+				Failover:     true,
+				Attempts:     1,
+				Sleep:        func(time.Duration) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			overlay := r.rcut.Load()
+			if overlay == nil {
+				t.Fatal("router started next to a journal without a double-write overlay")
+			}
+			if tc.corruptWith != "" {
+				if err := os.WriteFile(jpath, []byte(tc.corruptWith), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Reload(); err != nil {
+					t.Fatal(err)
+				}
+				if got := reg.Snapshot().Counters["cluster.cutover_journal_errors_total"]; got == 0 {
+					t.Fatal("unreadable journal was not counted")
+				}
+			}
 
-	var dead ProbeResult
-	for _, pr := range r.ProbeOnce() {
-		if pr.Node == "a" {
-			dead = pr
-		}
-	}
-	if dead.Alive {
-		t.Fatalf("unreachable node probed alive: %+v", dead)
-	}
-	if dead.FailedOver {
-		t.Fatal("failover proceeded over a journaled live cutover")
-	}
-	if !strings.Contains(dead.Err, "refusing failover") {
-		t.Fatalf("probe error %q does not carry the refusal", dead.Err)
-	}
-	if got := r.Manifest().Epoch; got != 1 {
-		t.Fatalf("epoch %d after refused failover, want 1", got)
-	}
-	if got := reg.Snapshot().Counters["cluster.failovers_total"]; got != 0 {
-		t.Fatalf("failovers_total %d, want 0", got)
+			var dead ProbeResult
+			for _, pr := range r.ProbeOnce() {
+				if pr.Node == "a" {
+					dead = pr
+				}
+			}
+			if dead.Alive {
+				t.Fatalf("unreachable node probed alive: %+v", dead)
+			}
+			if dead.FailedOver {
+				t.Fatal("failover proceeded over a journaled live cutover")
+			}
+			if !strings.Contains(dead.Err, "refusing failover") || !strings.Contains(dead.Err, tc.wantErr) {
+				t.Fatalf("probe error %q does not carry the refusal (want %q)", dead.Err, tc.wantErr)
+			}
+			if got := r.Manifest().Epoch; got != 1 {
+				t.Fatalf("epoch %d after refused failover, want 1", got)
+			}
+			if got := reg.Snapshot().Counters["cluster.failovers_total"]; got != 0 {
+				t.Fatalf("failovers_total %d, want 0", got)
+			}
+			if r.rcut.Load() != overlay {
+				t.Fatal("the double-write overlay changed while the journal was in place")
+			}
+		})
 	}
 }
 
 // The router's admin surface: /admin/v1/status answers the role block
 // (GET only, envelope on the wrong method), the unversioned alias is
-// byte-identical, and /admin/v1/rebalance validates its parameter
-// through the envelope.
+// gone, and /admin/v1/rebalance validates its parameter through the
+// envelope.
 func TestClusterRouterAdminSurface(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cluster.json")
@@ -451,11 +480,9 @@ func TestClusterRouterAdminSurface(t *testing.T) {
 		t.Fatalf("status nodes %v, want %v", names, m.NodeNames())
 	}
 
-	// The unversioned alias answers byte-identically (one handler, two
-	// registrations).
-	code2, _, body2 := fetch(http.MethodGet, "/admin/status")
-	if code2 != code || string(body2) != string(body) {
-		t.Fatalf("alias mismatch: %d vs %d\n%s\nvs\n%s", code, code2, body, body2)
+	// The unversioned alias is gone with the rest of its family.
+	if code, _, _ := fetch(http.MethodGet, "/admin/status"); code != http.StatusNotFound {
+		t.Fatalf("GET /admin/status: %d, want 404", code)
 	}
 
 	// Wrong method and bad parameter both answer through the envelope.

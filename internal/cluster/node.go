@@ -47,7 +47,7 @@ type NodeConfig struct {
 // Node is one host's slice of the fleet: a subset shard runtime over the
 // partitions the manifest assigns to it, plus the HTTP surface the front
 // router talks to (/ingest, /healthz, /metrics, /metrics.json,
-// /admin/refresh).
+// /admin/v1/*).
 type Node struct {
 	cfg  NodeConfig
 	name string
@@ -111,27 +111,22 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// staged splices applied) and waits for the coordinator to resume
 	// driving it.
 	if cfg.ManifestPath != "" {
-		j, err := loadClusterJournal(clusterJournalPath(cfg.ManifestPath))
+		j, err := shard.LoadCutoverJournal(cutoverJournalPath(cfg.ManifestPath))
 		if err != nil {
 			return nil, err
 		}
 		if j != nil && j.To != m.Shards {
-			if j.From != m.Shards {
-				return nil, fmt.Errorf("cluster: cutover journal grows %d -> %d but the manifest serves %d partitions", j.From, j.To, m.Shards)
+			if _, ok := m.Nodes[j.DestNode]; j.From != m.Shards || !ok {
+				return nil, fmt.Errorf("cluster: cutover journal grows %d -> %d onto node %q but the manifest serves %d partitions on nodes %v",
+					j.From, j.To, j.DestNode, m.Shards, m.NodeNames())
 			}
 			rcfg.Shards = j.To
 			if j.DestNode == cfg.Name {
 				own = append(append([]int{}, own...), j.To-1)
 			}
 			rcfg.Subset = own
-			rcfg.Cutover = &shard.CutoverSpec{
-				From:   j.From,
-				To:     j.To,
-				Vnodes: m.Vnodes,
-				Freeze: j.Freeze,
-				Keys:   j.Keys,
-				Dest:   j.DestNode == cfg.Name,
-			}
+			spec := j.Spec(j.DestNode == cfg.Name)
+			rcfg.Cutover = &spec
 		}
 	}
 
@@ -349,9 +344,9 @@ func (n *Node) Health() HealthReport {
 //	GET  /metrics        text metrics (runtime-merged, shard<i>. prefixed)
 //	GET  /metrics.json   JSON snapshot for the router's federated scrape
 //
-// Admin surface, versioned under /admin/v1 (refresh and status keep
-// their legacy unversioned aliases; every answer is epoch-stamped and
-// every non-2xx body carries the httpapi error envelope):
+// Admin surface, versioned under /admin/v1 (every answer is
+// epoch-stamped and every non-2xx body carries the httpapi error
+// envelope):
 //
 //	POST /admin/v1/refresh            re-read the manifest, adopt newly
 //	                                  assigned partitions, drop deposed ones
@@ -386,8 +381,8 @@ func (n *Node) Handler() http.Handler {
 		json.NewEncoder(w).Encode(n.Health())
 	})
 	stamp := func(h http.HandlerFunc) http.Handler { return httpapi.EpochStamp(EpochHeader, n.Epoch, h) }
-	httpapi.HandleVersioned(mux, "/admin/refresh", stamp(n.handleRefresh))
-	httpapi.HandleVersioned(mux, "/admin/status", stamp(n.handleStatus))
+	mux.Handle(httpapi.Prefix+"/refresh", stamp(n.handleRefresh))
+	mux.Handle(httpapi.Prefix+"/status", stamp(n.handleStatus))
 	mux.Handle(httpapi.Prefix+"/append", http.HandlerFunc(n.handleDirectedAppend))
 	mux.Handle(httpapi.Prefix+"/cutover/begin", stamp(n.handleCutoverBegin))
 	mux.Handle(httpapi.Prefix+"/cutover/sync", stamp(n.handleCutoverSync))

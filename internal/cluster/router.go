@@ -42,7 +42,7 @@ import (
 // timeout per batch. When failover is enabled and shared storage holds
 // the partitions, the prober answers a dead node by installing an
 // epoch-bumped manifest that hands its partitions to a standby, then
-// pokes the standby's /admin/refresh — the standby opens them through
+// pokes the standby's /admin/v1/refresh — the standby opens them through
 // crash recovery and the router routes the retried lines there.
 //
 // Epochs fence the data path, not just the open: every share is stamped
@@ -163,7 +163,7 @@ type Router struct {
 	rcut atomic.Pointer[routeCutover]
 	// liveMu serializes LiveRebalance coordinators on this router.
 	liveMu sync.Mutex
-	// liveHook observes per-key cutover phases (tests only).
+	// liveHook is the live-rebalance Coordinator's crash hook (tests only).
 	liveHook func(phase, key string) error
 
 	stopOnce  sync.Once
@@ -178,6 +178,7 @@ type Router struct {
 	unreachable *obs.Counter
 	nodeDown    *obs.Counter
 	failovers   *obs.Counter
+	journalErrs *obs.Counter
 	fleetAlive  *obs.Gauge
 	salt        atomic.Uint64
 }
@@ -228,6 +229,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		unreachable: cfg.Metrics.Counter("cluster.router_unreachable_total"),
 		nodeDown:    cfg.Metrics.Counter("cluster.router_node_down_total"),
 		failovers:   cfg.Metrics.Counter("cluster.failovers_total"),
+		journalErrs: cfg.Metrics.Counter("cluster.cutover_journal_errors_total"),
 		fleetAlive:  cfg.Metrics.Gauge("cluster.nodes_alive"),
 	}
 	for name := range m.Nodes {
@@ -403,8 +405,8 @@ type shareResult struct {
 //	GET  /metrics   federated text metrics: router + fleet totals +
 //	                node.<name>.-prefixed per-node series
 //
-// Admin surface, versioned under /admin/v1 (status keeps a legacy
-// unversioned alias; non-2xx bodies carry the httpapi error envelope):
+// Admin surface, versioned under /admin/v1 (non-2xx bodies carry the
+// httpapi error envelope):
 //
 //	GET  /admin/v1/status      role, epoch, shard count, per-node
 //	                           liveness, live-cutover progress, build info
@@ -421,7 +423,7 @@ func (r *Router) Handler() http.Handler {
 	stamp := func(h http.HandlerFunc) http.Handler {
 		return httpapi.EpochStamp(EpochHeader, func() uint64 { return r.Manifest().Epoch }, h)
 	}
-	httpapi.HandleVersioned(mux, "/admin/status", stamp(r.handleStatus))
+	mux.Handle(httpapi.Prefix+"/status", stamp(r.handleStatus))
 	mux.Handle(httpapi.Prefix+"/rebalance", stamp(r.handleRebalance))
 	return mux
 }
@@ -894,14 +896,19 @@ func (r *Router) probeNode(addr string) (HealthReport, error) {
 // epoch-bumped manifest is installed at ManifestPath (the single commit
 // point — a crash before the install changes nothing, after it the new
 // epoch is the truth), the router swaps its fleet view, and the standby
-// is poked over /admin/refresh so it adopts immediately rather than on
+// is poked over /admin/v1/refresh so it adopts immediately rather than on
 // its next watch tick.
 func (r *Router) failover(dead string) error {
-	if j, _ := loadClusterJournal(clusterJournalPath(r.cfg.ManifestPath)); j != nil {
-		// A live cutover is journaled: its freeze offsets and double-write
-		// topology are pinned to the current assignment. Reassigning
-		// partitions mid-cutover would strand them; the operator resumes
-		// or finishes the rebalance first, then failover may proceed.
+	// A journaled live cutover pins its freeze offsets and double-write
+	// topology to the current assignment: reassigning partitions
+	// mid-cutover would strand them. The operator resumes or finishes the
+	// rebalance first, then failover may proceed. A journal that cannot be
+	// read might be exactly that, so it refuses too.
+	jpath := cutoverJournalPath(r.cfg.ManifestPath)
+	if j, err := shard.LoadCutoverJournal(jpath); err != nil {
+		r.journalErrs.Inc()
+		return fmt.Errorf("cluster: refusing failover of %q: cannot tell whether a live cutover is journaled at %s: %w", dead, jpath, err)
+	} else if j != nil {
 		return fmt.Errorf("cluster: refusing failover of %q while live cutover %d -> %d is journaled; resume the rebalance first", dead, j.From, j.To)
 	}
 	r.mu.Lock()
@@ -942,28 +949,9 @@ func (r *Router) failover(dead string) error {
 	return nil
 }
 
-// pokeRefresh POSTs a node's /admin/refresh.
+// pokeRefresh POSTs a node's /admin/v1/refresh.
 func (r *Router) pokeRefresh(addr string) error {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	ctx, cancel := contextWithTimeout(r.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequest(http.MethodPost, url+"/admin/refresh", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client.Do(req.WithContext(ctx))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("admin/refresh answered %d", resp.StatusCode)
-	}
-	return nil
+	return r.adminJSON(http.MethodPost, addr, httpapi.Prefix+"/refresh", nil, nil)
 }
 
 // RouterHealth is the router's own /healthz body.

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"logsynergy/internal/embed"
 	"logsynergy/internal/lei"
-	"logsynergy/internal/obs"
 	"logsynergy/internal/repr"
 )
 
@@ -60,8 +58,8 @@ func SaveBundle(w io.Writer, m *Model, table *repr.EventTable) error {
 //	#lsbundle v1 crc32c=xxxxxxxx
 //
 // The version lets the format grow; a loader refuses versions newer than
-// it understands. Bundles written before the footer existed still load
-// (with a warning) — the footer's absence simply skips verification.
+// it understands, and a bundle without the footer like any other corrupt
+// one.
 const (
 	bundleFooterPrefix  = "#lsbundle v"
 	bundleFooterFmt     = bundleFooterPrefix + "%d crc32c=%08x\n"
@@ -70,14 +68,8 @@ const (
 
 var bundleCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WarnLegacyBundle receives the warning emitted when a footer-less
-// (pre-versioning) bundle loads successfully. Replaceable for tests and
-// embedding applications; the default writes to stderr.
-var WarnLegacyBundle = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
-
 // splitBundleFooter separates the serialized bundle into JSON body and
-// footer line. A missing footer returns ok=false with the whole input as
-// body (the legacy format).
+// footer line. A missing footer returns ok=false.
 func splitBundleFooter(data []byte) (body, footer []byte, ok bool) {
 	trimmed := bytes.TrimRight(data, "\n")
 	i := bytes.LastIndexByte(trimmed, '\n')
@@ -133,9 +125,8 @@ func (b *Bundle) validate() error {
 // embeddings are recomputed with a fresh embedder of the recorded
 // dimension — the hash embedder is deterministic, so the reconstruction is
 // exact. A corrupted stream (truncation, bit flips, mismatched dims)
-// yields a descriptive error, never a panic. Footered bundles are
-// CRC-verified before any JSON is parsed; legacy footer-less bundles
-// still load, with a warning through WarnLegacyBundle.
+// yields a descriptive error, never a panic. The footer's CRC is
+// verified before any JSON is parsed.
 func LoadBundle(r io.Reader) (det *Detector, err error) {
 	// Backstop: whatever validation misses must still surface as an error
 	// on a hostile byte stream, not take the process down.
@@ -148,11 +139,12 @@ func LoadBundle(r io.Reader) (det *Detector, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading bundle: %w", err)
 	}
-	body, footer, footered := splitBundleFooter(data)
-	if footered {
-		if err := verifyBundleFooter(body, footer); err != nil {
-			return nil, err
-		}
+	body, footer, ok := splitBundleFooter(data)
+	if !ok {
+		return nil, fmt.Errorf("core: bundle has no %q integrity footer: truncated, or not a bundle", bundleFooterPrefix)
+	}
+	if err := verifyBundleFooter(body, footer); err != nil {
+		return nil, err
 	}
 	var b Bundle
 	// json.Unmarshal (not a Decoder) so trailing garbage — say, the torn
@@ -162,10 +154,6 @@ func LoadBundle(r io.Reader) (det *Detector, err error) {
 	}
 	if err := b.validate(); err != nil {
 		return nil, err
-	}
-	if !footered {
-		obs.Default().Counter("core.bundle_legacy_total").Inc()
-		WarnLegacyBundle("core: loading legacy bundle without integrity footer; re-save to add checksum protection")
 	}
 	m := NewModel(b.Config, b.NumSystems)
 	if err := m.Params.Load(bytes.NewReader(b.Params)); err != nil {

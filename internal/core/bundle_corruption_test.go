@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -25,6 +27,13 @@ func goodBundle(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// withFooter appends a valid integrity footer to a re-marshalled bundle
+// body, so LoadBundle gets past the checksum to the structural checks.
+func withFooter(body []byte) []byte {
+	body = append(body, '\n')
+	return append(body, fmt.Sprintf(bundleFooterFmt, bundleFooterVersion, crc32.Checksum(body, bundleCRCTable))...)
 }
 
 // loadMustFail asserts LoadBundle turns the bytes into a descriptive
@@ -87,7 +96,7 @@ func TestLoadBundleWrongEmbedDim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return withFooter(out)
 	}
 
 	loadMustFail(t, mutate(func(c *Bundle) { c.EmbedDim = c.EmbedDim * 2 }), "embed dim")
@@ -131,7 +140,7 @@ func TestLoadBundleCorruptParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return withFooter(out)
 	}
 
 	// Shape product disagrees with data length (the historical panic path

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"logsynergy/internal/obs"
 )
 
 // TestBundleFooterRoundtrip: SaveBundle appends the versioned CRC footer
-// and LoadBundle verifies it silently (no legacy warning).
+// and LoadBundle verifies it.
 func TestBundleFooterRoundtrip(t *testing.T) {
 	raw := goodBundle(t)
 	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
@@ -18,19 +16,12 @@ func TestBundleFooterRoundtrip(t *testing.T) {
 		t.Fatalf("footer %q", footer)
 	}
 
-	var warned []string
-	defer func(old func(string)) { WarnLegacyBundle = old }(WarnLegacyBundle)
-	WarnLegacyBundle = func(msg string) { warned = append(warned, msg) }
-
 	det, err := LoadBundle(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("LoadBundle: %v", err)
 	}
 	if det == nil {
 		t.Fatal("nil detector")
-	}
-	if len(warned) != 0 {
-		t.Fatalf("footered bundle warned: %v", warned)
 	}
 }
 
@@ -67,40 +58,17 @@ func TestBundleFooterNewerVersionRefused(t *testing.T) {
 	}
 }
 
-// TestBundleLegacyLoadsWithWarning: a pre-footer bundle (bare JSON)
-// still loads, emits the legacy warning, and bumps the obs counter.
-func TestBundleLegacyLoadsWithWarning(t *testing.T) {
+// TestBundleWithoutFooterRefused: a bundle stripped of its footer (bare
+// JSON, the pre-footer format) is refused like any other corrupt
+// bundle — its integrity cannot be checked.
+func TestBundleWithoutFooterRefused(t *testing.T) {
 	raw := goodBundle(t)
 	body, _, ok := splitBundleFooter(raw)
 	if !ok {
 		t.Fatal("no footer on fresh bundle")
 	}
-
-	var warned []string
-	defer func(old func(string)) { WarnLegacyBundle = old }(WarnLegacyBundle)
-	WarnLegacyBundle = func(msg string) { warned = append(warned, msg) }
-	before := obs.Default().Snapshot().Counters["core.bundle_legacy_total"]
-
-	det, err := LoadBundle(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("legacy bundle refused: %v", err)
-	}
-	if det == nil {
-		t.Fatal("nil detector")
-	}
-	if len(warned) != 1 || !strings.Contains(warned[0], "legacy bundle") {
-		t.Fatalf("warnings %v", warned)
-	}
-	if after := obs.Default().Snapshot().Counters["core.bundle_legacy_total"]; after != before+1 {
-		t.Fatalf("legacy counter %d -> %d", before, after)
-	}
-
-	// A corrupt legacy bundle (no footer to check) still errors via JSON
-	// and validation, never panics.
-	_, err = LoadBundle(bytes.NewReader(body[:len(body)/2]))
-	if err == nil {
-		t.Fatal("truncated legacy bundle loaded")
-	}
+	loadMustFail(t, body, "footer")
+	loadMustFail(t, body[:len(body)/2], "footer")
 }
 
 // TestBundleFooterMalformed: a recognizable but garbled footer is an
@@ -115,21 +83,14 @@ func TestBundleFooterMalformed(t *testing.T) {
 	}
 }
 
-// TestBundleTruncatedAtFooterBoundary documents the one blind spot
-// backwards compatibility forces: truncating exactly at the body/footer
-// boundary yields a byte-identical legacy bundle, which loads (with the
-// warning). Anything shorter or longer fails.
+// TestBundleTruncatedAtFooterBoundary: a bundle cut anywhere inside its
+// footer — including exactly at the body/footer boundary — is refused.
 func TestBundleTruncatedAtFooterBoundary(t *testing.T) {
 	raw := goodBundle(t)
 	body, footer, _ := splitBundleFooter(raw)
-	defer func(old func(string)) { WarnLegacyBundle = old }(WarnLegacyBundle)
-	WarnLegacyBundle = func(string) {}
-	for cut := 1; cut < len(footer); cut += 5 {
+	for cut := 0; cut < len(footer); cut += 5 {
 		if _, err := LoadBundle(bytes.NewReader(raw[:len(body)+cut])); err == nil {
-			t.Fatalf("bundle with %d torn footer bytes loaded", cut)
+			t.Fatalf("bundle with %d of %d footer bytes loaded", cut, len(footer))
 		}
-	}
-	if _, err := LoadBundle(bytes.NewReader(body)); err != nil {
-		t.Fatalf("boundary truncation (legacy-identical) refused: %v", err)
 	}
 }

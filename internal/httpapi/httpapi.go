@@ -1,10 +1,9 @@
 // Package httpapi is the one shared HTTP admin surface for every
 // logsynergy serving mode (single-process serve, fleet node, front
 // router): a mux builder that mounts the observability endpoints
-// exactly once per process, a versioned-path helper that keeps legacy
-// unversioned admin paths as thin aliases of their /admin/v1 twins,
-// and the uniform JSON error envelope every non-2xx admin or ingest
-// answer carries.
+// exactly once per process, the versioned admin path prefix, and the
+// uniform JSON error envelope every non-2xx admin or ingest answer
+// carries.
 //
 // The envelope is
 //
@@ -25,17 +24,14 @@ import (
 	"net/http/pprof"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"logsynergy/internal/obs"
 )
 
-// Prefix is the versioned admin path prefix. Every admin endpoint is
-// reachable under it; pre-existing endpoints additionally keep their
-// unversioned path as an alias (one handler serves both, so alias
-// bodies are byte-identical by construction).
+// Prefix is the versioned admin path prefix; every admin endpoint is
+// mounted under it and nowhere else.
 const Prefix = "/admin/v1"
 
 // Error codes carried in the envelope. These are the stable,
@@ -184,15 +180,6 @@ func publishExpvar(snap func() obs.Snapshot) {
 			return nil
 		}))
 	})
-}
-
-// HandleVersioned mounts h at its legacy unversioned admin path and at
-// the /admin/v1 twin. legacy must start with "/admin/"; the versioned
-// path is Prefix plus the part after "/admin". One handler serves both
-// registrations, so the alias answers byte-identically.
-func HandleVersioned(mux *http.ServeMux, legacy string, h http.Handler) {
-	mux.Handle(legacy, h)
-	mux.Handle(Prefix+strings.TrimPrefix(legacy, "/admin"), h)
 }
 
 // EpochStamp wraps h so every response carries the current cluster

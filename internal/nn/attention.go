@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"logsynergy/internal/tensor"
 )
@@ -154,6 +155,7 @@ type TransformerEncoder struct {
 	Proj   *Linear // input dim -> model dim (identity if dims equal: still learned)
 	Layers []*TransformerEncoderLayer
 	Dim    int
+	posMu  sync.Mutex             // batch scoring runs Forward from many workers at once
 	posEnc map[int]*tensor.Tensor // cached by sequence length
 }
 
@@ -175,6 +177,8 @@ func NewTransformerEncoder(ps *ParamSet, prefix string, rng *rand.Rand, inDim, m
 // positional returns (and caches) the sinusoidal positional encoding table
 // for sequences of length t.
 func (e *TransformerEncoder) positional(t int) *tensor.Tensor {
+	e.posMu.Lock()
+	defer e.posMu.Unlock()
 	if pe, ok := e.posEnc[t]; ok {
 		return pe
 	}

@@ -14,46 +14,54 @@ import (
 	"logsynergy/internal/pipeline"
 )
 
-// Live rebalancing grows an OPEN runtime from N to N+1 partitions while
-// traffic keeps flowing — the online counterpart of the offline
-// stage→manifest→install protocol, decomposed per key:
+// Live rebalancing grows a serving deployment from N to N+1 partitions
+// while traffic keeps flowing — the online counterpart of the offline
+// stage→manifest→install protocol, decomposed per key. One Coordinator
+// runs it, in-process (Runtime.LiveRebalance, one local participant) and
+// across a fleet (cluster.Router.LiveRebalance, one HTTP participant per
+// node) alike:
 //
-//  1. Flip. Under the route write lock: the destination partition opens
-//     on the new layout, every donor's next append offset is captured as
-//     its freeze point, and the cutover journal (freeze points + ring
-//     parameters) lands durably at the root. From this instant every
-//     moving key's intake is double-written — appended to both the
-//     donor's WAL (which stops feeding it at the freeze point) and the
-//     destination's WAL (whose consumer parks before any unreleased
-//     moving key's record). Non-moving keys are untouched: same
-//     partition, same detection, same acks.
+//  1. Begin. Every participant flips into the cutover: the destination
+//     partition opens on the new layout, each donor's next append offset
+//     is captured as its freeze point, and the cutover journal (freeze
+//     points + ring parameters) lands durably — with intake excluded, so
+//     no acknowledged append sits between a freeze capture and the
+//     journal. From this instant every moving key's intake is
+//     double-written — appended to both the donor's WAL (which stops
+//     feeding it at the freeze point) and the destination's WAL (whose
+//     consumer parks before any unreleased moving key's record).
+//     Non-moving keys are untouched: same partition, same detection,
+//     same acks.
 //  2. Tail landing. Each donor drains its pre-freeze backlog, so every
 //     moving key's in-flight window tail is final.
-//  3. Per key — stage: the key's WindowTail plus the donor's full event
-//     space are written to a splice file in the destination's directory
-//     (atomic, fsynced). Commit: the journal records the key as
-//     "committed" — the per-key manifest; from here the key is
-//     destination-owned and a crash rolls it forward. Install: the
-//     splice merges into the live destination (donor event ids
-//     translated by template, pattern verdicts deduped, tail restored)
-//     and the donor forgets the key. Release: the journal records
-//     "released" and the destination's parked consumer wakes for the
-//     key; the router now sends it to the destination only.
-//  4. Finish. Under the route write lock: every partition restamps and
-//     persists on the new layout, the journal is removed (the end commit
-//     point — no append can land in between, the lock excludes them),
-//     and the router swaps rings.
+//  3. Per key — capture: the key's WindowTail plus the donor's full
+//     event space, under the donor's feed lock. Stage: the splice is
+//     written to a file in the destination's directory (atomic,
+//     fsynced). Commit: the journal records the key as "committed" — the
+//     per-key manifest; from here the key is destination-owned and a
+//     crash rolls it forward. Install: the splice merges into the live
+//     destination (donor event ids translated by template, pattern
+//     verdicts deduped, tail restored). Forget: the donor drops the
+//     key's tail. Release: the journal records "released", the
+//     destination's parked consumer wakes for the key and routing sends
+//     it to the destination only.
+//  4. Finish. Every participant restamps and persists its partitions on
+//     the new layout and swaps rings (double-writing ends here), the
+//     host installs whatever names the new layout (a fleet's
+//     epoch-bumped manifest), and the journal is removed — the end
+//     commit point.
 //
 // Crash safety inverts the offline protocol's all-or-nothing manifest
-// into a per-key ledger: reopening a root whose journal exists (the
-// runtime must come back with Shards = To) rebuilds the cutover,
-// re-applies any committed-but-unspliced key from its staged file
-// (destinations that already persisted the splice carry a Spliced marker
-// in shard-state v3 and are left alone), discards nothing a pending key
-// needs — its tail is still the donor's, records past the freeze point
-// live in the destination's WAL — and then drives the cutover to
-// completion before Open returns. Every key is on exactly one side at
-// every instant: donor until its journal entry says "committed",
+// into a per-key ledger: a participant that restarts while the journal
+// exists reopens at the new shard count straight into the journaled
+// state (committed-but-unspliced keys re-apply from their staged files;
+// destinations that already persisted a splice carry a Spliced marker in
+// shard-state v3 and are left alone; a pending key's tail is still the
+// donor's, and records past the freeze point live in the destination's
+// WAL), and the Coordinator run again — by Open in-process, by the
+// operator's retry in a fleet — re-begins every participant
+// idempotently and drives what is left. Every key is on exactly one side
+// at every instant: donor until its journal entry says "committed",
 // destination after.
 //
 // Double-written records are exactly the donor-WAL records at offsets ≥
@@ -63,12 +71,11 @@ import (
 // routes to the partition under its stamped layout is skipped — keeps
 // redelivered copies out of detection forever.
 
-// liveJournalName is the cutover journal at the runtime root. Its
-// existence IS the cutover: the flip writes it before any double-write,
-// the finish removes it after every partition is persisted on the new
-// layout, and an Open that finds it resumes the cutover (at the new
-// shard count) before serving.
-const liveJournalName = "live-cutover.json"
+// CutoverJournalName is the cutover journal's file name: at the runtime
+// root in-process, next to cluster.json in a fleet. Its existence IS the
+// cutover: begin writes it before any double-write, finish removes it
+// after every partition is persisted on the new layout.
+const CutoverJournalName = "live-cutover.json"
 
 // spliceFilePrefix names staged per-key splice files inside the
 // destination partition's directory.
@@ -89,8 +96,9 @@ const (
 // journalPhaseNames maps journal strings to phases.
 var journalPhaseNames = map[string]int{"committed": phaseCommitted, "released": phaseReleased}
 
-// liveJournal is the durable cutover ledger at the runtime root.
-type liveJournal struct {
+// CutoverJournal is the durable cutover ledger — the single source of
+// truth every participant and router recovers from.
+type CutoverJournal struct {
 	Version int `json:"version"`
 	From    int `json:"from"`
 	To      int `json:"to"`
@@ -98,6 +106,9 @@ type liveJournal struct {
 	// with (0 = default); a resume under a different ring would move a
 	// different key set.
 	Vnodes int `json:"vnodes"`
+	// DestNode names the fleet node hosting the new partition To-1 until
+	// the manifest bump assigns it there; empty in-process.
+	DestNode string `json:"dest_node,omitempty"`
 	// Freeze maps donor partition index → that donor's first
 	// double-written offset. Donor records below it are donor-fed;
 	// records at or above it belong to the destination's WAL copy.
@@ -107,48 +118,88 @@ type liveJournal struct {
 	Keys map[string]string `json:"keys"`
 }
 
-// KeySplice is one staged per-key handoff: the moving key's window tail
-// plus the donor's full event space at capture time (the key's parse
-// history is scattered through it, and translation dedups by template).
-// It is the payload of the networked cutover's transfer endpoint: a
-// donor node captures it, the coordinator ships it, and the
-// destination node stages it as a splice file.
-type KeySplice struct {
-	Version  int                     `json:"version"`
-	Key      string                  `json:"key"`
-	Tail     pipeline.WindowTail     `json:"tail"`
-	Events   []drain.SavedEvent      `json:"events,omitempty"`
-	Patterns []pipeline.PatternEntry `json:"patterns,omitempty"`
+// NewCutoverJournal describes a cutover that has not begun — it has no
+// freeze offsets yet, which a journal on disk always does: the
+// Coordinator collects them and writes the journal at begin.
+func NewCutoverJournal(from, to, vnodes int, destNode string) *CutoverJournal {
+	return &CutoverJournal{Version: 1, From: from, To: to, Vnodes: vnodes, DestNode: destNode,
+		Freeze: make(map[int]uint64, from), Keys: make(map[string]string)}
 }
 
-// journalPath renders the cutover journal path.
-func journalPath(root string) string { return filepath.Join(root, liveJournalName) }
-
-// loadJournal reads the cutover journal; absent means no cutover.
-func loadJournal(root string) (*liveJournal, error) {
-	data, err := os.ReadFile(journalPath(root))
+// LoadCutoverJournal reads the cutover journal at path; absent means no
+// cutover (nil, nil). Anything unreadable or inconsistent is an error —
+// callers must not treat it as "no cutover".
+func LoadCutoverJournal(path string) (*CutoverJournal, error) {
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading cutover journal: %w", err)
 	}
-	var j liveJournal
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, fmt.Errorf("shard: corrupt cutover journal %s: %w", journalPath(root), err)
+	j := &CutoverJournal{}
+	if err := json.Unmarshal(data, j); err != nil {
+		return nil, fmt.Errorf("shard: corrupt cutover journal %s: %w", path, err)
 	}
-	if j.Freeze == nil {
-		j.Freeze = make(map[int]uint64)
+	if j.From < 1 || j.To != j.From+1 || len(j.Freeze) != j.From {
+		return nil, fmt.Errorf("shard: cutover journal %s is inconsistent (%d -> %d with %d freeze offsets)",
+			path, j.From, j.To, len(j.Freeze))
+	}
+	for k, name := range j.Keys {
+		if _, ok := journalPhaseNames[name]; !ok {
+			return nil, fmt.Errorf("shard: cutover journal %s has unknown phase %q for key %q", path, name, k)
+		}
 	}
 	if j.Keys == nil {
 		j.Keys = make(map[string]string)
 	}
-	return &j, nil
+	return j, nil
 }
 
-// saveJournal durably rewrites the journal (atomic + fsynced).
-func saveJournal(root string, j *liveJournal) error {
-	return writeJSONFile(journalPath(root), j)
+// save durably rewrites the journal (atomic + fsynced) — each per-key
+// commit must be on disk before the key's destination copy is the one
+// detection consumes.
+func (j *CutoverJournal) save(path string) error { return writeJSONFile(path, j) }
+
+// removeCutoverJournal deletes the journal — the cutover's end commit
+// point — and syncs the directory so the removal survives a crash.
+func removeCutoverJournal(path string) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("shard: removing cutover journal: %w", err)
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// Spec renders the journal as one participant's begin parameters
+// (dest: the participant hosts the new partition To-1).
+func (j *CutoverJournal) Spec(dest bool) CutoverSpec {
+	return CutoverSpec{From: j.From, To: j.To, Vnodes: j.Vnodes, Freeze: j.Freeze, Keys: j.Keys, Dest: dest}
+}
+
+// KeysAt lists the keys journaled at phase ("committed" | "released"),
+// sorted.
+func (j *CutoverJournal) KeysAt(phase string) []string {
+	var keys []string
+	for k, ph := range j.Keys {
+		if ph == phase {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// KeySplice is one staged per-key handoff: the moving key's window tail
+// plus the donor's full event space at capture time (the key's parse
+// history is scattered through it, and translation dedups by template).
+// A donor captures it, the coordinator ships it, and the destination
+// stages it as a splice file.
+type KeySplice struct {
+	Version  int                     `json:"version"`
+	Key      string                  `json:"key"`
+	Tail     pipeline.WindowTail     `json:"tail"`
+	Events   []drain.SavedEvent      `json:"events,omitempty"`
+	Patterns []pipeline.PatternEntry `json:"patterns,omitempty"`
 }
 
 // splicePath renders a key's staged splice file inside the destination
@@ -170,9 +221,9 @@ func loadSplice(path string) (KeySplice, error) {
 	return sp, nil
 }
 
-// sweepSplices removes staged splice files — run at cutover end and by
-// journal-less opens (a finish interrupted between journal removal and
-// cleanup leaves stragglers that mean nothing without the journal).
+// sweepSplices removes staged splice files — run once a destination's
+// Spliced markers are durable at cutover end, and by journal-less opens
+// (staged files mean nothing without the journal).
 func sweepSplices(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -234,12 +285,23 @@ func (c *cutover) keyPhase(key string) int {
 	return c.phase[key]
 }
 
-// setPhase advances a key's phase and wakes the parked consumer.
-func (c *cutover) setPhase(key string, phase int) {
+// sync advances per-key phases from a journal view (key → "committed" |
+// "released"), never backwards — syncs can arrive out of order — and
+// wakes the destination's parked consumer.
+func (c *cutover) sync(keys map[string]string) error {
 	c.mu.Lock()
-	c.phase[key] = phase
+	defer c.mu.Unlock()
+	for k, name := range keys {
+		ph, ok := journalPhaseNames[name]
+		if !ok {
+			return fmt.Errorf("shard: unknown cutover phase %q for key %q", name, k)
+		}
+		if ph > c.phase[k] {
+			c.phase[k] = ph
+		}
+	}
 	c.cond.Broadcast()
-	c.mu.Unlock()
+	return nil
 }
 
 // interrupt marks the cutover closed (crash or shutdown) and wakes any
@@ -251,24 +313,258 @@ func (c *cutover) interrupt() {
 	c.mu.Unlock()
 }
 
-// liveOpts is the full live-rebalance parameter set; tests reach the
-// crash hook through it.
-type liveOpts struct {
-	to int
-	// hook, when set, is invoked at named cutover points: "double-write"
-	// once after the flip (key empty), then "tail-landed", "staged",
-	// "committed" and "released" per key. Returning an error aborts
-	// exactly there, leaving the journal in place — the crash-injection
-	// suite then kills the runtime and proves Open resumes it.
-	hook func(phase, key string) error
+// Coordinator drives one live cutover to completion over a set of
+// Participants: begin every participant and make the journal durable,
+// move each pending key (capture → stage → journal "committed" → install
+// → forget → journal "released"), finish. It owns the journal; the host
+// supplies what is transport- or fleet-specific.
+type Coordinator struct {
+	// JournalPath is where the journal lives: the runtime root
+	// in-process, the cluster directory in a fleet.
+	JournalPath string
+	// Owner maps a partition index — donors 0..From-1, the destination
+	// To-1 — to the participant serving it.
+	Owner func(partition int) Participant
+	// Gate, when set, runs each of the two flips with the host's intake
+	// excluded: begin (every participant begun, journal durable, OnBegin)
+	// and finish (every participant completed, OnFinish, journal removed).
+	// A fleet router passes its routing gate, because a remote node's own
+	// exclusion ends when its begin answers. The local runtime needs none:
+	// its BeginCutover runs the journal write under its route write lock.
+	Gate func(flip func() error) error
+	// OnBegin runs inside the begin flip once the journal is durable (a
+	// router installs its double-write overlay here).
+	OnBegin func()
+	// OnRelease runs once a key's "released" entry is durable.
+	OnRelease func(key string)
+	// OnFinish runs inside the finish flip after every participant
+	// completed and before the journal is removed (a router installs the
+	// epoch-bumped manifest here).
+	OnFinish func() error
+	// Hook, when set, is invoked at the cutover's named points, in this
+	// order: "double-write" once after begin (key empty); per key
+	// "tail-landed", "staged", "committed", "released"; "finish" once
+	// before the finish flip (key empty). A key resumed at "committed"
+	// fires only "released". Returning an error aborts exactly there,
+	// leaving the journal in place — the crash-injection suites then kill
+	// participants and prove a second Run resumes.
+	Hook func(phase, key string) error
 }
 
-// callHook invokes the optional crash hook.
-func (o liveOpts) callHook(phase, key string) error {
-	if o.hook == nil {
+// Run drives the cutover j describes: a journal loaded from disk
+// resumes (every participant re-begins idempotently with the journaled
+// freezes and phases), one from NewCutoverJournal begins. On error the
+// journal stays in place and Run may be called again with the reloaded
+// journal.
+func (c *Coordinator) Run(j *CutoverJournal) (*RebalanceReport, error) {
+	var parts []Participant // distinct, in partition order
+	for p := 0; p < j.To; p++ {
+		owner, seen := c.Owner(p), false
+		for _, q := range parts {
+			seen = seen || q == owner
+		}
+		if !seen {
+			parts = append(parts, owner)
+		}
+	}
+	active, err := c.begin(j, parts)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.hook("double-write", ""); err != nil {
+		return nil, err
+	}
+
+	// Keys the journal already committed (a resumed cutover) roll forward
+	// first: they are destination-owned. Then every pending moving key,
+	// until no donor holds one — records past the freeze point never
+	// re-enter donor tails, so the pending set can only shrink and the
+	// empty round proves convergence.
+	rep := &RebalanceReport{From: j.From, To: j.To}
+	oldRing, newRing := NewPartitionerVnodes(j.From, j.Vnodes), NewPartitionerVnodes(j.To, j.Vnodes)
+	keys := j.KeysAt("committed")
+	for {
+		for _, k := range keys {
+			lines, err := c.move(j, k, c.Owner(oldRing.Partition(k)), c.Owner(newRing.Partition(k)))
+			if err != nil {
+				return nil, err
+			}
+			rep.MovedKeys++
+			rep.MovedLines += lines
+		}
+		if keys, err = pendingKeys(active); err != nil {
+			return nil, err
+		}
+		if len(keys) == 0 {
+			break
+		}
+	}
+
+	if err := c.hook("finish", ""); err != nil {
+		return nil, err
+	}
+	err = c.gate(func() error {
+		for _, p := range parts {
+			if err := p.CompleteCutover(j.To); err != nil {
+				return err
+			}
+		}
+		if c.OnFinish != nil {
+			if err := c.OnFinish(); err != nil {
+				return err
+			}
+		}
+		return removeCutoverJournal(c.JournalPath)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// begin flips every participant into the cutover and, for a fresh one,
+// makes the journal durable: each participant hands the freeze offsets
+// it captured to its commit callback, and the last one's writes the
+// journal — still inside that participant's begin, so a write failure
+// abandons it. Returns the participants with work left (one that already
+// serves To partitions completed before an earlier run died).
+func (c *Coordinator) begin(j *CutoverJournal, parts []Participant) (active []Participant, err error) {
+	fresh := len(j.Freeze) == 0
+	err = c.gate(func() error {
+		for i, p := range parts {
+			var commit func(map[int]uint64) error
+			if fresh {
+				last := i == len(parts)-1
+				commit = func(freeze map[int]uint64) error {
+					for d, off := range freeze {
+						j.Freeze[d] = off
+					}
+					if !last {
+						return nil
+					}
+					for d := 0; d < j.From; d++ {
+						if _, ok := j.Freeze[d]; !ok {
+							return fmt.Errorf("shard: no participant reported a freeze offset for donor partition %d", d)
+						}
+					}
+					return j.save(c.JournalPath)
+				}
+			}
+			res, err := p.BeginCutover(j.Spec(p == c.Owner(j.To-1)), commit)
+			if err != nil {
+				return fmt.Errorf("shard: beginning live cutover %d -> %d: %w", j.From, j.To, err)
+			}
+			if !res.Finished {
+				active = append(active, p)
+			} else if fresh {
+				return fmt.Errorf("shard: a participant already serves %d partitions; cannot begin a cutover to %d", j.To, j.To)
+			}
+		}
+		if c.OnBegin != nil {
+			c.OnBegin()
+		}
+		return nil
+	})
+	return active, err
+}
+
+// pendingKeys unions every active participant's pending moving keys,
+// sorted for a deterministic cutover order.
+func pendingKeys(active []Participant) ([]string, error) {
+	seen := make(map[string]bool)
+	var keys []string
+	for _, p := range active {
+		ks, err := p.PendingMovingKeys()
+		if err != nil {
+			return nil, err
+		}
+		for _, k := range ks {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Strings(keys)
+	return keys, nil
+}
+
+// move cuts one key over, from wherever the journal says it stands:
+// capture on the donor → stage on the destination → journal "committed"
+// (the per-key commit point: from here the key is destination-owned and
+// recovery rolls it forward) → install → forget → journal "released".
+// Every step is idempotent. Returns the window-tail lines that moved.
+func (c *Coordinator) move(j *CutoverJournal, key string, donor, dest Participant) (int, error) {
+	lines := 0
+	if j.Keys[key] != "committed" {
+		if err := c.hook("tail-landed", key); err != nil {
+			return 0, err
+		}
+		sp, err := donor.CaptureKey(key)
+		if err != nil {
+			return 0, err
+		}
+		if err := dest.StageSplice(sp); err != nil {
+			return 0, err
+		}
+		if err := c.hook("staged", key); err != nil {
+			return 0, err
+		}
+		if err := c.record(j, key, "committed", donor, dest); err != nil {
+			return 0, err
+		}
+		if err := c.hook("committed", key); err != nil {
+			return 0, err
+		}
+		lines = len(sp.Tail.Lines)
+	}
+	if err := dest.InstallSplice(key); err != nil {
+		return 0, err
+	}
+	// The donor's next persist makes the drop durable; in the interim the
+	// journal, not the donor's state file, is what recovery trusts.
+	if err := donor.ForgetKey(key); err != nil {
+		return 0, err
+	}
+	if err := c.record(j, key, "released", donor, dest); err != nil {
+		return 0, err
+	}
+	if c.OnRelease != nil {
+		c.OnRelease(key)
+	}
+	return lines, c.hook("released", key)
+}
+
+// record journals a key's new phase durably, then tells the key's two
+// participants (a "released" sync wakes the destination's parked
+// consumer and ends the key's double-writes).
+func (c *Coordinator) record(j *CutoverJournal, key, phase string, donor, dest Participant) error {
+	j.Keys[key] = phase
+	if err := j.save(c.JournalPath); err != nil {
+		return err
+	}
+	update := map[string]string{key: phase}
+	if err := donor.SyncCutover(update); err != nil {
+		return err
+	}
+	if dest == donor {
 		return nil
 	}
-	return o.hook(phase, key)
+	return dest.SyncCutover(update)
+}
+
+func (c *Coordinator) gate(flip func() error) error {
+	if c.Gate == nil {
+		return flip()
+	}
+	return c.Gate(flip)
+}
+
+func (c *Coordinator) hook(phase, key string) error {
+	if c.Hook == nil {
+		return nil
+	}
+	return c.Hook(phase, key)
 }
 
 // LiveRebalance grows this open runtime from its current partition count
@@ -280,11 +576,12 @@ func (o liveOpts) callHook(phase, key string) error {
 // (Open at the new shard count) resumes and finishes it. Grows one
 // partition per call — run it repeatedly for larger growth.
 func (rt *Runtime) LiveRebalance(to int) (*RebalanceReport, error) {
-	return rt.liveRebalance(liveOpts{to: to})
+	return rt.liveRebalance(to, nil)
 }
 
-// liveRebalance implements LiveRebalance with injectable crash points.
-func (rt *Runtime) liveRebalance(o liveOpts) (*RebalanceReport, error) {
+// liveRebalance implements LiveRebalance with the Coordinator's crash
+// hook exposed to tests.
+func (rt *Runtime) liveRebalance(to int, hook func(phase, key string) error) (*RebalanceReport, error) {
 	start := time.Now()
 	rt.liveMu.Lock()
 	defer rt.liveMu.Unlock()
@@ -295,390 +592,28 @@ func (rt *Runtime) liveRebalance(o liveOpts) (*RebalanceReport, error) {
 		return nil, errors.New("shard: live rebalance requires a runtime serving every partition; " +
 			"this one opened a subset (cluster node mode)")
 	}
-	rt.routeMu.RLock()
-	from := rt.cfg.Shards
-	oldRing := rt.part
-	rt.routeMu.RUnlock()
-	if o.to == from {
-		return &RebalanceReport{From: from, To: o.to, Dir: rt.cfg.Dir, AlreadyBalanced: true, Duration: time.Since(start)}, nil
+	from := rt.Shards()
+	if to == from {
+		return &RebalanceReport{From: from, To: to, Dir: rt.cfg.Dir, AlreadyBalanced: true, Duration: time.Since(start)}, nil
 	}
-	if o.to != from+1 {
-		return nil, fmt.Errorf("shard: live rebalance grows one partition at a time (%d -> %d); got -to %d", from, from+1, o.to)
+	if to != from+1 {
+		return nil, fmt.Errorf("shard: live rebalance grows one partition at a time (%d -> %d); got -to %d", from, from+1, to)
 	}
-
-	// The destination opens on the new layout before any routing changes.
-	// Its directory may be an empty shell from an earlier failed attempt;
-	// records only ever land in it after the journal exists, so an
-	// orphaned empty directory is benign.
-	newRing := NewPartitionerVnodes(o.to, rt.cfg.Vnodes)
-	dest, err := rt.openPartitionAt(from, openOpts{layout: o.to, ring: newRing})
-	if err != nil {
-		return nil, fmt.Errorf("shard: opening cutover destination partition %d: %w", from, err)
-	}
-	cut := newCutover(from, o.to, oldRing, newRing)
-
-	// The flip: freeze capture, journal write and cutover publication are
-	// one atomic step as far as producers can tell — the route write lock
-	// excludes appends, so no record lands between a donor's captured
-	// freeze offset and the start of double-writing.
-	rt.routeMu.Lock()
-	j := &liveJournal{Version: 1, From: from, To: o.to, Vnodes: rt.cfg.Vnodes,
-		Freeze: make(map[int]uint64, from), Keys: make(map[string]string)}
-	for i := 0; i < from; i++ {
-		cut.freeze[i] = rt.parts[i].bk.NextOffset()
-		j.Freeze[i] = cut.freeze[i]
-	}
-	if err := saveJournal(rt.cfg.Dir, j); err != nil {
-		rt.routeMu.Unlock()
-		dest.cons.Close()
-		dest.bk.Close()
-		return nil, err
-	}
-	rt.parts = append(rt.parts, dest)
-	rt.byIdx = append(rt.byIdx, dest)
-	rt.cut.Store(cut)
-	rt.routeMu.Unlock()
-	go dest.run()
-	rt.reg.Gauge("shard.cutover_active").Set(1)
-
-	if err := o.callHook("double-write", ""); err != nil {
-		return nil, err
-	}
-	moved, lines, err := rt.driveCutover(cut, j, o)
+	rep, err := rt.coordinator(hook).Run(NewCutoverJournal(from, to, rt.cfg.Vnodes, ""))
 	if err != nil {
 		return nil, err
 	}
-	if err := rt.finishCutover(cut); err != nil {
-		return nil, err
-	}
-	return &RebalanceReport{
-		From:       from,
-		To:         o.to,
-		Dir:        rt.cfg.Dir,
-		MovedKeys:  moved,
-		MovedLines: lines,
-		Duration:   time.Since(start),
-	}, nil
+	rep.Dir = rt.cfg.Dir
+	rep.Duration = time.Since(start)
+	return rep, nil
 }
 
-// driveCutover runs the per-key protocol to completion against a
-// published cutover: donors drain to their freeze points, keys the
-// journal already committed (a resumed cutover) roll forward, then every
-// pending moving key stages, commits, splices and releases. Records past
-// the freeze point never re-enter donor tails, so the pending set can
-// only shrink; the loop's empty round proves convergence.
-func (rt *Runtime) driveCutover(cut *cutover, j *liveJournal, o liveOpts) (movedKeys, movedLines int, err error) {
-	for i := 0; i < cut.from; i++ {
-		if err := rt.awaitTailLanded(rt.parts[i], cut.freeze[i]); err != nil {
-			return 0, 0, err
-		}
+// coordinator assembles the in-process Coordinator: this runtime is the
+// one participant and the journal lives at its root.
+func (rt *Runtime) coordinator(hook func(phase, key string) error) *Coordinator {
+	return &Coordinator{
+		JournalPath: filepath.Join(rt.cfg.Dir, CutoverJournalName),
+		Owner:       func(int) Participant { return rt },
+		Hook:        hook,
 	}
-
-	// Roll committed keys forward first: they are destination-owned, and
-	// pending keys' enumeration below must not see their donor tails.
-	committed := make([]string, 0)
-	cut.mu.Lock()
-	for k, ph := range cut.phase {
-		if ph == phaseCommitted {
-			committed = append(committed, k)
-		}
-	}
-	cut.mu.Unlock()
-	sort.Strings(committed)
-	for _, k := range committed {
-		if err := rt.ensureSpliced(cut, k); err != nil {
-			return movedKeys, movedLines, err
-		}
-		if err := rt.releaseKey(cut, j, k); err != nil {
-			return movedKeys, movedLines, err
-		}
-		if err := o.callHook("released", k); err != nil {
-			return movedKeys, movedLines, err
-		}
-		movedKeys++
-	}
-
-	for {
-		pending := rt.pendingMoving(cut)
-		if len(pending) == 0 {
-			break
-		}
-		for _, k := range pending {
-			lines, err := rt.moveKey(cut, j, o, k)
-			if err != nil {
-				return movedKeys, movedLines, err
-			}
-			movedKeys++
-			movedLines += lines
-		}
-	}
-	return movedKeys, movedLines, nil
-}
-
-// awaitTailLanded blocks until the donor has consumed its full pre-freeze
-// backlog — every moving key's window tail is then final, because records
-// at or past the freeze point are never donor-fed.
-func (rt *Runtime) awaitTailLanded(pt *partition, freeze uint64) error {
-	for {
-		pt.feedMu.Lock()
-		consumed := pt.consumed
-		pt.feedMu.Unlock()
-		if consumed+1 >= freeze {
-			return nil
-		}
-		if pt.finished() {
-			if err := pt.workerErr(); err != nil {
-				return fmt.Errorf("shard: donor partition %d failed before its tail landed: %w", pt.idx, err)
-			}
-			return fmt.Errorf("shard: donor partition %d stopped %d records before its tail landed", pt.idx, freeze-1-consumed)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// pendingMoving enumerates moving keys still donor-owned, sorted for a
-// deterministic cutover order. Keys whose entire history is past the
-// freeze point never appear — their records live only in the
-// destination's WAL, and the finish flip releases them wholesale.
-func (rt *Runtime) pendingMoving(cut *cutover) []string {
-	var keys []string
-	seen := make(map[string]bool)
-	for i := 0; i < cut.from; i++ {
-		pt := rt.parts[i]
-		pt.feedMu.Lock()
-		tails := pt.keyed.Tails()
-		pt.feedMu.Unlock()
-		for k := range tails {
-			if seen[k] || !cut.moving(k) || cut.keyPhase(k) >= phaseCommitted {
-				continue
-			}
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// moveKey cuts one pending key over: capture → stage → commit → install
-// → release. Returns the number of window-tail lines that moved.
-func (rt *Runtime) moveKey(cut *cutover, j *liveJournal, o liveOpts, key string) (int, error) {
-	donor := rt.parts[cut.oldRing.Partition(key)]
-	dest := rt.parts[cut.newRing.Partition(key)]
-	if err := o.callHook("tail-landed", key); err != nil {
-		return 0, err
-	}
-
-	// Capture: flush pending windows so the tail is consistent, then
-	// snapshot the key's window state and the donor's event space. The
-	// tail is final — the donor feeds nothing past its freeze point.
-	donor.feedMu.Lock()
-	donor.keyed.Flush()
-	tail, _ := donor.keyed.Tail(key)
-	sp := KeySplice{
-		Version:  1,
-		Key:      key,
-		Tail:     tail,
-		Events:   donor.pipe.Parser().Export(),
-		Patterns: donor.pipe.Library().Export(),
-	}
-	donor.feedMu.Unlock()
-
-	// Stage: durable in the destination's directory before the commit.
-	if err := writeJSONFile(splicePath(dest.dir, key), sp); err != nil {
-		return 0, fmt.Errorf("shard: staging splice for key %q: %w", key, err)
-	}
-	if err := o.callHook("staged", key); err != nil {
-		return 0, err
-	}
-
-	// Commit: the journal entry is the per-key manifest — from here the
-	// key is destination-owned and recovery rolls it forward.
-	j.Keys[key] = "committed"
-	if err := saveJournal(rt.cfg.Dir, j); err != nil {
-		return 0, err
-	}
-	cut.setPhase(key, phaseCommitted)
-	if err := o.callHook("committed", key); err != nil {
-		return 0, err
-	}
-
-	// Install: splice into the live destination; the donor forgets the
-	// key (its next persist drops the tail — the journal, not the donor's
-	// state file, is what recovery trusts in the interim).
-	if err := rt.applySplice(dest, sp); err != nil {
-		return 0, err
-	}
-	donor.feedMu.Lock()
-	donor.keyed.TakeTails(func(k string) bool { return k == key })
-	donor.forceSave = true
-	donor.feedMu.Unlock()
-
-	if err := rt.releaseKey(cut, j, key); err != nil {
-		return 0, err
-	}
-	if err := o.callHook("released", key); err != nil {
-		return 0, err
-	}
-	return len(tail.Lines), nil
-}
-
-// applySplice merges one staged splice into the live destination:
-// donor events merge by template into the running parser, the event
-// table extends to cover new ids, pattern verdicts translate into the
-// destination's id space (its own verdicts win), and the key's window
-// tail restores. Idempotent — a destination that already carries the
-// key's Spliced marker is left alone, and re-merging the same donor
-// export translates onto the same ids.
-func (rt *Runtime) applySplice(dest *partition, sp KeySplice) error {
-	dest.feedMu.Lock()
-	defer dest.feedMu.Unlock()
-	if dest.spliced[sp.Key] {
-		return nil
-	}
-	translate, err := dest.pipe.Parser().Merge(sp.Events)
-	if err != nil {
-		return fmt.Errorf("shard: merging donor events for key %q: %w", sp.Key, err)
-	}
-	if err := dest.pipe.SyncTable(); err != nil {
-		return fmt.Errorf("shard: extending destination event table for key %q: %w", sp.Key, err)
-	}
-	lib := dest.pipe.Library()
-	lib.Import(translatePatterns(sp.Patterns, translate, lib.Contains))
-	if len(sp.Tail.Lines) > 0 || sp.Tail.SincePrev > 0 {
-		dest.keyed.Restore(map[string]pipeline.WindowTail{sp.Key: sp.Tail})
-	}
-	if dest.spliced == nil {
-		dest.spliced = make(map[string]bool)
-	}
-	dest.spliced[sp.Key] = true
-	dest.forceSave = true
-	return nil
-}
-
-// ensureSpliced rolls a committed key forward on resume: if the
-// destination's durable state predates the splice (no Spliced marker),
-// re-apply it from the staged file — guaranteed present, it was fsynced
-// before the journal entry.
-func (rt *Runtime) ensureSpliced(cut *cutover, key string) error {
-	destIdx := cut.newRing.Partition(key)
-	dest := rt.byIdx[destIdx]
-	if dest == nil {
-		return fmt.Errorf("shard: destination partition %d for key %q is not open in this runtime", destIdx, key)
-	}
-	dest.feedMu.Lock()
-	done := dest.spliced[key]
-	dest.feedMu.Unlock()
-	if done {
-		return nil
-	}
-	sp, err := loadSplice(splicePath(dest.dir, key))
-	if err != nil {
-		return err
-	}
-	return rt.applySplice(dest, sp)
-}
-
-// releaseKey records the release durably, then wakes the destination's
-// parked consumer and flips the router to destination-only for the key.
-func (rt *Runtime) releaseKey(cut *cutover, j *liveJournal, key string) error {
-	j.Keys[key] = "released"
-	if err := saveJournal(rt.cfg.Dir, j); err != nil {
-		return err
-	}
-	cut.setPhase(key, phaseReleased)
-	return nil
-}
-
-// finishCutover ends the cutover: every partition restamps and persists
-// on the new layout, the journal is removed (the end commit point), and
-// the router swaps rings — all under the route write lock, so no append
-// can land between the journal's removal and the swap (a record
-// double-written after the journal was gone would be fed twice on the
-// next recovery).
-func (rt *Runtime) finishCutover(cut *cutover) error {
-	rt.routeMu.Lock()
-	defer rt.routeMu.Unlock()
-	for _, pt := range rt.parts {
-		pt.feedMu.Lock()
-		pt.layout = cut.to
-		pt.ring = cut.newRing
-		pt.forceSave = true
-		err := pt.flushCommit()
-		pt.feedMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("shard: persisting partition %d on the new layout: %w", pt.idx, err)
-		}
-	}
-	if err := os.Remove(journalPath(rt.cfg.Dir)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("shard: removing cutover journal: %w", err)
-	}
-	if err := syncDir(rt.cfg.Dir); err != nil {
-		return err
-	}
-	// The journal is gone — the cutover is over. Clear the markers and
-	// staged files it governed (a crash in here leaves stragglers that
-	// journal-less opens sweep).
-	for _, pt := range rt.parts {
-		pt.feedMu.Lock()
-		pt.spliced = nil
-		pt.feedMu.Unlock()
-	}
-	sweepSplices(partitionDir(rt.cfg.Dir, cut.to-1))
-	rt.part = cut.newRing
-	rt.cfg.Shards = cut.to
-	rt.reg.Gauge("shard.partitions").Set(int64(cut.to))
-	rt.reg.Gauge("shard.cutover_active").Set(0)
-	cut.mu.Lock()
-	cut.finished = true
-	cut.cond.Broadcast()
-	cut.mu.Unlock()
-	rt.cut.Store(nil)
-	return nil
-}
-
-// resumeCutover rebuilds the in-memory cutover from a journal found at
-// Open. Partitions are open but no worker is running yet: committed and
-// released keys are scrubbed from donor window state here (their donors
-// may have crashed before persisting the drop), and the cutover is
-// published so workers start under it. Open then drives it to
-// completion before returning.
-func (rt *Runtime) resumeCutover(j *liveJournal) (*cutover, error) {
-	oldRing := NewPartitionerVnodes(j.From, rt.cfg.Vnodes)
-	cut := newCutover(j.From, j.To, oldRing, rt.part)
-	for i := 0; i < j.From; i++ {
-		off, ok := j.Freeze[i]
-		if !ok {
-			return nil, fmt.Errorf("shard: cutover journal has no freeze offset for donor partition %d", i)
-		}
-		cut.freeze[i] = off
-	}
-	for k, name := range j.Keys {
-		ph, ok := journalPhaseNames[name]
-		if !ok {
-			return nil, fmt.Errorf("shard: cutover journal has unknown phase %q for key %q", name, k)
-		}
-		cut.phase[k] = ph
-	}
-	for i := 0; i < j.From; i++ {
-		pt := rt.parts[i]
-		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted })
-	}
-	// Re-apply the splice of every destination-owned key whose
-	// destination state predates it — before any worker runs, because a
-	// released key's records are not gated and must never be fed ahead of
-	// its restored tail.
-	moved := make([]string, 0, len(cut.phase))
-	for k := range cut.phase {
-		moved = append(moved, k)
-	}
-	sort.Strings(moved)
-	for _, k := range moved {
-		if err := rt.ensureSpliced(cut, k); err != nil {
-			return nil, err
-		}
-	}
-	rt.cut.Store(cut)
-	rt.reg.Gauge("shard.cutover_active").Set(1)
-	return cut, nil
 }

@@ -91,7 +91,7 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 
 	stayPart := h.rt.PartitionFor(staying[0])
 	fedMidA, fedMidB, stalled := false, false, false
-	report, err := h.rt.liveRebalance(liveOpts{to: 3, hook: func(phase, key string) error {
+	report, err := h.rt.liveRebalance(3, func(phase, key string) error {
 		switch {
 		case phase == "double-write" && !fedMidA:
 			// Traffic lands the instant double-writing starts: moving keys
@@ -131,7 +131,7 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 			h.feed(t, midB)
 		}
 		return nil
-	}})
+	})
 	if err != nil {
 		t.Fatalf("LiveRebalance: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	if got := h.rt.Shards(); got != 3 {
 		t.Fatalf("Shards() = %d after live rebalance, want 3", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, liveJournalName)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); !os.IsNotExist(err) {
 		t.Fatalf("cutover journal still present after a completed live rebalance (stat err %v)", err)
 	}
 	if stragglers, _ := filepath.Glob(filepath.Join(dir, "p2", spliceFilePrefix+"*")); len(stragglers) != 0 {
@@ -188,13 +188,13 @@ func TestLiveRebalanceDuplicateSkipOnRedelivery(t *testing.T) {
 	h := openHarness(t, dir, 2, nil)
 	h.feed(t, pre)
 	fed := false
-	if _, err := h.rt.liveRebalance(liveOpts{to: 3, hook: func(phase, key string) error {
+	if _, err := h.rt.liveRebalance(3, func(phase, key string) error {
 		if phase == "double-write" && !fed {
 			fed = true
 			h.feed(t, mid)
 		}
 		return nil
-	}}); err != nil {
+	}); err != nil {
 		t.Fatalf("LiveRebalance: %v", err)
 	}
 	h.drain(t)
@@ -244,7 +244,7 @@ func TestLiveRebalanceDuplicateSkipOnRedelivery(t *testing.T) {
 // and the combined pre-crash + post-crash output stays bit-identical to
 // the reference.
 func TestLiveRebalanceCrashResume(t *testing.T) {
-	phases := []string{"double-write", "tail-landed", "staged", "committed", "released"}
+	phases := []string{"double-write", "tail-landed", "staged", "committed", "released", "finish"}
 	for _, phase := range phases {
 		phase := phase
 		t.Run(phase, func(t *testing.T) {
@@ -263,7 +263,7 @@ func TestLiveRebalanceCrashResume(t *testing.T) {
 			h.feed(t, pre)
 			boom := errors.New("injected crash")
 			fedMid := false
-			_, err := h.rt.liveRebalance(liveOpts{to: 3, hook: func(ph, key string) error {
+			_, err := h.rt.liveRebalance(3, func(ph, key string) error {
 				if ph == "double-write" && !fedMid {
 					// Mid-cutover traffic lands before the crash, so the
 					// resume has double-written records on both sides.
@@ -274,11 +274,11 @@ func TestLiveRebalanceCrashResume(t *testing.T) {
 					return boom
 				}
 				return nil
-			}})
+			})
 			if !errors.Is(err, boom) {
 				t.Fatalf("LiveRebalance error = %v, want injected crash", err)
 			}
-			if _, err := os.Stat(filepath.Join(dir, liveJournalName)); err != nil {
+			if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); err != nil {
 				t.Fatalf("cutover journal missing after crash at %s: %v", phase, err)
 			}
 			// Quiesce to a committed boundary (parked-on-gate counts: the
@@ -296,7 +296,7 @@ func TestLiveRebalanceCrashResume(t *testing.T) {
 			if got := h2.rt.Shards(); got != 3 {
 				t.Fatalf("Shards() = %d after resumed cutover, want 3", got)
 			}
-			if _, err := os.Stat(filepath.Join(dir, liveJournalName)); !os.IsNotExist(err) {
+			if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); !os.IsNotExist(err) {
 				t.Fatalf("cutover journal still present after resume (stat err %v)", err)
 			}
 			h2.feed(t, post)
@@ -348,10 +348,10 @@ func TestLiveRebalanceValidation(t *testing.T) {
 // journal owns the layout transition until it completes.
 func TestOfflineRebalanceRefusesLiveJournal(t *testing.T) {
 	dir := t.TempDir()
-	j := &liveJournal{Version: 1, From: 2, To: 3,
-		Freeze: map[int]uint64{0: 1, 1: 1}, Keys: map[string]string{}}
-	if err := saveJournal(dir, j); err != nil {
-		t.Fatalf("saveJournal: %v", err)
+	j := NewCutoverJournal(2, 3, 0, "")
+	j.Freeze = map[int]uint64{0: 1, 1: 1}
+	if err := j.save(filepath.Join(dir, CutoverJournalName)); err != nil {
+		t.Fatalf("saving journal: %v", err)
 	}
 	if _, err := RebalanceGroup(dir, "", 2, 3, ""); err == nil || !strings.Contains(err.Error(), "live cutover") {
 		t.Fatalf("offline rebalance over a live cutover: err = %v, want refusal", err)

@@ -1,0 +1,563 @@
+package shard
+
+import (
+	"fmt"
+	"sort"
+	"time"
+
+	"logsynergy/internal/pipeline"
+)
+
+// Participant is one runtime's side of a live cutover: the primitives
+// the Coordinator sequences. *Runtime implements it in-process; the
+// cluster layer implements it as an HTTP client over each node's
+// /admin/v1/cutover/* endpoints, which call the same *Runtime methods on
+// the far side. The participant holds the node-local invariants —
+// freeze offsets captured under the route write lock, workers gating and
+// parking — and never initiates; the coordinator owns the journal and
+// the order of steps. Every method is idempotent.
+type Participant interface {
+	// BeginCutover flips the runtime into the cutover spec describes and
+	// reports the freeze offsets of the donors it serves. commit, when
+	// non-nil, receives those offsets at the last point the begin can
+	// still be abandoned, and its error abandons it: the local runtime
+	// calls it under its route write lock, before the cutover is
+	// published — so no append can land between a freeze capture and
+	// whatever commit makes durable — and a remote participant's client
+	// calls it once the node has answered, relying on the coordinator's
+	// Gate for the same exclusion.
+	BeginCutover(spec CutoverSpec, commit func(freeze map[int]uint64) error) (*CutoverBeginResult, error)
+	// PendingMovingKeys waits for the served donors' tails to land, then
+	// lists the moving keys they still own, sorted.
+	PendingMovingKeys() ([]string, error)
+	// CaptureKey snapshots one pending key's splice from its donor.
+	CaptureKey(key string) (KeySplice, error)
+	// StageSplice durably writes a captured splice into the destination
+	// partition's directory.
+	StageSplice(sp KeySplice) error
+	// InstallSplice applies a key's staged splice to the live destination.
+	InstallSplice(key string) error
+	// ForgetKey drops a moved key's window tail from its donor.
+	ForgetKey(key string) error
+	// SyncCutover advances per-key phases from the coordinator's journal.
+	SyncCutover(keys map[string]string) error
+	// CompleteCutover restamps every served partition on the new layout
+	// and leaves the cutover.
+	CompleteCutover(to int) error
+}
+
+// CutoverSpec carries a live cutover's parameters from the
+// coordinator's journal to a participant's runtime.
+type CutoverSpec struct {
+	// From and To are the old and new partition counts (To = From+1).
+	From int `json:"from"`
+	To   int `json:"to"`
+	// Vnodes is the ring's virtual-node override the cutover was
+	// computed with (0 = default).
+	Vnodes int `json:"vnodes"`
+	// Freeze maps donor partition → first double-written offset. At the
+	// initial begin a donor's entry is absent — the runtime serving it
+	// captures the offset and reports it back; on resume it carries the
+	// journal's recorded offsets.
+	Freeze map[int]uint64 `json:"freeze,omitempty"`
+	// Keys is the journal's per-key ledger (key → "committed" |
+	// "released"); pending keys are absent.
+	Keys map[string]string `json:"keys,omitempty"`
+	// Dest marks this runtime as the destination partition's host: it
+	// opens partition To-1 on the new layout.
+	Dest bool `json:"dest,omitempty"`
+}
+
+// CutoverBeginResult is what BeginCutover reports back to the
+// coordinator.
+type CutoverBeginResult struct {
+	// Freeze maps the donor partitions this runtime owns to their
+	// freeze offsets (captured now, or the cutover's existing ones on an
+	// idempotent re-begin).
+	Freeze map[int]uint64 `json:"freeze,omitempty"`
+	// Finished is set when the runtime already serves To partitions — a
+	// finish landed before this begin was retried; there is nothing to
+	// (re)start.
+	Finished bool `json:"finished,omitempty"`
+}
+
+// CutoverStatus summarizes an active live cutover for a status answer.
+type CutoverStatus struct {
+	From int `json:"from"`
+	To   int `json:"to"`
+	// Pending counts moving keys still donor-owned on partitions this
+	// runtime serves; Committed and Released count journaled phases the
+	// runtime has been told about.
+	Pending   int `json:"pending"`
+	Committed int `json:"committed"`
+	Released  int `json:"released"`
+}
+
+// BeginCutover implements Participant. The route write lock is held
+// while freeze offsets are captured for owned donors, partition To-1
+// opens on the new layout (when spec.Dest), commit runs, and the cutover
+// is published — from a producer's view one atomic step. Re-beginning
+// the same (From, To) syncs the spec's per-key phases and reports the
+// existing freeze offsets; a runtime already serving To partitions
+// answers Finished.
+func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uint64) error) (*CutoverBeginResult, error) {
+	rt.routeMu.Lock()
+	defer rt.routeMu.Unlock()
+
+	if cut := rt.cut.Load(); cut != nil {
+		if cut.from != spec.From || cut.to != spec.To {
+			return nil, fmt.Errorf("shard: a live cutover %d -> %d is already in progress; cannot begin %d -> %d",
+				cut.from, cut.to, spec.From, spec.To)
+		}
+		if err := cut.sync(spec.Keys); err != nil {
+			return nil, err
+		}
+		return &CutoverBeginResult{Freeze: rt.ownedFreezesLocked(cut)}, nil
+	}
+	if rt.cfg.Shards == spec.To {
+		return &CutoverBeginResult{Finished: true}, nil
+	}
+	if rt.cfg.Shards != spec.From {
+		return nil, fmt.Errorf("shard: cutover begins at %d partitions but this runtime serves %d", spec.From, rt.cfg.Shards)
+	}
+	if spec.To != spec.From+1 {
+		return nil, fmt.Errorf("shard: live cutover grows one partition at a time (%d -> %d)", spec.From, spec.To)
+	}
+	if spec.Vnodes != rt.cfg.Vnodes {
+		return nil, fmt.Errorf("shard: cutover was computed with Vnodes=%d but this runtime uses %d", spec.Vnodes, rt.cfg.Vnodes)
+	}
+
+	// Every participant's routing table grows to To — Append indexes
+	// byIdx by new-ring partitions for released keys even on pure-donor
+	// nodes (where the destination slot stays nil and rejects). The
+	// destination's directory may be an empty shell from an earlier
+	// abandoned begin; records only ever land in it once a journal exists,
+	// so that is benign.
+	newRing := NewPartitionerVnodes(spec.To, rt.cfg.Vnodes)
+	rt.byIdx = append(rt.byIdx, nil)
+	var dest *partition
+	abandon := func(err error) (*CutoverBeginResult, error) {
+		if dest != nil {
+			dest.cons.Close()
+			dest.bk.Close()
+		}
+		rt.byIdx = rt.byIdx[:spec.From]
+		return nil, err
+	}
+	if spec.Dest {
+		var err error
+		dest, err = rt.openPartitionAt(spec.To-1, midCutoverOpts(spec, spec.To, newRing))
+		if err != nil {
+			return abandon(fmt.Errorf("shard: opening cutover destination partition %d: %w", spec.To-1, err))
+		}
+		rt.byIdx[spec.To-1] = dest
+	}
+	cut, err := rt.enterCutover(spec, rt.part, newRing)
+	if err != nil {
+		return abandon(err)
+	}
+	res := &CutoverBeginResult{Freeze: rt.ownedFreezesLocked(cut)}
+	if commit != nil {
+		if err := commit(res.Freeze); err != nil {
+			return abandon(err)
+		}
+	}
+	if dest != nil {
+		rt.parts = append(rt.parts, dest)
+	}
+	rt.cut.Store(cut)
+	rt.reg.Gauge("shard.cutover_active").Set(1)
+	if dest != nil {
+		go dest.run()
+	}
+	return res, nil
+}
+
+// midCutoverOpts opens a partition under one side of a cutover's layout
+// pair. A partition stamped with either layout is accepted — a crash
+// inside the finish leaves some partitions restamped — and the
+// destination (layout == spec.To) keeps its persisted Spliced markers.
+func midCutoverOpts(spec CutoverSpec, layout int, ring *Partitioner) openOpts {
+	return openOpts{
+		layout:      layout,
+		ring:        ring,
+		acceptStamp: func(s int) bool { return s == 0 || s == spec.From || s == spec.To },
+		keepSpliced: layout == spec.To,
+	}
+}
+
+// enterCutover builds the in-memory cutover spec describes over the
+// partitions already in rt.byIdx — the one block both ways into a
+// cutover share (BeginCutover on a serving runtime, Open on a root or
+// node restarting mid-cutover). Freeze offsets: the journal's recorded
+// value wins; an owned donor without one captures its next append offset
+// now. Keys the journal already committed are scrubbed from owned donor
+// tails (a donor may have crashed before persisting the drop) and rolled
+// forward on an owned destination from their staged splices — before the
+// cutover is published, because a released key's records are not gated
+// and must never be fed ahead of its restored tail. The caller holds the
+// route write lock, or runs before any worker starts.
+func (rt *Runtime) enterCutover(spec CutoverSpec, oldRing, newRing *Partitioner) (*cutover, error) {
+	cut := newCutover(spec.From, spec.To, oldRing, newRing)
+	if err := cut.sync(spec.Keys); err != nil {
+		return nil, err
+	}
+	for i := 0; i < spec.From; i++ {
+		pt := rt.byIdx[i]
+		if off, ok := spec.Freeze[i]; ok {
+			cut.freeze[i] = off
+		} else if pt != nil {
+			cut.freeze[i] = pt.bk.NextOffset()
+		}
+		if pt == nil {
+			continue
+		}
+		pt.feedMu.Lock()
+		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted })
+		pt.spliced = nil // markers from an earlier cutover, when this partition was its destination
+		pt.forceSave = true
+		pt.feedMu.Unlock()
+	}
+	if rt.byIdx[spec.To-1] != nil {
+		moved := make([]string, 0, len(cut.phase))
+		for k := range cut.phase {
+			moved = append(moved, k)
+		}
+		sort.Strings(moved)
+		for _, k := range moved {
+			if err := rt.ensureSpliced(cut, k); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return cut, nil
+}
+
+// ownedFreezesLocked collects owned donor partitions' freeze offsets.
+// Caller holds routeMu.
+func (rt *Runtime) ownedFreezesLocked(cut *cutover) map[int]uint64 {
+	out := make(map[int]uint64)
+	for i := 0; i < cut.from && i < len(rt.byIdx); i++ {
+		if rt.byIdx[i] != nil {
+			out[i] = cut.freeze[i]
+		}
+	}
+	return out
+}
+
+// activeCutover returns the published cutover and the donor partitions
+// this runtime serves.
+func (rt *Runtime) activeCutover() (*cutover, []*partition, error) {
+	rt.routeMu.RLock()
+	defer rt.routeMu.RUnlock()
+	cut := rt.cut.Load()
+	if cut == nil {
+		return nil, nil, fmt.Errorf("shard: no live cutover in progress (runtime serves %d partitions)", rt.cfg.Shards)
+	}
+	var donors []*partition
+	for i := 0; i < cut.from && i < len(rt.byIdx); i++ {
+		if rt.byIdx[i] != nil {
+			donors = append(donors, rt.byIdx[i])
+		}
+	}
+	return cut, donors, nil
+}
+
+// SyncCutover implements Participant. A "released" sync wakes an owned
+// destination's parked consumer and ends the key's double-writes; donor
+// tails are dropped separately via ForgetKey.
+func (rt *Runtime) SyncCutover(keys map[string]string) error {
+	cut, _, err := rt.activeCutover()
+	if err != nil {
+		return err
+	}
+	return cut.sync(keys)
+}
+
+// PendingMovingKeys implements Participant: it blocks until every donor
+// this runtime serves has consumed its full pre-freeze backlog — every
+// moving key's window tail is then final, because records at or past the
+// freeze point are never donor-fed — and lists the moving keys those
+// donors still own. Keys whose entire history is past the freeze point
+// never appear: their records live only in the destination's WAL, and
+// the finish releases them wholesale.
+func (rt *Runtime) PendingMovingKeys() ([]string, error) {
+	cut, donors, err := rt.activeCutover()
+	if err != nil {
+		return nil, err
+	}
+	for _, pt := range donors {
+		if err := awaitTailLanded(pt, cut.freeze[pt.idx]); err != nil {
+			return nil, err
+		}
+	}
+	return pendingMoving(cut, donors), nil
+}
+
+// awaitTailLanded blocks until the donor has consumed through its freeze
+// point, or its worker stops.
+func awaitTailLanded(pt *partition, freeze uint64) error {
+	for {
+		pt.feedMu.Lock()
+		consumed := pt.consumed
+		pt.feedMu.Unlock()
+		if consumed+1 >= freeze {
+			return nil
+		}
+		if pt.finished() {
+			if err := pt.workerErr(); err != nil {
+				return fmt.Errorf("shard: donor partition %d failed before its tail landed: %w", pt.idx, err)
+			}
+			return fmt.Errorf("shard: donor partition %d stopped %d records before its tail landed", pt.idx, freeze-1-consumed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// pendingMoving enumerates the moving keys the donors still own, sorted.
+func pendingMoving(cut *cutover, donors []*partition) []string {
+	var keys []string
+	seen := make(map[string]bool)
+	for _, pt := range donors {
+		pt.feedMu.Lock()
+		tails := pt.keyed.Tails()
+		pt.feedMu.Unlock()
+		for k := range tails {
+			if seen[k] || !cut.moving(k) || cut.keyPhase(k) >= phaseCommitted {
+				continue
+			}
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// CaptureKey implements Participant: the key's final window tail plus
+// the donor's full event space, captured under the donor's feed lock
+// (pending windows are flushed first so the tail is consistent). Refused
+// until the donor has consumed through its freeze point — a non-final
+// tail must never ship.
+func (rt *Runtime) CaptureKey(key string) (KeySplice, error) {
+	rt.routeMu.RLock()
+	defer rt.routeMu.RUnlock()
+	cut := rt.cut.Load()
+	if cut == nil {
+		return KeySplice{}, fmt.Errorf("shard: no live cutover in progress")
+	}
+	if !cut.moving(key) {
+		return KeySplice{}, fmt.Errorf("shard: key %q does not move in this cutover", key)
+	}
+	donorIdx := cut.oldRing.Partition(key)
+	donor := rt.byIdx[donorIdx]
+	if donor == nil {
+		return KeySplice{}, fmt.Errorf("shard: donor partition %d for key %q is not served by this runtime", donorIdx, key)
+	}
+	donor.feedMu.Lock()
+	defer donor.feedMu.Unlock()
+	if donor.consumed+1 < cut.freeze[donorIdx] {
+		return KeySplice{}, fmt.Errorf("shard: donor partition %d has consumed through offset %d of its freeze point %d; capture once the tail lands",
+			donorIdx, donor.consumed, cut.freeze[donorIdx])
+	}
+	donor.keyed.Flush()
+	tail, _ := donor.keyed.Tail(key)
+	return KeySplice{
+		Version:  1,
+		Key:      key,
+		Tail:     tail,
+		Events:   donor.pipe.Parser().Export(),
+		Patterns: donor.pipe.Library().Export(),
+	}, nil
+}
+
+// StageSplice implements Participant (rewrites the same file on a
+// repeat).
+func (rt *Runtime) StageSplice(sp KeySplice) error {
+	rt.routeMu.RLock()
+	defer rt.routeMu.RUnlock()
+	cut := rt.cut.Load()
+	if cut == nil {
+		return fmt.Errorf("shard: no live cutover in progress")
+	}
+	if sp.Key == "" {
+		return fmt.Errorf("shard: splice names no key")
+	}
+	destIdx := cut.newRing.Partition(sp.Key)
+	dest := rt.byIdx[destIdx]
+	if dest == nil {
+		return fmt.Errorf("shard: destination partition %d for key %q is not served by this runtime", destIdx, sp.Key)
+	}
+	if err := writeJSONFile(splicePath(dest.dir, sp.Key), sp); err != nil {
+		return fmt.Errorf("shard: staging splice for key %q: %w", sp.Key, err)
+	}
+	return nil
+}
+
+// InstallSplice implements Participant (idempotent via the Spliced
+// marker).
+func (rt *Runtime) InstallSplice(key string) error {
+	rt.routeMu.RLock()
+	defer rt.routeMu.RUnlock()
+	cut := rt.cut.Load()
+	if cut == nil {
+		return fmt.Errorf("shard: no live cutover in progress")
+	}
+	return rt.ensureSpliced(cut, key)
+}
+
+// ensureSpliced brings the key's destination up to its staged splice: a
+// destination whose state already carries the key's Spliced marker is
+// left alone; otherwise the splice applies from the staged file —
+// guaranteed present for a committed key, it was fsynced before the
+// journal entry.
+func (rt *Runtime) ensureSpliced(cut *cutover, key string) error {
+	destIdx := cut.newRing.Partition(key)
+	dest := rt.byIdx[destIdx]
+	if dest == nil {
+		return fmt.Errorf("shard: destination partition %d for key %q is not open in this runtime", destIdx, key)
+	}
+	dest.feedMu.Lock()
+	defer dest.feedMu.Unlock()
+	if dest.spliced[key] {
+		return nil
+	}
+	sp, err := loadSplice(splicePath(dest.dir, key))
+	if err != nil {
+		return err
+	}
+	// Donor events merge by template into the running parser, the event
+	// table extends to cover new ids, pattern verdicts translate into the
+	// destination's id space (its own verdicts win), and the key's window
+	// tail restores. Re-merging the same donor export translates onto the
+	// same ids.
+	translate, err := dest.pipe.Parser().Merge(sp.Events)
+	if err != nil {
+		return fmt.Errorf("shard: merging donor events for key %q: %w", key, err)
+	}
+	if err := dest.pipe.SyncTable(); err != nil {
+		return fmt.Errorf("shard: extending destination event table for key %q: %w", key, err)
+	}
+	lib := dest.pipe.Library()
+	lib.Import(translatePatterns(sp.Patterns, translate, lib.Contains))
+	if len(sp.Tail.Lines) > 0 || sp.Tail.SincePrev > 0 {
+		dest.keyed.Restore(map[string]pipeline.WindowTail{key: sp.Tail})
+	}
+	if dest.spliced == nil {
+		dest.spliced = make(map[string]bool)
+	}
+	dest.spliced[key] = true
+	dest.forceSave = true
+	return nil
+}
+
+// ForgetKey implements Participant (the next persist makes the drop
+// durable).
+func (rt *Runtime) ForgetKey(key string) error {
+	rt.routeMu.RLock()
+	defer rt.routeMu.RUnlock()
+	cut := rt.cut.Load()
+	if cut == nil {
+		return fmt.Errorf("shard: no live cutover in progress")
+	}
+	donorIdx := cut.oldRing.Partition(key)
+	donor := rt.byIdx[donorIdx]
+	if donor == nil {
+		return fmt.Errorf("shard: donor partition %d for key %q is not served by this runtime", donorIdx, key)
+	}
+	donor.feedMu.Lock()
+	donor.keyed.TakeTails(func(k string) bool { return k == key })
+	donor.forceSave = true
+	donor.feedMu.Unlock()
+	return nil
+}
+
+// CompleteCutover implements Participant: under the route write lock
+// every owned partition restamps and persists on the new layout, the
+// routing ring swaps and the cutover is cleared — double-writing ends
+// here, before the coordinator removes the journal (a record
+// double-written after the journal was gone would be fed twice on the
+// next recovery). Spliced markers stay set, so every later persist keeps
+// them: a crash before the journal's removal must find them, the staged
+// files being swept below. A runtime already serving to partitions
+// answers nil.
+func (rt *Runtime) CompleteCutover(to int) error {
+	rt.routeMu.Lock()
+	defer rt.routeMu.Unlock()
+	cut := rt.cut.Load()
+	if cut == nil {
+		if rt.cfg.Shards == to {
+			return nil
+		}
+		return fmt.Errorf("shard: no live cutover to complete (runtime serves %d partitions, finish asked for %d)", rt.cfg.Shards, to)
+	}
+	if cut.to != to {
+		return fmt.Errorf("shard: live cutover targets %d partitions, finish asked for %d", cut.to, to)
+	}
+	for _, pt := range rt.parts {
+		pt.feedMu.Lock()
+		pt.layout = cut.to
+		pt.ring = cut.newRing
+		pt.forceSave = true
+		err := pt.flushCommit()
+		pt.feedMu.Unlock()
+		if err != nil {
+			return fmt.Errorf("shard: persisting partition %d on the new layout: %w", pt.idx, err)
+		}
+	}
+	if dest := rt.byIdx[cut.to-1]; dest != nil {
+		sweepSplices(dest.dir)
+	}
+	rt.part = cut.newRing
+	rt.cfg.Shards = cut.to
+	rt.reg.Gauge("shard.partitions").Set(int64(cut.to))
+	rt.reg.Gauge("shard.cutover_active").Set(0)
+	cut.mu.Lock()
+	cut.finished = true
+	cut.cond.Broadcast()
+	cut.mu.Unlock()
+	rt.cut.Store(nil)
+	return nil
+}
+
+// CutoverStatus reports the active cutover's per-key progress as seen
+// by this runtime, or nil outside one.
+func (rt *Runtime) CutoverStatus() *CutoverStatus {
+	cut, donors, err := rt.activeCutover()
+	if err != nil {
+		return nil
+	}
+	st := &CutoverStatus{From: cut.from, To: cut.to, Pending: len(pendingMoving(cut, donors))}
+	cut.mu.Lock()
+	for _, ph := range cut.phase {
+		switch ph {
+		case phaseCommitted:
+			st.Committed++
+		case phaseReleased:
+			st.Released++
+		}
+	}
+	cut.mu.Unlock()
+	return st
+}
+
+// DirectedAppendBatch appends lines straight to partition part's WAL,
+// bypassing ring routing — the fleet router's double-write data path
+// during a networked live cutover (the router, not this runtime, knows
+// which node holds the other side of each double-write). The usual
+// at-least-once rules apply: an error means none of the lines were
+// acked by this partition and the caller retries.
+func (rt *Runtime) DirectedAppendBatch(part int, lines []string) error {
+	rt.routeMu.RLock()
+	defer rt.routeMu.RUnlock()
+	if part < 0 || part >= len(rt.byIdx) || rt.byIdx[part] == nil {
+		rt.rejectedByBP.Add(int64(len(lines)))
+		return fmt.Errorf("partition %d: %w", part, ErrNotAssigned)
+	}
+	if _, _, err := rt.byIdx[part].bk.AppendBatch(lines); err != nil {
+		rt.rejectedByBP.Add(int64(len(lines)))
+		return fmt.Errorf("partition %d: %w", part, err)
+	}
+	rt.routedLines.Add(int64(len(lines)))
+	return nil
+}

@@ -147,11 +147,11 @@ func rebalanceRun(o rebalanceOpts) (*RebalanceReport, error) {
 	// A live cutover owns the directory until its journal is gone; an
 	// offline rebalance running under it would splice from tails the
 	// serving runtime is still moving.
-	if j, err := loadJournal(root); err != nil {
+	if j, err := LoadCutoverJournal(filepath.Join(root, CutoverJournalName)); err != nil {
 		return nil, err
 	} else if j != nil {
 		return nil, fmt.Errorf("shard: %s has a live cutover to %d partitions in progress (%s present); "+
-			"reopen the runtime at %d shards to let it finish before rebalancing offline", root, j.To, liveJournalName, j.To)
+			"reopen the runtime at %d shards to let it finish before rebalancing offline", root, j.To, CutoverJournalName, j.To)
 	}
 	// Finish whatever a previous attempt left behind before reading any
 	// state: roll a committed rebalance forward, discard an uncommitted

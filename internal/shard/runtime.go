@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,15 +133,15 @@ type Runtime struct {
 	byIdx []*partition
 
 	// routeMu guards the routing topology: part, parts, and cfg.Shards.
-	// Producers and accessors read-lock; a live cutover's flip and finish
-	// write-lock, making "freeze + journal + publish" and "restamp +
-	// journal removal + ring swap" atomic with respect to appends.
+	// Producers and accessors read-lock; a live cutover's begin and
+	// complete write-lock, making "freeze + journal + publish" and
+	// "restamp + ring swap" atomic with respect to appends.
 	routeMu sync.RWMutex
 	// liveMu serializes LiveRebalance calls.
 	liveMu sync.Mutex
 	// cut is the active live cutover (nil outside one). Workers and the
-	// router load it per record; it is published after the journal is
-	// durable and cleared after the journal is removed.
+	// router load it per record; it is published once the journal is
+	// durable and cleared before the journal is removed.
 	cut atomic.Pointer[cutover]
 
 	faninMu      sync.Mutex
@@ -235,44 +236,26 @@ func Open(cfg Config) (*Runtime, error) {
 			seen[i] = true
 		}
 	}
-	j, err := loadJournal(cfg.Dir)
+	// A journal at the root is an in-process cutover this runtime must
+	// finish before serving; Config.Cutover is a cluster coordinator's
+	// journal, whose cutover this runtime only takes part in. Either way
+	// the runtime opens mid-cutover from the same spec.
+	j, err := LoadCutoverJournal(filepath.Join(cfg.Dir, CutoverJournalName))
 	if err != nil {
 		return nil, err
 	}
-	if spec := cfg.Cutover; spec != nil {
-		if j != nil {
+	spec := cfg.Cutover
+	if j != nil {
+		if spec != nil {
 			return nil, fmt.Errorf("shard: %s has its own live-cutover journal and the config names a networked cutover; "+
 				"finish one before starting the other", cfg.Dir)
 		}
-		if spec.To != spec.From+1 {
-			return nil, fmt.Errorf("shard: networked cutover grows one partition at a time (%d -> %d)", spec.From, spec.To)
-		}
-		if cfg.Shards != spec.To {
-			return nil, fmt.Errorf("shard: networked cutover targets %d partitions but the runtime is opening %d", spec.To, cfg.Shards)
-		}
-		if cfg.Vnodes != spec.Vnodes {
-			return nil, fmt.Errorf("shard: networked cutover was computed with Vnodes=%d but the runtime is opening with %d", spec.Vnodes, cfg.Vnodes)
-		}
-		if len(spec.Freeze) != spec.From {
-			return nil, fmt.Errorf("shard: networked cutover records %d freeze offsets for %d donor partitions", len(spec.Freeze), spec.From)
-		}
-	}
-	if j != nil {
 		if cfg.Subset != nil {
 			return nil, fmt.Errorf("shard: %s has a live cutover in progress; finish it with a full runtime "+
 				"(every partition) before serving a subset", cfg.Dir)
 		}
-		if cfg.Shards != j.To {
-			return nil, fmt.Errorf("shard: %s has a live cutover to %d partitions in progress but the runtime is opening %d; "+
-				"reopen at %d shards to let the cutover finish", cfg.Dir, j.To, cfg.Shards, j.To)
-		}
-		if cfg.Vnodes != j.Vnodes {
-			return nil, fmt.Errorf("shard: %s's live cutover was computed with Vnodes=%d but the runtime is opening with %d; "+
-				"a different ring would move a different key set", cfg.Dir, j.Vnodes, cfg.Vnodes)
-		}
-		if len(j.Freeze) != j.From {
-			return nil, fmt.Errorf("shard: cutover journal records %d freeze offsets for %d donor partitions", len(j.Freeze), j.From)
-		}
+		s := j.Spec(true)
+		spec = &s
 	} else {
 		// Finish any offline rebalance that crashed mid-install: a committed
 		// manifest rolls forward to the new layout, an uncommitted one rolls
@@ -280,6 +263,20 @@ func Open(cfg Config) (*Runtime, error) {
 		// consistent layout.
 		if err := recoverRebalance(cfg.Dir); err != nil {
 			return nil, err
+		}
+	}
+	if spec != nil {
+		switch {
+		case spec.To != spec.From+1:
+			return nil, fmt.Errorf("shard: a live cutover grows one partition at a time (%d -> %d)", spec.From, spec.To)
+		case cfg.Shards != spec.To:
+			return nil, fmt.Errorf("shard: %s has a live cutover to %d partitions in progress but the runtime is opening %d; "+
+				"reopen at %d shards to let the cutover finish", cfg.Dir, spec.To, cfg.Shards, spec.To)
+		case cfg.Vnodes != spec.Vnodes:
+			return nil, fmt.Errorf("shard: %s's live cutover was computed with Vnodes=%d but the runtime is opening with %d; "+
+				"a different ring would move a different key set", cfg.Dir, spec.Vnodes, cfg.Vnodes)
+		case len(spec.Freeze) != spec.From:
+			return nil, fmt.Errorf("shard: the live cutover records %d freeze offsets for %d donor partitions", len(spec.Freeze), spec.From)
 		}
 	}
 	rt := &Runtime{
@@ -293,10 +290,6 @@ func Open(cfg Config) (*Runtime, error) {
 	rt.cache = NewInterpCache(cfg.Interp, cfg.Metrics)
 	cfg.Metrics.Gauge("shard.partitions").Set(int64(cfg.Shards))
 
-	if j != nil {
-		rt.byIdx = make([]*partition, j.To)
-		return rt.openResuming(j)
-	}
 	own := cfg.Subset
 	if own == nil {
 		own = make([]int, cfg.Shards)
@@ -309,8 +302,18 @@ func Open(cfg Config) (*Runtime, error) {
 	}
 	cfg.Metrics.Gauge("shard.partitions_owned").Set(int64(len(own)))
 	rt.byIdx = make([]*partition, cfg.Shards)
-	if cfg.Cutover != nil {
-		return rt.openMidCutover(cfg.Cutover, own)
+	if spec != nil {
+		if err := rt.openMidCutover(*spec, own); err != nil {
+			rt.closePartitions()
+			return nil, err
+		}
+		if j != nil {
+			if _, err := rt.coordinator(nil).Run(j); err != nil {
+				rt.Kill()
+				return nil, fmt.Errorf("shard: resuming live cutover: %w", err)
+			}
+		}
+		return rt, nil
 	}
 	for _, i := range own {
 		pt, err := rt.openPartitionAt(i, openOpts{})
@@ -331,126 +334,39 @@ func Open(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// openResuming opens a root mid-cutover and drives the cutover to
-// completion before returning. Donors open under the journal's old
-// layout and ring; the destination opens under the new ones, keeping its
-// persisted Spliced markers. A partition stamped with either layout is
-// accepted — a crash inside the finish leaves some partitions restamped.
-func (rt *Runtime) openResuming(j *liveJournal) (*Runtime, error) {
-	oldRing := NewPartitionerVnodes(j.From, rt.cfg.Vnodes)
-	accept := func(s int) bool { return s == 0 || s == j.From || s == j.To }
-	fail := func(err error) (*Runtime, error) {
-		rt.closePartitions()
-		return nil, err
-	}
-	for i := 0; i < j.From; i++ {
-		pt, err := rt.openPartitionAt(i, openOpts{layout: j.From, ring: oldRing, acceptStamp: accept})
-		if err != nil {
-			return fail(fmt.Errorf("shard: opening partition %d: %w", i, err))
-		}
-		rt.parts = append(rt.parts, pt)
-		rt.byIdx[i] = pt
-	}
-	dest, err := rt.openPartitionAt(j.From, openOpts{layout: j.To, ring: rt.part, acceptStamp: accept, keepSpliced: true})
-	if err != nil {
-		return fail(fmt.Errorf("shard: opening cutover destination partition %d: %w", j.From, err))
-	}
-	rt.parts = append(rt.parts, dest)
-	rt.byIdx[j.From] = dest
-
-	cut, err := rt.resumeCutover(j)
-	if err != nil {
-		return fail(err)
-	}
-	for _, pt := range rt.parts {
-		go pt.run()
-	}
-	if _, _, err := rt.driveCutover(cut, j, liveOpts{to: j.To}); err != nil {
-		cut.interrupt()
-		rt.Kill()
-		return nil, fmt.Errorf("shard: resuming live cutover: %w", err)
-	}
-	if err := rt.finishCutover(cut); err != nil {
-		cut.interrupt()
-		rt.Kill()
-		return nil, fmt.Errorf("shard: resuming live cutover: %w", err)
-	}
-	return rt, nil
-}
-
-// openMidCutover opens a (possibly subset) runtime into a networked
-// live cutover described by spec: the counterpart of openResuming for
-// a cutover whose journal lives in the cluster directory. Donors open
-// under the old layout and ring with the spec's freeze offsets;
-// partition To-1, when owned, opens as the destination with its
-// persisted Spliced markers and rolls committed keys forward from
-// their staged splice files before its worker starts. Unlike
-// openResuming, the cutover is NOT driven here — the runtime serves
-// passively under it until the coordinator finishes the protocol over
-// the admin surface.
-func (rt *Runtime) openMidCutover(spec *CutoverSpec, own []int) (*Runtime, error) {
+// openMidCutover opens the partitions in own into the live cutover spec
+// describes and starts their workers under it: donors under the old
+// layout and ring, partition To-1 (when owned) as the destination. The
+// cutover is NOT driven here — the runtime serves under it until a
+// Coordinator finishes the protocol (Open itself for a journal at this
+// root, the fleet's coordinator over the admin surface otherwise).
+func (rt *Runtime) openMidCutover(spec CutoverSpec, own []int) error {
 	oldRing := NewPartitionerVnodes(spec.From, rt.cfg.Vnodes)
-	accept := func(s int) bool { return s == 0 || s == spec.From || s == spec.To }
-	fail := func(err error) (*Runtime, error) {
-		rt.closePartitions()
-		return nil, err
-	}
-	cut := newCutover(spec.From, spec.To, oldRing, rt.part)
-	for i := 0; i < spec.From; i++ {
-		cut.freeze[i] = spec.Freeze[i]
-	}
-	for k, name := range spec.Keys {
-		ph, ok := journalPhaseNames[name]
-		if !ok {
-			return fail(fmt.Errorf("shard: networked cutover has unknown phase %q for key %q", name, k))
-		}
-		cut.phase[k] = ph
-	}
 	for _, i := range own {
-		o := openOpts{layout: spec.From, ring: oldRing, acceptStamp: accept}
+		o := midCutoverOpts(spec, spec.From, oldRing)
 		if i == spec.To-1 {
 			if !spec.Dest {
-				return fail(fmt.Errorf("shard: partition %d is the cutover destination but the spec does not mark this runtime as its host", i))
+				return fmt.Errorf("shard: partition %d is the cutover destination but the spec does not mark this runtime as its host", i)
 			}
-			o = openOpts{layout: spec.To, ring: rt.part, acceptStamp: accept, keepSpliced: true}
+			o = midCutoverOpts(spec, spec.To, rt.part)
 		}
 		pt, err := rt.openPartitionAt(i, o)
 		if err != nil {
-			return fail(fmt.Errorf("shard: opening partition %d: %w", i, err))
+			return fmt.Errorf("shard: opening partition %d: %w", i, err)
 		}
 		rt.parts = append(rt.parts, pt)
 		rt.byIdx[i] = pt
 	}
-	// Scrub committed keys from owned donor tails (their donors may have
-	// crashed before persisting the drop) and roll committed keys forward
-	// on an owned destination — both before any worker runs.
-	for _, pt := range rt.parts {
-		if pt.idx >= spec.From {
-			continue
-		}
-		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted })
-	}
-	if rt.byIdx[spec.To-1] != nil {
-		moved := make([]string, 0, len(cut.phase))
-		for k := range cut.phase {
-			moved = append(moved, k)
-		}
-		sort.Strings(moved)
-		for _, k := range moved {
-			if cut.newRing.Partition(k) != spec.To-1 {
-				continue
-			}
-			if err := rt.ensureSpliced(cut, k); err != nil {
-				return fail(err)
-			}
-		}
+	cut, err := rt.enterCutover(spec, oldRing, rt.part)
+	if err != nil {
+		return err
 	}
 	rt.cut.Store(cut)
 	rt.reg.Gauge("shard.cutover_active").Set(1)
 	for _, pt := range rt.parts {
 		go pt.run()
 	}
-	return rt, nil
+	return nil
 }
 
 // openOpts parameterizes openPartitionAt for mid-cutover opens; the zero

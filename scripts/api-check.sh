@@ -33,7 +33,7 @@ fi
 # source of the path family; no handler spells /admin/v1 by hand.
 if hits=$(grep -rn '"/admin/v1' --include='*.go' cmd/ internal/ \
 	| grep -v '_test\.go' | grep -v '^internal/httpapi/'); then
-	echo "api-check: /admin/v1 paths must come from httpapi.Prefix (or httpapi.HandleVersioned):" >&2
+	echo "api-check: /admin/v1 paths must be spelled httpapi.Prefix+\"/...\":" >&2
 	echo "$hits" >&2
 	fail=1
 fi
