@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-build bench-broker bench-broker-smoke bench-shard bench-shard-smoke bench-cluster bench-cluster-smoke chaos cover fuzz-smoke rebalance-test live-rebalance-test cluster-test cluster-live-test api-check verify
+.PHONY: build test vet race bench bench-build bench-broker bench-broker-smoke bench-shard bench-shard-smoke bench-cluster bench-cluster-smoke chaos cover fuzz-smoke rebalance-test live-rebalance-test cluster-test cluster-live-test api-check verify verify-nightly
 
 build:
 	$(GO) build ./...
@@ -9,11 +9,11 @@ build:
 test: build
 	$(GO) test ./...
 
-# Vet tier: static checks, fast enough to run on every verify.
+# Vet tier: static checks, run on every verify.
 vet:
 	$(GO) vet ./...
 
-# Race tier: vet + full suite under the race detector. Slower, catches
+# Race tier (nightly): vet + full suite under the race detector. Catches
 # data races in the parallel tensor runtime and batched detection paths.
 # Race instrumentation is ~10x; the training-heavy packages exceed go
 # test's default 10m per-package budget on small machines.
@@ -120,10 +120,10 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestDrop|TestPipelineCancel' ./internal/pipeline/
 	$(GO) test -race -count=1 ./internal/broker/
 
-# Cover tier: the full suite with coverage, a per-package summary, and
-# floors on the sharded runtime and the pipeline core (their equivalence
-# and chaos suites are the proofs the roadmap leans on, so their
-# coverage must not rot).
+# Cover tier (nightly): the full suite with coverage, a per-package
+# summary, and floors on the sharded runtime and the pipeline core (their
+# equivalence and chaos suites are the proofs the roadmap leans on, so
+# their coverage must not rot).
 cover:
 	$(GO) test -count=1 -cover -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -n 1
@@ -134,11 +134,18 @@ cover:
 	echo "internal/pipeline mean function coverage: $$pct%"; \
 	awk -v p="$$pct" 'BEGIN {exit !(p+0 >= 70)}' || { echo "FAIL: internal/pipeline coverage $$pct% is below the 70% floor"; exit 1; }
 
-# Fuzz-smoke tier: a short randomized pass over the parser and window
-# fuzz targets (the checked-in seed corpora always run as part of
+# Fuzz-smoke tier (nightly): a short randomized pass over the parser and
+# window fuzz targets (the checked-in seed corpora always run as part of
 # `make test`; this tier actually mutates).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/drain/
 	$(GO) test -run '^$$' -fuzz FuzzSlide -fuzztime 10s ./internal/window/
 
-verify: vet test bench-build api-check chaos rebalance-test live-rebalance-test cluster-test cluster-live-test bench-broker-smoke bench-shard-smoke bench-cluster-smoke race
+# Verify: the per-PR gate — static checks, tier-1, the benchmark module's
+# build, and the fast -race proof tiers plus the smoke-sized benches.
+verify: vet test bench-build api-check chaos rebalance-test live-rebalance-test cluster-test cluster-live-test bench-broker-smoke bench-shard-smoke bench-cluster-smoke
+
+# Verify-nightly: verify plus the slow tiers — the full suite under the
+# race detector (up to 45 minutes on a small machine), the coverage
+# floors, and the mutating fuzz pass.
+verify-nightly: verify race cover fuzz-smoke

@@ -3,10 +3,7 @@ package broker
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strings"
 
 	"logsynergy/internal/httpapi"
 	"logsynergy/internal/obs"
@@ -66,32 +63,13 @@ func (b *Broker) IngestHandler(maxBatchBytes int64) http.Handler {
 			httpapi.MethodNotAllowed(w, http.MethodPost, "ingest accepts POST only")
 			return
 		}
-		if r.ContentLength > maxBatchBytes {
-			om.oversized.Inc()
-			httpapi.Error(w, http.StatusRequestEntityTooLarge, httpapi.Detail{
-				Code:    httpapi.CodeTooLarge,
-				Message: fmt.Sprintf("batch of %d bytes exceeds limit %d", r.ContentLength, maxBatchBytes),
-			})
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
+		lines, refused := httpapi.ReadBatch(w, r, maxBatchBytes)
+		if refused != 0 {
+			if refused == http.StatusRequestEntityTooLarge {
 				om.oversized.Inc()
-				httpapi.Error(w, http.StatusRequestEntityTooLarge, httpapi.Detail{
-					Code:    httpapi.CodeTooLarge,
-					Message: fmt.Sprintf("batch exceeds limit %d bytes", maxBatchBytes),
-				})
-				return
 			}
-			httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-				Code:    httpapi.CodeBadRequest,
-				Message: "reading request body: " + err.Error(),
-			})
 			return
 		}
-		lines := splitBatch(body)
 		var resp IngestResponse
 		if len(lines) > 0 {
 			first, last, err := b.AppendBatch(lines)
@@ -124,20 +102,4 @@ func (b *Broker) IngestHandler(maxBatchBytes int64) http.Handler {
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(resp)
 	})
-}
-
-// splitBatch parses a newline-delimited body into log lines, tolerating
-// CRLF and dropping empty lines (a trailing newline is not an empty
-// record).
-func splitBatch(body []byte) []string {
-	raw := strings.Split(string(body), "\n")
-	lines := make([]string, 0, len(raw))
-	for _, l := range raw {
-		l = strings.TrimSuffix(l, "\r")
-		if l == "" {
-			continue
-		}
-		lines = append(lines, l)
-	}
-	return lines
 }

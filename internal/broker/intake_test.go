@@ -131,19 +131,3 @@ func TestIngestAfterShutdown503(t *testing.T) {
 		t.Fatalf("status %d, want 503", w.Code)
 	}
 }
-
-func TestSplitBatch(t *testing.T) {
-	got := splitBatch([]byte("a\r\n\nb\nc"))
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("splitBatch %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("splitBatch %v", got)
-		}
-	}
-	if out := splitBatch(nil); len(out) != 0 {
-		t.Fatalf("splitBatch(nil) = %v", out)
-	}
-}

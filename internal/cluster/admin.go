@@ -52,15 +52,10 @@ func (n *Node) handleDirectedAppend(w http.ResponseWriter, r *http.Request) {
 	if maxBytes <= 0 {
 		maxBytes = broker.DefaultMaxBatchBytes
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
-	if err != nil {
-		httpapi.Error(w, http.StatusRequestEntityTooLarge, httpapi.Detail{
-			Code:    httpapi.CodeTooLarge,
-			Message: fmt.Sprintf("batch exceeds limit %d bytes", maxBytes),
-		})
+	lines, refused := httpapi.ReadBatch(w, r, maxBytes)
+	if refused != 0 {
 		return
 	}
-	lines := splitBatch(body)
 	if err := n.rt.DirectedAppendBatch(part, lines); err != nil {
 		label := shard.RejectionLabel(err)
 		if label == "closed" {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -435,30 +434,11 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		httpapi.MethodNotAllowed(w, http.MethodPost, "ingest accepts POST only")
 		return
 	}
-	if req.ContentLength > r.cfg.MaxBatchBytes {
-		httpapi.Error(w, http.StatusRequestEntityTooLarge, httpapi.Detail{
-			Code:    httpapi.CodeTooLarge,
-			Message: fmt.Sprintf("batch of %d bytes exceeds limit %d", req.ContentLength, r.cfg.MaxBatchBytes),
-		})
+	lines, refused := httpapi.ReadBatch(w, req, r.cfg.MaxBatchBytes)
+	if refused != 0 {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBatchBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpapi.Error(w, http.StatusRequestEntityTooLarge, httpapi.Detail{
-				Code:    httpapi.CodeTooLarge,
-				Message: fmt.Sprintf("batch exceeds limit %d bytes", r.cfg.MaxBatchBytes),
-			})
-			return
-		}
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: "reading request body: " + err.Error(),
-		})
-		return
-	}
-	resp := r.RouteBatch(splitBatch(body))
+	resp := r.RouteBatch(lines)
 	switch {
 	case resp.Rejected == 0:
 		w.Header().Set("Content-Type", "application/json")
@@ -1065,20 +1045,4 @@ func (r *Router) Close() {
 // for the router's per-request deadlines.
 func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
-}
-
-// splitBatch parses a newline-delimited body into log lines, tolerating
-// CRLF and dropping empty lines (matching the node intake's parsing, so
-// RejectedLines indices agree between router and collector).
-func splitBatch(body []byte) []string {
-	raw := strings.Split(string(body), "\n")
-	lines := make([]string, 0, len(raw))
-	for _, l := range raw {
-		l = strings.TrimSuffix(l, "\r")
-		if l == "" {
-			continue
-		}
-		lines = append(lines, l)
-	}
-	return lines
 }

@@ -19,11 +19,15 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -107,6 +111,48 @@ func writeJSON(w http.ResponseWriter, status int, d Detail, body any) {
 	}
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
+}
+
+// ReadBatch reads one newline-delimited batch body of at most maxBytes
+// and splits it into log lines, tolerating CRLF and dropping empty lines
+// (a trailing newline is not an empty record; every intake parses alike,
+// so rejected-line indices agree between router, node and collector).
+// refused is 0 on success. Otherwise the envelope has already been
+// written and refused is the status answered: 413 too_large when the
+// body exceeds maxBytes, by Content-Length or mid-stream, or 400
+// bad_request when the body could not be read.
+func ReadBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) (lines []string, refused int) {
+	refuse := func(status int, code, message string) ([]string, int) {
+		Error(w, status, Detail{Code: code, Message: message})
+		return nil, status
+	}
+	if r.ContentLength > maxBytes {
+		return refuse(http.StatusRequestEntityTooLarge, CodeTooLarge,
+			fmt.Sprintf("batch of %d bytes exceeds limit %d", r.ContentLength, maxBytes))
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return refuse(http.StatusRequestEntityTooLarge, CodeTooLarge,
+			fmt.Sprintf("batch exceeds limit %d bytes", maxBytes))
+	case err != nil:
+		return refuse(http.StatusBadRequest, CodeBadRequest, "reading request body: "+err.Error())
+	}
+	return splitBatch(body), 0
+}
+
+func splitBatch(body []byte) []string {
+	raw := strings.Split(string(body), "\n")
+	lines := make([]string, 0, len(raw))
+	for _, l := range raw {
+		l = strings.TrimSuffix(l, "\r")
+		if l == "" {
+			continue
+		}
+		lines = append(lines, l)
+	}
+	return lines
 }
 
 // DecodeDetail extracts the envelope's error detail from a response

@@ -2,8 +2,10 @@ package httpapi
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,6 +143,58 @@ func TestEpochStampStampsEveryAnswer(t *testing.T) {
 	} {
 		if got := serve(h, http.MethodGet, tc.path).Header().Get("X-Cluster-Epoch"); got != tc.want {
 			t.Errorf("GET %s stamped epoch %q, want %s", tc.path, got, tc.want)
+		}
+	}
+}
+
+// hangupBody yields a few bytes and then fails, like a client that hangs
+// up mid-body.
+type hangupBody struct{ sent bool }
+
+func (b *hangupBody) Read(p []byte) (int, error) {
+	if !b.sent {
+		b.sent = true
+		return copy(p, "partial line"), nil
+	}
+	return 0, io.ErrUnexpectedEOF
+}
+
+// ReadBatch is the one batch-body reader behind every intake handler:
+// lines out, or the refusal already written as the envelope.
+func TestReadBatch(t *testing.T) {
+	const limit = 32
+	post := func(body io.Reader, contentLength int64) (*httptest.ResponseRecorder, []string, int) {
+		req := httptest.NewRequest(http.MethodPost, "/ingest", body)
+		req.ContentLength = contentLength
+		rec := httptest.NewRecorder()
+		lines, refused := ReadBatch(rec, req, limit)
+		return rec, lines, refused
+	}
+
+	rec, lines, refused := post(strings.NewReader("a\r\n\nb\nc\n"), 8)
+	if refused != 0 || rec.Body.Len() != 0 || !reflect.DeepEqual(lines, []string{"a", "b", "c"}) {
+		t.Fatalf("lines %q refused %d body %q; CRLF and empty lines must drop", lines, refused, rec.Body)
+	}
+	if _, lines, refused = post(strings.NewReader(""), 0); refused != 0 || len(lines) != 0 {
+		t.Fatalf("empty body: lines %q refused %d", lines, refused)
+	}
+
+	for name, tc := range map[string]struct {
+		body          io.Reader
+		contentLength int64
+		status        int
+		code          string
+	}{
+		"over the limit by Content-Length": {strings.NewReader(strings.Repeat("x", 64)), 64, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		"over the limit mid-stream":        {strings.NewReader(strings.Repeat("x", 64)), -1, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		"body errors mid-read":             {&hangupBody{}, -1, http.StatusBadRequest, CodeBadRequest},
+	} {
+		rec, lines, refused := post(tc.body, tc.contentLength)
+		if refused != tc.status || rec.Code != tc.status || lines != nil {
+			t.Fatalf("%s: refused %d, answered %d, lines %q; want %d", name, refused, rec.Code, lines, tc.status)
+		}
+		if d := DecodeDetail(rec.Body.Bytes()); d == nil || d.Code != tc.code {
+			t.Fatalf("%s: envelope %+v, want code %s", name, d, tc.code)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -480,5 +481,54 @@ func TestChaosScheduleReplaysDeterministically(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stats1, stats2) {
 		t.Fatalf("stats diverged across replays:\n%+v\n%+v", stats1, stats2)
+	}
+}
+
+// downSink is a FallibleSink that refuses every report while down.
+type downSink struct {
+	MemorySink
+	down bool
+}
+
+func (s *downSink) TryNotify(r *core.Report) error {
+	if s.down {
+		return errors.New("sink down")
+	}
+	s.Notify(r)
+	return nil
+}
+
+// TestChaosSpillOncePerReport pins the spill-once rule: with two sinks
+// down, each alert is queued and counted once, not once per failing
+// sink — copies would multiply on every FlushSpill until SpillCap
+// evicted distinct older alerts.
+func TestChaosSpillOncePerReport(t *testing.T) {
+	leakCheck(t)
+	det, parser, interp, e := tinyDeployment(t)
+	a, b := &downSink{down: true}, &downSink{down: true}
+	cfg := DefaultConfig("x")
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Resilience = ResilienceConfig{
+		MaxAttempts:      1,
+		BreakerThreshold: 100, // keep both breakers closed throughout
+		Sleep:            noSleep,
+		Now:              newChaosClock().now,
+	}
+	p := New(cfg, parser, det, interp, e, a, b)
+	seedHeartbeatAnomaly(p)
+
+	stats := p.Run(context.Background(), NewSliceSource(heartbeatLines(20))) // 3 windows
+	if stats.Anomalies != 3 || stats.Spilled != 3 || p.SpillLen() != 3 {
+		t.Fatalf("anomalies %d spilled %d queued %d, want 3/3/3", stats.Anomalies, stats.Spilled, p.SpillLen())
+	}
+	if delivered, remaining := p.FlushSpill(); delivered != 0 || remaining != 3 {
+		t.Fatalf("flush while down = (%d, %d), want (0, 3)", delivered, remaining)
+	}
+	a.down, b.down = false, false
+	if delivered, remaining := p.FlushSpill(); delivered != 3 || remaining != 0 {
+		t.Fatalf("flush after recovery = (%d, %d), want (3, 0)", delivered, remaining)
+	}
+	if len(a.Reports()) != 3 || len(b.Reports()) != 3 {
+		t.Fatalf("recovered sinks got %d and %d reports, want 3 each", len(a.Reports()), len(b.Reports()))
 	}
 }

@@ -14,7 +14,9 @@ import (
 // partition; a single Keyed over the whole stream is the reference the
 // shard-vs-single equivalence suite compares against.
 //
-// Unlike Run, Keyed is synchronous and single-goroutine: the caller owns
+// Keyed owns the package's only window-advance code: Run is a collector
+// goroutine and a bounded buffer in front of a Keyed over one constant
+// key. Keyed itself is synchronous and single-goroutine: the caller owns
 // the consume loop (typically a broker consumer) and calls Feed per line.
 // That makes commit-time snapshots exact — everything fed is reflected in
 // Tails() — which is what lets a restarted partition resume its window
@@ -81,13 +83,23 @@ func (k *Keyed) Pipeline() *Pipeline { return k.p }
 // extend the key's sliding window, and queue the completed window, if
 // any, for the next batch flush. A full batch flushes inline.
 func (k *Keyed) Feed(key, line string) {
+	k.p.om.linesCollected.Inc()
+	if k.feed(key, line) && k.full() {
+		k.Flush()
+	}
+}
+
+// feed is Feed without the collected count and without the flush, for
+// Run, which counts a line when its collector enqueues it and must note
+// the ack watermark of a completed window before the flush that scores
+// it. It reports whether the line completed a window.
+func (k *Keyed) feed(key, line string) (completed bool) {
 	p := k.p
-	p.countCollected()
 	eventID, ok := p.parseLine(line)
 	if !ok {
 		// Abandoned after terminal parse/embed failure; the key's window
-		// continues from its next line, exactly like Run's skip.
-		return
+		// continues from its next line.
+		return false
 	}
 	kw := k.keys[key]
 	if kw == nil {
@@ -104,11 +116,13 @@ func (k *Keyed) Feed(key, line string) {
 	if len(kw.ids) == p.cfg.Window.Length && kw.sincePrev >= p.cfg.Window.Step {
 		k.pending = append(k.pending, pendingWindow{key: key, seq: append([]int(nil), kw.ids...)})
 		kw.sincePrev = 0
-		if len(k.pending) >= k.batchCap {
-			k.Flush()
-		}
+		return true
 	}
+	return false
 }
+
+// full reports whether the pending batch has reached the detect-batch cap.
+func (k *Keyed) full() bool { return len(k.pending) >= k.batchCap }
 
 // Flush scores every pending completed window as one batch, delivering
 // anomaly reports through the pipeline's guarded sinks. Call it whenever

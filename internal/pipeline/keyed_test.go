@@ -3,7 +3,11 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"logsynergy/internal/drain"
+	"logsynergy/internal/window"
 )
 
 // keyedCapture collects per-key score sequences from OnWindow.
@@ -18,10 +22,14 @@ func keyedCapture(k *Keyed, t *testing.T) map[string][]float64 {
 	return scores
 }
 
-// A single-key Keyed feed is the same workflow as Run over the same
-// lines: same windows, same scores, same reports in the same order.
+// The online windower cuts exactly the sequences the offline sequencer
+// does (paper §IV-A1 and §VI-A share one segmentation): a single-key feed's
+// OnWindow sequences equal window.Slide's spans over the same lines' event
+// ids, assigned by an independent parser. And a single-key Keyed feed is
+// the same workflow as Run over the same lines: same stats, same reports
+// in the same order.
 func TestKeyedSingleKeyMatchesRun(t *testing.T) {
-	lines := chaosLines(400)
+	lines := chaosLines(403) // not a multiple of the step: the last 3 lines complete nothing
 	firstWindow := []int{0, 1, 2, 3, 4, 5, 0, 1, 2, 3}
 
 	det, parser, interp, e := tinyDeployment(t)
@@ -35,32 +43,39 @@ func TestKeyedSingleKeyMatchesRun(t *testing.T) {
 	p2 := New(DefaultConfig("x"), parser2, det2, interp2, e2, keyedSink)
 	p2.Library().Store(firstWindow, 0.9)
 	k := NewKeyed(p2)
+	var got [][]int
+	k.OnWindow = func(_ string, seq []int, _ float64, _ bool) { got = append(got, seq) }
 	for _, line := range lines {
 		k.Feed("the-key", line)
 	}
 	k.Flush()
 	keyedStats := p2.Stats()
 
-	if keyedStats.LinesCollected != runStats.LinesCollected ||
-		keyedStats.SequencesFormed != runStats.SequencesFormed ||
-		keyedStats.Anomalies != runStats.Anomalies ||
-		keyedStats.PatternHits != runStats.PatternHits ||
-		keyedStats.PatternMisses != runStats.PatternMisses ||
-		keyedStats.NewEvents != runStats.NewEvents {
+	ref := drain.NewDefault()
+	ids := make([]int, len(lines))
+	for i, line := range lines {
+		ids[i] = ref.Parse(line).EventID
+	}
+	spans := window.Slide(len(ids), window.Default())
+	if len(got) != len(spans) {
+		t.Fatalf("%d online windows vs %d offline spans", len(got), len(spans))
+	}
+	for i, sp := range spans {
+		if !reflect.DeepEqual(got[i], ids[sp.Start:sp.End]) {
+			t.Fatalf("window %d = %v, offline span [%d,%d) = %v", i, got[i], sp.Start, sp.End, ids[sp.Start:sp.End])
+		}
+	}
+
+	if keyedStats != runStats {
 		t.Fatalf("keyed stats %+v != run stats %+v", keyedStats, runStats)
 	}
 	kr, rr := keyedSink.Reports(), runSink.Reports()
-	if len(kr) != len(rr) {
+	if len(kr) != len(rr) || len(rr) == 0 {
 		t.Fatalf("%d keyed reports vs %d run reports", len(kr), len(rr))
 	}
 	for i := range rr {
-		if kr[i].Score != rr[i].Score {
-			t.Fatalf("report %d score differs: keyed %v run %v", i, kr[i].Score, rr[i].Score)
-		}
-		for j := range rr[i].EventIDs {
-			if kr[i].EventIDs[j] != rr[i].EventIDs[j] {
-				t.Fatalf("report %d event ids differ at %d", i, j)
-			}
+		if kr[i].Score != rr[i].Score || !reflect.DeepEqual(kr[i].EventIDs, rr[i].EventIDs) {
+			t.Fatalf("report %d differs: keyed %v %v, run %v %v", i, kr[i].Score, kr[i].EventIDs, rr[i].Score, rr[i].EventIDs)
 		}
 	}
 }

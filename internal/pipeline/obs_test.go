@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -50,9 +52,41 @@ func TestPipelineObservability(t *testing.T) {
 
 	online := logdata.Generate(logdata.SystemB(), 99, 3000)
 	p := New(cfg, parser, det, interp, e, &MemorySink{})
+
+	// Stats is read from the live counters, so polling it during Run must
+	// be race-free and every sample internally consistent.
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		var prev Stats
+		for {
+			s := p.Stats()
+			pv, sv := reflect.ValueOf(prev), reflect.ValueOf(s)
+			for i := 0; i < sv.NumField(); i++ {
+				if sv.Field(i).Int() < pv.Field(i).Int() {
+					t.Errorf("Stats.%s decreased: %d -> %d", sv.Type().Field(i).Name, pv.Field(i).Int(), sv.Field(i).Int())
+				}
+			}
+			if s.PatternHits+s.PatternMisses+s.DetectFailures > s.SequencesFormed {
+				t.Errorf("sample counts more outcomes than sequences: %+v", s)
+			}
+			prev = s
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
 	stats := p.Run(context.Background(), NewSliceSource(online.Messages()))
+	close(stop)
+	<-polled
 
 	snap := reg.Snapshot()
+	if want := statsFromSnapshot(snap); stats != want || p.Stats() != want {
+		t.Fatalf("Stats %+v != registry view %+v", stats, want)
+	}
 	if got := snap.Counters["pipeline.lines_collected"]; got != int64(stats.LinesCollected) || got != 3000 {
 		t.Fatalf("lines_collected counter %d, stats %d", got, stats.LinesCollected)
 	}
@@ -112,6 +146,56 @@ func TestPipelineObservability(t *testing.T) {
 	}
 	if strings.Contains(body, "histogram pipeline.detect_batch_seconds count 0 ") {
 		t.Fatal("/metrics shows an empty detect-batch histogram")
+	}
+}
+
+// statsFromSnapshot reads the sixteen pipeline.* counters a fresh
+// registry's Stats is a view of.
+func statsFromSnapshot(snap obs.Snapshot) Stats {
+	c := func(name string) int { return int(snap.Counters["pipeline."+name]) }
+	return Stats{
+		LinesCollected:   c("lines_collected"),
+		LinesDropped:     c("lines_dropped"),
+		SequencesFormed:  c("sequences_formed"),
+		PatternHits:      c("pattern_hits"),
+		PatternMisses:    c("pattern_misses"),
+		PatternEvictions: c("pattern_evictions"),
+		Anomalies:        c("anomalies"),
+		NewEvents:        c("new_events"),
+		Retries:          c("retries_total"),
+		Degraded:         c("degraded_total"),
+		Spilled:          c("spilled_total"),
+		SpillDropped:     c("spill_dropped_total"),
+		BreakerOpens:     c("breaker_open_total"),
+		SinkErrors:       c("sink_errors_total"),
+		ParseFailures:    c("parse_failures_total"),
+		DetectFailures:   c("detect_failures_total"),
+	}
+}
+
+// Two pipelines run one after the other on one registry (as
+// experiments/deploy.go does on obs.Default): the second one's Stats
+// starts at zero and counts only its own run, while the registry keeps
+// the running total.
+func TestStatsSequentialPipelinesShareRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	lines := chaosLines(100)
+	run := func() Stats {
+		det, parser, interp, e := tinyDeployment(t)
+		cfg := DefaultConfig("x")
+		cfg.Metrics = reg
+		p := New(cfg, parser, det, interp, e, &MemorySink{})
+		if s := p.Stats(); s != (Stats{}) {
+			t.Fatalf("fresh pipeline on a used registry starts at %+v", s)
+		}
+		return p.Run(context.Background(), NewSliceSource(lines))
+	}
+	first, second := run(), run()
+	if first.LinesCollected != 100 || first.SequencesFormed == 0 || second != first {
+		t.Fatalf("first %+v, second %+v", first, second)
+	}
+	if got := reg.Snapshot().Counters["pipeline.lines_collected"]; got != 200 {
+		t.Fatalf("registry total %d, want 200", got)
 	}
 }
 

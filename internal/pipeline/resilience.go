@@ -109,26 +109,26 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 
 // resilienceObs caches the fault-layer metric handles.
 type resilienceObs struct {
-	retries        *obs.Counter
-	breakerOpen    *obs.Counter
-	degraded       *obs.Counter
-	spilled        *obs.Counter
-	spillDropped   *obs.Counter
-	sinkErrors     *obs.Counter
-	parseFailures  *obs.Counter
-	detectFailures *obs.Counter
+	retries        counter
+	breakerOpen    counter
+	degraded       counter
+	spilled        counter
+	spillDropped   counter
+	sinkErrors     counter
+	parseFailures  counter
+	detectFailures counter
 }
 
 func newResilienceObs(reg *obs.Registry) resilienceObs {
 	return resilienceObs{
-		retries:        reg.Counter("pipeline.retries_total"),
-		breakerOpen:    reg.Counter("pipeline.breaker_open_total"),
-		degraded:       reg.Counter("pipeline.degraded_total"),
-		spilled:        reg.Counter("pipeline.spilled_total"),
-		spillDropped:   reg.Counter("pipeline.spill_dropped_total"),
-		sinkErrors:     reg.Counter("pipeline.sink_errors_total"),
-		parseFailures:  reg.Counter("pipeline.parse_failures_total"),
-		detectFailures: reg.Counter("pipeline.detect_failures_total"),
+		retries:        newCounter(reg, "pipeline.retries_total"),
+		breakerOpen:    newCounter(reg, "pipeline.breaker_open_total"),
+		degraded:       newCounter(reg, "pipeline.degraded_total"),
+		spilled:        newCounter(reg, "pipeline.spilled_total"),
+		spillDropped:   newCounter(reg, "pipeline.spill_dropped_total"),
+		sinkErrors:     newCounter(reg, "pipeline.sink_errors_total"),
+		parseFailures:  newCounter(reg, "pipeline.parse_failures_total"),
+		detectFailures: newCounter(reg, "pipeline.detect_failures_total"),
 	}
 }
 
@@ -144,7 +144,7 @@ type resilience struct {
 }
 
 // newResilience wires the retry policy and breakers for one pipeline.
-func (p *Pipeline) newResilience(cfg ResilienceConfig, faults *fault.Registry, spillTo Sink, reg *obs.Registry) *resilience {
+func newResilience(cfg ResilienceConfig, faults *fault.Registry, spillTo Sink, reg *obs.Registry) *resilience {
 	cfg = cfg.withDefaults()
 	r := &resilience{
 		cfg:     cfg,
@@ -162,13 +162,8 @@ func (p *Pipeline) newResilience(cfg ResilienceConfig, faults *fault.Registry, s
 			Jitter: cfg.RetryJitter,
 			Seed:   cfg.Seed,
 		},
-		Sleep: cfg.Sleep,
-		OnRetry: func(int, error) {
-			p.mu.Lock()
-			p.stats.Retries++
-			p.mu.Unlock()
-			r.om.retries.Inc()
-		},
+		Sleep:   cfg.Sleep,
+		OnRetry: func(int, error) { r.om.retries.Inc() },
 	}
 	r.interp = r.newBreaker()
 	return r
@@ -198,7 +193,6 @@ type spillQueue struct {
 	mu      sync.Mutex
 	cap     int
 	reports []*core.Report
-	dropped int
 }
 
 // push enqueues a report, reporting whether an old report was evicted.
@@ -207,7 +201,6 @@ func (q *spillQueue) push(r *core.Report) (evicted bool) {
 	defer q.mu.Unlock()
 	if len(q.reports) >= q.cap {
 		q.reports = q.reports[1:]
-		q.dropped++
 		evicted = true
 	}
 	q.reports = append(q.reports, r)
@@ -282,7 +275,7 @@ func (p *Pipeline) interpret(template string) lei.Interpretation {
 		opensBefore := p.res.interp.Opens()
 		p.res.interp.Record(err)
 		if opened := p.res.interp.Opens() - opensBefore; opened > 0 {
-			p.countBreakerOpen(opened)
+			p.res.om.breakerOpen.Add(int64(opened))
 		}
 		if err == nil {
 			gotMu.Lock()
@@ -291,23 +284,36 @@ func (p *Pipeline) interpret(template string) lei.Interpretation {
 			return in
 		}
 	}
-	p.mu.Lock()
-	p.stats.Degraded++
-	p.mu.Unlock()
 	p.res.om.degraded.Inc()
 	return lei.Interpretation{Template: template, Text: template}
 }
 
+// deliverAll offers one report to every guarded sink and spills it once
+// if any of them refused it, however many did: a copy per failing sink
+// would multiply on every FlushSpill and push distinct older alerts out
+// of the bounded queue.
+func (p *Pipeline) deliverAll(rep *core.Report) {
+	refused := false
+	for _, g := range p.guards {
+		if !p.deliverTo(g, rep) {
+			refused = true
+		}
+	}
+	if refused {
+		p.spillReport(rep)
+	}
+}
+
 // deliverTo pushes one report through a guarded sink: breaker gate,
-// injection check, retries, and spill on terminal failure.
-func (p *Pipeline) deliverTo(g *sinkGuard, rep *core.Report) {
+// injection check, retries. It reports whether the sink took the report;
+// false means the breaker was open or the delivery terminally failed.
+func (p *Pipeline) deliverTo(g *sinkGuard, rep *core.Report) bool {
 	if p.res.cfg.Disabled {
 		g.sink.Notify(rep)
-		return
+		return true
 	}
 	if !g.breaker.Allow() {
-		p.spillReport(rep)
-		return
+		return false
 	}
 	err := p.guard(PointSink, p.res.cfg.SinkTimeout, func() error {
 		if f, ok := g.sink.(FallibleSink); ok {
@@ -319,43 +325,25 @@ func (p *Pipeline) deliverTo(g *sinkGuard, rep *core.Report) {
 	opensBefore := g.breaker.Opens()
 	g.breaker.Record(err)
 	if opened := g.breaker.Opens() - opensBefore; opened > 0 {
-		p.countBreakerOpen(opened)
+		p.res.om.breakerOpen.Add(int64(opened))
 	}
 	if err != nil {
-		p.mu.Lock()
-		p.stats.SinkErrors++
-		p.mu.Unlock()
 		p.res.om.sinkErrors.Inc()
-		p.spillReport(rep)
 	}
+	return err == nil
 }
 
 // spillReport diverts a report that could not be delivered into the
 // bounded spill queue (and the SpillTo sink, when configured — e.g. an
 // alertstore that persists the backlog durably).
 func (p *Pipeline) spillReport(rep *core.Report) {
-	evicted := p.res.spill.push(rep)
-	p.mu.Lock()
-	p.stats.Spilled++
-	if evicted {
-		p.stats.SpillDropped++
-	}
-	p.mu.Unlock()
 	p.res.om.spilled.Inc()
-	if evicted {
+	if p.res.spill.push(rep) {
 		p.res.om.spillDropped.Inc()
 	}
 	if p.res.spillTo != nil {
 		p.res.spillTo.Notify(rep)
 	}
-}
-
-// countBreakerOpen records breaker open transitions in stats and obs.
-func (p *Pipeline) countBreakerOpen(n int) {
-	p.mu.Lock()
-	p.stats.BreakerOpens += n
-	p.mu.Unlock()
-	p.res.om.breakerOpen.Add(int64(n))
 }
 
 // Spilled returns a snapshot of the reports currently parked in the
@@ -373,9 +361,7 @@ func (p *Pipeline) SpillLen() int { return p.res.spill.len() }
 func (p *Pipeline) FlushSpill() (delivered, remaining int) {
 	backlog := p.res.spill.drain()
 	for _, rep := range backlog {
-		for _, g := range p.guards {
-			p.deliverTo(g, rep)
-		}
+		p.deliverAll(rep)
 	}
 	remaining = p.res.spill.len()
 	return len(backlog) - remaining, remaining

@@ -174,9 +174,10 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 }
 
 // midCutoverOpts opens a partition under one side of a cutover's layout
-// pair. A partition stamped with either layout is accepted — a crash
-// inside the finish leaves some partitions restamped — and the
-// destination (layout == spec.To) keeps its persisted Spliced markers.
+// pair. A partition stamped with either layout (or fresh, stamp 0) is
+// accepted — a crash inside the finish leaves some partitions restamped
+// — and the destination (layout == spec.To) keeps its persisted Spliced
+// markers.
 func midCutoverOpts(spec CutoverSpec, layout int, ring *Partitioner) openOpts {
 	return openOpts{
 		layout:      layout,

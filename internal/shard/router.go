@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 
 	"logsynergy/internal/broker"
 	"logsynergy/internal/httpapi"
@@ -272,32 +270,13 @@ func (rt *Runtime) IngestHandler(maxBatchBytes int64) http.Handler {
 			httpapi.MethodNotAllowed(w, http.MethodPost, "ingest accepts POST only")
 			return
 		}
-		if r.ContentLength > maxBatchBytes {
-			oversized.Inc()
-			httpapi.Error(w, http.StatusRequestEntityTooLarge, httpapi.Detail{
-				Code:    httpapi.CodeTooLarge,
-				Message: fmt.Sprintf("batch of %d bytes exceeds limit %d", r.ContentLength, maxBatchBytes),
-			})
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
+		lines, refused := httpapi.ReadBatch(w, r, maxBatchBytes)
+		if refused != 0 {
+			if refused == http.StatusRequestEntityTooLarge {
 				oversized.Inc()
-				httpapi.Error(w, http.StatusRequestEntityTooLarge, httpapi.Detail{
-					Code:    httpapi.CodeTooLarge,
-					Message: fmt.Sprintf("batch exceeds limit %d bytes", maxBatchBytes),
-				})
-				return
 			}
-			httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-				Code:    httpapi.CodeBadRequest,
-				Message: "reading request body: " + err.Error(),
-			})
 			return
 		}
-		lines := splitBatch(body)
 		resp := IngestResponse{}
 		if len(lines) > 0 {
 			results, _ := rt.AppendBatch(lines)
@@ -334,19 +313,4 @@ func (rt *Runtime) IngestHandler(maxBatchBytes int64) http.Handler {
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(resp)
 	})
-}
-
-// splitBatch parses a newline-delimited body into log lines, tolerating
-// CRLF and dropping empty lines.
-func splitBatch(body []byte) []string {
-	raw := strings.Split(string(body), "\n")
-	lines := make([]string, 0, len(raw))
-	for _, l := range raw {
-		l = strings.TrimSuffix(l, "\r")
-		if l == "" {
-			continue
-		}
-		lines = append(lines, l)
-	}
-	return lines
 }

@@ -378,7 +378,8 @@ type openOpts struct {
 	// (nil = the runtime's partitioner).
 	ring *Partitioner
 	// acceptStamp, when set, overrides which persisted layout stamps are
-	// acceptable (default: 0 or layout).
+	// acceptable (default: layout, or 0 — a fresh partition, the only
+	// state loadState returns unstamped).
 	acceptStamp func(int) bool
 	// keepSpliced loads the state's live-cutover Spliced markers.
 	keepSpliced bool
@@ -437,8 +438,8 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	// event-table clone and its own parser, so online extension never
 	// crosses shard boundaries. A v2 state file carries the parser's full
 	// template groups (offline seeds plus everything the stream taught it)
-	// — import them verbatim so restored ids keep their meaning. Legacy
-	// state carries none; replay the offline templates as before.
+	// — import them verbatim so restored ids keep their meaning. A fresh
+	// partition carries none; replay the offline templates.
 	det := core.NewDetector(cfg.Detector.Model, cfg.Detector.Table.Clone())
 	det.Now = cfg.Detector.Now
 	parser := drain.NewDefault()

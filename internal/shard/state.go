@@ -27,9 +27,9 @@ import (
 // Version 2 adds what a key handoff between partitions needs: the
 // partition-count stamp (so a runtime opened at the wrong shard count
 // refuses instead of silently misrouting keys), the parser's template
-// groups, and the pattern library's cached verdicts. Version-1 files
-// (and version-0, the pre-versioning layout) still load: they simply
-// carry no events or patterns and no layout stamp to verify.
+// groups, and the pattern library's cached verdicts. A file that exists
+// must carry version >= 2 and a non-zero stamp; only a missing file (a
+// fresh partition) yields the unstamped zero state.
 //
 // Version 3 adds the live-cutover record: which moving keys a
 // destination partition has already had spliced in. Persisted atomically
@@ -51,7 +51,8 @@ const stateVersion = 3
 type partitionState struct {
 	Version int `json:"version"`
 	// Partitions is the shard count the partition was laid out for
-	// (0 = unstamped legacy file, accepted against any layout).
+	// (0 only on a fresh partition with no state file yet, which fits any
+	// layout).
 	Partitions int `json:"partitions,omitempty"`
 	// Consumed is the highest broker offset reflected in Tails (0 = none).
 	Consumed uint64 `json:"consumed"`
@@ -81,7 +82,8 @@ type cutoverState struct {
 func statePath(dir string) string { return filepath.Join(dir, stateFileName) }
 
 // loadState reads a partition's resume state; a missing file is a fresh
-// partition. Corruption is refused loudly — silently starting from zero
+// partition. Corruption — and a file without a version >= 2 layout stamp,
+// which nothing this program writes lacks — is refused loudly — silently starting from zero
 // would double-feed every restored tail. Stale temp files from an
 // interrupted saveState are swept here: they are by construction
 // incomplete and the real file (if any) is the durable truth.
@@ -103,6 +105,10 @@ func loadState(path string) (partitionState, error) {
 	}
 	if st.Version > stateVersion {
 		return partitionState{}, fmt.Errorf("shard: state file version %d is newer than supported (%d)", st.Version, stateVersion)
+	}
+	if st.Version < 2 || st.Partitions == 0 {
+		return partitionState{}, fmt.Errorf("shard: state file %s (version %d, partitions %d) carries no layout stamp; "+
+			"a state file must be version >= 2 and record its partition count", path, st.Version, st.Partitions)
 	}
 	st.Version = stateVersion
 	return st, nil

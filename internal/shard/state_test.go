@@ -73,28 +73,31 @@ func TestLoadStateRefusesZeroLengthFile(t *testing.T) {
 
 // Pre-versioning files (no "version" field → 0) and version-1 files (no
 // partition stamp, events or patterns) must still load.
-func TestLoadStateAcceptsLegacyVersions(t *testing.T) {
+// A state file that exists must carry version >= 2 and a non-zero
+// partition stamp; pre-v2 and unstamped files are refused naming the file
+// rather than opened against whatever layout the runtime happens to use.
+func TestLoadStateRefusesUnstampedFiles(t *testing.T) {
 	for name, body := range map[string]string{
-		"version-0":  `{"consumed":9,"tails":{"k":{"lines":["x y"],"since_prev":1}}}`,
-		"version-1":  `{"version":1,"consumed":9,"tails":{"k":{"lines":["x y"],"since_prev":1}}}`,
-		"null-tails": `{"version":1,"consumed":9,"tails":null}`,
+		"version-0":    `{"consumed":9,"tails":{"k":{"lines":["x y"],"since_prev":1}}}`,
+		"version-1":    `{"version":1,"partitions":2,"consumed":9,"tails":{"k":{"lines":["x y"],"since_prev":1}}}`,
+		"v2-unstamped": `{"version":2,"consumed":9}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := statePath(t.TempDir())
 			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			st, err := loadState(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Consumed != 9 {
-				t.Fatalf("consumed %d, want 9", st.Consumed)
-			}
-			if st.Partitions != 0 {
-				t.Fatalf("legacy file grew a partition stamp: %d", st.Partitions)
+			if _, err := loadState(path); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("want a refusal naming %s, got %v", path, err)
 			}
 		})
+	}
+	path := statePath(t.TempDir())
+	if err := os.WriteFile(path, []byte(`{"version":2,"partitions":2,"consumed":9,"tails":null}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := loadState(path); err != nil || st.Consumed != 9 || st.Partitions != 2 {
+		t.Fatalf("stamped v2 file: %+v, %v", st, err)
 	}
 }
 
@@ -113,7 +116,7 @@ func TestLoadStateRefusesFutureVersion(t *testing.T) {
 func TestLoadStateSweepsStaleTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := statePath(dir)
-	if err := saveState(path, partitionState{Consumed: 5}); err != nil {
+	if err := saveState(path, partitionState{Partitions: 2, Consumed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	stale := path + ".tmp123456"
@@ -138,7 +141,7 @@ func TestLoadStateSweepsStaleTemp(t *testing.T) {
 func TestSaveStateFailedInstallKeepsPreviousGoodState(t *testing.T) {
 	dir := t.TempDir()
 	good := statePath(dir)
-	if err := saveState(good, partitionState{Consumed: 7}); err != nil {
+	if err := saveState(good, partitionState{Partitions: 2, Consumed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	// Renaming a file over an existing directory fails, exercising the
@@ -147,7 +150,7 @@ func TestSaveStateFailedInstallKeepsPreviousGoodState(t *testing.T) {
 	if err := os.Mkdir(blocked, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := saveState(blocked, partitionState{Consumed: 8}); err == nil {
+	if err := saveState(blocked, partitionState{Partitions: 2, Consumed: 8}); err == nil {
 		t.Fatal("want rename failure")
 	}
 	entries, err := os.ReadDir(dir)
