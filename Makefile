@@ -134,12 +134,13 @@ cover:
 	echo "internal/pipeline mean function coverage: $$pct%"; \
 	awk -v p="$$pct" 'BEGIN {exit !(p+0 >= 70)}' || { echo "FAIL: internal/pipeline coverage $$pct% is below the 70% floor"; exit 1; }
 
-# Fuzz-smoke tier (nightly): a short randomized pass over the parser and
-# window fuzz targets (the checked-in seed corpora always run as part of
-# `make test`; this tier actually mutates).
+# Fuzz-smoke tier (nightly): a short randomized pass over the parser,
+# window and tape-vs-inference-graph fuzz targets (the checked-in seed
+# corpora always run as part of `make test`; this tier actually mutates).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/drain/
 	$(GO) test -run '^$$' -fuzz FuzzSlide -fuzztime 10s ./internal/window/
+	$(GO) test -run '^$$' -fuzz FuzzScoreModes -fuzztime 10s ./internal/core/
 
 # Verify: the per-PR gate — static checks, tier-1, the benchmark module's
 # build, and the fast -race proof tiers plus the smoke-sized benches.

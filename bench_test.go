@@ -318,6 +318,7 @@ func benchmarkBatchScore(b *testing.B, workers int) {
 	m, x := scoreFixture()
 	prev := tensor.SetParallelism(workers)
 	defer tensor.SetParallelism(prev)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Score(x, 128)

@@ -631,3 +631,47 @@ func TestAutoCommitStride(t *testing.T) {
 		t.Fatalf("committed after explicit Commit %d, want 6", got)
 	}
 }
+
+// WaitIdle tells a quiet stream from a consumer that merely caught up: it
+// sits out the whole delay only when nothing arrives and the intake stays
+// open, and returns at once when Next would not block.
+func TestConsumerWaitIdle(t *testing.T) {
+	b, _ := openTest(t, t.TempDir(), nil)
+	defer b.Close()
+	c, err := b.Consumer("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	start := time.Now()
+	if !c.WaitIdle(5 * time.Millisecond) {
+		t.Fatal("an empty, open log did not count as idle")
+	}
+	if d := time.Since(start); d < 5*time.Millisecond {
+		t.Fatalf("reported idle after %v, before the 5ms delay had passed", d)
+	}
+
+	go func() {
+		time.Sleep(time.Millisecond)
+		b.Append("late line")
+	}()
+	start = time.Now()
+	if c.WaitIdle(30 * time.Second) {
+		t.Fatal("reported idle although a record arrived")
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("an append took %v to end the wait", d)
+	}
+	if c.WaitIdle(30 * time.Second) {
+		t.Fatal("reported idle with a record ready to read")
+	}
+	if line, ok := c.Next(); !ok || line != "late line" {
+		t.Fatalf("Next = %q, %v", line, ok)
+	}
+
+	b.CloseIntake()
+	if c.WaitIdle(30 * time.Second) {
+		t.Fatal("reported idle on a closed intake, where Next returns the end of the stream")
+	}
+}

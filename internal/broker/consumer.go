@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"time"
 )
 
 // Consumer reads a group's records in offset order. It implements the
@@ -132,6 +133,32 @@ func (c *Consumer) Next() (string, bool) {
 	c.pos++
 	b.om.consumed.Inc()
 	return string(payload), true
+}
+
+// WaitIdle blocks at the head of the log for at most d and reports whether
+// the whole of d passed with nothing to read and the intake still open: the
+// stream has gone quiet, rather than the consumer having caught up between
+// two appends. It returns false as soon as Next would not block.
+func (c *Consumer) WaitIdle(d time.Duration) bool {
+	b := c.b
+	deadline := time.Now().Add(d)
+	// A sync.Cond has no timed wait: the timer wakes the waiters at the
+	// deadline, and each rechecks its own condition.
+	wake := time.AfterFunc(d, func() {
+		b.mu.Lock()
+		b.cond.Broadcast()
+		b.mu.Unlock()
+	})
+	defer wake.Stop()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for c.err == nil && c.pos >= b.nextOff && !b.intakeClosed && !b.closed {
+		if !time.Now().Before(deadline) {
+			return true
+		}
+		b.cond.Wait()
+	}
+	return false
 }
 
 // readAt returns the frame at c.pos from seg, maintaining a sequential

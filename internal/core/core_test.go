@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -73,22 +74,19 @@ func TestWithoutSUFEStillTrains(t *testing.T) {
 	}
 }
 
+// TestScoreBatchingConsistent: the batch argument only sizes the forwards;
+// the scores are the same bits at any value of it.
 func TestScoreBatchingConsistent(t *testing.T) {
-	sources, train, _ := buildScenario(t, lei.NewSimLLM(lei.Config{}))
-	_ = sources
-	cfg := fastConfig()
-	m := NewModel(cfg, 3)
-	a := m.Score(train.X, 7)
-	b := m.Score(train.X, 1000)
-	if len(a) != len(b) || len(a) != train.Len() {
-		t.Fatalf("score lengths %d/%d want %d", len(a), len(b), train.Len())
+	_, train, _ := buildScenario(t, lei.NewSimLLM(lei.Config{}))
+	m := NewModel(fastConfig(), 3)
+	want := m.Score(train.X, 1)
+	if len(want) != train.Len() {
+		t.Fatalf("%d scores, want %d", len(want), train.Len())
 	}
-	for i := range a {
-		if diff := a[i] - b[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("batched scores differ at %d: %v vs %v", i, a[i], b[i])
-		}
+	for _, batch := range []int{7, 64, 1000} {
+		sameBits(t, fmt.Sprintf("batch %d vs batch 1", batch), m.Score(train.X, batch), want)
 	}
-	for _, s := range a {
+	for _, s := range want {
 		if s < 0 || s > 1 {
 			t.Fatalf("score %v outside [0,1]", s)
 		}

@@ -67,33 +67,59 @@ func NewDetector(m *Model, table *repr.EventTable) *Detector {
 	return &Detector{Model: m, Table: table, Now: time.Now}
 }
 
-// ScoreSequence scores a single event-id sequence.
+// ScoreSequence scores a single event-id sequence: ScoreSequences on a
+// batch of one.
 func (d *Detector) ScoreSequence(eventIDs []int) float64 {
-	x := d.embed(eventIDs)
-	return d.Model.Score(x, 1)[0]
+	return d.scoreRun([][]int{eventIDs})[0]
 }
 
-// ScoreSequences scores a batch of event-id sequences, sharding the batch
-// across the tensor worker pool (online scoring is embarrassingly parallel:
-// the model and event table are read-only during inference). Scores are
-// returned in input order; sequences may have differing lengths. With
-// parallelism 1 this degrades to a serial loop over ScoreSequence.
+// ScoreSequences scores a batch of event-id sequences, in input order.
+// Each run of equal-length sequences is embedded into one [b,T,D] tensor
+// and scored by one Model.Score call, which spreads it over the tensor
+// worker pool (the model and event table are read-only during inference).
+// A score depends on its sequence alone — not on its neighbours in the
+// batch, the batch size or the worker count — bit for bit.
+//
+// It panics on an event id outside the table or an empty sequence. Each run
+// is checked on the calling goroutine before any of it is scored, so the
+// panic is the caller's to recover at any worker count.
 func (d *Detector) ScoreSequences(seqs [][]int) []float64 {
 	if len(seqs) == 0 {
 		return nil
 	}
 	start := time.Now()
-	scores := make([]float64, len(seqs))
-	// Each forward pass is O(T·D·model) — far past any serial-fallback
-	// threshold, so size the work estimate to always shard when workers > 1.
-	work := len(seqs) * tensor.MinParallelWork()
-	tensor.ParallelRange(len(seqs), work, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			scores[i] = d.ScoreSequence(seqs[i])
+	var scores []float64
+	for lo := 0; lo < len(seqs); {
+		hi := lo + 1
+		for hi < len(seqs) && len(seqs[hi]) == len(seqs[lo]) {
+			hi++
 		}
-	})
+		run := d.scoreRun(seqs[lo:hi])
+		if lo == 0 {
+			scores = run // the whole batch, when lengths agree
+		} else {
+			scores = append(scores, run...)
+		}
+		lo = hi
+	}
 	scoresTotal.Add(int64(len(seqs)))
 	scoreBatchSeconds.ObserveSince(start)
+	return scores
+}
+
+// stacked recycles the [b,T,D] input buffers of scoreRun: at
+// 2.5 KB per ten-event window they would otherwise be most of what a
+// scoring call allocates.
+var stacked freeList[*[]float64]
+
+// scoreRun scores sequences of one length.
+func (d *Detector) scoreRun(seqs [][]int) []float64 {
+	buf, ok := stacked.get()
+	if !ok {
+		buf = new([]float64)
+	}
+	scores := d.Model.Score(d.embed(seqs, buf), 0)
+	stacked.put(buf)
 	return scores
 }
 
@@ -149,15 +175,21 @@ func (d *Detector) BuildReport(eventIDs []int, score float64) *Report {
 	return rep
 }
 
-// embed maps an event-id sequence to a [1,T,D] tensor via the event table.
-func (d *Detector) embed(eventIDs []int) *tensor.Tensor {
-	dim := d.Table.Dim
-	x := tensor.New(1, len(eventIDs), dim)
-	for j, id := range eventIDs {
-		if id < 0 || id >= d.Table.Vectors.Rows() {
-			panic(fmt.Sprintf("core: event id %d outside table of %d events", id, d.Table.Vectors.Rows()))
+// embed stacks equal-length event-id sequences into a [b,T,D] tensor over
+// *buf (grown as needed) via the event table.
+func (d *Detector) embed(seqs [][]int, buf *[]float64) *tensor.Tensor {
+	dim, t := d.Table.Dim, len(seqs[0])
+	if n := len(seqs) * t * dim; cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	x := tensor.FromSlice((*buf)[:len(seqs)*t*dim], len(seqs), t, dim)
+	for i, ids := range seqs {
+		for j, id := range ids {
+			if id < 0 || id >= d.Table.Vectors.Rows() {
+				panic(fmt.Sprintf("core: event id %d outside table of %d events", id, d.Table.Vectors.Rows()))
+			}
+			copy(x.Data[(i*t+j)*dim:], d.Table.Vectors.Data[id*dim:(id+1)*dim])
 		}
-		copy(x.Data[j*dim:(j+1)*dim], d.Table.Vectors.Data[id*dim:(id+1)*dim])
 	}
 	return x
 }
@@ -165,6 +197,6 @@ func (d *Detector) embed(eventIDs []int) *tensor.Tensor {
 // EvaluateDataset scores every sequence of a materialized dataset and
 // returns the paper's (P, R, F1) triple at the fixed 0.5 threshold.
 func EvaluateDataset(m *Model, d *repr.Dataset) metrics.Result {
-	scores := m.Score(d.X, 256)
+	scores := m.Score(d.X, 0)
 	return metrics.Evaluate(scores, d.Labels, Threshold)
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"logsynergy/internal/club"
 	"logsynergy/internal/daan"
@@ -33,6 +36,43 @@ type Model struct {
 
 	numSystems int
 	rng        *rand.Rand
+
+	// graphs recycles inference graphs and their warm arenas across
+	// scoring calls and workers.
+	graphs freeList[*nn.Graph]
+}
+
+// freeList recycles scoring scratch (inference graphs, stacked inputs)
+// between calls and goroutines. It is not a sync.Pool because the collector
+// empties those: a graph's arena is megabytes that took several forwards to
+// size, and in a process that also allocates (serving beside training, or
+// just parsing) every collection would make scoring grow them again, at
+// moments of the collector's choosing.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+// get pops the most recently returned item, if there is one.
+func (l *freeList[T]) get() (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		v, l.free = l.free[n-1], l.free[:n-1]
+		return v, true
+	}
+	return v, false
+}
+
+// put returns an item. The list keeps what can be in use at once — twice
+// GOMAXPROCS covers callers parked on their spans — and drops the rest, so
+// a burst of concurrent callers does not pin its scratch for good.
+func (l *freeList[T]) put(v T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < 2*runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, v)
+	}
 }
 
 // NewModel builds a LogSynergy model for numSystems training systems
@@ -184,29 +224,58 @@ func (m *Model) trainStep(x *tensor.Tensor, labels []float64, systems []int, dom
 	return out
 }
 
-// Score returns anomaly probabilities for a batch tensor [N,T,E],
-// processing in chunks of batch to bound memory. This is the online
-// detection path: F and C_anomaly only (paper §III-E).
+// forwardWindows is the most windows one tape-free forward covers, whatever
+// batch a caller asks for. Every kernel works per row or per batch entry, so
+// the split never shows in the output; it bounds the scratch arena a pooled
+// graph pins (≈190 KB of activations per window at the default
+// configuration) and keeps a forward's working set near the cache.
+const forwardWindows = 16
+
+// infer runs the tape-free forward (F and the readouts, no dropout) over
+// x [N,T,E] in forwards of at most batch windows, spread over the tensor
+// worker pool — the one level of parallelism of a scoring call: inside a
+// forward every kernel stays on its goroutine. emit sees each forward's
+// products, for the windows starting at row start, on the goroutine that
+// ran it; they live in g's arena and are gone when emit returns.
+func (m *Model) infer(x *tensor.Tensor, batch int, emit func(g *nn.Graph, start int, fwd forwardOut)) {
+	if x.Dims() != 3 || x.Dim(1) == 0 || x.Dim(2) != m.Cfg.EmbedDim {
+		// Checked here, on the caller's goroutine: a panic inside a pooled
+		// span cannot be recovered.
+		panic(fmt.Sprintf("core: cannot run the model on input of shape %v: want [N,T,%d] with T > 0", x.Shape, m.Cfg.EmbedDim))
+	}
+	n, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
+	if batch <= 0 || batch > forwardWindows {
+		batch = forwardWindows
+	}
+	// A window's forward is far past any serial-fallback threshold: size the
+	// estimate so that two windows always shard when there are workers.
+	tensor.ParallelRange(n, n*tensor.MinParallelWork(), func(lo, hi int) {
+		g, ok := m.graphs.get()
+		if !ok {
+			g = nn.NewInferenceGraph()
+		}
+		for start := lo; start < hi; start += batch {
+			end := min(start+batch, hi)
+			chunk := tensor.FromSlice(x.Data[start*t*d:end*t*d], end-start, t, d)
+			emit(g, start, m.forward(g, g.Const(chunk), false))
+			g.Reset()
+		}
+		m.graphs.put(g)
+	})
+}
+
+// Score returns anomaly probabilities for a batch tensor [N,T,E]. This is
+// the online detection path: F and C_anomaly only (paper §III-E), on a
+// tape-free graph. batch caps the windows per forward (at most
+// forwardWindows; <= 0 means that cap); scores do not depend on it, on how
+// the windows are batched by the caller, or on the worker count, bit for bit.
 func (m *Model) Score(x *tensor.Tensor, batch int) []float64 {
-	n := x.Dim(0)
-	if batch <= 0 {
-		batch = 256
-	}
-	t, d := x.Dim(1), x.Dim(2)
-	stride := t * d
-	out := make([]float64, 0, n)
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
+	out := make([]float64, x.Dim(0))
+	m.infer(x, batch, func(_ *nn.Graph, start int, fwd forwardOut) {
+		for i, z := range fwd.logits.Value.Data {
+			out[start+i] = 1 / (1 + math.Exp(-z))
 		}
-		chunk := tensor.FromSlice(x.Data[start*stride:end*stride], end-start, t, d)
-		g := nn.NewGraph()
-		fwd := m.forward(g, g.Const(chunk), false)
-		for _, z := range fwd.logits.Value.Data {
-			out = append(out, 1/(1+math.Exp(-z)))
-		}
-	}
+	})
 	return out
 }
 
@@ -216,18 +285,26 @@ func (m *Model) SystemLogits(x *tensor.Tensor) *tensor.Tensor {
 	if !m.Cfg.UseSUFE {
 		return nil
 	}
-	g := nn.NewGraph()
-	fwd := m.forward(g, g.Const(x), false)
-	return m.csystem.Forward(g, fwd.fsMean).Value
+	out := tensor.New(x.Dim(0), m.numSystems)
+	m.infer(x, 0, func(g *nn.Graph, start int, fwd forwardOut) {
+		copy(out.Data[start*m.numSystems:], m.csystem.Forward(g, fwd.fsMean).Value.Data)
+	})
+	return out
 }
 
 // Features returns the pooled (F_u, F_s) values for a batch (diagnostics
 // and the case-study experiment). fs is nil without SUFE.
 func (m *Model) Features(x *tensor.Tensor) (fuV, fsV *tensor.Tensor) {
-	g := nn.NewGraph()
-	fwd := m.forward(g, g.Const(x), false)
-	if fwd.fsMean == nil {
-		return fwd.fuMean.Value, nil
+	fd := m.Cfg.featureDim()
+	fuV = tensor.New(x.Dim(0), fd)
+	if m.Cfg.UseSUFE {
+		fsV = tensor.New(x.Dim(0), fd)
 	}
-	return fwd.fuMean.Value, fwd.fsMean.Value
+	m.infer(x, 0, func(_ *nn.Graph, start int, fwd forwardOut) {
+		copy(fuV.Data[start*fd:], fwd.fuMean.Value.Data)
+		if fsV != nil {
+			copy(fsV.Data[start*fd:], fwd.fsMean.Value.Data)
+		}
+	})
+	return fuV, fsV
 }

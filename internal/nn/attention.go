@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 
 	"logsynergy/internal/tensor"
 )
@@ -17,7 +17,7 @@ func (g *Graph) SplitHeads(x *Node, heads int) *Node {
 		panic(fmt.Sprintf("nn: model dim %d not divisible by %d heads", d, heads))
 	}
 	dh := d / heads
-	out := tensor.New(b*heads, t, dh)
+	out := g.newTensor(b*heads, t, dh)
 	for i := 0; i < b; i++ {
 		for s := 0; s < t; s++ {
 			for h := 0; h < heads; h++ {
@@ -26,6 +26,9 @@ func (g *Graph) SplitHeads(x *Node, heads int) *Node {
 				copy(dst, src)
 			}
 		}
+	}
+	if g.arena != nil {
+		return g.result(out)
 	}
 	return g.add(out, func(gr *tensor.Tensor) {
 		gx := tensor.New(b, t, d)
@@ -50,7 +53,7 @@ func (g *Graph) MergeHeads(x *Node, heads int) *Node {
 	}
 	b := bh / heads
 	d := dh * heads
-	out := tensor.New(b, t, d)
+	out := g.newTensor(b, t, d)
 	for i := 0; i < b; i++ {
 		for s := 0; s < t; s++ {
 			for h := 0; h < heads; h++ {
@@ -59,6 +62,9 @@ func (g *Graph) MergeHeads(x *Node, heads int) *Node {
 				copy(dst, src)
 			}
 		}
+	}
+	if g.arena != nil {
+		return g.result(out)
 	}
 	return g.add(out, func(gr *tensor.Tensor) {
 		gx := tensor.New(bh, t, dh)
@@ -155,17 +161,18 @@ type TransformerEncoder struct {
 	Proj   *Linear // input dim -> model dim (identity if dims equal: still learned)
 	Layers []*TransformerEncoderLayer
 	Dim    int
-	posMu  sync.Mutex             // batch scoring runs Forward from many workers at once
-	posEnc map[int]*tensor.Tensor // cached by sequence length
+	// posEnc caches the positional table per sequence length. Batch scoring
+	// runs Forward from many workers at once, so the map is never written:
+	// a miss publishes a copy with the new table, and a hit is one load.
+	posEnc atomic.Pointer[map[int]*tensor.Tensor]
 }
 
 // NewTransformerEncoder builds a stack of depth encoder layers with an input
 // projection from inDim to modelDim.
 func NewTransformerEncoder(ps *ParamSet, prefix string, rng *rand.Rand, inDim, modelDim, heads, ffDim, depth int, dropout float64) *TransformerEncoder {
 	e := &TransformerEncoder{
-		Proj:   NewLinear(ps, prefix+".proj", rng, inDim, modelDim),
-		Dim:    modelDim,
-		posEnc: make(map[int]*tensor.Tensor),
+		Proj: NewLinear(ps, prefix+".proj", rng, inDim, modelDim),
+		Dim:  modelDim,
 	}
 	for i := 0; i < depth; i++ {
 		e.Layers = append(e.Layers,
@@ -177,10 +184,10 @@ func NewTransformerEncoder(ps *ParamSet, prefix string, rng *rand.Rand, inDim, m
 // positional returns (and caches) the sinusoidal positional encoding table
 // for sequences of length t.
 func (e *TransformerEncoder) positional(t int) *tensor.Tensor {
-	e.posMu.Lock()
-	defer e.posMu.Unlock()
-	if pe, ok := e.posEnc[t]; ok {
-		return pe
+	if m := e.posEnc.Load(); m != nil {
+		if pe, ok := (*m)[t]; ok {
+			return pe
+		}
 	}
 	pe := tensor.New(t, e.Dim)
 	for pos := 0; pos < t; pos++ {
@@ -193,20 +200,26 @@ func (e *TransformerEncoder) positional(t int) *tensor.Tensor {
 			}
 		}
 	}
-	e.posEnc[t] = pe
-	return pe
+	for {
+		old := e.posEnc.Load()
+		next := map[int]*tensor.Tensor{t: pe}
+		if old != nil {
+			if won, ok := (*old)[t]; ok {
+				return won // a concurrent miss published first; all callers share its table
+			}
+			for k, v := range *old {
+				next[k] = v
+			}
+		}
+		if e.posEnc.CompareAndSwap(old, &next) {
+			return pe
+		}
+	}
 }
 
 // Forward encodes x [B,T,inDim] into [B,T,modelDim].
 func (e *TransformerEncoder) Forward(g *Graph, x *Node, rng *rand.Rand, train bool) *Node {
-	b, t := x.Value.Dim(0), x.Value.Dim(1)
-	h := e.Proj.Forward3D(g, x)
-	pe := e.positional(t)
-	peBatch := tensor.New(b, t, e.Dim)
-	for i := 0; i < b; i++ {
-		copy(peBatch.Data[i*t*e.Dim:(i+1)*t*e.Dim], pe.Data)
-	}
-	h = g.Add(h, g.Const(peBatch))
+	h := g.AddTimeTable(e.Proj.Forward3D(g, x), e.positional(x.Value.Dim(1)))
 	for _, l := range e.Layers {
 		h = l.Forward(g, h, rng, train)
 	}

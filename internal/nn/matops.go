@@ -8,6 +8,9 @@ import (
 
 // MatMul returns the matrix product of 2-D nodes a [m,k] and b [k,n].
 func (g *Graph) MatMul(a, b *Node) *Node {
+	if g.arena != nil {
+		return g.result(g.arena.MatMul(a.Value, b.Value))
+	}
 	out := tensor.MatMul(a.Value, b.Value)
 	return g.add(out, func(gr *tensor.Tensor) {
 		if a.needsGrad {
@@ -23,6 +26,9 @@ func (g *Graph) MatMul(a, b *Node) *Node {
 
 // BMM returns the batched matrix product of 3-D nodes a [b,m,k], b [b,k,n].
 func (g *Graph) BMM(a, b *Node) *Node {
+	if g.arena != nil {
+		return g.result(g.arena.BMM(a.Value, b.Value))
+	}
 	out := tensor.BMM(a.Value, b.Value)
 	return g.add(out, func(gr *tensor.Tensor) {
 		if a.needsGrad {
@@ -46,6 +52,9 @@ func (g *Graph) Transpose(a *Node) *Node {
 
 // TransposeLast2 swaps the last two dimensions of a 3-D node.
 func (g *Graph) TransposeLast2(a *Node) *Node {
+	if g.arena != nil {
+		return g.result(g.arena.TransposeLast2(a.Value))
+	}
 	out := tensor.TransposeLast2(a.Value)
 	return g.add(out, func(gr *tensor.Tensor) {
 		a.accumulate(tensor.TransposeLast2(gr))
@@ -58,6 +67,10 @@ func (g *Graph) TransposeLast2(a *Node) *Node {
 // path, and the backward pass likewise reshapes the upstream gradient as a
 // view (accumulate only reads it).
 func (g *Graph) Reshape(a *Node, shape ...int) *Node {
+	if g.arena != nil {
+		g.last = nil // a's buffer now has a second reader
+		return g.value(g.arena.Reshape(a.Value, shape...))
+	}
 	out := a.Value.Reshape(shape...)
 	inShape := a.Value.Shape
 	return g.add(out, func(gr *tensor.Tensor) {
@@ -67,20 +80,28 @@ func (g *Graph) Reshape(a *Node, shape ...int) *Node {
 
 // AddBias adds a bias vector b [n] to every length-n row of x, where x's
 // final dimension is n (x may be 2-D or 3-D).
+//
+// On an inference graph, when x is the operation output the graph produced
+// last (the g.AddBias(g.MatMul(…), …) of a linear layer), the bias is added
+// into x's buffer and x must not be read again: same sums, no copy.
 func (g *Graph) AddBias(x, b *Node) *Node {
 	n := b.Value.Size()
 	if x.Value.Shape[len(x.Value.Shape)-1] != n {
 		panic(fmt.Sprintf("nn: AddBias bias size %d does not match last dim of %v", n, x.Value.Shape))
 	}
+	if g.arena != nil {
+		if g.last != x { // something else may read x: add into a copy
+			out := g.arena.New(x.Value.Shape...)
+			copy(out.Data, x.Value.Data)
+			x = g.result(out)
+		}
+		addBiasRows(x.Value.Data, b.Value.Data, 0, len(x.Value.Data)/n)
+		return x
+	}
 	out := x.Value.Clone()
 	rows := out.Size() / n
 	tensor.ParallelRange(rows, rows*n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := out.Data[r*n : (r+1)*n]
-			for j := range row {
-				row[j] += b.Value.Data[j]
-			}
-		}
+		addBiasRows(out.Data, b.Value.Data, lo, hi)
 	})
 	return g.add(out, func(gr *tensor.Tensor) {
 		x.accumulate(gr)
@@ -97,6 +118,38 @@ func (g *Graph) AddBias(x, b *Node) *Node {
 	}, x, b)
 }
 
+// AddTimeTable adds the constant table [T,D] to every batch entry of
+// x [B,T,D] (positional encodings: one table, no per-batch copy of it).
+func (g *Graph) AddTimeTable(x *Node, table *tensor.Tensor) *Node {
+	if x.Value.Dims() != 3 || table.Dims() != 2 || x.Value.Shape[1] != table.Shape[0] || x.Value.Shape[2] != table.Shape[1] {
+		panic(fmt.Sprintf("nn: AddTimeTable table %v does not match x %v", table.Shape, x.Value.Shape))
+	}
+	out := g.newTensor(x.Value.Shape...)
+	td := len(table.Data)
+	for i := 0; i < x.Value.Shape[0]; i++ {
+		src := x.Value.Data[i*td : (i+1)*td]
+		dst := out.Data[i*td : (i+1)*td]
+		for j, v := range table.Data {
+			dst[j] = src[j] + v
+		}
+	}
+	if g.arena != nil {
+		return g.result(out)
+	}
+	return g.add(out, func(gr *tensor.Tensor) { x.accumulate(gr) }, x)
+}
+
+// addBiasRows adds bias to rows [lo,hi) of x, each len(bias) long.
+func addBiasRows(x, bias []float64, lo, hi int) {
+	n := len(bias)
+	for r := lo; r < hi; r++ {
+		row := x[r*n : (r+1)*n]
+		for j := range row {
+			row[j] += bias[j]
+		}
+	}
+}
+
 // ConcatCols concatenates 2-D nodes horizontally: [m,n1] ++ [m,n2] -> [m,n1+n2].
 func (g *Graph) ConcatCols(a, b *Node) *Node {
 	m, n1 := a.Value.Rows(), a.Value.Cols()
@@ -104,10 +157,13 @@ func (g *Graph) ConcatCols(a, b *Node) *Node {
 		panic(fmt.Sprintf("nn: ConcatCols row mismatch %v vs %v", a.Value.Shape, b.Value.Shape))
 	}
 	n2 := b.Value.Cols()
-	out := tensor.New(m, n1+n2)
+	out := g.newTensor(m, n1+n2)
 	for i := 0; i < m; i++ {
 		copy(out.Data[i*(n1+n2):], a.Value.Data[i*n1:(i+1)*n1])
 		copy(out.Data[i*(n1+n2)+n1:], b.Value.Data[i*n2:(i+1)*n2])
+	}
+	if g.arena != nil {
+		return g.result(out)
 	}
 	return g.add(out, func(gr *tensor.Tensor) {
 		if a.needsGrad {
@@ -134,9 +190,12 @@ func (g *Graph) SliceCols(a *Node, start, end int) *Node {
 		panic(fmt.Sprintf("nn: SliceCols [%d,%d) out of range for %d cols", start, end, n))
 	}
 	w := end - start
-	out := tensor.New(m, w)
+	out := g.newTensor(m, w)
 	for i := 0; i < m; i++ {
 		copy(out.Data[i*w:(i+1)*w], a.Value.Data[i*n+start:i*n+end])
+	}
+	if g.arena != nil {
+		return g.result(out)
 	}
 	return g.add(out, func(gr *tensor.Tensor) {
 		ga := tensor.New(m, n)
@@ -274,22 +333,14 @@ func (g *Graph) MaxTime(a *Node) *Node {
 		panic(fmt.Sprintf("nn: MaxTime requires 3-D input, got %v", a.Value.Shape))
 	}
 	b, t, d := a.Value.Shape[0], a.Value.Shape[1], a.Value.Shape[2]
-	out := tensor.New(b, d)
+	out := g.newTensor(b, d)
+	if g.arena != nil {
+		maxTimeRows(out.Data, nil, a.Value.Data, 0, b, t, d)
+		return g.result(out)
+	}
 	argmax := make([]int, b*d)
 	tensor.ParallelRange(b, b*t*d, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < d; j++ {
-				best := a.Value.Data[(i*t)*d+j]
-				bestS := 0
-				for s := 1; s < t; s++ {
-					if v := a.Value.Data[(i*t+s)*d+j]; v > best {
-						best, bestS = v, s
-					}
-				}
-				out.Data[i*d+j] = best
-				argmax[i*d+j] = bestS
-			}
-		}
+		maxTimeRows(out.Data, argmax, a.Value.Data, lo, hi, t, d)
 	})
 	return g.add(out, func(gr *tensor.Tensor) {
 		ga := tensor.New(b, t, d)
@@ -303,27 +354,40 @@ func (g *Graph) MaxTime(a *Node) *Node {
 	}, a)
 }
 
+// maxTimeRows takes the per-feature maximum over time of batch entries
+// [lo,hi) of a [·,t,d], recording the winning step in argmax unless nil.
+func maxTimeRows(out []float64, argmax []int, a []float64, lo, hi, t, d int) {
+	for i := lo; i < hi; i++ {
+		for j := 0; j < d; j++ {
+			best := a[(i*t)*d+j]
+			bestS := 0
+			for s := 1; s < t; s++ {
+				if v := a[(i*t+s)*d+j]; v > best {
+					best, bestS = v, s
+				}
+			}
+			out[i*d+j] = best
+			if argmax != nil {
+				argmax[i*d+j] = bestS
+			}
+		}
+	}
+}
+
 // MeanTime averages a [B,T,D] node over its time dimension, producing [B,D].
 func (g *Graph) MeanTime(a *Node) *Node {
 	if a.Value.Dims() != 3 {
 		panic(fmt.Sprintf("nn: MeanTime requires 3-D input, got %v", a.Value.Shape))
 	}
 	b, t, d := a.Value.Shape[0], a.Value.Shape[1], a.Value.Shape[2]
-	out := tensor.New(b, d)
+	out := g.newTensor(b, d)
+	if g.arena != nil {
+		meanTimeRows(out.Data, a.Value.Data, 0, b, t, d)
+		return g.result(out)
+	}
 	ft := float64(t)
 	tensor.ParallelRange(b, b*t*d, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Data[i*d : (i+1)*d]
-			for s := 0; s < t; s++ {
-				row := a.Value.Data[(i*t+s)*d : (i*t+s+1)*d]
-				for j := range row {
-					orow[j] += row[j]
-				}
-			}
-			for j := range orow {
-				orow[j] /= ft
-			}
-		}
+		meanTimeRows(out.Data, a.Value.Data, lo, hi, t, d)
 	})
 	return g.add(out, func(gr *tensor.Tensor) {
 		ga := tensor.New(b, t, d)
@@ -340,4 +404,22 @@ func (g *Graph) MeanTime(a *Node) *Node {
 		})
 		a.accumulate(ga)
 	}, a)
+}
+
+// meanTimeRows averages batch entries [lo,hi) of a [·,t,d] over time into
+// the zeroed rows of out.
+func meanTimeRows(out, a []float64, lo, hi, t, d int) {
+	ft := float64(t)
+	for i := lo; i < hi; i++ {
+		orow := out[i*d : (i+1)*d]
+		for s := 0; s < t; s++ {
+			row := a[(i*t+s)*d : (i*t+s+1)*d]
+			for j := range row {
+				orow[j] += row[j]
+			}
+		}
+		for j := range orow {
+			orow[j] /= ft
+		}
+	}
 }

@@ -9,6 +9,9 @@ import (
 
 // SoftmaxLastDim applies a softmax along the final dimension.
 func (g *Graph) SoftmaxLastDim(a *Node) *Node {
+	if g.arena != nil {
+		return g.result(g.arena.SoftmaxLastDim(a.Value))
+	}
 	out := tensor.SoftmaxLastDim(a.Value)
 	n := a.Value.Shape[len(a.Value.Shape)-1]
 	rows := a.Value.Size() / n
@@ -43,9 +46,14 @@ func (g *Graph) LayerNorm(x, gamma, beta *Node) *Node {
 			x.Value.Shape, n, beta.Value.Size()))
 	}
 	rows := x.Value.Size() / n
-	out := tensor.New(x.Value.Shape...)
-	xhat := tensor.New(x.Value.Shape...)
-	invStd := make([]float64, rows)
+	out := g.newTensor(x.Value.Shape...)
+	// x̂ and 1/σ are kept for the backward pass only.
+	var xhat *tensor.Tensor
+	var invStd []float64
+	if g.arena == nil {
+		xhat = tensor.New(x.Value.Shape...)
+		invStd = make([]float64, rows)
+	}
 	for r := 0; r < rows; r++ {
 		src := x.Value.Data[r*n : (r+1)*n]
 		mean := 0.0
@@ -59,13 +67,22 @@ func (g *Graph) LayerNorm(x, gamma, beta *Node) *Node {
 			varSum += d * d
 		}
 		is := 1 / math.Sqrt(varSum/float64(n)+layerNormEps)
-		invStd[r] = is
-		xh := xhat.Data[r*n : (r+1)*n]
 		dst := out.Data[r*n : (r+1)*n]
-		for i, v := range src {
-			xh[i] = (v - mean) * is
-			dst[i] = gamma.Value.Data[i]*xh[i] + beta.Value.Data[i]
+		var keep []float64
+		if xhat != nil {
+			invStd[r] = is
+			keep = xhat.Data[r*n : (r+1)*n]
 		}
+		for i, v := range src {
+			xh := (v - mean) * is
+			if keep != nil {
+				keep[i] = xh
+			}
+			dst[i] = gamma.Value.Data[i]*xh + beta.Value.Data[i]
+		}
+	}
+	if g.arena != nil {
+		return g.result(out)
 	}
 	return g.add(out, func(gr *tensor.Tensor) {
 		if gamma.needsGrad {

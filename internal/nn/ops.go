@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -9,6 +10,16 @@ import (
 
 // Add returns a + b (identical shapes).
 func (g *Graph) Add(a, b *Node) *Node {
+	if g.arena != nil {
+		if !a.Value.SameShape(b.Value) {
+			panic(fmt.Sprintf("nn: Add shape mismatch %v vs %v", a.Value.Shape, b.Value.Shape))
+		}
+		out := g.arena.New(a.Value.Shape...)
+		for i, v := range a.Value.Data {
+			out.Data[i] = v + b.Value.Data[i]
+		}
+		return g.result(out)
+	}
 	out := tensor.Add(a.Value, b.Value)
 	return g.add(out, func(gr *tensor.Tensor) {
 		a.accumulate(gr)
@@ -56,6 +67,13 @@ func (g *Graph) Div(a, b *Node) *Node {
 
 // Scale returns a * s for scalar constant s.
 func (g *Graph) Scale(a *Node, s float64) *Node {
+	if g.arena != nil {
+		out := g.arena.New(a.Value.Shape...)
+		for i, v := range a.Value.Data {
+			out.Data[i] = v * s
+		}
+		return g.result(out)
+	}
 	out := tensor.Scale(a.Value, s)
 	return g.add(out, func(gr *tensor.Tensor) {
 		a.accumulate(tensor.Scale(gr, s))
@@ -76,11 +94,14 @@ func (g *Graph) Neg(a *Node) *Node { return g.Scale(a, -1) }
 
 // ReLU applies max(0, x) element-wise.
 func (g *Graph) ReLU(a *Node) *Node {
-	out := tensor.New(a.Value.Shape...)
+	out := g.newTensor(a.Value.Shape...)
 	for i, v := range a.Value.Data {
 		if v > 0 {
 			out.Data[i] = v
 		}
+	}
+	if g.arena != nil {
+		return g.result(out)
 	}
 	return g.add(out, func(gr *tensor.Tensor) {
 		ga := tensor.New(gr.Shape...)
@@ -118,9 +139,12 @@ func (g *Graph) LeakyReLU(a *Node, slope float64) *Node {
 
 // Tanh applies the hyperbolic tangent element-wise.
 func (g *Graph) Tanh(a *Node) *Node {
-	out := tensor.New(a.Value.Shape...)
+	out := g.newTensor(a.Value.Shape...)
 	for i, v := range a.Value.Data {
 		out.Data[i] = math.Tanh(v)
+	}
+	if g.arena != nil {
+		return g.result(out)
 	}
 	return g.add(out, func(gr *tensor.Tensor) {
 		ga := tensor.New(gr.Shape...)

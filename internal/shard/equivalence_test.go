@@ -492,3 +492,42 @@ func TestShardRoutingAffinityAndSnapshot(t *testing.T) {
 		t.Fatalf("partitions gauge %d, want 4", snap.Gauges["shard.partitions"])
 	}
 }
+
+// A worker that keeps pace with its producer catches up between any two
+// requests. That must cost a flush, not a commit: the commit waits until the
+// log has stayed empty, so its count follows CommitEvery and not the timing
+// of the producer. At the parent of this test every single-line request
+// below is followed by a state save.
+func TestIdleCommitWaitsForQuiet(t *testing.T) {
+	lines := genEqLines(5, 120, eqKeys(4)) // under one CommitEvery stride
+	h := openHarness(t, t.TempDir(), 1, nil)
+	defer h.rt.Close()
+
+	commits, last := 0, h.rt.Committed(0)
+	for i, line := range lines {
+		if _, err := h.rt.AppendBatch([]string{line}); err != nil {
+			t.Fatalf("AppendBatch: %v", err)
+		}
+		// Let the worker catch up, then send the next line straight away.
+		for deadline := time.Now().Add(30 * time.Second); h.rt.Stats().LinesCollected < i+1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("line %d was never consumed", i)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		if c := h.rt.Committed(0); c != last {
+			commits, last = commits+1, c
+		}
+	}
+	// A stalled test goroutine may leave a gap long enough to count as
+	// quiet now and then; one commit per request never is.
+	if commits > len(lines)/4 {
+		t.Fatalf("%d commits while %d requests arrived back to back", commits, len(lines))
+	}
+
+	// A stream that really stops is committed without being asked twice.
+	h.drain(t)
+	if got := h.rt.Committed(0); got != uint64(len(lines)) {
+		t.Fatalf("committed %d of %d after the stream went quiet", got, len(lines))
+	}
+}

@@ -521,9 +521,17 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	return pt, nil
 }
 
+// idleCommitDelay is how long a partition's log must stay empty before its
+// worker treats the backlog as drained and commits: longer than the gap
+// between two requests of a busy producer, short enough that a stream that
+// really stopped is committed at once by human measure.
+const idleCommitDelay = 2 * time.Millisecond
+
 // run is the partition worker: tail the consumer, demultiplex by key,
 // feed the keyed pipeline, and commit (state file, then offsets) on the
-// configured cadence, whenever the backlog drains, and at end of stream.
+// configured cadence, when the backlog has drained and stayed empty for
+// idleCommitDelay (pending windows are scored as soon as it drains), and
+// at end of stream.
 // During a live cutover the worker additionally parks before unreleased
 // moving keys (destination side) and skips double-written and
 // foreign-owned records (both sides).
@@ -531,10 +539,20 @@ func (pt *partition) run() {
 	defer close(pt.done)
 	for {
 		if pt.caughtUp() {
+			// Score what is pending now, but commit only once the log has
+			// stayed empty for idleCommitDelay. A worker that keeps pace
+			// with its producer catches up between any two requests; paying
+			// a state save and its fsyncs each time would make the commit
+			// count, and with it throughput, a matter of timing.
 			pt.feedMu.Lock()
-			pt.flushCommit()
+			pt.keyed.Flush()
 			pt.feedMu.Unlock()
-			pt.idle.Store(true)
+			if pt.cons.WaitIdle(idleCommitDelay) {
+				pt.feedMu.Lock()
+				pt.flushCommit()
+				pt.feedMu.Unlock()
+				pt.idle.Store(true)
+			}
 		}
 		line, ok := pt.cons.Next()
 		if !ok {

@@ -74,17 +74,21 @@ func AddScaledInPlace(dst *Tensor, src *Tensor, s float64) {
 
 // MatMul returns the matrix product of 2-D tensors a [m,k] and b [k,n].
 func MatMul(a, b *Tensor) *Tensor {
-	a.mustDims(2)
-	b.mustDims(2)
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a.Shape, b.Shape))
-	}
+	m, k, n := matMulDims(a, b)
 	out := New(m, n)
 	// Fresh buffers are already zero; accumulate into them directly.
 	matMulInto(out.Data, a.Data, b.Data, m, k, n, true)
 	return out
+}
+
+// matMulDims checks a [m,k] against b [k,n].
+func matMulDims(a, b *Tensor) (m, k, n int) {
+	a.mustDims(2)
+	b.mustDims(2)
+	if a.Shape[1] != b.Shape[0] {
+		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a.Shape, b.Shape))
+	}
+	return a.Shape[0], a.Shape[1], b.Shape[1]
 }
 
 // MatMulInto computes out += a@b when accumulate, else out = a@b, reusing
@@ -113,27 +117,60 @@ func matMulInto(out, a, b []float64, m, k, n int, accumulate bool) {
 	})
 }
 
-// matMulRows is the ikj-ordered kernel computing output rows [i0,i1), with
-// a 4-way unrolled inner loop. It is the single source of truth for matrix
-// multiplication: serial and parallel entry points both land here.
+// nzTile is how many entries of a row of a matMulRows scans for nonzeros
+// at a time (the index scratch lives on the stack).
+const nzTile = 64
+
+// matMulRows accumulates rows [i0,i1) of a@b into out, on the calling
+// goroutine: a is [·,k], b is [k,n], out is [·,n], all row-major. It is
+// the single source of truth for matrix multiplication — MatMul,
+// MatMulInto and BMM, sharded onto the pool or serial over an Arena, all
+// land here.
+//
+// Per output element it adds the products a[i,p]*b[p,j] in ascending p and
+// skips every p with a[i,p] == 0 (real work saved behind a ReLU, and what
+// keeps 0*Inf from becoming NaN). It is register-blocked over p: the
+// nonzero p of a row are gathered first, then taken four at a time with the
+// running sum held in a register between the four additions — the same
+// additions in the same order as one p at a time, so the result does not
+// depend on the blocking.
 func matMulRows(out, a, b []float64, i0, i1, k, n int) {
+	var nz [nzTile]int32
 	for i := i0; i < i1; i++ {
 		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : i*n+n]
-		for p, av := range arow {
-			if av == 0 {
-				continue
+		o := out[i*n : i*n+n]
+		for base := 0; base < k; base += nzTile {
+			c := 0
+			for p, end := base, min(base+nzTile, k); p < end; p++ {
+				if arow[p] != 0 {
+					nz[c] = int32(p)
+					c++
+				}
 			}
-			brow := b[p*n : p*n+n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				orow[j] += av * brow[j]
-				orow[j+1] += av * brow[j+1]
-				orow[j+2] += av * brow[j+2]
-				orow[j+3] += av * brow[j+3]
+			q := 0
+			for ; q+4 <= c; q += 4 {
+				p0, p1, p2, p3 := int(nz[q]), int(nz[q+1]), int(nz[q+2]), int(nz[q+3])
+				a0, a1, a2, a3 := arow[p0], arow[p1], arow[p2], arow[p3]
+				b0 := b[p0*n : p0*n+n][:len(o)]
+				b1 := b[p1*n : p1*n+n][:len(o)]
+				b2 := b[p2*n : p2*n+n][:len(o)]
+				b3 := b[p3*n : p3*n+n][:len(o)]
+				for j := range o {
+					t := o[j]
+					t += a0 * b0[j]
+					t += a1 * b1[j]
+					t += a2 * b2[j]
+					t += a3 * b3[j]
+					o[j] = t
+				}
 			}
-			for ; j < n; j++ {
-				orow[j] += av * brow[j]
+			for ; q < c; q++ {
+				p0 := int(nz[q])
+				a0 := arow[p0]
+				b0 := b[p0*n : p0*n+n][:len(o)]
+				for j := range o {
+					o[j] += a0 * b0[j]
+				}
 			}
 		}
 	}
@@ -159,25 +196,34 @@ func Transpose(a *Tensor) *Tensor {
 // batch×row space, so small batches of tall matrices and large batches of
 // small matrices both spread across all workers.
 func BMM(a, b *Tensor) *Tensor {
-	a.mustDims(3)
-	b.mustDims(3)
-	bs, m, k := a.Shape[0], a.Shape[1], a.Shape[2]
-	if b.Shape[0] != bs || b.Shape[1] != k {
-		panic(fmt.Sprintf("tensor: BMM shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	n := b.Shape[2]
+	bs, m, k, n := bmmDims(a, b)
 	out := New(bs, m, n)
-	if m == 0 || n == 0 {
-		return out
-	}
 	// Fresh buffer: accumulate to skip redundant zeroing.
 	ParallelRange(bs*m, 2*bs*m*k*n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			q, i := r/m, r%m
-			matMulRows(out.Data[q*m*n:(q+1)*m*n], a.Data[q*m*k:(q+1)*m*k], b.Data[q*k*n:(q+1)*k*n], i, i+1, k, n)
-		}
+		bmmRows(out.Data, a.Data, b.Data, lo, hi, m, k, n)
 	})
 	return out
+}
+
+// bmmDims checks a [bs,m,k] against b [bs,k,n].
+func bmmDims(a, b *Tensor) (bs, m, k, n int) {
+	a.mustDims(3)
+	b.mustDims(3)
+	if b.Shape[0] != a.Shape[0] || b.Shape[1] != a.Shape[2] {
+		panic(fmt.Sprintf("tensor: BMM shape mismatch %v x %v", a.Shape, b.Shape))
+	}
+	return a.Shape[0], a.Shape[1], a.Shape[2], b.Shape[2]
+}
+
+// bmmRows accumulates rows [lo,hi) of the flattened batch×row space: row r
+// is row r%m of batch entry r/m.
+func bmmRows(out, a, b []float64, lo, hi, m, k, n int) {
+	for r := lo; r < hi; {
+		q, i := r/m, r%m
+		end := min(m, i+hi-r) // the rest of this batch entry, or of the span
+		matMulRows(out[q*m*n:(q+1)*m*n], a[q*m*k:(q+1)*m*k], b[q*k*n:(q+1)*k*n], i, end, k, n)
+		r += end - i
+	}
 }
 
 // TransposeLast2 swaps the last two dimensions of a 3-D tensor.
@@ -186,17 +232,22 @@ func TransposeLast2(a *Tensor) *Tensor {
 	bs, m, n := a.Shape[0], a.Shape[1], a.Shape[2]
 	out := New(bs, n, m)
 	ParallelRange(bs, bs*m*n, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			src := a.Data[b*m*n:]
-			dst := out.Data[b*m*n:]
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					dst[j*m+i] = src[i*n+j]
-				}
-			}
-		}
+		transposeLast2(out.Data, a.Data, lo, hi, m, n)
 	})
 	return out
+}
+
+// transposeLast2 transposes the [m,n] matrices of batch entries [lo,hi).
+func transposeLast2(out, a []float64, lo, hi, m, n int) {
+	for b := lo; b < hi; b++ {
+		src := a[b*m*n:]
+		dst := out[b*m*n:]
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				dst[j*m+i] = src[i*n+j]
+			}
+		}
+	}
 }
 
 // SoftmaxLastDim applies a numerically stable softmax along the final
@@ -213,11 +264,16 @@ func SoftmaxLastDim(a *Tensor) *Tensor {
 	rows := a.Size() / n
 	// ~4 scalar ops per element (max, exp, sum, divide); exp dominates.
 	ParallelRange(rows, 4*rows*n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			softmaxRow(out.Data[r*n:(r+1)*n], a.Data[r*n:(r+1)*n])
-		}
+		softmaxRows(out.Data, a.Data, lo, hi, n)
 	})
 	return out
+}
+
+// softmaxRows applies softmaxRow to rows [lo,hi) of length n.
+func softmaxRows(out, a []float64, lo, hi, n int) {
+	for r := lo; r < hi; r++ {
+		softmaxRow(out[r*n:(r+1)*n], a[r*n:(r+1)*n])
+	}
 }
 
 func softmaxRow(dst, src []float64) {

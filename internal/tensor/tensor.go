@@ -20,24 +20,32 @@ type Tensor struct {
 
 // New allocates a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	t := &Tensor{Shape: append([]int(nil), shape...)}
+	t.Data = make([]float64, t.mustSize())
+	return t
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly, not copied; len(data) must equal the shape's element count.
 func FromSlice(data []float64, shape ...int) *Tensor {
 	t := &Tensor{Shape: append([]int(nil), shape...), Data: data}
-	if len(data) != t.Size() {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
+	if len(data) != t.mustSize() {
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), t.Shape))
 	}
 	return t
+}
+
+// mustSize is Size for a shape a caller just supplied: it rejects negative
+// dimensions. Constructors format t.Shape, their own copy, in panics —
+// formatting the variadic parameter would move every caller's shape
+// argument to the heap.
+func (t *Tensor) mustSize() int {
+	for _, d := range t.Shape {
+		if d < 0 {
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, t.Shape))
+		}
+	}
+	return t.Size()
 }
 
 // Scalar returns a 0-dimensional tensor holding v.
@@ -112,7 +120,14 @@ func (t *Tensor) Clone() *Tensor {
 // Reshape returns a view of the same data with a new shape. One dimension
 // may be -1, in which case it is inferred from the element count.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
+	v := &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	resolveShape(v.Shape, t)
+	return v
+}
+
+// resolveShape fills in shape's -1 dimension (at most one) from t's element
+// count, in place, and checks that shape then holds exactly t's elements.
+func resolveShape(shape []int, t *Tensor) {
 	infer := -1
 	known := 1
 	for i, d := range shape {
@@ -130,12 +145,11 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.Shape, shape))
 		}
 		shape[infer] = t.Size() / known
+		known *= shape[infer]
 	}
-	v := &Tensor{Shape: shape, Data: t.Data}
-	if v.Size() != t.Size() {
+	if known != t.Size() {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
 	}
-	return v
 }
 
 // SameShape reports whether t and o have identical shapes.
