@@ -53,22 +53,24 @@ bench-shard:
 bench-shard-smoke:
 	BENCH_SHARD_OUT=$(CURDIR)/BENCH_shard.json BENCH_SHARD_SMOKE=1 $(GO) test -run TestBenchShardReport -count=1 ./internal/shard/
 
-# Rebalance tier: the N→N+1 shard-growth equivalence proof under the
-# race detector — exact key handoff (window tails, template groups,
-# pattern verdicts), crash injection on both sides of the commit point,
-# copy-mode rollback, and the runtime's layout-stamp refusal.
+# Rebalance tier: the rebalance-without-traffic equivalence proof under
+# the race detector — LiveRebalance on a drained runtime over 3→4, 2→4
+# and 4→2, close, reopen at the new count: exact key handoff (window
+# tails, template groups, pattern verdicts) and the runtime's
+# layout-stamp refusal.
 rebalance-test:
 	$(GO) test -race -count=1 -run 'TestRebalance|TestRuntimeRefusesLayoutMismatch' ./internal/shard/
 
-# Live-rebalance tier: the N→N+1 growth-under-traffic proof under the
-# race detector — per-key score/alert equivalence against the unsharded
-# reference while traffic flows through the cutover, zero detection
-# stall on non-moving keys, double-write duplicate skipping across a
-# redelivery crash, and seeded crash injection at every per-key cutover
-# phase (each must resume on exactly one layout per key). Includes the
-# CLI/admin surface (`logsynergy rebalance -live`).
+# Live-rebalance tier: the N→M move-under-traffic proof under the race
+# detector (2→3, 2→4, 3→2, and 3→2→3 over a retired directory) — per-key
+# score/alert equivalence against the unsharded reference while traffic
+# flows through the cutover, zero detection stall on non-moving keys
+# under growth, double-write duplicate skipping across a redelivery
+# crash, seeded crash injection at every per-key cutover phase (each
+# must resume on exactly one layout per key), and the journal's
+# refusals. Includes the CLI/admin surface (`logsynergy rebalance -addr`).
 live-rebalance-test:
-	$(GO) test -race -count=1 -run 'TestLiveRebalance|TestOfflineRebalanceRefusesLiveJournal' ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestLiveRebalance|TestLoadCutoverJournal|TestCutoverDestCopy' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestRunRebalanceLive|TestAdminRebalance' ./cmd/logsynergy/
 
 # Cluster tier: the cross-process fleet proof under the race detector —

@@ -128,6 +128,7 @@ func TestAdminErrorEnvelope(t *testing.T) {
 			Fsync:           broker.FsyncNever,
 		}
 		cfg.Pipeline.Resilience = pipeline.ResilienceConfig{Sleep: func(time.Duration) {}}
+		cfg.Subset = []int{0, 1} // every partition, but as a fleet node would name them
 		cfg.ShardFaults = func(i int) *fault.Registry {
 			if i == 0 {
 				return freg
@@ -153,10 +154,11 @@ func TestAdminErrorEnvelope(t *testing.T) {
 	}
 	decodeEnvelope(t, b, httpapi.CodeBadRequest)
 
-	// 409 — well-formed but refused by fleet state (live shrink).
+	// 409 — well-formed but refused by fleet state (a subset runtime
+	// does not rebalance itself).
 	st, _, b = fetch(t, http.MethodPost, srv.URL+httpapi.Prefix+"/rebalance?to=1", nil)
 	if st != http.StatusConflict {
-		t.Fatalf("live shrink status %d, want 409", st)
+		t.Fatalf("subset-runtime rebalance status %d, want 409", st)
 	}
 	decodeEnvelope(t, b, httpapi.CodeConflict)
 

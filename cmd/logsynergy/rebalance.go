@@ -15,65 +15,38 @@ import (
 	"logsynergy/internal/shard"
 )
 
-// runRebalance re-partitions a sharded broker directory from N to M
-// shards, moving each relocated key's window tail, template groups and
-// pattern-library verdicts to its new partition:
+// runRebalance asks a RUNNING `logsynergy serve -shards N` process (or a
+// fleet's front router), through its -addr HTTP surface, to move to M
+// partitions in place — more or fewer — carrying each relocated key's
+// window tail, template groups and pattern-library verdicts to its new
+// partition:
 //
-//	logsynergy rebalance -from 3 -to 4 -broker-dir /var/lib/logsynergy
+//	logsynergy rebalance -addr 127.0.0.1:9600 -to 4
 //
-// Offline mode requires the detector to be stopped (WAL fully drained
-// and committed) — rebalance refuses an unquiesced layout. With -to-dir
-// the rebalanced layout is written to a fresh directory and the original
-// is kept as a rollback; without it the layout is rewritten in place
-// (crash-safe: an interrupted run is rolled forward or back on the next
-// open).
-//
-// With -live the fleet keeps serving: the command asks a RUNNING
-// logsynergy serve process (via its -addr HTTP surface) to grow itself
-// one partition under traffic:
-//
-//	logsynergy rebalance -live -addr 127.0.0.1:9600 -to 4
-//
-// The call returns when the cutover has completed and the fleet is
-// serving the new layout. Live mode grows one partition per invocation.
+// Traffic may keep flowing or not; the protocol is the same. The command
+// never opens the directory itself: the serving process holds the
+// detector, interpreter and pipeline settings the move depends on. The
+// call returns when the cutover has completed and the fleet is serving
+// the new layout; an interrupted cutover is journaled: a `serve` process
+// finishes it when it restarts at the new -shards (and answers 409 to
+// further rebalances until then), a fleet router when the command is
+// repeated. For a rollback, stop serve and `cp -r` the broker directory
+// first.
 func runRebalance(args []string) error {
 	fs := flag.NewFlagSet("rebalance", flag.ExitOnError)
-	from := fs.Int("from", 0, "current partition count (offline mode)")
 	to := fs.Int("to", 0, "target partition count")
-	brokerDir := fs.String("broker-dir", "", "WAL directory holding the current layout (the shard runtime root; offline mode)")
-	toDir := fs.String("to-dir", "", "write the rebalanced layout here instead of in place (keeps -broker-dir as rollback; offline mode)")
-	group := fs.String("group", "detector", "broker consumer group checked for quiescence (offline mode)")
-	live := fs.Bool("live", false, "grow a serving fleet in place through its admin endpoint; traffic keeps flowing")
-	addr := fs.String("addr", "", "HTTP address (host:port) of the serving fleet, for -live")
-	timeout := fs.Duration("timeout", 10*time.Minute, "how long to wait for a -live cutover to complete")
+	addr := fs.String("addr", "", "HTTP address (host:port) of the serving fleet")
+	timeout := fs.Duration("timeout", 10*time.Minute, "how long to wait for the cutover to complete")
 	quiet := fs.Bool("quiet", false, "suppress the summary line")
 	fs.Parse(args)
 
-	if *live {
-		if *addr == "" {
-			return fmt.Errorf("rebalance -live needs a serving fleet: pass -addr host:port of a running `logsynergy serve -shards N` process")
-		}
-		if *brokerDir != "" || *toDir != "" {
-			return fmt.Errorf("rebalance -live operates on the serving fleet's own directory; drop -broker-dir/-to-dir")
-		}
-		if *to <= 0 {
-			return fmt.Errorf("rebalance requires a positive -to partition count")
-		}
-		rep, err := liveRebalanceRequest(*addr, *to, *timeout)
-		if err != nil {
-			return err
-		}
-		printRebalanceReport(rep, *quiet)
-		return nil
+	if *addr == "" {
+		return fmt.Errorf("rebalance needs a serving fleet: pass -addr host:port of a running `logsynergy serve -shards N` process")
 	}
-
-	if *brokerDir == "" {
-		return fmt.Errorf("rebalance requires -broker-dir (or -live -addr against a serving fleet)")
+	if *to <= 0 {
+		return fmt.Errorf("rebalance requires a positive -to partition count")
 	}
-	if *from <= 0 || *to <= 0 {
-		return fmt.Errorf("rebalance requires positive -from and -to partition counts")
-	}
-	rep, err := shard.RebalanceGroup(*brokerDir, *toDir, *from, *to, *group)
+	rep, err := liveRebalanceRequest(*addr, *to, *timeout)
 	if err != nil {
 		return err
 	}
@@ -81,7 +54,7 @@ func runRebalance(args []string) error {
 	return nil
 }
 
-// liveRebalanceRequest asks the serving fleet at addr to grow to `to`
+// liveRebalanceRequest asks the serving fleet at addr to move to `to`
 // partitions and waits for the cutover to complete, polling the
 // versioned status endpoint for progress while the call is in flight.
 func liveRebalanceRequest(addr string, to int, timeout time.Duration) (*shard.RebalanceReport, error) {
@@ -161,7 +134,7 @@ func pollRebalanceProgress(addr string, done <-chan struct{}) {
 	}
 }
 
-// printRebalanceReport renders the summary line both modes share.
+// printRebalanceReport renders the summary line.
 func printRebalanceReport(rep *shard.RebalanceReport, quiet bool) {
 	if quiet {
 		return

@@ -4,8 +4,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,36 +18,16 @@ import (
 	"logsynergy/internal/tensor"
 )
 
-func TestRunRebalanceFlagValidation(t *testing.T) {
-	if err := runRebalance([]string{"-from", "2", "-to", "3"}); err == nil {
-		t.Fatal("missing -broker-dir accepted")
-	}
-	dir := t.TempDir()
-	if err := runRebalance([]string{"-broker-dir", dir, "-to", "3"}); err == nil {
-		t.Fatal("missing -from accepted")
-	}
-	if err := runRebalance([]string{"-broker-dir", dir, "-from", "2"}); err == nil {
-		t.Fatal("missing -to accepted")
-	}
-	if err := runRebalance([]string{"-broker-dir", dir, "-from", "2", "-to", "2"}); err == nil {
-		t.Fatal("from == to accepted")
-	}
-}
-
-// Live mode has its own preconditions: it needs an -addr to talk to, a
-// positive target, no offline directory flags — and, at runtime, a
-// fleet that is actually serving at that address.
+// The command's preconditions: an -addr to talk to, a positive target —
+// and, at runtime, a fleet that is actually serving at that address.
 func TestRunRebalanceLiveFlagValidation(t *testing.T) {
-	if err := runRebalance([]string{"-live", "-to", "3"}); err == nil {
-		t.Fatal("-live without -addr accepted")
+	if err := runRebalance([]string{"-to", "3"}); err == nil {
+		t.Fatal("rebalance without -addr accepted")
 	} else if !strings.Contains(err.Error(), "-addr") {
-		t.Fatalf("-live without -addr: error %q does not point at -addr", err)
+		t.Fatalf("rebalance without -addr: error %q does not point at -addr", err)
 	}
-	if err := runRebalance([]string{"-live", "-addr", "127.0.0.1:1", "-broker-dir", t.TempDir(), "-to", "3"}); err == nil {
-		t.Fatal("-live with -broker-dir accepted")
-	}
-	if err := runRebalance([]string{"-live", "-addr", "127.0.0.1:1"}); err == nil {
-		t.Fatal("-live without -to accepted")
+	if err := runRebalance([]string{"-addr", "127.0.0.1:1"}); err == nil {
+		t.Fatal("rebalance without -to accepted")
 	}
 
 	// A syntactically valid -addr with no serving fleet behind it must
@@ -61,8 +39,8 @@ func TestRunRebalanceLiveFlagValidation(t *testing.T) {
 	}
 	vacant := ln.Addr().String()
 	ln.Close()
-	if err := runRebalance([]string{"-live", "-addr", vacant, "-to", "3", "-timeout", "5s"}); err == nil {
-		t.Fatal("-live against a vacated port accepted")
+	if err := runRebalance([]string{"-addr", vacant, "-to", "3", "-timeout", "5s"}); err == nil {
+		t.Fatal("rebalance against a vacated port accepted")
 	} else if !strings.Contains(err.Error(), "reaching the serving fleet") {
 		t.Fatalf("vacant port: error %q is not a reachability error", err)
 	}
@@ -95,8 +73,8 @@ func openServeFleet(t *testing.T, shards int) (*shard.Runtime, *httptest.Server)
 
 // TestRunRebalanceLiveEndToEnd drives the full client path: the CLI
 // POSTs to a serving fleet's /admin/v1/rebalance, the fleet grows 2→3
-// under its live-cutover protocol, and the call returns only once the
-// new layout is serving.
+// and shrinks back 3→2 under its live-cutover protocol, and each call
+// returns only once the new layout is serving.
 func TestRunRebalanceLiveEndToEnd(t *testing.T) {
 	rt, srv := openServeFleet(t, 2)
 
@@ -109,17 +87,24 @@ func TestRunRebalanceLiveEndToEnd(t *testing.T) {
 	}
 
 	addr := strings.TrimPrefix(srv.URL, "http://")
-	if err := runRebalance([]string{"-live", "-addr", addr, "-to", "3", "-quiet"}); err != nil {
+	if err := runRebalance([]string{"-addr", addr, "-to", "3", "-quiet"}); err != nil {
 		t.Fatalf("live rebalance through the CLI: %v", err)
 	}
 	if got := rt.Shards(); got != 3 {
 		t.Fatalf("fleet serves %d partitions after live rebalance, want 3", got)
 	}
 
-	// Growing again to the same count is a no-op the CLI reports
+	// Asking again for the same count is a no-op the CLI reports
 	// without erroring.
-	if err := runRebalance([]string{"-live", "-addr", addr, "-to", "3", "-quiet"}); err != nil {
+	if err := runRebalance([]string{"-addr", addr, "-to", "3", "-quiet"}); err != nil {
 		t.Fatalf("no-op live rebalance: %v", err)
+	}
+
+	if err := runRebalance([]string{"-addr", addr, "-to", "2", "-quiet"}); err != nil {
+		t.Fatalf("live shrink through the CLI: %v", err)
+	}
+	if got := rt.Shards(); got != 2 {
+		t.Fatalf("fleet serves %d partitions after the live shrink, want 2", got)
 	}
 }
 
@@ -149,15 +134,17 @@ func TestAdminRebalanceHandler(t *testing.T) {
 		}
 	}
 
-	// Shrinking live is refused by the runtime; the handler surfaces
-	// that as a conflict rather than a success.
-	resp, err = http.Post(srv.URL+httpapi.Prefix+"/rebalance?to=1", "text/plain", nil)
+	// A runtime that serves a subset of the layout (a fleet node) refuses
+	// to rebalance itself; the handler surfaces that as a conflict rather
+	// than a success.
+	_, sub := openAdminFleet(t, 2, 0, func(cfg *shard.Config) { cfg.Subset = []int{0, 1} })
+	resp, err = http.Post(sub.URL+httpapi.Prefix+"/rebalance?to=3", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("live shrink status %d, want 409", resp.StatusCode)
+		t.Fatalf("subset-runtime rebalance status %d, want 409", resp.StatusCode)
 	}
 
 	rep, err := liveRebalanceRequest(strings.TrimPrefix(srv.URL, "http://"), 3, 0)
@@ -169,23 +156,5 @@ func TestAdminRebalanceHandler(t *testing.T) {
 	}
 	if got := rt.Shards(); got != 3 {
 		t.Fatalf("fleet serves %d partitions, want 3", got)
-	}
-}
-
-func TestRunRebalanceEmptyLayout(t *testing.T) {
-	// An empty root (no partitions have run yet) rebalances trivially:
-	// fresh stamped states appear for the target layout and a re-run is
-	// a no-op.
-	dir := t.TempDir()
-	if err := runRebalance([]string{"-broker-dir", dir, "-from", "1", "-to", "2", "-quiet"}); err != nil {
-		t.Fatalf("runRebalance: %v", err)
-	}
-	for _, p := range []string{"p0", "p1"} {
-		if _, err := os.Stat(filepath.Join(dir, p, "shard-state.json")); err != nil {
-			t.Fatalf("partition %s has no stamped state: %v", p, err)
-		}
-	}
-	if err := runRebalance([]string{"-broker-dir", dir, "-from", "1", "-to", "2", "-quiet"}); err != nil {
-		t.Fatalf("re-run over the installed layout: %v", err)
 	}
 }

@@ -491,7 +491,7 @@ func runServeSharded(opts shardServeOptions) error {
 
 // serveStatus is the GET /admin/v1/status body of single-process serve
 // mode — the same shape family as the fleet node's and router's status
-// answers, so `logsynergy rebalance -live` polls any of them alike.
+// answers, so `logsynergy rebalance` polls any of them alike.
 type serveStatus struct {
 	Role    string               `json:"role"`
 	Shards  int                  `json:"shards"`
@@ -502,8 +502,8 @@ type serveStatus struct {
 
 // newShardServeMux wires the sharded serve surface on the shared admin
 // mux (httpapi.Mux mounts /metrics, /metrics.json, /debug/vars and the
-// pprof pages): /ingest routes to shards, /admin/v1/rebalance grows the
-// fleet live (POST, to=N), and /admin/v1/status reports the live-cutover
+// pprof pages): /ingest routes to shards, /admin/v1/rebalance moves the
+// fleet to N partitions in place (POST, to=N), and /admin/v1/status reports the live-cutover
 // phase for progress polling.
 func newShardServeMux(rt *shard.Runtime, maxBatchBytes int64) *http.ServeMux {
 	mux := httpapi.Mux(httpapi.MuxOptions{Snapshot: rt.Snapshot})

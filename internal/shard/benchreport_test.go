@@ -20,23 +20,10 @@ import (
 // embed → detect → fan-in) plus how well the shared caches deduplicated
 // cross-shard work.
 type shardBenchReport struct {
-	Smoke     bool            `json:"smoke"`
-	Lines     int             `json:"lines"`
-	Keys      int             `json:"keys"`
-	Runs      []shardBenchRun `json:"runs"`
-	Rebalance *rebalanceBench `json:"rebalance,omitempty"`
-}
-
-// rebalanceBench measures the offline N→N+1 shard rebalance over the
-// same corpus: total wall time and the per-moved-key cost of the exact
-// key handoff (tails + template groups + pattern verdicts).
-type rebalanceBench struct {
-	From              int     `json:"from"`
-	To                int     `json:"to"`
-	MovedKeys         int     `json:"moved_keys"`
-	MovedLines        int     `json:"moved_tail_lines"`
-	TotalMicros       int64   `json:"total_micros"`
-	MicrosPerMovedKey float64 `json:"micros_per_moved_key"`
+	Smoke bool            `json:"smoke"`
+	Lines int             `json:"lines"`
+	Keys  int             `json:"keys"`
+	Runs  []shardBenchRun `json:"runs"`
 }
 
 // shardBenchRun is one shard count's measurements.
@@ -143,74 +130,6 @@ func TestBenchShardReport(t *testing.T) {
 		// shard count.
 		if misses != int64(len(eqBodies)) {
 			t.Errorf("%d shards rendered %d templates, want %d", shards, misses, len(eqBodies))
-		}
-	}
-
-	// Rebalance cost: grow a freshly-detected 4-shard layout to 5 and
-	// charge the wall time to the keys that moved.
-	{
-		det, interp, e := eqEnv()
-		dir := t.TempDir()
-		rt, err := Open(Config{
-			Shards:   4,
-			Dir:      dir,
-			Pipeline: pipeline.DefaultConfig(eqHint),
-			Detector: det,
-			Interp:   interp,
-			Embedder: e,
-			Sink:     &pipeline.MemorySink{},
-			Metrics:  obs.NewRegistry(),
-			Broker:   broker.Config{Fsync: broker.FsyncInterval, MaxBacklogBytes: -1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.AppendBatch(corpus); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-		if err := rt.Drain(ctx); err != nil {
-			cancel()
-			t.Fatal(err)
-		}
-		cancel()
-		if err := rt.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rb, err := Rebalance(dir, "", 4, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bench := &rebalanceBench{
-			From:        4,
-			To:          5,
-			MovedKeys:   rb.MovedKeys,
-			MovedLines:  rb.MovedLines,
-			TotalMicros: rb.Duration.Microseconds(),
-		}
-		if rb.MovedKeys > 0 {
-			bench.MicrosPerMovedKey = float64(rb.Duration.Microseconds()) / float64(rb.MovedKeys)
-		}
-		rep.Rebalance = bench
-		t.Logf("rebalance 4->5: moved %d keys (%d tail lines) in %v (%.0f µs/moved key)",
-			rb.MovedKeys, rb.MovedLines, rb.Duration, bench.MicrosPerMovedKey)
-
-		// The grown layout must still be openable and quiesced.
-		rt2, err := Open(Config{
-			Shards:   5,
-			Dir:      dir,
-			Pipeline: pipeline.DefaultConfig(eqHint),
-			Detector: det,
-			Interp:   interp,
-			Embedder: e,
-			Sink:     &pipeline.MemorySink{},
-			Metrics:  obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatalf("opening the rebalanced layout: %v", err)
-		}
-		if err := rt2.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 

@@ -14,15 +14,21 @@ import (
 	"logsynergy/internal/pipeline"
 )
 
-// Live rebalancing grows a serving deployment from N to N+1 partitions
-// while traffic keeps flowing — the online counterpart of the offline
-// stage→manifest→install protocol, decomposed per key. One Coordinator
-// runs it, in-process (Runtime.LiveRebalance, one local participant) and
-// across a fleet (cluster.Router.LiveRebalance, one HTTP participant per
-// node) alike:
+// Live rebalancing is how this repo moves keys between partitions: it
+// takes a deployment from any partition count N to any other count M —
+// growing or shrinking, by one or by several — while traffic keeps
+// flowing, and run against a runtime that takes no traffic it is the
+// offline rebalance too. The plan is read off the two consistent-hash
+// rings: every key whose partition under the old ring differs from its
+// partition under the new one moves, from the former (its donor) to the
+// latter (its destination). Growth moves keys from the surviving
+// partitions onto the added ones; a shrink moves every key of the retired
+// partitions onto survivors. One Coordinator runs it, in-process
+// (Runtime.LiveRebalance, one local participant) and across a fleet
+// (cluster.Router.LiveRebalance, one HTTP participant per node) alike:
 //
-//  1. Begin. Every participant flips into the cutover: the destination
-//     partition opens on the new layout, each donor's next append offset
+//  1. Begin. Every participant flips into the cutover: the partitions the
+//     new layout adds open on it, each old partition's next append offset
 //     is captured as its freeze point, and the cutover journal (freeze
 //     points + ring parameters) lands durably — with intake excluded, so
 //     no acknowledged append sits between a freeze capture and the
@@ -30,15 +36,16 @@ import (
 //     double-written — appended to both the donor's WAL (which stops
 //     feeding it at the freeze point) and the destination's WAL (whose
 //     consumer parks before any unreleased moving key's record).
-//     Non-moving keys are untouched: same partition, same detection,
-//     same acks.
-//  2. Tail landing. Each donor drains its pre-freeze backlog, so every
-//     moving key's in-flight window tail is final.
+//     Non-moving keys keep their partition, their detection and their
+//     acks; on a surviving partition that is also a destination (a
+//     shrink) they queue behind a parked record until that key releases.
+//  2. Tail landing. Each old partition drains its pre-freeze backlog, so
+//     every moving key's in-flight window tail is final.
 //  3. Per key — capture: the key's WindowTail plus the donor's full
 //     event space, under the donor's feed lock. Stage: the splice is
 //     written to a file in the destination's directory (atomic,
 //     fsynced). Commit: the journal records the key as "committed" — the
-//     per-key manifest; from here the key is destination-owned and a
+//     per-key commit point; from here the key is destination-owned and a
 //     crash rolls it forward. Install: the splice merges into the live
 //     destination (donor event ids translated by template, pattern
 //     verdicts deduped, tail restored). Forget: the donor drops the
@@ -46,30 +53,38 @@ import (
 //     destination's parked consumer wakes for the key and routing sends
 //     it to the destination only.
 //  4. Finish. Every participant restamps and persists its partitions on
-//     the new layout and swaps rings (double-writing ends here), the
-//     host installs whatever names the new layout (a fleet's
+//     the new layout, drains each partition the new layout retires to its
+//     WAL tail and drops it, and swaps rings (double-writing ends here);
+//     the host installs whatever names the new layout (a fleet's
 //     epoch-bumped manifest), and the journal is removed — the end
 //     commit point.
 //
-// Crash safety inverts the offline protocol's all-or-nothing manifest
-// into a per-key ledger: a participant that restarts while the journal
-// exists reopens at the new shard count straight into the journaled
-// state (committed-but-unspliced keys re-apply from their staged files;
-// destinations that already persisted a splice carry a Spliced marker in
-// shard-state v3 and are left alone; a pending key's tail is still the
-// donor's, and records past the freeze point live in the destination's
-// WAL), and the Coordinator run again — by Open in-process, by the
-// operator's retry in a fleet — re-begins every participant
-// idempotently and drives what is left. Every key is on exactly one side
-// at every instant: donor until its journal entry says "committed",
-// destination after.
+// Crash safety is a per-key ledger: a participant that restarts while the
+// journal exists reopens at the new shard count straight into the
+// journaled state (committed-but-unspliced keys re-apply from their
+// staged files; destinations that already persisted a splice carry a
+// Spliced marker in shard-state v3 and are left alone; a pending key's
+// tail is still the donor's, and records past the freeze point live in
+// the destination's WAL), and the Coordinator run again — by Open
+// in-process, by the operator's retry in a fleet — re-begins every
+// participant idempotently and drives what is left. Every key is on
+// exactly one side at every instant: donor until its journal entry says
+// "committed", destination after. There is no way back to the old layout
+// once the journal exists; the rollback is a copy of the root taken
+// before the command.
 //
 // Double-written records are exactly the donor-WAL records at offsets ≥
 // the freeze point for moving keys: the donor consumes and acks them but
 // never feeds them (the destination's copy is the one that counts), and
 // after the cutover the ownership check — a record whose key no longer
 // routes to the partition under its stamped layout is skipped — keeps
-// redelivered copies out of detection forever.
+// redelivered copies out of detection. A partition that is later handed
+// one of those keys back must not mistake the old copies for the key's
+// traffic: a surviving destination feeds a moving key only at or past
+// its own freeze point (tail landing has consumed everything below it by
+// the finish), and a retired partition is closed only once its persisted
+// Consumed is its WAL tail, so a growth that reopens the directory
+// resumes past every copy.
 
 // CutoverJournalName is the cutover journal's file name: at the runtime
 // root in-process, next to cluster.json in a fleet. Its existence IS the
@@ -106,10 +121,10 @@ type CutoverJournal struct {
 	// with (0 = default); a resume under a different ring would move a
 	// different key set.
 	Vnodes int `json:"vnodes"`
-	// DestNode names the fleet node hosting the new partition To-1 until
-	// the manifest bump assigns it there; empty in-process.
+	// DestNode names the fleet node hosting the partitions the new layout
+	// adds until the manifest bump assigns them there; empty in-process.
 	DestNode string `json:"dest_node,omitempty"`
-	// Freeze maps donor partition index → that donor's first
+	// Freeze maps each old-layout partition's index → its first
 	// double-written offset. Donor records below it are donor-fed;
 	// records at or above it belong to the destination's WAL copy.
 	Freeze map[int]uint64 `json:"freeze"`
@@ -141,9 +156,14 @@ func LoadCutoverJournal(path string) (*CutoverJournal, error) {
 	if err := json.Unmarshal(data, j); err != nil {
 		return nil, fmt.Errorf("shard: corrupt cutover journal %s: %w", path, err)
 	}
-	if j.From < 1 || j.To != j.From+1 || len(j.Freeze) != j.From {
+	if j.From < 1 || j.To < 1 || j.To == j.From || len(j.Freeze) != j.From {
 		return nil, fmt.Errorf("shard: cutover journal %s is inconsistent (%d -> %d with %d freeze offsets)",
 			path, j.From, j.To, len(j.Freeze))
+	}
+	for d := 0; d < j.From; d++ {
+		if _, ok := j.Freeze[d]; !ok {
+			return nil, fmt.Errorf("shard: cutover journal %s records no freeze offset for donor partition %d", path, d)
+		}
 	}
 	for k, name := range j.Keys {
 		if _, ok := journalPhaseNames[name]; !ok {
@@ -171,7 +191,7 @@ func removeCutoverJournal(path string) error {
 }
 
 // Spec renders the journal as one participant's begin parameters
-// (dest: the participant hosts the new partition To-1).
+// (dest: the participant hosts the partitions the new layout adds).
 func (j *CutoverJournal) Spec(dest bool) CutoverSpec {
 	return CutoverSpec{From: j.From, To: j.To, Vnodes: j.Vnodes, Freeze: j.Freeze, Keys: j.Keys, Dest: dest}
 }
@@ -246,7 +266,7 @@ type cutover struct {
 	from, to int
 	oldRing  *Partitioner
 	newRing  *Partitioner
-	freeze   []uint64 // per-donor first double-written offset
+	freeze   []uint64 // per old-layout partition: first double-written offset
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -272,6 +292,15 @@ func newCutover(from, to int, oldRing, newRing *Partitioner) *cutover {
 // moving reports whether the cutover moves key between partitions.
 func (c *cutover) moving(key string) bool {
 	return c.oldRing.Partition(key) != c.newRing.Partition(key)
+}
+
+// destCopy reports whether the record at off in partition idx's WAL is
+// the destination's copy of moving key — the one detection consumes.
+// Anything a surviving partition holds for the key below its own freeze
+// point predates this cutover (donor copies from an earlier one that
+// moved the key away) and is not.
+func (c *cutover) destCopy(idx int, key string, off uint64) bool {
+	return c.newRing.Partition(key) == idx && (idx >= c.from || off >= c.freeze[idx])
 }
 
 // keyPhase returns the key's current phase (a finished cutover reads as
@@ -322,8 +351,8 @@ type Coordinator struct {
 	// JournalPath is where the journal lives: the runtime root
 	// in-process, the cluster directory in a fleet.
 	JournalPath string
-	// Owner maps a partition index — donors 0..From-1, the destination
-	// To-1 — to the participant serving it.
+	// Owner maps a partition index of either layout — 0..max(From,To)-1 —
+	// to the participant serving it.
 	Owner func(partition int) Participant
 	// Gate, when set, runs each of the two flips with the host's intake
 	// excluded: begin (every participant begun, journal durable, OnBegin)
@@ -358,7 +387,7 @@ type Coordinator struct {
 // journal.
 func (c *Coordinator) Run(j *CutoverJournal) (*RebalanceReport, error) {
 	var parts []Participant // distinct, in partition order
-	for p := 0; p < j.To; p++ {
+	for p := 0; p < max(j.From, j.To); p++ {
 		owner, seen := c.Owner(p), false
 		for _, q := range parts {
 			seen = seen || q == owner
@@ -567,14 +596,33 @@ func (c *Coordinator) hook(phase, key string) error {
 	return c.Hook(phase, key)
 }
 
-// LiveRebalance grows this open runtime from its current partition count
-// N to to=N+1 under traffic: intake stays open throughout (moving keys
-// double-write during their window), non-moving keys never stop
-// detecting or acking, and each moving key cuts over individually as its
-// donor window tail lands. On success the runtime serves the new layout;
-// on error the cutover journal stays in place and a process restart
-// (Open at the new shard count) resumes and finishes it. Grows one
-// partition per call — run it repeatedly for larger growth.
+// RebalanceReport summarizes a completed rebalance.
+type RebalanceReport struct {
+	// From and To are the old and new partition counts.
+	From, To int
+	// Dir is the runtime root holding the rebalanced layout.
+	Dir string
+	// MovedKeys is how many stream keys changed partitions.
+	MovedKeys int
+	// MovedLines is the total number of window-tail lines that moved
+	// with them.
+	MovedLines int
+	// AlreadyBalanced reports a no-op: the runtime already serves To
+	// partitions.
+	AlreadyBalanced bool
+	// Duration is the wall-clock time the rebalance took.
+	Duration time.Duration
+}
+
+// LiveRebalance takes this open runtime from its current partition count
+// to any other count to >= 1 under traffic: intake stays open throughout
+// (moving keys double-write during their window), keys that stay put keep
+// detecting and acking on every partition that receives no key, and each
+// moving key cuts over individually as its donor window tail lands. With
+// no traffic it is the offline rebalance. On success the runtime serves
+// the new layout; on error the cutover journal stays in place, the
+// runtime keeps serving under it and refuses further rebalances, and a
+// process restart (Open at the new shard count) resumes and finishes it.
 func (rt *Runtime) LiveRebalance(to int) (*RebalanceReport, error) {
 	return rt.liveRebalance(to, nil)
 }
@@ -585,19 +633,20 @@ func (rt *Runtime) liveRebalance(to int, hook func(phase, key string) error) (*R
 	start := time.Now()
 	rt.liveMu.Lock()
 	defer rt.liveMu.Unlock()
-	if rt.cut.Load() != nil {
-		return nil, errors.New("shard: a live cutover is already in progress")
-	}
 	if rt.cfg.Subset != nil {
 		return nil, errors.New("shard: live rebalance requires a runtime serving every partition; " +
 			"this one opened a subset (cluster node mode)")
 	}
+	if to < 1 {
+		return nil, fmt.Errorf("shard: live rebalance needs a positive partition count; got -to %d", to)
+	}
+	if cut := rt.cut.Load(); cut != nil {
+		return nil, fmt.Errorf("shard: a live cutover %d -> %d is journaled; restart the runtime at %d shards to finish it before asking for %d partitions",
+			cut.from, cut.to, cut.to, to)
+	}
 	from := rt.Shards()
 	if to == from {
 		return &RebalanceReport{From: from, To: to, Dir: rt.cfg.Dir, AlreadyBalanced: true, Duration: time.Since(start)}, nil
-	}
-	if to != from+1 {
-		return nil, fmt.Errorf("shard: live rebalance grows one partition at a time (%d -> %d); got -to %d", from, from+1, to)
 	}
 	rep, err := rt.coordinator(hook).Run(NewCutoverJournal(from, to, rt.cfg.Vnodes, ""))
 	if err != nil {

@@ -11,26 +11,33 @@ import (
 	"testing"
 	"time"
 
+	"logsynergy/internal/broker"
+	"logsynergy/internal/fault"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
 )
 
 // The live-cutover proof: fixed-seed multi-key traffic keeps flowing
-// while the fleet grows 2→3 in place, and the combined output is
-// bit-identical to the unsharded keyed reference — per-key score
-// sequences score by score, alert multisets signature by signature.
-// Traffic is injected from the cutover's own hook points, so "under
-// traffic" is deterministic, not a race: batches land exactly at
-// double-write start, mid-pause, and first release. The suite further
-// proves non-moving keys never stall (their watermarks and score counts
-// advance while the cutover is paused), double-written records are
-// never detected twice (offset rollback redelivers them into the
-// skip-prefix), and a crash at every per-key phase resumes on exactly
-// one layout per key.
+// while the fleet moves from N to M partitions in place — growing by one,
+// growing by two, shrinking — and the combined output is bit-identical to
+// the unsharded keyed reference: per-key score sequences score by score,
+// alert multisets signature by signature. Traffic is injected from the
+// cutover's own hook points, so "under traffic" is deterministic, not a
+// race: batches land exactly at double-write start, mid-pause, and first
+// release. The suite further proves non-moving keys never stall under
+// growth (their watermarks and score counts advance while the cutover is
+// paused) and resume by the finish under a shrink, double-written records
+// are never detected twice (offset rollback redelivers them into the
+// skip-prefix, and a retired partition reopened by a later growth resumes
+// past them), and a crash at every per-key phase resumes on exactly one
+// layout per key.
 
-// liveMovingKeys splits keys by whether the 2→3 growth moves them.
-func liveMovingKeys(keys []string) (moving, staying []string) {
-	oldRing, newRing := NewPartitioner(2), NewPartitioner(3)
+// livePlans are the cutovers the under-traffic suites run.
+var livePlans = []struct{ from, to int }{{2, 3}, {2, 4}, {3, 2}}
+
+// liveMovingKeys splits keys by whether the from→to cutover moves them.
+func liveMovingKeys(keys []string, from, to int) (moving, staying []string) {
+	oldRing, newRing := NewPartitioner(from), NewPartitioner(to)
 	for _, k := range keys {
 		if oldRing.Partition(k) != newRing.Partition(k) {
 			moving = append(moving, k)
@@ -41,12 +48,11 @@ func liveMovingKeys(keys []string) (moving, staying []string) {
 	return moving, staying
 }
 
-// liveNewMovingKey finds a key outside the fixture set that the 2→3
-// growth moves — introduced only mid-cutover, it exercises the
-// straggler path: no donor tail, double-written only, released by the
-// finish flip.
-func liveNewMovingKey(existing []string) string {
-	oldRing, newRing := NewPartitioner(2), NewPartitioner(3)
+// liveNewMovingKey finds a key outside the fixture set that the cutover
+// moves — introduced only mid-cutover, it exercises the straggler path:
+// no donor tail, double-written only, released by the finish flip.
+func liveNewMovingKey(existing []string, from, to int) string {
+	oldRing, newRing := NewPartitioner(from), NewPartitioner(to)
 	used := make(map[string]bool, len(existing))
 	for _, k := range existing {
 		used[k] = true
@@ -59,13 +65,29 @@ func liveNewMovingKey(existing []string) string {
 	}
 }
 
+// scoredWindows reads how many windows the harness has seen for key.
+func (h *shardHarness) scoredWindows(key string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.scores[key])
+}
+
 func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
+	for _, plan := range livePlans {
+		t.Run(fmt.Sprintf("%d→%d", plan.from, plan.to), func(t *testing.T) {
+			liveEquivalenceUnderTraffic(t, plan.from, plan.to)
+		})
+	}
+}
+
+func liveEquivalenceUnderTraffic(t *testing.T, from, to int) {
+	label := fmt.Sprintf("live %d→%d under traffic", from, to)
 	keys := eqKeys(12)
-	moving, staying := liveMovingKeys(keys)
+	moving, staying := liveMovingKeys(keys, from, to)
 	if len(moving) == 0 || len(staying) == 0 {
 		t.Fatalf("fixture needs both moving and staying keys (got %d moving, %d staying)", len(moving), len(staying))
 	}
-	newKey := liveNewMovingKey(keys)
+	newKey := liveNewMovingKey(keys, from, to)
 
 	pre := genEqLines(42, 1500, keys)
 	midA := append(genEqLines(43, 300, keys), genEqLines(44, 60, []string{newKey})...)
@@ -86,12 +108,27 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	h := openHarness(t, dir, 2, nil)
+	h := openHarness(t, dir, from, nil)
 	h.feed(t, pre)
 
+	// awaitStaying waits until the staying key has scored past before
+	// and, when asked, its partition's committed watermark has advanced.
 	stayPart := h.rt.PartitionFor(staying[0])
-	fedMidA, fedMidB, stalled := false, false, false
-	report, err := h.rt.liveRebalance(3, func(phase, key string) error {
+	awaitStaying := func(when string, scoresBefore int, committedBefore uint64, needCommit bool) {
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			scored, committed := h.scoredWindows(staying[0]), h.rt.Committed(stayPart)
+			if scored > scoresBefore && (!needCommit || committed > committedBefore) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("staying key %s stalled %s: %d→%d windows, watermark %d→%d",
+					staying[0], when, scoresBefore, scored, committedBefore, committed)
+				return
+			}
+		}
+	}
+	fedMidA, fedMidB, stalled, scoresAtStall := false, false, false, 0
+	report, err := h.rt.liveRebalance(to, func(phase, key string) error {
 		switch {
 		case phase == "double-write" && !fedMidA:
 			// Traffic lands the instant double-writing starts: moving keys
@@ -100,30 +137,20 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 			fedMidA = true
 			h.feed(t, midA)
 		case phase == "tail-landed" && !stalled:
-			// Zero-stall proof, run while the cutover is mid-pause: a
-			// staying key's traffic must keep scoring and its partition's
-			// committed watermark must strictly advance before any moving
-			// key is released.
+			// Run while the cutover is mid-pause, before any moving key is
+			// released. Growth — zero stall: a staying key's partition
+			// receives no key, so its traffic must keep scoring and its
+			// committed watermark must strictly advance right now. Shrink:
+			// the staying key's partition is a destination, and its worker
+			// may be parked on an unreleased moving key's record queued
+			// ahead of this traffic; the bound is the finish flip, which
+			// releases every key — checked once the cutover returns.
 			stalled = true
-			h.mu.Lock()
-			scoresBefore := len(h.scores[staying[0]])
-			h.mu.Unlock()
+			scoresAtStall = h.scoredWindows(staying[0])
 			committedBefore := h.rt.Committed(stayPart)
 			h.feed(t, stall)
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				h.mu.Lock()
-				scored := len(h.scores[staying[0]])
-				h.mu.Unlock()
-				if scored > scoresBefore && h.rt.Committed(stayPart) > committedBefore {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Errorf("staying key %s stalled mid-cutover: %d→%d windows, watermark %d→%d",
-						staying[0], scoresBefore, scored, committedBefore, h.rt.Committed(stayPart))
-					break
-				}
-				time.Sleep(time.Millisecond)
+			if to > from {
+				awaitStaying("mid-cutover", scoresAtStall, committedBefore, true)
 			}
 		case phase == "released" && !fedMidB:
 			// Traffic after the first key flips to destination-only routing.
@@ -135,24 +162,32 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LiveRebalance: %v", err)
 	}
-	if report.From != 2 || report.To != 3 {
-		t.Fatalf("report %d→%d, want 2→3", report.From, report.To)
+	if !fedMidA || !fedMidB || !stalled {
+		t.Fatalf("hook points missed: double-write %v, tail-landed %v, released %v", fedMidA, stalled, fedMidB)
+	}
+	awaitStaying("past the finish", scoresAtStall, 0, false)
+	if report.From != from || report.To != to {
+		t.Fatalf("report %d→%d, want %d→%d", report.From, report.To, from, to)
 	}
 	if report.MovedKeys == 0 {
 		t.Fatal("live rebalance moved no keys")
 	}
-	if got := h.rt.Shards(); got != 3 {
-		t.Fatalf("Shards() = %d after live rebalance, want 3", got)
+	if got := h.rt.Shards(); got != to {
+		t.Fatalf("Shards() = %d after live rebalance, want %d", got, to)
+	}
+	if got := len(h.rt.Owned()); got != to {
+		t.Fatalf("runtime serves %d partitions after live rebalance, want %d", got, to)
 	}
 	if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); !os.IsNotExist(err) {
 		t.Fatalf("cutover journal still present after a completed live rebalance (stat err %v)", err)
 	}
-	if stragglers, _ := filepath.Glob(filepath.Join(dir, "p2", spliceFilePrefix+"*")); len(stragglers) != 0 {
+	if stragglers, _ := filepath.Glob(filepath.Join(dir, "p*", spliceFilePrefix+"*")); len(stragglers) != 0 {
 		t.Fatalf("splice files not swept after the cutover: %v", stragglers)
 	}
+	newRing := NewPartitioner(to)
 	for _, k := range moving {
-		if got := h.rt.PartitionFor(k); got != 2 {
-			t.Fatalf("moved key %s routes to partition %d after growth, want 2", k, got)
+		if got, want := h.rt.PartitionFor(k), newRing.Partition(k); got != want {
+			t.Fatalf("moved key %s routes to partition %d after the cutover, want %d", k, got, want)
 		}
 	}
 
@@ -161,11 +196,11 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	if err := h.rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	requireEqual(t, "live 2→3 under traffic", h.result(), ref)
+	requireEqual(t, label, h.result(), ref)
 
-	// The grown layout is a first-class 3-shard deployment: a plain
-	// reopen at 3 shards must come up clean with nothing to re-detect.
-	h2 := openHarness(t, dir, 3, nil)
+	// The new layout is a first-class deployment: a plain reopen at the
+	// new count must come up clean with nothing to re-detect.
+	h2 := openHarness(t, dir, to, nil)
 	h2.drain(t)
 	if err := h2.rt.Close(); err != nil {
 		t.Fatalf("reopen Close: %v", err)
@@ -173,6 +208,101 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	if res := h2.result(); len(res.scores) != 0 || h2.rt.Stats().LinesCollected != 0 {
 		t.Fatalf("reopen after live rebalance re-detected: %d keys, %d lines", len(res.scores), h2.rt.Stats().LinesCollected)
 	}
+}
+
+// A partition retired by a live shrink still holds double-written donor
+// copies at and past its freeze point, and a later growth reopens its
+// directory as a destination under a ring that routes those very keys
+// back to it. Here the shrink's double-written traffic lands once the
+// donors' tails have landed and the retired partition's reads are slowed
+// from then on, so its worker has not skipped through its copies when
+// the finish closes it: unless the finish leaves Consumed at the WAL
+// tail, the regrown partition feeds them and the moved keys' sequences
+// gain duplicate windows.
+func TestLiveRebalanceShrinkThenRegrow(t *testing.T) {
+	t.Run("3→2→3", func(t *testing.T) { liveRoundTrip(t, []int{3, 2, 3}, func(i int) bool { return i == 2 }) })
+	// Regrown a step at a time, the second step reopens a directory whose
+	// stamp (the shrink's target) is neither of that step's two counts.
+	t.Run("4→2→3→4", func(t *testing.T) { liveRoundTrip(t, []int{4, 2, 3, 4}, func(i int) bool { return i >= 2 }) })
+}
+
+// The mirror case: the partitions that survive a growth keep their donor
+// copies too, and a shrink right after hands them the same keys back
+// while their slowed workers are still short of those copies. A survivor
+// that took them for the keys' traffic would park on them — below its own
+// freeze point, so its tail would never land and the cutover would hang —
+// and feed them once released.
+func TestLiveRebalanceGrowThenShrink(t *testing.T) {
+	liveRoundTrip(t, []int{2, 3, 2}, func(i int) bool { return i < 2 })
+}
+
+// liveRoundTrip moves a runtime along path (its first count is the one it
+// opens at) under traffic and holds the result to the unsharded
+// reference. The partitions slow selects read at 2 ms a record from the
+// moment the first cutover's tails have landed (its double-written
+// traffic is fed right then) until the second cutover has begun, so they
+// still hold unconsumed donor copies at the first finish and at the
+// second begin.
+func liveRoundTrip(t *testing.T, path []int, slow func(i int) bool) {
+	keys := eqKeys(12)
+	segs := make([][]string, 3*len(path)-2)
+	var stream []string
+	for i := range segs {
+		segs[i] = genEqLines(int64(60+i), 500, keys)
+		stream = append(stream, segs[i]...)
+	}
+	ref := runReference(t, stream)
+
+	slowed := fault.New(1)
+	dir := t.TempDir()
+	h := openHarness(t, dir, path[0], func(cfg *Config) {
+		cfg.ShardFaults = func(i int) *fault.Registry {
+			if slow(i) {
+				return slowed
+			}
+			return nil
+		}
+	})
+	h.feed(t, segs[0])
+	next := 1
+	for step, to := range path[1:] {
+		was, fed := h.rt.Shards(), 0
+		if _, err := h.rt.liveRebalance(to, func(phase, key string) error {
+			switch {
+			case step == 0 && phase == "tail-landed" && fed == 0:
+				slowed.Enable(fault.Rule{Point: broker.PointRead, Delay: 2 * time.Millisecond})
+			case step == 1 && phase == "double-write":
+				slowed.Disable(broker.PointRead)
+			}
+			if (phase == "tail-landed" && fed == 0) || (phase == "finish" && fed == 1) {
+				h.feed(t, segs[next])
+				next++
+				fed++
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("LiveRebalance %d→%d: %v", was, to, err)
+		}
+		if got := len(h.rt.Health()); got != to {
+			t.Fatalf("runtime reports %d partitions after %d→%d", got, was, to)
+		}
+		for i := to; i < was; i++ {
+			st, err := loadState(statePath(partitionDir(dir, i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Partitions != to || len(st.Tails) != 0 {
+				t.Fatalf("retired partition %d is stamped %d with %d tails, want stamp %d and none", i, st.Partitions, len(st.Tails), to)
+			}
+		}
+		h.feed(t, segs[next])
+		next++
+	}
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	requireEqual(t, fmt.Sprintf("live %v under traffic", path), h.result(), ref)
 }
 
 // Double-written records must be duplicates in storage only, never in
@@ -245,68 +375,135 @@ func TestLiveRebalanceDuplicateSkipOnRedelivery(t *testing.T) {
 // the reference.
 func TestLiveRebalanceCrashResume(t *testing.T) {
 	phases := []string{"double-write", "tail-landed", "staged", "committed", "released", "finish"}
-	for _, phase := range phases {
-		phase := phase
-		t.Run(phase, func(t *testing.T) {
-			keys := eqKeys(10)
-			pre := genEqLines(21, 1200, keys)
-			mid := genEqLines(22, 300, keys)
-			post := genEqLines(23, 1200, keys)
-			var stream []string
-			for _, seg := range [][]string{pre, mid, post} {
-				stream = append(stream, seg...)
-			}
-			ref := runReference(t, stream)
-
-			dir := t.TempDir()
-			h := openHarness(t, dir, 2, nil)
-			h.feed(t, pre)
-			boom := errors.New("injected crash")
-			fedMid := false
-			_, err := h.rt.liveRebalance(3, func(ph, key string) error {
-				if ph == "double-write" && !fedMid {
-					// Mid-cutover traffic lands before the crash, so the
-					// resume has double-written records on both sides.
-					fedMid = true
-					h.feed(t, mid)
-				}
-				if ph == phase {
-					return boom
-				}
-				return nil
-			})
-			if !errors.Is(err, boom) {
-				t.Fatalf("LiveRebalance error = %v, want injected crash", err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); err != nil {
-				t.Fatalf("cutover journal missing after crash at %s: %v", phase, err)
-			}
-			// Quiesce to a committed boundary (parked-on-gate counts: the
-			// gate commits before parking), then crash hard.
-			h.drain(t)
-			h.rt.Kill()
-
-			// A reopen at the old shard count must refuse — the journal
-			// pins the cutover's target.
-			if _, err := Open(killedConfig(t, dir, 2)); err == nil || !strings.Contains(err.Error(), "live cutover") {
-				t.Fatalf("Open at 2 shards mid-cutover: err = %v, want live-cutover refusal", err)
-			}
-
-			h2 := reopenHarness(t, dir, 3, h)
-			if got := h2.rt.Shards(); got != 3 {
-				t.Fatalf("Shards() = %d after resumed cutover, want 3", got)
-			}
-			if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); !os.IsNotExist(err) {
-				t.Fatalf("cutover journal still present after resume (stat err %v)", err)
-			}
-			h2.feed(t, post)
-			h2.drain(t)
-			if err := h2.rt.Close(); err != nil {
-				t.Fatalf("Close after resume: %v", err)
-			}
-			requireEqual(t, "crash at "+phase, h2.result(), ref)
-		})
+	keys := eqKeys(10)
+	pre := genEqLines(21, 1200, keys)
+	mid := genEqLines(22, 300, keys)
+	post := genEqLines(23, 1200, keys)
+	var stream []string
+	for _, seg := range [][]string{pre, mid, post} {
+		stream = append(stream, seg...)
 	}
+	ref := runReference(t, stream)
+	for _, plan := range livePlans {
+		for _, phase := range phases {
+			from, to, phase := plan.from, plan.to, phase
+			t.Run(fmt.Sprintf("%d→%d/%s", from, to, phase), func(t *testing.T) {
+				dir := t.TempDir()
+				h := openHarness(t, dir, from, nil)
+				h.feed(t, pre)
+				boom := errors.New("injected crash")
+				fedMid := false
+				_, err := h.rt.liveRebalance(to, func(ph, key string) error {
+					if ph == "double-write" && !fedMid {
+						// Mid-cutover traffic lands before the crash, so the
+						// resume has double-written records on both sides.
+						fedMid = true
+						h.feed(t, mid)
+					}
+					if ph == phase {
+						return boom
+					}
+					return nil
+				})
+				if !errors.Is(err, boom) {
+					t.Fatalf("LiveRebalance error = %v, want injected crash", err)
+				}
+				if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); err != nil {
+					t.Fatalf("cutover journal missing after crash at %s: %v", phase, err)
+				}
+				// Quiesce to a committed boundary (parked-on-gate counts: the
+				// gate commits before parking), then crash hard.
+				h.drain(t)
+				h.rt.Kill()
+
+				// A reopen at the old shard count must refuse — the journal
+				// pins the cutover's target.
+				if _, err := Open(killedConfig(t, dir, from)); err == nil || !strings.Contains(err.Error(), "live cutover") {
+					t.Fatalf("Open at %d shards mid-cutover: err = %v, want live-cutover refusal", from, err)
+				}
+
+				h2 := reopenHarness(t, dir, to, h)
+				if got := h2.rt.Shards(); got != to {
+					t.Fatalf("Shards() = %d after resumed cutover, want %d", got, to)
+				}
+				if got := len(h2.rt.Owned()); got != to {
+					t.Fatalf("resumed runtime serves %d partitions, want %d", got, to)
+				}
+				if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); !os.IsNotExist(err) {
+					t.Fatalf("cutover journal still present after resume (stat err %v)", err)
+				}
+				h2.feed(t, post)
+				h2.drain(t)
+				if err := h2.rt.Close(); err != nil {
+					t.Fatalf("Close after resume: %v", err)
+				}
+				requireEqual(t, "crash at "+phase, h2.result(), ref)
+			})
+		}
+	}
+}
+
+// A finish that fails at one partition must not have closed another: the
+// 4→2 finish persists p2, then cannot write p3's state. The runtime keeps
+// serving under the journaled cutover — a key seen only now, whose donor
+// is the already-persisted p2, still double-writes into it — and a
+// restart at the target count finishes the cutover.
+func TestLiveRebalanceFinishFailureKeepsServing(t *testing.T) {
+	keys := eqKeys(10)
+	oldRing, tried := NewPartitioner(4), append([]string(nil), keys...)
+	newKey := liveNewMovingKey(tried, 4, 2)
+	for oldRing.Partition(newKey) != 2 {
+		tried = append(tried, newKey)
+		newKey = liveNewMovingKey(tried, 4, 2)
+	}
+	pre := genEqLines(31, 1200, keys)
+	mid := append(genEqLines(32, 300, keys), genEqLines(33, 60, []string{newKey})...)
+	post := genEqLines(34, 1200, append(keys, newKey))
+	ref := runReference(t, append(append(append([]string(nil), pre...), mid...), post...))
+
+	dir := t.TempDir()
+	h := openHarness(t, dir, 4, nil)
+	h.feed(t, pre)
+	state, aside := statePath(partitionDir(dir, 3)), filepath.Join(dir, "p3-state.aside")
+	_, err := h.rt.liveRebalance(2, func(phase, key string) error {
+		if phase != "finish" {
+			return nil
+		}
+		// A directory where the state file goes: the rename that installs
+		// the next persist fails. Drained first, so that persist is the
+		// finish's and not a worker's own.
+		h.drain(t)
+		if err := os.Rename(state, aside); err != nil {
+			return err
+		}
+		return os.Mkdir(state, 0o755)
+	})
+	if err == nil || !strings.Contains(err.Error(), "persisting partition 3") {
+		t.Fatalf("LiveRebalance with p3's state unwritable: err = %v, want the persist failure", err)
+	}
+	if got := len(h.rt.Owned()); got != 4 {
+		t.Fatalf("runtime serves %d partitions after the failed finish, want all 4 still open", got)
+	}
+	h.feed(t, mid)
+	h.drain(t)
+	h.rt.Kill()
+	if err := os.Remove(state); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, state); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := reopenHarness(t, dir, 2, h)
+	if got := len(h2.rt.Owned()); got != 2 {
+		t.Fatalf("resumed runtime serves %d partitions, want 2", got)
+	}
+	h2.feed(t, post)
+	h2.drain(t)
+	if err := h2.rt.Close(); err != nil {
+		t.Fatalf("Close after resume: %v", err)
+	}
+	requireEqual(t, "4→2 with a failed finish", h2.result(), ref)
 }
 
 // killedConfig builds a throwaway config over dir purely to probe Open's
@@ -325,9 +522,13 @@ func killedConfig(t *testing.T, dir string, shards int) Config {
 	}
 }
 
+// What LiveRebalance still refuses now that any other positive count is a
+// valid target: a non-positive count, any target while an earlier
+// cutover's journal is unfinished, and a runtime that serves a subset.
 func TestLiveRebalanceValidation(t *testing.T) {
 	h := openHarness(t, t.TempDir(), 2, nil)
 	defer h.rt.Close()
+	h.feed(t, genEqLines(9, 400, eqKeys(8)))
 
 	report, err := h.rt.LiveRebalance(2)
 	if err != nil {
@@ -336,24 +537,104 @@ func TestLiveRebalanceValidation(t *testing.T) {
 	if !report.AlreadyBalanced {
 		t.Fatal("LiveRebalance to the current count should report AlreadyBalanced")
 	}
-	if _, err := h.rt.LiveRebalance(4); err == nil || !strings.Contains(err.Error(), "one partition at a time") {
-		t.Fatalf("LiveRebalance(4) on 2 shards: err = %v, want one-at-a-time refusal", err)
+	for _, to := range []int{0, -1} {
+		if _, err := h.rt.LiveRebalance(to); err == nil || !strings.Contains(err.Error(), "positive partition count") {
+			t.Fatalf("LiveRebalance(%d): err = %v, want the positive-count refusal", to, err)
+		}
 	}
-	if _, err := h.rt.LiveRebalance(1); err == nil {
-		t.Fatal("LiveRebalance(1) on 2 shards should refuse (live shrink is unsupported)")
+
+	// A cutover that failed partway stays journaled and pins the runtime:
+	// every further target is refused — the old count, the journal's own
+	// and any other — until a restart at the journal's count finishes it
+	// (TestLiveRebalanceCrashResume).
+	boom := errors.New("injected failure")
+	if _, err := h.rt.liveRebalance(4, func(phase, key string) error {
+		if phase == "staged" {
+			return boom
+		}
+		return nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("liveRebalance(4) with a failing hook: %v", err)
+	}
+	for _, to := range []int{3, 2, 1, 4} {
+		if _, err := h.rt.LiveRebalance(to); err == nil || !strings.Contains(err.Error(), "2 -> 4 is journaled") {
+			t.Fatalf("LiveRebalance(%d) over a journaled 2→4: err = %v, want refusal", to, err)
+		}
+	}
+
+	sub := openHarness(t, t.TempDir(), 2, func(cfg *Config) { cfg.Subset = []int{0, 1} })
+	defer sub.rt.Close()
+	if _, err := sub.rt.LiveRebalance(3); err == nil || !strings.Contains(err.Error(), "subset") {
+		t.Fatalf("LiveRebalance on a subset runtime: err = %v, want refusal", err)
 	}
 }
 
-// The offline rebalancer must refuse a root mid live-cutover: the
-// journal owns the layout transition until it completes.
-func TestOfflineRebalanceRefusesLiveJournal(t *testing.T) {
-	dir := t.TempDir()
-	j := NewCutoverJournal(2, 3, 0, "")
-	j.Freeze = map[int]uint64{0: 1, 1: 1}
-	if err := j.save(filepath.Join(dir, CutoverJournalName)); err != nil {
-		t.Fatalf("saving journal: %v", err)
+// LoadCutoverJournal must refuse every journal a Coordinator could not
+// have written — callers treat only "absent" as "no cutover".
+func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
+	good := func() *CutoverJournal {
+		j := NewCutoverJournal(3, 2, 0, "")
+		j.Freeze = map[int]uint64{0: 1, 1: 5, 2: 9}
+		j.Keys["k"] = "committed"
+		return j
 	}
-	if _, err := RebalanceGroup(dir, "", 2, 3, ""); err == nil || !strings.Contains(err.Error(), "live cutover") {
-		t.Fatalf("offline rebalance over a live cutover: err = %v, want refusal", err)
+	path := filepath.Join(t.TempDir(), CutoverJournalName)
+	if j, err := LoadCutoverJournal(path); j != nil || err != nil {
+		t.Fatalf("absent journal: %+v, %v; want nil, nil", j, err)
+	}
+	if err := good().save(path); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := LoadCutoverJournal(path); err != nil || j.From != 3 || j.To != 2 {
+		t.Fatalf("a consistent shrink journal: %+v, %v", j, err)
+	}
+	for name, bend := range map[string]func(*CutoverJournal){
+		"from < 1":                func(j *CutoverJournal) { j.From, j.Freeze = 0, map[int]uint64{} },
+		"to < 1":                  func(j *CutoverJournal) { j.To = 0 },
+		"to == from":              func(j *CutoverJournal) { j.To = 3 },
+		"a donor has no freeze":   func(j *CutoverJournal) { delete(j.Freeze, 2) },
+		"freeze names a stranger": func(j *CutoverJournal) { delete(j.Freeze, 1); j.Freeze[7] = 1 },
+		"unknown phase":           func(j *CutoverJournal) { j.Keys["k"] = "staged" },
+	} {
+		j := good()
+		bend(j)
+		if err := j.save(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadCutoverJournal(path); err == nil {
+			t.Errorf("%s: accepted %+v", name, got)
+		}
+	}
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCutoverJournal(path); err == nil {
+		t.Error("corrupt journal accepted")
+	}
+}
+
+// destCopy is the rule that keeps an earlier cutover's donor copies out
+// of a later one: a surviving partition that gets a key back counts only
+// records at or past its own freeze point as that key's traffic.
+func TestCutoverDestCopy(t *testing.T) {
+	oldRing, newRing := NewPartitioner(3), NewPartitioner(2)
+	cut := newCutover(3, 2, oldRing, newRing)
+	cut.freeze = []uint64{40, 50, 60}
+	moving, _ := liveMovingKeys(eqKeys(64), 3, 2)
+	key := moving[0]
+	dest := newRing.Partition(key)
+	if cut.destCopy(dest, key, cut.freeze[dest]-1) {
+		t.Fatal("a record below the surviving destination's freeze point counted as the key's traffic")
+	}
+	if !cut.destCopy(dest, key, cut.freeze[dest]) {
+		t.Fatal("the first double-written record was not the destination's copy")
+	}
+	if cut.destCopy(1-dest, key, 1000) || cut.destCopy(oldRing.Partition(key), key, 1000) {
+		t.Fatal("a partition other than the destination claimed the destination's copy")
+	}
+	grow := newCutover(2, 3, newRing, oldRing)
+	grow.freeze = []uint64{40, 50}
+	if !grow.destCopy(2, key, 1) {
+		t.Fatal("an added partition has no freeze point: every record of a key it receives is the copy")
 	}
 }

@@ -32,24 +32,25 @@ type Participant interface {
 	PendingMovingKeys() ([]string, error)
 	// CaptureKey snapshots one pending key's splice from its donor.
 	CaptureKey(key string) (KeySplice, error)
-	// StageSplice durably writes a captured splice into the destination
-	// partition's directory.
+	// StageSplice durably writes a captured splice into the key's
+	// destination partition's directory.
 	StageSplice(sp KeySplice) error
-	// InstallSplice applies a key's staged splice to the live destination.
+	// InstallSplice applies a key's staged splice to its live destination.
 	InstallSplice(key string) error
 	// ForgetKey drops a moved key's window tail from its donor.
 	ForgetKey(key string) error
 	// SyncCutover advances per-key phases from the coordinator's journal.
 	SyncCutover(keys map[string]string) error
-	// CompleteCutover restamps every served partition on the new layout
-	// and leaves the cutover.
+	// CompleteCutover restamps every served partition on the new layout,
+	// drains and drops the ones it retires, and leaves the cutover.
 	CompleteCutover(to int) error
 }
 
 // CutoverSpec carries a live cutover's parameters from the
 // coordinator's journal to a participant's runtime.
 type CutoverSpec struct {
-	// From and To are the old and new partition counts (To = From+1).
+	// From and To are the old and new partition counts (any two different
+	// positive counts: grow or shrink, by one or by several).
 	From int `json:"from"`
 	To   int `json:"to"`
 	// Vnodes is the ring's virtual-node override the cutover was
@@ -63,8 +64,8 @@ type CutoverSpec struct {
 	// Keys is the journal's per-key ledger (key → "committed" |
 	// "released"); pending keys are absent.
 	Keys map[string]string `json:"keys,omitempty"`
-	// Dest marks this runtime as the destination partition's host: it
-	// opens partition To-1 on the new layout.
+	// Dest marks this runtime as the host of the partitions the new
+	// layout adds (From..To-1): it opens them at begin. A shrink adds none.
 	Dest bool `json:"dest,omitempty"`
 }
 
@@ -94,12 +95,12 @@ type CutoverStatus struct {
 }
 
 // BeginCutover implements Participant. The route write lock is held
-// while freeze offsets are captured for owned donors, partition To-1
-// opens on the new layout (when spec.Dest), commit runs, and the cutover
-// is published — from a producer's view one atomic step. Re-beginning
-// the same (From, To) syncs the spec's per-key phases and reports the
-// existing freeze offsets; a runtime already serving To partitions
-// answers Finished.
+// while freeze offsets are captured for owned donors, the partitions the
+// new layout adds open on it (when spec.Dest), commit runs, and the
+// cutover is published — from a producer's view one atomic step.
+// Re-beginning the same (From, To) syncs the spec's per-key phases and
+// reports the existing freeze offsets; a runtime already serving To
+// partitions answers Finished.
 func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uint64) error) (*CutoverBeginResult, error) {
 	rt.routeMu.Lock()
 	defer rt.routeMu.Unlock()
@@ -120,37 +121,39 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 	if rt.cfg.Shards != spec.From {
 		return nil, fmt.Errorf("shard: cutover begins at %d partitions but this runtime serves %d", spec.From, rt.cfg.Shards)
 	}
-	if spec.To != spec.From+1 {
-		return nil, fmt.Errorf("shard: live cutover grows one partition at a time (%d -> %d)", spec.From, spec.To)
+	if spec.To < 1 {
+		return nil, fmt.Errorf("shard: cutover targets %d partitions; the count must be positive", spec.To)
 	}
 	if spec.Vnodes != rt.cfg.Vnodes {
 		return nil, fmt.Errorf("shard: cutover was computed with Vnodes=%d but this runtime uses %d", spec.Vnodes, rt.cfg.Vnodes)
 	}
 
-	// Every participant's routing table grows to To — Append indexes
-	// byIdx by new-ring partitions for released keys even on pure-donor
-	// nodes (where the destination slot stays nil and rejects). The
-	// destination's directory may be an empty shell from an earlier
+	// Every participant's routing table covers both layouts — Append
+	// indexes byIdx by new-ring partitions for released keys even on
+	// pure-donor nodes (where an added slot stays nil and rejects). An
+	// added partition's directory may be an empty shell from an earlier
 	// abandoned begin; records only ever land in it once a journal exists,
 	// so that is benign.
 	newRing := NewPartitionerVnodes(spec.To, rt.cfg.Vnodes)
-	rt.byIdx = append(rt.byIdx, nil)
-	var dest *partition
+	for len(rt.byIdx) < spec.To {
+		rt.byIdx = append(rt.byIdx, nil)
+	}
+	var added []*partition
 	abandon := func(err error) (*CutoverBeginResult, error) {
-		if dest != nil {
-			dest.cons.Close()
-			dest.bk.Close()
+		for _, pt := range added {
+			pt.cons.Close()
+			pt.bk.Close()
 		}
 		rt.byIdx = rt.byIdx[:spec.From]
 		return nil, err
 	}
-	if spec.Dest {
-		var err error
-		dest, err = rt.openPartitionAt(spec.To-1, midCutoverOpts(spec, spec.To, newRing))
+	for i := spec.From; spec.Dest && i < spec.To; i++ {
+		pt, err := rt.openPartitionAt(i, midCutoverOpts(spec, i, spec.To, newRing))
 		if err != nil {
-			return abandon(fmt.Errorf("shard: opening cutover destination partition %d: %w", spec.To-1, err))
+			return abandon(fmt.Errorf("shard: opening cutover destination partition %d: %w", i, err))
 		}
-		rt.byIdx[spec.To-1] = dest
+		added = append(added, pt)
+		rt.byIdx[i] = pt
 	}
 	cut, err := rt.enterCutover(spec, rt.part, newRing)
 	if err != nil {
@@ -162,28 +165,33 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 			return abandon(err)
 		}
 	}
-	if dest != nil {
-		rt.parts = append(rt.parts, dest)
-	}
+	rt.parts = append(rt.parts, added...)
 	rt.cut.Store(cut)
 	rt.reg.Gauge("shard.cutover_active").Set(1)
-	if dest != nil {
-		go dest.run()
+	for _, pt := range added {
+		go pt.run()
 	}
 	return res, nil
 }
 
-// midCutoverOpts opens a partition under one side of a cutover's layout
+// midCutoverOpts opens partition idx under one side of a cutover's layout
 // pair. A partition stamped with either layout (or fresh, stamp 0) is
-// accepted — a crash inside the finish leaves some partitions restamped
-// — and the destination (layout == spec.To) keeps its persisted Spliced
-// markers.
-func midCutoverOpts(spec CutoverSpec, layout int, ring *Partitioner) openOpts {
+// accepted — a crash inside the finish leaves some partitions restamped.
+// A partition the cutover adds is no part of the old layout, and its
+// directory may be one an earlier shrink retired: that carries the
+// shrink's target, a count too small to contain idx, whatever the counts
+// in between (4→2 stamps p3 with 2, and 2→3 then 3→4 reopens it). Such a
+// directory was persisted with Consumed at its WAL tail and no tails, so
+// it opens like a fresh one. Persisted Spliced markers load (enterCutover
+// keeps the ones this cutover's journal vouches for).
+func midCutoverOpts(spec CutoverSpec, idx, layout int, ring *Partitioner) openOpts {
 	return openOpts{
-		layout:      layout,
-		ring:        ring,
-		acceptStamp: func(s int) bool { return s == 0 || s == spec.From || s == spec.To },
-		keepSpliced: layout == spec.To,
+		layout: layout,
+		ring:   ring,
+		acceptStamp: func(s int) bool {
+			return s == 0 || s == spec.From || s == spec.To || (idx >= spec.From && s <= idx)
+		},
+		keepSpliced: true,
 	}
 }
 
@@ -196,39 +204,48 @@ func midCutoverOpts(spec CutoverSpec, layout int, ring *Partitioner) openOpts {
 // tails (a donor may have crashed before persisting the drop) and rolled
 // forward on an owned destination from their staged splices — before the
 // cutover is published, because a released key's records are not gated
-// and must never be fed ahead of its restored tail. The caller holds the
-// route write lock, or runs before any worker starts.
+// and must never be fed ahead of its restored tail. A Spliced marker
+// survives only where the journal committed its key to this partition;
+// any other is left from an earlier cutover, and one kept by mistake
+// would make a later cutover skip that key's splice. The caller holds
+// the route write lock, or runs before any worker starts.
 func (rt *Runtime) enterCutover(spec CutoverSpec, oldRing, newRing *Partitioner) (*cutover, error) {
 	cut := newCutover(spec.From, spec.To, oldRing, newRing)
 	if err := cut.sync(spec.Keys); err != nil {
 		return nil, err
 	}
-	for i := 0; i < spec.From; i++ {
-		pt := rt.byIdx[i]
-		if off, ok := spec.Freeze[i]; ok {
-			cut.freeze[i] = off
-		} else if pt != nil {
-			cut.freeze[i] = pt.bk.NextOffset()
+	landed := func(k string, i int) bool { return cut.phase[k] >= phaseCommitted && newRing.Partition(k) == i }
+	for i, pt := range rt.byIdx {
+		if i < spec.From {
+			if off, ok := spec.Freeze[i]; ok {
+				cut.freeze[i] = off
+			} else if pt != nil {
+				cut.freeze[i] = pt.bk.NextOffset()
+			}
 		}
 		if pt == nil {
 			continue
 		}
 		pt.feedMu.Lock()
-		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted })
-		pt.spliced = nil // markers from an earlier cutover, when this partition was its destination
+		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted && !landed(k, i) })
+		for k := range pt.spliced {
+			if !landed(k, i) {
+				delete(pt.spliced, k)
+			}
+		}
 		pt.forceSave = true
 		pt.feedMu.Unlock()
 	}
-	if rt.byIdx[spec.To-1] != nil {
-		moved := make([]string, 0, len(cut.phase))
-		for k := range cut.phase {
+	moved := make([]string, 0, len(cut.phase))
+	for k := range cut.phase {
+		if rt.byIdx[newRing.Partition(k)] != nil {
 			moved = append(moved, k)
 		}
-		sort.Strings(moved)
-		for _, k := range moved {
-			if err := rt.ensureSpliced(cut, k); err != nil {
-				return nil, err
-			}
+	}
+	sort.Strings(moved)
+	for _, k := range moved {
+		if err := rt.ensureSpliced(cut, k); err != nil {
+			return nil, err
 		}
 	}
 	return cut, nil
@@ -373,7 +390,9 @@ func (rt *Runtime) CaptureKey(key string) (KeySplice, error) {
 }
 
 // StageSplice implements Participant (rewrites the same file on a
-// repeat).
+// repeat). The file is the recovery copy and is durable before the
+// journal commits the key; the destination also keeps the splice in
+// memory, so an InstallSplice in the same process does not read it back.
 func (rt *Runtime) StageSplice(sp KeySplice) error {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
@@ -392,6 +411,9 @@ func (rt *Runtime) StageSplice(sp KeySplice) error {
 	if err := writeJSONFile(splicePath(dest.dir, sp.Key), sp); err != nil {
 		return fmt.Errorf("shard: staging splice for key %q: %w", sp.Key, err)
 	}
+	dest.feedMu.Lock()
+	dest.staged = &sp
+	dest.feedMu.Unlock()
 	return nil
 }
 
@@ -409,8 +431,9 @@ func (rt *Runtime) InstallSplice(key string) error {
 
 // ensureSpliced brings the key's destination up to its staged splice: a
 // destination whose state already carries the key's Spliced marker is
-// left alone; otherwise the splice applies from the staged file —
-// guaranteed present for a committed key, it was fsynced before the
+// left alone; otherwise the splice applies from the copy StageSplice
+// kept, or — a resumed cutover has none — from the staged file, which is
+// guaranteed present for a committed key: it was fsynced before the
 // journal entry.
 func (rt *Runtime) ensureSpliced(cut *cutover, key string) error {
 	destIdx := cut.newRing.Partition(key)
@@ -423,9 +446,14 @@ func (rt *Runtime) ensureSpliced(cut *cutover, key string) error {
 	if dest.spliced[key] {
 		return nil
 	}
-	sp, err := loadSplice(splicePath(dest.dir, key))
-	if err != nil {
-		return err
+	sp := dest.staged
+	dest.staged = nil
+	if sp == nil || sp.Key != key {
+		loaded, err := loadSplice(splicePath(dest.dir, key))
+		if err != nil {
+			return err
+		}
+		sp = &loaded
 	}
 	// Donor events merge by template into the running parser, the event
 	// table extends to cover new ids, pattern verdicts translate into the
@@ -452,6 +480,32 @@ func (rt *Runtime) ensureSpliced(cut *cutover, key string) error {
 	return nil
 }
 
+// translatePatterns maps donor pattern verdicts through an id
+// translation, dropping entries whose sequence cannot be fully
+// translated and those dup reports as already present (the receiver's
+// own verdict wins). Order — and therefore donor LRU order — is
+// preserved.
+func translatePatterns(entries []pipeline.PatternEntry, translate map[int]int, dup func(seq []int) bool) []pipeline.PatternEntry {
+	out := make([]pipeline.PatternEntry, 0, len(entries))
+	for _, pe := range entries {
+		seq := make([]int, len(pe.Seq))
+		ok := true
+		for j, id := range pe.Seq {
+			nid, has := translate[id]
+			if !has {
+				ok = false
+				break
+			}
+			seq[j] = nid
+		}
+		if !ok || dup(seq) {
+			continue
+		}
+		out = append(out, pipeline.PatternEntry{Seq: seq, Score: pe.Score})
+	}
+	return out
+}
+
 // ForgetKey implements Participant (the next persist makes the drop
 // durable).
 func (rt *Runtime) ForgetKey(key string) error {
@@ -475,13 +529,18 @@ func (rt *Runtime) ForgetKey(key string) error {
 
 // CompleteCutover implements Participant: under the route write lock
 // every owned partition restamps and persists on the new layout, the
-// routing ring swaps and the cutover is cleared — double-writing ends
-// here, before the coordinator removes the journal (a record
-// double-written after the journal was gone would be fed twice on the
-// next recovery). Spliced markers stay set, so every later persist keeps
-// them: a crash before the journal's removal must find them, the staged
-// files being swept below. A runtime already serving to partitions
-// answers nil.
+// partitions the new layout retires are drained and dropped, the routing
+// ring swaps and the cutover is cleared — double-writing ends here,
+// before the coordinator removes the journal (a record double-written
+// after the journal was gone would be fed twice on the next recovery).
+// Spliced markers stay set, so every later persist keeps them: a crash
+// before the journal's removal must find them, the staged files being
+// swept below. A runtime already serving to partitions answers nil.
+//
+// Nothing is closed until every partition has persisted: a failure up to
+// there returns with all of them open and the cutover still published, so
+// the runtime keeps serving under it and a restart resumes from the
+// journal.
 func (rt *Runtime) CompleteCutover(to int) error {
 	rt.routeMu.Lock()
 	defer rt.routeMu.Unlock()
@@ -496,28 +555,71 @@ func (rt *Runtime) CompleteCutover(to int) error {
 		return fmt.Errorf("shard: live cutover targets %d partitions, finish asked for %d", cut.to, to)
 	}
 	for _, pt := range rt.parts {
-		pt.feedMu.Lock()
-		pt.layout = cut.to
-		pt.ring = cut.newRing
-		pt.forceSave = true
-		err := pt.flushCommit()
-		pt.feedMu.Unlock()
-		if err != nil {
+		if err := pt.persistOn(cut); err != nil {
 			return fmt.Errorf("shard: persisting partition %d on the new layout: %w", pt.idx, err)
 		}
 	}
-	if dest := rt.byIdx[cut.to-1]; dest != nil {
-		sweepSplices(dest.dir)
+	kept := make([]*partition, 0, len(rt.parts))
+	var closeErr error
+	for _, pt := range rt.parts {
+		if pt.idx < cut.to {
+			sweepSplices(pt.dir)
+			kept = append(kept, pt)
+			continue
+		}
+		// Persisted at its WAL tail: the worker has nothing left to do and
+		// a close error costs nothing recovery reads, so it is reported but
+		// the flip goes through.
+		pt.bk.CloseIntake()
+		<-pt.done
+		pt.cons.Close()
+		if err := pt.bk.Close(); err != nil && closeErr == nil {
+			closeErr = fmt.Errorf("shard: closing retired partition %d: %w", pt.idx, err)
+		}
 	}
+	rt.parts = kept
+	rt.byIdx = rt.byIdx[:cut.to]
 	rt.part = cut.newRing
 	rt.cfg.Shards = cut.to
 	rt.reg.Gauge("shard.partitions").Set(int64(cut.to))
+	rt.reg.Gauge("shard.partitions_owned").Set(int64(len(kept)))
 	rt.reg.Gauge("shard.cutover_active").Set(0)
 	cut.mu.Lock()
 	cut.finished = true
 	cut.cond.Broadcast()
 	cut.mu.Unlock()
 	rt.cut.Store(nil)
+	return closeErr
+}
+
+// persistOn restamps the partition on the cutover's new layout and
+// persists it. A partition the new layout retires first lets its worker
+// skip through to the WAL tail (the caller holds the route write lock; no
+// append can race it) and must persist and commit there. Every key it
+// served has moved away, but its WAL still holds their double-written
+// copies at and past the freeze point: were the directory left short of
+// them, a later growth that reopens it as a destination — under a ring
+// that routes those keys back to it — would feed the stale copies.
+func (pt *partition) persistOn(cut *cutover) error {
+	retired := pt.idx >= cut.to
+	tail := pt.bk.NextOffset() - 1
+	if retired {
+		if err := awaitTailLanded(pt, tail+1); err != nil {
+			return err
+		}
+	}
+	pt.feedMu.Lock()
+	defer pt.feedMu.Unlock()
+	pt.layout = cut.to
+	pt.ring = cut.newRing
+	pt.forceSave = true
+	if err := pt.flushCommit(); err != nil {
+		return err
+	}
+	if retired && (pt.lastSaved < tail || pt.lastCommitted < tail) {
+		return fmt.Errorf("retired partition persisted at offset %d and committed %d, short of its WAL tail %d",
+			pt.lastSaved, pt.lastCommitted, tail)
+	}
 	return nil
 }
 

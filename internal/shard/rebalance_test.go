@@ -1,16 +1,20 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
 )
+
+// The offline rebalance is the live cutover on a runtime that takes no
+// traffic: feed, drain, LiveRebalance, close, reopen at the new count.
+// These tests hold that use of the one engine to the bar the deleted
+// stage→manifest→install tool was held to — and, unlike it, over growth
+// by one, growth by two and a shrink.
+var rebalancePlans = []struct{ from, to int }{{3, 4}, {2, 4}, {4, 2}}
 
 // openRaw opens a minimal runtime over dir without failing the test on
 // error — for asserting the refusal paths.
@@ -28,24 +32,36 @@ func openRaw(dir string, shards int) (*Runtime, error) {
 	})
 }
 
-// stagedFiles lists leftover staged state files under root.
-func stagedFiles(t *testing.T, root string) []string {
+// rebalanceDrained moves the drained runtime h to `to` partitions, closes
+// it, and reopens the root at the new count.
+func rebalanceDrained(t *testing.T, h *shardHarness, dir string, to int) (*shardHarness, *RebalanceReport) {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(root, "p*", stateFileName+stagedStateSuffix))
+	from := h.rt.Shards()
+	h.drain(t)
+	rep, err := h.rt.LiveRebalance(to)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("LiveRebalance %d→%d: %v", from, to, err)
 	}
-	return matches
+	if rep.From != from || rep.To != to || rep.AlreadyBalanced {
+		t.Fatalf("report %+v, want a %d→%d move", rep, from, to)
+	}
+	if got := len(h.rt.Owned()); got != to {
+		t.Fatalf("runtime serves %d partitions after %d→%d, want %d", got, from, to, to)
+	}
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := openRaw(dir, from); err == nil {
+		t.Fatalf("the %d-shard layout still opens after a rebalance to %d", from, to)
+	}
+	return reopenHarness(t, dir, to, h), rep
 }
 
 // The tentpole proof: fixed-seed traffic split at an arbitrary cut, fed
-// pre-cut into an N-shard runtime, rebalanced N→N+1, fed post-cut into
-// an (N+1)-shard runtime — the combined per-key score sequences and
-// alert multiset are bit-identical to the unsharded keyed reference.
-// Moved keys keep their window phase across the move, or the sequences
-// would shift. A rebalance attempt that crashes between the export
-// (staging) and import (install) phases is injected first; the real
-// rebalance must recover from its debris and still be exact.
+// pre-cut into a from-shard runtime, rebalanced, fed post-cut into a
+// to-shard runtime — the combined per-key score sequences and alert
+// multiset are bit-identical to the unsharded keyed reference. Moved keys
+// keep their window phase across the move, or the sequences would shift.
 func TestRebalanceEquivalence(t *testing.T) {
 	keys := eqKeys(12)
 	lines := genEqLines(4242, 3000, keys)
@@ -53,54 +69,26 @@ func TestRebalanceEquivalence(t *testing.T) {
 	if len(ref.alerts) == 0 {
 		t.Fatal("reference produced no alerts; the comparison is vacuous")
 	}
-
 	const cut = 1337
-	dir := t.TempDir()
-	h := openHarness(t, dir, 3, nil)
-	h.feed(t, lines[:cut])
-	h.drain(t)
-	if err := h.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	for _, plan := range rebalancePlans {
+		label := fmt.Sprintf("%d→%d", plan.from, plan.to)
+		t.Run(label, func(t *testing.T) {
+			dir := t.TempDir()
+			h := openHarness(t, dir, plan.from, nil)
+			h.feed(t, lines[:cut])
+			h2, rep := rebalanceDrained(t, h, dir, plan.to)
+			if rep.MovedKeys == 0 {
+				t.Fatal("no keys moved; the equivalence run would not exercise a handoff")
+			}
+			t.Logf("rebalance %s moved %d keys (%d tail lines) in %v", label, rep.MovedKeys, rep.MovedLines, rep.Duration)
+			h2.feed(t, lines[cut:])
+			h2.drain(t)
+			if err := h2.rt.Close(); err != nil {
+				t.Fatalf("Close after rebalance: %v", err)
+			}
+			requireEqual(t, "rebalance "+label, h2.result(), ref)
+		})
 	}
-
-	// A rebalance that dies after exporting every partition's staged
-	// state but before committing: the old layout must be untouched and
-	// the next attempt must succeed over the debris.
-	boom := errors.New("injected crash")
-	if _, err := rebalanceRun(rebalanceOpts{oldDir: dir, oldN: 3, newN: 4, crash: func(phase string) error {
-		if phase == "staged" {
-			return boom
-		}
-		return nil
-	}}); !errors.Is(err, boom) {
-		t.Fatalf("crash injection: %v", err)
-	}
-	if n := len(stagedFiles(t, dir)); n == 0 {
-		t.Fatal("staged crash left no staged files; the injection missed")
-	}
-
-	rep, err := Rebalance(dir, "", 3, 4)
-	if err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if rep.MovedKeys == 0 {
-		t.Fatal("no keys moved 3→4; the equivalence run would not exercise a handoff")
-	}
-	if rep.AlreadyBalanced {
-		t.Fatal("fresh rebalance reported as a no-op")
-	}
-	if len(stagedFiles(t, dir)) != 0 {
-		t.Fatal("staged files survived a completed rebalance")
-	}
-	t.Logf("rebalance 3→4 moved %d keys (%d tail lines) in %v", rep.MovedKeys, rep.MovedLines, rep.Duration)
-
-	h2 := reopenHarness(t, dir, 4, h)
-	h2.feed(t, lines[cut:])
-	h2.drain(t)
-	if err := h2.rt.Close(); err != nil {
-		t.Fatalf("Close after rebalance: %v", err)
-	}
-	requireEqual(t, "rebalance 3→4", h2.result(), ref)
 }
 
 // A moved key arrives with its partition's template groups and pattern
@@ -108,311 +96,65 @@ func TestRebalanceEquivalence(t *testing.T) {
 // key's history already taught its donor, and its first completed
 // windows are pattern-library hits, not model calls.
 func TestRebalanceMovedKeyKeepsLibraryAndGroups(t *testing.T) {
-	// Pick a key the 2→3 ring growth actually moves.
-	p2, p3 := NewPartitioner(2), NewPartitioner(3)
-	movedKey := ""
-	for _, key := range eqKeys(64) {
-		if p3.Partition(key) != p2.Partition(key) {
-			movedKey = key
-			break
-		}
-	}
-	if movedKey == "" {
-		t.Fatal("no candidate key moves 2→3")
-	}
-	line := func(i int) string { return fmt.Sprintf("%s gc freed %d", movedKey, 10000+i) }
-
-	dir := t.TempDir()
-	h := openHarness(t, dir, 2, nil)
-	for i := 0; i < 25; i++ {
-		if _, _, err := h.rt.Append(line(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.drain(t)
-	if err := h.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	rep, err := Rebalance(dir, "", 2, 3)
-	if err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if rep.MovedKeys != 1 {
-		t.Fatalf("moved %d keys, want exactly the one", rep.MovedKeys)
-	}
-
-	h2 := reopenHarness(t, dir, 3, h)
-	for i := 25; i < 35; i++ {
-		if _, _, err := h2.rt.Append(line(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h2.drain(t)
-	dest := p3.Partition(movedKey)
-	stats := h2.rt.ShardStats(dest)
-	if err := h2.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if stats.LinesCollected != 10 {
-		t.Fatalf("destination collected %d lines, want the 10 fed post-rebalance", stats.LinesCollected)
-	}
-	if stats.NewEvents != 0 {
-		t.Fatalf("destination re-minted %d drain groups for an already-seen template", stats.NewEvents)
-	}
-	if stats.SequencesFormed == 0 {
-		t.Fatal("destination completed no windows; the key handoff lost the window phase")
-	}
-	if stats.PatternMisses != 0 {
-		t.Fatalf("destination missed the pattern library %d times; verdicts did not move", stats.PatternMisses)
-	}
-	if stats.PatternHits != stats.SequencesFormed {
-		t.Fatalf("hits %d != windows %d; some window re-scored through the model", stats.PatternHits, stats.SequencesFormed)
-	}
-}
-
-// Crash on either side of the commit point: before it the old layout
-// resumes untouched; after it every open — even at the old shard count —
-// rolls the new layout forward, and the old count is then refused.
-func TestRebalanceCrashMidway(t *testing.T) {
-	keys := eqKeys(10)
-	lines := genEqLines(777, 2000, keys)
-	ref := runReference(t, lines)
-
-	const cut = 900
-	dir := t.TempDir()
-	h := openHarness(t, dir, 2, nil)
-	h.feed(t, lines[:cut])
-	h.drain(t)
-	if err := h.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	boom := errors.New("injected crash")
-	crashAt := func(phase string) func(string) error {
-		return func(p string) error {
-			if p == phase {
-				return boom
+	for _, plan := range rebalancePlans {
+		t.Run(fmt.Sprintf("%d→%d", plan.from, plan.to), func(t *testing.T) {
+			oldRing, newRing := NewPartitioner(plan.from), NewPartitioner(plan.to)
+			movedKey := ""
+			for _, key := range eqKeys(64) {
+				if newRing.Partition(key) != oldRing.Partition(key) {
+					movedKey = key
+					break
+				}
 			}
-			return nil
-		}
-	}
+			if movedKey == "" {
+				t.Fatal("no candidate key moves")
+			}
+			line := func(i int) string { return fmt.Sprintf("%s gc freed %d", movedKey, 10000+i) }
 
-	// Crash before the commit point: old layout intact, staged debris
-	// discarded by the next open.
-	if _, err := rebalanceRun(rebalanceOpts{oldDir: dir, oldN: 2, newN: 3, crash: crashAt("staged")}); !errors.Is(err, boom) {
-		t.Fatalf("staged crash: %v", err)
-	}
-	rt, err := openRaw(dir, 2)
-	if err != nil {
-		t.Fatalf("old layout must reopen after a pre-commit crash: %v", err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if n := len(stagedFiles(t, dir)); n != 0 {
-		t.Fatalf("%d staged files survived recovery", n)
-	}
-
-	// Crash after the commit point: the manifest is down, the rebalance
-	// is decided.
-	if _, err := rebalanceRun(rebalanceOpts{oldDir: dir, oldN: 2, newN: 3, crash: crashAt("committed")}); !errors.Is(err, boom) {
-		t.Fatalf("committed crash: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, rebalanceManifestName)); err != nil {
-		t.Fatalf("manifest missing after a post-commit crash: %v", err)
-	}
-
-	// Opening at the old count rolls forward, then refuses the stale
-	// layout — pointing at the rebalance command.
-	if _, err := openRaw(dir, 2); err == nil {
-		t.Fatal("old shard count accepted after a committed rebalance")
-	} else if !strings.Contains(err.Error(), "rebalance") {
-		t.Fatalf("refusal does not name the fix: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, rebalanceManifestName)); !os.IsNotExist(err) {
-		t.Fatal("manifest survived roll-forward")
-	}
-
-	// Re-running the rebalance over the rolled-forward layout is a no-op
-	// success, not a conflict.
-	rep, err := Rebalance(dir, "", 2, 3)
-	if err != nil {
-		t.Fatalf("re-run after committed crash: %v", err)
-	}
-	if !rep.AlreadyBalanced {
-		t.Fatal("re-run did not detect the already-installed layout")
-	}
-
-	// The new layout resumes the stream exactly.
-	h2 := reopenHarness(t, dir, 3, h)
-	h2.feed(t, lines[cut:])
-	h2.drain(t)
-	if err := h2.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	requireEqual(t, "crash/rebalance/resume", h2.result(), ref)
-}
-
-// Copy mode: the rebalanced layout lands in a second directory; the
-// source stays byte-for-byte usable as a rollback.
-func TestRebalanceCopyMode(t *testing.T) {
-	keys := eqKeys(8)
-	lines := genEqLines(55, 1200, keys)
-	ref := runReference(t, lines)
-
-	src := t.TempDir()
-	h := openHarness(t, src, 2, nil)
-	h.feed(t, lines[:700])
-	h.drain(t)
-	if err := h.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	dst := filepath.Join(t.TempDir(), "grown")
-	rep, err := Rebalance(src, dst, 2, 3)
-	if err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if rep.Dir != dst {
-		t.Fatalf("report dir %q, want %q", rep.Dir, dst)
-	}
-
-	// The copy finished: no marker, and the new layout opens at 3.
-	if _, err := os.Stat(filepath.Join(dst, rebalanceCopyMarker)); !os.IsNotExist(err) {
-		t.Fatal("copy marker survived a completed copy")
-	}
-	h2 := reopenHarness(t, dst, 3, h)
-	h2.feed(t, lines[700:])
-	h2.drain(t)
-	if err := h2.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	requireEqual(t, "copy-mode rebalance", h2.result(), ref)
-
-	// The source still opens at its original count — the rollback path.
-	rt, err := openRaw(src, 2)
-	if err != nil {
-		t.Fatalf("source layout damaged by copy-mode rebalance: %v", err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// A non-empty unrelated destination is refused.
-	busy := t.TempDir()
-	if err := os.WriteFile(filepath.Join(busy, "keep.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Rebalance(src, busy, 2, 3); err == nil {
-		t.Fatal("rebalance overwrote a non-empty destination")
+			dir := t.TempDir()
+			h := openHarness(t, dir, plan.from, nil)
+			for i := 0; i < 25; i++ {
+				if _, _, err := h.rt.Append(line(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h2, rep := rebalanceDrained(t, h, dir, plan.to)
+			if rep.MovedKeys != 1 {
+				t.Fatalf("moved %d keys, want exactly the one", rep.MovedKeys)
+			}
+			for i := 25; i < 35; i++ {
+				if _, _, err := h2.rt.Append(line(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h2.drain(t)
+			stats := h2.rt.ShardStats(newRing.Partition(movedKey))
+			if err := h2.rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if stats.LinesCollected != 10 {
+				t.Fatalf("destination collected %d lines, want the 10 fed post-rebalance", stats.LinesCollected)
+			}
+			if stats.NewEvents != 0 {
+				t.Fatalf("destination re-minted %d drain groups for an already-seen template", stats.NewEvents)
+			}
+			if stats.SequencesFormed == 0 {
+				t.Fatal("destination completed no windows; the key handoff lost the window phase")
+			}
+			if stats.PatternMisses != 0 {
+				t.Fatalf("destination missed the pattern library %d times; verdicts did not move", stats.PatternMisses)
+			}
+			if stats.PatternHits != stats.SequencesFormed {
+				t.Fatalf("hits %d != windows %d; some window re-scored through the model", stats.PatternHits, stats.SequencesFormed)
+			}
+		})
 	}
 }
 
-// Regression: a copy-mode rebalance that crashes after staging but
-// before the manifest leaves the destination with orphaned .next files,
-// no copy marker, and no manifest. The re-run used to refuse the
-// destination as "already exists and is not empty"; it must instead
-// recognize the crashed pre-commit copy, clear it, and succeed.
-func TestRebalanceCopyModeCrashBeforeManifestRetries(t *testing.T) {
-	keys := eqKeys(6)
-	lines := genEqLines(77, 900, keys)
-	ref := runReference(t, lines)
-
-	src := t.TempDir()
-	h := openHarness(t, src, 2, nil)
-	h.feed(t, lines[:500])
-	h.drain(t)
-	if err := h.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	dst := filepath.Join(t.TempDir(), "grown")
-	boom := errors.New("injected crash")
-	if _, err := rebalanceRun(rebalanceOpts{oldDir: src, newDir: dst, oldN: 2, newN: 3, crash: func(phase string) error {
-		if phase == "staged" {
-			return boom
-		}
-		return nil
-	}}); !errors.Is(err, boom) {
-		t.Fatalf("crash injection: %v", err)
-	}
-	nexts, _ := filepath.Glob(filepath.Join(dst, "p*", stateFileName+stagedStateSuffix))
-	if len(nexts) == 0 {
-		t.Fatal("staged crash left no .next files in the copy; the injection missed")
-	}
-	if _, err := os.Stat(filepath.Join(dst, rebalanceManifestName)); !os.IsNotExist(err) {
-		t.Fatalf("manifest present after a pre-commit crash (stat err %v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dst, rebalanceCopyMarker)); !os.IsNotExist(err) {
-		t.Fatalf("copy marker present after a post-copy crash (stat err %v)", err)
-	}
-
-	if _, err := Rebalance(src, dst, 2, 3); err != nil {
-		t.Fatalf("re-run after a staged copy-mode crash: %v", err)
-	}
-	h2 := reopenHarness(t, dst, 3, h)
-	h2.feed(t, lines[500:])
-	h2.drain(t)
-	if err := h2.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	requireEqual(t, "copy-mode crash retry", h2.result(), ref)
-}
-
-// Guard rails: unquiesced WALs, mismatched stamps and degenerate counts
-// are refused before anything is written.
-func TestRebalanceRefusals(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Rebalance(dir, "", 2, 2); err == nil {
-		t.Fatal("accepted from == to")
-	}
-	if _, err := Rebalance(dir, "", 0, 2); err == nil {
-		t.Fatal("accepted a zero partition count")
-	}
-	if _, err := Rebalance("", "", 1, 2); err == nil {
-		t.Fatal("accepted an empty directory")
-	}
-
-	// An unquiesced partition: records appended past the persisted state.
-	keys := eqKeys(6)
-	lines := genEqLines(31, 600, keys)
-	h := openHarness(t, dir, 2, nil)
-	h.feed(t, lines)
-	h.drain(t)
-	if err := h.rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// Roll one partition's state back to simulate unconsumed WAL records.
-	p0 := statePath(filepath.Join(dir, "p0"))
-	st, err := loadState(p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Consumed < 2 {
-		t.Fatalf("partition 0 consumed %d records; test needs more traffic", st.Consumed)
-	}
-	st.Consumed /= 2
-	if err := saveState(p0, st); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Rebalance(dir, "", 2, 3); err == nil || !strings.Contains(err.Error(), "quiesced") {
-		t.Fatalf("unquiesced WAL not refused: %v", err)
-	}
-
-	// A stamp that contradicts the -from count.
-	st.Consumed *= 2
-	st.Partitions = 5
-	if err := saveState(p0, st); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Rebalance(dir, "", 2, 3); err == nil || !strings.Contains(err.Error(), "stamped") {
-		t.Fatalf("stamp mismatch not refused: %v", err)
-	}
-}
-
-// The runtime refuses a layout mismatch outright, naming the rebalance
-// command that fixes it.
+// The runtime refuses a layout mismatch outright, naming the way to fix
+// it. The same stamp check makes a root half-installed by the removed
+// offline tool fail safe: its partitions disagree on the layout, so no
+// shard count opens it.
 func TestRuntimeRefusesLayoutMismatch(t *testing.T) {
 	dir := t.TempDir()
 	keys := eqKeys(6)
@@ -427,7 +169,7 @@ func TestRuntimeRefusesLayoutMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("runtime opened 3 shards over a 2-shard layout")
 	}
-	if !strings.Contains(err.Error(), "logsynergy rebalance -from 2 -to 3") {
+	if !strings.Contains(err.Error(), "serve at 2 shards") || !strings.Contains(err.Error(), "logsynergy rebalance -addr host:port -to 3") {
 		t.Fatalf("error does not name the rebalance command: %v", err)
 	}
 }

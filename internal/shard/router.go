@@ -138,17 +138,23 @@ func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
 	cut := rt.cut.Load()
 	n := len(rt.byIdx)
 	byPart := make([][]string, n)
-	double := make([][]string, n) // unreleased moving shares, grouped by donor
+	var double [][][]string // unreleased moving shares, [donor][destination]
 	for _, line := range lines {
 		key := rt.cfg.KeyFunc(line)
 		if cut != nil && cut.moving(key) {
-			if cut.keyPhase(key) < phaseReleased {
-				d := cut.oldRing.Partition(key)
-				double[d] = append(double[d], line)
-			} else {
-				p := cut.newRing.Partition(key)
+			p := cut.newRing.Partition(key)
+			if cut.keyPhase(key) >= phaseReleased {
 				byPart[p] = append(byPart[p], line)
+				continue
 			}
+			d := cut.oldRing.Partition(key)
+			if double == nil {
+				double = make([][][]string, n)
+			}
+			if double[d] == nil {
+				double[d] = make([][]string, n)
+			}
+			double[d][p] = append(double[d][p], line)
 			continue
 		}
 		p := rt.part.Partition(key)
@@ -167,8 +173,16 @@ func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
 		}
 	}
 	for p := 0; p < n; p++ {
-		plain, dbl := byPart[p], double[p]
-		total := len(plain) + len(dbl)
+		plain := byPart[p]
+		var dbl [][]string // this donor's double-write shares, by destination
+		if double != nil {
+			dbl = double[p]
+		}
+		total, destsOpen := len(plain), true
+		for dest, share := range dbl {
+			total += len(share)
+			destsOpen = destsOpen && (len(share) == 0 || rt.byIdx[dest] != nil)
+		}
 		if total == 0 {
 			continue
 		}
@@ -181,15 +195,11 @@ func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
 		// lines; a homogeneous rejection makes the retry land each line
 		// exactly once.
 		res := PartitionResult{Partition: p}
-		destIdx := -1
-		if len(dbl) > 0 {
-			destIdx = cut.to - 1
-		}
 		switch {
 		case rt.byIdx[p] == nil:
 			reject(&res, p, total, ErrNotAssigned)
-		case destIdx >= 0 && rt.byIdx[destIdx] == nil:
-			// This subset runtime lacks the double-write's destination:
+		case !destsOpen:
+			// This subset runtime lacks a double-write's destination:
 			// bounce the whole partition share before appending anything,
 			// so the router reloads its cutover view and retries all of it.
 			reject(&res, p, total, ErrCutover)
@@ -202,23 +212,21 @@ func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
 			// after the plain share landed — a fresh, near-empty backlog
 			// refusing — would leave the retry with a duplicate.
 			ok := true
-			if len(dbl) > 0 {
-				if _, _, err := rt.byIdx[p].bk.AppendBatch(dbl); err != nil {
-					reject(&res, p, total, err)
+			appendTo := func(idx int, share []string) {
+				if !ok || len(share) == 0 {
+					return
+				}
+				if _, _, err := rt.byIdx[idx].bk.AppendBatch(share); err != nil {
+					reject(&res, idx, total, err)
 					ok = false
 				}
 			}
-			if ok && len(plain) > 0 {
-				if _, _, err := rt.byIdx[p].bk.AppendBatch(plain); err != nil {
-					reject(&res, p, total, err)
-					ok = false
-				}
+			for _, share := range dbl {
+				appendTo(p, share)
 			}
-			if ok && len(dbl) > 0 {
-				if _, _, err := rt.byIdx[destIdx].bk.AppendBatch(dbl); err != nil {
-					reject(&res, destIdx, total, err)
-					ok = false
-				}
+			appendTo(p, plain)
+			for dest, share := range dbl {
+				appendTo(dest, share)
 			}
 			if ok {
 				res.Acked = total

@@ -186,6 +186,10 @@ type partition struct {
 	// during a live cutover; persisted with the state so recovery knows
 	// which splices its durable tails already reflect.
 	spliced map[string]bool
+	// staged is the splice StageSplice last wrote into this (destination)
+	// partition's directory, kept so the InstallSplice that follows in the
+	// same process need not read the file back.
+	staged *KeySplice
 	// forceSave makes the next flushCommit persist state even when the
 	// consumed offset hasn't moved (cutover splices and restamps change
 	// state without consuming records).
@@ -195,11 +199,12 @@ type partition struct {
 
 	idle   atomic.Bool
 	killed atomic.Bool
-	// gated is set while the worker is parked on an unreleased moving key
-	// during a live cutover (its position is flushed and committed first,
-	// so a parked partition is as durable as a drained one).
-	gated atomic.Bool
-	done  chan struct{}
+	// parkedOn names the moving key whose record the worker is waiting in
+	// front of during a live cutover (nil otherwise). It is set once the
+	// worker's position is flushed and committed; parked() is what tells
+	// whether the key is still holding it there.
+	parkedOn atomic.Pointer[string]
+	done     chan struct{}
 
 	errMu sync.Mutex
 	err   error
@@ -256,19 +261,11 @@ func Open(cfg Config) (*Runtime, error) {
 		}
 		s := j.Spec(true)
 		spec = &s
-	} else {
-		// Finish any offline rebalance that crashed mid-install: a committed
-		// manifest rolls forward to the new layout, an uncommitted one rolls
-		// back to the old. Either way every partition opens on one
-		// consistent layout.
-		if err := recoverRebalance(cfg.Dir); err != nil {
-			return nil, err
-		}
 	}
 	if spec != nil {
 		switch {
-		case spec.To != spec.From+1:
-			return nil, fmt.Errorf("shard: a live cutover grows one partition at a time (%d -> %d)", spec.From, spec.To)
+		case spec.From < 1 || spec.To == spec.From:
+			return nil, fmt.Errorf("shard: a live cutover needs two different positive partition counts (%d -> %d)", spec.From, spec.To)
 		case cfg.Shards != spec.To:
 			return nil, fmt.Errorf("shard: %s has a live cutover to %d partitions in progress but the runtime is opening %d; "+
 				"reopen at %d shards to let the cutover finish", cfg.Dir, spec.To, cfg.Shards, spec.To)
@@ -290,9 +287,15 @@ func Open(cfg Config) (*Runtime, error) {
 	rt.cache = NewInterpCache(cfg.Interp, cfg.Metrics)
 	cfg.Metrics.Gauge("shard.partitions").Set(int64(cfg.Shards))
 
+	// Mid-cutover the runtime holds both layouts' partitions: a shrink's
+	// retired partitions stay open as donors until the finish drops them.
+	slots := cfg.Shards
+	if spec != nil && spec.From > slots {
+		slots = spec.From
+	}
 	own := cfg.Subset
 	if own == nil {
-		own = make([]int, cfg.Shards)
+		own = make([]int, slots)
 		for i := range own {
 			own[i] = i
 		}
@@ -301,7 +304,7 @@ func Open(cfg Config) (*Runtime, error) {
 		sort.Ints(own)
 	}
 	cfg.Metrics.Gauge("shard.partitions_owned").Set(int64(len(own)))
-	rt.byIdx = make([]*partition, cfg.Shards)
+	rt.byIdx = make([]*partition, slots)
 	if spec != nil {
 		if err := rt.openMidCutover(*spec, own); err != nil {
 			rt.closePartitions()
@@ -335,20 +338,21 @@ func Open(cfg Config) (*Runtime, error) {
 }
 
 // openMidCutover opens the partitions in own into the live cutover spec
-// describes and starts their workers under it: donors under the old
-// layout and ring, partition To-1 (when owned) as the destination. The
-// cutover is NOT driven here — the runtime serves under it until a
-// Coordinator finishes the protocol (Open itself for a journal at this
-// root, the fleet's coordinator over the admin surface otherwise).
+// describes and starts their workers under it: the old layout's
+// partitions under the old layout and ring, the ones the new layout adds
+// (when owned) under the new. The cutover is NOT driven here — the
+// runtime serves under it until a Coordinator finishes the protocol
+// (Open itself for a journal at this root, the fleet's coordinator over
+// the admin surface otherwise).
 func (rt *Runtime) openMidCutover(spec CutoverSpec, own []int) error {
 	oldRing := NewPartitionerVnodes(spec.From, rt.cfg.Vnodes)
 	for _, i := range own {
-		o := midCutoverOpts(spec, spec.From, oldRing)
-		if i == spec.To-1 {
+		o := midCutoverOpts(spec, i, spec.From, oldRing)
+		if i >= spec.From {
 			if !spec.Dest {
-				return fmt.Errorf("shard: partition %d is the cutover destination but the spec does not mark this runtime as its host", i)
+				return fmt.Errorf("shard: partition %d is added by the cutover but the spec does not mark this runtime as its host", i)
 			}
-			o = midCutoverOpts(spec, spec.To, rt.part)
+			o = midCutoverOpts(spec, i, spec.To, rt.part)
 		}
 		pt, err := rt.openPartitionAt(i, o)
 		if err != nil {
@@ -430,7 +434,7 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	if !acceptable(st.Partitions) {
 		bk.Close()
 		return nil, fmt.Errorf("shard: partition %s was laid out for %d shards but the runtime is opening %d; "+
-			"run `logsynergy rebalance -from %d -to %d` over the broker directory first",
+			"serve at %d shards, then run `logsynergy rebalance -addr host:port -to %d` against it",
 			dir, st.Partitions, cfg.Shards, st.Partitions, cfg.Shards)
 	}
 
@@ -521,6 +525,16 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	return pt, nil
 }
 
+// partitionDir renders partition i's directory under root.
+func partitionDir(root string, i int) string {
+	return filepath.Join(root, fmt.Sprintf("p%d", i))
+}
+
+// PartitionDir renders partition i's WAL directory under root — the
+// cluster layer uses it to stake epoch leases in partition directories
+// before opening them.
+func PartitionDir(root string, i int) string { return partitionDir(root, i) }
+
 // idleCommitDelay is how long a partition's log must stay empty before its
 // worker treats the backlog as drained and commits: longer than the gap
 // between two requests of a busy producer, short enough that a stream that
@@ -560,12 +574,12 @@ func (pt *partition) run() {
 		}
 		pt.idle.Store(false)
 		key := pt.keyFor(line)
-		if !pt.awaitRelease(key) {
+		off := pt.cons.Position() - 1
+		if !pt.awaitRelease(key, off) {
 			// Shut down while parked mid-cutover: the record was never
 			// consumed, so the resumed cutover redelivers it.
 			break
 		}
-		off := pt.cons.Position() - 1
 		pt.feedMu.Lock()
 		if off > pt.consumed {
 			pt.consumed = off
@@ -605,28 +619,34 @@ func (pt *partition) run() {
 }
 
 // shouldFeed decides whether a consumed record enters detection. Called
-// under feedMu. A donor mid-cutover feeds a moving key only below its
-// freeze point — records at or above it are double-written, and the
-// destination's copy is authoritative. Outside that case the ownership
-// ring decides: a record whose key no longer routes here (a
-// double-written donor copy redelivered after the cutover finished, or
-// a brand-new moving key that only ever double-wrote) is skipped.
+// under feedMu. Mid-cutover a moving key's record is fed by its donor only
+// below the donor's freeze point — records at or above it are
+// double-written — and by its destination only when it is the
+// destination's authoritative copy. Outside that case the ownership ring
+// decides: a record whose key no longer routes here (a double-written
+// donor copy redelivered after the cutover finished, or a brand-new
+// moving key that only ever double-wrote) is skipped.
 func (pt *partition) shouldFeed(key string, off uint64) bool {
-	if cut := pt.rt.cut.Load(); cut != nil && pt.idx < cut.from && cut.moving(key) {
-		return off < cut.freeze[pt.idx]
+	if cut := pt.rt.cut.Load(); cut != nil && cut.moving(key) {
+		if cut.oldRing.Partition(key) == pt.idx {
+			return off < cut.freeze[pt.idx]
+		}
+		return cut.destCopy(pt.idx, key, off)
 	}
 	return pt.ring.Partition(key) == pt.idx
 }
 
-// awaitRelease gates the destination's consumer during a live cutover:
-// a record for a moving key that has not been released yet parks the
-// worker until the key releases, the cutover finishes, or the runtime
-// shuts down (false = stop without consuming the record). The worker
-// flushes and commits before parking, so a crash while parked resumes
-// with nothing to replay.
-func (pt *partition) awaitRelease(key string) bool {
+// awaitRelease gates a destination's consumer during a live cutover: the
+// destination's copy of a record for a moving key that has not been
+// released yet parks the worker until the key releases, the cutover
+// finishes, or the runtime shuts down (false = stop without consuming
+// the record). The worker flushes and commits before parking, so a crash
+// while parked resumes with nothing to replay. A partition that serves
+// other keys too (a shrink's survivors) holds those behind the parked
+// record; every key is released by the finish at the latest.
+func (pt *partition) awaitRelease(key string, off uint64) bool {
 	cut := pt.rt.cut.Load()
-	if cut == nil || pt.idx != cut.to-1 || !cut.moving(key) {
+	if cut == nil || !cut.moving(key) || !cut.destCopy(pt.idx, key, off) {
 		return true
 	}
 	cut.mu.Lock()
@@ -644,8 +664,8 @@ func (pt *partition) awaitRelease(key string) bool {
 	pt.feedMu.Lock()
 	pt.flushCommit()
 	pt.feedMu.Unlock()
-	pt.gated.Store(true)
-	defer pt.gated.Store(false)
+	pt.parkedOn.Store(&key)
+	defer pt.parkedOn.Store(nil)
 
 	cut.mu.Lock()
 	defer cut.mu.Unlock()
@@ -653,6 +673,22 @@ func (pt *partition) awaitRelease(key string) bool {
 		cut.cond.Wait()
 	}
 	return !cut.closed
+}
+
+// parked reports whether the worker is held in front of a moving key's
+// record that the cutover has not released: its position is committed and
+// it will not consume until the key releases. The key's phase is read
+// under the cutover's lock rather than inferred from parkedOn alone — a
+// worker whose key was just released still carries parkedOn until it is
+// scheduled, and is about to feed everything queued behind that record.
+func (pt *partition) parked() bool {
+	key, cut := pt.parkedOn.Load(), pt.rt.cut.Load()
+	if key == nil || cut == nil {
+		return false
+	}
+	cut.mu.Lock()
+	defer cut.mu.Unlock()
+	return !cut.finished && cut.phase[*key] < phaseReleased
 }
 
 // caughtUp reports whether the worker has consumed everything appended.
@@ -1019,14 +1055,14 @@ func (rt *Runtime) Snapshot() obs.Snapshot {
 
 // Drain blocks until every partition is drained — its worker exited, or
 // it is idle with an empty backlog and a committed offset — or ctx ends.
-// Appends arriving during Drain extend the wait; a partition gated on an
-// unreleased moving key mid-cutover counts as drained once parked (its
-// position is committed).
+// Appends arriving during Drain extend the wait; a partition parked on an
+// unreleased moving key mid-cutover counts as drained (its position is
+// committed) for as long as the key stays unreleased.
 func (rt *Runtime) Drain(ctx context.Context) error {
 	for {
 		all := true
 		for _, pt := range rt.partitions() {
-			if !pt.drained() && !pt.gated.Load() {
+			if !pt.drained() && !pt.parked() {
 				all = false
 				break
 			}

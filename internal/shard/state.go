@@ -134,15 +134,24 @@ func sweepStaleTemp(path string) {
 	}
 }
 
-// saveState persists the resume state atomically and durably: a
-// randomized temp file in the same directory, fsynced before the rename,
-// and the directory fsynced after it so the rename itself survives a
-// power cut. A failed install leaves the previous good file untouched.
+// saveState stamps the current format version and persists the resume
+// state through writeJSONFile. A failed install leaves the previous good
+// file untouched.
 func saveState(path string, st partitionState) error {
 	st.Version = stateVersion
-	data, err := json.Marshal(st)
+	return writeJSONFile(path, st)
+}
+
+// writeJSONFile installs a JSON file atomically and durably — the one
+// write path for partition state, the live-cutover journal and staged
+// per-key splice files: a randomized temp file in the same directory,
+// fsynced before the rename, and the directory fsynced after it so the
+// rename itself survives a power cut. A failure leaves any previous file
+// untouched (and at worst a <name>.tmp* file, which loadState sweeps).
+func writeJSONFile(path string, v any) error {
+	data, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("shard: encoding state: %w", err)
+		return fmt.Errorf("shard: encoding %s: %w", filepath.Base(path), err)
 	}
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -150,29 +159,28 @@ func saveState(path string, st partitionState) error {
 	}
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
-		return fmt.Errorf("shard: creating state temp file: %w", err)
+		return fmt.Errorf("shard: creating temp file for %s: %w", base, err)
 	}
 	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
+	fail := func(step string, err error) error {
+		tmp.Close()
+		os.Remove(tmpName)
+		return fmt.Errorf("shard: %s %s: %w", step, base, err)
+	}
 	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		cleanup()
-		return fmt.Errorf("shard: writing state: %w", err)
+		return fail("writing", err)
 	}
 	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("shard: syncing state: %w", err)
+		return fail("syncing", err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("shard: closing state temp file: %w", err)
+		return fail("closing", err)
 	}
 	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("shard: setting state file mode: %w", err)
+		return fail("setting mode on", err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("shard: installing state: %w", err)
+		return fail("installing", err)
 	}
 	return syncDir(dir)
 }
