@@ -33,7 +33,9 @@ bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Broker bench tier: measures WAL append throughput/latency, consume
-# throughput, and end-to-end slice-vs-broker pipeline overhead, writing
+# throughput, and the overhead of feeding a pipeline from a consumer
+# instead of a slice (the WAL as a plain pipeline.Source — serving goes
+# through the shard runtime, which bench-shard prices), writing
 # BENCH_broker.json. The full run enforces the ≤2x e2e overhead bound;
 # the smoke variant shrinks the sizes and only reports (it runs inside
 # `make verify`).
@@ -62,13 +64,14 @@ rebalance-test:
 	$(GO) test -race -count=1 -run 'TestRebalance|TestRuntimeRefusesLayoutMismatch' ./internal/shard/
 
 # Live-rebalance tier: the N→M move-under-traffic proof under the race
-# detector (2→3, 2→4, 3→2, and 3→2→3 over a retired directory) — per-key
+# detector (1→2, 2→3, 2→4, 3→2, and 3→2→3 over a retired directory) — per-key
 # score/alert equivalence against the unsharded reference while traffic
 # flows through the cutover, zero detection stall on non-moving keys
 # under growth, double-write duplicate skipping across a redelivery
 # crash, seeded crash injection at every per-key cutover phase (each
 # must resume on exactly one layout per key), and the journal's
-# refusals. Includes the CLI/admin surface (`logsynergy rebalance -addr`).
+# refusals. Includes the CLI/admin surface (`logsynergy rebalance -addr`),
+# among it the 1→2 growth of a root opened with serve's default -shards.
 live-rebalance-test:
 	$(GO) test -race -count=1 -run 'TestLiveRebalance|TestLoadCutoverJournal|TestCutoverDestCopy' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestRunRebalanceLive|TestAdminRebalance' ./cmd/logsynergy/
@@ -115,7 +118,8 @@ bench-cluster-smoke:
 
 # Chaos tier: the fault-injection framework and the deterministic chaos
 # suites (seeded fault schedules, breakers, spill, leak checks; broker
-# crash-recovery replay) under the race detector. Fast — it uses the
+# crash-recovery replay; the /ingest contract over a one-partition
+# runtime) under the race detector. Fast — it uses the
 # untrained tiny deployment.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/

@@ -13,32 +13,27 @@ import (
 	"time"
 
 	"logsynergy/internal/broker"
-	"logsynergy/internal/core"
 	"logsynergy/internal/embed"
 	"logsynergy/internal/fault"
 	"logsynergy/internal/httpapi"
 	"logsynergy/internal/lei"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
-	"logsynergy/internal/repr"
 	"logsynergy/internal/shard"
-	"logsynergy/internal/tensor"
 )
 
-// openAdminFleet builds a serving fleet like openServeFleet but lets the
-// test bend the shard config (fault registries, tiny backlogs) and pick
-// the mux's batch bound.
+// openAdminFleet builds a small serving fleet and exposes it over the
+// real serve mux; the test may bend the shard config (fault registries,
+// tiny backlogs) and pick the mux's batch bound.
 func openAdminFleet(t *testing.T, shards int, maxBatchBytes int64, mutate func(*shard.Config)) (*shard.Runtime, *httptest.Server) {
 	t.Helper()
-	ccfg := core.DefaultConfig()
-	det := core.NewDetector(core.NewModel(ccfg, 2),
-		&repr.EventTable{System: "SystemX", Dim: ccfg.EmbedDim, Vectors: tensor.New(0, ccfg.EmbedDim)})
+	det := testDetector()
 	cfg := shard.Config{
 		Shards:   shards,
 		Dir:      t.TempDir(),
 		Detector: det,
 		Interp:   lei.NewSimLLM(lei.Config{}),
-		Embedder: embed.New(ccfg.EmbedDim),
+		Embedder: embed.New(det.Table.Dim),
 		Sink:     &pipeline.MemorySink{},
 		Metrics:  obs.NewRegistry(),
 	}

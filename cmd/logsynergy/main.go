@@ -107,12 +107,7 @@ func runEval(args []string) error {
 		return fmt.Errorf("eval requires -log and -labels")
 	}
 
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		return err
-	}
-	det, err := core.LoadBundle(f)
-	f.Close()
+	det, err := loadModel(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -172,6 +167,34 @@ func loadLabeledFile(logPath, labelPath, name string) (*logdata.Sequences, error
 		parsed.Templates = append(parsed.Templates, ev.Template)
 	}
 	return parsed.Windows(window.Default()), nil
+}
+
+// loadModel reads a trained bundle written by `train`.
+func loadModel(path string) (*core.Detector, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return core.LoadBundle(f)
+}
+
+// seededParser returns a parser that has seen the bundle's templates in
+// table order, so online event ids align with the bundled table.
+func seededParser(det *core.Detector) *drain.Parser {
+	parser := drain.NewDefault()
+	for _, in := range det.Table.Interps {
+		parser.Parse(in.Template)
+	}
+	return parser
+}
+
+// readLog reads the log at path, or stdin when path is empty.
+func readLog(path string) ([]string, error) {
+	if path == "" {
+		return readAllStdin()
+	}
+	return readLines(path)
 }
 
 func readAllStdin() ([]string, error) {
@@ -301,42 +324,17 @@ func runDetect(args []string) error {
 	statsOnly := fs.Bool("stats", false, "print only pipeline statistics")
 	fs.Parse(args)
 
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		return err
-	}
-	det, err := core.LoadBundle(f)
-	f.Close()
+	det, err := loadModel(*modelPath)
 	if err != nil {
 		return err
 	}
 
-	var lines []string
-	if *logPath != "" {
-		lines, err = readLines(*logPath)
-		if err != nil {
-			return err
-		}
-	} else {
-		lines, err = readAllStdin()
-		if err != nil {
-			return err
-		}
+	lines, err := readLog(*logPath)
+	if err != nil {
+		return err
 	}
-
-	interp := lei.NewSimLLM(lei.Config{})
-	embedder := embed.New(det.Table.Dim)
-	parser := drain.NewDefault()
-	// Re-seed the parser with the known templates so online event ids
-	// align with the bundled table.
-	for _, in := range det.Table.Interps {
-		parser.Parse(in.Template)
-	}
-
-	var sinks []pipeline.Sink
-	printSink := &printingSink{quiet: *statsOnly}
-	sinks = append(sinks, printSink)
-	p := pipeline.New(pipeline.DefaultConfig(*hint), parser, det, interp, embedder, sinks...)
+	p := pipeline.New(pipeline.DefaultConfig(*hint), seededParser(det), det,
+		lei.NewSimLLM(lei.Config{}), embed.New(det.Table.Dim), &printingSink{quiet: *statsOnly})
 	stats := p.Run(context.Background(), pipeline.NewSliceSource(lines))
 	fmt.Printf("lines=%d sequences=%d anomalies=%d pattern-hits=%d new-events=%d\n",
 		stats.LinesCollected, stats.SequencesFormed, stats.Anomalies, stats.PatternHits, stats.NewEvents)

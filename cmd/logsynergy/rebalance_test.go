@@ -4,18 +4,18 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
-	"logsynergy/internal/core"
+	"logsynergy/internal/drain"
 	"logsynergy/internal/embed"
 	"logsynergy/internal/httpapi"
 	"logsynergy/internal/lei"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
-	"logsynergy/internal/repr"
 	"logsynergy/internal/shard"
-	"logsynergy/internal/tensor"
 )
 
 // The command's preconditions: an -addr to talk to, a positive target —
@@ -46,73 +46,106 @@ func TestRunRebalanceLiveFlagValidation(t *testing.T) {
 	}
 }
 
-// openServeFleet builds a small serving fleet the way `logsynergy serve
-// -shards N` does and exposes it over the real admin mux.
-func openServeFleet(t *testing.T, shards int) (*shard.Runtime, *httptest.Server) {
-	t.Helper()
-	ccfg := core.DefaultConfig()
-	det := core.NewDetector(core.NewModel(ccfg, 2),
-		&repr.EventTable{System: "SystemX", Dim: ccfg.EmbedDim, Vectors: tensor.New(0, ccfg.EmbedDim)})
-	rt, err := shard.Open(shard.Config{
-		Shards:   shards,
-		Dir:      t.TempDir(),
-		Detector: det,
-		Interp:   lei.NewSimLLM(lei.Config{}),
-		Embedder: embed.New(ccfg.EmbedDim),
-		Sink:     &pipeline.MemorySink{},
-		Metrics:  obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Close() })
-	srv := httptest.NewServer(newShardServeMux(rt, 0))
-	t.Cleanup(srv.Close)
-	return rt, srv
-}
-
 // TestRunRebalanceLiveEndToEnd drives the full client path: the CLI
-// POSTs to a serving fleet's /admin/v1/rebalance, the fleet grows 2→3
-// and shrinks back 3→2 under its live-cutover protocol, and each call
-// returns only once the new layout is serving.
+// POSTs to a serving fleet's /admin/v1/rebalance, the fleet moves under
+// its live-cutover protocol, and each call returns only once the new
+// layout is serving.
 func TestRunRebalanceLiveEndToEnd(t *testing.T) {
-	rt, srv := openServeFleet(t, 2)
+	t.Run("2→3→2", func(t *testing.T) {
+		rt, srv := openAdminFleet(t, 2, 0, nil)
 
-	// Put a few keys through so the cutover has tails to move.
-	if _, err := rt.AppendBatch([]string{
-		"sys1 boot sequence start", "sys2 boot sequence start",
-		"sys3 boot sequence start", "sys4 boot sequence start",
-	}); err != nil {
-		t.Fatal(err)
-	}
+		// Put a few keys through so the cutover has tails to move.
+		if _, err := rt.AppendBatch([]string{
+			"sys1 boot sequence start", "sys2 boot sequence start",
+			"sys3 boot sequence start", "sys4 boot sequence start",
+		}); err != nil {
+			t.Fatal(err)
+		}
 
-	addr := strings.TrimPrefix(srv.URL, "http://")
-	if err := runRebalance([]string{"-addr", addr, "-to", "3", "-quiet"}); err != nil {
-		t.Fatalf("live rebalance through the CLI: %v", err)
-	}
-	if got := rt.Shards(); got != 3 {
-		t.Fatalf("fleet serves %d partitions after live rebalance, want 3", got)
-	}
+		addr := strings.TrimPrefix(srv.URL, "http://")
+		if err := runRebalance([]string{"-addr", addr, "-to", "3", "-quiet"}); err != nil {
+			t.Fatalf("live rebalance through the CLI: %v", err)
+		}
+		if got := rt.Shards(); got != 3 {
+			t.Fatalf("fleet serves %d partitions after live rebalance, want 3", got)
+		}
 
-	// Asking again for the same count is a no-op the CLI reports
-	// without erroring.
-	if err := runRebalance([]string{"-addr", addr, "-to", "3", "-quiet"}); err != nil {
-		t.Fatalf("no-op live rebalance: %v", err)
-	}
+		// Asking again for the same count is a no-op the CLI reports
+		// without erroring.
+		if err := runRebalance([]string{"-addr", addr, "-to", "3", "-quiet"}); err != nil {
+			t.Fatalf("no-op live rebalance: %v", err)
+		}
 
-	if err := runRebalance([]string{"-addr", addr, "-to", "2", "-quiet"}); err != nil {
-		t.Fatalf("live shrink through the CLI: %v", err)
-	}
-	if got := rt.Shards(); got != 2 {
-		t.Fatalf("fleet serves %d partitions after the live shrink, want 2", got)
-	}
+		if err := runRebalance([]string{"-addr", addr, "-to", "2", "-quiet"}); err != nil {
+			t.Fatalf("live shrink through the CLI: %v", err)
+		}
+		if got := rt.Shards(); got != 2 {
+			t.Fatalf("fleet serves %d partitions after the live shrink, want 2", got)
+		}
+	})
+
+	// The row a default deployment could not have before: `serve
+	// -broker-dir D` with no -shards is a one-partition runtime, so it
+	// grows to 2 in place — and every key's score sequence, before and
+	// after the move, is bit-identical to one unsharded keyed pipeline over
+	// the same stream.
+	t.Run("1→2 from the default -shards", func(t *testing.T) {
+		var mu sync.Mutex
+		got := map[string][]float64{}
+		dir := t.TempDir()
+		_, rt := openFlagServe(t, func(cfg *shard.Config) {
+			cfg.OnWindow = func(_ int, key string, _ []int, score float64, _ bool) {
+				mu.Lock()
+				got[key] = append(got[key], score)
+				mu.Unlock()
+			}
+		}, "-broker-dir", dir)
+		srv := httptest.NewServer(newShardServeMux(rt, 0))
+		defer srv.Close()
+
+		lines := keyedLines(0, 640)
+		postLines(t, srv.URL, lines[:320])
+		if got := servedShards(t, srv.URL); got != 1 {
+			t.Fatalf("a default serve reports %d shards, want 1", got)
+		}
+		if err := runRebalance([]string{"-addr", strings.TrimPrefix(srv.URL, "http://"), "-to", "2", "-quiet"}); err != nil {
+			t.Fatalf("growing a default serve 1→2: %v", err)
+		}
+		if got := servedShards(t, srv.URL); got != 2 {
+			t.Fatalf("status reports %d shards after the rebalance, want 2", got)
+		}
+		postLines(t, srv.URL, lines[320:])
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if s := rt.ShardStats(i); s.LinesCollected == 0 {
+				t.Fatalf("partition %d detected nothing; the move left it empty", i)
+			}
+		}
+
+		det := testDetector()
+		pcfg := pipeline.DefaultConfig("a software system")
+		pcfg.Metrics = obs.NewRegistry()
+		ref := pipeline.NewKeyed(pipeline.New(pcfg, drain.NewDefault(), det,
+			lei.NewSimLLM(lei.Config{}), embed.New(det.Table.Dim), &pipeline.MemorySink{}))
+		want := map[string][]float64{}
+		ref.OnWindow = func(key string, _ []int, score float64, _ bool) { want[key] = append(want[key], score) }
+		for _, line := range lines {
+			ref.Feed(shard.DefaultKeyFunc(line), line)
+		}
+		ref.Flush()
+		if len(want) != 8 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("per-key scores diverged from the unsharded reference across 1→2:\n got %v\nwant %v", got, want)
+		}
+	})
 }
 
 // TestAdminRebalanceHandler checks the server half of the protocol
 // directly: method and parameter validation, refusal surfacing, and the
 // JSON report on success.
 func TestAdminRebalanceHandler(t *testing.T) {
-	rt, srv := openServeFleet(t, 2)
+	rt, srv := openAdminFleet(t, 2, 0, nil)
 
 	resp, err := http.Get(srv.URL + httpapi.Prefix + "/rebalance?to=3")
 	if err != nil {

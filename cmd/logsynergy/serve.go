@@ -16,8 +16,8 @@ import (
 
 	"logsynergy/internal/alertstore"
 	"logsynergy/internal/broker"
+	"logsynergy/internal/cluster"
 	"logsynergy/internal/core"
-	"logsynergy/internal/drain"
 	"logsynergy/internal/embed"
 	"logsynergy/internal/fault"
 	"logsynergy/internal/httpapi"
@@ -27,371 +27,199 @@ import (
 	"logsynergy/internal/shard"
 )
 
-// runServe is the observable deployment mode: it streams a log through
-// the §VI pipeline exactly like `detect`, while exposing the obs metrics
-// registry over HTTP for the lifetime of the run:
+// runServe is the long-running deployment mode. Everything it serves
+// hangs off one HTTP surface (-addr):
 //
-//	/metrics      plain-text counters, gauges and latency histograms
-//	/debug/vars   the same registry as expvar JSON (plus Go runtime vars)
-//	/debug/pprof  CPU/heap/goroutine profiling of the live pipeline
-//	/ingest       durable log intake (broker mode, -broker-dir)
+//	/ingest        durable log intake, newline-delimited POST batches
+//	/admin/v1/*    status, live rebalance (a fleet node: the cutover API)
+//	/metrics       plain-text counters, gauges and latency histograms
+//	/debug/vars    the same registry as expvar JSON (plus Go runtime vars)
+//	/debug/pprof   CPU/heap/goroutine profiling of the live process
 //
-// Two source modes:
+// With a WAL (-broker-dir, or -cluster for one node of a fleet) serve IS
+// a shard.Runtime, at -shards 1 by default: /ingest routes each line by
+// its stream key (first token) to DIR/p<i>'s write-ahead log, a worker
+// per partition feeds per-key sliding windows, and progress commits as
+// window tails first, consumer offset second — a restart resumes every
+// key's window phase exactly and never re-scores a committed line. The
+// flags build one shard.Config; `logsynergy rebalance -addr … -to M`
+// regrows it in place from any count, 1 included.
 //
-//   - Direct (default): the -log file (or stdin) replays through the
-//     in-memory pipeline; -repeat 0 loops forever as a soak target.
-//   - Broker (-broker-dir): lines land in the WAL-backed broker — over
-//     POST /ingest and/or seeded from -log — and the pipeline tails a
-//     consumer group, committing its offset as windows finish detection.
-//     A restart resumes at the committed offset; acknowledged records
-//     survive crashes.
+// Without a WAL, -log (or stdin) replays through the in-memory pipeline
+// exactly like `detect` while /metrics and pprof are live; -repeat 0
+// loops forever as a soak target. There is no /ingest and nothing to
+// resume.
 //
-// SIGINT/SIGTERM triggers a graceful shutdown: intake closes, the
-// pipeline drains what the broker holds, spilled alerts get a redelivery
-// attempt, consumer offsets commit, and a final metrics snapshot prints.
-// A second signal kills the process immediately.
+// SIGINT/SIGTERM is a graceful shutdown: intake closes, every partition
+// drains its backlog and commits, spilled alerts get one redelivery
+// pass, and a final metrics snapshot prints. A second signal kills the
+// process immediately.
 func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	modelPath := fs.String("model", "model.json", "trained model bundle")
-	logPath := fs.String("log", "", "log file to stream (default stdin; in broker mode an optional seed)")
-	hint := fs.String("hint", "a software system", "LEI system hint for new templates")
-	addr := fs.String("addr", "localhost:9090", "HTTP listen address for /metrics, /debug/vars, /debug/pprof")
-	repeat := fs.Int("repeat", 1, "replay the log this many times (0 = loop forever)")
-	bufSize := fs.Int("buffer", 1024, "collection buffer capacity")
-	dropPolicy := fs.String("drop-policy", "block", "full-buffer policy: block | drop-newest")
-	patternCap := fs.Int("pattern-cap", 0, "pattern library capacity, LRU-evicted (0 = unbounded)")
-	linger := fs.Duration("linger", 0, "keep serving metrics this long after the stream ends")
-	quiet := fs.Bool("quiet", false, "suppress per-anomaly report output")
-	retries := fs.Int("retries", 0, "attempts per stage call before the failure is terminal (0 = default 3)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open a circuit breaker (0 = default 5)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before probing (0 = default 1s)")
-	interpretTimeout := fs.Duration("interpret-timeout", 0, "per-call LEI timeout (0 = none)")
-	sinkTimeout := fs.Duration("sink-timeout", 0, "per-delivery sink timeout (0 = none)")
-	spillCap := fs.Int("spill-cap", 0, "in-memory spill queue capacity for undeliverable alerts (0 = default 1024)")
-	spillPath := fs.String("spill", "", "alertstore file additionally receiving spilled alerts")
-	noResilience := fs.Bool("no-resilience", false, "disable retries, breakers, timeouts and spill (ablation)")
-	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault-injection registry")
-	brokerDir := fs.String("broker-dir", "", "WAL directory; enables the durable broker and its POST /ingest intake")
-	shards := fs.Int("shards", 1, "partition intake across N independent detection shards keyed by stream id (requires -broker-dir)")
-	group := fs.String("group", "detector", "broker consumer group the pipeline reads as")
-	fsyncPolicy := fs.String("fsync", "interval", "broker durability policy: always | interval | never")
-	fsyncEvery := fs.Duration("fsync-every", 50*time.Millisecond, "background fsync cadence under -fsync interval")
-	segmentBytes := fs.Int64("segment-bytes", 8<<20, "broker segment roll size in bytes")
-	backlogBytes := fs.Int64("backlog-bytes", 256<<20, "broker backlog bound in bytes (<0 = unbounded)")
-	backlogPolicy := fs.String("backlog-policy", "reject", "broker full-backlog policy: block | reject (reject answers 429)")
-	maxBatchBytes := fs.Int64("max-batch-bytes", broker.DefaultMaxBatchBytes, "one /ingest request body limit in bytes")
-	noRetention := fs.Bool("no-retention", false, "keep fully-consumed broker segments instead of deleting them")
-	clusterPath := fs.String("cluster", "", "cluster assignment manifest; this process serves one fleet node (requires -node)")
-	nodeName := fs.String("node", "", "this node's name in the -cluster manifest")
-	manifestWatch := fs.Duration("manifest-watch", 2*time.Second, "cluster manifest poll cadence for adopting failover reassignments (0 disables)")
-	var injectSpecs ruleList
-	fs.Var(&injectSpecs, "inject", "fault-injection rule point[:key=val,...] (repeatable; see internal/fault.ParseRule)")
-	fs.Parse(args)
-
-	policy, err := parseDropPolicy(*dropPolicy)
+	f := parseServeFlags(args)
+	if err := f.validate(); err != nil {
+		return err
+	}
+	det, err := loadModel(*f.modelPath)
 	if err != nil {
 		return err
 	}
-
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		return err
-	}
-	det, err := core.LoadBundle(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-
-	var lines []string
-	if *logPath != "" {
-		lines, err = readLines(*logPath)
-		if err != nil {
-			return err
-		}
-	} else if *brokerDir == "" && *clusterPath == "" {
-		// Broker and cluster modes take traffic over /ingest, so an empty
-		// -log is not an empty stream there — only direct mode falls back
-		// to stdin.
-		lines, err = readAllStdin()
-		if err != nil {
-			return err
-		}
-	}
-	if *brokerDir == "" && *clusterPath == "" && len(lines) == 0 {
-		return fmt.Errorf("serve: no log lines to stream")
-	}
-
-	interp := lei.NewSimLLM(lei.Config{})
-	embedder := embed.New(det.Table.Dim)
-	parser := drain.NewDefault()
-	for _, in := range det.Table.Interps {
-		parser.Parse(in.Template)
-	}
-
-	reg := obs.Default()
-
-	// One fault registry serves both the broker's injection points
-	// (broker.append/fsync/read) and the pipeline's.
-	var faults *fault.Registry
-	if len(injectSpecs.rules) > 0 {
-		faults = fault.New(*faultSeed)
-		faults.Enable(injectSpecs.rules...)
-	}
-
-	// buildPipelineCfg assembles the per-run pipeline config from the
-	// flags; the returned cleanup closes the spill store (if any).
-	buildPipelineCfg := func() (pipeline.Config, func(), error) {
-		cfg := pipeline.DefaultConfig(*hint)
-		cfg.BufferSize = *bufSize
-		cfg.DropPolicy = policy
-		cfg.PatternCap = *patternCap
-		cfg.Metrics = reg
-		cfg.Faults = faults
-		cfg.Resilience = pipeline.ResilienceConfig{
-			Disabled:         *noResilience,
-			MaxAttempts:      *retries,
-			InterpretTimeout: *interpretTimeout,
-			SinkTimeout:      *sinkTimeout,
-			BreakerThreshold: *breakerThreshold,
-			BreakerCooldown:  *breakerCooldown,
-			SpillCap:         *spillCap,
-			Seed:             *faultSeed,
-		}
-		cleanup := func() {}
-		if *spillPath != "" {
-			store, err := alertstore.Open(*spillPath)
-			if err != nil {
-				return cfg, cleanup, fmt.Errorf("serve: opening spill store: %w", err)
-			}
-			cleanup = func() { store.Close() }
-			cfg.SpillTo = alertstore.NewSink(store)
-		}
-		return cfg, cleanup, nil
-	}
-
-	if *clusterPath != "" {
-		if *nodeName == "" {
-			return fmt.Errorf("serve: -cluster requires -node <name> (this process's name in the manifest)")
-		}
-		if len(lines) > 0 {
-			return fmt.Errorf("serve: -log seeding is not supported in cluster mode; POST the lines through the front router")
-		}
-		fp, err := broker.ParseFsyncPolicy(*fsyncPolicy)
-		if err != nil {
-			return err
-		}
-		bp, err := broker.ParseFullPolicy(*backlogPolicy)
-		if err != nil {
-			return err
-		}
-		pcfg, cleanup, err := buildPipelineCfg()
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		pcfg.Metrics = nil // each partition gets its own registry
-		return runServeCluster(clusterServeOptions{
-			manifestPath: *clusterPath,
-			nodeName:     *nodeName,
-			watchEvery:   *manifestWatch,
-			runtime: shard.Config{
-				// Shards, Vnodes and Subset come from the manifest; Dir falls
-				// back to the manifest's shared-storage root when no
-				// -broker-dir is given.
-				Dir:   *brokerDir,
-				Group: *group,
-				Broker: broker.Config{
-					SegmentBytes:     *segmentBytes,
-					Fsync:            fp,
-					FsyncEvery:       *fsyncEvery,
-					MaxBacklogBytes:  *backlogBytes,
-					FullPolicy:       bp,
-					DisableRetention: *noRetention,
-				},
-				Pipeline:    pcfg,
-				Detector:    det,
-				Interp:      interp,
-				Embedder:    embedder,
-				Sink:        &printingSink{quiet: *quiet},
-				Metrics:     reg,
-				ShardFaults: func(int) *fault.Registry { return faults },
-			},
-			addr:          *addr,
-			maxBatchBytes: *maxBatchBytes,
-			linger:        *linger,
-		})
-	}
-
-	if *shards > 1 {
-		if *brokerDir == "" {
-			return fmt.Errorf("serve: -shards %d requires -broker-dir (the shard runtime root)", *shards)
-		}
-		fp, err := broker.ParseFsyncPolicy(*fsyncPolicy)
-		if err != nil {
-			return err
-		}
-		bp, err := broker.ParseFullPolicy(*backlogPolicy)
-		if err != nil {
-			return err
-		}
-		pcfg, cleanup, err := buildPipelineCfg()
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		pcfg.Metrics = nil // each partition gets its own registry
-		return runServeSharded(shardServeOptions{
-			runtime: shard.Config{
-				Shards: *shards,
-				Dir:    *brokerDir,
-				Group:  *group,
-				Broker: broker.Config{
-					SegmentBytes:     *segmentBytes,
-					Fsync:            fp,
-					FsyncEvery:       *fsyncEvery,
-					MaxBacklogBytes:  *backlogBytes,
-					FullPolicy:       bp,
-					DisableRetention: *noRetention,
-				},
-				Pipeline: pcfg,
-				Detector: det,
-				Interp:   interp,
-				Embedder: embedder,
-				Sink:     &printingSink{quiet: *quiet},
-				Metrics:  reg,
-				// The -inject registry applies fleet-wide in CLI mode (chaos
-				// tests scope registries per shard programmatically).
-				ShardFaults: func(int) *fault.Registry { return faults },
-			},
-			seedLines:     lines,
-			logPath:       *logPath,
-			addr:          *addr,
-			maxBatchBytes: *maxBatchBytes,
-			linger:        *linger,
-			group:         *group,
-		})
-	}
-
-	var bk *broker.Broker
-	var cons *broker.Consumer
-	if *brokerDir != "" {
-		fp, err := broker.ParseFsyncPolicy(*fsyncPolicy)
-		if err != nil {
-			return err
-		}
-		bp, err := broker.ParseFullPolicy(*backlogPolicy)
-		if err != nil {
-			return err
-		}
-		bk, err = broker.Open(broker.Config{
-			Dir:              *brokerDir,
-			SegmentBytes:     *segmentBytes,
-			Fsync:            fp,
-			FsyncEvery:       *fsyncEvery,
-			MaxBacklogBytes:  *backlogBytes,
-			FullPolicy:       bp,
-			DisableRetention: *noRetention,
-			Metrics:          reg,
-			Faults:           faults,
-		})
-		if err != nil {
-			return err
-		}
-		defer bk.Close()
-		if len(lines) > 0 {
-			first, last, err := bk.AppendBatch(lines)
-			if err != nil {
-				return fmt.Errorf("serve: seeding broker from -log: %w", err)
-			}
-			fmt.Printf("broker: seeded offsets %d..%d from %s\n", first, last, *logPath)
-		}
-		cons, err = bk.Consumer(*group)
-		if err != nil {
-			return err
-		}
-		defer cons.Close()
-		fmt.Printf("broker: %s resuming group %q at offset %d (fsync=%s, backlog=%s)\n",
-			*brokerDir, *group, cons.Position(), fp, bp)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: newServeMux(reg, bk, *maxBatchBytes)}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Printf("serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", ln.Addr())
-	if bk != nil {
-		fmt.Printf("ingesting on http://%s/ingest (newline-delimited POST batches)\n", ln.Addr())
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	context.AfterFunc(ctx, stop) // default signal handling again: the second signal kills
 
-	cfg, cleanup, err := buildPipelineCfg()
+	reg := obs.Default()
+	if !f.durable() {
+		return f.serveReplay(ctx, det, reg)
+	}
+	var seed []string
+	if *f.logPath != "" {
+		if seed, err = readLines(*f.logPath); err != nil {
+			return err
+		}
+	}
+	cfg, cleanup, err := f.shardConfig(det, reg)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-	p := pipeline.New(cfg, parser, det, interp, embedder, &printingSink{quiet: *quiet})
 
-	var stats pipeline.Stats
-	if bk != nil {
-		// The consumer must drain everything already acknowledged before
-		// the run ends, so the pipeline runs on an uncancelled context;
-		// the signal instead closes the intake, which ends the stream once
-		// the backlog is detected. stop() re-arms default signal handling,
-		// so a second signal kills immediately.
-		go func() {
-			<-ctx.Done()
-			stop()
-			fmt.Println("\nshutting down: intake closed, draining broker backlog (signal again to kill)")
-			bk.CloseIntake()
-		}()
-		stats = p.Run(context.Background(), cons)
-		if err := cons.Err(); err != nil {
-			fmt.Printf("broker consumer stopped early: %v\n", err)
+	var (
+		rt      *shard.Runtime
+		handler http.Handler
+		closeRt func() error
+	)
+	if *f.clusterPath != "" {
+		n, err := cluster.StartNode(cluster.NodeConfig{
+			ManifestPath:  *f.clusterPath,
+			Name:          *f.nodeName,
+			Runtime:       cfg, // Shards, Vnodes and Subset come from the manifest
+			MaxBatchBytes: *f.maxBatchBytes,
+		})
+		if err != nil {
+			return err
+		}
+		rt, handler, closeRt = n.Runtime(), n.Handler(), n.Close
+		fmt.Printf("cluster node %q: epoch %d, serving partitions %v of %d\n", n.Name(), n.Epoch(), rt.Owned(), n.Manifest().Shards)
+		if *f.manifestWatch > 0 {
+			go watchManifest(ctx, n, *f.manifestWatch)
 		}
 	} else {
-		stats = p.Run(ctx, newRepeatSource(lines, *repeat))
+		if rt, err = shard.Open(cfg); err != nil {
+			return err
+		}
+		handler, closeRt = newShardServeMux(rt, *f.maxBatchBytes), rt.Close
+		fmt.Printf("shard runtime: %d partitions under %s (group %q)\n", rt.Shards(), cfg.Dir, cfg.Group)
 	}
-	fmt.Printf("lines=%d dropped=%d sequences=%d anomalies=%d pattern-hits=%d evictions=%d new-events=%d\n",
-		stats.LinesCollected, stats.LinesDropped, stats.SequencesFormed,
-		stats.Anomalies, stats.PatternHits, stats.PatternEvictions, stats.NewEvents)
-	if stats.Retries+stats.Degraded+stats.Spilled+stats.BreakerOpens+stats.ParseFailures+stats.DetectFailures > 0 {
-		fmt.Printf("faults: retries=%d degraded=%d spilled=%d spill-dropped=%d breaker-opens=%d sink-errors=%d parse-failures=%d detect-failures=%d\n",
-			stats.Retries, stats.Degraded, stats.Spilled, stats.SpillDropped,
-			stats.BreakerOpens, stats.SinkErrors, stats.ParseFailures, stats.DetectFailures)
+	ln, err := net.Listen("tcp", *f.addr)
+	if err != nil {
+		closeRt()
+		return err
 	}
-	if n := p.SpillLen(); n > 0 {
+	return serveLoop(ctx, ln, rt, handler, closeRt, seed, *f.linger)
+}
+
+// serveLoop is the one life cycle of a WAL-backed serve, single process
+// or fleet node alike: serve handler on ln, seed the runtime from -log,
+// wait for ctx to end, close (drain, commit, spill pass), report, linger,
+// shut the listener down. closeRt is rt.Close, or whatever must wrap it
+// (a node releases its leases after).
+func serveLoop(ctx context.Context, ln net.Listener, rt *shard.Runtime, handler http.Handler, closeRt func() error, seed []string, linger time.Duration) error {
+	srv := &http.Server{Handler: handler}
+	go srv.Serve(ln)
+	defer srv.Close()
+	fmt.Printf("serving on http://%s: /ingest (lines route to partitions by stream key), /metrics, /admin/v1/*, /debug/pprof/\n", ln.Addr())
+
+	if len(seed) > 0 {
+		results, err := rt.AppendBatch(seed)
+		if err != nil {
+			closeRt()
+			return fmt.Errorf("serve: seeding from -log: %w", err)
+		}
+		for _, res := range results {
+			fmt.Printf("partition %d: seeded %d lines from -log\n", res.Partition, res.Acked)
+		}
+	}
+
+	<-ctx.Done()
+	fmt.Println("\nshutting down: intake closed, draining every partition (signal again to kill)")
+	closeErr := closeRt() // waits for every worker; each commits its own offset
+
+	printStats("fleet", rt.Stats())
+	for _, i := range rt.Owned() {
+		s := rt.ShardStats(i)
+		fmt.Printf("partition %d: lines=%d sequences=%d anomalies=%d new-events=%d committed=%d\n",
+			i, s.LinesCollected, s.SequencesFormed, s.Anomalies, s.NewEvents, rt.Committed(i))
+	}
+	snap := rt.Snapshot()
+	if d, u := snap.Counters["shard.spill_redelivered_total"], snap.Counters["shard.spill_undeliverable_total"]; d+u > 0 {
+		fmt.Printf("spill flush: %d alerts redelivered, %d undeliverable\n", d, u)
+	}
+	hits, misses, waits := rt.Cache().Stats()
+	fmt.Printf("interp cache: %d entries, %d hits, %d misses, %d waits\n", rt.Cache().Size(), hits, misses, waits)
+	if closeErr != nil {
+		fmt.Printf("runtime close: %v\n", closeErr)
+	}
+	fmt.Println("final metrics snapshot:")
+	snap.WriteText(os.Stdout)
+	return lingerShutdown(srv, linger, nil)
+}
+
+// serveReplay is serve without a WAL: the -log file (or stdin) streams
+// through one in-memory pipeline while the observability pages are up.
+func (f *serveFlags) serveReplay(ctx context.Context, det *core.Detector, reg *obs.Registry) error {
+	lines, err := readLog(*f.logPath)
+	if err != nil {
+		return err
+	}
+	if len(lines) == 0 {
+		return fmt.Errorf("serve: no log lines to stream")
+	}
+	cfg, cleanup, err := f.pipelineConfig(reg)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	ln, err := net.Listen("tcp", *f.addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: newObsMux(reg)}
+	go srv.Serve(ln)
+	defer srv.Close()
+	fmt.Printf("serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", ln.Addr())
+
+	p := pipeline.New(cfg, seededParser(det), det, lei.NewSimLLM(lei.Config{}), embed.New(det.Table.Dim), &printingSink{quiet: *f.quiet})
+	printStats("stream", p.Run(ctx, newRepeatSource(lines, *f.repeat)))
+	if p.SpillLen() > 0 {
 		// Sinks may have recovered since the spill; one redelivery pass
 		// before the process exits.
 		delivered, remaining := p.FlushSpill()
 		fmt.Printf("spill flush: %d alerts redelivered, %d undeliverable\n", delivered, remaining)
 	}
-	if cons != nil {
-		if err := cons.Commit(); err != nil {
-			fmt.Printf("broker: final offset commit failed: %v\n", err)
-		}
-		fmt.Printf("broker: group %q committed through offset %d (lag %d)\n",
-			*group, bk.Committed(*group), bk.Lag(*group))
-		cons.Close()
-	}
-	if bk != nil {
-		if err := bk.Close(); err != nil {
-			fmt.Printf("broker: close: %v\n", err)
-		}
-	}
 	fmt.Println("final metrics snapshot:")
 	reg.WriteText(os.Stdout)
+	return lingerShutdown(srv, *f.linger, ctx.Done())
+}
 
-	if *linger > 0 {
-		fmt.Printf("stream ended; serving metrics for %s more\n", *linger)
+// printStats prints one pipeline.Stats as serve's summary line, plus the
+// fault-layer line when anything on it moved.
+func printStats(label string, s pipeline.Stats) {
+	fmt.Printf("%s: lines=%d dropped=%d sequences=%d anomalies=%d pattern-hits=%d evictions=%d new-events=%d\n",
+		label, s.LinesCollected, s.LinesDropped, s.SequencesFormed, s.Anomalies, s.PatternHits, s.PatternEvictions, s.NewEvents)
+	if s.Retries+s.Degraded+s.Spilled+s.BreakerOpens+s.ParseFailures+s.DetectFailures > 0 {
+		fmt.Printf("faults: retries=%d degraded=%d spilled=%d spill-dropped=%d breaker-opens=%d sink-errors=%d parse-failures=%d detect-failures=%d\n",
+			s.Retries, s.Degraded, s.Spilled, s.SpillDropped, s.BreakerOpens, s.SinkErrors, s.ParseFailures, s.DetectFailures)
+	}
+}
+
+// lingerShutdown keeps srv answering for linger (cut short by interrupt,
+// when one is given), then shuts it down.
+func lingerShutdown(srv *http.Server, linger time.Duration, interrupt <-chan struct{}) error {
+	if linger > 0 {
+		fmt.Printf("lingering %s before closing the HTTP surface\n", linger)
 		select {
-		case <-ctx.Done():
-		case <-time.After(*linger):
+		case <-interrupt:
+		case <-time.After(linger):
 		}
 	}
 	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -399,94 +227,173 @@ func runServe(args []string) error {
 	return srv.Shutdown(shCtx)
 }
 
-// newServeMux wires the serve HTTP surface: the observability pages
-// plus, when a broker is attached, the durable /ingest intake.
-func newServeMux(reg *obs.Registry, bk *broker.Broker, maxBatchBytes int64) *http.ServeMux {
-	mux := newObsMux(reg)
-	if bk != nil {
-		mux.Handle("/ingest", bk.IngestHandler(maxBatchBytes))
+// serveFlags is serve's parsed flag set.
+type serveFlags struct {
+	fs *flag.FlagSet
+
+	modelPath, logPath, hint, addr, dropPolicy, spillPath  *string
+	brokerDir, group, fsyncPolicy, backlogPolicy           *string
+	clusterPath, nodeName                                  *string
+	repeat, bufSize, patternCap, retries, breakerThreshold *int
+	spillCap, shards                                       *int
+	linger, breakerCooldown, interpretTimeout, sinkTimeout *time.Duration
+	fsyncEvery, manifestWatch                              *time.Duration
+	quiet, noResilience, noRetention                       *bool
+	faultSeed, segmentBytes, backlogBytes, maxBatchBytes   *int64
+	inject                                                 ruleList
+}
+
+// parseServeFlags declares serve's flags and parses args (exiting on a
+// malformed one, like every subcommand).
+func parseServeFlags(args []string) *serveFlags {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	f := &serveFlags{fs: fs}
+	f.modelPath = fs.String("model", "model.json", "trained model bundle")
+	f.logPath = fs.String("log", "", "log file to stream (default stdin); with a WAL, an optional seed appended through the router")
+	f.hint = fs.String("hint", "a software system", "LEI system hint for new templates")
+	f.addr = fs.String("addr", "localhost:9090", "HTTP listen address for /ingest, /metrics, /admin/v1, /debug/vars, /debug/pprof")
+	f.repeat = fs.Int("repeat", 1, "without a WAL: replay the log this many times (0 = loop forever)")
+	f.bufSize = fs.Int("buffer", 1024, "collection buffer capacity")
+	f.dropPolicy = fs.String("drop-policy", "block", "full-buffer policy: block | drop-newest")
+	f.patternCap = fs.Int("pattern-cap", 0, "pattern library capacity, LRU-evicted (0 = unbounded)")
+	f.linger = fs.Duration("linger", 0, "keep serving metrics this long after the stream ends")
+	f.quiet = fs.Bool("quiet", false, "suppress per-anomaly report output")
+	f.retries = fs.Int("retries", 0, "attempts per stage call before the failure is terminal (0 = default 3)")
+	f.breakerThreshold = fs.Int("breaker-threshold", 0, "consecutive failures that open a circuit breaker (0 = default 5)")
+	f.breakerCooldown = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before probing (0 = default 1s)")
+	f.interpretTimeout = fs.Duration("interpret-timeout", 0, "per-call LEI timeout (0 = none)")
+	f.sinkTimeout = fs.Duration("sink-timeout", 0, "per-delivery sink timeout (0 = none)")
+	f.spillCap = fs.Int("spill-cap", 0, "in-memory spill queue capacity for undeliverable alerts (0 = default 1024)")
+	f.spillPath = fs.String("spill", "", "alertstore file additionally receiving spilled alerts")
+	f.noResilience = fs.Bool("no-resilience", false, "disable retries, breakers, timeouts and spill (ablation)")
+	f.faultSeed = fs.Int64("fault-seed", 1, "seed for the fault-injection registry")
+	f.brokerDir = fs.String("broker-dir", "", "runtime root: partition i's WAL lives in DIR/p<i>; enables POST /ingest")
+	f.shards = fs.Int("shards", 1, "partition count: lines route to N independent detection shards by stream key (requires -broker-dir)")
+	f.group = fs.String("group", "detector", "broker consumer group the partitions read as")
+	f.fsyncPolicy = fs.String("fsync", "interval", "broker durability policy: always | interval | never")
+	f.fsyncEvery = fs.Duration("fsync-every", 50*time.Millisecond, "background fsync cadence under -fsync interval")
+	f.segmentBytes = fs.Int64("segment-bytes", 8<<20, "broker segment roll size in bytes")
+	f.backlogBytes = fs.Int64("backlog-bytes", 256<<20, "per-partition backlog bound in bytes (<0 = unbounded)")
+	f.backlogPolicy = fs.String("backlog-policy", "reject", "full-backlog policy: block | reject (reject answers 429)")
+	f.maxBatchBytes = fs.Int64("max-batch-bytes", httpapi.DefaultMaxBatchBytes, "one /ingest request body limit in bytes")
+	f.noRetention = fs.Bool("no-retention", false, "keep fully-consumed broker segments instead of deleting them")
+	f.clusterPath = fs.String("cluster", "", "cluster assignment manifest; this process serves one fleet node (requires -node)")
+	f.nodeName = fs.String("node", "", "this node's name in the -cluster manifest")
+	f.manifestWatch = fs.Duration("manifest-watch", 2*time.Second, "cluster manifest poll cadence for adopting failover reassignments (0 disables)")
+	fs.Var(&f.inject, "inject", "fault-injection rule point[:key=val,...] (repeatable; see internal/fault.ParseRule)")
+	fs.Parse(args)
+	return f
+}
+
+// durable reports whether this serve has a WAL under it.
+func (f *serveFlags) durable() bool { return *f.brokerDir != "" || *f.clusterPath != "" }
+
+// validate refuses the flag combinations that would otherwise be
+// silently reinterpreted.
+func (f *serveFlags) validate() error {
+	shardsSet := false
+	f.fs.Visit(func(fl *flag.Flag) { shardsSet = shardsSet || fl.Name == "shards" })
+	switch {
+	case *f.shards < 1:
+		return fmt.Errorf("serve: -shards %d is not a partition count; the smallest runtime has 1", *f.shards)
+	case *f.clusterPath != "" && shardsSet:
+		return fmt.Errorf("serve: -shards does not apply with -cluster; the manifest owns the partition count")
+	case *f.clusterPath != "" && *f.nodeName == "":
+		return fmt.Errorf("serve: -cluster requires -node <name> (this process's name in the manifest)")
+	case *f.clusterPath != "" && *f.logPath != "":
+		return fmt.Errorf("serve: -log seeding is not supported in cluster mode; POST the lines through the front router")
+	case !f.durable() && *f.shards > 1:
+		return fmt.Errorf("serve: -shards %d requires -broker-dir (the shard runtime root)", *f.shards)
 	}
-	return mux
+	return nil
 }
 
-// shardServeOptions carries the flag-derived settings into the sharded
-// serve loop.
-type shardServeOptions struct {
-	runtime       shard.Config
-	seedLines     []string
-	logPath       string
-	addr          string
-	maxBatchBytes int64
-	linger        time.Duration
-	group         string
+// faults builds the -inject registry (nil when nothing is injected). One
+// registry serves the brokers' injection points and the pipelines'.
+func (f *serveFlags) faults() *fault.Registry {
+	if len(f.inject.rules) == 0 {
+		return nil
+	}
+	faults := fault.New(*f.faultSeed)
+	faults.Enable(f.inject.rules...)
+	return faults
 }
 
-// runServeSharded is serve's scale-out mode: one WAL-backed detection
-// pipeline per shard under a consistent-hash router, the sharded /ingest
-// intake, and a /metrics page merging the fleet (totals plus per-shard
-// shard<i>.-prefixed series). Shutdown mirrors single-broker mode:
-// intake closes, every shard drains its backlog and commits its own
-// offset, then a final merged snapshot prints.
-func runServeSharded(opts shardServeOptions) error {
-	rt, err := shard.Open(opts.runtime)
+// pipelineConfig assembles the pipeline config from the flags, reporting
+// into reg; the cleanup returned on success closes the spill store (if
+// any).
+func (f *serveFlags) pipelineConfig(reg *obs.Registry) (pipeline.Config, func(), error) {
+	cfg := pipeline.DefaultConfig(*f.hint)
+	policy, err := parseDropPolicy(*f.dropPolicy)
 	if err != nil {
-		return err
+		return cfg, nil, err
 	}
-	fmt.Printf("shard runtime: %d partitions under %s (group %q)\n", rt.Shards(), opts.runtime.Dir, opts.group)
-
-	if len(opts.seedLines) > 0 {
-		results, err := rt.AppendBatch(opts.seedLines)
+	cfg.BufferSize = *f.bufSize
+	cfg.DropPolicy = policy
+	cfg.PatternCap = *f.patternCap
+	cfg.Metrics = reg
+	cfg.Faults = f.faults()
+	cfg.Resilience = pipeline.ResilienceConfig{
+		Disabled:         *f.noResilience,
+		MaxAttempts:      *f.retries,
+		InterpretTimeout: *f.interpretTimeout,
+		SinkTimeout:      *f.sinkTimeout,
+		BreakerThreshold: *f.breakerThreshold,
+		BreakerCooldown:  *f.breakerCooldown,
+		SpillCap:         *f.spillCap,
+		Seed:             *f.faultSeed,
+	}
+	cleanup := func() {}
+	if *f.spillPath != "" {
+		store, err := alertstore.Open(*f.spillPath)
 		if err != nil {
-			rt.Close()
-			return fmt.Errorf("serve: seeding shards from -log: %w", err)
+			return cfg, nil, fmt.Errorf("serve: opening spill store: %w", err)
 		}
-		for _, res := range results {
-			fmt.Printf("shard %d: seeded %d lines from %s\n", res.Partition, res.Acked, opts.logPath)
-		}
+		cleanup = func() { store.Close() }
+		cfg.SpillTo = alertstore.NewSink(store)
 	}
+	return cfg, cleanup, nil
+}
 
-	ln, err := net.Listen("tcp", opts.addr)
+// shardConfig is the one place serve turns flags into a shard.Config —
+// the single process opens it as is, a fleet node hands it to
+// cluster.StartNode as the template the manifest completes.
+func (f *serveFlags) shardConfig(det *core.Detector, reg *obs.Registry) (shard.Config, func(), error) {
+	fp, err := broker.ParseFsyncPolicy(*f.fsyncPolicy)
 	if err != nil {
-		rt.Close()
-		return err
+		return shard.Config{}, nil, err
 	}
-	srv := &http.Server{Handler: newShardServeMux(rt, opts.maxBatchBytes)}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Printf("serving merged metrics on http://%s/metrics (pprof on /debug/pprof/)\n", ln.Addr())
-	fmt.Printf("ingesting on http://%s/ingest (lines route to shards by stream key)\n", ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-	fmt.Println("\nshutting down: intake closed, draining every shard (signal again to kill)")
-	closeErr := rt.Close() // waits for every worker; each commits its own offset
-
-	stats := rt.Stats()
-	fmt.Printf("fleet: lines=%d dropped=%d sequences=%d anomalies=%d pattern-hits=%d evictions=%d new-events=%d\n",
-		stats.LinesCollected, stats.LinesDropped, stats.SequencesFormed,
-		stats.Anomalies, stats.PatternHits, stats.PatternEvictions, stats.NewEvents)
-	for i := 0; i < rt.Shards(); i++ {
-		s := rt.ShardStats(i)
-		fmt.Printf("shard %d: lines=%d sequences=%d anomalies=%d new-events=%d committed=%d\n",
-			i, s.LinesCollected, s.SequencesFormed, s.Anomalies, s.NewEvents, rt.Committed(i))
+	bp, err := broker.ParseFullPolicy(*f.backlogPolicy)
+	if err != nil {
+		return shard.Config{}, nil, err
 	}
-	hits, misses, waits := rt.Cache().Stats()
-	fmt.Printf("interp cache: %d entries, %d hits, %d misses, %d waits\n", rt.Cache().Size(), hits, misses, waits)
-	if closeErr != nil {
-		fmt.Printf("shard runtime close: %v\n", closeErr)
+	pcfg, cleanup, err := f.pipelineConfig(nil) // each partition gets its own registry
+	if err != nil {
+		return shard.Config{}, nil, err
 	}
-	fmt.Println("final metrics snapshot:")
-	rt.Snapshot().WriteText(os.Stdout)
-
-	if opts.linger > 0 {
-		fmt.Printf("stream ended; serving metrics for %s more\n", opts.linger)
-		time.Sleep(opts.linger)
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(shCtx)
+	// The -inject registry applies fleet-wide in CLI mode (chaos tests
+	// scope registries per shard programmatically).
+	faults := pcfg.Faults
+	return shard.Config{
+		Shards: *f.shards,
+		Dir:    *f.brokerDir, // a node falls back to the manifest's shared-storage root
+		Group:  *f.group,
+		Broker: broker.Config{
+			SegmentBytes:     *f.segmentBytes,
+			Fsync:            fp,
+			FsyncEvery:       *f.fsyncEvery,
+			MaxBacklogBytes:  *f.backlogBytes,
+			FullPolicy:       bp,
+			DisableRetention: *f.noRetention,
+		},
+		Pipeline:    pcfg,
+		Detector:    det,
+		Interp:      lei.NewSimLLM(lei.Config{}),
+		Embedder:    embed.New(det.Table.Dim),
+		Sink:        &printingSink{quiet: *f.quiet},
+		Metrics:     reg,
+		ShardFaults: func(int) *fault.Registry { return faults },
+	}, cleanup, nil
 }
 
 // serveStatus is the GET /admin/v1/status body of single-process serve
@@ -500,11 +407,11 @@ type serveStatus struct {
 	Build   httpapi.BuildInfo    `json:"build"`
 }
 
-// newShardServeMux wires the sharded serve surface on the shared admin
-// mux (httpapi.Mux mounts /metrics, /metrics.json, /debug/vars and the
-// pprof pages): /ingest routes to shards, /admin/v1/rebalance moves the
-// fleet to N partitions in place (POST, to=N), and /admin/v1/status reports the live-cutover
-// phase for progress polling.
+// newShardServeMux wires the single-process serve surface on the shared
+// admin mux (httpapi.Mux mounts /metrics, /metrics.json, /debug/vars and
+// the pprof pages): /ingest routes to partitions, /admin/v1/rebalance
+// moves the runtime to N partitions in place (POST, to=N), and
+// /admin/v1/status reports the live-cutover phase for progress polling.
 func newShardServeMux(rt *shard.Runtime, maxBatchBytes int64) *http.ServeMux {
 	mux := httpapi.Mux(httpapi.MuxOptions{Snapshot: rt.Snapshot})
 	mux.Handle("/ingest", rt.IngestHandler(maxBatchBytes))

@@ -3,17 +3,20 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"logsynergy/internal/broker"
 	"logsynergy/internal/core"
-	"logsynergy/internal/embed"
-	"logsynergy/internal/lei"
+	"logsynergy/internal/httpapi"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
 	"logsynergy/internal/repr"
@@ -115,25 +118,201 @@ func TestRuleListFlag(t *testing.T) {
 	}
 }
 
-// TestServeMuxIngest exercises the serve wiring of the broker intake:
-// the same mux that serves /metrics accepts durable batches on /ingest,
-// bounds them (413), and surfaces broker backpressure (429).
-func TestServeMuxIngest(t *testing.T) {
-	reg := obs.NewRegistry()
-	bk, err := broker.Open(broker.Config{
-		Dir:             t.TempDir(),
-		Fsync:           broker.FsyncNever,
-		MaxBacklogBytes: 256,
-		FullPolicy:      broker.FullReject,
-		Metrics:         reg,
-	})
+// testDetector is an untrained seeded model over an empty event table —
+// scores are deterministic functions of the traffic, which is all the
+// serve tests need.
+func testDetector() *core.Detector {
+	ccfg := core.DefaultConfig()
+	return core.NewDetector(core.NewModel(ccfg, 2),
+		&repr.EventTable{System: "SystemX", Dim: ccfg.EmbedDim, Vectors: tensor.New(0, ccfg.EmbedDim)})
+}
+
+// openFlagServe opens the runtime `serve args...` would: the flags are
+// parsed, validated and turned into the one shard.Config. mutate may hang
+// test observers (OnWindow) on it.
+func openFlagServe(t *testing.T, mutate func(*shard.Config), args ...string) (*serveFlags, *shard.Runtime) {
+	t.Helper()
+	f := parseServeFlags(append(args, "-quiet"))
+	if err := f.validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg, cleanup, err := f.shardConfig(testDetector(), obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bk.Close()
+	t.Cleanup(cleanup)
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	rt, err := shard.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	return f, rt
+}
 
-	srv := httptest.NewServer(newServeMux(reg, bk, 128))
-	defer srv.Close()
+// keyedLines renders n lines over eight integer stream ids. Every
+// parameter (the id included) is maskable and the four bodies differ in
+// token count, so each body is one immutable template whatever order or
+// partition it is first seen in — per-key scores may then be compared
+// bit for bit across layouts.
+func keyedLines(start, n int) []string {
+	bodies := []string{
+		"%d gc freed %d",
+		"%d replica sync offset %d ok",
+		"%d job %d queued on partition 3",
+		"%d query ok rows %d in 12 ms",
+	}
+	lines := make([]string, n)
+	for i := range lines {
+		j := start + i
+		lines[i] = fmt.Sprintf(bodies[(j/8+j%3)%len(bodies)], 7001+j%8, 100000+j*37)
+	}
+	return lines
+}
+
+// postLines POSTs lines to url's /ingest in batches and requires a 202
+// for each.
+func postLines(t *testing.T, url string, lines []string) {
+	t.Helper()
+	for len(lines) > 0 {
+		n := min(64, len(lines))
+		resp, err := http.Post(url+"/ingest", "text/plain", strings.NewReader(strings.Join(lines[:n], "\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
+		}
+		lines = lines[n:]
+	}
+}
+
+// servedShards reads the partition count off GET /admin/v1/status.
+func servedShards(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url + httpapi.Prefix + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st serveStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Shards
+}
+
+// TestServeFlagValidation: the combinations the three-way fork used to
+// reinterpret silently are refused with a message, the flag count has
+// not grown, and -shards still defaults to 1.
+func TestServeFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the refusal; "" = accepted
+	}{
+		{[]string{"-log", "x.log"}, ""},
+		{[]string{"-broker-dir", "d"}, ""},
+		{[]string{"-broker-dir", "d", "-shards", "4", "-log", "seed.log"}, ""},
+		{[]string{"-cluster", "c.json", "-node", "a"}, ""},
+		{[]string{"-cluster", "c.json", "-node", "a", "-broker-dir", "d"}, ""},
+		{[]string{"-broker-dir", "d", "-shards", "0"}, "-shards 0"},
+		{[]string{"-broker-dir", "d", "-shards", "-2"}, "-shards -2"},
+		{[]string{"-shards", "0"}, "-shards 0"},
+		{[]string{"-shards", "2"}, "requires -broker-dir"},
+		{[]string{"-cluster", "c.json", "-node", "a", "-shards", "2"}, "manifest owns"},
+		{[]string{"-cluster", "c.json", "-node", "a", "-shards", "1"}, "manifest owns"},
+		{[]string{"-cluster", "c.json"}, "requires -node"},
+		{[]string{"-cluster", "c.json", "-node", "a", "-log", "seed.log"}, "front router"},
+	} {
+		err := parseServeFlags(tc.args).validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("serve %v refused: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("serve %v: error %v, want one mentioning %q", tc.args, err, tc.want)
+		}
+	}
+
+	f := parseServeFlags(nil)
+	if *f.shards != 1 {
+		t.Errorf("-shards defaults to %d, want 1", *f.shards)
+	}
+	count := 0
+	f.fs.VisitAll(func(*flag.Flag) { count++ })
+	if count > 33 {
+		t.Errorf("serve has %d flags; the one-runtime serve was not to add any (33)", count)
+	}
+}
+
+// TestServeLoopDrainsAndCommits runs the one serve loop the way `serve
+// -broker-dir D` does — default flags, so one partition under D/p0 —
+// feeds it through -log seeding and POST /ingest, cancels it, and holds
+// the shutdown to its contract: every partition committed to its WAL
+// tail, and a reopen finds nothing to re-detect.
+func TestServeLoopDrainsAndCommits(t *testing.T) {
+	dir := t.TempDir()
+	f, rt := openFlagServe(t, nil, "-broker-dir", dir)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + ln.Addr().String()
+	lines := keyedLines(0, 400)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- serveLoop(ctx, ln, rt, newShardServeMux(rt, *f.maxBatchBytes), rt.Close, lines[:100], 0)
+	}()
+
+	if got := servedShards(t, url); got != 1 {
+		t.Fatalf("status reports %d shards for a default serve, want 1", got)
+	}
+	if _, err := os.Stat(shard.PartitionDir(dir, 0)); err != nil {
+		t.Fatalf("default serve did not lay out %s: %v", shard.PartitionDir(dir, 0), err)
+	}
+	postLines(t, url, lines[100:])
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
+
+	if got := rt.Stats().LinesCollected; got != len(lines) {
+		t.Fatalf("drained %d lines before exiting, want all %d (seeded and posted)", got, len(lines))
+	}
+	for _, h := range rt.Health() {
+		if h.Lag != 0 || h.Committed != h.NextOffset-1 || h.Committed == 0 {
+			t.Fatalf("partition %d exited committed at %d with its WAL tail at %d", h.Partition, h.Committed, h.NextOffset-1)
+		}
+	}
+	if resp, err := http.Get(url + "/metrics"); err == nil {
+		resp.Body.Close()
+		t.Fatal("the listener outlived the serve loop")
+	}
+
+	_, rt2 := openFlagServe(t, nil, "-broker-dir", dir)
+	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer dcancel()
+	if err := rt2.Drain(dctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt2.Stats().LinesCollected; got != 0 {
+		t.Fatalf("reopen re-detected %d committed lines", got)
+	}
+}
+
+// TestServeMuxIngest exercises the serve wiring of the intake on the
+// runtime a default `serve -broker-dir` opens — one shard: the same mux
+// that serves /metrics accepts durable batches on /ingest, bounds them
+// (413), and surfaces the partition's backpressure (429).
+func TestServeMuxIngest(t *testing.T) {
+	rt, srv := openAdminFleet(t, 1, 128, func(cfg *shard.Config) {
+		cfg.Broker = broker.Config{Fsync: broker.FsyncNever, MaxBacklogBytes: 256, FullPolicy: broker.FullReject}
+	})
 
 	post := func(body string) *http.Response {
 		t.Helper()
@@ -143,21 +322,22 @@ func TestServeMuxIngest(t *testing.T) {
 		}
 		return resp
 	}
+	nextOffset := func() uint64 { return rt.Health()[0].NextOffset }
 
-	// Happy path: 202 with the acked count and offset range.
-	resp := post("one\ntwo\nthree\n")
+	// Happy path: 202 with the acked count, all of it on partition 0.
+	resp := post("k one\nk two\nk three\n")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d, want 202", resp.StatusCode)
 	}
-	var ir broker.IngestResponse
+	var ir shard.IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if ir.Acked != 3 || ir.FirstOffset != 1 || ir.LastOffset != 3 {
+	if ir.Acked != 3 || ir.Rejected != 0 || len(ir.Partitions) != 1 || ir.Partitions[0].Partition != 0 {
 		t.Fatalf("ingest response %+v", ir)
 	}
-	if got := bk.NextOffset(); got != 4 {
+	if got := nextOffset(); got != 4 {
 		t.Fatalf("NextOffset %d after ingest", got)
 	}
 
@@ -168,13 +348,13 @@ func TestServeMuxIngest(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized status %d, want 413", resp.StatusCode)
 	}
-	if got := bk.NextOffset(); got != 4 {
+	if got := nextOffset(); got != 4 {
 		t.Fatalf("oversized batch appended (NextOffset %d)", got)
 	}
 
 	// Fill the backlog past its bound: reject policy answers 429.
 	for {
-		resp = post(strings.Repeat("y", 100) + "\n")
+		resp = post("k " + strings.Repeat("y", 100) + "\n")
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusAccepted {
@@ -188,22 +368,25 @@ func TestServeMuxIngest(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 
-	// The obs surface sees the broker counters through the same mux.
+	// The obs surface sees the intake and the partition's broker through
+	// the same mux, fleet-wide and under the shard0. prefix.
 	mresp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	if !strings.Contains(string(body), "broker.ingest_requests_total") ||
-		!strings.Contains(string(body), "broker.rejected_appends_total") {
-		t.Fatalf("/metrics missing broker counters:\n%s", body)
+	for _, want := range []string{"shard.ingest_requests_total", "counter broker.rejected_appends_total", "shard0.broker.rejected_appends_total"} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("/metrics missing %s:\n%s", want, body)
+		}
 	}
 }
 
-// TestServeMuxWithoutBroker: direct mode leaves /ingest unrouted.
+// TestServeMuxWithoutBroker: serve without a WAL mounts the observability
+// pages only — there is no /ingest to answer.
 func TestServeMuxWithoutBroker(t *testing.T) {
-	srv := httptest.NewServer(newServeMux(obs.NewRegistry(), nil, 0))
+	srv := httptest.NewServer(newObsMux(obs.NewRegistry()))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/ingest", "text/plain", strings.NewReader("x\n"))
 	if err != nil {
@@ -212,7 +395,7 @@ func TestServeMuxWithoutBroker(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404 without a broker", resp.StatusCode)
+		t.Fatalf("status %d, want 404 without a WAL", resp.StatusCode)
 	}
 }
 
@@ -220,25 +403,7 @@ func TestServeMuxWithoutBroker(t *testing.T) {
 // lines to shards by stream key and /metrics serves the fleet-merged
 // snapshot with per-shard prefixed series.
 func TestShardServeMux(t *testing.T) {
-	ccfg := core.DefaultConfig()
-	det := core.NewDetector(core.NewModel(ccfg, 2),
-		&repr.EventTable{System: "SystemX", Dim: ccfg.EmbedDim, Vectors: tensor.New(0, ccfg.EmbedDim)})
-	rt, err := shard.Open(shard.Config{
-		Shards:   2,
-		Dir:      t.TempDir(),
-		Detector: det,
-		Interp:   lei.NewSimLLM(lei.Config{}),
-		Embedder: embed.New(ccfg.EmbedDim),
-		Sink:     &pipeline.MemorySink{},
-		Metrics:  obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	srv := httptest.NewServer(newShardServeMux(rt, 0))
-	defer srv.Close()
+	rt, srv := openAdminFleet(t, 2, 0, nil)
 
 	resp, err := http.Post(srv.URL+"/ingest", "text/plain",
 		strings.NewReader("sysA one fine line\nsysB another fine line\n"))

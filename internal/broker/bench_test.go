@@ -1,10 +1,6 @@
 package broker
 
 import (
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"logsynergy/internal/obs"
@@ -85,26 +81,6 @@ func BenchmarkConsume(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := c.Next(); !ok {
 			b.Fatalf("consumer dry at %d: %v", i, c.Err())
-		}
-	}
-}
-
-func BenchmarkIngestHandler(b *testing.B) {
-	bk := benchBroker(b, nil)
-	h := bk.IngestHandler(0)
-	var sb strings.Builder
-	for i := 0; i < 50; i++ {
-		fmt.Fprintf(&sb, "%s seq=%d\n", benchLine, i)
-	}
-	body := sb.String()
-	b.SetBytes(int64(len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusAccepted {
-			b.Fatalf("status %d", w.Code)
 		}
 	}
 }

@@ -24,8 +24,8 @@
 //     deleted, bounding disk.
 //   - Admission control: total retained bytes are bounded; a full
 //     backlog either blocks the producer (lossless backpressure) or
-//     rejects the append (load shedding; the HTTP intake turns this
-//     into 429).
+//     rejects the append (load shedding; the shard runtime's /ingest
+//     turns this into 429).
 //
 // Everything is instrumented through obs (appended/acked/replayed/
 // truncated counters, segment and per-group lag gauges, append and

@@ -154,7 +154,13 @@ func TestRestartResumesAtCommitted(t *testing.T) {
 			t.Fatalf("Next %d failed: %v", i, c.Err())
 		}
 	}
-	c.Ack(4) // first 4 records fully processed; Close below persists
+	c.Ack(4) // first 4 records fully processed...
+	if got := b.Committed("detector"); got != 0 {
+		t.Fatalf("Ack alone moved the committed offset to %d", got)
+	}
+	if err := c.Commit(); err != nil { // ...and now durably so
+		t.Fatal(err)
+	}
 	if got := b.Committed("detector"); got != 4 {
 		t.Fatalf("committed %d, want 4", got)
 	}
@@ -339,7 +345,10 @@ func TestRetentionDeletesConsumedSegments(t *testing.T) {
 	if seen != n {
 		t.Fatalf("consumed %d, want %d", seen, n)
 	}
-	c.Ack(seen) // commit the whole log; retention runs inside Commit
+	c.Ack(seen)
+	if err := c.Commit(); err != nil { // the whole log; retention runs inside Commit
+		t.Fatal(err)
+	}
 	c.Close()
 
 	if after := b.SegmentCount(); after >= before {
@@ -428,7 +437,10 @@ func TestBacklogBlockUnblocksOnRetention(t *testing.T) {
 		}
 		seen++
 	}
-	c.Ack(seen) // commit → retention → space freed
+	c.Ack(seen)
+	if err := c.Commit(); err != nil { // commit → retention → space freed
+		t.Fatal(err)
+	}
 
 	select {
 	case err := <-done:
@@ -554,6 +566,9 @@ func TestOffsetsClampAfterWALWipe(t *testing.T) {
 		c.Next()
 	}
 	c.Ack(6)
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	c.Close()
 	b.Close()
 
@@ -570,11 +585,10 @@ func TestOffsetsClampAfterWALWipe(t *testing.T) {
 	}
 }
 
-// TestAutoCommitStride: auto-commit advances the in-memory committed
-// offset on every ack but rewrites the offsets file only once per
-// CommitEvery records — so a crash (Kill) loses at most one stride of
-// progress, while explicit Commit and graceful Close lose none.
-func TestAutoCommitStride(t *testing.T) {
+// TestAckRecordsCommitPersists: Ack only raises the mark — a crash (Kill)
+// after it resumes where the last Commit left the group — and Commit is
+// what reaches the offsets file.
+func TestAckRecordsCommitPersists(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*Broker, *Consumer) {
 		b, _ := openTest(t, dir, nil)
@@ -582,7 +596,6 @@ func TestAutoCommitStride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.CommitEvery = 4
 		return b, c
 	}
 
@@ -595,40 +608,39 @@ func TestAutoCommitStride(t *testing.T) {
 	c.Next()
 	c.Next()
 	c.Next()
-	c.Ack(3) // below the stride: committed in memory, not on disk
-	if got := b.Committed("g"); got != 3 {
-		t.Fatalf("in-memory committed %d, want 3", got)
+	c.Ack(3)
+	if got := b.Committed("g"); got != 0 {
+		t.Fatalf("committed %d after a bare Ack, want 0", got)
 	}
 	c.Close()
 	b.Kill()
 
 	b, c = open()
-	if got := b.Committed("g"); got != 0 {
-		t.Fatalf("committed after crash %d, want 0 (stride not reached)", got)
+	if got := c.Position(); got != 1 {
+		t.Fatalf("resumed at %d after an uncommitted Ack, want 1", got)
 	}
 	for i := 0; i < 5; i++ {
 		c.Next()
 	}
-	c.Ack(5) // crosses the stride: persisted
-	c.Close()
-	b.Kill()
-
-	b, c = open()
-	if got := b.Committed("g"); got != 5 {
-		t.Fatalf("committed after crash %d, want 5 (stride persisted)", got)
+	c.Ack(5)
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	c.Next()
-	c.Ack(1) // offset 6: below the next stride...
-	if err := c.Commit(); err != nil { // ...but explicit Commit persists
+	c.Ack(2) // behind the mark: never moves it backwards
+	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 	b.Kill()
 
-	b, _ = open()
+	b, c = open()
 	defer b.Close()
-	if got := b.Committed("g"); got != 6 {
-		t.Fatalf("committed after explicit Commit %d, want 6", got)
+	defer c.Close()
+	if got := b.Committed("g"); got != 5 {
+		t.Fatalf("committed after crash %d, want 5", got)
+	}
+	if got := c.Position(); got != 6 {
+		t.Fatalf("resumed at %d, want committed + 1 = 6", got)
 	}
 }
 

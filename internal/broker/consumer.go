@@ -7,20 +7,23 @@ import (
 	"time"
 )
 
-// Consumer reads a group's records in offset order. It implements the
-// pipeline's Source interface (Next) and its AckSource extension (Ack),
-// so `pipeline.Run(ctx, consumer)` streams straight off the WAL and
-// commits progress as windows finish detection:
+// Consumer reads a group's records in offset order. It is a
+// pipeline.Source (Next), and progress is committed in two explicit
+// steps the owner sequences around its own durable state:
 //
 //	Next returns records sequentially, blocking at the head of the log
 //	until a producer appends more or the intake closes (then it returns
 //	false — the drain signal).
 //
-//	Ack(n) marks the first n records this consumer handed out as fully
-//	processed; with AutoCommit (the default) the committed offset
-//	advances immediately and is persisted every CommitEvery records, so
-//	a crash replays at most one commit stride of already-processed
-//	records (at-least-once).
+//	Ack(n) records that the first n records this consumer handed out are
+//	fully processed. Nothing else happens: no offset moves, nothing is
+//	written.
+//
+//	Commit persists the highest acknowledged offset to the offsets file
+//	and lets retention reclaim the sealed segments it covers. A restart
+//	resumes at committed + 1, so whatever the owner must not lose — the
+//	shard runtime's window tails — is made durable before Commit, never
+//	after (state, then offsets).
 //
 // A Consumer is owned by one goroutine; concurrent consumers of the
 // same broker each get their own Consumer (and usually their own
@@ -32,22 +35,6 @@ type Consumer struct {
 	pos      uint64 // next offset to read
 	startOff uint64 // committed offset when the consumer was opened
 	acked    uint64 // highest offset reported processed via Ack
-
-	// AutoCommit advances the committed offset on every Ack (default
-	// true). Disable to batch commits manually via Commit.
-	AutoCommit bool
-
-	// CommitEvery bounds how far the offsets file may trail the
-	// acknowledged offset under AutoCommit (default DefaultCommitEvery
-	// records; 1 persists every ack). Every Ack still advances the
-	// in-memory committed offset — Committed, lag gauges and retention
-	// see progress immediately — but rewriting the offsets file costs a
-	// file create + rename, which would dominate the detection hot path
-	// if paid per window. Explicit Commit and Broker.Close always
-	// persist.
-	CommitEvery uint64
-
-	persisted uint64 // acked value at the last offsets-file write
 
 	f         *os.File
 	r         *bufio.Reader
@@ -79,22 +66,13 @@ func (b *Broker) Consumer(group string) (*Consumer, error) {
 	b.groups[group] = committed
 	b.lagGaugeLocked(group).Set(int64(b.nextOff - 1 - committed))
 	return &Consumer{
-		b:           b,
-		group:       group,
-		pos:         committed + 1,
-		startOff:    committed,
-		acked:       committed,
-		persisted:   committed,
-		AutoCommit:  true,
-		CommitEvery: DefaultCommitEvery,
+		b:        b,
+		group:    group,
+		pos:      committed + 1,
+		startOff: committed,
+		acked:    committed,
 	}, nil
 }
-
-// DefaultCommitEvery is the auto-commit persistence stride: the offsets
-// file is rewritten once per this many acknowledged records, not on
-// every ack. At-least-once delivery makes the trade safe — a crash
-// merely re-detects up to a stride of records.
-const DefaultCommitEvery = 256
 
 // Next returns the next record, blocking at the log head until data
 // arrives. It returns false when the intake has closed and every
@@ -210,46 +188,33 @@ func (c *Consumer) Err() error { return c.err }
 // Position returns the offset of the next record Next will return.
 func (c *Consumer) Position() uint64 { return c.pos }
 
-// Ack implements the pipeline's AckSource: the first done records this
-// consumer returned are fully processed. Under AutoCommit the committed
-// offset advances immediately (retention and lag see it) and the
-// offsets file is rewritten once per CommitEvery records; commit
-// failures are counted (broker.commit_errors_total) but do not stop
-// consumption — progress is simply re-done after a restart
-// (at-least-once).
+// Ack records that the first done records this consumer returned are
+// fully processed. It only raises the mark Commit persists.
 func (c *Consumer) Ack(done uint64) {
 	if off := c.startOff + done; off > c.acked {
 		c.acked = off
 	}
-	if !c.AutoCommit {
-		return
-	}
-	persist := c.CommitEvery <= 1 || c.acked >= c.persisted+c.CommitEvery
-	if err := c.commit(persist); err != nil {
-		c.b.om.commitErrors.Inc()
-	}
 }
 
-// Commit persists the highest acknowledged offset for the group and
-// lets retention reclaim fully-consumed sealed segments.
-func (c *Consumer) Commit() error { return c.commit(true) }
-
-func (c *Consumer) commit(persist bool) error {
+// Commit persists the highest acknowledged offset for the group, then
+// lets retention reclaim fully-consumed sealed segments. A failed write
+// leaves the committed offset where it was, so the next Commit retries.
+func (c *Consumer) Commit() error {
 	b := c.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if c.acked > b.groups[c.group] {
-		b.groups[c.group] = c.acked
-		b.retainLocked()
-		b.updateGaugesLocked()
-	}
-	if !persist || c.acked == c.persisted {
+	prev := b.groups[c.group]
+	if c.acked <= prev {
 		return nil
 	}
+	b.groups[c.group] = c.acked
 	if err := b.saveOffsetsLocked(); err != nil {
+		b.groups[c.group] = prev
+		b.om.commitErrors.Inc()
 		return err
 	}
-	c.persisted = c.acked
+	b.retainLocked()
+	b.updateGaugesLocked()
 	return nil
 }
 

@@ -11,9 +11,9 @@ import (
 // segments, rewritten atomically (temp file + rename) on every commit.
 // The committed offset is the highest record a group has fully
 // processed; a restarted consumer resumes at committed+1, which is what
-// makes acknowledged records crash-proof: commit happens only after the
-// pipeline has detected and delivered, so replay can duplicate work but
-// never skip it.
+// makes acknowledged records crash-proof: the owner commits only after
+// what it derived from the records is itself durable (Consumer.Commit),
+// so replay can redeliver but never skip.
 
 // offsetsFileName is the offsets file inside the WAL directory.
 const offsetsFileName = "offsets.json"

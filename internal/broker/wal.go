@@ -3,9 +3,11 @@ package broker
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -79,6 +81,24 @@ func listSegments(dir string) ([]*segment, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
 	return segs, nil
+}
+
+// HoldsLog reports whether dir itself holds a broker's files — WAL
+// segments or a consumer-offsets table — so a caller that keeps its logs
+// in subdirectories can refuse a directory that is one. A directory that
+// does not exist holds nothing.
+func HoldsLog(dir string) (bool, error) {
+	segs, err := listSegments(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil || len(segs) > 0 {
+		return len(segs) > 0, err
+	}
+	if _, err = os.Stat(offsetsPath(dir)); errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // appendFrame frames one payload onto buf.

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"logsynergy/internal/broker"
 	"logsynergy/internal/httpapi"
 	"logsynergy/internal/shard"
 )
@@ -48,11 +47,7 @@ func (n *Node) handleDirectedAppend(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	maxBytes := n.cfg.MaxBatchBytes
-	if maxBytes <= 0 {
-		maxBytes = broker.DefaultMaxBatchBytes
-	}
-	lines, refused := httpapi.ReadBatch(w, r, maxBytes)
+	lines, refused := httpapi.ReadBatch(w, r, n.cfg.MaxBatchBytes)
 	if refused != 0 {
 		return
 	}

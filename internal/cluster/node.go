@@ -40,7 +40,7 @@ type NodeConfig struct {
 	// manifest's shared-storage root when empty.
 	Runtime shard.Config
 	// MaxBatchBytes bounds one /ingest request body (<= 0 selects the
-	// broker default).
+	// httpapi default).
 	MaxBatchBytes int64
 }
 

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"logsynergy/internal/broker"
 	"logsynergy/internal/fault"
 	"logsynergy/internal/httpapi"
 	"logsynergy/internal/obs"
@@ -67,7 +66,7 @@ type RouterConfig struct {
 	// Metrics receives the router's counters (nil = a fresh registry).
 	Metrics *obs.Registry
 	// MaxBatchBytes bounds one /ingest request body (<= 0 selects the
-	// broker default).
+	// httpapi default).
 	MaxBatchBytes int64
 	// MaxInFlight bounds concurrent node requests across all handler
 	// goroutines (default 64) — the router's backpressure.
@@ -102,9 +101,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = broker.DefaultMaxBatchBytes
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64

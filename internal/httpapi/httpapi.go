@@ -113,18 +113,26 @@ func writeJSON(w http.ResponseWriter, status int, d Detail, body any) {
 	json.NewEncoder(w).Encode(body)
 }
 
+// DefaultMaxBatchBytes bounds one batch request body wherever a caller
+// passes ReadBatch a limit <= 0 — the one default every intake shares.
+const DefaultMaxBatchBytes = 4 << 20
+
 // ReadBatch reads one newline-delimited batch body of at most maxBytes
-// and splits it into log lines, tolerating CRLF and dropping empty lines
-// (a trailing newline is not an empty record; every intake parses alike,
-// so rejected-line indices agree between router, node and collector).
-// refused is 0 on success. Otherwise the envelope has already been
-// written and refused is the status answered: 413 too_large when the
-// body exceeds maxBytes, by Content-Length or mid-stream, or 400
-// bad_request when the body could not be read.
+// (<= 0 selects DefaultMaxBatchBytes) and splits it into log lines,
+// tolerating CRLF and dropping empty lines (a trailing newline is not an
+// empty record; every intake parses alike, so rejected-line indices agree
+// between router, node and collector). refused is 0 on success. Otherwise
+// the envelope has already been written and refused is the status
+// answered: 413 too_large when the body exceeds maxBytes, by
+// Content-Length or mid-stream, or 400 bad_request when the body could
+// not be read.
 func ReadBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) (lines []string, refused int) {
 	refuse := func(status int, code, message string) ([]string, int) {
 		Error(w, status, Detail{Code: code, Message: message})
 		return nil, status
+	}
+	if maxBytes <= 0 {
+		maxBytes = DefaultMaxBatchBytes
 	}
 	if r.ContentLength > maxBytes {
 		return refuse(http.StatusRequestEntityTooLarge, CodeTooLarge,

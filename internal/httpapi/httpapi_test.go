@@ -163,7 +163,7 @@ func (b *hangupBody) Read(p []byte) (int, error) {
 // lines out, or the refusal already written as the envelope.
 func TestReadBatch(t *testing.T) {
 	const limit = 32
-	post := func(body io.Reader, contentLength int64) (*httptest.ResponseRecorder, []string, int) {
+	post := func(body io.Reader, contentLength, limit int64) (*httptest.ResponseRecorder, []string, int) {
 		req := httptest.NewRequest(http.MethodPost, "/ingest", body)
 		req.ContentLength = contentLength
 		rec := httptest.NewRecorder()
@@ -171,25 +171,31 @@ func TestReadBatch(t *testing.T) {
 		return rec, lines, refused
 	}
 
-	rec, lines, refused := post(strings.NewReader("a\r\n\nb\nc\n"), 8)
+	rec, lines, refused := post(strings.NewReader("a\r\n\nb\nc\n"), 8, limit)
 	if refused != 0 || rec.Body.Len() != 0 || !reflect.DeepEqual(lines, []string{"a", "b", "c"}) {
 		t.Fatalf("lines %q refused %d body %q; CRLF and empty lines must drop", lines, refused, rec.Body)
 	}
-	if _, lines, refused = post(strings.NewReader(""), 0); refused != 0 || len(lines) != 0 {
+	if _, lines, refused = post(strings.NewReader(""), 0, limit); refused != 0 || len(lines) != 0 {
 		t.Fatalf("empty body: lines %q refused %d", lines, refused)
+	}
+	// A limit <= 0 is "the default", never "nothing fits".
+	if _, lines, refused = post(strings.NewReader(strings.Repeat("x", 64)), 64, 0); refused != 0 || len(lines) != 1 {
+		t.Fatalf("64 bytes under the default limit: lines %q refused %d", lines, refused)
 	}
 
 	for name, tc := range map[string]struct {
 		body          io.Reader
 		contentLength int64
+		limit         int64
 		status        int
 		code          string
 	}{
-		"over the limit by Content-Length": {strings.NewReader(strings.Repeat("x", 64)), 64, http.StatusRequestEntityTooLarge, CodeTooLarge},
-		"over the limit mid-stream":        {strings.NewReader(strings.Repeat("x", 64)), -1, http.StatusRequestEntityTooLarge, CodeTooLarge},
-		"body errors mid-read":             {&hangupBody{}, -1, http.StatusBadRequest, CodeBadRequest},
+		"over the limit by Content-Length": {strings.NewReader(strings.Repeat("x", 64)), 64, limit, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		"over the limit mid-stream":        {strings.NewReader(strings.Repeat("x", 64)), -1, limit, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		"body errors mid-read":             {&hangupBody{}, -1, limit, http.StatusBadRequest, CodeBadRequest},
+		"over the default limit":           {strings.NewReader("x"), DefaultMaxBatchBytes + 1, 0, http.StatusRequestEntityTooLarge, CodeTooLarge},
 	} {
-		rec, lines, refused := post(tc.body, tc.contentLength)
+		rec, lines, refused := post(tc.body, tc.contentLength, tc.limit)
 		if refused != tc.status || rec.Code != tc.status || lines != nil {
 			t.Fatalf("%s: refused %d, answered %d, lines %q; want %d", name, refused, rec.Code, lines, tc.status)
 		}

@@ -84,22 +84,18 @@ func (k *Keyed) Pipeline() *Pipeline { return k.p }
 // any, for the next batch flush. A full batch flushes inline.
 func (k *Keyed) Feed(key, line string) {
 	k.p.om.linesCollected.Inc()
-	if k.feed(key, line) && k.full() {
-		k.Flush()
-	}
+	k.feed(key, line)
 }
 
-// feed is Feed without the collected count and without the flush, for
-// Run, which counts a line when its collector enqueues it and must note
-// the ack watermark of a completed window before the flush that scores
-// it. It reports whether the line completed a window.
-func (k *Keyed) feed(key, line string) (completed bool) {
+// feed is Feed without the collected count, for Run, which counts a line
+// when its collector enqueues it.
+func (k *Keyed) feed(key, line string) {
 	p := k.p
 	eventID, ok := p.parseLine(line)
 	if !ok {
 		// Abandoned after terminal parse/embed failure; the key's window
 		// continues from its next line.
-		return false
+		return
 	}
 	kw := k.keys[key]
 	if kw == nil {
@@ -116,13 +112,11 @@ func (k *Keyed) feed(key, line string) (completed bool) {
 	if len(kw.ids) == p.cfg.Window.Length && kw.sincePrev >= p.cfg.Window.Step {
 		k.pending = append(k.pending, pendingWindow{key: key, seq: append([]int(nil), kw.ids...)})
 		kw.sincePrev = 0
-		return true
+		if len(k.pending) >= k.batchCap {
+			k.Flush()
+		}
 	}
-	return false
 }
-
-// full reports whether the pending batch has reached the detect-batch cap.
-func (k *Keyed) full() bool { return len(k.pending) >= k.batchCap }
 
 // Flush scores every pending completed window as one batch, delivering
 // anomaly reports through the pipeline's guarded sinks. Call it whenever

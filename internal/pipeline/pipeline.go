@@ -50,19 +50,6 @@ type Source interface {
 	Next() (string, bool)
 }
 
-// AckSource is an optional Source capability for durable sources (the
-// broker consumer). After a batch of windows finishes detection — scores
-// assigned, reports delivered — Run calls Ack with the count of leading
-// source lines that are now fully processed: every line up to and
-// including the last line of the last detected window. A durable source
-// uses the watermark to commit consumer offsets, so a restart resumes at
-// exactly the first unprocessed line and acknowledged records are never
-// lost. Lines after the watermark (still buffered, or in a not-yet-full
-// window) are redelivered after a crash (at-least-once).
-type AckSource interface {
-	Ack(done uint64)
-}
-
 // SliceSource replays a fixed slice of lines.
 type SliceSource struct {
 	lines []string
@@ -513,23 +500,16 @@ func (p *Pipeline) SyncTable() error {
 // runKey is the one stream key Run feeds its Keyed under.
 const runKey = ""
 
-// bufLine is one collected line in flight between the collector and the
-// parser, tagged with its 1-based position in the source stream so the
-// processed-watermark for AckSource survives drops and batching.
-type bufLine struct {
-	text string
-	idx  uint64
-}
-
 // Run consumes the source to exhaustion (or ctx cancellation), streaming
 // lines through collection → detection → report. It returns the final
 // stats. Collection and detection run concurrently, connected by the
 // bounded buffer; completed windows are scored in parallel batches (up to
-// cfg.DetectBatch at a time) with reports delivered in input order. If
-// src implements AckSource, Run reports the fully-processed line
-// watermark after every flushed batch.
+// cfg.DetectBatch at a time) with reports delivered in input order. Run
+// is the in-memory path — detect, serve -log replay, the experiments: a
+// source that must survive a crash goes through the shard runtime, which
+// feeds a Keyed itself and commits window tails with its offsets.
 func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
-	buffer := make(chan bufLine, p.cfg.BufferSize)
+	buffer := make(chan string, p.cfg.BufferSize)
 	p.om.bufferCapacity.Set(int64(cap(buffer)))
 
 	var wg sync.WaitGroup
@@ -537,17 +517,14 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 	go func() { // collector
 		defer wg.Done()
 		defer close(buffer)
-		var srcIdx uint64
 		for {
 			line, ok := src.Next()
 			if !ok {
 				return
 			}
-			srcIdx++
-			item := bufLine{text: line, idx: srcIdx}
 			if p.cfg.DropPolicy == DropNewest {
 				select {
-				case buffer <- item:
+				case buffer <- line:
 					p.om.linesCollected.Inc()
 				default:
 					p.om.linesDropped.Inc()
@@ -557,7 +534,7 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 				}
 			} else {
 				select {
-				case buffer <- item:
+				case buffer <- line:
 					p.om.linesCollected.Inc()
 				case <-ctx.Done():
 					return
@@ -568,31 +545,19 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 
 	// One consumer keeps window ordering: every dequeued line goes to a
 	// Keyed over a single constant key, which owns the sliding window and
-	// the pending batch. pendingEnd tracks the source index of the last
-	// line of the last pending window: once a flush returns, every source
-	// line up to that index is fully processed (parsed lines detected in
-	// order, dropped lines deliberately shed) and the watermark is acked.
+	// the pending batch.
 	k := NewKeyed(p)
-	acker, _ := src.(AckSource)
-	var pendingEnd, ackedEnd uint64
-	flush := func() {
-		k.Flush()
-		if acker != nil && pendingEnd > ackedEnd {
-			acker.Ack(pendingEnd)
-			ackedEnd = pendingEnd
-		}
-	}
 	for {
-		var item bufLine
+		var line string
 		var ok bool
 		select {
-		case item, ok = <-buffer:
+		case line, ok = <-buffer:
 		default:
 			// Collection can't keep up with detection right now: score what
 			// we have instead of waiting for a full batch, so batching never
 			// delays a report on a slow stream.
-			flush()
-			item, ok = <-buffer
+			k.Flush()
+			line, ok = <-buffer
 		}
 		if !ok {
 			break
@@ -602,19 +567,12 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 		occ := int64(len(buffer))
 		p.om.bufferOccupancy.Set(occ)
 		p.om.bufferPeak.Max(occ + 1)
-		// A line abandoned after parse/embed stage failures completes
-		// nothing; the window continues from the next line.
-		if k.feed(runKey, item.text) {
-			pendingEnd = item.idx
-			if k.full() {
-				flush()
-			}
-		}
+		k.feed(runKey, line)
 		if ctx.Err() != nil {
 			break
 		}
 	}
-	flush()
+	k.Flush()
 	p.om.bufferOccupancy.Set(0)
 	wg.Wait()
 	return p.Stats()

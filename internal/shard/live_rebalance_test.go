@@ -18,8 +18,9 @@ import (
 )
 
 // The live-cutover proof: fixed-seed multi-key traffic keeps flowing
-// while the fleet moves from N to M partitions in place — growing by one,
-// growing by two, shrinking — and the combined output is bit-identical to
+// while the fleet moves from N to M partitions in place — growing by one
+// (from the single partition a default serve starts with, too), growing by
+// two, shrinking — and the combined output is bit-identical to
 // the unsharded keyed reference: per-key score sequences score by score,
 // alert multisets signature by signature. Traffic is injected from the
 // cutover's own hook points, so "under traffic" is deterministic, not a
@@ -33,7 +34,7 @@ import (
 // layout per key.
 
 // livePlans are the cutovers the under-traffic suites run.
-var livePlans = []struct{ from, to int }{{2, 3}, {2, 4}, {3, 2}}
+var livePlans = []struct{ from, to int }{{1, 2}, {2, 3}, {2, 4}, {3, 2}}
 
 // liveMovingKeys splits keys by whether the from→to cutover moves them.
 func liveMovingKeys(keys []string, from, to int) (moving, staying []string) {

@@ -2,9 +2,14 @@ package shard
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"logsynergy/internal/broker"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
 )
@@ -172,4 +177,101 @@ func TestRuntimeRefusesLayoutMismatch(t *testing.T) {
 	if !strings.Contains(err.Error(), "serve at 2 shards") || !strings.Contains(err.Error(), "logsynergy rebalance -addr host:port -to 3") {
 		t.Fatalf("error does not name the rebalance command: %v", err)
 	}
+}
+
+// A root that holds a single broker's log — what `serve -broker-dir`
+// wrote before every WAL-backed serve was a runtime — is refused with
+// the one-time move named, never shadowed by an empty p0 beside it. The
+// second half performs that move and proves it adopts the log exactly:
+// partition 0 resumes at the old committed offset + 1 and detects the
+// unconsumed suffix, nothing before it and nothing twice.
+func TestOpenRefusesSingleBrokerRoot(t *testing.T) {
+	dir := t.TempDir()
+	lines := genEqLines(17, 300, eqKeys(3))
+	const consumed = 120
+	b, err := broker.Open(broker.Config{Dir: dir, Fsync: broker.FsyncNever, SegmentBytes: 4096, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(lines); i += 50 { // several segments, as a lived-in root has
+		if _, _, err := b.AppendBatch(lines[i : i+50]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := b.Consumer("detector")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < consumed; i++ {
+		if _, ok := c.Next(); !ok {
+			t.Fatalf("consumer ended at %d: %v", i, c.Err())
+		}
+	}
+	c.Ack(consumed)
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = openRaw(dir, 1)
+	if err == nil {
+		t.Fatal("runtime opened over a single broker's root; its unconsumed records would be stranded beside an empty p0")
+	}
+	p0 := PartitionDir(dir, 0)
+	for _, want := range []string{"mkdir " + p0, "mv " + dir + "/*.wal " + dir + "/offsets.json " + p0 + "/"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal does not name the move (%q missing): %v", want, err)
+		}
+	}
+	if _, statErr := os.Stat(p0); !os.IsNotExist(statErr) {
+		t.Fatalf("the refused Open still created %s (stat err %v)", p0, statErr)
+	}
+
+	// The documented move, verbatim.
+	if err := os.Mkdir(p0, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	moved, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if len(moved) < 2 {
+		t.Fatalf("fixture wants a multi-segment log, found %v", moved)
+	}
+	for _, path := range append(moved, filepath.Join(dir, "offsets.json")) {
+		if err := os.Rename(path, filepath.Join(p0, filepath.Base(path))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var mu sync.Mutex
+	var seen []string
+	h := openHarness(t, dir, 1, func(cfg *Config) {
+		cfg.KeyFunc = func(line string) string { // the worker keys every record it consumes
+			mu.Lock()
+			seen = append(seen, line)
+			mu.Unlock()
+			return DefaultKeyFunc(line)
+		}
+	})
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if !reflect.DeepEqual(seen, lines[consumed:]) {
+		t.Fatalf("moved log resumed with %d records (first %q), want exactly the %d unconsumed", len(seen), first(seen), len(lines)-consumed)
+	}
+	if got := h.rt.Stats().LinesCollected; got != len(lines)-consumed {
+		t.Fatalf("detected %d lines, want the unconsumed %d", got, len(lines)-consumed)
+	}
+	if got := h.rt.Committed(0); got != uint64(len(lines)) {
+		t.Fatalf("partition 0 committed %d, want the WAL tail %d", got, len(lines))
+	}
+}
+
+func first(lines []string) string {
+	if len(lines) == 0 {
+		return ""
+	}
+	return lines[0]
 }

@@ -10,13 +10,13 @@ import (
 	"logsynergy/internal/httpapi"
 )
 
-// The sharded intake: the router hashes each line's stream key onto a
-// partition and appends to that partition's WAL. Backpressure is
-// per-partition — a stalled shard whose backlog fills rejects only the
-// lines keyed to it, while every other shard keeps acking. The HTTP
-// contract extends the broker's: 202 means every line in the batch is in
-// some partition's log; 429 carries a per-partition breakdown of what
-// was acked and what must be retried.
+// The intake — the only HTTP handler in front of a WAL: the router hashes
+// each line's stream key onto a partition and appends to that partition's
+// log. Backpressure is per-partition — a stalled shard whose backlog
+// fills rejects only the lines keyed to it, while every other shard keeps
+// acking. The HTTP contract: 202 means every line in the batch is in some
+// partition's log (durable per the broker's fsync policy); 429 carries a
+// per-partition breakdown of what was acked and what must be retried.
 
 // ErrNotAssigned is returned when a line's key routes to a partition
 // this runtime does not serve (a Subset runtime in a cluster fleet).
@@ -34,8 +34,7 @@ var ErrNotAssigned = errors.New("shard: partition not assigned to this runtime")
 // reloads its view on seeing the "cutover in progress" label.
 var ErrCutover = errors.New("shard: key is mid-cutover; route it through a cutover-aware router")
 
-// IngestResponse is the JSON body of a 202 or 429 from the sharded
-// /ingest endpoint.
+// IngestResponse is the JSON body of a 202 or 429 from /ingest.
 type IngestResponse struct {
 	// Acked is the number of lines durably appended (across partitions).
 	Acked int `json:"acked"`
@@ -255,8 +254,8 @@ func RejectionLabel(err error) string {
 	}
 }
 
-// IngestHandler returns the sharded /ingest HTTP handler. maxBatchBytes
-// bounds one request body (<= 0 selects broker.DefaultMaxBatchBytes).
+// IngestHandler returns the /ingest HTTP handler. maxBatchBytes bounds
+// one request body (<= 0 selects httpapi.DefaultMaxBatchBytes).
 // Status mapping:
 //
 //	202 every line acked (body: IngestResponse)
@@ -267,9 +266,6 @@ func RejectionLabel(err error) string {
 //	413 request body exceeds the batch limit
 //	405 anything but POST
 func (rt *Runtime) IngestHandler(maxBatchBytes int64) http.Handler {
-	if maxBatchBytes <= 0 {
-		maxBatchBytes = broker.DefaultMaxBatchBytes
-	}
 	requests := rt.reg.Counter("shard.ingest_requests_total")
 	oversized := rt.reg.Counter("shard.ingest_oversized_total")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -229,6 +229,17 @@ func Open(cfg Config) (*Runtime, error) {
 	if cfg.Detector == nil || cfg.Interp == nil || cfg.Embedder == nil || cfg.Sink == nil {
 		return nil, errors.New("shard: Detector, Interp, Embedder and Sink are required")
 	}
+	// A log at the root is what `serve -broker-dir` wrote before every
+	// WAL-backed serve was a runtime. Opening beside it would start an
+	// empty p0 and strand its acknowledged, unconsumed records.
+	if held, err := broker.HoldsLog(cfg.Dir); err != nil {
+		return nil, err
+	} else if held {
+		p0 := partitionDir(cfg.Dir, 0)
+		return nil, fmt.Errorf("shard: %[1]s holds a single broker's log at its root, but partition logs live in %[2]s; "+
+			"with the process stopped, move it once — mkdir %[2]s && mv %[1]s/*.wal %[1]s/offsets.json %[2]s/ — "+
+			"and partition 0 resumes at its committed offset + 1", cfg.Dir, p0)
+	}
 	if cfg.Subset != nil {
 		seen := make(map[int]bool, len(cfg.Subset))
 		for _, i := range cfg.Subset {
@@ -511,7 +522,6 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 		bk.Close()
 		return nil, err
 	}
-	cons.AutoCommit = false // the worker commits explicitly, tails first
 	pt.cons = cons
 	pt.ackBase = cons.Position() - 1
 	pt.lastCommitted = pt.ackBase
@@ -1088,10 +1098,11 @@ func (rt *Runtime) CloseIntake() {
 }
 
 // Close shuts the runtime down gracefully: intake closes, every worker
-// drains and commits its own partition's offset, then consumers and
-// brokers close. It returns the first error encountered. Closing mid
-// live-cutover is safe: parked workers wake and exit without consuming,
-// the journal stays in place, and the next Open resumes the cutover.
+// drains and commits its own partition's offset, spilled alerts get one
+// redelivery pass, then consumers and brokers close. It returns the first
+// error encountered. Closing mid live-cutover is safe: parked workers
+// wake and exit without consuming, the journal stays in place, and the
+// next Open resumes the cutover.
 func (rt *Runtime) Close() error {
 	rt.CloseIntake()
 	if cut := rt.cut.Load(); cut != nil {
@@ -1100,6 +1111,16 @@ func (rt *Runtime) Close() error {
 	parts := rt.partitions()
 	for _, pt := range parts {
 		<-pt.done
+	}
+	// A sink that was down when an alert fired may be back: the spill
+	// queue lives in memory, so this pass is its last chance. No worker is
+	// left to race it.
+	redelivered := rt.reg.Counter("shard.spill_redelivered_total")
+	undeliverable := rt.reg.Counter("shard.spill_undeliverable_total")
+	for _, pt := range parts {
+		delivered, remaining := pt.pipe.FlushSpill()
+		redelivered.Add(int64(delivered))
+		undeliverable.Add(int64(remaining))
 	}
 	var firstErr error
 	keep := func(err error) {
