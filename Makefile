@@ -127,18 +127,18 @@ chaos:
 	$(GO) test -race -count=1 ./internal/broker/
 
 # Cover tier (nightly): the full suite with coverage, a per-package
-# summary, and floors on the sharded runtime and the pipeline core (their
-# equivalence and chaos suites are the proofs the roadmap leans on, so
-# their coverage must not rot).
+# summary, and floors on the sharded runtime, the pipeline core and the
+# cluster layer (their equivalence and chaos suites are the proofs the
+# roadmap leans on — the cluster's include the router's acknowledged-loss
+# accounting — so their coverage must not rot).
 cover:
 	$(GO) test -count=1 -cover -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -n 1
-	@pct=$$($(GO) tool cover -func=cover.out | awk '$$1 ~ /^logsynergy\/internal\/shard\// {gsub(/%/,"",$$3); s+=$$3; n++} END {if (n) printf "%.1f", s/n; else print "0"}'); \
-	echo "internal/shard mean function coverage: $$pct%"; \
-	awk -v p="$$pct" 'BEGIN {exit !(p+0 >= 70)}' || { echo "FAIL: internal/shard coverage $$pct% is below the 70% floor"; exit 1; }
-	@pct=$$($(GO) tool cover -func=cover.out | awk '$$1 ~ /^logsynergy\/internal\/pipeline\// {gsub(/%/,"",$$3); s+=$$3; n++} END {if (n) printf "%.1f", s/n; else print "0"}'); \
-	echo "internal/pipeline mean function coverage: $$pct%"; \
-	awk -v p="$$pct" 'BEGIN {exit !(p+0 >= 70)}' || { echo "FAIL: internal/pipeline coverage $$pct% is below the 70% floor"; exit 1; }
+	@for pkg in shard pipeline cluster; do \
+		pct=$$($(GO) tool cover -func=cover.out | awk -v pre="logsynergy/internal/$$pkg/" 'index($$1, pre) == 1 {gsub(/%/,"",$$3); s+=$$3; n++} END {if (n) printf "%.1f", s/n; else print "0"}'); \
+		echo "internal/$$pkg mean function coverage: $$pct%"; \
+		awk -v p="$$pct" 'BEGIN {exit !(p+0 >= 70)}' || { echo "FAIL: internal/$$pkg coverage $$pct% is below the 70% floor"; exit 1; }; \
+	done
 
 # Fuzz-smoke tier (nightly): a short randomized pass over the parser,
 # window and tape-vs-inference-graph fuzz targets (the checked-in seed

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -130,12 +129,12 @@ func serveLoop(ctx context.Context, ln net.Listener, rt *shard.Runtime, handler 
 	fmt.Printf("serving on http://%s: /ingest (lines route to partitions by stream key), /metrics, /admin/v1/*, /debug/pprof/\n", ln.Addr())
 
 	if len(seed) > 0 {
-		results, err := rt.AppendBatch(seed)
+		seeded, err := rt.AppendBatch(seed)
 		if err != nil {
 			closeRt()
 			return fmt.Errorf("serve: seeding from -log: %w", err)
 		}
-		for _, res := range results {
+		for _, res := range seeded.Partitions {
 			fmt.Printf("partition %d: seeded %d lines from -log\n", res.Partition, res.Acked)
 		}
 	}
@@ -415,31 +414,9 @@ type serveStatus struct {
 func newShardServeMux(rt *shard.Runtime, maxBatchBytes int64) *http.ServeMux {
 	mux := httpapi.Mux(httpapi.MuxOptions{Snapshot: rt.Snapshot})
 	mux.Handle("/ingest", rt.IngestHandler(maxBatchBytes))
-	mux.HandleFunc(httpapi.Prefix+"/rebalance", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpapi.MethodNotAllowed(w, http.MethodPost, "rebalance accepts POST only")
-			return
-		}
-		raw := r.FormValue("to") // query or form body, one explicit rule
-		to, err := strconv.Atoi(raw)
-		if err != nil || to <= 0 {
-			httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-				Code:    httpapi.CodeBadRequest,
-				Message: fmt.Sprintf("rebalance needs a positive partition count: to=%q is not one", raw),
-			})
-			return
-		}
-		// Blocks until the cutover completes: intake keeps flowing the
-		// whole time, so a long-poll here is the honest contract — the 200
-		// means the fleet IS serving the new layout.
-		rep, err := rt.LiveRebalance(to)
-		if err != nil {
-			httpapi.Error(w, http.StatusConflict, httpapi.Detail{Code: httpapi.CodeConflict, Message: err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(rep)
-	})
+	mux.Handle(httpapi.Prefix+"/rebalance", httpapi.RebalanceHandler(func(to int, _ string) (any, error) {
+		return rt.LiveRebalance(to)
+	}))
 	mux.HandleFunc(httpapi.Prefix+"/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			httpapi.MethodNotAllowed(w, http.MethodGet, "status accepts GET only")

@@ -8,12 +8,14 @@ package alertstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
 	"time"
 
+	"logsynergy/internal/atomicfile"
 	"logsynergy/internal/core"
 )
 
@@ -235,44 +237,28 @@ func (s *Store) Compact(keep func(Record) bool) error {
 		}
 	}
 
-	tmp := s.path + ".compact"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("alertstore: compacting: %w", err)
-	}
-	w := bufio.NewWriter(f)
+	var buf bytes.Buffer
 	for _, r := range kept {
 		line, err := json.Marshal(r)
 		if err != nil {
-			f.Close()
 			return err
 		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			f.Close()
-			return err
-		}
+		buf.Write(line)
+		buf.WriteByte('\n')
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if err := s.file.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
+	// The durable install whether or not Sync is set: with it set, the
+	// compacted log must be no less durable than the records it replaces.
+	// Every append is flushed before it returns, so the old handle holds
+	// nothing the compacted log lacks; it is swapped only once the install
+	// and the reopen succeeded, so a failure leaves the store as it was.
+	if err := atomicfile.Write(s.path, buf.Bytes()); err != nil {
 		return fmt.Errorf("alertstore: swapping compacted log: %w", err)
 	}
 	nf, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
+	s.file.Close()
 	s.file = nf
 	s.w = bufio.NewWriter(nf)
 	s.records = kept

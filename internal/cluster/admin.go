@@ -27,9 +27,9 @@ const maxSpliceBytes = 32 << 20
 // routing. This is the router's double-write data path during a live
 // cutover — the router, which knows which node holds the other side of
 // each moving key's double-write, targets donor and destination
-// partitions explicitly. The answer mirrors /ingest (202 all acked, 429
-// per-partition rejection rows, 503 closed) so the router's merge logic
-// treats directed shares exactly like routed ones.
+// partitions explicitly. The answer is /ingest's (shard.IngestResponse
+// through its Write), so the router reads directed shares exactly like
+// routed ones.
 func (n *Node) handleDirectedAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set(EpochHeader, strconv.FormatUint(n.Epoch(), 10))
@@ -51,35 +51,7 @@ func (n *Node) handleDirectedAppend(w http.ResponseWriter, r *http.Request) {
 	if refused != 0 {
 		return
 	}
-	if err := n.rt.DirectedAppendBatch(part, lines); err != nil {
-		label := shard.RejectionLabel(err)
-		if label == "closed" {
-			httpapi.Error(w, http.StatusServiceUnavailable, httpapi.Detail{
-				Code:       httpapi.CodeClosed,
-				Message:    "intake closed",
-				Partitions: []shard.PartitionResult{{Partition: part, Rejected: len(lines), Error: label}},
-			})
-			return
-		}
-		d := httpapi.Detail{
-			Code:        httpapi.CodeBackpressure,
-			Message:     fmt.Sprintf("partition %d rejected %d directed lines: %s", part, len(lines), label),
-			RetryAfterS: 1,
-			Partitions:  []shard.PartitionResult{{Partition: part, Rejected: len(lines), Error: label}},
-		}
-		httpapi.ErrorWithBody(w, http.StatusTooManyRequests, d, shard.IngestResponse{
-			Rejected:   len(lines),
-			Partitions: []shard.PartitionResult{{Partition: part, Rejected: len(lines), Error: label}},
-			Err:        &d,
-		})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(shard.IngestResponse{
-		Acked:      len(lines),
-		Partitions: []shard.PartitionResult{{Partition: part, Acked: len(lines)}},
-	})
+	n.rt.DirectedAppendBatch(part, lines).Write(w)
 }
 
 // cutoverPost guards the common shape of the cutover endpoints: POST

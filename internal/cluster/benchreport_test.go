@@ -152,7 +152,7 @@ func TestBenchClusterReport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rr RouteResponse
+			var rr shard.IngestResponse
 			err = json.NewDecoder(resp.Body).Decode(&rr)
 			resp.Body.Close()
 			if err != nil {

@@ -256,6 +256,12 @@ func startFleetNode(t *testing.T, manifestPath, name string, ln net.Listener) *f
 	return fn
 }
 
+// appendOne routes one line through a node runtime's AppendBatch.
+func appendOne(rt *shard.Runtime, line string) error {
+	_, err := rt.AppendBatch([]string{line})
+	return err
+}
+
 func localListener(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -266,15 +272,15 @@ func localListener(t *testing.T) net.Listener {
 }
 
 // postLines POSTs a newline-delimited batch to a router URL and decodes
-// the RouteResponse.
-func postLines(t *testing.T, url string, lines []string) (int, RouteResponse) {
+// the shard.IngestResponse every tier answers with.
+func postLines(t *testing.T, url string, lines []string) (int, shard.IngestResponse) {
 	t.Helper()
 	resp, err := http.Post(url+"/ingest", "text/plain", strings.NewReader(strings.Join(lines, "\n")))
 	if err != nil {
 		t.Fatalf("POST /ingest: %v", err)
 	}
 	defer resp.Body.Close()
-	var rr RouteResponse
+	var rr shard.IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		t.Fatalf("decoding route response (status %d): %v", resp.StatusCode, err)
 	}
@@ -527,10 +533,10 @@ func TestClusterNodeServesOnlyAssignedPartitions(t *testing.T) {
 		k := strconv.Itoa(9000 + i)
 		keyFor[rt.PartitionFor(k)] = k
 	}
-	if _, _, err := rt.Append(keyFor[0] + " gc freed 12345"); err != nil {
+	if err := appendOne(rt, keyFor[0]+" gc freed 12345"); err != nil {
 		t.Fatalf("append to owned partition: %v", err)
 	}
-	if _, _, err := rt.Append(keyFor[1] + " gc freed 12345"); !errors.Is(err, shard.ErrNotAssigned) {
+	if err := appendOne(rt, keyFor[1]+" gc freed 12345"); !errors.Is(err, shard.ErrNotAssigned) {
 		t.Fatalf("append to unowned partition: %v, want ErrNotAssigned", err)
 	}
 
@@ -595,7 +601,7 @@ func TestClusterNodeRefreshDropsDeposedPartitions(t *testing.T) {
 		keyFor[rt.PartitionFor(k)] = k
 	}
 	for p := 0; p < 2; p++ {
-		if _, _, err := rt.Append(keyFor[p] + " gc freed 12345"); err != nil {
+		if err := appendOne(rt, keyFor[p]+" gc freed 12345"); err != nil {
 			t.Fatalf("append to partition %d: %v", p, err)
 		}
 	}
@@ -622,10 +628,10 @@ func TestClusterNodeRefreshDropsDeposedPartitions(t *testing.T) {
 	if got := rt.Owned(); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("node a owns %v after being deposed from p1, want [0]", got)
 	}
-	if _, _, err := rt.Append(keyFor[1] + " gc freed 12345"); !errors.Is(err, shard.ErrNotAssigned) {
+	if err := appendOne(rt, keyFor[1]+" gc freed 12345"); !errors.Is(err, shard.ErrNotAssigned) {
 		t.Fatalf("append to dropped partition: %v, want ErrNotAssigned", err)
 	}
-	if _, _, err := rt.Append(keyFor[0] + " gc freed 12345"); err != nil {
+	if err := appendOne(rt, keyFor[0]+" gc freed 12345"); err != nil {
 		t.Fatalf("append to kept partition: %v", err)
 	}
 
@@ -827,8 +833,9 @@ func TestClusterRouterBreakerFailsFastOnSendPath(t *testing.T) {
 
 	// First batch: the full attempt budget is burned and the breaker
 	// opens (2 failures >= FailAfter).
+	// The rejection carries the last transport error.
 	rr := r.RouteBatch([]string{"k1 hello world"})
-	if rr.Rejected != 1 || rr.Partitions[0].Error != "node unreachable" {
+	if rr.Rejected != 1 || !strings.HasPrefix(rr.Partitions[0].Error, "node unreachable: ") || !strings.Contains(rr.Partitions[0].Error, addr) {
 		t.Fatalf("first batch: %+v", rr)
 	}
 	snap := reg.Snapshot()
@@ -1002,7 +1009,7 @@ func TestClusterRouterRetryAfterPropagation(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After header %q, want 7", got)
 	}
-	var rr RouteResponse
+	var rr shard.IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		t.Fatal(err)
 	}
@@ -1033,6 +1040,113 @@ func TestClusterRouterRetryAfterPropagation(t *testing.T) {
 	}
 	if snap.Counters["cluster.router_rejected_lines_total"] != 3 || snap.Counters["cluster.router_routed_lines_total"] != 2 {
 		t.Fatalf("line counters: %+v", snap.Counters)
+	}
+}
+
+// The router acks only what a node vouched for line by line. An answer it
+// cannot hold against the share it sent — a rejection filed under a
+// partition the router did not file the lines under, a rejected_lines that
+// disagrees with the rejected count, counts that do not add up to the
+// share, a body that is not the contract's — rejects the whole share.
+func TestRouterRejectsUnverifiableAnswer(t *testing.T) {
+	batch := []string{"k1 hello world", "k2 hello again", "k3 hello thrice"}
+	full := func(part int) []shard.PartitionResult {
+		return []shard.PartitionResult{{Partition: part, Rejected: len(batch), Error: "backlog full"}}
+	}
+	for _, tc := range []struct {
+		name      string
+		status    int
+		body      any
+		wantLabel string
+	}{
+		{"rejection under a partition the router did not route to", http.StatusTooManyRequests,
+			shard.IngestResponse{Rejected: 3, Partitions: full(2), RejectedLines: []int{0, 1, 2}}, "backlog full"},
+		{"rejected_lines shorter than rejected", http.StatusTooManyRequests,
+			shard.IngestResponse{Rejected: 3, Partitions: full(0), RejectedLines: []int{1}}, "backlog full"},
+		{"rejected_lines out of range", http.StatusTooManyRequests,
+			shard.IngestResponse{Acked: 2, Rejected: 1, Partitions: full(0), RejectedLines: []int{3}}, "backlog full"},
+		{"acked short of the share", http.StatusAccepted,
+			shard.IngestResponse{Acked: 2, Partitions: []shard.PartitionResult{{Partition: 0, Acked: 2}}}, "unverifiable answer"},
+		{"a 202 that is not the contract's body", http.StatusAccepted, "ok", "unverifiable answer"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(tc.status)
+				json.NewEncoder(w).Encode(tc.body)
+			}))
+			defer node.Close()
+			r, err := NewRouter(RouterConfig{Sleep: func(time.Duration) {}, Manifest: &Manifest{
+				Epoch:       1,
+				Shards:      1,
+				Nodes:       map[string]NodeSpec{"only": {Addr: node.URL}},
+				Assignments: []string{"only"},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			rsrv := httptest.NewServer(r.Handler())
+			defer rsrv.Close()
+
+			status, rr := postLines(t, rsrv.URL, batch)
+			if status != http.StatusTooManyRequests || rr.Acked != 0 || rr.Rejected != 3 || !reflect.DeepEqual(rr.RejectedLines, []int{0, 1, 2}) {
+				t.Fatalf("status %d, acked %d, rejected %d %v; want 429 with the whole share rejected", status, rr.Acked, rr.Rejected, rr.RejectedLines)
+			}
+			if len(rr.Partitions) != 1 || rr.Partitions[0].Partition != 0 || rr.Partitions[0].Error != tc.wantLabel {
+				t.Fatalf("rows %+v, want the router's own partition 0 labelled %q", rr.Partitions, tc.wantLabel)
+			}
+		})
+	}
+}
+
+// A ring change is a layout change: a newer manifest that keeps the shard
+// count and changes the vnode count would leave a reloaded router hashing
+// on a ring no node's runtime holds. Router and node both refuse it and
+// keep the view they have.
+func TestReloadRefusesVnodesChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	m := testManifest()
+	m.Dir = filepath.Join(filepath.Dir(path), "data")
+	if err := Save(path, m); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(RouterConfig{ManifestPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	det, interp, e := eqEnv()
+	n, err := StartNode(NodeConfig{ManifestPath: path, Name: "a", Runtime: shard.Config{
+		Pipeline: pipeline.DefaultConfig(eqHint),
+		Detector: det,
+		Interp:   interp,
+		Embedder: e,
+		Sink:     &pipeline.MemorySink{},
+		Metrics:  obs.NewRegistry(),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	bumped := m.Clone()
+	bumped.Epoch++
+	bumped.Vnodes = 7
+	if err := Save(path, bumped); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Reload(); err == nil || !strings.Contains(err.Error(), "restart the router for a layout change") {
+		t.Fatalf("router reload of a vnodes-only bump: %v", err)
+	}
+	if got := r.Manifest(); got.Epoch != m.Epoch || got.Vnodes != m.Vnodes {
+		t.Fatalf("router installed the refused manifest: epoch %d, vnodes %d", got.Epoch, got.Vnodes)
+	}
+	if _, err := n.Refresh(); err == nil || !strings.Contains(err.Error(), "restart the node for a layout change") {
+		t.Fatalf("node refresh of a vnodes-only bump: %v", err)
+	}
+	if got := n.Manifest(); got.Epoch != m.Epoch || got.Vnodes != m.Vnodes {
+		t.Fatalf("node installed the refused manifest: epoch %d, vnodes %d", got.Epoch, got.Vnodes)
 	}
 }
 

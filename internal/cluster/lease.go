@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"syscall"
+
+	"logsynergy/internal/atomicfile"
 )
 
 // Partition leases fence partition ownership across processes on shared
@@ -149,7 +151,10 @@ func (l *Lease) stake(epoch uint64, node string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: encoding lease: %w", err)
 	}
-	return atomicWriteFile(leasePath(l.dir), append(data, '\n'))
+	if err := atomicfile.Write(leasePath(l.dir), append(data, '\n')); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	return nil
 }
 
 // Restake rewrites the held lease's record at a newer epoch — a node

@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"logsynergy/internal/httpapi"
@@ -37,6 +34,14 @@ import (
 //     after the epoch-bumped manifest with the new shard count is
 //     installed — a crash anywhere in between resumes as finish-only.
 //
+// The router routes by the overlay the nodes' runtimes route by: one
+// shard.Cutover, built from the journal (CutoverJournal.Overlay) — both
+// rings and every key's phase — whose Route answers "plain, double-write
+// or released, and to which partitions" for any plan a journal can
+// describe, and whose Sync advances it as keys release. What the fleet
+// adds is only where a partition lives: hostOf. LiveRebalance itself
+// still admits one plan, N -> N+1.
+//
 // Zero acknowledged loss holds by the same argument as in-process: a
 // moving key is double-written (donor + destination partition, acked
 // only when both land) from the instant the journal exists until its
@@ -50,58 +55,13 @@ func cutoverJournalPath(manifestPath string) string {
 	return filepath.Join(filepath.Dir(manifestPath), shard.CutoverJournalName)
 }
 
-// routeCutover is the router's routing overlay while a cutover is in
-// flight: which keys move, which have been released, and where the
-// destination partition lives.
-type routeCutover struct {
-	from, to int
-	destNode string
-	oldRing  *shard.Partitioner
-	newRing  *shard.Partitioner
-
-	mu       sync.RWMutex
-	released map[string]bool
-}
-
-func newRouteCutover(j *shard.CutoverJournal) *routeCutover {
-	rc := &routeCutover{
-		from:     j.From,
-		to:       j.To,
-		destNode: j.DestNode,
-		oldRing:  shard.NewPartitionerVnodes(j.From, j.Vnodes),
-		newRing:  shard.NewPartitionerVnodes(j.To, j.Vnodes),
-		released: map[string]bool{},
-	}
-	for _, k := range j.KeysAt("released") {
-		rc.released[k] = true
-	}
-	return rc
-}
-
-// moving reports whether the key changes partition in this cutover.
-func (rc *routeCutover) moving(key string) bool {
-	return rc.oldRing.Partition(key) != rc.newRing.Partition(key)
-}
-
-func (rc *routeCutover) isReleased(key string) bool {
-	rc.mu.RLock()
-	defer rc.mu.RUnlock()
-	return rc.released[key]
-}
-
-func (rc *routeCutover) release(key string) {
-	rc.mu.Lock()
-	rc.released[key] = true
-	rc.mu.Unlock()
-}
-
 // reloadCutover converges the router's routing overlay on the on-disk
 // journal. Called after every manifest reload, at router start and once
 // a cutover this router coordinates has begun: a journal for a cutover
 // the router does not know about installs the overlay (the stale-router
 // path — double-writes resume immediately); a journal the router already
-// follows only merges newly released keys (the overlay object stays,
-// because the driving coordinator mutates it); no journal, or one the
+// follows only syncs the phases it records (the overlay object stays,
+// because the driving coordinator advances it); no journal, or one the
 // manifest has caught up with, clears it. A journal that fails to load
 // is NOT "no cutover": the current overlay stays and the failure is
 // counted.
@@ -114,21 +74,21 @@ func (r *Router) reloadCutover() {
 		r.journalErrs.Inc()
 		return
 	}
-	m := r.Manifest()
 	cur := r.rcut.Load()
-	if j == nil || j.To <= m.Shards {
-		if cur != nil {
-			r.rcut.Store(nil)
+	switch {
+	case j == nil || j.To == r.Manifest().Shards:
+		r.rcut.Store(nil)
+	case cur != nil && cur.From == j.From && cur.To == j.To:
+		err = cur.Sync(j.Keys)
+	default:
+		var rc *shard.Cutover
+		if rc, err = j.Overlay(); err == nil {
+			r.rcut.Store(rc)
 		}
-		return
 	}
-	if cur != nil && cur.from == j.From && cur.to == j.To {
-		for _, k := range j.KeysAt("released") {
-			cur.release(k)
-		}
-		return
+	if err != nil {
+		r.journalErrs.Inc()
 	}
-	r.rcut.Store(newRouteCutover(j))
 }
 
 // LiveRebalance grows the fleet from the manifest's shard count to
@@ -180,10 +140,7 @@ func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport,
 	c := &shard.Coordinator{
 		JournalPath: jpath,
 		Owner: func(p int) shard.Participant {
-			name := j.DestNode
-			if p < j.From {
-				name = m.Assignments[p]
-			}
+			name := hostOf(m, j.From, j.DestNode, p)
 			if clients[name] == nil {
 				clients[name] = &nodeClient{r: r, name: name, addr: m.Nodes[name].Addr}
 			}
@@ -197,7 +154,7 @@ func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport,
 		OnBegin: r.reloadCutover,
 		OnRelease: func(key string) {
 			if rc := r.rcut.Load(); rc != nil {
-				rc.release(key)
+				rc.Sync(map[string]string{key: "released"}) // a phase Sync knows: no error
 			}
 		},
 		OnFinish: func() error { return r.installGrown(j) },
@@ -342,42 +299,24 @@ func (r *Router) adminRetry(desc string, fn func() error) error {
 // Non-2xx answers decode the shared error envelope into the returned
 // error.
 func (r *Router) adminJSON(method, addr, path string, in, out any) error {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	var body io.Reader
+	header := http.Header{EpochHeader: {strconv.FormatUint(r.Manifest().Epoch, 10)}}
+	var body []byte
 	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return err
 		}
-		body = bytes.NewReader(data)
+		header.Set("Content-Type", "application/json")
 	}
-	req, err := http.NewRequest(method, url+path, body)
+	status, _, data, err := r.roundTrip(method, addr, path, r.cfg.RequestTimeout, header, body)
 	if err != nil {
 		return err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(EpochHeader, fmt.Sprintf("%d", r.Manifest().Epoch))
-	ctx, cancel := contextWithTimeout(r.cfg.RequestTimeout)
-	defer cancel()
-	resp, err := r.client.Do(req.WithContext(ctx))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSpliceBytes))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+	if status < 200 || status > 299 {
 		if d := httpapi.DecodeDetail(data); d != nil {
-			return fmt.Errorf("cluster: %s %s answered %d [%s]: %s", method, path, resp.StatusCode, d.Code, d.Message)
+			return fmt.Errorf("cluster: %s %s answered %d [%s]: %s", method, path, status, d.Code, d.Message)
 		}
-		return fmt.Errorf("cluster: %s %s answered %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(data)))
+		return fmt.Errorf("cluster: %s %s answered %d: %s", method, path, status, strings.TrimSpace(string(data)))
 	}
 	if out != nil {
 		if err := json.Unmarshal(data, out); err != nil {
@@ -425,30 +364,4 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
-}
-
-// handleRebalance is POST /admin/v1/rebalance?to=N[&node=NAME]: run the
-// networked live rebalance to N partitions, blocking until it finishes.
-// Method and parameters are validated explicitly through the envelope.
-func (r *Router) handleRebalance(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpapi.MethodNotAllowed(w, http.MethodPost, "rebalance accepts POST only")
-		return
-	}
-	raw := req.FormValue("to")
-	to, err := strconv.Atoi(raw)
-	if err != nil || to <= 0 {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: fmt.Sprintf("rebalance needs a positive partition count: to=%q is not one", raw),
-		})
-		return
-	}
-	report, err := r.LiveRebalance(to, req.FormValue("node"))
-	if err != nil {
-		httpapi.Error(w, http.StatusConflict, httpapi.Detail{Code: httpapi.CodeConflict, Message: err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(report)
 }

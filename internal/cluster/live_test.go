@@ -327,6 +327,106 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	requireEqual(t, "live fleet 2→3", merged, ref)
 }
 
+// A router that missed a whole cutover costs a rejected batch and a reload,
+// never an acknowledged line. Router A grows the fleet 2→3; router B opened
+// the same manifest before that and heard nothing since. B still hashes on
+// the 2-ring and sends the keys that moved (old partition 0, new partition
+// 2) to node a in one share with keys that stayed on partition 0; a hashes
+// on the 3-ring, appends what it serves and names the rest by line. B
+// believes that verdict, not a match of its partition indices against a's:
+// the moved lines are rejected "not assigned", B reloads to epoch 2, and the
+// collector's retry of exactly rejected_lines lands every line once.
+func TestClusterStaleRouterAfterFinishedCutover(t *testing.T) {
+	oldRing, newRing := shard.NewPartitioner(2), shard.NewPartitioner(3)
+	var moved, stayed []string
+	for _, k := range eqKeys(64) {
+		switch {
+		case oldRing.Partition(k) == 0 && newRing.Partition(k) == 2:
+			moved = append(moved, k)
+		case newRing.Partition(k) == oldRing.Partition(k):
+			stayed = append(stayed, k)
+		}
+	}
+	if len(moved) < 2 || len(stayed) < 2 {
+		t.Fatalf("fixture needs moved and staying keys (got %d, %d)", len(moved), len(stayed))
+	}
+	var batch []string
+	var wantRejected []int
+	for i := 0; i < 6; i++ {
+		wantRejected = append(wantRejected, len(batch))
+		batch = append(batch, moved[i%len(moved)]+" gc freed 12345", stayed[i%len(stayed)]+" cache hit key 0x0000beef")
+	}
+
+	root := t.TempDir()
+	manifestPath := filepath.Join(root, "cluster.json")
+	lnA, lnB := localListener(t), localListener(t)
+	m := &Manifest{
+		Epoch:  1,
+		Shards: 2,
+		Dir:    filepath.Join(root, "data"),
+		Nodes: map[string]NodeSpec{
+			"a": {Addr: lnA.Addr().String()},
+			"b": {Addr: lnB.Addr().String()},
+		},
+		Assignments: []string{"a", "b"},
+	}
+	if err := Save(manifestPath, m); err != nil {
+		t.Fatal(err)
+	}
+	a := startFleetNode(t, manifestPath, "a", lnA)
+	defer a.srv.Close()
+	defer a.node.Close()
+	b := startFleetNode(t, manifestPath, "b", lnB)
+	defer b.srv.Close()
+	defer b.node.Close()
+	fleetRouted := func() int64 {
+		return a.node.reg.Snapshot().Counters["shard.routed_lines_total"] + b.node.reg.Snapshot().Counters["shard.routed_lines_total"]
+	}
+
+	newRouter := func() *Router {
+		r, err := NewRouter(RouterConfig{ManifestPath: manifestPath, Attempts: 2, FailAfter: 100, Sleep: func(time.Duration) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+	routerA, routerB := newRouter(), newRouter()
+	if _, err := routerA.LiveRebalance(3, "b"); err != nil {
+		t.Fatalf("LiveRebalance: %v", err)
+	}
+	if got := routerB.Manifest(); got.Epoch != 1 || got.Shards != 2 {
+		t.Fatalf("router B heard of the cutover: epoch %d, %d shards", got.Epoch, got.Shards)
+	}
+
+	before := fleetRouted()
+	rr := routerB.RouteBatch(batch)
+	if got := int(fleetRouted() - before); got != rr.Acked {
+		t.Fatalf("router B acked %d lines but the fleet appended %d", rr.Acked, got)
+	}
+	if rr.Acked != len(batch)-len(wantRejected) || !reflect.DeepEqual(rr.RejectedLines, wantRejected) {
+		t.Fatalf("stale-routed batch: acked %d, rejected lines %v; want the %d moved lines %v rejected\n%+v",
+			rr.Acked, rr.RejectedLines, len(wantRejected), wantRejected, rr.Partitions)
+	}
+	for _, row := range rr.Partitions {
+		if row.Rejected > 0 && row.Error != "not assigned" {
+			t.Fatalf("rejecting row %+v, want \"not assigned\"", row)
+		}
+	}
+	if got := routerB.Manifest(); got.Epoch != 2 || got.Shards != 3 {
+		t.Fatalf("router B after the rejection: epoch %d, %d shards; want reloaded to epoch 2, 3 shards", got.Epoch, got.Shards)
+	}
+
+	retry := make([]string, 0, len(rr.RejectedLines))
+	for _, idx := range rr.RejectedLines {
+		retry = append(retry, batch[idx])
+	}
+	retryRejected(t, routerB, retry)
+	if got := int(fleetRouted() - before); got != len(batch) {
+		t.Fatalf("the fleet appended %d lines for a batch of %d: every line lands exactly once", got, len(batch))
+	}
+}
+
 // Failover is refused while a live cutover is journaled: the journal's
 // freeze offsets and double-write topology are pinned to the current
 // assignment, so reassigning a dead node's partitions mid-cutover would

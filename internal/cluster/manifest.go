@@ -35,8 +35,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"logsynergy/internal/atomicfile"
 )
 
 // ManifestVersion is the current cluster.json format version.
@@ -261,10 +262,9 @@ func Load(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Save stamps and installs a manifest atomically and durably: temp file
-// in the same directory, fsynced before the rename, directory fsynced
-// after — the same discipline as shard-state.json, so a failover's
-// epoch bump either fully lands or leaves the previous manifest intact.
+// Save stamps and installs a manifest through atomicfile.Write — the same
+// install as shard-state.json, so a failover's epoch bump either fully
+// lands or leaves the previous manifest intact.
 func Save(path string, m *Manifest) error {
 	if err := m.Stamp(); err != nil {
 		return err
@@ -276,49 +276,8 @@ func Save(path string, m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("cluster: encoding manifest: %w", err)
 	}
-	return atomicWriteFile(path, append(data, '\n'))
-}
-
-// atomicWriteFile installs data at path via fsynced temp file + rename +
-// directory sync.
-func atomicWriteFile(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("cluster: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("cluster: writing %s: %w", base, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("cluster: syncing %s: %w", base, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("cluster: closing temp file: %w", err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("cluster: setting file mode: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("cluster: installing %s: %w", base, err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("cluster: opening dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("cluster: syncing dir: %w", err)
+	if err := atomicfile.Write(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }

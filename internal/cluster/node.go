@@ -239,13 +239,14 @@ func (n *Node) Refresh() (RefreshReport, error) {
 	if m.Epoch <= n.m.Epoch {
 		return RefreshReport{Epoch: n.m.Epoch, Stale: true}, nil
 	}
-	if m.Shards != n.m.Shards && n.rt.Shards() != m.Shards {
-		// A live rebalance finish bumps the manifest's shard count after
-		// every runtime has already restamped to the new layout; only
-		// then is a count change a legal refresh.
+	if m.Vnodes != n.m.Vnodes || (m.Shards != n.m.Shards && n.rt.Shards() != m.Shards) {
+		// The runtime keeps the ring it opened with: another vnode count
+		// would leave this node hashing differently from the routers for
+		// good. A shard count changes in place only as a live rebalance's
+		// finish bump, after every runtime has restamped to the new layout.
 		return RefreshReport{Epoch: n.m.Epoch, Stale: true},
-			fmt.Errorf("cluster: manifest epoch %d changes the shard count %d -> %d; a layout change needs a rebalance and a fleet restart, not a refresh",
-				m.Epoch, n.m.Shards, m.Shards)
+			fmt.Errorf("cluster: manifest epoch %d changes the layout (shard count %d -> %d, vnodes %d -> %d); restart the node for a layout change",
+				m.Epoch, n.m.Shards, m.Shards, n.m.Vnodes, m.Vnodes)
 	}
 	rep := RefreshReport{Epoch: m.Epoch}
 	dir := n.cfg.Runtime.Dir

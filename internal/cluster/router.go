@@ -23,15 +23,13 @@ import (
 // The front router is the fleet's single intake address: it hashes each
 // line's stream key onto the ring every process shares, groups a batch
 // into per-node shares, and POSTs each share to the owning node's
-// /ingest over pooled connections. Its contract extends the sharded
-// intake's one level up:
-//
-//	202  every line is durably in some node's partition WAL
-//	429  some share was rejected — the body carries the per-partition
-//	     breakdown, the request-order indices of the rejected lines
-//	     (retry exactly these), and the max Retry-After hint the nodes
-//	     supplied
-//	503  every routed node refused because its intake is closed
+// /ingest over pooled connections. It answers with the one intake
+// contract — shard.IngestResponse, written by its Write — one level up:
+// 202 when every line is durably in some node's partition WAL; 429 with
+// the request-order indices of the rejected lines (retry exactly these),
+// the per-partition breakdown and the largest Retry-After hint the nodes
+// supplied; 503 when every routed node refused because its intake is
+// closed.
 //
 // Transient transport failures are retried with seeded-jitter backoff
 // (fault.Backoff); sustained ones feed the same per-node breaker the
@@ -43,15 +41,25 @@ import (
 // pokes the standby's /admin/v1/refresh — the standby opens them through
 // crash recovery and the router routes the retried lines there.
 //
-// Epochs fence the data path, not just the open: every share is stamped
-// with the routing epoch (EpochHeader), a node refuses shares from an
-// epoch it has not caught up to, and a node's answers carry its own
-// epoch — a router that sees a newer one (or a "not assigned"
-// rejection) reloads the manifest instead of misrouting until its own
-// failover fires. The flock half of the partition lease guarantees the
-// rest: a deposed-but-alive node still holds its partitions' flocks, so
-// a standby's adoption fails outright rather than creating a second
-// writer.
+// The node's verdict is per line, and the router believes nothing else. A
+// share is a list of request indices; the node hashes every line again on
+// its own ring, appends what it owns, and names the lines it refused by
+// their index in the share (rejected_lines), which maps straight back to
+// the request. The router never matches its partition indices against the
+// node's — the two hash independently, and a router with a stale view of
+// the layout hashes differently — and an answer it cannot verify (counts
+// that do not add up to the share, an unparseable body) rejects the whole
+// share. So a router that missed an epoch bump or a finished cutover
+// costs one rejected batch, never an acknowledged line: the owning node
+// answers "not assigned" for the lines it no longer serves, the router
+// reloads the manifest and the cutover journal on that label (or on a
+// node answering from a newer epoch — every share is stamped with the
+// routing epoch, EpochHeader, and a node refuses a share from an epoch it
+// has not caught up to), and the collector's retry of rejected_lines
+// routes under the current layout. The flock half of the partition lease
+// guarantees the rest: a deposed-but-alive node still holds its
+// partitions' flocks, so a standby's adoption fails outright rather than
+// creating a second writer.
 
 // RouterConfig assembles a front router.
 type RouterConfig struct {
@@ -154,8 +162,9 @@ type Router struct {
 	// gate write-blocks the routing path across live-cutover flips (the
 	// begin and finish barriers); every RouteBatch holds it for read.
 	gate sync.RWMutex
-	// rcut is the live-cutover routing overlay, nil outside one.
-	rcut atomic.Pointer[routeCutover]
+	// rcut is the live-cutover routing overlay — the journal's
+	// shard.Cutover, the type a runtime routes by — nil outside one.
+	rcut atomic.Pointer[shard.Cutover]
 	// liveMu serializes LiveRebalance coordinators on this router.
 	liveMu sync.Mutex
 	// liveHook is the live-rebalance Coordinator's crash hook (tests only).
@@ -255,9 +264,10 @@ func (r *Router) Manifest() *Manifest {
 // Reload swaps in the manifest at ManifestPath if its epoch is newer
 // (another router's failover, a live rebalance's finish bump, or an
 // operator edit), then converges the live-cutover routing overlay on
-// the on-disk journal. A shard-count change is accepted only when it
-// is a live rebalance's one-partition growth; anything else is a
-// rebalance plus fleet restart, not a reload.
+// the on-disk journal. A ring change — another shard count, another
+// vnode count — is accepted only when it is a live rebalance's
+// one-partition growth; anything else is a rebalance plus fleet restart,
+// not a reload.
 func (r *Router) Reload() error {
 	if r.cfg.ManifestPath == "" {
 		return fmt.Errorf("cluster: router has no manifest path to reload from")
@@ -277,18 +287,17 @@ func (r *Router) Reload() error {
 
 // installLocked swaps the fleet view. Caller holds r.mu.
 func (r *Router) installLocked(m *Manifest) error {
-	if m.Shards != r.m.Shards {
-		// The only legal in-place layout change is a live rebalance's
-		// finish: exactly one new partition, same vnode count, every old
-		// partition's assignment preserved. Anything else (a shrink, a
-		// jump) still needs a planned rebalance and a restart.
+	if m.Shards != r.m.Shards || m.Vnodes != r.m.Vnodes {
+		// The ring is a function of (Shards, Vnodes) that every node's
+		// runtime holds too, and a node keeps the one it opened with. The
+		// only legal in-place change is a live rebalance's finish: exactly
+		// one new partition, same vnode count, every old partition's
+		// assignment preserved. Anything else (a shrink, a jump, other
+		// vnodes) still needs a planned rebalance and a restart.
 		if m.Shards != r.m.Shards+1 || m.Vnodes != r.m.Vnodes || !prefixPreserved(r.m, m) {
-			return fmt.Errorf("cluster: manifest epoch %d changes the shard count %d -> %d; restart the router for a layout change",
-				m.Epoch, r.m.Shards, m.Shards)
+			return fmt.Errorf("cluster: manifest epoch %d changes the layout (shard count %d -> %d, vnodes %d -> %d); restart the router for a layout change",
+				m.Epoch, r.m.Shards, m.Shards, r.m.Vnodes, m.Vnodes)
 		}
-		r.ring = shard.NewPartitionerVnodes(m.Shards, m.Vnodes)
-	}
-	if m.Vnodes != r.m.Vnodes {
 		r.ring = shard.NewPartitionerVnodes(m.Shards, m.Vnodes)
 	}
 	// Copy-on-write: fleetView hands the nodes map out beyond the lock,
@@ -329,68 +338,56 @@ func (r *Router) fleetView() (*Manifest, *shard.Partitioner, map[string]*nodeSta
 	return r.m, r.ring, r.nodes
 }
 
-// RoutePartition is one partition's share of a routed batch.
-type RoutePartition struct {
-	Partition int    `json:"partition"`
-	Node      string `json:"node"`
-	Acked     int    `json:"acked"`
-	Rejected  int    `json:"rejected"`
-	// Error classifies the rejection ("backlog full", "closed", "node
-	// unreachable", "not assigned"), empty on success.
-	Error string `json:"error,omitempty"`
-	// RetryAfterSeconds is the node's retry hint for this partition's
-	// rejection (0 = none supplied).
-	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
-}
-
-// RouteResponse is the JSON body of a routed /ingest answer.
-type RouteResponse struct {
-	// Acked is the number of lines durably appended fleet-wide.
-	Acked int `json:"acked"`
-	// Rejected is the number of lines the collector must retry.
-	Rejected int `json:"rejected"`
-	// Epoch is the manifest epoch the batch was routed under.
-	Epoch uint64 `json:"epoch"`
-	// RetryAfterSeconds is the max retry hint across rejecting nodes
-	// (mirrored in the Retry-After header on a 429).
-	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
-	// Partitions breaks the batch down per partition, ascending.
-	Partitions []RoutePartition `json:"partitions,omitempty"`
-	// RejectedLines are the request-order indices (0-based, counting
-	// non-empty lines) of the lines that were not acked — the exact
-	// retry set.
-	RejectedLines []int `json:"rejected_lines,omitempty"`
-	// Err is the uniform admin-API error detail on a non-2xx answer,
-	// nil on 202. The legacy top-level fields stay populated, so
-	// collectors written against the pre-envelope shape keep decoding.
-	Err *httpapi.Detail `json:"error,omitempty"`
-}
-
 // nodeShare is one node's slice of a batch.
 type nodeShare struct {
 	node  string
 	addr  string
-	path  string // "" routes /ingest; a live cutover posts directed shares
+	path  string // /ingest, or a double-write's directed /admin/v1/append
 	lines []string
 	index []int // request-order index of each line
-	parts []int // owning partition of each line (the node-side result row)
 }
 
-// shareResult is the outcome of posting one share.
-type shareResult struct {
+// all lists every share-local index: the share failed whole.
+func (s *nodeShare) all() []int {
+	idx := make([]int, len(s.lines))
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// shareAnswer is the verdict on one posted share.
+type shareAnswer struct {
 	share *nodeShare
-	// perPart maps partition → node-reported result; nil when the node
-	// was unreachable (every line rejected).
-	perPart map[int]shard.PartitionResult
+	// rejected lists the share-local indices of the lines that were not
+	// acked — the node's rejected_lines, or every index when the share
+	// failed whole — and label classifies them ("backlog full", "not
+	// assigned", "node unreachable", ...).
+	rejected []int
+	label    string
 	// retryAfter is the node's Retry-After hint in seconds (0 = none).
 	retryAfter int
-	// errLabel classifies a whole-share failure ("node unreachable",
-	// "node dead", ...), empty when perPart is authoritative.
-	errLabel string
 	// nodeEpoch is the manifest epoch the node answered under (its
 	// EpochHeader; 0 when unreachable or not reported). A node ahead of
 	// the router's view makes the router reload its manifest.
 	nodeEpoch uint64
+}
+
+// staleLabel reports whether a rejection says the router's view of the
+// layout is behind: the partition moved under an epoch bump it missed
+// ("not assigned"), or a live cutover began that it has not seen.
+func staleLabel(label string) bool {
+	return label == "not assigned" || label == "cutover in progress"
+}
+
+// hostOf names the node serving partition p while a cutover grows the
+// layout from `from` partitions: the ones it adds live on destNode until
+// the manifest bump assigns them there; every other is the manifest's.
+func hostOf(m *Manifest, from int, destNode string, p int) string {
+	if p >= from {
+		return destNode
+	}
+	return m.NodeFor(p)
 }
 
 // Handler returns the router's HTTP surface. Data path:
@@ -415,11 +412,10 @@ func (r *Router) Handler() http.Handler {
 	})
 	mux.HandleFunc("/ingest", r.handleIngest)
 	mux.HandleFunc("/healthz", r.handleHealthz)
-	stamp := func(h http.HandlerFunc) http.Handler {
-		return httpapi.EpochStamp(EpochHeader, func() uint64 { return r.Manifest().Epoch }, h)
-	}
-	mux.Handle(httpapi.Prefix+"/status", stamp(r.handleStatus))
-	mux.Handle(httpapi.Prefix+"/rebalance", stamp(r.handleRebalance))
+	epoch := func() uint64 { return r.Manifest().Epoch }
+	mux.Handle(httpapi.Prefix+"/status", httpapi.EpochStamp(EpochHeader, epoch, http.HandlerFunc(r.handleStatus)))
+	mux.Handle(httpapi.Prefix+"/rebalance", httpapi.EpochStamp(EpochHeader, epoch, httpapi.RebalanceHandler(
+		func(to int, node string) (any, error) { return r.LiveRebalance(to, node) })))
 	return mux
 }
 
@@ -434,203 +430,113 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	if refused != 0 {
 		return
 	}
-	resp := r.RouteBatch(lines)
-	switch {
-	case resp.Rejected == 0:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(resp)
-	case resp.Acked == 0 && allClosed(resp.Partitions):
-		httpapi.Error(w, http.StatusServiceUnavailable, httpapi.Detail{
-			Code:       httpapi.CodeClosed,
-			Message:    "intake closed fleet-wide",
-			Partitions: resp.Partitions,
-		})
-	default:
-		hint := resp.RetryAfterSeconds
-		if hint <= 0 {
-			hint = 1
-		}
-		d := httpapi.Detail{
-			Code:        httpapi.CodeBackpressure,
-			Message:     fmt.Sprintf("%d of %d lines rejected; retry the rejected lines", resp.Rejected, resp.Acked+resp.Rejected),
-			RetryAfterS: hint,
-			Partitions:  resp.Partitions,
-		}
-		resp.Err = &d
-		httpapi.ErrorWithBody(w, http.StatusTooManyRequests, d, resp)
-	}
+	r.RouteBatch(lines).Write(w)
 }
 
-// allClosed reports whether every rejection was a closed intake.
-func allClosed(parts []RoutePartition) bool {
-	any := false
-	for _, p := range parts {
-		if p.Rejected == 0 {
-			continue
-		}
-		any = true
-		if p.Error != "closed" {
-			return false
-		}
-	}
-	return any
-}
-
-// RouteBatch routes lines to their owning nodes and merges the results.
-// It is the programmatic form of POST /ingest.
+// RouteBatch routes lines to their owning nodes and merges the nodes'
+// per-line verdicts. It is the programmatic form of POST /ingest.
 //
 // Outside a live cutover every line is one /ingest share to its
-// partition's owner. During one, a moving key's line is double-written
-// until its journal entry is released: a directed append to the donor
-// partition first, then — only if the donor copy landed — a directed
-// append to the destination partition on its node, and the line is
-// acked only when both landed. The donor-first order is what makes the
-// collector's retry of a half-landed line safe: the destination never
-// holds a copy of a line that was not also in the donor's WAL, so a
-// retry can duplicate only the donor copy, which sits past the freeze
-// point and is never fed. A released key routes directly to the
-// destination partition.
-func (r *Router) RouteBatch(lines []string) RouteResponse {
+// partition's owner. During one, the overlay's Route — the decision the
+// nodes' runtimes make too — says where each line goes: a moving key's
+// line is double-written until its journal entry is released, a directed
+// append to the donor partition first, then — only if the donor copy
+// landed — a directed append to the destination partition on its node,
+// and the line is acked only when both landed. The donor-first order is
+// what makes the collector's retry of a half-landed line safe: the
+// destination never holds a copy of a line that was not also in the
+// donor's WAL, so a retry can duplicate only the donor copy, which sits
+// past the freeze point and is never fed. Every other line — a key that
+// stays, or a released one, whose partition is its destination — is an
+// /ingest share to its partition's node, which hashes it again and
+// refuses what it does not serve.
+func (r *Router) RouteBatch(lines []string) shard.IngestResponse {
 	r.gate.RLock()
 	defer r.gate.RUnlock()
 	m, ring, nodes := r.fleetView()
-	resp := RouteResponse{Epoch: m.Epoch}
+	resp := shard.IngestResponse{Epoch: m.Epoch}
 	if len(lines) == 0 {
 		return resp
 	}
 	rc := r.rcut.Load()
+	nodeOf := m.NodeFor
+	if rc != nil {
+		nodeOf = func(p int) string { return hostOf(m, rc.From, rc.DestNode, p) }
+	}
 
-	// Per-line accounting: acked iff every required copy landed (two for
-	// an unreleased moving key, one otherwise). attrPart/attrNode pick
-	// the partition row a line reports under — the donor's during a
-	// double-write, matching what the collector would see in-process.
-	need := make([]int, len(lines))
-	acks := make([]int, len(lines))
-	labels := make([]string, len(lines))
-	hints := make([]int, len(lines))
-	attrPart := make([]int, len(lines))
-	attrNode := make([]string, len(lines))
-	double := make([]bool, len(lines))
+	// Per line: the partition it reports under (the donor's during a
+	// double-write, matching what the collector would see in-process), the
+	// destination a double-write still owes a copy (-1 = none), and the
+	// answer that rejected it (nil = every copy asked for so far landed).
+	primary := make([]int, len(lines))
+	shadow := make([]int, len(lines))
+	verdict := make([]*shareAnswer, len(lines))
 
-	shares := map[string]*nodeShare{}
-	addShare := func(node, path string, part, i int, line string) {
-		k := node + "\x00" + path
-		s := shares[k]
+	add := func(shares map[string]*nodeShare, part int, directed bool, i int) {
+		node, path := nodeOf(part), "/ingest"
+		if directed {
+			path = fmt.Sprintf("%s/append?partition=%d", httpapi.Prefix, part)
+		}
+		s := shares[node+"\x00"+path]
 		if s == nil {
 			s = &nodeShare{node: node, addr: m.Nodes[node].Addr, path: path}
-			shares[k] = s
+			shares[node+"\x00"+path] = s
 		}
-		s.lines = append(s.lines, line)
+		s.lines = append(s.lines, lines[i])
 		s.index = append(s.index, i)
-		s.parts = append(s.parts, part)
 	}
-	directedPath := func(part int) string { return httpapi.Prefix + fmt.Sprintf("/append?partition=%d", part) }
+	stale := false
+	post := func(shares map[string]*nodeShare) {
+		for _, ans := range r.postShares(shares, nodes, m.Epoch) {
+			stale = stale || ans.nodeEpoch > m.Epoch
+			resp.RetryAfterSeconds = max(resp.RetryAfterSeconds, ans.retryAfter)
+			for _, j := range ans.rejected {
+				verdict[ans.share.index[j]] = ans
+			}
+		}
+	}
+	first := map[string]*nodeShare{}
 	for i, line := range lines {
 		key := r.cfg.KeyFunc(line)
-		p := ring.Partition(key)
-		if rc != nil && rc.moving(key) {
-			destPart := rc.to - 1
-			if rc.isReleased(key) {
-				need[i] = 1
-				attrPart[i], attrNode[i] = destPart, rc.destNode
-				addShare(rc.destNode, directedPath(destPart), destPart, i, line)
-			} else {
-				need[i] = 2
-				double[i] = true
-				donor := m.NodeFor(p)
-				attrPart[i], attrNode[i] = p, donor
-				addShare(donor, directedPath(p), p, i, line)
-			}
-			continue
+		primary[i], shadow[i] = ring.Partition(key), -1
+		if rc != nil {
+			primary[i], shadow[i] = rc.Route(key)
 		}
-		need[i] = 1
-		node := m.NodeFor(p)
-		attrPart[i], attrNode[i] = p, node
-		addShare(node, "", p, i, line)
+		add(first, primary[i], shadow[i] >= 0, i)
 	}
-
-	stale := false
-	absorb := func(results []shareResult) {
-		for _, res := range results {
-			if res.nodeEpoch > m.Epoch {
-				stale = true
-			}
-			if res.retryAfter > resp.RetryAfterSeconds {
-				resp.RetryAfterSeconds = res.retryAfter
-			}
-			for j, gi := range res.share.index {
-				p := res.share.parts[j]
-				label := res.errLabel
-				if res.perPart != nil {
-					label = res.perPart[p].Error
-				}
-				if label == "" {
-					acks[gi]++
-					continue
-				}
-				if labels[gi] == "" {
-					labels[gi] = label
-				}
-				if res.retryAfter > hints[gi] {
-					hints[gi] = res.retryAfter
-				}
-			}
-		}
-	}
-	absorb(r.postShares(shares, nodes, m.Epoch))
-
-	// Second wave: destination copies for double-written lines whose
-	// donor copy landed (donor-first, see above).
+	post(first)
 	if rc != nil {
-		destShares := map[string]*nodeShare{}
-		destPart := rc.to - 1
-		for i, line := range lines {
-			if double[i] && acks[i] == 1 {
-				k := rc.destNode + "\x00" + directedPath(destPart)
-				s := destShares[k]
-				if s == nil {
-					s = &nodeShare{node: rc.destNode, addr: m.Nodes[rc.destNode].Addr, path: directedPath(destPart)}
-					destShares[k] = s
-				}
-				s.lines = append(s.lines, line)
-				s.index = append(s.index, i)
-				s.parts = append(s.parts, destPart)
+		// Second wave: destination copies for double-written lines whose
+		// donor copy landed (donor-first, see above).
+		second := map[string]*nodeShare{}
+		for i := range lines {
+			if shadow[i] >= 0 && verdict[i] == nil {
+				add(second, shadow[i], true, i)
 			}
 		}
-		if len(destShares) > 0 {
-			absorb(r.postShares(destShares, nodes, m.Epoch))
-		}
+		post(second)
 	}
 
 	// Merge into per-partition rows (ascending) plus the exact
 	// rejected-line index set.
-	byPart := map[int]*RoutePartition{}
-	for i := range lines {
-		row := byPart[attrPart[i]]
+	byPart := map[int]*shard.PartitionResult{}
+	for i, v := range verdict {
+		row := byPart[primary[i]]
 		if row == nil {
-			row = &RoutePartition{Partition: attrPart[i], Node: attrNode[i]}
-			byPart[attrPart[i]] = row
+			row = &shard.PartitionResult{Partition: primary[i], Node: nodeOf(primary[i])}
+			byPart[primary[i]] = row
 		}
-		if acks[i] == need[i] {
+		if v == nil {
 			row.Acked++
 			resp.Acked++
 			continue
 		}
-		label := labels[i]
-		if label == "" {
-			label = "partially acked"
-		}
-		if label == "not assigned" || label == "cutover in progress" {
-			stale = true
-		}
+		stale = stale || staleLabel(v.label)
 		row.Rejected++
 		if row.Error == "" {
-			row.Error = label
+			row.Error = v.label
 		}
-		if hints[i] > row.RetryAfterSeconds {
-			row.RetryAfterSeconds = hints[i]
-		}
+		row.RetryAfterSeconds = max(row.RetryAfterSeconds, v.retryAfter)
 		resp.Rejected++
 		resp.RejectedLines = append(resp.RejectedLines, i)
 	}
@@ -638,7 +544,6 @@ func (r *Router) RouteBatch(lines []string) RouteResponse {
 		resp.Partitions = append(resp.Partitions, *row)
 	}
 	sort.Slice(resp.Partitions, func(i, j int) bool { return resp.Partitions[i].Partition < resp.Partitions[j].Partition })
-	sort.Ints(resp.RejectedLines)
 	r.routedLines.Add(int64(resp.Acked))
 	r.rejected.Add(int64(resp.Rejected))
 	if resp.RetryAfterSeconds > 0 {
@@ -646,147 +551,168 @@ func (r *Router) RouteBatch(lines []string) RouteResponse {
 	}
 	if stale && r.cfg.ManifestPath != "" {
 		// A node answered from a newer epoch, or rejected lines as "not
-		// assigned" (the partition moved under an epoch bump this router
-		// missed) or "cutover in progress" (a live cutover began that this
-		// router has not seen). Reload the manifest + journal so the
-		// collector's retry routes under the current topology instead of
-		// misrouting forever.
+		// assigned" (the partition moved under an epoch bump or a finished
+		// cutover this router missed) or "cutover in progress" (a live
+		// cutover began that this router has not seen). Reload the manifest
+		// + journal so the collector's retry routes under the current
+		// topology instead of misrouting forever.
 		_ = r.Reload()
 	}
 	return resp
 }
 
-// postShares fans a share set out concurrently and collects results.
-func (r *Router) postShares(shares map[string]*nodeShare, nodes map[string]*nodeState, epoch uint64) []shareResult {
-	results := make([]shareResult, 0, len(shares))
+// postShares fans a share set out concurrently and collects the answers.
+func (r *Router) postShares(shares map[string]*nodeShare, nodes map[string]*nodeState, epoch uint64) []*shareAnswer {
+	answers := make([]*shareAnswer, 0, len(shares))
 	var wg sync.WaitGroup
-	var resMu sync.Mutex
+	var mu sync.Mutex
 	for _, s := range shares {
 		s := s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := r.postShare(s, nodes[s.node], epoch)
-			resMu.Lock()
-			results = append(results, res)
-			resMu.Unlock()
+			ans := r.postShare(s, nodes[s.node], epoch)
+			mu.Lock()
+			answers = append(answers, ans)
+			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	return results
+	return answers
 }
 
 // postShare delivers one node share with bounded attempts, stamping
-// each request with the routing epoch. Transport errors and 5xx answers
-// retry with seeded-jitter backoff; a 429 or 503 is a node-level
-// verdict the collector must see, not retried here.
-func (r *Router) postShare(s *nodeShare, ns *nodeState, epoch uint64) shareResult {
+// each request with the routing epoch. Transport errors and unexpected
+// statuses retry with seeded-jitter backoff; a 202, 429 or 503 is the
+// node's verdict, which the collector must see, not retried here.
+func (r *Router) postShare(s *nodeShare, ns *nodeState, epoch uint64) *shareAnswer {
+	whole := func(label string) *shareAnswer { return &shareAnswer{share: s, rejected: s.all(), label: label} }
 	if ns == nil {
-		return shareResult{share: s, errLabel: "unknown node"}
+		return whole("unknown node")
 	}
 	if ns.dead.Load() {
 		// Fail fast: the prober owns resurrecting a dead node.
-		return shareResult{share: s, errLabel: "node dead"}
+		return whole("node dead")
 	}
 	if ns.breaker.Open() {
 		// The breaker may have been opened by ingest failures alone —
 		// probing disabled, or between ticks — so the send path consults
 		// it too instead of burning Attempts×RequestTimeout per batch.
 		r.unreachable.Inc()
-		return shareResult{share: s, errLabel: "node unreachable"}
+		return whole("node unreachable")
 	}
 	salt := r.salt.Add(1)
-	body := strings.Join(s.lines, "\n")
+	body := []byte(strings.Join(s.lines, "\n"))
 	var lastErr error
 	for attempt := 1; attempt <= r.cfg.Attempts; attempt++ {
 		if attempt > 1 {
 			r.retries.Inc()
 			r.cfg.Sleep(r.cfg.Backoff.Delay(attempt-1, salt))
 		}
-		res, err := r.postOnce(s.addr, s.path, body, epoch)
+		ans, err := r.postOnce(s, body, epoch)
+		ns.breaker.Record(err)
 		if err == nil {
-			ns.breaker.Record(nil)
-			res.share = s
-			return res
+			return ans
 		}
 		lastErr = err
-		ns.breaker.Record(err)
 	}
 	r.unreachable.Inc()
-	_ = lastErr
-	return shareResult{share: s, errLabel: "node unreachable"}
+	return whole("node unreachable: " + lastErr.Error())
 }
 
 // postOnce performs one data-path round trip — /ingest, or a directed
 // /admin/v1/append during a live cutover — stamped with the routing
 // epoch (EpochHeader) so the node can fence shares routed under a
-// mismatched manifest view. A transport error or a 5xx status (other
-// than 503's explicit closed verdict) returns err for the retry loop —
-// including 409, a node refusing an epoch it has not caught up to;
-// anything else is a node verdict.
-func (r *Router) postOnce(addr, path, body string, epoch uint64) (shareResult, error) {
+// mismatched manifest view, and reads the node's per-line verdict. A
+// transport error or a status outside the intake contract returns err
+// for the retry loop — including 409, a node refusing an epoch it has
+// not caught up to. An answer inside the contract that does not verify
+// against the share — the counts do not add up to it, rejected_lines is
+// not `rejected` ascending indices into it, the body does not parse —
+// rejects the whole share: the router acks only what a node vouched for
+// line by line.
+func (r *Router) postOnce(s *nodeShare, body []byte, epoch uint64) (*shareAnswer, error) {
 	r.sem <- struct{}{} // bounded in-flight backpressure
 	defer func() { <-r.sem }()
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	if path == "" {
-		path = "/ingest"
-	}
-	req, err := http.NewRequest(http.MethodPost, url+path, bytes.NewReader([]byte(body)))
+	status, hdr, data, err := r.roundTrip(http.MethodPost, s.addr, s.path, r.cfg.RequestTimeout, http.Header{
+		"Content-Type": {"text/plain; charset=utf-8"},
+		EpochHeader:    {strconv.FormatUint(epoch, 10)},
+	}, body)
 	if err != nil {
-		return shareResult{}, err
+		return nil, err
 	}
-	req.Header.Set("Content-Type", "text/plain; charset=utf-8")
-	req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	ctx, cancel := contextWithTimeout(r.cfg.RequestTimeout)
+	switch status {
+	case http.StatusAccepted, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+	default:
+		return nil, fmt.Errorf("cluster: node answered %d: %s", status, strings.TrimSpace(string(data)))
+	}
+	ans := &shareAnswer{share: s}
+	ans.nodeEpoch, _ = strconv.ParseUint(hdr.Get(EpochHeader), 10, 64) // absent or malformed reads as not reported
+	var ir shard.IngestResponse
+	verified := json.Unmarshal(data, &ir) == nil &&
+		ir.Acked+ir.Rejected == len(s.lines) && len(ir.RejectedLines) == ir.Rejected &&
+		(ir.Rejected == 0) == (status == http.StatusAccepted)
+	prev := -1
+	for _, idx := range ir.RejectedLines {
+		verified = verified && idx > prev && idx < len(s.lines)
+		prev = idx
+	}
+	ans.rejected = ir.RejectedLines
+	if !verified {
+		ans.rejected = s.all()
+	}
+	// The share's label is its first rejecting row's, unless a row says
+	// the router's view is stale: that one the router must hear.
+	for _, row := range ir.Partitions {
+		if row.Rejected > 0 && (ans.label == "" || staleLabel(row.Error)) {
+			ans.label = row.Error
+		}
+	}
+	if ans.label == "" && len(ans.rejected) > 0 {
+		ans.label = "unverifiable answer"
+		if status == http.StatusServiceUnavailable {
+			// Intake closed, said by something that does not speak the
+			// contract's body (a server shutting down).
+			ans.label = "closed"
+		}
+	}
+	if status == http.StatusTooManyRequests {
+		// The error envelope's retry_after_s is authoritative; the
+		// Retry-After header is the fallback for pre-envelope nodes.
+		ans.retryAfter = 1
+		if ir.Err != nil && ir.Err.RetryAfterS > 0 {
+			ans.retryAfter = ir.Err.RetryAfterS
+		} else if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil && ra > 0 {
+			ans.retryAfter = ra
+		}
+	}
+	return ans, nil
+}
+
+// roundTrip is the router's one HTTP exchange with a node — data path,
+// admin call, probe and scrape alike: addr is a host:port or a URL,
+// header is what the caller stamps on the request (nil = nothing), and
+// the answer's body is read whole, up to maxSpliceBytes.
+func (r *Router) roundTrip(method, addr, path string, timeout time.Duration, header http.Header, body []byte) (status int, hdr http.Header, data []byte, err error) {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	resp, err := r.client.Do(req.WithContext(ctx))
+	req, err := http.NewRequestWithContext(ctx, method, addr+path, bytes.NewReader(body))
 	if err != nil {
-		return shareResult{}, err
+		return 0, nil, nil, err
+	}
+	if header != nil {
+		req.Header = header
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return shareResult{}, err
-	}
-	var nodeEpoch uint64
-	if h := resp.Header.Get(EpochHeader); h != "" {
-		nodeEpoch, _ = strconv.ParseUint(h, 10, 64)
-	}
-	switch {
-	case resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusTooManyRequests:
-		var ir shard.IngestResponse
-		if err := json.Unmarshal(data, &ir); err != nil {
-			return shareResult{}, fmt.Errorf("cluster: node answered %d with an unparseable body: %w", resp.StatusCode, err)
-		}
-		res := shareResult{perPart: map[int]shard.PartitionResult{}, nodeEpoch: nodeEpoch}
-		for _, pr := range ir.Partitions {
-			res.perPart[pr.Partition] = pr
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			// The error envelope's retry_after_s is authoritative; the
-			// Retry-After header is the fallback for pre-envelope nodes.
-			switch {
-			case ir.Err != nil && ir.Err.RetryAfterS > 0:
-				res.retryAfter = ir.Err.RetryAfterS
-			default:
-				if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-					res.retryAfter = ra
-				} else {
-					res.retryAfter = 1
-				}
-			}
-		}
-		return res, nil
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		// Intake closed: a deliberate verdict (shutdown), not a transport
-		// fault — reject the share as "closed" without burning retries.
-		return shareResult{errLabel: "closed", nodeEpoch: nodeEpoch}, nil
-	default:
-		return shareResult{}, fmt.Errorf("cluster: node answered %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-	}
+	data, err = io.ReadAll(io.LimitReader(resp.Body, maxSpliceBytes))
+	return resp.StatusCode, resp.Header, data, err
 }
 
 // ProbeResult is one node's probe outcome.
@@ -843,27 +769,16 @@ func (r *Router) ProbeOnce() []ProbeResult {
 
 // probeNode GETs one node's /healthz.
 func (r *Router) probeNode(addr string) (HealthReport, error) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	ctx, cancel := contextWithTimeout(r.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequest(http.MethodGet, url+"/healthz", nil)
-	if err != nil {
-		return HealthReport{}, err
-	}
-	resp, err := r.client.Do(req.WithContext(ctx))
-	if err != nil {
-		return HealthReport{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return HealthReport{}, fmt.Errorf("healthz answered %d", resp.StatusCode)
-	}
 	var hr HealthReport
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hr); err != nil {
-		return HealthReport{}, fmt.Errorf("healthz body: %w", err)
+	status, _, data, err := r.roundTrip(http.MethodGet, addr, "/healthz", r.cfg.ProbeTimeout, nil, nil)
+	if err != nil {
+		return hr, err
+	}
+	if status != http.StatusOK {
+		return hr, fmt.Errorf("healthz answered %d", status)
+	}
+	if err := json.Unmarshal(data, &hr); err != nil {
+		return hr, fmt.Errorf("healthz body: %w", err)
 	}
 	return hr, nil
 }
@@ -973,27 +888,12 @@ func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // scrapeNode GETs one node's /metrics.json snapshot.
 func (r *Router) scrapeNode(addr string) (obs.Snapshot, error) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	ctx, cancel := contextWithTimeout(r.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequest(http.MethodGet, url+"/metrics.json", nil)
+	status, _, data, err := r.roundTrip(http.MethodGet, addr, "/metrics.json", r.cfg.ProbeTimeout, nil, nil)
 	if err != nil {
 		return obs.Snapshot{}, err
 	}
-	resp, err := r.client.Do(req.WithContext(ctx))
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return obs.Snapshot{}, fmt.Errorf("metrics.json answered %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return obs.Snapshot{}, err
+	if status != http.StatusOK {
+		return obs.Snapshot{}, fmt.Errorf("metrics.json answered %d", status)
 	}
 	return obs.ParseSnapshot(data)
 }
@@ -1035,10 +935,4 @@ func (r *Router) Close() {
 	if t, ok := r.client.Transport.(*http.Transport); ok && t != nil {
 		t.CloseIdleConnections()
 	}
-}
-
-// contextWithTimeout is context.WithTimeout off Background — one name
-// for the router's per-request deadlines.
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
 }

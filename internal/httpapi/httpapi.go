@@ -247,6 +247,37 @@ func EpochStamp(header string, epoch func() uint64, h http.Handler) http.Handler
 	})
 }
 
+// RebalanceHandler is POST /admin/v1/rebalance?to=N[&node=NAME] for
+// whatever run moves to N partitions (query or form body, one explicit
+// rule). It blocks until run returns: intake keeps flowing the whole
+// time, so a long-poll is the honest contract — the 200, whose body is
+// run's report, means the new layout IS being served. A malformed count
+// answers 400 and run's refusal 409, both through the envelope.
+func RebalanceHandler(run func(to int, node string) (report any, err error)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			MethodNotAllowed(w, http.MethodPost, "rebalance accepts POST only")
+			return
+		}
+		raw := r.FormValue("to")
+		to, err := strconv.Atoi(raw)
+		if err != nil || to <= 0 {
+			Error(w, http.StatusBadRequest, Detail{
+				Code:    CodeBadRequest,
+				Message: fmt.Sprintf("rebalance needs a positive partition count: to=%q is not one", raw),
+			})
+			return
+		}
+		report, err := run(to, r.FormValue("node"))
+		if err != nil {
+			Error(w, http.StatusConflict, Detail{Code: CodeConflict, Message: err.Error()})
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(report)
+	})
+}
+
 // BuildInfo is the build identification block of a status answer.
 type BuildInfo struct {
 	GoVersion string `json:"go_version"`

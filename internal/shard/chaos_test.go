@@ -128,7 +128,7 @@ func stalledSetup(t *testing.T) (h *shardHarness, stalled int, keyOf map[int]str
 func fillStalled(t *testing.T, h *shardHarness, key string, stalled int) int {
 	t.Helper()
 	for i := 0; i < 2000; i++ {
-		part, _, err := h.rt.Append(fmt.Sprintf("%s filler payload record %d", key, i))
+		part, err := appendOne(h.rt, fmt.Sprintf("%s filler payload record %d", key, i))
 		if err != nil {
 			if part != stalled {
 				t.Fatalf("rejection came from partition %d, not the stalled %d", part, stalled)
@@ -163,7 +163,7 @@ func TestShardStalledPartitionBackpressure(t *testing.T) {
 		line := fmt.Sprintf("%s job %d queued ok", keyOf[healthy], i)
 		var err error
 		for try := 0; try < 200; try++ {
-			if _, _, err = h.rt.Append(line); err == nil {
+			if _, err = appendOne(h.rt, line); err == nil {
 				break
 			}
 			if !errors.Is(err, broker.ErrBacklogFull) {
@@ -253,6 +253,9 @@ func TestShardIngestHandlerPartialBackpressure(t *testing.T) {
 	if ir.Acked != 1 || ir.Rejected != 1 {
 		t.Fatalf("mixed batch accounting: %+v", ir)
 	}
+	if !reflect.DeepEqual(ir.RejectedLines, []int{1}) {
+		t.Fatalf("rejected_lines %v, want [1]: the request index of the stalled partition's line", ir.RejectedLines)
+	}
 	seen := map[int]PartitionResult{}
 	for _, pr := range ir.Partitions {
 		seen[pr.Partition] = pr
@@ -294,7 +297,7 @@ func TestShardAppendBatchPartialAcceptance(t *testing.T) {
 	healthy := 1 - stalled
 	fillStalled(t, h, keyOf[stalled], stalled)
 
-	results, err := h.rt.AppendBatch([]string{
+	resp, err := h.rt.AppendBatch([]string{
 		keyOf[healthy] + " batch line one",
 		keyOf[stalled] + " batch line two",
 		keyOf[healthy] + " batch line three",
@@ -306,8 +309,11 @@ func TestShardAppendBatchPartialAcceptance(t *testing.T) {
 		t.Fatalf("batch error %q does not name the stalled partition", err)
 	}
 	byPart := map[int]PartitionResult{}
-	for _, r := range results {
+	for _, r := range resp.Partitions {
 		byPart[r.Partition] = r
+	}
+	if !reflect.DeepEqual(resp.RejectedLines, []int{1}) {
+		t.Fatalf("rejected lines %v, want [1]: the stalled partition's one line", resp.RejectedLines)
 	}
 	if r := byPart[healthy]; r.Acked != 2 || r.Rejected != 0 {
 		t.Fatalf("healthy share %+v, want 2 acked", r)

@@ -214,6 +214,13 @@ func (h *shardHarness) feed(t *testing.T, lines []string) {
 	}
 }
 
+// appendOne routes one line through AppendBatch and names the partition
+// it was filed under.
+func appendOne(rt *Runtime, line string) (int, error) {
+	resp, err := rt.AppendBatch([]string{line})
+	return resp.Partitions[0].Partition, err
+}
+
 // drain waits for every partition to finish and commit.
 func (h *shardHarness) drain(t *testing.T) {
 	t.Helper()
@@ -462,7 +469,7 @@ func TestShardRoutingAffinityAndSnapshot(t *testing.T) {
 	lines := genEqLines(3, 800, keys)
 	h := openHarness(t, t.TempDir(), 4, nil)
 	for _, line := range lines {
-		part, _, err := h.rt.Append(line)
+		part, err := appendOne(h.rt, line)
 		if err != nil {
 			t.Fatalf("Append: %v", err)
 		}

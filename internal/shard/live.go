@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"logsynergy/internal/atomicfile"
 	"logsynergy/internal/drain"
 	"logsynergy/internal/pipeline"
 )
@@ -187,7 +188,7 @@ func removeCutoverJournal(path string) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("shard: removing cutover journal: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
+	return atomicfile.SyncDir(filepath.Dir(path))
 }
 
 // Spec renders the journal as one participant's begin parameters
@@ -257,16 +258,25 @@ func sweepSplices(dir string) {
 	}
 }
 
-// cutover is the in-memory state of a live rebalance, published to the
-// router and every worker through Runtime.cut. Rings and freeze offsets
-// are immutable after publication; the per-key phase map, finished and
-// closed are guarded by mu, with cond waking the destination's parked
-// consumer on every transition.
-type cutover struct {
-	from, to int
-	oldRing  *Partitioner
-	newRing  *Partitioner
-	freeze   []uint64 // per old-layout partition: first double-written offset
+// Cutover is the in-memory overlay of a live rebalance: both rings, the
+// donors' freeze offsets and every moving key's phase. A runtime publishes
+// one to its router and workers through Runtime.cut; a fleet router holds
+// one built from the journal (CutoverJournal.Overlay). Both ask it the same
+// question per line — Route — and advance it the same way — Sync. Rings and
+// freeze offsets are immutable after publication; the per-key phase map,
+// finished and closed are guarded by mu, with cond waking the destination's
+// parked consumer on every transition.
+type Cutover struct {
+	// From and To are the old and new partition counts.
+	From, To int
+	// DestNode names the fleet node hosting the partitions the new layout
+	// adds (indices >= From) until the manifest assigns them; empty
+	// in-process.
+	DestNode string
+
+	oldRing *Partitioner
+	newRing *Partitioner
+	freeze  []uint64 // per old-layout partition: first double-written offset
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -275,22 +285,51 @@ type cutover struct {
 	closed   bool // set by Kill/Close so a parked consumer can exit
 }
 
-// newCutover builds the in-memory cutover state.
-func newCutover(from, to int, oldRing, newRing *Partitioner) *cutover {
-	c := &cutover{
-		from:    from,
-		to:      to,
-		oldRing: oldRing,
-		newRing: newRing,
-		freeze:  make([]uint64, from),
+// newCutover builds the overlay spec describes: rings from its counts and
+// vnode override, the freeze offsets and per-key phases it records.
+func newCutover(spec CutoverSpec) (*Cutover, error) {
+	c := &Cutover{
+		From:    spec.From,
+		To:      spec.To,
+		oldRing: NewPartitionerVnodes(spec.From, spec.Vnodes),
+		newRing: NewPartitionerVnodes(spec.To, spec.Vnodes),
+		freeze:  make([]uint64, spec.From),
 		phase:   make(map[string]int),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	return c
+	for i := range c.freeze {
+		c.freeze[i] = spec.Freeze[i]
+	}
+	return c, c.Sync(spec.Keys)
+}
+
+// Overlay builds the routing overlay of the cutover j describes — what a
+// fleet router holds while the journal exists.
+func (j *CutoverJournal) Overlay() (*Cutover, error) {
+	c, err := newCutover(j.Spec(false))
+	if err != nil {
+		return nil, err
+	}
+	c.DestNode = j.DestNode
+	return c, nil
+}
+
+// Route is the one routing decision under a cutover. primary is the
+// partition the line is appended to and reported under. shadow is -1
+// unless key is moving and not yet released: then primary is its donor,
+// shadow its destination, and the line is double-written — donor first,
+// acked only when both copies land. A released moving key routes to its
+// destination alone; a key that does not move keeps its partition.
+func (c *Cutover) Route(key string) (primary, shadow int) {
+	donor, dest := c.oldRing.Partition(key), c.newRing.Partition(key)
+	if donor == dest || c.keyPhase(key) >= phaseReleased {
+		return dest, -1
+	}
+	return donor, dest
 }
 
 // moving reports whether the cutover moves key between partitions.
-func (c *cutover) moving(key string) bool {
+func (c *Cutover) moving(key string) bool {
 	return c.oldRing.Partition(key) != c.newRing.Partition(key)
 }
 
@@ -299,13 +338,13 @@ func (c *cutover) moving(key string) bool {
 // Anything a surviving partition holds for the key below its own freeze
 // point predates this cutover (donor copies from an earlier one that
 // moved the key away) and is not.
-func (c *cutover) destCopy(idx int, key string, off uint64) bool {
-	return c.newRing.Partition(key) == idx && (idx >= c.from || off >= c.freeze[idx])
+func (c *Cutover) destCopy(idx int, key string, off uint64) bool {
+	return c.newRing.Partition(key) == idx && (idx >= c.From || off >= c.freeze[idx])
 }
 
 // keyPhase returns the key's current phase (a finished cutover reads as
 // all-released for workers still holding the pointer).
-func (c *cutover) keyPhase(key string) int {
+func (c *Cutover) keyPhase(key string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished {
@@ -314,10 +353,10 @@ func (c *cutover) keyPhase(key string) int {
 	return c.phase[key]
 }
 
-// sync advances per-key phases from a journal view (key → "committed" |
+// Sync advances per-key phases from a journal view (key → "committed" |
 // "released"), never backwards — syncs can arrive out of order — and
 // wakes the destination's parked consumer.
-func (c *cutover) sync(keys map[string]string) error {
+func (c *Cutover) Sync(keys map[string]string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, name := range keys {
@@ -335,7 +374,7 @@ func (c *cutover) sync(keys map[string]string) error {
 
 // interrupt marks the cutover closed (crash or shutdown) and wakes any
 // parked consumer so it can exit.
-func (c *cutover) interrupt() {
+func (c *Cutover) interrupt() {
 	c.mu.Lock()
 	c.closed = true
 	c.cond.Broadcast()
@@ -642,7 +681,7 @@ func (rt *Runtime) liveRebalance(to int, hook func(phase, key string) error) (*R
 	}
 	if cut := rt.cut.Load(); cut != nil {
 		return nil, fmt.Errorf("shard: a live cutover %d -> %d is journaled; restart the runtime at %d shards to finish it before asking for %d partitions",
-			cut.from, cut.to, cut.to, to)
+			cut.From, cut.To, cut.To, to)
 	}
 	from := rt.Shards()
 	if to == from {

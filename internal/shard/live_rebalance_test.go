@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -304,6 +307,101 @@ func liveRoundTrip(t *testing.T, path []int, slow func(i int) bool) {
 		t.Fatalf("Close: %v", err)
 	}
 	requireEqual(t, fmt.Sprintf("live %v under traffic", path), h.result(), ref)
+}
+
+// A unit is rejected whole and the answer says so line by line: mid-cutover
+// a donor's plain lines and its double-written lines are one unit, so when
+// the destination's backlog refuses the double-write's second copy — its
+// consumer is parked before the unreleased key, nothing drains it — the 429
+// names every line filed under the donor, staying keys' and moving keys'
+// alike, and nothing of the other partition's.
+func TestLiveRebalanceRejectedLinesCoverDonorUnit(t *testing.T) {
+	oldRing, newRing := NewPartitioner(2), NewPartitioner(3)
+	var mover, stayer, other string
+	for _, k := range eqKeys(256) {
+		donor, dest := oldRing.Partition(k), newRing.Partition(k)
+		switch {
+		case mover == "" && dest == 2:
+			mover = k
+		case mover != "" && stayer == "" && dest == donor && donor == oldRing.Partition(mover):
+			stayer = k
+		case mover != "" && other == "" && dest == donor && donor != oldRing.Partition(mover):
+			other = k
+		}
+	}
+	if mover == "" || stayer == "" || other == "" {
+		t.Fatalf("fixture keys: mover %q, stayer %q, other %q", mover, stayer, other)
+	}
+	donor := oldRing.Partition(mover)
+
+	h := openHarness(t, t.TempDir(), 2, func(cfg *Config) {
+		cfg.Broker = broker.Config{SegmentBytes: 256, MaxBacklogBytes: 2048, FullPolicy: broker.FullReject, Fsync: broker.FsyncNever}
+	})
+	checked := false
+	_, err := h.rt.liveRebalance(3, func(phase, _ string) error {
+		if phase != "double-write" {
+			return nil
+		}
+		// Fill the destination: every copy it takes stays queued behind its
+		// parked consumer. The donor consumes its own copies and may be
+		// transiently full between commits; only the destination's refusal
+		// ends the loop.
+		for i := 0; ; i++ {
+			_, err := appendOne(h.rt, fmt.Sprintf("%s filler payload record %d", mover, i))
+			if err != nil && !errors.Is(err, broker.ErrBacklogFull) {
+				t.Fatalf("filling the destination: %v", err)
+			}
+			if err != nil && strings.Contains(err.Error(), "partition 2:") {
+				break
+			}
+			if i > 5000 {
+				t.Fatal("the destination's backlog never refused")
+			}
+			if err != nil {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		// The donor itself has room: what follows is the destination's verdict.
+		for try := 0; ; try++ {
+			if _, err := appendOne(h.rt, stayer+" gc freed 1"); err == nil {
+				break
+			} else if try > 2000 {
+				t.Fatalf("donor partition %d never drained: %v", donor, err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+
+		rec := httptest.NewRecorder()
+		batch := []string{stayer + " gc freed 2", mover + " gc freed 3", other + " gc freed 4", mover + " gc freed 5", stayer + " gc freed 6"}
+		h.rt.IngestHandler(0).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(strings.Join(batch, "\n"))))
+		var ir IngestResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ir); err != nil {
+			t.Fatalf("decoding the %d answer: %v", rec.Code, err)
+		}
+		if rec.Code != http.StatusTooManyRequests || ir.Acked != 1 || ir.Rejected != 4 {
+			t.Fatalf("mixed mid-cutover batch: status %d, %+v", rec.Code, ir)
+		}
+		if !reflect.DeepEqual(ir.RejectedLines, []int{0, 1, 3, 4}) {
+			t.Fatalf("rejected lines %v, want [0 1 3 4]: the donor's whole unit, plain and double-written", ir.RejectedLines)
+		}
+		for _, row := range ir.Partitions {
+			if (row.Partition == donor) != (row.Error == "backlog full") || (row.Partition == donor) != (row.Rejected == 4) {
+				t.Fatalf("row %+v: only donor partition %d rejects, and whole", row, donor)
+			}
+		}
+		checked = true
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("LiveRebalance: %v", err)
+	}
+	if !checked {
+		t.Fatal("the double-write hook never ran")
+	}
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 }
 
 // Double-written records must be duplicates in storage only, never in
@@ -619,8 +717,10 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 // records at or past its own freeze point as that key's traffic.
 func TestCutoverDestCopy(t *testing.T) {
 	oldRing, newRing := NewPartitioner(3), NewPartitioner(2)
-	cut := newCutover(3, 2, oldRing, newRing)
-	cut.freeze = []uint64{40, 50, 60}
+	cut, err := newCutover(CutoverSpec{From: 3, To: 2, Freeze: map[int]uint64{0: 40, 1: 50, 2: 60}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	moving, _ := liveMovingKeys(eqKeys(64), 3, 2)
 	key := moving[0]
 	dest := newRing.Partition(key)
@@ -633,8 +733,10 @@ func TestCutoverDestCopy(t *testing.T) {
 	if cut.destCopy(1-dest, key, 1000) || cut.destCopy(oldRing.Partition(key), key, 1000) {
 		t.Fatal("a partition other than the destination claimed the destination's copy")
 	}
-	grow := newCutover(2, 3, newRing, oldRing)
-	grow.freeze = []uint64{40, 50}
+	grow, err := newCutover(CutoverSpec{From: 2, To: 3, Freeze: map[int]uint64{0: 40, 1: 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !grow.destCopy(2, key, 1) {
 		t.Fatal("an added partition has no freeze point: every record of a key it receives is the copy")
 	}

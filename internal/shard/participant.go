@@ -106,11 +106,11 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 	defer rt.routeMu.Unlock()
 
 	if cut := rt.cut.Load(); cut != nil {
-		if cut.from != spec.From || cut.to != spec.To {
+		if cut.From != spec.From || cut.To != spec.To {
 			return nil, fmt.Errorf("shard: a live cutover %d -> %d is already in progress; cannot begin %d -> %d",
-				cut.from, cut.to, spec.From, spec.To)
+				cut.From, cut.To, spec.From, spec.To)
 		}
-		if err := cut.sync(spec.Keys); err != nil {
+		if err := cut.Sync(spec.Keys); err != nil {
 			return nil, err
 		}
 		return &CutoverBeginResult{Freeze: rt.ownedFreezesLocked(cut)}, nil
@@ -128,13 +128,16 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 		return nil, fmt.Errorf("shard: cutover was computed with Vnodes=%d but this runtime uses %d", spec.Vnodes, rt.cfg.Vnodes)
 	}
 
-	// Every participant's routing table covers both layouts — Append
+	cut, err := newCutover(spec)
+	if err != nil {
+		return nil, err
+	}
+	// Every participant's routing table covers both layouts — AppendBatch
 	// indexes byIdx by new-ring partitions for released keys even on
 	// pure-donor nodes (where an added slot stays nil and rejects). An
 	// added partition's directory may be an empty shell from an earlier
 	// abandoned begin; records only ever land in it once a journal exists,
 	// so that is benign.
-	newRing := NewPartitionerVnodes(spec.To, rt.cfg.Vnodes)
 	for len(rt.byIdx) < spec.To {
 		rt.byIdx = append(rt.byIdx, nil)
 	}
@@ -148,15 +151,14 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 		return nil, err
 	}
 	for i := spec.From; spec.Dest && i < spec.To; i++ {
-		pt, err := rt.openPartitionAt(i, midCutoverOpts(spec, i, spec.To, newRing))
+		pt, err := rt.openPartitionAt(i, midCutoverOpts(spec, i, spec.To, cut.newRing))
 		if err != nil {
 			return abandon(fmt.Errorf("shard: opening cutover destination partition %d: %w", i, err))
 		}
 		added = append(added, pt)
 		rt.byIdx[i] = pt
 	}
-	cut, err := rt.enterCutover(spec, rt.part, newRing)
-	if err != nil {
+	if err := rt.enterCutover(cut, spec); err != nil {
 		return abandon(err)
 	}
 	res := &CutoverBeginResult{Freeze: rt.ownedFreezesLocked(cut)}
@@ -195,8 +197,8 @@ func midCutoverOpts(spec CutoverSpec, idx, layout int, ring *Partitioner) openOp
 	}
 }
 
-// enterCutover builds the in-memory cutover spec describes over the
-// partitions already in rt.byIdx — the one block both ways into a
+// enterCutover brings the partitions already in rt.byIdx into cut, the
+// overlay newCutover built from spec — the one block both ways into a
 // cutover share (BeginCutover on a serving runtime, Open on a root or
 // node restarting mid-cutover). Freeze offsets: the journal's recorded
 // value wins; an owned donor without one captures its next append offset
@@ -209,22 +211,14 @@ func midCutoverOpts(spec CutoverSpec, idx, layout int, ring *Partitioner) openOp
 // any other is left from an earlier cutover, and one kept by mistake
 // would make a later cutover skip that key's splice. The caller holds
 // the route write lock, or runs before any worker starts.
-func (rt *Runtime) enterCutover(spec CutoverSpec, oldRing, newRing *Partitioner) (*cutover, error) {
-	cut := newCutover(spec.From, spec.To, oldRing, newRing)
-	if err := cut.sync(spec.Keys); err != nil {
-		return nil, err
-	}
-	landed := func(k string, i int) bool { return cut.phase[k] >= phaseCommitted && newRing.Partition(k) == i }
+func (rt *Runtime) enterCutover(cut *Cutover, spec CutoverSpec) error {
+	landed := func(k string, i int) bool { return cut.phase[k] >= phaseCommitted && cut.newRing.Partition(k) == i }
 	for i, pt := range rt.byIdx {
-		if i < spec.From {
-			if off, ok := spec.Freeze[i]; ok {
-				cut.freeze[i] = off
-			} else if pt != nil {
-				cut.freeze[i] = pt.bk.NextOffset()
-			}
-		}
 		if pt == nil {
 			continue
+		}
+		if _, journaled := spec.Freeze[i]; i < spec.From && !journaled {
+			cut.freeze[i] = pt.bk.NextOffset()
 		}
 		pt.feedMu.Lock()
 		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted && !landed(k, i) })
@@ -238,24 +232,24 @@ func (rt *Runtime) enterCutover(spec CutoverSpec, oldRing, newRing *Partitioner)
 	}
 	moved := make([]string, 0, len(cut.phase))
 	for k := range cut.phase {
-		if rt.byIdx[newRing.Partition(k)] != nil {
+		if rt.byIdx[cut.newRing.Partition(k)] != nil {
 			moved = append(moved, k)
 		}
 	}
 	sort.Strings(moved)
 	for _, k := range moved {
 		if err := rt.ensureSpliced(cut, k); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return cut, nil
+	return nil
 }
 
 // ownedFreezesLocked collects owned donor partitions' freeze offsets.
 // Caller holds routeMu.
-func (rt *Runtime) ownedFreezesLocked(cut *cutover) map[int]uint64 {
+func (rt *Runtime) ownedFreezesLocked(cut *Cutover) map[int]uint64 {
 	out := make(map[int]uint64)
-	for i := 0; i < cut.from && i < len(rt.byIdx); i++ {
+	for i := 0; i < cut.From && i < len(rt.byIdx); i++ {
 		if rt.byIdx[i] != nil {
 			out[i] = cut.freeze[i]
 		}
@@ -265,7 +259,7 @@ func (rt *Runtime) ownedFreezesLocked(cut *cutover) map[int]uint64 {
 
 // activeCutover returns the published cutover and the donor partitions
 // this runtime serves.
-func (rt *Runtime) activeCutover() (*cutover, []*partition, error) {
+func (rt *Runtime) activeCutover() (*Cutover, []*partition, error) {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
 	cut := rt.cut.Load()
@@ -273,7 +267,7 @@ func (rt *Runtime) activeCutover() (*cutover, []*partition, error) {
 		return nil, nil, fmt.Errorf("shard: no live cutover in progress (runtime serves %d partitions)", rt.cfg.Shards)
 	}
 	var donors []*partition
-	for i := 0; i < cut.from && i < len(rt.byIdx); i++ {
+	for i := 0; i < cut.From && i < len(rt.byIdx); i++ {
 		if rt.byIdx[i] != nil {
 			donors = append(donors, rt.byIdx[i])
 		}
@@ -289,7 +283,7 @@ func (rt *Runtime) SyncCutover(keys map[string]string) error {
 	if err != nil {
 		return err
 	}
-	return cut.sync(keys)
+	return cut.Sync(keys)
 }
 
 // PendingMovingKeys implements Participant: it blocks until every donor
@@ -333,7 +327,7 @@ func awaitTailLanded(pt *partition, freeze uint64) error {
 }
 
 // pendingMoving enumerates the moving keys the donors still own, sorted.
-func pendingMoving(cut *cutover, donors []*partition) []string {
+func pendingMoving(cut *Cutover, donors []*partition) []string {
 	var keys []string
 	seen := make(map[string]bool)
 	for _, pt := range donors {
@@ -435,7 +429,7 @@ func (rt *Runtime) InstallSplice(key string) error {
 // kept, or — a resumed cutover has none — from the staged file, which is
 // guaranteed present for a committed key: it was fsynced before the
 // journal entry.
-func (rt *Runtime) ensureSpliced(cut *cutover, key string) error {
+func (rt *Runtime) ensureSpliced(cut *Cutover, key string) error {
 	destIdx := cut.newRing.Partition(key)
 	dest := rt.byIdx[destIdx]
 	if dest == nil {
@@ -551,8 +545,8 @@ func (rt *Runtime) CompleteCutover(to int) error {
 		}
 		return fmt.Errorf("shard: no live cutover to complete (runtime serves %d partitions, finish asked for %d)", rt.cfg.Shards, to)
 	}
-	if cut.to != to {
-		return fmt.Errorf("shard: live cutover targets %d partitions, finish asked for %d", cut.to, to)
+	if cut.To != to {
+		return fmt.Errorf("shard: live cutover targets %d partitions, finish asked for %d", cut.To, to)
 	}
 	for _, pt := range rt.parts {
 		if err := pt.persistOn(cut); err != nil {
@@ -562,7 +556,7 @@ func (rt *Runtime) CompleteCutover(to int) error {
 	kept := make([]*partition, 0, len(rt.parts))
 	var closeErr error
 	for _, pt := range rt.parts {
-		if pt.idx < cut.to {
+		if pt.idx < cut.To {
 			sweepSplices(pt.dir)
 			kept = append(kept, pt)
 			continue
@@ -578,10 +572,10 @@ func (rt *Runtime) CompleteCutover(to int) error {
 		}
 	}
 	rt.parts = kept
-	rt.byIdx = rt.byIdx[:cut.to]
+	rt.byIdx = rt.byIdx[:cut.To]
 	rt.part = cut.newRing
-	rt.cfg.Shards = cut.to
-	rt.reg.Gauge("shard.partitions").Set(int64(cut.to))
+	rt.cfg.Shards = cut.To
+	rt.reg.Gauge("shard.partitions").Set(int64(cut.To))
 	rt.reg.Gauge("shard.partitions_owned").Set(int64(len(kept)))
 	rt.reg.Gauge("shard.cutover_active").Set(0)
 	cut.mu.Lock()
@@ -600,8 +594,8 @@ func (rt *Runtime) CompleteCutover(to int) error {
 // copies at and past the freeze point: were the directory left short of
 // them, a later growth that reopens it as a destination — under a ring
 // that routes those keys back to it — would feed the stale copies.
-func (pt *partition) persistOn(cut *cutover) error {
-	retired := pt.idx >= cut.to
+func (pt *partition) persistOn(cut *Cutover) error {
+	retired := pt.idx >= cut.To
 	tail := pt.bk.NextOffset() - 1
 	if retired {
 		if err := awaitTailLanded(pt, tail+1); err != nil {
@@ -610,7 +604,7 @@ func (pt *partition) persistOn(cut *cutover) error {
 	}
 	pt.feedMu.Lock()
 	defer pt.feedMu.Unlock()
-	pt.layout = cut.to
+	pt.layout = cut.To
 	pt.ring = cut.newRing
 	pt.forceSave = true
 	if err := pt.flushCommit(); err != nil {
@@ -630,7 +624,7 @@ func (rt *Runtime) CutoverStatus() *CutoverStatus {
 	if err != nil {
 		return nil
 	}
-	st := &CutoverStatus{From: cut.from, To: cut.to, Pending: len(pendingMoving(cut, donors))}
+	st := &CutoverStatus{From: cut.From, To: cut.To, Pending: len(pendingMoving(cut, donors))}
 	cut.mu.Lock()
 	for _, ph := range cut.phase {
 		switch ph {
@@ -647,20 +641,29 @@ func (rt *Runtime) CutoverStatus() *CutoverStatus {
 // DirectedAppendBatch appends lines straight to partition part's WAL,
 // bypassing ring routing — the fleet router's double-write data path
 // during a networked live cutover (the router, not this runtime, knows
-// which node holds the other side of each double-write). The usual
-// at-least-once rules apply: an error means none of the lines were
-// acked by this partition and the caller retries.
-func (rt *Runtime) DirectedAppendBatch(part int, lines []string) error {
+// which node holds the other side of each double-write). The answer has
+// AppendBatch's shape with one row: every line acked, or every line
+// rejected and the caller retries.
+func (rt *Runtime) DirectedAppendBatch(part int, lines []string) IngestResponse {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
-	if part < 0 || part >= len(rt.byIdx) || rt.byIdx[part] == nil {
-		rt.rejectedByBP.Add(int64(len(lines)))
-		return fmt.Errorf("partition %d: %w", part, ErrNotAssigned)
+	err := ErrNotAssigned
+	if part >= 0 && part < len(rt.byIdx) && rt.byIdx[part] != nil {
+		_, _, err = rt.byIdx[part].bk.AppendBatch(lines)
 	}
-	if _, _, err := rt.byIdx[part].bk.AppendBatch(lines); err != nil {
-		rt.rejectedByBP.Add(int64(len(lines)))
-		return fmt.Errorf("partition %d: %w", part, err)
+	n := len(lines)
+	if err == nil {
+		rt.routedLines.Add(int64(n))
+		return IngestResponse{Acked: n, Partitions: []PartitionResult{{Partition: part, Acked: n}}}
 	}
-	rt.routedLines.Add(int64(len(lines)))
-	return nil
+	rt.rejectedByBP.Add(int64(n))
+	resp := IngestResponse{
+		Rejected:      n,
+		Partitions:    []PartitionResult{{Partition: part, Rejected: n, Error: RejectionLabel(err)}},
+		RejectedLines: make([]int, n),
+	}
+	for i := range resp.RejectedLines {
+		resp.RejectedLines[i] = i
+	}
+	return resp
 }

@@ -119,7 +119,7 @@ func TestRebalanceMovedKeyKeepsLibraryAndGroups(t *testing.T) {
 			dir := t.TempDir()
 			h := openHarness(t, dir, plan.from, nil)
 			for i := 0; i < 25; i++ {
-				if _, _, err := h.rt.Append(line(i)); err != nil {
+				if _, err := appendOne(h.rt, line(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -128,7 +128,7 @@ func TestRebalanceMovedKeyKeepsLibraryAndGroups(t *testing.T) {
 				t.Fatalf("moved %d keys, want exactly the one", rep.MovedKeys)
 			}
 			for i := 25; i < 35; i++ {
-				if _, _, err := h2.rt.Append(line(i)); err != nil {
+				if _, err := appendOne(h2.rt, line(i)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -10,13 +10,23 @@ import (
 	"logsynergy/internal/httpapi"
 )
 
-// The intake — the only HTTP handler in front of a WAL: the router hashes
-// each line's stream key onto a partition and appends to that partition's
-// log. Backpressure is per-partition — a stalled shard whose backlog
-// fills rejects only the lines keyed to it, while every other shard keeps
-// acking. The HTTP contract: 202 means every line in the batch is in some
-// partition's log (durable per the broker's fsync policy); 429 carries a
-// per-partition breakdown of what was acked and what must be retried.
+// The intake contract, one at every tier. serve's /ingest, a fleet node's
+// /ingest and directed /admin/v1/append, and the front router's /ingest
+// all answer with the same body — IngestResponse — written by the same
+// function, IngestResponse.Write:
+//
+//	202  every line of the batch is in some partition's log (durable per
+//	     the broker's fsync policy)
+//	429  some line was refused: rejected_lines holds the request-order
+//	     indices of exactly the lines that were not acked — retry those,
+//	     after Retry-After — and partitions breaks the batch down per
+//	     partition
+//	503  nothing was acked and every refusal was a closed intake
+//
+// Here the router hashes each line's stream key onto a partition and
+// appends to that partition's log. Backpressure is per partition — a
+// stalled shard whose backlog fills rejects only the lines keyed to it,
+// while every other shard keeps acking.
 
 // ErrNotAssigned is returned when a line's key routes to a partition
 // this runtime does not serve (a Subset runtime in a cluster fleet).
@@ -34,132 +44,120 @@ var ErrNotAssigned = errors.New("shard: partition not assigned to this runtime")
 // reloads its view on seeing the "cutover in progress" label.
 var ErrCutover = errors.New("shard: key is mid-cutover; route it through a cutover-aware router")
 
-// IngestResponse is the JSON body of a 202 or 429 from /ingest.
+// IngestResponse is the JSON body of every intake answer: serve, node
+// and router alike.
 type IngestResponse struct {
-	// Acked is the number of lines durably appended (across partitions).
+	// Acked is the number of lines durably appended (across partitions,
+	// and across nodes behind a router).
 	Acked int `json:"acked"`
-	// Rejected is the number of lines refused by per-partition admission
-	// control; the collector should retry exactly these.
+	// Rejected is the number of lines refused; len(RejectedLines).
 	Rejected int `json:"rejected"`
+	// Epoch is the manifest epoch a front router routed the batch under.
+	Epoch uint64 `json:"epoch,omitempty"`
+	// RetryAfterSeconds is the largest retry hint a router's nodes
+	// supplied (mirrored in the Retry-After header of a 429).
+	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
 	// Partitions breaks the batch down per partition, in partition order.
 	Partitions []PartitionResult `json:"partitions,omitempty"`
+	// RejectedLines are the request-order indices (0-based, counting
+	// non-empty lines) of the lines that were not acked — the exact
+	// retry set.
+	RejectedLines []int `json:"rejected_lines,omitempty"`
 	// Err is the uniform admin-API error detail on a non-2xx answer,
-	// nil on 202. The legacy top-level fields stay populated, so
-	// collectors written against the pre-envelope shape keep decoding.
+	// nil on 202.
 	Err *httpapi.Detail `json:"error,omitempty"`
 }
 
 // PartitionResult is one partition's share of an ingest batch.
 type PartitionResult struct {
 	Partition int `json:"partition"`
-	Acked     int `json:"acked"`
-	Rejected  int `json:"rejected"`
-	// Error classifies the rejection ("backlog full", "closed"), empty on
-	// success.
+	// Node is the fleet node the router sent the share to.
+	Node     string `json:"node,omitempty"`
+	Acked    int    `json:"acked"`
+	Rejected int    `json:"rejected"`
+	// Error classifies the rejection ("backlog full", "closed", "not
+	// assigned", "node unreachable", ...), empty on success.
 	Error string `json:"error,omitempty"`
+	// RetryAfterSeconds is the node's retry hint for this partition's
+	// rejection (0 = none supplied).
+	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
 }
 
-// Append routes one line to its partition's WAL and returns the
-// partition index and the assigned offset within that partition's log.
-// A full partition returns an error wrapping broker.ErrBacklogFull that
-// names the partition; other partitions are unaffected.
-//
-// During a live cutover a moving key that has not been released yet is
-// double-written — appended to both the donor's WAL (reported partition
-// and offset) and the destination's — and acked only when both appends
-// land; a released moving key routes to the destination. Non-moving
-// keys are untouched.
-func (rt *Runtime) Append(line string) (part int, off uint64, err error) {
-	rt.routeMu.RLock()
-	defer rt.routeMu.RUnlock()
-	key := rt.cfg.KeyFunc(line)
-	if cut := rt.cut.Load(); cut != nil && cut.moving(key) {
-		if cut.keyPhase(key) < phaseReleased {
-			return rt.appendDouble(cut, line)
-		}
-		part = cut.newRing.Partition(key)
-	} else {
-		part = rt.part.Partition(key)
+// Write answers an intake request with resp — the one mapping from an
+// intake result to a status: 202 when nothing was rejected; 503
+// intake_closed when nothing was acked and every rejecting row says
+// "closed"; otherwise 429 backpressure with Retry-After =
+// max(RetryAfterSeconds, 1).
+func (resp IngestResponse) Write(w http.ResponseWriter) {
+	if resp.Rejected == 0 {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(resp)
+		return
 	}
-	pt := rt.byIdx[part]
-	if pt == nil {
-		rt.rejectedByBP.Inc()
-		return part, 0, fmt.Errorf("partition %d: %w", part, ErrNotAssigned)
+	closed := resp.Acked == 0 && len(resp.Partitions) > 0
+	for _, row := range resp.Partitions {
+		closed = closed && (row.Rejected == 0 || row.Error == "closed")
 	}
-	off, err = pt.bk.Append(line)
-	if err != nil {
-		rt.rejectedByBP.Inc()
-		return part, 0, fmt.Errorf("partition %d: %w", part, err)
+	status, d := http.StatusTooManyRequests, httpapi.Detail{
+		Code:        httpapi.CodeBackpressure,
+		Message:     fmt.Sprintf("%d of %d lines rejected; retry exactly rejected_lines", resp.Rejected, resp.Acked+resp.Rejected),
+		RetryAfterS: max(resp.RetryAfterSeconds, 1),
 	}
-	rt.routedLines.Inc()
-	return part, off, nil
-}
-
-// appendDouble double-writes one unreleased moving key's line. The
-// donor's copy sits past its freeze point and is never fed — the
-// destination's copy is the one detection consumes — so the line is
-// acked only when both appends land: a donor-only copy after a
-// destination failure is simply a skipped record, and at-least-once
-// intake has the producer retry.
-func (rt *Runtime) appendDouble(cut *cutover, line string) (int, uint64, error) {
-	key := rt.cfg.KeyFunc(line)
-	donor := cut.oldRing.Partition(key)
-	dest := cut.newRing.Partition(key)
-	if rt.byIdx[donor] == nil || rt.byIdx[dest] == nil {
-		rt.rejectedByBP.Inc()
-		return donor, 0, fmt.Errorf("partition %d: %w", donor, ErrCutover)
+	if closed {
+		status, d = http.StatusServiceUnavailable, httpapi.Detail{Code: httpapi.CodeClosed, Message: "intake closed"}
 	}
-	off, err := rt.byIdx[donor].bk.Append(line)
-	if err != nil {
-		rt.rejectedByBP.Inc()
-		return donor, 0, fmt.Errorf("partition %d: %w", donor, err)
-	}
-	if _, err := rt.byIdx[dest].bk.Append(line); err != nil {
-		rt.rejectedByBP.Inc()
-		return dest, 0, fmt.Errorf("partition %d: %w", dest, err)
-	}
-	rt.routedLines.Inc()
-	return donor, off, nil
+	d.Partitions = resp.Partitions
+	resp.Err = &d
+	httpapi.ErrorWithBody(w, status, d, resp)
 }
 
 // AppendBatch routes a batch of lines to their partitions, appending
-// each partition's share as one batch. Acceptance is per-partition: the
-// returned results say what each partition acked or rejected, and the
-// error (if non-nil) wraps the first partition failure. Lines for
-// healthy partitions are durably appended even when another partition
-// rejects its share. Mid-cutover, unreleased moving keys' shares are
-// double-written (donor first, then destination; acked under the donor
-// only when both land) and released moving keys' shares route to the
-// destination.
-func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
+// each partition's share as one batch. Acceptance is per partition: the
+// answer says what each partition acked or rejected and — when any did
+// reject — which lines of the batch those were, and the error (if
+// non-nil) wraps the first partition failure. Lines for healthy
+// partitions are durably appended even when another partition rejects
+// its share. Mid-cutover, Cutover.Route decides per line: unreleased
+// moving keys' shares are double-written (donor first, then destination;
+// acked under the donor only when both land) and released moving keys'
+// shares route to the destination.
+func (rt *Runtime) AppendBatch(lines []string) (IngestResponse, error) {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
 	cut := rt.cut.Load()
 	n := len(rt.byIdx)
 	byPart := make([][]string, n)
 	var double [][][]string // unreleased moving shares, [donor][destination]
-	for _, line := range lines {
+	// units records each line's primary partition mid-cutover, where a key's
+	// phase can advance between routing and reporting; outside one the ring
+	// answers the same both times.
+	var units []int
+	if cut != nil {
+		units = make([]int, len(lines))
+	}
+	for i, line := range lines {
 		key := rt.cfg.KeyFunc(line)
-		if cut != nil && cut.moving(key) {
-			p := cut.newRing.Partition(key)
-			if cut.keyPhase(key) >= phaseReleased {
-				byPart[p] = append(byPart[p], line)
-				continue
-			}
-			d := cut.oldRing.Partition(key)
-			if double == nil {
-				double = make([][][]string, n)
-			}
-			if double[d] == nil {
-				double[d] = make([][]string, n)
-			}
-			double[d][p] = append(double[d][p], line)
+		p, shadow := 0, -1
+		if cut == nil {
+			p = rt.part.Partition(key)
+		} else {
+			p, shadow = cut.Route(key)
+			units[i] = p
+		}
+		if shadow < 0 {
+			byPart[p] = append(byPart[p], line)
 			continue
 		}
-		p := rt.part.Partition(key)
-		byPart[p] = append(byPart[p], line)
+		if double == nil {
+			double = make([][][]string, n)
+		}
+		if double[p] == nil {
+			double[p] = make([][]string, n)
+		}
+		double[p][shadow] = append(double[p][shadow], line)
 	}
-	var results []PartitionResult
+	var resp IngestResponse
 	var firstErr error
 	reject := func(res *PartitionResult, p, count int, err error) {
 		res.Rejected += count
@@ -186,13 +184,9 @@ func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
 			continue
 		}
 		// A partition's answer is all-or-nothing across its plain and
-		// double-write shares. Callers attribute rejections per partition
-		// row, not per line — a stale front router that cannot tell a
-		// moving key from a staying one retries every line it routed to a
-		// row whose Error is set. A mixed row (plain acked, double
-		// rejected) would make it re-append — and re-detect — the acked
-		// lines; a homogeneous rejection makes the retry land each line
-		// exactly once.
+		// double-write shares: one unit, one row, acked or rejected whole.
+		// rejected_lines is then exactly the lines of the rows that carry
+		// an Error, and retrying them lands each line exactly once.
 		res := PartitionResult{Partition: p}
 		switch {
 		case rt.byIdx[p] == nil:
@@ -232,9 +226,31 @@ func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
 				rt.routedLines.Add(int64(total))
 			}
 		}
-		results = append(results, res)
+		resp.Acked += res.Acked
+		resp.Rejected += res.Rejected
+		resp.Partitions = append(resp.Partitions, res)
 	}
-	return results, firstErr
+	if resp.Rejected > 0 {
+		// The rejection path only: a second pass names the lines of the
+		// units that rejected.
+		rejected := make([]bool, n)
+		for _, res := range resp.Partitions {
+			rejected[res.Partition] = res.Rejected > 0
+		}
+		resp.RejectedLines = make([]int, 0, resp.Rejected)
+		for i, line := range lines {
+			var p int
+			if units != nil {
+				p = units[i]
+			} else {
+				p = rt.part.Partition(rt.cfg.KeyFunc(line))
+			}
+			if rejected[p] {
+				resp.RejectedLines = append(resp.RejectedLines, i)
+			}
+		}
+	}
+	return resp, firstErr
 }
 
 // RejectionLabel classifies an append error for the wire: the stable
@@ -255,16 +271,9 @@ func RejectionLabel(err error) string {
 }
 
 // IngestHandler returns the /ingest HTTP handler. maxBatchBytes bounds
-// one request body (<= 0 selects httpapi.DefaultMaxBatchBytes).
-// Status mapping:
-//
-//	202 every line acked (body: IngestResponse)
-//	429 some partition rejected its share — body carries the
-//	    per-partition breakdown so the collector retries only the
-//	    rejected lines (Retry-After: 1)
-//	503 every routed partition refused because intake is closed
-//	413 request body exceeds the batch limit
-//	405 anything but POST
+// one request body (<= 0 selects httpapi.DefaultMaxBatchBytes). The
+// answer is IngestResponse.Write's; before it, 413 when the request body
+// exceeds the batch limit and 405 for anything but POST.
 func (rt *Runtime) IngestHandler(maxBatchBytes int64) http.Handler {
 	requests := rt.reg.Counter("shard.ingest_requests_total")
 	oversized := rt.reg.Counter("shard.ingest_oversized_total")
@@ -281,40 +290,7 @@ func (rt *Runtime) IngestHandler(maxBatchBytes int64) http.Handler {
 			}
 			return
 		}
-		resp := IngestResponse{}
-		if len(lines) > 0 {
-			results, _ := rt.AppendBatch(lines)
-			resp.Partitions = results
-			allClosed := len(results) > 0
-			for _, res := range results {
-				resp.Acked += res.Acked
-				resp.Rejected += res.Rejected
-				if res.Error != "closed" {
-					allClosed = false
-				}
-			}
-			if allClosed {
-				httpapi.Error(w, http.StatusServiceUnavailable, httpapi.Detail{
-					Code:       httpapi.CodeClosed,
-					Message:    "intake closed",
-					Partitions: results,
-				})
-				return
-			}
-		}
-		if resp.Rejected > 0 {
-			d := httpapi.Detail{
-				Code:        httpapi.CodeBackpressure,
-				Message:     fmt.Sprintf("%d of %d lines rejected; retry the rejected partitions' shares", resp.Rejected, len(lines)),
-				RetryAfterS: 1,
-				Partitions:  resp.Partitions,
-			}
-			resp.Err = &d
-			httpapi.ErrorWithBody(w, http.StatusTooManyRequests, d, resp)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(resp)
+		resp, _ := rt.AppendBatch(lines)
+		resp.Write(w)
 	})
 }

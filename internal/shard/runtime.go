@@ -142,7 +142,7 @@ type Runtime struct {
 	// cut is the active live cutover (nil outside one). Workers and the
 	// router load it per record; it is published once the journal is
 	// durable and cleared before the journal is removed.
-	cut atomic.Pointer[cutover]
+	cut atomic.Pointer[Cutover]
 
 	faninMu      sync.Mutex
 	faninTotal   *obs.Counter
@@ -356,14 +356,17 @@ func Open(cfg Config) (*Runtime, error) {
 // (Open itself for a journal at this root, the fleet's coordinator over
 // the admin surface otherwise).
 func (rt *Runtime) openMidCutover(spec CutoverSpec, own []int) error {
-	oldRing := NewPartitionerVnodes(spec.From, rt.cfg.Vnodes)
+	cut, err := newCutover(spec)
+	if err != nil {
+		return err
+	}
 	for _, i := range own {
-		o := midCutoverOpts(spec, i, spec.From, oldRing)
+		o := midCutoverOpts(spec, i, spec.From, cut.oldRing)
 		if i >= spec.From {
 			if !spec.Dest {
 				return fmt.Errorf("shard: partition %d is added by the cutover but the spec does not mark this runtime as its host", i)
 			}
-			o = midCutoverOpts(spec, i, spec.To, rt.part)
+			o = midCutoverOpts(spec, i, spec.To, cut.newRing)
 		}
 		pt, err := rt.openPartitionAt(i, o)
 		if err != nil {
@@ -372,8 +375,7 @@ func (rt *Runtime) openMidCutover(spec CutoverSpec, own []int) error {
 		rt.parts = append(rt.parts, pt)
 		rt.byIdx[i] = pt
 	}
-	cut, err := rt.enterCutover(spec, oldRing, rt.part)
-	if err != nil {
+	if err := rt.enterCutover(cut, spec); err != nil {
 		return err
 	}
 	rt.cut.Store(cut)

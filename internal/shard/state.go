@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"logsynergy/internal/atomicfile"
 	"logsynergy/internal/drain"
 	"logsynergy/internal/pipeline"
 )
@@ -142,58 +143,16 @@ func saveState(path string, st partitionState) error {
 	return writeJSONFile(path, st)
 }
 
-// writeJSONFile installs a JSON file atomically and durably — the one
-// write path for partition state, the live-cutover journal and staged
-// per-key splice files: a randomized temp file in the same directory,
-// fsynced before the rename, and the directory fsynced after it so the
-// rename itself survives a power cut. A failure leaves any previous file
-// untouched (and at worst a <name>.tmp* file, which loadState sweeps).
+// writeJSONFile installs v as a JSON file through atomicfile.Write — the
+// one write path for partition state, the live-cutover journal and staged
+// per-key splice files. A failure leaves any previous file untouched.
 func writeJSONFile(path string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("shard: encoding %s: %w", filepath.Base(path), err)
 	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("shard: creating temp file for %s: %w", base, err)
-	}
-	tmpName := tmp.Name()
-	fail := func(step string, err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("shard: %s %s: %w", step, base, err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		return fail("writing", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail("syncing", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail("closing", err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return fail("setting mode on", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fail("installing", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("shard: opening state dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("shard: syncing state dir: %w", err)
+	if err := atomicfile.Write(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
 	return nil
 }

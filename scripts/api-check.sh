@@ -5,8 +5,9 @@
 # can rely on the uniform {"error":{code,message,retry_after_s}} body.
 #
 # The check is lexical: a handler calling http.Error or hand-writing a
-# 4xx/5xx status bypasses the envelope and fails the build. Tests and
-# the httpapi package itself (which implements the helpers) are exempt.
+# 4xx/5xx status bypasses the envelope and fails the build, and so does a
+# second place that turns an intake result into 429/503. Tests and the
+# httpapi package itself (which implements the helpers) are exempt.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -35,6 +36,19 @@ if hits=$(grep -rn '"/admin/v1' --include='*.go' cmd/ internal/ \
 	| grep -v '_test\.go' | grep -v '^internal/httpapi/'); then
 	echo "api-check: /admin/v1 paths must be spelled httpapi.Prefix+\"/...\":" >&2
 	echo "$hits" >&2
+	fail=1
+fi
+
+# 4. One intake writer: the statuses of the intake contract — 429 and 503
+# — are written in exactly one file (shard.IngestResponse.Write), so serve,
+# node and router cannot grow a second mapping from an intake result to a
+# status. Reading a peer's answer compares (==, !=, case) and is not a write.
+writers=$(grep -rnE 'http\.Status(TooManyRequests|ServiceUnavailable)' --include='*.go' cmd/ internal/ \
+	| grep -v '_test\.go' | grep -v '^internal/httpapi/' \
+	| grep -vE '(==|!=) *http\.Status(TooManyRequests|ServiceUnavailable)|:[[:space:]]*case ' || true)
+if [ "$(echo "$writers" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
+	echo "api-check: 429/503 must be written in exactly one file, the intake writer; found:" >&2
+	echo "${writers:-  (none)}" >&2
 	fail=1
 fi
 
