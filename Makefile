@@ -117,13 +117,14 @@ bench-cluster-smoke:
 	BENCH_CLUSTER_OUT=$(CURDIR)/BENCH_cluster.json BENCH_CLUSTER_SMOKE=1 $(GO) test -run TestBenchClusterReport -count=1 ./internal/cluster/
 
 # Chaos tier: the fault-injection framework and the deterministic chaos
-# suites (seeded fault schedules, breakers, spill, leak checks; broker
+# suites (seeded fault schedules, breakers, spill, leak checks, Run's
+# cancellation accounting; broker
 # crash-recovery replay; the /ingest contract over a one-partition
 # runtime) under the race detector. Fast — it uses the
 # untrained tiny deployment.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/
-	$(GO) test -race -count=1 -run 'TestChaos|TestDrop|TestPipelineCancel' ./internal/pipeline/
+	$(GO) test -race -count=1 -run 'TestChaos|TestPipelineCancel|TestRunCountsWhatItFeeds' ./internal/pipeline/
 	$(GO) test -race -count=1 ./internal/broker/
 
 # Cover tier (nightly): the full suite with coverage, a per-package

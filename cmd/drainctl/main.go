@@ -12,8 +12,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -21,14 +23,27 @@ import (
 )
 
 func main() {
-	logPath := flag.String("log", "", "log file (default stdin)")
-	savePath := flag.String("save", "", "save parser state to this file")
-	loadPath := flag.String("load", "", "load parser state from this file")
-	showParams := flag.Bool("show-params", false, "show one parameter sample per template")
-	limit := flag.Int("limit", 0, "show only the top-N templates by count")
-	simTh := flag.Float64("sim", 0.4, "Drain similarity threshold")
-	depth := flag.Int("depth", 4, "Drain tree depth")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "drainctl: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command; the log is read from stdin unless -log names
+// a file.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("drainctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	logPath := fs.String("log", "", "log file (default stdin)")
+	savePath := fs.String("save", "", "save parser state to this file")
+	loadPath := fs.String("load", "", "load parser state from this file")
+	showParams := fs.Bool("show-params", false, "show one parameter sample per template")
+	limit := fs.Int("limit", 0, "show only the top-N templates by count")
+	simTh := fs.Float64("sim", 0.4, "Drain similarity threshold")
+	depth := fs.Int("depth", 4, "Drain tree depth")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := drain.DefaultConfig()
 	cfg.SimThreshold = *simTh
@@ -38,20 +53,20 @@ func main() {
 	if *loadPath != "" {
 		f, err := os.Open(*loadPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		parser, err = drain.LoadState(f, cfg)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
-	in := os.Stdin
+	in := io.Reader(os.Stdin)
 	if *logPath != "" {
 		f, err := os.Open(*logPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
@@ -71,7 +86,7 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fatal(err)
+		return err
 	}
 
 	events := parser.Events()
@@ -80,12 +95,12 @@ func main() {
 	if *limit > 0 && *limit < shown {
 		shown = *limit
 	}
-	fmt.Printf("%d lines, %d templates\n", lines, len(events))
+	fmt.Fprintf(stdout, "%d lines, %d templates\n", lines, len(events))
 	for _, ev := range events[:shown] {
-		fmt.Printf("%6d  E%-4d %s\n", ev.Count, ev.ID, ev.Template)
+		fmt.Fprintf(stdout, "%6d  E%-4d %s\n", ev.Count, ev.ID, ev.Template)
 		if *showParams {
 			if ps := paramSample[ev.ID]; len(ps) > 0 {
-				fmt.Printf("              params: %v\n", ps)
+				fmt.Fprintf(stdout, "              params: %v\n", ps)
 			}
 		}
 	}
@@ -93,17 +108,12 @@ func main() {
 	if *savePath != "" {
 		f, err := os.Create(*savePath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer f.Close()
-		if err := parser.SaveState(f); err != nil {
-			fatal(err)
+		if err := errors.Join(parser.SaveState(f), f.Close()); err != nil {
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "state saved to %s\n", *savePath)
+		fmt.Fprintf(stderr, "state saved to %s\n", *savePath)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "drainctl: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -94,5 +94,5 @@ func runRoute(args []string) error {
 	<-ctx.Done()
 	stop()
 	fmt.Println("\nrouter shutting down")
-	return lingerShutdown(srv, *linger, nil)
+	return lingerShutdown(srv, *linger)
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -192,29 +193,25 @@ func seededParser(det *core.Detector) *drain.Parser {
 // readLog reads the log at path, or stdin when path is empty.
 func readLog(path string) ([]string, error) {
 	if path == "" {
-		return readAllStdin()
+		return scanLines(os.Stdin)
 	}
 	return readLines(path)
 }
 
-func readAllStdin() ([]string, error) {
-	var out []string
-	s := bufio.NewScanner(os.Stdin)
-	s.Buffer(make([]byte, 1<<20), 1<<20)
-	for s.Scan() {
-		out = append(out, s.Text())
-	}
-	return out, s.Err()
-}
-
+// readLines reads the file at path line by line.
 func readLines(path string) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	return scanLines(f)
+}
+
+// scanLines reads r to the end as lines of up to 1 MiB each.
+func scanLines(r io.Reader) ([]string, error) {
 	var out []string
-	s := bufio.NewScanner(f)
+	s := bufio.NewScanner(r)
 	s.Buffer(make([]byte, 1<<20), 1<<20)
 	for s.Scan() {
 		out = append(out, s.Text())

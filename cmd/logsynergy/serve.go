@@ -35,19 +35,15 @@ import (
 //	/debug/vars    the same registry as expvar JSON (plus Go runtime vars)
 //	/debug/pprof   CPU/heap/goroutine profiling of the live process
 //
-// With a WAL (-broker-dir, or -cluster for one node of a fleet) serve IS
-// a shard.Runtime, at -shards 1 by default: /ingest routes each line by
+// serve IS a shard.Runtime over a WAL (-broker-dir, or -cluster for one
+// node of a fleet), at -shards 1 by default: /ingest routes each line by
 // its stream key (first token) to DIR/p<i>'s write-ahead log, a worker
 // per partition feeds per-key sliding windows, and progress commits as
 // window tails first, consumer offset second — a restart resumes every
 // key's window phase exactly and never re-scores a committed line. The
 // flags build one shard.Config; `logsynergy rebalance -addr … -to M`
-// regrows it in place from any count, 1 included.
-//
-// Without a WAL, -log (or stdin) replays through the in-memory pipeline
-// exactly like `detect` while /metrics and pprof are live; -repeat 0
-// loops forever as a soak target. There is no /ingest and nothing to
-// resume.
+// regrows it in place from any count, 1 included. Without a WAL there is
+// nothing to serve: an in-memory replay of a log file is `detect -log F`.
 //
 // SIGINT/SIGTERM is a graceful shutdown: intake closes, every partition
 // drains its backlog and commits, spilled alerts get one redelivery
@@ -66,17 +62,13 @@ func runServe(args []string) error {
 	defer stop()
 	context.AfterFunc(ctx, stop) // default signal handling again: the second signal kills
 
-	reg := obs.Default()
-	if !f.durable() {
-		return f.serveReplay(ctx, det, reg)
-	}
 	var seed []string
 	if *f.logPath != "" {
 		if seed, err = readLines(*f.logPath); err != nil {
 			return err
 		}
 	}
-	cfg, cleanup, err := f.shardConfig(det, reg)
+	cfg, cleanup, err := f.shardConfig(det, obs.Default())
 	if err != nil {
 		return err
 	}
@@ -143,7 +135,13 @@ func serveLoop(ctx context.Context, ln net.Listener, rt *shard.Runtime, handler 
 	fmt.Println("\nshutting down: intake closed, draining every partition (signal again to kill)")
 	closeErr := closeRt() // waits for every worker; each commits its own offset
 
-	printStats("fleet", rt.Stats())
+	s := rt.Stats()
+	fmt.Printf("fleet: lines=%d sequences=%d anomalies=%d pattern-hits=%d evictions=%d new-events=%d\n",
+		s.LinesCollected, s.SequencesFormed, s.Anomalies, s.PatternHits, s.PatternEvictions, s.NewEvents)
+	if s.Retries+s.Degraded+s.Spilled+s.BreakerOpens+s.ParseFailures+s.DetectFailures > 0 {
+		fmt.Printf("faults: retries=%d degraded=%d spilled=%d spill-dropped=%d breaker-opens=%d sink-errors=%d parse-failures=%d detect-failures=%d\n",
+			s.Retries, s.Degraded, s.Spilled, s.SpillDropped, s.BreakerOpens, s.SinkErrors, s.ParseFailures, s.DetectFailures)
+	}
 	for _, i := range rt.Owned() {
 		s := rt.ShardStats(i)
 		fmt.Printf("partition %d: lines=%d sequences=%d anomalies=%d new-events=%d committed=%d\n",
@@ -160,66 +158,14 @@ func serveLoop(ctx context.Context, ln net.Listener, rt *shard.Runtime, handler 
 	}
 	fmt.Println("final metrics snapshot:")
 	snap.WriteText(os.Stdout)
-	return lingerShutdown(srv, linger, nil)
+	return lingerShutdown(srv, linger)
 }
 
-// serveReplay is serve without a WAL: the -log file (or stdin) streams
-// through one in-memory pipeline while the observability pages are up.
-func (f *serveFlags) serveReplay(ctx context.Context, det *core.Detector, reg *obs.Registry) error {
-	lines, err := readLog(*f.logPath)
-	if err != nil {
-		return err
-	}
-	if len(lines) == 0 {
-		return fmt.Errorf("serve: no log lines to stream")
-	}
-	cfg, cleanup, err := f.pipelineConfig(reg)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	ln, err := net.Listen("tcp", *f.addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: newObsMux(reg)}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Printf("serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", ln.Addr())
-
-	p := pipeline.New(cfg, seededParser(det), det, lei.NewSimLLM(lei.Config{}), embed.New(det.Table.Dim), &printingSink{quiet: *f.quiet})
-	printStats("stream", p.Run(ctx, newRepeatSource(lines, *f.repeat)))
-	if p.SpillLen() > 0 {
-		// Sinks may have recovered since the spill; one redelivery pass
-		// before the process exits.
-		delivered, remaining := p.FlushSpill()
-		fmt.Printf("spill flush: %d alerts redelivered, %d undeliverable\n", delivered, remaining)
-	}
-	fmt.Println("final metrics snapshot:")
-	reg.WriteText(os.Stdout)
-	return lingerShutdown(srv, *f.linger, ctx.Done())
-}
-
-// printStats prints one pipeline.Stats as serve's summary line, plus the
-// fault-layer line when anything on it moved.
-func printStats(label string, s pipeline.Stats) {
-	fmt.Printf("%s: lines=%d dropped=%d sequences=%d anomalies=%d pattern-hits=%d evictions=%d new-events=%d\n",
-		label, s.LinesCollected, s.LinesDropped, s.SequencesFormed, s.Anomalies, s.PatternHits, s.PatternEvictions, s.NewEvents)
-	if s.Retries+s.Degraded+s.Spilled+s.BreakerOpens+s.ParseFailures+s.DetectFailures > 0 {
-		fmt.Printf("faults: retries=%d degraded=%d spilled=%d spill-dropped=%d breaker-opens=%d sink-errors=%d parse-failures=%d detect-failures=%d\n",
-			s.Retries, s.Degraded, s.Spilled, s.SpillDropped, s.BreakerOpens, s.SinkErrors, s.ParseFailures, s.DetectFailures)
-	}
-}
-
-// lingerShutdown keeps srv answering for linger (cut short by interrupt,
-// when one is given), then shuts it down.
-func lingerShutdown(srv *http.Server, linger time.Duration, interrupt <-chan struct{}) error {
+// lingerShutdown keeps srv answering for linger, then shuts it down.
+func lingerShutdown(srv *http.Server, linger time.Duration) error {
 	if linger > 0 {
 		fmt.Printf("lingering %s before closing the HTTP surface\n", linger)
-		select {
-		case <-interrupt:
-		case <-time.After(linger):
-		}
+		time.Sleep(linger)
 	}
 	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -230,14 +176,14 @@ func lingerShutdown(srv *http.Server, linger time.Duration, interrupt <-chan str
 type serveFlags struct {
 	fs *flag.FlagSet
 
-	modelPath, logPath, hint, addr, dropPolicy, spillPath  *string
+	modelPath, logPath, hint, addr, spillPath              *string
 	brokerDir, group, fsyncPolicy, backlogPolicy           *string
 	clusterPath, nodeName                                  *string
-	repeat, bufSize, patternCap, retries, breakerThreshold *int
-	spillCap, shards                                       *int
+	patternCap, retries, breakerThreshold, spillCap        *int
+	shards                                                 *int
 	linger, breakerCooldown, interpretTimeout, sinkTimeout *time.Duration
 	fsyncEvery, manifestWatch                              *time.Duration
-	quiet, noResilience, noRetention                       *bool
+	quiet, noRetention                                     *bool
 	faultSeed, segmentBytes, backlogBytes, maxBatchBytes   *int64
 	inject                                                 ruleList
 }
@@ -248,14 +194,11 @@ func parseServeFlags(args []string) *serveFlags {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	f := &serveFlags{fs: fs}
 	f.modelPath = fs.String("model", "model.json", "trained model bundle")
-	f.logPath = fs.String("log", "", "log file to stream (default stdin); with a WAL, an optional seed appended through the router")
+	f.logPath = fs.String("log", "", "optional seed: log file appended through the router at startup")
 	f.hint = fs.String("hint", "a software system", "LEI system hint for new templates")
 	f.addr = fs.String("addr", "localhost:9090", "HTTP listen address for /ingest, /metrics, /admin/v1, /debug/vars, /debug/pprof")
-	f.repeat = fs.Int("repeat", 1, "without a WAL: replay the log this many times (0 = loop forever)")
-	f.bufSize = fs.Int("buffer", 1024, "collection buffer capacity")
-	f.dropPolicy = fs.String("drop-policy", "block", "full-buffer policy: block | drop-newest")
 	f.patternCap = fs.Int("pattern-cap", 0, "pattern library capacity, LRU-evicted (0 = unbounded)")
-	f.linger = fs.Duration("linger", 0, "keep serving metrics this long after the stream ends")
+	f.linger = fs.Duration("linger", 0, "keep serving metrics this long after shutdown drains")
 	f.quiet = fs.Bool("quiet", false, "suppress per-anomaly report output")
 	f.retries = fs.Int("retries", 0, "attempts per stage call before the failure is terminal (0 = default 3)")
 	f.breakerThreshold = fs.Int("breaker-threshold", 0, "consecutive failures that open a circuit breaker (0 = default 5)")
@@ -264,7 +207,6 @@ func parseServeFlags(args []string) *serveFlags {
 	f.sinkTimeout = fs.Duration("sink-timeout", 0, "per-delivery sink timeout (0 = none)")
 	f.spillCap = fs.Int("spill-cap", 0, "in-memory spill queue capacity for undeliverable alerts (0 = default 1024)")
 	f.spillPath = fs.String("spill", "", "alertstore file additionally receiving spilled alerts")
-	f.noResilience = fs.Bool("no-resilience", false, "disable retries, breakers, timeouts and spill (ablation)")
 	f.faultSeed = fs.Int64("fault-seed", 1, "seed for the fault-injection registry")
 	f.brokerDir = fs.String("broker-dir", "", "runtime root: partition i's WAL lives in DIR/p<i>; enables POST /ingest")
 	f.shards = fs.Int("shards", 1, "partition count: lines route to N independent detection shards by stream key (requires -broker-dir)")
@@ -284,25 +226,22 @@ func parseServeFlags(args []string) *serveFlags {
 	return f
 }
 
-// durable reports whether this serve has a WAL under it.
-func (f *serveFlags) durable() bool { return *f.brokerDir != "" || *f.clusterPath != "" }
-
-// validate refuses the flag combinations that would otherwise be
-// silently reinterpreted.
+// validate refuses a serve without a WAL and the flag combinations that
+// would otherwise be silently reinterpreted.
 func (f *serveFlags) validate() error {
 	shardsSet := false
 	f.fs.Visit(func(fl *flag.Flag) { shardsSet = shardsSet || fl.Name == "shards" })
 	switch {
 	case *f.shards < 1:
 		return fmt.Errorf("serve: -shards %d is not a partition count; the smallest runtime has 1", *f.shards)
+	case *f.brokerDir == "" && *f.clusterPath == "":
+		return fmt.Errorf("serve: requires -broker-dir DIR (live serving over a WAL) or -cluster FILE -node NAME; for an in-memory replay of a log file run `logsynergy detect -log F`")
 	case *f.clusterPath != "" && shardsSet:
 		return fmt.Errorf("serve: -shards does not apply with -cluster; the manifest owns the partition count")
 	case *f.clusterPath != "" && *f.nodeName == "":
 		return fmt.Errorf("serve: -cluster requires -node <name> (this process's name in the manifest)")
 	case *f.clusterPath != "" && *f.logPath != "":
 		return fmt.Errorf("serve: -log seeding is not supported in cluster mode; POST the lines through the front router")
-	case !f.durable() && *f.shards > 1:
-		return fmt.Errorf("serve: -shards %d requires -broker-dir (the shard runtime root)", *f.shards)
 	}
 	return nil
 }
@@ -318,22 +257,14 @@ func (f *serveFlags) faults() *fault.Registry {
 	return faults
 }
 
-// pipelineConfig assembles the pipeline config from the flags, reporting
-// into reg; the cleanup returned on success closes the spill store (if
-// any).
-func (f *serveFlags) pipelineConfig(reg *obs.Registry) (pipeline.Config, func(), error) {
+// pipelineConfig assembles the per-partition pipeline config from the
+// flags (Metrics stays nil: each partition gets its own registry); the
+// cleanup returned on success closes the spill store (if any).
+func (f *serveFlags) pipelineConfig() (pipeline.Config, func(), error) {
 	cfg := pipeline.DefaultConfig(*f.hint)
-	policy, err := parseDropPolicy(*f.dropPolicy)
-	if err != nil {
-		return cfg, nil, err
-	}
-	cfg.BufferSize = *f.bufSize
-	cfg.DropPolicy = policy
 	cfg.PatternCap = *f.patternCap
-	cfg.Metrics = reg
 	cfg.Faults = f.faults()
 	cfg.Resilience = pipeline.ResilienceConfig{
-		Disabled:         *f.noResilience,
 		MaxAttempts:      *f.retries,
 		InterpretTimeout: *f.interpretTimeout,
 		SinkTimeout:      *f.sinkTimeout,
@@ -366,7 +297,7 @@ func (f *serveFlags) shardConfig(det *core.Detector, reg *obs.Registry) (shard.C
 	if err != nil {
 		return shard.Config{}, nil, err
 	}
-	pcfg, cleanup, err := f.pipelineConfig(nil) // each partition gets its own registry
+	pcfg, cleanup, err := f.pipelineConfig()
 	if err != nil {
 		return shard.Config{}, nil, err
 	}
@@ -450,58 +381,4 @@ func (l *ruleList) Set(spec string) error {
 	l.specs = append(l.specs, spec)
 	l.rules = append(l.rules, rule)
 	return nil
-}
-
-// parseDropPolicy maps the -drop-policy flag to a pipeline.DropPolicy.
-func parseDropPolicy(s string) (pipeline.DropPolicy, error) {
-	switch s {
-	case "block", "":
-		return pipeline.DropBlock, nil
-	case "drop-newest":
-		return pipeline.DropNewest, nil
-	default:
-		return 0, fmt.Errorf("unknown drop policy %q (want block or drop-newest)", s)
-	}
-}
-
-// newObsMux mounts the observability surface — the shared admin mux
-// with the registry's snapshot behind /metrics, /metrics.json,
-// /debug/vars and the pprof pages.
-func newObsMux(reg *obs.Registry) *http.ServeMux {
-	return httpapi.Mux(httpapi.MuxOptions{Snapshot: reg.Snapshot})
-}
-
-// repeatSource replays a fixed slice of lines a number of times.
-type repeatSource struct {
-	lines     []string
-	pos       int
-	remaining int // passes left after the current one; -1 = forever
-}
-
-// newRepeatSource builds a source that replays lines `times` times
-// (times <= 0 means loop forever).
-func newRepeatSource(lines []string, times int) *repeatSource {
-	if times <= 0 {
-		return &repeatSource{lines: lines, remaining: -1}
-	}
-	return &repeatSource{lines: lines, remaining: times - 1}
-}
-
-// Next implements pipeline.Source.
-func (r *repeatSource) Next() (string, bool) {
-	if len(r.lines) == 0 {
-		return "", false
-	}
-	if r.pos >= len(r.lines) {
-		if r.remaining == 0 {
-			return "", false
-		}
-		if r.remaining > 0 {
-			r.remaining--
-		}
-		r.pos = 0
-	}
-	l := r.lines[r.pos]
-	r.pos++
-	return l, true
 }

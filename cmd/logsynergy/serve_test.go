@@ -8,8 +8,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,17 +18,16 @@ import (
 	"logsynergy/internal/core"
 	"logsynergy/internal/httpapi"
 	"logsynergy/internal/obs"
-	"logsynergy/internal/pipeline"
 	"logsynergy/internal/repr"
 	"logsynergy/internal/shard"
 	"logsynergy/internal/tensor"
 )
 
+// TestObsMuxEndpoints: serve's one mux carries the observability surface —
+// the runtime's snapshot on /metrics, expvar JSON on /debug/vars and the
+// pprof index.
 func TestObsMuxEndpoints(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("serve.test_total").Add(3)
-	srv := httptest.NewServer(newObsMux(reg))
-	defer srv.Close()
+	_, srv := openAdminFleet(t, 1, 0, nil)
 
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -42,7 +41,7 @@ func TestObsMuxEndpoints(t *testing.T) {
 	}
 
 	code, body := get("/metrics")
-	if code != http.StatusOK || !strings.Contains(body, "counter serve.test_total 3") {
+	if code != http.StatusOK || !strings.Contains(body, "gauge shard.partitions 1") {
 		t.Fatalf("/metrics code=%d body=%q", code, body)
 	}
 
@@ -58,44 +57,6 @@ func TestObsMuxEndpoints(t *testing.T) {
 	code, body = get("/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ code=%d", code)
-	}
-}
-
-func TestParseDropPolicy(t *testing.T) {
-	if p, err := parseDropPolicy("block"); err != nil || p != pipeline.DropBlock {
-		t.Fatalf("block: %v %v", p, err)
-	}
-	if p, err := parseDropPolicy("drop-newest"); err != nil || p != pipeline.DropNewest {
-		t.Fatalf("drop-newest: %v %v", p, err)
-	}
-	if _, err := parseDropPolicy("nonsense"); err == nil {
-		t.Fatal("invalid policy must be rejected")
-	}
-}
-
-func TestRepeatSource(t *testing.T) {
-	src := newRepeatSource([]string{"a", "b"}, 3)
-	var got []string
-	for {
-		l, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, l)
-	}
-	if len(got) != 6 || got[0] != "a" || got[5] != "b" {
-		t.Fatalf("3x replay of 2 lines gave %v", got)
-	}
-
-	if _, ok := newRepeatSource(nil, 0).Next(); ok {
-		t.Fatal("empty source must be exhausted even when looping forever")
-	}
-
-	forever := newRepeatSource([]string{"x"}, 0)
-	for i := 0; i < 100; i++ {
-		if l, ok := forever.Next(); !ok || l != "x" {
-			t.Fatalf("forever source ended at %d", i)
-		}
 	}
 }
 
@@ -206,15 +167,16 @@ func servedShards(t *testing.T, url string) int {
 	return st.Shards
 }
 
-// TestServeFlagValidation: the combinations the three-way fork used to
-// reinterpret silently are refused with a message, the flag count has
-// not grown, and -shards still defaults to 1.
+// TestServeFlagValidation: serve without a WAL, and the combinations the
+// three-way fork used to reinterpret silently, are refused with a
+// message; the flag count is down to 29; -shards still defaults to 1.
 func TestServeFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string // substring of the refusal; "" = accepted
 	}{
-		{[]string{"-log", "x.log"}, ""},
+		{nil, "logsynergy detect -log F"},
+		{[]string{"-log", "x.log"}, "logsynergy detect -log F"},
 		{[]string{"-broker-dir", "d"}, ""},
 		{[]string{"-broker-dir", "d", "-shards", "4", "-log", "seed.log"}, ""},
 		{[]string{"-cluster", "c.json", "-node", "a"}, ""},
@@ -243,8 +205,8 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 	count := 0
 	f.fs.VisitAll(func(*flag.Flag) { count++ })
-	if count > 33 {
-		t.Errorf("serve has %d flags; the one-runtime serve was not to add any (33)", count)
+	if count > 29 {
+		t.Errorf("serve has %d flags; one serving mode needs no more than 29", count)
 	}
 }
 
@@ -383,19 +345,13 @@ func TestServeMuxIngest(t *testing.T) {
 	}
 }
 
-// TestServeMuxWithoutBroker: serve without a WAL mounts the observability
-// pages only — there is no /ingest to answer.
+// TestServeMuxWithoutBroker: without a WAL there is no serve mux at all —
+// runServe refuses before it loads a model or opens a listener, and names
+// `detect` for an in-memory replay.
 func TestServeMuxWithoutBroker(t *testing.T) {
-	srv := httptest.NewServer(newObsMux(obs.NewRegistry()))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/ingest", "text/plain", strings.NewReader("x\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404 without a WAL", resp.StatusCode)
+	err := runServe([]string{"-model", filepath.Join(t.TempDir(), "missing.json"), "-log", "x.log"})
+	if err == nil || !strings.Contains(err.Error(), "logsynergy detect -log F") {
+		t.Fatalf("serve without -broker-dir or -cluster: error %v, want one naming `logsynergy detect -log F`", err)
 	}
 }
 

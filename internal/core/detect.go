@@ -123,29 +123,6 @@ func (d *Detector) scoreRun(seqs [][]int) []float64 {
 	return scores
 }
 
-// BatchResult pairs one sequence's score with its report (nil when the
-// score does not cross the detection threshold).
-type BatchResult struct {
-	Score  float64
-	Report *Report
-}
-
-// DetectBatch scores sequences concurrently and materializes reports for
-// the anomalous ones, preserving input order. Report construction stays on
-// the calling goroutine: it is cheap, and keeping it serial means report
-// timestamps from d.Now are drawn in input order.
-func (d *Detector) DetectBatch(seqs [][]int) []BatchResult {
-	scores := d.ScoreSequences(seqs)
-	out := make([]BatchResult, len(seqs))
-	for i, score := range scores {
-		out[i].Score = score
-		if score > Threshold {
-			out[i].Report = d.BuildReport(seqs[i], score)
-		}
-	}
-	return out
-}
-
 // Detect scores a sequence and, if it crosses the threshold, produces the
 // anomaly report.
 func (d *Detector) Detect(eventIDs []int) (float64, *Report) {

@@ -14,13 +14,12 @@ import (
 // partition; a single Keyed over the whole stream is the reference the
 // shard-vs-single equivalence suite compares against.
 //
-// Keyed owns the package's only window-advance code: Run is a collector
-// goroutine and a bounded buffer in front of a Keyed over one constant
-// key. Keyed itself is synchronous and single-goroutine: the caller owns
-// the consume loop (typically a broker consumer) and calls Feed per line.
-// That makes commit-time snapshots exact — everything fed is reflected in
-// Tails() — which is what lets a restarted partition resume its window
-// phase bit-identically.
+// Keyed owns the package's only window-advance code: Run is a plain loop
+// feeding a Keyed over one constant key. Keyed is synchronous and
+// single-goroutine: the caller owns the consume loop (typically a broker
+// consumer) and calls Feed per line. That makes commit-time snapshots
+// exact — everything fed is reflected in Tails() — which is what lets a
+// restarted partition resume its window phase bit-identically.
 type Keyed struct {
 	p        *Pipeline
 	batchCap int
@@ -67,7 +66,7 @@ type WindowTail struct {
 
 // NewKeyed wraps a pipeline for keyed, caller-driven streaming. The
 // pipeline's stage guards, pattern library, stats, obs counters and sinks
-// all apply exactly as under Run.
+// all apply.
 func NewKeyed(p *Pipeline) *Keyed {
 	batchCap := p.cfg.DetectBatch
 	if batchCap <= 0 {
@@ -83,14 +82,8 @@ func (k *Keyed) Pipeline() *Pipeline { return k.p }
 // extend the key's sliding window, and queue the completed window, if
 // any, for the next batch flush. A full batch flushes inline.
 func (k *Keyed) Feed(key, line string) {
-	k.p.om.linesCollected.Inc()
-	k.feed(key, line)
-}
-
-// feed is Feed without the collected count, for Run, which counts a line
-// when its collector enqueues it.
-func (k *Keyed) feed(key, line string) {
 	p := k.p
+	p.om.linesCollected.Inc()
 	eventID, ok := p.parseLine(line)
 	if !ok {
 		// Abandoned after terminal parse/embed failure; the key's window

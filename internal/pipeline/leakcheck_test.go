@@ -12,8 +12,9 @@ import (
 // fails the test if the count has not settled back to the baseline. The
 // resident tensor worker pool is pre-spawned first so its goroutines are
 // part of the baseline rather than a false leak; transient goroutines
-// (timed-out fault.WithTimeout calls still draining, collector shutdown)
-// get a grace period to exit before the check fails.
+// (timed-out fault.WithTimeout calls still draining) get a grace period
+// to exit before the check fails. On the Run tests it also proves Run
+// leaves no goroutine of its own behind.
 func leakCheck(t *testing.T) {
 	t.Helper()
 	// Pin the pool at its current effective size so lazily started

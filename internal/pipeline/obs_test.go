@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,11 +19,12 @@ import (
 	"logsynergy/internal/obs"
 	"logsynergy/internal/repr"
 	"logsynergy/internal/tensor"
+	"logsynergy/internal/window"
 )
 
 // tinyDeployment builds an untrained detector over an initially empty
 // event table. The workflow tests here exercise collection, the pattern
-// library, drop accounting and metrics — none of which depend on
+// library, line accounting and metrics — none of which depend on
 // detection quality — so skipping training keeps them fast enough to run
 // in -short mode.
 func tinyDeployment(t testing.TB) (*core.Detector, *drain.Parser, lei.Interpreter, *embed.Embedder) {
@@ -103,14 +103,6 @@ func TestPipelineObservability(t *testing.T) {
 	if h.Count == 0 || h.Sum <= 0 {
 		t.Fatalf("detect-batch latency histogram empty: %+v", h)
 	}
-	if snap.Gauges["pipeline.buffer_capacity"] != int64(cfg.BufferSize) {
-		t.Fatalf("buffer_capacity gauge %d", snap.Gauges["pipeline.buffer_capacity"])
-	}
-	// Occupancy counts the dequeued line, so the peak is >= 1 on any
-	// stream that delivered at least one line.
-	if snap.Gauges["pipeline.buffer_peak"] < 1 {
-		t.Fatalf("buffer_peak gauge %d", snap.Gauges["pipeline.buffer_peak"])
-	}
 	if snap.Gauges["pipeline.pattern_library_size"] != int64(p.Library().Size()) {
 		t.Fatalf("library size gauge %d vs %d", snap.Gauges["pipeline.pattern_library_size"], p.Library().Size())
 	}
@@ -137,7 +129,7 @@ func TestPipelineObservability(t *testing.T) {
 	for _, want := range []string{
 		"counter pipeline.pattern_hits ",
 		"counter pipeline.pattern_misses ",
-		"gauge pipeline.buffer_peak ",
+		"gauge pipeline.pattern_library_size ",
 		"histogram pipeline.detect_batch_seconds count ",
 	} {
 		if !strings.Contains(body, want) {
@@ -149,13 +141,12 @@ func TestPipelineObservability(t *testing.T) {
 	}
 }
 
-// statsFromSnapshot reads the sixteen pipeline.* counters a fresh
+// statsFromSnapshot reads the fifteen pipeline.* counters a fresh
 // registry's Stats is a view of.
 func statsFromSnapshot(snap obs.Snapshot) Stats {
 	c := func(name string) int { return int(snap.Counters["pipeline."+name]) }
 	return Stats{
 		LinesCollected:   c("lines_collected"),
-		LinesDropped:     c("lines_dropped"),
 		SequencesFormed:  c("sequences_formed"),
 		PatternHits:      c("pattern_hits"),
 		PatternMisses:    c("pattern_misses"),
@@ -199,116 +190,13 @@ func TestStatsSequentialPipelinesShareRegistry(t *testing.T) {
 	}
 }
 
-// gateInterp blocks every interpretation until release is closed; it lets
-// a test hold the pipeline's consumer stage on its first new template
-// while the collector runs ahead.
-type gateInterp struct {
-	inner   lei.Interpreter
-	release chan struct{}
-}
-
-func (g *gateInterp) Interpret(hint, tpl string) lei.Interpretation {
-	<-g.release
-	return g.inner.Interpret(hint, tpl)
-}
-
-// signalSource closes exhausted after the last line has been handed out.
-type signalSource struct {
-	inner     Source
-	exhausted chan struct{}
-	once      sync.Once
-}
-
-func (s *signalSource) Next() (string, bool) {
-	line, ok := s.inner.Next()
-	if !ok {
-		s.once.Do(func() { close(s.exhausted) })
-	}
-	return line, ok
-}
-
-// TestDropNewestAccounting proves Stats.LinesDropped is live: with the
-// consumer stage gated on its first template interpretation and a
-// 4-line buffer, a 100-line burst must shed load under DropNewest, and
-// every line must be accounted as either collected or dropped.
-func TestDropNewestAccounting(t *testing.T) {
-	leakCheck(t)
-	det, parser, interp, e := tinyDeployment(t)
-	release := make(chan struct{})
-	gate := &gateInterp{inner: interp, release: release}
-
-	lines := make([]string, 100)
-	for i := range lines {
-		lines[i] = "service heartbeat ok seq 42"
-	}
-	src := &signalSource{inner: NewSliceSource(lines), exhausted: make(chan struct{})}
-
-	reg := obs.NewRegistry()
-	cfg := DefaultConfig("x")
-	cfg.BufferSize = 4
-	cfg.DropPolicy = DropNewest
-	cfg.Metrics = reg
-	p := New(cfg, parser, det, gate, e)
-
-	var stats Stats
-	done := make(chan struct{})
-	go func() {
-		stats = p.Run(context.Background(), src)
-		close(done)
-	}()
-
-	// The consumer is parked inside Interpret on line 1; the collector
-	// fills the 4-slot buffer and must drop the rest of the burst.
-	<-src.exhausted
-	close(release)
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("pipeline did not finish")
-	}
-
-	if stats.LinesDropped == 0 {
-		t.Fatal("full buffer under DropNewest must drop lines")
-	}
-	if stats.LinesCollected+stats.LinesDropped != 100 {
-		t.Fatalf("collected %d + dropped %d != 100", stats.LinesCollected, stats.LinesDropped)
-	}
-	// Consumer held one line and the buffer four: at most 5 collected
-	// before the source ran dry (scheduling may collect fewer).
-	if stats.LinesCollected > 5 {
-		t.Fatalf("collected %d lines through a gated 4-slot buffer", stats.LinesCollected)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["pipeline.lines_dropped"] != int64(stats.LinesDropped) {
-		t.Fatalf("obs dropped %d vs stats %d", snap.Counters["pipeline.lines_dropped"], stats.LinesDropped)
-	}
-	if snap.Gauges["pipeline.buffer_peak"] < int64(cfg.BufferSize) {
-		t.Fatalf("buffer_peak %d with a saturated %d-slot buffer", snap.Gauges["pipeline.buffer_peak"], cfg.BufferSize)
-	}
-}
-
-// TestDropBlockNeverDrops pins the default policy: backpressure, no loss.
-func TestDropBlockNeverDrops(t *testing.T) {
-	leakCheck(t)
-	det, parser, interp, e := tinyDeployment(t)
-	cfg := DefaultConfig("x")
-	cfg.BufferSize = 2
-	p := New(cfg, parser, det, interp, e)
-	lines := make([]string, 50)
-	for i := range lines {
-		lines[i] = "service heartbeat ok seq 42"
-	}
-	stats := p.Run(context.Background(), NewSliceSource(lines))
-	if stats.LinesDropped != 0 || stats.LinesCollected != 50 {
-		t.Fatalf("block policy collected %d dropped %d", stats.LinesCollected, stats.LinesDropped)
-	}
-}
-
-// cancelSource cancels the context after n lines, mid-stream.
+// cancelSource cancels the context after n lines, mid-stream, and counts
+// the lines it hands out.
 type cancelSource struct {
 	inner  Source
 	n      int
 	cancel context.CancelFunc
+	handed int
 }
 
 func (c *cancelSource) Next() (string, bool) {
@@ -316,7 +204,38 @@ func (c *cancelSource) Next() (string, bool) {
 		c.cancel()
 	}
 	c.n--
-	return c.inner.Next()
+	line, ok := c.inner.Next()
+	if ok {
+		c.handed++
+	}
+	return line, ok
+}
+
+// TestRunCountsWhatItFeeds cancels Run from inside Source.Next: every
+// line Run took from the source before it saw the cancellation is counted
+// and fed — none is counted and left unfed — so a single fault-free key
+// forms exactly the windows of that many lines.
+func TestRunCountsWhatItFeeds(t *testing.T) {
+	leakCheck(t)
+	det, parser, interp, e := tinyDeployment(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelSource{inner: NewSliceSource(chaosLines(3000)), n: 200, cancel: cancel}
+
+	cfg := DefaultConfig("x")
+	cfg.Metrics = obs.NewRegistry()
+	p := New(cfg, parser, det, interp, e)
+	stats := p.Run(ctx, src)
+
+	if src.handed == 0 || src.handed >= 3000 {
+		t.Fatalf("source handed out %d of 3000 lines; the cancellation did not land mid-stream", src.handed)
+	}
+	if stats.LinesCollected != src.handed {
+		t.Fatalf("LinesCollected %d, but the source handed out %d lines", stats.LinesCollected, src.handed)
+	}
+	if want := window.Count(stats.LinesCollected, cfg.Window); stats.SequencesFormed != want {
+		t.Fatalf("SequencesFormed %d, want %d for %d fed lines on one key", stats.SequencesFormed, want, stats.LinesCollected)
+	}
 }
 
 // TestPipelineCancelMidStream cancels while lines are flowing and
@@ -329,9 +248,7 @@ func TestPipelineCancelMidStream(t *testing.T) {
 	defer cancel()
 	src := &cancelSource{inner: NewSliceSource(online.Messages()), n: 200, cancel: cancel}
 
-	cfg := DefaultConfig("x")
-	cfg.BufferSize = 64
-	p := New(cfg, parser, det, interp, e)
+	p := New(DefaultConfig("x"), parser, det, interp, e)
 
 	var stats Stats
 	done := make(chan struct{})
@@ -353,39 +270,5 @@ func TestPipelineCancelMidStream(t *testing.T) {
 	}
 	if stats.Anomalies < 0 || stats.SequencesFormed < 0 {
 		t.Fatalf("negative counters: %+v", stats)
-	}
-}
-
-// TestPipelineCancelMidStreamDropNewest covers the same path under the
-// shedding policy, where the collector must still exit on cancellation.
-func TestPipelineCancelMidStreamDropNewest(t *testing.T) {
-	leakCheck(t)
-	det, parser, interp, e := tinyDeployment(t)
-	online := logdata.Generate(logdata.SystemB(), 8, 3000)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	src := &cancelSource{inner: NewSliceSource(online.Messages()), n: 200, cancel: cancel}
-
-	cfg := DefaultConfig("x")
-	cfg.BufferSize = 8
-	cfg.DropPolicy = DropNewest
-	p := New(cfg, parser, det, interp, e)
-
-	done := make(chan struct{})
-	var stats Stats
-	go func() {
-		stats = p.Run(ctx, src)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run did not return after cancellation")
-	}
-	if stats.LinesCollected >= 3000 {
-		t.Fatal("cancelled pipeline consumed the whole stream")
-	}
-	if stats.PatternHits+stats.PatternMisses != stats.SequencesFormed {
-		t.Fatalf("inconsistent stats after cancel: %+v", stats)
 	}
 }

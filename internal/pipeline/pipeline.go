@@ -1,10 +1,10 @@
 // Package pipeline implements LogSynergy's production deployment workflow
 // (paper §VI, Fig. 7) as an in-process streaming system:
 //
-//	Collection: a collector (Filebeat analogue) ships raw lines into a
-//	bounded buffer (Kafka analogue); a parser stage (Logstash analogue)
-//	structures them with Drain and segments the stream with the sliding
-//	window (10 logs, 5-step shift).
+//	Collection: a parser stage (Logstash analogue) structures raw lines
+//	with Drain and segments each stream key with the sliding window
+//	(10 logs, 5-step shift). The Kafka-analogue buffer in front of it is
+//	the shard runtime's WAL; Run feeds an in-memory source directly.
 //
 //	Detection: each completed sequence is first matched against a pattern
 //	library of previously scored sequences; only new patterns reach the
@@ -15,7 +15,7 @@
 //	SMS/email analogues).
 //
 // Every stage is instrumented through an obs.Registry (Config.Metrics):
-// per-stage counters, a buffer-occupancy gauge, and a detect-batch
+// per-stage counters, a pattern-library gauge, and a detect-batch
 // latency histogram, so a long-running deployment can be observed live
 // via obs.Snapshot() or the logsynergy serve /metrics endpoint.
 //
@@ -94,14 +94,11 @@ func (m *MemorySink) Reports() []*core.Report {
 	return append([]*core.Report(nil), m.reports...)
 }
 
-// Stats is a typed view of the pipeline's sixteen pipeline.* obs counters
+// Stats is a typed view of the pipeline's fifteen pipeline.* obs counters
 // (Config.Metrics): each field is the growth of one counter since New.
 type Stats struct {
-	// LinesCollected counts raw lines shipped by the collector.
+	// LinesCollected counts raw lines fed to the pipeline.
 	LinesCollected int
-	// LinesDropped counts lines dropped on buffer overflow (only under
-	// DropNewest; the default DropBlock policy never drops).
-	LinesDropped int
 	// SequencesFormed counts completed sliding windows.
 	SequencesFormed int
 	// PatternHits counts sequences answered from the pattern library.
@@ -274,34 +271,8 @@ func (p *PatternLibrary) Size() int {
 	return len(p.entries)
 }
 
-// DropPolicy selects what the collector does when the bounded buffer is
-// full (paper Fig. 7: the Kafka stage absorbing a collection burst).
-type DropPolicy int
-
-const (
-	// DropBlock blocks the collector until the parser drains the buffer
-	// (lossless backpressure; the default).
-	DropBlock DropPolicy = iota
-	// DropNewest discards the incoming line when the buffer is full,
-	// counting it in Stats.LinesDropped (load shedding: detection
-	// freshness over completeness).
-	DropNewest
-)
-
-// String names the policy for flags and logs.
-func (d DropPolicy) String() string {
-	if d == DropNewest {
-		return "drop-newest"
-	}
-	return "block"
-}
-
 // Config assembles a pipeline.
 type Config struct {
-	// BufferSize is the bounded buffer capacity (Kafka analogue).
-	BufferSize int
-	// DropPolicy selects block-vs-drop behavior on a full buffer.
-	DropPolicy DropPolicy
 	// Window is the segmentation config (paper: length 10, step 5).
 	Window window.Config
 	// SystemHint feeds LEI prompts for events first seen online.
@@ -313,10 +284,11 @@ type Config struct {
 	// (ablation for the deployment benchmark).
 	DisablePatternLibrary bool
 	// DetectBatch caps how many completed windows are scored together in
-	// one parallel flush (0 = 2× the tensor worker count). Batches flush
-	// early whenever the collection buffer runs dry, so batching adds no
-	// latency on a trickling stream; reports are always delivered in input
-	// order. 1 forces the serial one-window-at-a-time path.
+	// one parallel flush (0 = 2× the tensor worker count). The caller
+	// flushes early whenever its source runs dry (the shard runtime's
+	// partition worker does; Run flushes at end of stream), so batching
+	// adds no latency on a trickling stream; reports are always delivered
+	// in input order. 1 forces the serial one-window-at-a-time path.
 	DetectBatch int
 	// Metrics receives the pipeline's counters, gauges and histograms
 	// (nil = obs.Default()). Stats is read back from these counters as the
@@ -339,7 +311,7 @@ type Config struct {
 
 // DefaultConfig returns production defaults.
 func DefaultConfig(systemHint string) Config {
-	return Config{BufferSize: 1024, Window: window.Default(), SystemHint: systemHint}
+	return Config{Window: window.Default(), SystemHint: systemHint}
 }
 
 // counter is a registry counter plus its value when this pipeline was
@@ -362,16 +334,12 @@ func (c counter) since() int { return int(c.Value() - c.base) }
 // are single atomic operations.
 type pipelineObs struct {
 	linesCollected   counter
-	linesDropped     counter
 	sequencesFormed  counter
 	patternHits      counter
 	patternMisses    counter
 	patternEvictions counter
 	anomalies        counter
 	newEvents        counter
-	bufferOccupancy  *obs.Gauge
-	bufferPeak       *obs.Gauge
-	bufferCapacity   *obs.Gauge
 	librarySize      *obs.Gauge
 	detectBatch      *obs.Histogram
 }
@@ -379,16 +347,12 @@ type pipelineObs struct {
 func newPipelineObs(reg *obs.Registry) pipelineObs {
 	return pipelineObs{
 		linesCollected:   newCounter(reg, "pipeline.lines_collected"),
-		linesDropped:     newCounter(reg, "pipeline.lines_dropped"),
 		sequencesFormed:  newCounter(reg, "pipeline.sequences_formed"),
 		patternHits:      newCounter(reg, "pipeline.pattern_hits"),
 		patternMisses:    newCounter(reg, "pipeline.pattern_misses"),
 		patternEvictions: newCounter(reg, "pipeline.pattern_evictions"),
 		anomalies:        newCounter(reg, "pipeline.anomalies"),
 		newEvents:        newCounter(reg, "pipeline.new_events"),
-		bufferOccupancy:  reg.Gauge("pipeline.buffer_occupancy"),
-		bufferPeak:       reg.Gauge("pipeline.buffer_peak"),
-		bufferCapacity:   reg.Gauge("pipeline.buffer_capacity"),
 		librarySize:      reg.Gauge("pipeline.pattern_library_size"),
 		detectBatch:      reg.Histogram("pipeline.detect_batch_seconds"),
 	}
@@ -412,9 +376,6 @@ type Pipeline struct {
 // parser used to build the event table offline (its event-id space extends
 // seamlessly online); interp and embedder must match the offline stages.
 func New(cfg Config, parser *drain.Parser, det *core.Detector, interp lei.Interpreter, e *embed.Embedder, sinks ...Sink) *Pipeline {
-	if cfg.BufferSize <= 0 {
-		cfg.BufferSize = 1024
-	}
 	if cfg.Window.Length == 0 {
 		cfg.Window = window.Default()
 	}
@@ -448,7 +409,6 @@ func (p *Pipeline) Stats() Stats {
 	hits, misses, failures := p.om.patternHits.since(), p.om.patternMisses.since(), p.res.om.detectFailures.since()
 	return Stats{
 		LinesCollected:   p.om.linesCollected.since(),
-		LinesDropped:     p.om.linesDropped.since(),
 		SequencesFormed:  p.om.sequencesFormed.since(),
 		PatternHits:      hits,
 		PatternMisses:    misses,
@@ -500,81 +460,25 @@ func (p *Pipeline) SyncTable() error {
 // runKey is the one stream key Run feeds its Keyed under.
 const runKey = ""
 
-// Run consumes the source to exhaustion (or ctx cancellation), streaming
-// lines through collection → detection → report. It returns the final
-// stats. Collection and detection run concurrently, connected by the
-// bounded buffer; completed windows are scored in parallel batches (up to
-// cfg.DetectBatch at a time) with reports delivered in input order. Run
-// is the in-memory path — detect, serve -log replay, the experiments: a
-// source that must survive a crash goes through the shard runtime, which
-// feeds a Keyed itself and commits window tails with its offsets.
+// Run feeds the source to exhaustion (or ctx cancellation) through a
+// Keyed over one constant key, on the calling goroutine, and returns the
+// final stats. Completed windows are scored in batches of up to
+// cfg.DetectBatch with reports delivered in input order; the last partial
+// batch flushes before Run returns, and every line Run takes from the
+// source is fed. Run is the in-memory path — detect, the experiments, the
+// examples: a source that must survive a crash goes through the shard
+// runtime, which feeds a Keyed itself and commits window tails with its
+// offsets.
 func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
-	buffer := make(chan string, p.cfg.BufferSize)
-	p.om.bufferCapacity.Set(int64(cap(buffer)))
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // collector
-		defer wg.Done()
-		defer close(buffer)
-		for {
-			line, ok := src.Next()
-			if !ok {
-				return
-			}
-			if p.cfg.DropPolicy == DropNewest {
-				select {
-				case buffer <- line:
-					p.om.linesCollected.Inc()
-				default:
-					p.om.linesDropped.Inc()
-				}
-				if ctx.Err() != nil {
-					return
-				}
-			} else {
-				select {
-				case buffer <- line:
-					p.om.linesCollected.Inc()
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-
-	// One consumer keeps window ordering: every dequeued line goes to a
-	// Keyed over a single constant key, which owns the sliding window and
-	// the pending batch.
 	k := NewKeyed(p)
-	for {
-		var line string
-		var ok bool
-		select {
-		case line, ok = <-buffer:
-		default:
-			// Collection can't keep up with detection right now: score what
-			// we have instead of waiting for a full batch, so batching never
-			// delays a report on a slow stream.
-			k.Flush()
-			line, ok = <-buffer
-		}
+	for ctx.Err() == nil {
+		line, ok := src.Next()
 		if !ok {
 			break
 		}
-		// Occupancy counts the just-dequeued line; at this instant the
-		// buffer holds len(buffer)+1 lines' worth of backlog.
-		occ := int64(len(buffer))
-		p.om.bufferOccupancy.Set(occ)
-		p.om.bufferPeak.Max(occ + 1)
-		k.feed(runKey, line)
-		if ctx.Err() != nil {
-			break
-		}
+		k.Feed(runKey, line)
 	}
 	k.Flush()
-	p.om.bufferOccupancy.Set(0)
-	wg.Wait()
 	return p.Stats()
 }
 

@@ -158,8 +158,8 @@ func TestPipelineContextCancel(t *testing.T) {
 	cancel()
 	p := New(DefaultConfig("x"), parser, det, interp, e)
 	stats := p.Run(ctx, NewSliceSource(online.Messages()))
-	if stats.LinesCollected == 3000 {
-		t.Fatal("cancelled pipeline should not consume the whole stream")
+	if stats.LinesCollected != 0 {
+		t.Fatalf("a context cancelled before Run fed %d lines, want 0", stats.LinesCollected)
 	}
 }
 

@@ -38,11 +38,8 @@ type FallibleSink interface {
 }
 
 // ResilienceConfig tunes the pipeline's fault tolerance. The zero value
-// selects production defaults; set Disabled to run the pre-fault-layer
-// bare stage calls (ablation and benchmarks).
+// selects production defaults.
 type ResilienceConfig struct {
-	// Disabled bypasses retries, breakers, timeouts and spill entirely.
-	Disabled bool
 	// MaxAttempts is the total tries per stage call, first included
 	// (default 3).
 	MaxAttempts int
@@ -188,7 +185,7 @@ type sinkGuard struct {
 // spillQueue is the bounded in-memory holding area for reports whose
 // sink delivery terminally failed. It keeps the newest reports: on
 // overflow the oldest spilled report is dropped (alert freshness over
-// completeness, matching DropNewest's stance for lines).
+// completeness).
 type spillQueue struct {
 	mu      sync.Mutex
 	cap     int
@@ -236,9 +233,6 @@ func (q *spillQueue) len() int {
 // budget exactly like real component latency; timeout bounds each
 // attempt (0 = none).
 func (p *Pipeline) guard(point string, timeout time.Duration, fn func() error) error {
-	if p.res.cfg.Disabled {
-		return fn()
-	}
 	return p.res.retryer.Do(func() error {
 		return fault.WithTimeout(timeout, func() error {
 			if err := p.res.faults.Check(point); err != nil {
@@ -255,9 +249,6 @@ func (p *Pipeline) guard(point string, timeout time.Duration, fn func() error) e
 // still extends the event table, so detection keeps running on the raw
 // template vocabulary until the interpreter recovers.
 func (p *Pipeline) interpret(template string) lei.Interpretation {
-	if p.res.cfg.Disabled {
-		return p.interp.Interpret(p.cfg.SystemHint, template)
-	}
 	if p.res.interp.Allow() {
 		// got is written under its own mutex: a timed-out attempt keeps
 		// running on a discarded goroutine (see fault.WithTimeout) and may
@@ -308,10 +299,6 @@ func (p *Pipeline) deliverAll(rep *core.Report) {
 // injection check, retries. It reports whether the sink took the report;
 // false means the breaker was open or the delivery terminally failed.
 func (p *Pipeline) deliverTo(g *sinkGuard, rep *core.Report) bool {
-	if p.res.cfg.Disabled {
-		g.sink.Notify(rep)
-		return true
-	}
 	if !g.breaker.Allow() {
 		return false
 	}

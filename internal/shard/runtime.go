@@ -1016,7 +1016,6 @@ func (rt *Runtime) Stats() pipeline.Stats {
 	for _, pt := range rt.partitions() {
 		s := pt.pipe.Stats()
 		total.LinesCollected += s.LinesCollected
-		total.LinesDropped += s.LinesDropped
 		total.SequencesFormed += s.SequencesFormed
 		total.PatternHits += s.PatternHits
 		total.PatternMisses += s.PatternMisses
