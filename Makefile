@@ -141,11 +141,13 @@ cover:
 		awk -v p="$$pct" 'BEGIN {exit !(p+0 >= 70)}' || { echo "FAIL: internal/$$pkg coverage $$pct% is below the 70% floor"; exit 1; }; \
 	done
 
-# Fuzz-smoke tier (nightly): a short randomized pass over the parser,
-# window and tape-vs-inference-graph fuzz targets (the checked-in seed
+# Fuzz-smoke tier (nightly): a short randomized pass over the parser
+# (scanner vs regex chain), window and tape-vs-inference-graph fuzz
+# targets (the checked-in seed
 # corpora always run as part of `make test`; this tier actually mutates).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/drain/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/drain/
+	$(GO) test -run '^$$' -fuzz '^FuzzMask$$' -fuzztime 10s ./internal/drain/
 	$(GO) test -run '^$$' -fuzz FuzzSlide -fuzztime 10s ./internal/window/
 	$(GO) test -run '^$$' -fuzz FuzzScoreModes -fuzztime 10s ./internal/core/
 

@@ -9,82 +9,111 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"logsynergy/internal/alertstore"
 )
 
 func main() {
-	store := flag.String("store", "alerts.jsonl", "alert store path")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: alerts -store <path> <list|ack|compact> [flags]")
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "alerts: %v\n", err)
+	var usage usageError
+	if errors.As(err, &usage) {
 		os.Exit(2)
 	}
+	os.Exit(1)
+}
 
-	s, err := alertstore.Open(*store)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "alerts: %v\n", err)
-		os.Exit(1)
+// usageError is a bad invocation (exit 2), as opposed to a failure (exit 1).
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// run is the whole command. The subcommand and its flags are checked
+// before the store is opened, so a typo never creates a store file.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("alerts", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	storePath := fs.String("store", "alerts.jsonl", "alert store path")
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
 	}
-	defer s.Close()
+	args = fs.Args()
+	if len(args) == 0 {
+		return usageError{errors.New("usage: alerts -store <path> <list|ack|compact> [flags]")}
+	}
 
+	cmd := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	cmd.SetOutput(stderr)
+	var do func(s *alertstore.Store) error
 	switch args[0] {
 	case "list":
-		fs := flag.NewFlagSet("list", flag.ExitOnError)
-		system := fs.String("system", "", "filter by system")
-		minScore := fs.Float64("min-score", 0, "minimum score")
-		open := fs.Bool("open", false, "unacknowledged only")
-		limit := fs.Int("limit", 0, "max results")
-		fs.Parse(args[1:])
-		recs := s.Find(alertstore.Query{
-			System:             *system,
-			MinScore:           *minScore,
-			UnacknowledgedOnly: *open,
-			Limit:              *limit,
-		})
-		for _, r := range recs {
-			status := "open"
-			if r.Acknowledged {
-				status = "acked"
+		system := cmd.String("system", "", "filter by system")
+		minScore := cmd.Float64("min-score", 0, "minimum score")
+		open := cmd.Bool("open", false, "unacknowledged only")
+		limit := cmd.Int("limit", 0, "max results")
+		do = func(s *alertstore.Store) error {
+			recs := s.Find(alertstore.Query{
+				System:             *system,
+				MinScore:           *minScore,
+				UnacknowledgedOnly: *open,
+				Limit:              *limit,
+			})
+			for _, r := range recs {
+				status := "open"
+				if r.Acknowledged {
+					status = "acked"
+				}
+				fmt.Fprintf(stdout, "#%d %s score=%.3f %s [%s]\n",
+					r.ID, r.Report.System, r.Report.Score,
+					r.Report.Timestamp.Format("2006-01-02T15:04:05"), status)
 			}
-			fmt.Printf("#%d %s score=%.3f %s [%s]\n",
-				r.ID, r.Report.System, r.Report.Score,
-				r.Report.Timestamp.Format("2006-01-02T15:04:05"), status)
+			fmt.Fprintf(stderr, "%d alerts\n", len(recs))
+			return nil
 		}
-		fmt.Fprintf(os.Stderr, "%d alerts\n", len(recs))
 	case "ack":
-		fs := flag.NewFlagSet("ack", flag.ExitOnError)
-		id := fs.Uint64("id", 0, "alert id")
-		fs.Parse(args[1:])
-		ok, err := s.Acknowledge(*id)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alerts: %v\n", err)
-			os.Exit(1)
+		id := cmd.Uint64("id", 0, "alert id")
+		do = func(s *alertstore.Store) error {
+			ok, err := s.Acknowledge(*id)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return fmt.Errorf("no alert #%d", *id)
+			}
+			fmt.Fprintf(stdout, "acknowledged #%d\n", *id)
+			return nil
 		}
-		if !ok {
-			fmt.Fprintf(os.Stderr, "alerts: no alert #%d\n", *id)
-			os.Exit(1)
-		}
-		fmt.Printf("acknowledged #%d\n", *id)
 	case "compact":
-		fs := flag.NewFlagSet("compact", flag.ExitOnError)
-		dropAcked := fs.Bool("drop-acked", false, "drop acknowledged alerts")
-		fs.Parse(args[1:])
-		keep := func(r alertstore.Record) bool { return true }
-		if *dropAcked {
-			keep = func(r alertstore.Record) bool { return !r.Acknowledged }
+		dropAcked := cmd.Bool("drop-acked", false, "drop acknowledged alerts")
+		do = func(s *alertstore.Store) error {
+			var keep func(alertstore.Record) bool
+			if *dropAcked {
+				keep = func(r alertstore.Record) bool { return !r.Acknowledged }
+			}
+			if err := s.Compact(keep); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "compacted: %d alerts retained\n", s.Len())
+			return nil
 		}
-		if err := s.Compact(keep); err != nil {
-			fmt.Fprintf(os.Stderr, "alerts: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("compacted: %d alerts retained\n", s.Len())
 	default:
-		fmt.Fprintf(os.Stderr, "alerts: unknown command %q\n", args[0])
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown command %q", args[0])}
 	}
+	if err := cmd.Parse(args[1:]); err != nil {
+		return usageError{err}
+	}
+
+	s, err := alertstore.Open(*storePath)
+	if err != nil {
+		return err
+	}
+	return errors.Join(do(s), s.Close())
 }
