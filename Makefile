@@ -120,12 +120,13 @@ bench-cluster-smoke:
 # suites (seeded fault schedules, breakers, spill, leak checks, Run's
 # cancellation accounting; broker
 # crash-recovery replay; the /ingest contract over a one-partition
-# runtime) under the race detector. Fast — it uses the
+# runtime; torn and corrupt frames in the framed log and the alert store
+# on it) under the race detector. Fast — it uses the
 # untrained tiny deployment.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run 'TestChaos|TestPipelineCancel|TestRunCountsWhatItFeeds' ./internal/pipeline/
-	$(GO) test -race -count=1 ./internal/broker/
+	$(GO) test -race -count=1 ./internal/broker/ ./internal/framelog/ ./internal/alertstore/
 
 # Cover tier (nightly): the full suite with coverage, a per-package
 # summary, and floors on the sharded runtime, the pipeline core and the
@@ -142,14 +143,15 @@ cover:
 	done
 
 # Fuzz-smoke tier (nightly): a short randomized pass over the parser
-# (scanner vs regex chain), window and tape-vs-inference-graph fuzz
-# targets (the checked-in seed
+# (scanner vs regex chain), window, tape-vs-inference-graph and framed-log
+# scan fuzz targets (the checked-in seed
 # corpora always run as part of `make test`; this tier actually mutates).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/drain/
 	$(GO) test -run '^$$' -fuzz '^FuzzMask$$' -fuzztime 10s ./internal/drain/
 	$(GO) test -run '^$$' -fuzz FuzzSlide -fuzztime 10s ./internal/window/
 	$(GO) test -run '^$$' -fuzz FuzzScoreModes -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 10s ./internal/framelog/
 
 # Verify: the per-PR gate — static checks, tier-1, the benchmark module's
 # build, and the fast -race proof tiers plus the smoke-sized benches.

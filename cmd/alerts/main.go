@@ -1,11 +1,11 @@
 // Command alerts queries and maintains a LogSynergy alert store (the
-// durable JSONL history written by the detection pipeline).
+// durable, CRC-framed history written by the detection pipeline).
 //
 // Usage:
 //
-//	alerts -store alerts.jsonl list [-system SystemB] [-min-score 0.9] [-open] [-limit 20]
-//	alerts -store alerts.jsonl ack -id 17
-//	alerts -store alerts.jsonl compact [-drop-acked]
+//	alerts -store alerts.log list [-system SystemB] [-min-score 0.9] [-open] [-limit 20]
+//	alerts -store alerts.log ack -id 17
+//	alerts -store alerts.log compact [-drop-acked]
 package main
 
 import (
@@ -41,7 +41,7 @@ func (e usageError) Unwrap() error { return e.error }
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("alerts", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	storePath := fs.String("store", "alerts.jsonl", "alert store path")
+	storePath := fs.String("store", "alerts.log", "alert store path")
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}

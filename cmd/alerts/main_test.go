@@ -16,7 +16,7 @@ import (
 // seed writes a store of four alerts, #2 acknowledged, and returns its path.
 func seed(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "alerts.jsonl")
+	path := filepath.Join(t.TempDir(), "alerts.log")
 	s, err := alertstore.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestCompactDropAcked(t *testing.T) {
 // TestUsageErrorsCreateNoStore: a missing or unknown command, or a bad
 // subcommand flag, is a usage error and never creates the store file.
 func TestUsageErrorsCreateNoStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "typo.jsonl")
+	path := filepath.Join(t.TempDir(), "typo.log")
 	for _, args := range [][]string{
 		{"-store", path, "lst"},
 		{"-store", path},
@@ -120,5 +120,24 @@ func TestUsageErrorsCreateNoStore(t *testing.T) {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("alerts %v created the store file (stat: %v)", args, err)
 		}
+	}
+}
+
+// TestForeignStoreRefused: a file that is no framed alert store — here a
+// model bundle passed as -store — fails the command (exit 1, not a usage
+// error) and is left byte-identical.
+func TestForeignStoreRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.json")
+	bundle := []byte(`{"config":{"embed_dim":24},"num_systems":2,"system":"Thunderbird"}` + "\n#lsbundle v1 crc32c=00000000\n")
+	if err := os.WriteFile(path, bundle, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-store", path, "list"}, &bytes.Buffer{}, &bytes.Buffer{})
+	var usage usageError
+	if err == nil || errors.As(err, &usage) || !strings.Contains(err.Error(), "not a framed alert store") {
+		t.Fatalf("list on a model bundle: %v, want a failure naming it no framed store", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(bundle, after) {
+		t.Fatal("list changed the model bundle")
 	}
 }

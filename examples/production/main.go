@@ -58,7 +58,7 @@ func main() {
 	fmt.Println("online: streaming 20,000 fresh SystemB lines through the pipeline...")
 	live := logdata.Generate(spec, 99, 20000)
 	sms := &smsSink{}
-	storePath := filepath.Join(os.TempDir(), "logsynergy-alerts.jsonl")
+	storePath := filepath.Join(os.TempDir(), "logsynergy-alerts.log")
 	os.Remove(storePath)
 	store, err := alertstore.Open(storePath)
 	if err != nil {

@@ -1,24 +1,30 @@
 // Package alertstore provides durable storage for anomaly reports: an
-// append-only JSONL log with an in-memory index, crash-tolerant reopen,
-// time-range and system queries, and compaction. The production workflow
-// (§VI) routes every alert to operators; a deployment also needs the
-// alert history on disk for audits, post-mortems and the §VI-C
-// false-positive/false-negative analysis — this package is that history.
+// append-only framelog file, one JSON-encoded Record per frame, with an
+// in-memory index, crash-tolerant reopen, time-range and system queries,
+// and compaction. The production workflow (§VI) routes every alert to
+// operators; a deployment also needs the alert history on disk for audits,
+// post-mortems and the §VI-C false-positive/false-negative analysis — this
+// package is that history.
 package alertstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"time"
 
 	"logsynergy/internal/atomicfile"
 	"logsynergy/internal/core"
+	"logsynergy/internal/framelog"
 )
+
+// maxRecord bounds one encoded record. Well below the length a text file's
+// first four bytes spell, it also makes a file that is no framed store —
+// a JSON-lines store, a model bundle — fail as corrupt at byte 0.
+const maxRecord = 16 << 20
 
 // Record is one stored alert.
 type Record struct {
@@ -37,65 +43,31 @@ type Store struct {
 	mu      sync.Mutex
 	path    string
 	file    *os.File
-	w       *bufio.Writer
 	records []Record // in-memory index, append order
 	nextID  uint64
-	// torn is set when replay found bytes after the last newline: a
-	// record torn mid-write. The first write cuts the file to tornAt.
-	torn   bool
-	tornAt int64
-	// Sync forces an fsync after every append (durability over speed).
+	// end is the byte length of the file's whole frames. torn is set while
+	// bytes past end may be on disk — a frame torn by a crash, or by a
+	// write that failed — and the next write first cuts the file to end.
+	end  int64
+	torn bool
+	// Sync forces an fsync after every write (durability over speed).
 	Sync bool
 }
 
 // Open opens (or creates) a store at path, replaying existing records.
 // Open never changes an existing file, so a read-only use (`alerts list`,
-// even against a live store) leaves it as it was. A torn last line — bytes
-// after the last newline, the signature of a crash mid-write — is not
-// loaded, and the first write cuts it off so the new record starts a line
-// of its own. A complete line that does not decode is skipped.
+// even against a live store) leaves it as it was. A torn last frame — the
+// signature of a crash mid-write — is not loaded, and the first write cuts
+// it off. An intact frame that does not decode as a Record is skipped. A
+// corrupt frame is refused, naming its byte offset: the file is damaged,
+// or it is not a framed alert store at all.
 func Open(path string) (*Store, error) {
 	s := &Store{path: path, nextID: 1}
-	if err := s.replay(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("alertstore: opening %s: %w", path, err)
-	}
-	s.file = f
-	s.w = bufio.NewWriter(f)
-	return s, nil
-}
-
-// replay loads existing records into the index and notes a torn tail.
-func (s *Store) replay() error {
-	f, err := os.Open(s.path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("alertstore: replaying %s: %w", s.path, err)
-	}
-	defer f.Close()
-	rd := bufio.NewReader(f)
 	index := make(map[uint64]int)
-	var off int64
-	for {
-		line, err := rd.ReadBytes('\n')
-		if err == io.EOF {
-			// An unterminated last line is torn even if it decodes: the
-			// append that wrote it never returned.
-			s.torn, s.tornAt = len(line) > 0, off
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("alertstore: replaying %s: %w", s.path, err)
-		}
-		off += int64(len(line))
-		r, ok := decodeLine(line)
-		if !ok {
-			continue
+	_, valid, stop, err := framelog.Scan(path, maxRecord, func(payload []byte) {
+		var r Record
+		if json.Unmarshal(payload, &r) != nil {
+			return
 		}
 		// Later versions of a record (e.g. acknowledgements) supersede
 		// earlier ones in place, keeping first-seen order.
@@ -108,43 +80,53 @@ func (s *Store) replay() error {
 		if r.ID >= s.nextID {
 			s.nextID = r.ID + 1
 		}
+	})
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return nil, fmt.Errorf("alertstore: replaying %s: %w", path, err)
+	case errors.Is(stop, framelog.ErrCorrupt):
+		return nil, fmt.Errorf("alertstore: %s is not a framed alert store, or is damaged, at byte %d: %w; "+
+			"a JSON-lines store from an earlier version is still readable as it is, one record per line: move it aside",
+			path, valid, stop)
 	}
+	s.end, s.torn = valid, stop != nil
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("alertstore: opening %s: %w", path, err)
+	}
+	s.file = f
+	return s, nil
 }
 
-// recordStart opens every encoded Record: ID is its first field, and no
-// field of core.Report is named "id".
-var recordStart = []byte(`{"id":`)
-
-// decodeLine decodes one complete log line. A store written before torn
-// tails were cut can hold a torn fragment with the next record appended
-// onto the same line; that record is salvaged from the line's last
-// recordStart.
-func decodeLine(line []byte) (Record, bool) {
-	var r Record
-	if json.Unmarshal(line, &r) == nil {
-		return r, true
+// write appends rec as one frame in one Write, first cutting off a torn
+// tail, and fsyncs under Sync. A write that fails or comes up short may
+// leave part of the frame on disk, so it marks the tail torn: the next
+// write cuts back to the last whole frame instead of burying the fragment
+// mid-file, where the next Open would refuse the store. The caller holds
+// s.mu.
+func (s *Store) write(rec Record) error {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("alertstore: encoding record: %w", err)
 	}
-	i := bytes.LastIndex(line, recordStart)
-	if i <= 0 {
-		return Record{}, false
+	if s.torn {
+		if err := s.file.Truncate(s.end); err != nil {
+			return fmt.Errorf("alertstore: cutting torn tail of %s: %w", s.path, err)
+		}
+		s.torn = false
 	}
-	var salvaged Record
-	if json.Unmarshal(line[i:], &salvaged) != nil {
-		return Record{}, false
+	frame := framelog.Append(nil, payload)
+	if _, err := s.file.Write(frame); err != nil {
+		s.torn = true
+		return fmt.Errorf("alertstore: appending: %w", err)
 	}
-	return salvaged, true
-}
-
-// cutTornTail cuts a torn last line off the file before the first write.
-// The caller holds s.mu.
-func (s *Store) cutTornTail() error {
-	if !s.torn {
-		return nil
+	s.end += int64(len(frame))
+	if s.Sync {
+		if err := s.file.Sync(); err != nil {
+			return fmt.Errorf("alertstore: syncing: %w", err)
+		}
 	}
-	if err := s.file.Truncate(s.tornAt); err != nil {
-		return fmt.Errorf("alertstore: cutting torn tail of %s: %w", s.path, err)
-	}
-	s.torn = false
 	return nil
 }
 
@@ -152,39 +134,21 @@ func (s *Store) cutTornTail() error {
 func (s *Store) Append(rep *core.Report) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.cutTornTail(); err != nil {
-		return Record{}, err
-	}
 	rec := Record{ID: s.nextID, Report: *rep, StoredAt: time.Now().UTC()}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return Record{}, fmt.Errorf("alertstore: encoding record: %w", err)
-	}
-	if _, err := s.w.Write(append(line, '\n')); err != nil {
-		return Record{}, fmt.Errorf("alertstore: appending: %w", err)
-	}
-	if err := s.w.Flush(); err != nil {
-		return Record{}, fmt.Errorf("alertstore: flushing: %w", err)
-	}
-	if s.Sync {
-		if err := s.file.Sync(); err != nil {
-			return Record{}, fmt.Errorf("alertstore: syncing: %w", err)
-		}
+	if err := s.write(rec); err != nil {
+		return Record{}, err
 	}
 	s.nextID++
 	s.records = append(s.records, rec)
 	return rec, nil
 }
 
-// Close flushes and closes the underlying file.
+// Close closes the underlying file.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.file == nil {
 		return nil
-	}
-	if err := s.w.Flush(); err != nil {
-		return err
 	}
 	err := s.file.Close()
 	s.file = nil
@@ -256,60 +220,44 @@ func (s *Store) Acknowledge(id uint64) (bool, error) {
 	defer s.mu.Unlock()
 	for i := range s.records {
 		if s.records[i].ID == id {
-			if err := s.cutTornTail(); err != nil {
+			rec := s.records[i]
+			rec.Acknowledged = true
+			if err := s.write(rec); err != nil {
 				return false, err
 			}
-			s.records[i].Acknowledged = true
-			line, err := json.Marshal(s.records[i])
-			if err != nil {
-				return false, err
-			}
-			if _, err := s.w.Write(append(line, '\n')); err != nil {
-				return false, err
-			}
-			return true, s.w.Flush()
+			s.records[i] = rec
+			return true, nil
 		}
 	}
 	return false, nil
 }
 
 // Compact rewrites the log keeping only records matching keep (nil keeps
-// everything, deduplicating superseded record versions). The store stays
-// usable afterwards.
+// everything). The index holds one version per record, so the rewrite
+// drops every superseded version. The store stays usable afterwards.
 func (s *Store) Compact(keep func(Record) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Deduplicate by id (last version wins), preserving append order.
-	last := make(map[uint64]int, len(s.records))
-	for i, r := range s.records {
-		last[r.ID] = i
-	}
 	var kept []Record
-	for i, r := range s.records {
-		if last[r.ID] != i {
+	var buf []byte
+	for _, r := range s.records {
+		if keep != nil && !keep(r) {
 			continue
 		}
-		if keep == nil || keep(r) {
-			kept = append(kept, r)
-		}
-	}
-
-	var buf bytes.Buffer
-	for _, r := range kept {
-		line, err := json.Marshal(r)
+		payload, err := json.Marshal(r)
 		if err != nil {
 			return err
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		kept = append(kept, r)
+		buf = framelog.Append(buf, payload)
 	}
 	// The durable install whether or not Sync is set: with it set, the
 	// compacted log must be no less durable than the records it replaces.
-	// Every append is flushed before it returns, so the old handle holds
+	// Every write goes straight to the file, so the old handle holds
 	// nothing the compacted log lacks; it is swapped only once the install
 	// and the reopen succeeded, so a failure leaves the store as it was.
-	if err := atomicfile.Write(s.path, buf.Bytes()); err != nil {
+	if err := atomicfile.Write(s.path, buf); err != nil {
 		return fmt.Errorf("alertstore: swapping compacted log: %w", err)
 	}
 	nf, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -318,9 +266,8 @@ func (s *Store) Compact(keep func(Record) bool) error {
 	}
 	s.file.Close()
 	s.file = nf
-	s.w = bufio.NewWriter(nf)
 	s.records = kept
-	s.torn = false // the rewrite dropped the torn tail with the rest
+	s.end, s.torn = int64(len(buf)), false // the rewrite dropped any torn tail
 	return nil
 }
 

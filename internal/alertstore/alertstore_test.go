@@ -2,13 +2,18 @@ package alertstore
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"logsynergy/internal/core"
+	"logsynergy/internal/framelog"
 )
 
 func report(system string, score float64, at time.Time) *core.Report {
@@ -24,7 +29,7 @@ func report(system string, score float64, at time.Time) *core.Report {
 
 func openTemp(t *testing.T) (*Store, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "alerts.jsonl")
+	path := filepath.Join(t.TempDir(), "alerts.log")
 	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -89,16 +94,42 @@ func TestReopenRecovers(t *testing.T) {
 	}
 }
 
+// tear appends the first n bytes of a further record's frame to the store
+// file, as a crash mid-write leaves them.
+func tear(t *testing.T, path string, n int) {
+	t.Helper()
+	payload, err := json.Marshal(Record{ID: 99, Report: *report("A", 0.5, time.Now().UTC())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(framelog.Append(nil, payload)[:n]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readFile returns the store file's bytes.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestTornTailDropped(t *testing.T) {
 	s, path := openTemp(t)
 	at := time.Now().UTC()
 	s.Append(report("A", 0.9, at))
 	s.Append(report("A", 0.8, at))
 	s.Close()
-	// Simulate a crash mid-append: garbage trailing bytes.
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"id":3,"report":{"sys`)
-	f.Close()
+	// Simulate a crash mid-append: half a frame header.
+	tear(t, path, framelog.HeaderSize/2)
 
 	s2, err := Open(path)
 	if err != nil {
@@ -113,9 +144,10 @@ func TestTornTailDropped(t *testing.T) {
 	}
 }
 
-// TestAppendAfterTornTailSurvivesReopen: a record appended after a torn
-// line must not land on the fragment's line, or every later reopen stops
-// replay there and the record is lost for good.
+// TestAppendAfterTornTailSurvivesReopen: three records plus half a frame
+// load as three, Open leaves the file as it was, and a record appended
+// afterwards lands in place of the fragment rather than behind it, where
+// every later reopen would find a corrupt frame.
 func TestAppendAfterTornTailSurvivesReopen(t *testing.T) {
 	s, path := openTemp(t)
 	at := time.Now().UTC()
@@ -123,13 +155,18 @@ func TestAppendAfterTornTailSurvivesReopen(t *testing.T) {
 		s.Append(report("A", 0.9, at))
 	}
 	s.Close()
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"id":4,"report":{"system":"A","sc`)
-	f.Close()
+	tear(t, path, 40)
+	before := readFile(t, path)
 
 	s2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s2.Len() != 3 {
+		t.Fatalf("torn store loaded %d records, want 3", s2.Len())
+	}
+	if after := readFile(t, path); !bytes.Equal(before, after) {
+		t.Fatal("Open changed a torn store")
 	}
 	if _, err := s2.Append(report("A", 0.7, at)); err != nil {
 		t.Fatal(err)
@@ -148,104 +185,143 @@ func TestAppendAfterTornTailSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestUnterminatedLastLineIsTorn: a last record cut just before its
-// newline decodes but is still torn; it is dropped, and its id reused.
-func TestUnterminatedLastLineIsTorn(t *testing.T) {
-	s, path := openTemp(t)
-	at := time.Now().UTC()
-	s.Append(report("A", 0.9, at))
-	s.Append(report("A", 0.8, at))
-	s.Close()
-	data, _ := os.ReadFile(path)
-	os.WriteFile(path, data[:len(data)-1], 0o644)
-
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 1 {
-		t.Fatalf("want 1 intact record, got %d", s2.Len())
-	}
-	if rec, _ := s2.Append(report("A", 0.6, at)); rec.ID != 2 {
-		t.Fatalf("next id %d want 2", rec.ID)
-	}
-	s2.Close()
-	s3, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if s3.Len() != 2 {
-		t.Fatalf("reopen: %d records, want 2", s3.Len())
-	}
-}
-
-// TestMergedFragmentLineRecovered: a store damaged before torn tails were
-// cut holds a fragment with the next record appended onto its line, then
-// more records. Replay skips the fragment, salvages the merged record and
-// keeps going.
-func TestMergedFragmentLineRecovered(t *testing.T) {
-	s, path := openTemp(t)
-	at := time.Now().UTC()
-	for i := 0; i < 5; i++ {
-		s.Append(report("A", 0.9, at))
-	}
-	s.Close()
-	data, _ := os.ReadFile(path)
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	// Lines 0-1 intact; a fragment of a record glued in front of line 2;
-	// lines 3-4 intact after it.
-	var damaged []byte
-	damaged = append(damaged, lines[0]...)
-	damaged = append(damaged, lines[1]...)
-	damaged = append(damaged, lines[2][:20]...)
-	for _, l := range lines[2:] {
-		damaged = append(damaged, l...)
-	}
-	os.WriteFile(path, damaged, 0o644)
-
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 5 {
-		t.Fatalf("replay past a merged fragment line: %d records, want 5", s2.Len())
-	}
-	if rec, _ := s2.Append(report("A", 0.6, at)); rec.ID != 6 {
-		t.Fatalf("next id %d want 6", rec.ID)
-	}
-}
-
-// TestOpenLeavesFileUnchanged: Open and a read never change the file — not
-// a store with a torn tail (it may be a live writer's in-flight line), and
-// not a file that is no store at all (a mistyped -store path).
+// TestOpenLeavesFileUnchanged: Open and a read never change a store with a
+// torn tail — it may be a live writer's in-flight frame.
 func TestOpenLeavesFileUnchanged(t *testing.T) {
-	s, torn := openTemp(t)
+	s, path := openTemp(t)
 	s.Append(report("A", 0.9, time.Now().UTC()))
 	s.Close()
-	f, _ := os.OpenFile(torn, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"id":2,"report":{"Sys`)
-	f.Close()
+	tear(t, path, 20)
 
-	other := filepath.Join(t.TempDir(), "model.json")
-	os.WriteFile(other, []byte("not a store\n#lsbundle v1 crc32c=00000000"), 0o644)
+	before := readFile(t, path)
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Find(Query{})
+	if ok, _ := s.Acknowledge(99); ok {
+		t.Fatal("unknown id must not acknowledge")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := readFile(t, path); !bytes.Equal(before, after) {
+		t.Fatalf("open+read changed the store:\n%q\n%q", before, after)
+	}
+}
 
-	for _, path := range []string{torn, other} {
-		before, _ := os.ReadFile(path)
-		s, err := Open(path)
+// TestForeignFileRefused: a file that is no framed store — a JSON-lines
+// store from before the framing, a model bundle passed as -store — is
+// refused by name and left byte-identical.
+func TestForeignFileRefused(t *testing.T) {
+	var jsonLines []byte
+	for id := uint64(1); id <= 3; id++ {
+		line, err := json.Marshal(Record{ID: id, Report: *report("A", 0.9, time.Now().UTC())})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Find(Query{})
-		if ok, _ := s.Acknowledge(99); ok {
-			t.Fatal("unknown id must not acknowledge")
-		}
-		if err := s.Close(); err != nil {
+		jsonLines = append(append(jsonLines, line...), '\n')
+	}
+	bundle := []byte(`{"config":{"embed_dim":24},"num_systems":2,"system":"Thunderbird"}` + "\n#lsbundle v1 crc32c=00000000\n")
+
+	for name, data := range map[string][]byte{"alerts.jsonl": jsonLines, "model.json": bundle} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
-			t.Fatalf("%s changed by open+read:\n%q\n%q", filepath.Base(path), before, after)
+		s, err := Open(path)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s opened as an alert store", name)
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "not a framed alert store") {
+			t.Errorf("%s: error %q does not name the file as no framed store", name, err)
+		}
+		if after := readFile(t, path); !bytes.Equal(data, after) {
+			t.Fatalf("%s changed by a refused Open", name)
+		}
+	}
+}
+
+// TestCorruptFrameRefused: a bit flip inside the second of three frames is
+// damage, not a torn tail; Open refuses, names the frame's offset, and
+// leaves the file alone.
+func TestCorruptFrameRefused(t *testing.T) {
+	s, path := openTemp(t)
+	at := time.Now().UTC()
+	first, _ := s.Append(report("A", 0.9, at))
+	s.Append(report("A", 0.8, at))
+	s.Append(report("A", 0.7, at))
+	s.Close()
+
+	payload, _ := json.Marshal(first)
+	second := framelog.HeaderSize + len(payload)
+	data := readFile(t, path)
+	data[second+framelog.HeaderSize+5] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err := Open(path)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at byte %d:", second)) || !errors.Is(err, framelog.ErrCorrupt) {
+		t.Fatalf("Open = %v, want a corrupt frame at byte %d", err, second)
+	}
+	if after := readFile(t, path); !bytes.Equal(data, after) {
+		t.Fatal("a refused Open changed the file")
+	}
+}
+
+// TestFailedWriteCutBeforeNextAppend: an append whose write fails may leave
+// part of its frame on disk. The next append cuts it off first, so the
+// fragment never ends up mid-file and every acknowledged record survives
+// a reopen.
+func TestFailedWriteCutBeforeNextAppend(t *testing.T) {
+	s, path := openTemp(t)
+	at := time.Now().UTC()
+	for i := 0; i < 2; i++ {
+		if _, err := s.Append(report("A", 0.9, at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The failing write: the store's handle refuses writes, while the
+	// bytes a short write would have left reach the file another way.
+	writable := s.file
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.file = ro
+	tear(t, path, 30)
+	if _, err := s.Append(report("A", 0.8, at)); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	s.file = writable
+	ro.Close()
+
+	if _, err := s.Append(report("A", 0.7, at)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Acknowledge(1); !ok || err != nil {
+		t.Fatalf("ack #1: %v %v", ok, err)
+	}
+	want := s.Find(Query{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatalf("reopen after a failed write: %v", err)
+	}
+	defer s2.Close()
+	got := s2.Find(Query{})
+	if len(got) != len(want) || len(got) != 3 || !got[0].Acknowledged {
+		t.Fatalf("reopen holds %d records (ack #1 %v), want the 3 acknowledged by the store", len(got), len(got) > 0 && got[0].Acknowledged)
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Report.Score != want[i].Report.Score {
+			t.Fatalf("record %d reopened as #%d score %v, want #%d score %v", i, got[i].ID, got[i].Report.Score, want[i].ID, want[i].Report.Score)
 		}
 	}
 }
@@ -353,7 +429,7 @@ func TestSinkCollectsReports(t *testing.T) {
 }
 
 func TestOpenBadDirectory(t *testing.T) {
-	if _, err := Open("/nonexistent-dir-xyz/alerts.jsonl"); err == nil {
+	if _, err := Open("/nonexistent-dir-xyz/alerts.log"); err == nil {
 		t.Fatal("unwritable path must error")
 	}
 }

@@ -1,10 +1,10 @@
 // Package broker is a durable, replayable log ingestion layer — the
 // repo-local analogue of the paper's §VI collection bus
 // (Filebeat→Kafka→Logstash). Raw log lines land in a segmented
-// append-only write-ahead log (CRC32C-framed, length-prefixed records)
-// before the detection pipeline ever sees them, so a crash, restart, or
-// slow consumer no longer loses traffic the way the in-memory
-// SliceSource path does.
+// append-only write-ahead log (internal/framelog: CRC32C-framed,
+// length-prefixed records) before the detection pipeline ever sees them,
+// so a crash, restart, or slow consumer no longer loses traffic the way
+// the in-memory SliceSource path does.
 //
 // The subsystem is pure Go, stdlib-only, and deliberately small:
 //
@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"logsynergy/internal/fault"
+	"logsynergy/internal/framelog"
 	"logsynergy/internal/obs"
 )
 
@@ -308,9 +309,9 @@ func Open(cfg Config) (*Broker, error) {
 		f.Close()
 	}
 	for i, seg := range segs {
-		recs, valid, scanErr, err := scanSegment(seg.path, cfg.MaxRecordBytes)
+		recs, valid, scanErr, err := framelog.Scan(seg.path, cfg.MaxRecordBytes, func([]byte) {})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("broker: opening segment %s: %w", seg.path, err)
 		}
 		fi, err := os.Stat(seg.path)
 		if err != nil {
@@ -426,7 +427,7 @@ func (b *Broker) appendPayloads(payloads [][]byte) (first, last uint64, err erro
 			b.om.appendErrors.Inc()
 			return 0, 0, fmt.Errorf("broker: record of %d bytes exceeds limit %d", len(p), b.cfg.MaxRecordBytes)
 		}
-		total += frameHeader + int64(len(p))
+		total += framelog.HeaderSize + int64(len(p))
 	}
 
 	b.mu.Lock()
@@ -454,7 +455,7 @@ func (b *Broker) appendPayloads(payloads [][]byte) (first, last uint64, err erro
 
 	buf := make([]byte, 0, total)
 	for _, p := range payloads {
-		buf = appendFrame(buf, p)
+		buf = framelog.Append(buf, p)
 	}
 	if _, err := b.active.Write(buf); err != nil {
 		// A short write may have left a torn tail; poison the broker so

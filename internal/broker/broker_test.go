@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"logsynergy/internal/framelog"
 	"logsynergy/internal/obs"
 )
 
@@ -252,7 +253,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [frameHeader]byte
+	var hdr [framelog.HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], 64)
 	f.Write(hdr[:])
 	f.Write([]byte("oops!"))
@@ -264,8 +265,8 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	if snap.Counters["broker.truncated_total"] != 1 {
 		t.Fatalf("truncated_total %d, want 1", snap.Counters["broker.truncated_total"])
 	}
-	if snap.Counters["broker.truncated_bytes"] != frameHeader+5 {
-		t.Fatalf("truncated_bytes %d, want %d", snap.Counters["broker.truncated_bytes"], frameHeader+5)
+	if snap.Counters["broker.truncated_bytes"] != framelog.HeaderSize+5 {
+		t.Fatalf("truncated_bytes %d, want %d", snap.Counters["broker.truncated_bytes"], framelog.HeaderSize+5)
 	}
 	if got := b2.NextOffset(); got != 9 {
 		t.Fatalf("NextOffset %d, want 9 (8 intact records)", got)
@@ -304,7 +305,7 @@ func TestSealedSegmentCorruptionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[frameHeader+2] ^= 0xff
+	data[framelog.HeaderSize+2] ^= 0xff
 	if err := os.WriteFile(segs[0].path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestBacklogBlockUnblocksOnRetention(t *testing.T) {
 		}
 		appended++
 		b.mu.Lock()
-		full := b.liveBytes+(frameHeader+30) > b.cfg.MaxBacklogBytes
+		full := b.liveBytes+(framelog.HeaderSize+30) > b.cfg.MaxBacklogBytes
 		b.mu.Unlock()
 		if full {
 			break

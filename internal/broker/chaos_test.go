@@ -15,6 +15,7 @@ import (
 	"logsynergy/internal/drain"
 	"logsynergy/internal/embed"
 	"logsynergy/internal/fault"
+	"logsynergy/internal/framelog"
 	"logsynergy/internal/lei"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
@@ -204,7 +205,7 @@ func TestCrashRecoveryReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [frameHeader]byte
+	var hdr [framelog.HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], 512)
 	f.Write(hdr[:])
 	f.Write([]byte("torn..."))
@@ -221,7 +222,7 @@ func TestCrashRecoveryReplay(t *testing.T) {
 	if snap.Counters["broker.truncated_total"] != 1 {
 		t.Fatalf("truncated_total %d, want 1", snap.Counters["broker.truncated_total"])
 	}
-	if snap.Counters["broker.truncated_bytes"] != frameHeader+7 {
+	if snap.Counters["broker.truncated_bytes"] != framelog.HeaderSize+7 {
 		t.Fatalf("truncated_bytes %d", snap.Counters["broker.truncated_bytes"])
 	}
 	const totalRecords = phase1Lines + phase2Lines

@@ -1,78 +1,27 @@
 package broker
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"logsynergy/internal/framelog"
 )
 
-func TestFrameRoundtrip(t *testing.T) {
-	payloads := []string{"", "a", "hello world", strings.Repeat("x", 4096)}
-	var buf []byte
-	for _, p := range payloads {
-		buf = appendFrame(buf, []byte(p))
-	}
-	r := bufio.NewReader(bytes.NewReader(buf))
-	for i, want := range payloads {
-		got, err := readFrame(r, 1<<20)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if string(got) != want {
-			t.Fatalf("frame %d: got %q want %q", i, got, want)
-		}
-	}
-	if _, err := readFrame(r, 1<<20); err != io.EOF {
-		t.Fatalf("want io.EOF at stream end, got %v", err)
-	}
-}
-
-func TestReadFrameErrors(t *testing.T) {
-	good := appendFrame(nil, []byte("payload"))
-
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"torn header", good[:5], "torn frame header"},
-		{"torn payload", good[:frameHeader+3], "torn frame payload"},
-		{"crc mismatch", func() []byte {
-			b := append([]byte(nil), good...)
-			b[frameHeader] ^= 0xff
-			return b
-		}(), "checksum mismatch"},
-		{"implausible length", func() []byte {
-			b := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint32(b[0:4], 1<<30)
-			return b
-		}(), "exceeds record limit"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := readFrame(bufio.NewReader(bytes.NewReader(tc.data)), 1<<20)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("got %v, want error containing %q", err, tc.want)
-			}
-		})
-	}
-}
-
+// A WAL segment is a framelog file: recovery scans it with framelog.Scan,
+// which stops at a torn tail and counts only the whole records before it.
 func TestScanSegmentTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg.wal")
 	var buf []byte
 	for _, p := range []string{"one", "two", "three"} {
-		buf = appendFrame(buf, []byte(p))
+		buf = framelog.Append(buf, []byte(p))
 	}
 	validLen := int64(len(buf))
 	// A torn tail: a header promising 100 bytes followed by only 4.
-	var hdr [frameHeader]byte
+	var hdr [framelog.HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], 100)
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, 'x', 'x', 'x', 'x')
@@ -80,7 +29,7 @@ func TestScanSegmentTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, valid, scanErr, err := scanSegment(path, 1<<20)
+	recs, valid, scanErr, err := framelog.Scan(path, 1<<20, func([]byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +46,12 @@ func TestScanSegmentClean(t *testing.T) {
 	path := filepath.Join(dir, "seg.wal")
 	var buf []byte
 	for i := 0; i < 5; i++ {
-		buf = appendFrame(buf, []byte("record"))
+		buf = framelog.Append(buf, []byte("record"))
 	}
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, valid, scanErr, err := scanSegment(path, 1<<20)
+	recs, valid, scanErr, err := framelog.Scan(path, 1<<20, func([]byte) {})
 	if err != nil || scanErr != nil {
 		t.Fatalf("err=%v scanErr=%v", err, scanErr)
 	}

@@ -152,7 +152,7 @@ func TestChaosPermanentSinkOutage(t *testing.T) {
 	sink := &MemorySink{}
 	clk := newChaosClock()
 
-	store, err := alertstore.Open(filepath.Join(t.TempDir(), "spill.jsonl"))
+	store, err := alertstore.Open(filepath.Join(t.TempDir(), "spill.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ var _ FallibleSink = (*alertstore.Sink)(nil)
 func TestChaosFallibleSinkRealErrors(t *testing.T) {
 	leakCheck(t)
 	det, parser, interp, e := tinyDeployment(t)
-	store, err := alertstore.Open(filepath.Join(t.TempDir(), "alerts.jsonl"))
+	store, err := alertstore.Open(filepath.Join(t.TempDir(), "alerts.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,20 @@ func TestParsePatternKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// Patterns are keyed by their rendered ids, so the rendering must keep
+// distinct sequences apart: [1,23] and [12,3] are two verdicts, not one.
+func TestDedupKeyCollisionFree(t *testing.T) {
+	lib := NewPatternLibrary(0)
+	lib.Store([]int{1, 23}, 0.1)
+	lib.Store([]int{12, 3}, 0.2)
+	if lib.Size() != 2 {
+		t.Fatalf("[1,23] and [12,3] share a key: library holds %d patterns", lib.Size())
+	}
+	if s, ok := lib.Lookup([]int{1, 23}); !ok || s != 0.1 {
+		t.Fatalf("[1,23] = %v ok=%v, want 0.1", s, ok)
+	}
+}
+
 // Export emits least-recently-used first so Import rebuilds both the
 // verdicts and the LRU order: the next eviction after a round trip hits
 // the same pattern it would have hit in the original library.

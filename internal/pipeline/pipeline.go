@@ -33,6 +33,8 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -211,6 +213,37 @@ func (p *PatternLibrary) StoreKey(key string, score float64) (evicted bool) {
 		return true
 	}
 	return false
+}
+
+// patternKey renders an event-id sequence as the library's map key.
+func patternKey(ids []int) string {
+	var b strings.Builder
+	for i, id := range ids {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(id))
+	}
+	return b.String()
+}
+
+// parsePatternKey inverts patternKey. It reports false for keys not in
+// the rendered format (defensive: the library only ever stores keys it
+// rendered itself).
+func parsePatternKey(key string) ([]int, bool) {
+	if key == "" {
+		return nil, false
+	}
+	parts := strings.Split(key, ",")
+	seq := make([]int, len(parts))
+	for i, s := range parts {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return nil, false
+		}
+		seq[i] = n
+	}
+	return seq, true
 }
 
 // PatternEntry is one exported pattern-library verdict: the event-id
