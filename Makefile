@@ -69,9 +69,11 @@ rebalance-test:
 # flows through the cutover, zero detection stall on non-moving keys
 # under growth, double-write duplicate skipping across a redelivery
 # crash, seeded crash injection at every per-key cutover phase (each
-# must resume on exactly one layout per key), and the journal's
-# refusals. Includes the CLI/admin surface (`logsynergy rebalance -addr`),
-# among it the 1→2 growth of a root opened with serve's default -shards.
+# must resume on exactly one layout per key), a shrink that delivers the
+# alerts its retired partition still held (sink back before or after it,
+# after a restart, after a regrowth), and the journal's refusals.
+# Includes the CLI/admin surface (`logsynergy rebalance -addr`), among it
+# the 1→2 growth of a root opened with serve's default -shards.
 live-rebalance-test:
 	$(GO) test -race -count=1 -run 'TestLiveRebalance|TestLoadCutoverJournal|TestCutoverDestCopy' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestRunRebalanceLive|TestAdminRebalance' ./cmd/logsynergy/
@@ -117,15 +119,18 @@ bench-cluster-smoke:
 	BENCH_CLUSTER_OUT=$(CURDIR)/BENCH_cluster.json BENCH_CLUSTER_SMOKE=1 $(GO) test -run TestBenchClusterReport -count=1 ./internal/cluster/
 
 # Chaos tier: the fault-injection framework and the deterministic chaos
-# suites (seeded fault schedules, breakers, spill, leak checks, Run's
-# cancellation accounting; broker
-# crash-recovery replay; the /ingest contract over a one-partition
-# runtime; torn and corrupt frames in the framed log and the alert store
-# on it) under the race detector. Fast — it uses the
+# suites (seeded fault schedules, breakers, leak checks, Run's
+# cancellation accounting; alert delivery through a failed commit, a down
+# sink, a dead alert store, a close that cannot deliver and an alert log
+# that lost records its state covers; broker
+# crash-recovery replay and TruncateAfter; the /ingest contract over a
+# one-partition runtime; torn and corrupt frames in the framed log and
+# the alert store on it) under the race detector. Fast — it uses the
 # untrained tiny deployment.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run 'TestChaos|TestPipelineCancel|TestRunCountsWhatItFeeds' ./internal/pipeline/
+	$(GO) test -race -count=1 -run 'TestAlertDelivery' ./internal/shard/
 	$(GO) test -race -count=1 ./internal/broker/ ./internal/framelog/ ./internal/alertstore/
 
 # Cover tier (nightly): the full suite with coverage, a per-package

@@ -9,11 +9,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"logsynergy/internal/alertstore"
 	"logsynergy/internal/broker"
 	"logsynergy/internal/cluster"
 	"logsynergy/internal/core"
@@ -45,10 +45,14 @@ import (
 // regrows it in place from any count, 1 included. Without a WAL there is
 // nothing to serve: an in-memory replay of a log file is `detect -log F`.
 //
+// Alerts commit with the tails into DIR/p<i>/alerts and reach stdout
+// from there; a failing channel lags and is retried, never skipped.
+//
 // SIGINT/SIGTERM is a graceful shutdown: intake closes, every partition
-// drains its backlog and commits, spilled alerts get one redelivery
-// pass, and a final metrics snapshot prints. A second signal kills the
-// process immediately.
+// drains, commits and delivers, and a final metrics snapshot prints. What
+// a failing channel still refuses after one retry round stays in the
+// alert logs for the next start; a channel that hangs holds the shutdown
+// until it returns. A second signal kills the process immediately.
 func runServe(args []string) error {
 	f := parseServeFlags(args)
 	if err := f.validate(); err != nil {
@@ -68,11 +72,10 @@ func runServe(args []string) error {
 			return err
 		}
 	}
-	cfg, cleanup, err := f.shardConfig(det, obs.Default())
+	cfg, err := f.shardConfig(det, obs.Default())
 	if err != nil {
 		return err
 	}
-	defer cleanup()
 
 	var (
 		rt      *shard.Runtime
@@ -111,7 +114,7 @@ func runServe(args []string) error {
 
 // serveLoop is the one life cycle of a WAL-backed serve, single process
 // or fleet node alike: serve handler on ln, seed the runtime from -log,
-// wait for ctx to end, close (drain, commit, spill pass), report, linger,
+// wait for ctx to end, close (drain, commit, deliver), report, linger,
 // shut the listener down. closeRt is rt.Close, or whatever must wrap it
 // (a node releases its leases after).
 func serveLoop(ctx context.Context, ln net.Listener, rt *shard.Runtime, handler http.Handler, closeRt func() error, seed []string, linger time.Duration) error {
@@ -138,18 +141,25 @@ func serveLoop(ctx context.Context, ln net.Listener, rt *shard.Runtime, handler 
 	s := rt.Stats()
 	fmt.Printf("fleet: lines=%d sequences=%d anomalies=%d pattern-hits=%d evictions=%d new-events=%d\n",
 		s.LinesCollected, s.SequencesFormed, s.Anomalies, s.PatternHits, s.PatternEvictions, s.NewEvents)
-	if s.Retries+s.Degraded+s.Spilled+s.BreakerOpens+s.ParseFailures+s.DetectFailures > 0 {
-		fmt.Printf("faults: retries=%d degraded=%d spilled=%d spill-dropped=%d breaker-opens=%d sink-errors=%d parse-failures=%d detect-failures=%d\n",
-			s.Retries, s.Degraded, s.Spilled, s.SpillDropped, s.BreakerOpens, s.SinkErrors, s.ParseFailures, s.DetectFailures)
+	snap := rt.Snapshot()
+	sinkErrs := snap.Counters["shard.sink_errors_total"]
+	if int64(s.Retries+s.Degraded+s.BreakerOpens+s.ParseFailures+s.DetectFailures)+sinkErrs > 0 {
+		fmt.Printf("faults: retries=%d degraded=%d breaker-opens=%d sink-errors=%d parse-failures=%d detect-failures=%d\n",
+			s.Retries, s.Degraded, s.BreakerOpens, sinkErrs, s.ParseFailures, s.DetectFailures)
 	}
 	for _, i := range rt.Owned() {
 		s := rt.ShardStats(i)
 		fmt.Printf("partition %d: lines=%d sequences=%d anomalies=%d new-events=%d committed=%d\n",
 			i, s.LinesCollected, s.SequencesFormed, s.Anomalies, s.NewEvents, rt.Committed(i))
 	}
-	snap := rt.Snapshot()
-	if d, u := snap.Counters["shard.spill_redelivered_total"], snap.Counters["shard.spill_undeliverable_total"]; d+u > 0 {
-		fmt.Printf("spill flush: %d alerts redelivered, %d undeliverable\n", d, u)
+	undelivered := rt.UndeliveredAlerts()
+	logs := make([]string, 0, len(undelivered))
+	for dir := range undelivered {
+		logs = append(logs, dir)
+	}
+	sort.Strings(logs)
+	for _, dir := range logs {
+		fmt.Printf("alerts undelivered: %d (kept in %s)\n", undelivered[dir], dir)
 	}
 	hits, misses, waits := rt.Cache().Stats()
 	fmt.Printf("interp cache: %d entries, %d hits, %d misses, %d waits\n", rt.Cache().Size(), hits, misses, waits)
@@ -176,16 +186,15 @@ func lingerShutdown(srv *http.Server, linger time.Duration) error {
 type serveFlags struct {
 	fs *flag.FlagSet
 
-	modelPath, logPath, hint, addr, spillPath              *string
-	brokerDir, group, fsyncPolicy, backlogPolicy           *string
-	clusterPath, nodeName                                  *string
-	patternCap, retries, breakerThreshold, spillCap        *int
-	shards                                                 *int
-	linger, breakerCooldown, interpretTimeout, sinkTimeout *time.Duration
-	fsyncEvery, manifestWatch                              *time.Duration
-	quiet, noRetention                                     *bool
-	faultSeed, segmentBytes, backlogBytes, maxBatchBytes   *int64
-	inject                                                 ruleList
+	modelPath, logPath, hint, addr                       *string
+	brokerDir, group, fsyncPolicy, backlogPolicy         *string
+	clusterPath, nodeName                                *string
+	patternCap, retries, breakerThreshold, shards        *int
+	linger, breakerCooldown, interpretTimeout            *time.Duration
+	fsyncEvery, manifestWatch                            *time.Duration
+	quiet, noRetention                                   *bool
+	faultSeed, segmentBytes, backlogBytes, maxBatchBytes *int64
+	inject                                               ruleList
 }
 
 // parseServeFlags declares serve's flags and parses args (exiting on a
@@ -204,9 +213,6 @@ func parseServeFlags(args []string) *serveFlags {
 	f.breakerThreshold = fs.Int("breaker-threshold", 0, "consecutive failures that open a circuit breaker (0 = default 5)")
 	f.breakerCooldown = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before probing (0 = default 1s)")
 	f.interpretTimeout = fs.Duration("interpret-timeout", 0, "per-call LEI timeout (0 = none)")
-	f.sinkTimeout = fs.Duration("sink-timeout", 0, "per-delivery sink timeout (0 = none)")
-	f.spillCap = fs.Int("spill-cap", 0, "in-memory spill queue capacity for undeliverable alerts (0 = default 1024)")
-	f.spillPath = fs.String("spill", "", "alertstore file additionally receiving spilled alerts")
 	f.faultSeed = fs.Int64("fault-seed", 1, "seed for the fault-injection registry")
 	f.brokerDir = fs.String("broker-dir", "", "runtime root: partition i's WAL lives in DIR/p<i>; enables POST /ingest")
 	f.shards = fs.Int("shards", 1, "partition count: lines route to N independent detection shards by stream key (requires -broker-dir)")
@@ -246,64 +252,36 @@ func (f *serveFlags) validate() error {
 	return nil
 }
 
-// faults builds the -inject registry (nil when nothing is injected). One
-// registry serves the brokers' injection points and the pipelines'.
-func (f *serveFlags) faults() *fault.Registry {
-	if len(f.inject.rules) == 0 {
-		return nil
-	}
-	faults := fault.New(*f.faultSeed)
-	faults.Enable(f.inject.rules...)
-	return faults
-}
-
-// pipelineConfig assembles the per-partition pipeline config from the
-// flags (Metrics stays nil: each partition gets its own registry); the
-// cleanup returned on success closes the spill store (if any).
-func (f *serveFlags) pipelineConfig() (pipeline.Config, func(), error) {
-	cfg := pipeline.DefaultConfig(*f.hint)
-	cfg.PatternCap = *f.patternCap
-	cfg.Faults = f.faults()
-	cfg.Resilience = pipeline.ResilienceConfig{
-		MaxAttempts:      *f.retries,
-		InterpretTimeout: *f.interpretTimeout,
-		SinkTimeout:      *f.sinkTimeout,
-		BreakerThreshold: *f.breakerThreshold,
-		BreakerCooldown:  *f.breakerCooldown,
-		SpillCap:         *f.spillCap,
-		Seed:             *f.faultSeed,
-	}
-	cleanup := func() {}
-	if *f.spillPath != "" {
-		store, err := alertstore.Open(*f.spillPath)
-		if err != nil {
-			return cfg, nil, fmt.Errorf("serve: opening spill store: %w", err)
-		}
-		cleanup = func() { store.Close() }
-		cfg.SpillTo = alertstore.NewSink(store)
-	}
-	return cfg, cleanup, nil
-}
-
 // shardConfig is the one place serve turns flags into a shard.Config —
 // the single process opens it as is, a fleet node hands it to
 // cluster.StartNode as the template the manifest completes.
-func (f *serveFlags) shardConfig(det *core.Detector, reg *obs.Registry) (shard.Config, func(), error) {
+func (f *serveFlags) shardConfig(det *core.Detector, reg *obs.Registry) (shard.Config, error) {
 	fp, err := broker.ParseFsyncPolicy(*f.fsyncPolicy)
 	if err != nil {
-		return shard.Config{}, nil, err
+		return shard.Config{}, err
 	}
 	bp, err := broker.ParseFullPolicy(*f.backlogPolicy)
 	if err != nil {
-		return shard.Config{}, nil, err
+		return shard.Config{}, err
 	}
-	pcfg, cleanup, err := f.pipelineConfig()
-	if err != nil {
-		return shard.Config{}, nil, err
+	// The -inject registry (nil when nothing is injected) serves every
+	// partition's broker and pipeline (chaos tests scope registries per
+	// shard programmatically). Metrics stay nil: each partition gets its own.
+	var faults *fault.Registry
+	if len(f.inject.rules) > 0 {
+		faults = fault.New(*f.faultSeed)
+		faults.Enable(f.inject.rules...)
 	}
-	// The -inject registry applies fleet-wide in CLI mode (chaos tests
-	// scope registries per shard programmatically).
-	faults := pcfg.Faults
+	pcfg := pipeline.DefaultConfig(*f.hint)
+	pcfg.PatternCap = *f.patternCap
+	pcfg.Faults = faults
+	pcfg.Resilience = pipeline.ResilienceConfig{
+		MaxAttempts:      *f.retries,
+		InterpretTimeout: *f.interpretTimeout,
+		BreakerThreshold: *f.breakerThreshold,
+		BreakerCooldown:  *f.breakerCooldown,
+		Seed:             *f.faultSeed,
+	}
 	return shard.Config{
 		Shards: *f.shards,
 		Dir:    *f.brokerDir, // a node falls back to the manifest's shared-storage root
@@ -323,7 +301,7 @@ func (f *serveFlags) shardConfig(det *core.Detector, reg *obs.Registry) (shard.C
 		Sink:        &printingSink{quiet: *f.quiet},
 		Metrics:     reg,
 		ShardFaults: func(int) *fault.Registry { return faults },
-	}, cleanup, nil
+	}, nil
 }
 
 // serveStatus is the GET /admin/v1/status body of single-process serve

@@ -288,10 +288,10 @@ func NewSink(store *Store) *Sink { return &Sink{Store: store} }
 func (s *Sink) Notify(r *core.Report) { _ = s.TryNotify(r) }
 
 // TryNotify appends the report and reports the failure, implementing the
-// pipeline's FallibleSink interface: a failing append (disk full, closed
-// store) feeds the pipeline's retry loop and circuit breaker instead of
-// being swallowed, and terminally failed reports spill rather than
-// vanish. The error counter still advances for Errors().
+// shard runtime's FallibleSink interface: a failing append (disk full,
+// closed store) is retried by the delivery loop instead of being
+// swallowed, and the alert stays in the runtime's alert log until it
+// lands. The error counter still advances for Errors().
 func (s *Sink) TryNotify(r *core.Report) error {
 	_, err := s.Store.Append(r)
 	if err != nil {

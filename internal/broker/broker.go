@@ -354,17 +354,28 @@ func Open(cfg Config) (*Broker, error) {
 		b.active.Close()
 		return nil, err
 	}
+	ahead := false
 	for g, off := range groups {
 		// Clamp committed offsets into the retained range: behind the
 		// oldest record (retention already freed it) or ahead of the log
-		// (offsets file survived a WAL wipe) are both repaired, not fatal.
+		// (offsets file survived a WAL wipe, or the log lost an unsynced
+		// tail) are both repaired, not fatal.
 		if off > b.nextOff-1 {
-			off = b.nextOff - 1
+			off, ahead = b.nextOff-1, true
 		}
 		if off < b.firstOff-1 {
 			off = b.firstOff - 1
 		}
 		b.groups[g] = off
+	}
+	// A repair ahead of the log is persisted at once: the next appends
+	// reuse those offsets, and a crash before the group's next commit
+	// would otherwise count them consumed.
+	if ahead {
+		if err := b.saveOffsetsLocked(); err != nil {
+			b.active.Close()
+			return nil, err
+		}
 	}
 	b.updateGaugesLocked()
 
@@ -551,6 +562,69 @@ func (b *Broker) syncLocked() error {
 	b.om.fsyncSec.ObserveSince(start)
 	b.om.acked.Add(int64(b.nextOff - 1 - b.lastSynced))
 	b.lastSynced = b.nextOff - 1
+	return nil
+}
+
+// TruncateAfter removes every record past off, across segment boundaries:
+// segments that start past off+1 are deleted and the one that would hold
+// off+1 is cut there, so the next append gets off+1. It is Open's
+// torn-tail cut driven by the owner's durable state instead of the CRC.
+// Group offsets past off come back to it, persisted as in Open; a failure
+// part way poisons the broker until reopen.
+func (b *Broker) TruncateAfter(off uint64) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case b.closed:
+		return ErrClosed
+	case off >= b.nextOff-1:
+		return nil
+	case off+1 < b.firstOff:
+		return fmt.Errorf("broker: cannot truncate after offset %d: the oldest retained record is %d", off, b.firstOff)
+	}
+	keep := len(b.segments) - 1
+	for b.segments[keep].base > off+1 {
+		keep--
+	}
+	seg, size, n := b.segments[keep], int64(0), off+1-b.segments[keep].base
+	_, _, _, err := framelog.Scan(seg.path, b.cfg.MaxRecordBytes, func(p []byte) {
+		if n > 0 {
+			n, size = n-1, size+framelog.HeaderSize+int64(len(p))
+		}
+	})
+	b.active.Close()
+	for _, s := range b.segments[keep+1:] {
+		if err == nil {
+			err = os.Remove(s.path)
+		}
+		b.liveBytes -= s.size
+	}
+	if err == nil {
+		err = os.Truncate(seg.path, size)
+	}
+	if err == nil {
+		b.active, err = os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	}
+	if err != nil {
+		b.failed = fmt.Errorf("broker: truncating after offset %d: %w", off, err)
+		return b.failed
+	}
+	b.liveBytes -= seg.size - size
+	seg.recs, seg.size = off+1-seg.base, size
+	b.segments, b.nextOff, b.lastSynced = b.segments[:keep+1], off+1, min(b.lastSynced, off)
+	ahead := false
+	for g, c := range b.groups {
+		if c > off {
+			b.groups[g], ahead = off, true
+		}
+	}
+	b.updateGaugesLocked()
+	if ahead {
+		if err := b.saveOffsetsLocked(); err != nil {
+			b.failed = fmt.Errorf("broker: truncating after offset %d: %w", off, err)
+			return b.failed
+		}
+	}
 	return nil
 }
 

@@ -2,13 +2,10 @@ package pipeline
 
 import (
 	"context"
-	"errors"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
-	"logsynergy/internal/alertstore"
 	"logsynergy/internal/core"
 	"logsynergy/internal/fault"
 	"logsynergy/internal/obs"
@@ -17,8 +14,8 @@ import (
 // The chaos suite replays seeded fault schedules against the streaming
 // pipeline and holds it to the robustness contract: transient faults are
 // retried to completion with zero data loss and bit-identical output;
-// permanent outages open breakers, degrade or spill instead of crashing
-// or silently dropping; and every event is visible in Stats and obs
+// permanent outages open breakers or degrade instead of crashing or
+// silently dropping; and every event is visible in Stats and obs
 // counters. Schedules are deterministic (fault.Registry is seeded and
 // fires on call indices), so failures here reproduce exactly.
 
@@ -72,10 +69,10 @@ func noSleep(time.Duration) {}
 
 // TestChaosTransientFaultsBitIdentical is the core robustness claim:
 // with a seeded schedule of transient errors across every stage (parse,
-// interpret, embed, detect, sink), the pipeline retries each one to
-// completion — zero lost lines, zero degraded interpretations, zero
-// spilled alerts — and its reports and stats are bit-identical to a
-// fault-free run of the same stream.
+// interpret, embed, detect), the pipeline retries each one to completion
+// — zero lost lines, zero degraded interpretations, zero abandoned
+// windows — and its reports and stats are bit-identical to a fault-free
+// run of the same stream.
 func TestChaosTransientFaultsBitIdentical(t *testing.T) {
 	leakCheck(t)
 	lines := chaosLines(400)
@@ -106,7 +103,6 @@ func TestChaosTransientFaultsBitIdentical(t *testing.T) {
 		fault.Rule{Point: PointInterpret, Every: 2, Limit: 10},
 		fault.Rule{Point: PointEmbed, Every: 3, Limit: 10},
 		fault.Rule{Point: PointDetect, Every: 2, Limit: 10},
-		fault.Rule{Point: PointSink, Every: 3, Limit: 20},
 	)
 	reg := obs.NewRegistry()
 	chaosStats, chaosReports := run(faults, reg)
@@ -120,8 +116,8 @@ func TestChaosTransientFaultsBitIdentical(t *testing.T) {
 	if chaosStats.Retries != int(injected) {
 		t.Fatalf("Retries %d != injections %d", chaosStats.Retries, injected)
 	}
-	if chaosStats.ParseFailures != 0 || chaosStats.Degraded != 0 || chaosStats.Spilled != 0 ||
-		chaosStats.DetectFailures != 0 || chaosStats.SinkErrors != 0 || chaosStats.BreakerOpens != 0 {
+	if chaosStats.ParseFailures != 0 || chaosStats.Degraded != 0 ||
+		chaosStats.DetectFailures != 0 || chaosStats.BreakerOpens != 0 {
 		t.Fatalf("transient faults leaked into terminal-failure stats: %+v", chaosStats)
 	}
 	snap := reg.Snapshot()
@@ -138,185 +134,6 @@ func TestChaosTransientFaultsBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cleanReports, chaosReports) {
 		t.Fatalf("reports diverged under retried faults: clean %d, chaos %d", len(cleanReports), len(chaosReports))
-	}
-}
-
-// TestChaosPermanentSinkOutage drives a dead alert gateway: the sink
-// breaker must open after the configured failure streak, every alert
-// must spill (in memory and to the SpillTo alertstore) instead of being
-// lost, and FlushSpill must re-deliver the full backlog once the outage
-// ends and the breaker cools down.
-func TestChaosPermanentSinkOutage(t *testing.T) {
-	leakCheck(t)
-	det, parser, interp, e := tinyDeployment(t)
-	sink := &MemorySink{}
-	clk := newChaosClock()
-
-	store, err := alertstore.Open(filepath.Join(t.TempDir(), "spill.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	faults := fault.New(1)
-	faults.Enable(fault.Rule{Point: PointSink}) // permanent outage
-
-	reg := obs.NewRegistry()
-	cfg := DefaultConfig("x")
-	cfg.Metrics = reg
-	cfg.Faults = faults
-	cfg.SpillTo = alertstore.NewSink(store)
-	cfg.Resilience = ResilienceConfig{
-		MaxAttempts:      2,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Minute,
-		Sleep:            noSleep,
-		Now:              clk.now,
-	}
-	p := New(cfg, parser, det, interp, e, sink)
-	seedHeartbeatAnomaly(p)
-
-	stats := p.Run(context.Background(), NewSliceSource(heartbeatLines(200)))
-
-	wantAnomalies := (200-cfg.Window.Length)/cfg.Window.Step + 1 // 39
-	if stats.Anomalies != wantAnomalies {
-		t.Fatalf("anomalies %d, want %d", stats.Anomalies, wantAnomalies)
-	}
-	// Three deliveries fail terminally (two attempts each), opening the
-	// breaker; everything after is short-circuited straight to spill.
-	if stats.SinkErrors != 3 || stats.Retries != 3 || stats.BreakerOpens != 1 {
-		t.Fatalf("outage accounting: %+v", stats)
-	}
-	if got := faults.Injected(PointSink); got != 6 {
-		t.Fatalf("sink injections %d, want 6 (3 failed deliveries x 2 attempts)", got)
-	}
-	if len(sink.Reports()) != 0 {
-		t.Fatalf("dead sink received %d reports", len(sink.Reports()))
-	}
-	// No alert is lost: every anomaly is parked in the spill queue and
-	// persisted through the SpillTo alertstore.
-	if stats.Spilled != wantAnomalies || p.SpillLen() != wantAnomalies {
-		t.Fatalf("spilled %d, queued %d, want %d", stats.Spilled, p.SpillLen(), wantAnomalies)
-	}
-	if store.Len() != wantAnomalies {
-		t.Fatalf("alertstore holds %d spilled alerts, want %d", store.Len(), wantAnomalies)
-	}
-	snap := reg.Snapshot()
-	for counter, want := range map[string]int64{
-		"pipeline.retries_total":      3,
-		"pipeline.breaker_open_total": 1,
-		"pipeline.sink_errors_total":  3,
-		"pipeline.spilled_total":      int64(wantAnomalies),
-		"pipeline.degraded_total":     0,
-	} {
-		if snap.Counters[counter] != want {
-			t.Fatalf("%s = %d, want %d", counter, snap.Counters[counter], want)
-		}
-	}
-
-	// Outage ends: injection stops, the breaker cools down, and the
-	// backlog flushes to the recovered sink in spill order.
-	faults.Disable(PointSink)
-	clk.advance(2 * time.Minute)
-	delivered, remaining := p.FlushSpill()
-	if delivered != wantAnomalies || remaining != 0 {
-		t.Fatalf("flush delivered %d remaining %d, want %d/0", delivered, remaining, wantAnomalies)
-	}
-	reports := sink.Reports()
-	if len(reports) != wantAnomalies {
-		t.Fatalf("recovered sink got %d reports, want %d", len(reports), wantAnomalies)
-	}
-	for i, rep := range reports {
-		if rep.Score != 0.9 {
-			t.Fatalf("flushed report %d score %v, want the seeded 0.9", i, rep.Score)
-		}
-	}
-}
-
-// The alertstore sink must participate in guarded delivery as a
-// FallibleSink, so real append failures reach the retry loop and
-// breaker.
-var _ FallibleSink = (*alertstore.Sink)(nil)
-
-// TestChaosFallibleSinkRealErrors uses a genuinely broken sink — an
-// alertstore whose file is already closed — instead of injected faults:
-// TryNotify errors must drive retries, open the breaker, and spill every
-// alert, exactly like injected outages do.
-func TestChaosFallibleSinkRealErrors(t *testing.T) {
-	leakCheck(t)
-	det, parser, interp, e := tinyDeployment(t)
-	store, err := alertstore.Open(filepath.Join(t.TempDir(), "alerts.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil { // dead gateway: every append fails
-		t.Fatal(err)
-	}
-	sink := alertstore.NewSink(store)
-
-	cfg := DefaultConfig("x")
-	cfg.Metrics = obs.NewRegistry()
-	cfg.Resilience = ResilienceConfig{
-		MaxAttempts:      2,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		Sleep:            noSleep,
-		Now:              newChaosClock().now,
-	}
-	p := New(cfg, parser, det, interp, e, sink)
-	seedHeartbeatAnomaly(p)
-
-	stats := p.Run(context.Background(), NewSliceSource(heartbeatLines(100)))
-	wantAnomalies := (100-cfg.Window.Length)/cfg.Window.Step + 1 // 19
-	if stats.Anomalies != wantAnomalies || stats.Spilled != wantAnomalies {
-		t.Fatalf("every alert must spill off the dead store: %+v", stats)
-	}
-	if stats.SinkErrors != 2 || stats.BreakerOpens != 1 || stats.Retries != 2 {
-		t.Fatalf("real sink errors must drive breaker accounting: %+v", stats)
-	}
-	if got := sink.Errors(); got != 4 {
-		t.Fatalf("store saw %d failed appends, want 4 (2 deliveries x 2 attempts)", got)
-	}
-}
-
-// TestChaosSpillCapBounded proves the spill queue is bounded: a long
-// outage with a small cap keeps the newest alerts, counts every
-// overflow drop, and never grows past the cap.
-func TestChaosSpillCapBounded(t *testing.T) {
-	leakCheck(t)
-	det, parser, interp, e := tinyDeployment(t)
-	faults := fault.New(1)
-	faults.Enable(fault.Rule{Point: PointSink})
-
-	reg := obs.NewRegistry()
-	cfg := DefaultConfig("x")
-	cfg.Metrics = reg
-	cfg.Faults = faults
-	cfg.Resilience = ResilienceConfig{
-		MaxAttempts:      2,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-		SpillCap:         10,
-		Sleep:            noSleep,
-		Now:              newChaosClock().now,
-	}
-	p := New(cfg, parser, det, interp, e, &MemorySink{})
-	seedHeartbeatAnomaly(p)
-
-	stats := p.Run(context.Background(), NewSliceSource(heartbeatLines(200)))
-	wantAnomalies := (200-cfg.Window.Length)/cfg.Window.Step + 1
-	if stats.Spilled != wantAnomalies {
-		t.Fatalf("spilled %d, want %d", stats.Spilled, wantAnomalies)
-	}
-	if p.SpillLen() != 10 {
-		t.Fatalf("spill queue holds %d, cap is 10", p.SpillLen())
-	}
-	if stats.SpillDropped != wantAnomalies-10 {
-		t.Fatalf("spill drops %d, want %d", stats.SpillDropped, wantAnomalies-10)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["pipeline.spill_dropped_total"] != int64(wantAnomalies-10) {
-		t.Fatalf("spill_dropped_total %d", snap.Counters["pipeline.spill_dropped_total"])
 	}
 }
 
@@ -453,14 +270,11 @@ func TestChaosPanicsContained(t *testing.T) {
 // reproducible from its seed.
 func TestChaosScheduleReplaysDeterministically(t *testing.T) {
 	leakCheck(t)
-	run := func() (Stats, uint64, uint64) {
+	run := func() (Stats, uint64) {
 		det, parser, interp, e := tinyDeployment(t)
 		faults := fault.New(31)
 		faults.SetSleep(noSleep)
-		faults.Enable(
-			fault.Rule{Point: PointParse, Prob: 0.2},
-			fault.Rule{Point: PointSink, Prob: 0.3},
-		)
+		faults.Enable(fault.Rule{Point: PointParse, Prob: 0.2})
 		cfg := DefaultConfig("x")
 		cfg.Metrics = obs.NewRegistry()
 		cfg.Faults = faults
@@ -468,67 +282,18 @@ func TestChaosScheduleReplaysDeterministically(t *testing.T) {
 		p := New(cfg, parser, det, interp, e, &MemorySink{})
 		seedHeartbeatAnomaly(p)
 		stats := p.Run(context.Background(), NewSliceSource(heartbeatLines(300)))
-		return stats, faults.Injected(PointParse), faults.Injected(PointSink)
+		return stats, faults.Injected(PointParse)
 	}
 
-	stats1, parse1, sink1 := run()
-	stats2, parse2, sink2 := run()
-	if parse1 == 0 || sink1 == 0 {
-		t.Fatalf("probabilistic schedule never fired: parse=%d sink=%d", parse1, sink1)
+	stats1, parse1 := run()
+	stats2, parse2 := run()
+	if parse1 == 0 {
+		t.Fatal("probabilistic schedule never fired")
 	}
-	if parse1 != parse2 || sink1 != sink2 {
-		t.Fatalf("injection counts diverged across replays: %d/%d vs %d/%d", parse1, sink1, parse2, sink2)
+	if parse1 != parse2 {
+		t.Fatalf("injection counts diverged across replays: %d vs %d", parse1, parse2)
 	}
 	if !reflect.DeepEqual(stats1, stats2) {
 		t.Fatalf("stats diverged across replays:\n%+v\n%+v", stats1, stats2)
-	}
-}
-
-// downSink is a FallibleSink that refuses every report while down.
-type downSink struct {
-	MemorySink
-	down bool
-}
-
-func (s *downSink) TryNotify(r *core.Report) error {
-	if s.down {
-		return errors.New("sink down")
-	}
-	s.Notify(r)
-	return nil
-}
-
-// TestChaosSpillOncePerReport pins the spill-once rule: with two sinks
-// down, each alert is queued and counted once, not once per failing
-// sink — copies would multiply on every FlushSpill until SpillCap
-// evicted distinct older alerts.
-func TestChaosSpillOncePerReport(t *testing.T) {
-	leakCheck(t)
-	det, parser, interp, e := tinyDeployment(t)
-	a, b := &downSink{down: true}, &downSink{down: true}
-	cfg := DefaultConfig("x")
-	cfg.Metrics = obs.NewRegistry()
-	cfg.Resilience = ResilienceConfig{
-		MaxAttempts:      1,
-		BreakerThreshold: 100, // keep both breakers closed throughout
-		Sleep:            noSleep,
-		Now:              newChaosClock().now,
-	}
-	p := New(cfg, parser, det, interp, e, a, b)
-	seedHeartbeatAnomaly(p)
-
-	stats := p.Run(context.Background(), NewSliceSource(heartbeatLines(20))) // 3 windows
-	if stats.Anomalies != 3 || stats.Spilled != 3 || p.SpillLen() != 3 {
-		t.Fatalf("anomalies %d spilled %d queued %d, want 3/3/3", stats.Anomalies, stats.Spilled, p.SpillLen())
-	}
-	if delivered, remaining := p.FlushSpill(); delivered != 0 || remaining != 3 {
-		t.Fatalf("flush while down = (%d, %d), want (0, 3)", delivered, remaining)
-	}
-	a.down, b.down = false, false
-	if delivered, remaining := p.FlushSpill(); delivered != 3 || remaining != 0 {
-		t.Fatalf("flush after recovery = (%d, %d), want (3, 0)", delivered, remaining)
-	}
-	if len(a.Reports()) != 3 || len(b.Reports()) != 3 {
-		t.Fatalf("recovered sinks got %d and %d reports, want 3 each", len(a.Reports()), len(b.Reports()))
 	}
 }

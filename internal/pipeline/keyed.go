@@ -44,6 +44,15 @@ type keyWindow struct {
 	sincePrev int
 }
 
+// tail copies the window state out as a WindowTail; ok is false when there
+// is none (an empty buffer at a window boundary).
+func (kw *keyWindow) tail() (WindowTail, bool) {
+	if len(kw.lines) == 0 && kw.sincePrev == 0 {
+		return WindowTail{}, false
+	}
+	return WindowTail{Lines: append([]string(nil), kw.lines...), SincePrev: kw.sincePrev}, true
+}
+
 // pendingWindow is a completed window waiting for its batch flush.
 type pendingWindow struct {
 	key string
@@ -75,7 +84,7 @@ func NewKeyed(p *Pipeline) *Keyed {
 	return &Keyed{p: p, batchCap: batchCap, keys: make(map[string]*keyWindow)}
 }
 
-// Pipeline returns the wrapped pipeline (stats, spill, library access).
+// Pipeline returns the wrapped pipeline (stats, library access).
 func (k *Keyed) Pipeline() *Pipeline { return k.p }
 
 // Feed collects one raw line under the stream key: parse (guarded),
@@ -112,7 +121,7 @@ func (k *Keyed) Feed(key, line string) {
 }
 
 // Flush scores every pending completed window as one batch, delivering
-// anomaly reports through the pipeline's guarded sinks. Call it whenever
+// anomaly reports to the pipeline's sinks. Call it whenever
 // the source runs dry (so batching never delays an alert) and before
 // snapshotting Tails for a commit.
 func (k *Keyed) Flush() {
@@ -146,12 +155,8 @@ func (k *Keyed) Keys() int { return len(k.keys) }
 func (k *Keyed) Tails() map[string]WindowTail {
 	out := make(map[string]WindowTail, len(k.keys))
 	for key, kw := range k.keys {
-		if len(kw.lines) == 0 && kw.sincePrev == 0 {
-			continue
-		}
-		out[key] = WindowTail{
-			Lines:     append([]string(nil), kw.lines...),
-			SincePrev: kw.sincePrev,
+		if tail, ok := kw.tail(); ok {
+			out[key] = tail
 		}
 	}
 	return out
@@ -165,14 +170,10 @@ func (k *Keyed) Tails() map[string]WindowTail {
 // empty buffer at a window boundary) returns ok=false with a zero tail,
 // which Restore treats as a fresh key.
 func (k *Keyed) Tail(key string) (WindowTail, bool) {
-	kw := k.keys[key]
-	if kw == nil || (len(kw.lines) == 0 && kw.sincePrev == 0) {
-		return WindowTail{}, false
+	if kw := k.keys[key]; kw != nil {
+		return kw.tail()
 	}
-	return WindowTail{
-		Lines:     append([]string(nil), kw.lines...),
-		SincePrev: kw.sincePrev,
-	}, true
+	return WindowTail{}, false
 }
 
 // TakeTails removes and returns the window state of every key belongs
@@ -188,11 +189,8 @@ func (k *Keyed) TakeTails(belongs func(key string) bool) map[string]WindowTail {
 		if !belongs(key) {
 			continue
 		}
-		if len(kw.lines) > 0 || kw.sincePrev > 0 {
-			out[key] = WindowTail{
-				Lines:     append([]string(nil), kw.lines...),
-				SincePrev: kw.sincePrev,
-			}
+		if tail, ok := kw.tail(); ok {
+			out[key] = tail
 		}
 		delete(k.keys, key)
 	}

@@ -141,7 +141,7 @@ func TestPipelineObservability(t *testing.T) {
 	}
 }
 
-// statsFromSnapshot reads the fifteen pipeline.* counters a fresh
+// statsFromSnapshot reads the twelve pipeline.* counters a fresh
 // registry's Stats is a view of.
 func statsFromSnapshot(snap obs.Snapshot) Stats {
 	c := func(name string) int { return int(snap.Counters["pipeline."+name]) }
@@ -155,10 +155,7 @@ func statsFromSnapshot(snap obs.Snapshot) Stats {
 		NewEvents:        c("new_events"),
 		Retries:          c("retries_total"),
 		Degraded:         c("degraded_total"),
-		Spilled:          c("spilled_total"),
-		SpillDropped:     c("spill_dropped_total"),
 		BreakerOpens:     c("breaker_open_total"),
-		SinkErrors:       c("sink_errors_total"),
 		ParseFailures:    c("parse_failures_total"),
 		DetectFailures:   c("detect_failures_total"),
 	}

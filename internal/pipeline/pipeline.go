@@ -20,13 +20,13 @@
 // via obs.Snapshot() or the logsynergy serve /metrics endpoint.
 //
 // Every stage call also runs under the fault-tolerance layer
-// (resilience.go): named injection points (PointParse …PointSink) for
+// (resilience.go): named injection points (PointParse …PointDetect) for
 // deterministic chaos rehearsal, per-stage retries with exponential
-// backoff and jitter, per-call timeouts, circuit breakers on the
-// interpreter and each sink, and graceful degradation — LEI failure
-// falls back to template-text interpretation, sink failure spills
-// reports to a bounded queue (and optionally an alertstore) for later
-// FlushSpill.
+// backoff and jitter, per-call timeouts, a circuit breaker on the
+// interpreter, and graceful degradation — LEI failure falls back to
+// template-text interpretation. Reports go to the sinks as they are
+// raised; making them durable and retrying a failing alert channel is the
+// shard runtime's job (its alert log and delivery loop).
 package pipeline
 
 import (
@@ -96,7 +96,7 @@ func (m *MemorySink) Reports() []*core.Report {
 	return append([]*core.Report(nil), m.reports...)
 }
 
-// Stats is a typed view of the pipeline's fifteen pipeline.* obs counters
+// Stats is a typed view of the pipeline's twelve pipeline.* obs counters
 // (Config.Metrics): each field is the growth of one counter since New.
 type Stats struct {
 	// LinesCollected counts raw lines fed to the pipeline.
@@ -119,18 +119,8 @@ type Stats struct {
 	// Degraded counts LEI failures that fell back to template-text
 	// interpretation.
 	Degraded int
-	// Spilled counts reports diverted to the spill queue after sink
-	// delivery failed (or the sink breaker was open) — once per delivery
-	// attempt, however many sinks refused it. A report respilled by
-	// FlushSpill counts again.
-	Spilled int
-	// SpillDropped counts spilled reports evicted from a full queue.
-	SpillDropped int
-	// BreakerOpens counts circuit-breaker open transitions (interpreter
-	// and sink breakers combined).
+	// BreakerOpens counts interpreter circuit-breaker open transitions.
 	BreakerOpens int
-	// SinkErrors counts terminal (post-retry) sink delivery failures.
-	SinkErrors int
 	// ParseFailures counts lines abandoned after the parse or embed
 	// stage terminally failed (the line is skipped; windows continue
 	// from the next line).
@@ -333,13 +323,9 @@ type Config struct {
 	// injection points (nil = nothing injected; the disarmed check is one
 	// atomic load).
 	Faults *fault.Registry
-	// Resilience tunes retries, timeouts, breakers and the spill queue
+	// Resilience tunes retries, timeouts and the interpreter breaker
 	// (zero value = production defaults).
 	Resilience ResilienceConfig
-	// SpillTo, when set, additionally receives every spilled report —
-	// typically an alertstore.Sink, so alerts survive a sink outage on
-	// disk. The in-memory spill queue is kept either way for FlushSpill.
-	SpillTo Sink
 }
 
 // DefaultConfig returns production defaults.
@@ -373,6 +359,11 @@ type pipelineObs struct {
 	patternEvictions counter
 	anomalies        counter
 	newEvents        counter
+	retries          counter
+	breakerOpen      counter
+	degraded         counter
+	parseFailures    counter
+	detectFailures   counter
 	librarySize      *obs.Gauge
 	detectBatch      *obs.Histogram
 }
@@ -386,6 +377,11 @@ func newPipelineObs(reg *obs.Registry) pipelineObs {
 		patternEvictions: newCounter(reg, "pipeline.pattern_evictions"),
 		anomalies:        newCounter(reg, "pipeline.anomalies"),
 		newEvents:        newCounter(reg, "pipeline.new_events"),
+		retries:          newCounter(reg, "pipeline.retries_total"),
+		breakerOpen:      newCounter(reg, "pipeline.breaker_open_total"),
+		degraded:         newCounter(reg, "pipeline.degraded_total"),
+		parseFailures:    newCounter(reg, "pipeline.parse_failures_total"),
+		detectFailures:   newCounter(reg, "pipeline.detect_failures_total"),
 		librarySize:      reg.Gauge("pipeline.pattern_library_size"),
 		detectBatch:      reg.Histogram("pipeline.detect_batch_seconds"),
 	}
@@ -400,9 +396,9 @@ type Pipeline struct {
 	embedder *embed.Embedder
 	library  *PatternLibrary
 	sinks    []Sink
-	guards   []*sinkGuard
 	om       pipelineObs
-	res      *resilience
+	retryer  *fault.Retryer // every guarded stage call
+	breaker  *fault.Breaker // the interpreter's
 }
 
 // New creates a pipeline around a trained model. parser must be the same
@@ -416,6 +412,8 @@ func New(cfg Config, parser *drain.Parser, det *core.Detector, interp lei.Interp
 	if reg == nil {
 		reg = obs.Default()
 	}
+	cfg.Resilience = cfg.Resilience.withDefaults()
+	res := cfg.Resilience
 	p := &Pipeline{
 		cfg:      cfg,
 		parser:   parser,
@@ -425,11 +423,10 @@ func New(cfg Config, parser *drain.Parser, det *core.Detector, interp lei.Interp
 		library:  NewPatternLibrary(cfg.PatternCap),
 		sinks:    sinks,
 		om:       newPipelineObs(reg),
+		breaker:  &fault.Breaker{Threshold: res.BreakerThreshold, Cooldown: res.BreakerCooldown, Now: res.Now},
 	}
-	p.res = newResilience(cfg.Resilience, cfg.Faults, cfg.SpillTo, reg)
-	for _, s := range sinks {
-		p.guards = append(p.guards, &sinkGuard{sink: s, breaker: p.res.newBreaker()})
-	}
+	p.retryer = res.Retryer()
+	p.retryer.OnRetry = func(int, error) { p.om.retries.Inc() }
 	return p
 }
 
@@ -439,7 +436,7 @@ func (p *Pipeline) Stats() Stats {
 	// detectBatch adds a batch to sequencesFormed before it counts any of
 	// the batch's outcomes, so reading the outcomes first keeps
 	// hits + misses + failures <= SequencesFormed in a concurrent sample.
-	hits, misses, failures := p.om.patternHits.since(), p.om.patternMisses.since(), p.res.om.detectFailures.since()
+	hits, misses, failures := p.om.patternHits.since(), p.om.patternMisses.since(), p.om.detectFailures.since()
 	return Stats{
 		LinesCollected:   p.om.linesCollected.since(),
 		SequencesFormed:  p.om.sequencesFormed.since(),
@@ -448,13 +445,10 @@ func (p *Pipeline) Stats() Stats {
 		PatternEvictions: p.om.patternEvictions.since(),
 		Anomalies:        p.om.anomalies.since(),
 		NewEvents:        p.om.newEvents.since(),
-		Retries:          p.res.om.retries.since(),
-		Degraded:         p.res.om.degraded.since(),
-		Spilled:          p.res.om.spilled.since(),
-		SpillDropped:     p.res.om.spillDropped.since(),
-		BreakerOpens:     p.res.om.breakerOpen.since(),
-		SinkErrors:       p.res.om.sinkErrors.since(),
-		ParseFailures:    p.res.om.parseFailures.since(),
+		Retries:          p.om.retries.since(),
+		Degraded:         p.om.degraded.since(),
+		BreakerOpens:     p.om.breakerOpen.since(),
+		ParseFailures:    p.om.parseFailures.since(),
 		DetectFailures:   failures,
 	}
 }
@@ -527,7 +521,7 @@ func (p *Pipeline) parseLine(line string) (int, bool) {
 		m = p.parser.Parse(line)
 		return nil
 	}); err != nil {
-		p.res.om.parseFailures.Inc()
+		p.om.parseFailures.Inc()
 		return 0, false
 	}
 	table := p.detector.Table
@@ -539,7 +533,7 @@ func (p *Pipeline) parseLine(line string) (int, bool) {
 		}); err != nil {
 			// The table could not grow to cover this event id; scoring the
 			// line would crash, so abandon it.
-			p.res.om.parseFailures.Inc()
+			p.om.parseFailures.Inc()
 			return 0, false
 		}
 		p.om.newEvents.Inc()
@@ -622,7 +616,7 @@ func (p *Pipeline) detectBatch(seqs [][]int) (batchScores []float64, abandoned [
 
 	for i, seq := range seqs {
 		if failed[i] {
-			p.res.om.detectFailures.Inc()
+			p.om.detectFailures.Inc()
 			continue
 		}
 		if hit[i] {
@@ -648,5 +642,7 @@ func (p *Pipeline) detectBatch(seqs [][]int) (batchScores []float64, abandoned [
 
 func (p *Pipeline) deliver(rep *core.Report) {
 	p.om.anomalies.Inc()
-	p.deliverAll(rep)
+	for _, s := range p.sinks {
+		s.Notify(rep)
+	}
 }

@@ -1,0 +1,392 @@
+package shard
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"logsynergy/internal/alertstore"
+	"logsynergy/internal/broker"
+	"logsynergy/internal/core"
+	"logsynergy/internal/fault"
+	"logsynergy/internal/obs"
+	"logsynergy/internal/pipeline"
+)
+
+// The alert-delivery proofs: alerts reach the sink only once the state
+// that covers them is durable, a failing sink lags without losing or
+// duplicating anything, and what a graceful close could not deliver waits
+// in the alert log for the next open.
+
+// flakySink refuses every delivery while down is set.
+type flakySink struct {
+	pipeline.MemorySink
+	down atomic.Bool
+}
+
+func (f *flakySink) TryNotify(r *core.Report) error {
+	if f.down.Load() {
+		return errors.New("alert gateway unreachable")
+	}
+	f.Notify(r)
+	return nil
+}
+
+// The alert store is a FallibleSink: its append errors reach the
+// delivery loop's retries.
+var _ FallibleSink = (*alertstore.Sink)(nil)
+
+// fastRetries keeps a failing sink's backoff in milliseconds.
+var fastRetries = pipeline.ResilienceConfig{RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
+
+// windows counts the windows a run scored.
+func (r eqResult) windows() (n int) {
+	for _, s := range r.scores {
+		n += len(s)
+	}
+	return n
+}
+
+// waitFor polls cond until it holds, failing the test after 30 seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// undelivered sums every partition's undelivered alerts.
+func undelivered(rt *Runtime) (n uint64) {
+	for _, h := range rt.Health() {
+		n += h.UndeliveredAlerts
+	}
+	return n
+}
+
+// within runs fn, failing the test if it has not returned after 30 seconds.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s hung", what)
+	}
+}
+
+// sigSequence renders reports as their signatures, in order.
+func sigSequence(reports []*core.Report) []string {
+	out := make([]string, len(reports))
+	for i, r := range reports {
+		out[i] = alertSig(r)
+	}
+	return out
+}
+
+// A commit whose state save fails after its windows alerted must not cost
+// a duplicate. The alerts wait in the alert log past the mark, where no
+// delivery reads them; the restart that re-scores those windows cuts them
+// and delivers each once. When alerts went to the sink at scoring time,
+// the restart delivered every one of them a second time.
+func TestAlertDeliveryCommitFailureNoDuplicates(t *testing.T) {
+	const failing = 1
+	var keys []string
+	for _, k := range eqKeys(16) {
+		if NewPartitioner(2).Partition(k) == failing {
+			keys = append(keys, k)
+		}
+	}
+	lines := genEqLines(17, 1200, keys)
+	ref := runReference(t, lines)
+	if len(ref.alerts) == 0 {
+		t.Fatal("reference produced no alerts; nothing could be duplicated")
+	}
+
+	freg := fault.New(1)
+	freg.Enable(fault.Rule{Point: PointCommit, Err: errors.New("state volume gone")})
+	dir := t.TempDir()
+	h := openHarness(t, dir, 2, func(cfg *Config) {
+		cfg.ShardFaults = func(i int) *fault.Registry {
+			if i == failing {
+				return freg
+			}
+			return nil
+		}
+	})
+	h.feed(t, lines)
+	// Drain would wait for a commit that cannot happen.
+	waitFor(t, "every window to be scored", func() bool { return h.rt.Stats().SequencesFormed >= ref.windows() })
+	if freg.Injected(PointCommit) == 0 {
+		t.Fatal("the commit fault never fired")
+	}
+	h.rt.Kill()
+	freg.Disable(PointCommit)
+
+	h2 := reopenHarness(t, dir, 2, h)
+	h2.drain(t)
+	if err := h2.rt.Close(); err != nil {
+		t.Fatalf("Close after restart: %v", err)
+	}
+	if got := alertSigs(h2.sink.Reports()); !reflect.DeepEqual(got, ref.alerts) {
+		t.Fatalf("the sink holds %d alerts (%d distinct), the reference raised %d (%d distinct)",
+			len(h2.sink.Reports()), len(got), len(ref.reports), len(ref.alerts))
+	}
+}
+
+// A down sink lags and loses nothing: alerts commit and wait, counted in
+// shard.alerts_undelivered, and once the sink is back it holds every alert
+// exactly once — on one partition in exactly the order they were raised,
+// which is each key's order on any number.
+func TestAlertDeliveryOutageLagsLosesNothing(t *testing.T) {
+	lines := genEqLines(23, 1500, eqKeys(8))
+	ref := runReference(t, lines)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			sink := &flakySink{}
+			h := openHarness(t, t.TempDir(), shards, func(cfg *Config) {
+				cfg.Sink = sink
+				cfg.Pipeline.Resilience = fastRetries
+			})
+			h.feed(t, lines[:500])
+			h.drain(t)
+			before := len(sink.Reports())
+
+			sink.down.Store(true)
+			h.feed(t, lines[500:1000])
+			waitFor(t, "committed alerts to wait on the down sink", func() bool {
+				snap := h.rt.Snapshot()
+				return undelivered(h.rt) > 0 && snap.Gauges["shard.alerts_undelivered"] > 0 && snap.Counters["shard.sink_errors_total"] > 0
+			})
+			if got := len(sink.Reports()); got != before {
+				t.Fatalf("the down sink took %d alerts", got-before)
+			}
+
+			sink.down.Store(false)
+			h.feed(t, lines[1000:])
+			h.drain(t)
+			snap := h.rt.Snapshot()
+			if n := undelivered(h.rt); n != 0 || snap.Gauges["shard.alerts_undelivered"] != 0 {
+				t.Fatalf("drained with %d alerts undelivered (gauge %d)", n, snap.Gauges["shard.alerts_undelivered"])
+			}
+			if err := h.rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			got := sink.Reports()
+			if shards == 1 {
+				if !reflect.DeepEqual(sigSequence(got), sigSequence(ref.reports)) {
+					t.Fatalf("the sink holds %d alerts, not the reference's %d in its order", len(got), len(ref.reports))
+				}
+			} else if !reflect.DeepEqual(alertSigs(got), ref.alerts) {
+				t.Fatalf("the sink holds %d alerts, not the reference's %d", len(got), len(ref.reports))
+			}
+		})
+	}
+}
+
+// A real failing sink — an alert store whose file is closed, so every
+// append errors — drives the retries: every failed attempt reaches the
+// store and counts in shard.sink_errors_total, and Close gives up after
+// one round, leaving every alert undelivered and counted.
+func TestAlertDeliveryClosedStoreRetries(t *testing.T) {
+	store, err := alertstore.Open(filepath.Join(t.TempDir(), "alerts.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil { // dead gateway: every append fails
+		t.Fatal(err)
+	}
+	sink := alertstore.NewSink(store)
+	lines := genEqLines(29, 900, eqKeys(6))
+	raised := uint64(len(runReference(t, lines).reports))
+	if raised == 0 {
+		t.Fatal("reference produced no alerts")
+	}
+
+	h := openHarness(t, t.TempDir(), 2, func(cfg *Config) {
+		cfg.Sink = sink
+		cfg.Pipeline.Resilience = fastRetries
+	})
+	h.feed(t, lines)
+	waitFor(t, "retries against the closed store", func() bool {
+		return undelivered(h.rt) == raised && h.rt.Snapshot().Counters["shard.sink_errors_total"] >= 10
+	})
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	snap := h.rt.Snapshot()
+	if errs := snap.Counters["shard.sink_errors_total"]; errs != int64(sink.Errors()) {
+		t.Fatalf("shard.sink_errors_total %d, the store refused %d appends", errs, sink.Errors())
+	}
+	if n := snap.Gauges["shard.alerts_undelivered"]; n != int64(raised) || undelivered(h.rt) != raised {
+		t.Fatalf("Close left %d undelivered (gauge %d), want all %d", undelivered(h.rt), n, raised)
+	}
+	if snap.Counters["shard.fanin_reports_total"] != 0 || store.Len() != 0 {
+		t.Fatal("the closed store took an alert")
+	}
+}
+
+// Close with the sink down keeps what it could not deliver in the alert
+// log, counted; a reopen with the sink back delivers exactly those and
+// re-detects nothing.
+func TestAlertDeliveryCloseKeepsUndelivered(t *testing.T) {
+	lines := genEqLines(21, 1500, eqKeys(8))
+	ref := runReference(t, lines)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			dir, sink := t.TempDir(), &flakySink{}
+			withSink := func(cfg *Config) {
+				cfg.Sink = sink
+				cfg.Pipeline.Resilience = fastRetries
+			}
+			h := openHarness(t, dir, shards, withSink)
+			h.feed(t, lines[:700])
+			h.drain(t)
+			delivered := len(sink.Reports())
+
+			sink.down.Store(true)
+			h.feed(t, lines[700:])
+			if err := h.rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			left := undelivered(h.rt)
+			if left == 0 || h.rt.Snapshot().Gauges["shard.alerts_undelivered"] != int64(left) {
+				t.Fatalf("Close left %d undelivered, gauge %d", left, h.rt.Snapshot().Gauges["shard.alerts_undelivered"])
+			}
+			if len(sink.Reports()) != delivered {
+				t.Fatalf("the down sink took %d alerts", len(sink.Reports())-delivered)
+			}
+
+			sink.down.Store(false)
+			h2 := openHarness(t, dir, shards, withSink)
+			h2.drain(t)
+			if err := h2.rt.Close(); err != nil {
+				t.Fatalf("reopen Close: %v", err)
+			}
+			if got := len(sink.Reports()) - delivered; got != int(left) {
+				t.Fatalf("the reopen delivered %d alerts, %d were left", got, left)
+			}
+			if !reflect.DeepEqual(alertSigs(sink.Reports()), ref.alerts) {
+				t.Fatalf("the sink holds %d alerts, not the reference's %d", len(sink.Reports()), len(ref.reports))
+			}
+			if n := h2.rt.Stats().LinesCollected; n != 0 {
+				t.Fatalf("the reopen re-detected %d lines", n)
+			}
+		})
+	}
+}
+
+// An alert log that ends before the state's mark — an unsynced tail lost
+// to a power cut, or a deleted log — is squared with the state on open:
+// the state is saved again at the log's tail, so delivery never waits for
+// an offset the log does not have (Kill, Drain and Close return) and what
+// is appended next reaches the sink only after its own commit. The sink
+// group's offset, left ahead of the log by the cut, is repaired on disk,
+// so the alerts that reuse its offsets are not counted delivered after a
+// crash. When the mark kept the state's value, delivery blocked on the
+// missing offset and handed out the next appends before their commit.
+func TestAlertDeliveryLogBehindState(t *testing.T) {
+	lines := genEqLines(31, 1500, eqKeys(8))
+	const split, failing = 500, 900 // before the damage; scored under failing commits
+	ref, before, scored := runReference(t, lines), runReference(t, lines[:split]), runReference(t, lines[:failing])
+	if len(before.reports) < 2 || len(scored.reports) == len(before.reports) || len(ref.reports) == len(scored.reports) {
+		t.Fatalf("fixture: %d, %d, %d alerts at %d, %d, %d lines", len(before.reports), len(scored.reports),
+			len(ref.reports), split, failing, len(lines))
+	}
+	for _, damage := range []string{"tail lost", "log deleted"} {
+		t.Run(damage, func(t *testing.T) {
+			dir, sink, freg := t.TempDir(), &flakySink{}, fault.New(1)
+			open := func() *shardHarness {
+				return openHarness(t, dir, 1, func(cfg *Config) {
+					cfg.Sink = sink
+					cfg.Pipeline.Resilience = fastRetries
+					cfg.ShardFaults = func(int) *fault.Registry { return freg }
+				})
+			}
+			h := open()
+			h.feed(t, lines[:split])
+			h.drain(t)
+			if err := h.rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			delivered := len(sink.Reports())
+			p0 := PartitionDir(dir, 0)
+			alertDir := filepath.Join(p0, alertLogName)
+			keep := uint64(0)
+			if damage == "log deleted" {
+				if err := os.RemoveAll(alertDir); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				// The offsets file was synced; the log's tail was not.
+				keep = uint64(delivered / 2)
+				offsets := filepath.Join(alertDir, "offsets.json")
+				saved, err := os.ReadFile(offsets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				log, err := broker.Open(broker.Config{Dir: alertDir, Metrics: obs.NewRegistry()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := log.TruncateAfter(keep); err != nil {
+					t.Fatal(err)
+				}
+				if err := log.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(offsets, saved, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Commits fail: whatever is scored now must not reach the sink.
+			freg.Enable(fault.Rule{Point: PointCommit, Err: errors.New("state volume gone")})
+			h = open()
+			if st, err := loadState(statePath(p0)); err != nil || st.Alerts != keep {
+				t.Fatalf("the reopened state's mark is %d (%v), over a log that ends at %d", st.Alerts, err, keep)
+			}
+			h.feed(t, lines[split:failing])
+			waitFor(t, "the new windows to be scored and a commit to fail", func() bool {
+				return h.rt.Stats().SequencesFormed >= scored.windows()-before.windows() && freg.Injected(PointCommit) > 0
+			})
+			time.Sleep(50 * time.Millisecond) // room for a delivery that does not wait for the commit
+			if got := len(sink.Reports()); got != delivered {
+				t.Fatalf("%d alerts reached the sink before their commit", got-delivered)
+			}
+			within(t, "Kill", h.rt.Kill)
+
+			// Commits land, the sink is down: every new alert commits and waits.
+			freg.Disable(PointCommit)
+			sink.down.Store(true)
+			h = open()
+			h.feed(t, lines[failing:])
+			want := uint64(len(ref.reports) - delivered)
+			waitFor(t, "every new alert to commit", func() bool { return undelivered(h.rt) == want })
+			within(t, "Kill", h.rt.Kill)
+
+			// The sink is back: each new alert arrives once.
+			sink.down.Store(false)
+			h = open()
+			within(t, "Drain", func() { h.drain(t) })
+			within(t, "Close", func() {
+				if err := h.rt.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+			if !reflect.DeepEqual(alertSigs(sink.Reports()), ref.alerts) {
+				t.Fatalf("the sink holds %d alerts, not the reference's %d", len(sink.Reports()), len(ref.reports))
+			}
+		})
+	}
+}

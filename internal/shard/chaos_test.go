@@ -9,12 +9,10 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"logsynergy/internal/broker"
-	"logsynergy/internal/core"
 	"logsynergy/internal/fault"
 	"logsynergy/internal/pipeline"
 )
@@ -320,69 +318,5 @@ func TestShardAppendBatchPartialAcceptance(t *testing.T) {
 	}
 	if r := byPart[stalled]; r.Acked != 0 || r.Rejected != 1 || r.Error != "backlog full" {
 		t.Fatalf("stalled share %+v, want 1 rejected", r)
-	}
-}
-
-// flakySink refuses every delivery while down is set.
-type flakySink struct {
-	pipeline.MemorySink
-	down atomic.Bool
-}
-
-func (f *flakySink) TryNotify(r *core.Report) error {
-	if f.down.Load() {
-		return errors.New("alert gateway unreachable")
-	}
-	f.Notify(r)
-	return nil
-}
-
-// TestShardCloseFlushesSpill: alerts that spilled while the sink was down
-// get their redelivery pass at a graceful Close, at every shard count —
-// the sink recovers before Close and ends up holding every alert of the
-// run exactly once. The spill queue is in memory; without the pass those
-// alerts die with the process.
-func TestShardCloseFlushesSpill(t *testing.T) {
-	lines := genEqLines(21, 1500, eqKeys(8))
-	ref := runReference(t, lines)
-	if len(ref.alerts) == 0 {
-		t.Fatal("reference produced no alerts; nothing would spill")
-	}
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
-			sink := &flakySink{}
-			h := openHarness(t, t.TempDir(), shards, func(cfg *Config) {
-				cfg.Sink = sink
-				// Retries stay cheap and the breaker stays shut, so what
-				// comes back at Close is the spill pass and nothing else.
-				cfg.Pipeline.Resilience = pipeline.ResilienceConfig{MaxAttempts: 1, BreakerThreshold: 1 << 30, Sleep: noSleep}
-			})
-			h.feed(t, lines[:500])
-			h.drain(t)
-			delivered := len(sink.Reports())
-
-			sink.down.Store(true)
-			h.feed(t, lines[500:1000])
-			h.drain(t)
-			spilled := h.rt.Stats().Spilled
-			if spilled == 0 || len(sink.Reports()) != delivered {
-				t.Fatalf("outage fixture: %d spilled, sink grew %d→%d", spilled, delivered, len(sink.Reports()))
-			}
-
-			sink.down.Store(false)
-			h.feed(t, lines[1000:])
-			if err := h.rt.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			got := alertSigs(sink.Reports())
-			if !reflect.DeepEqual(got, ref.alerts) {
-				t.Fatalf("sink holds %d alerts after Close, the run raised %d; spilled %d during the outage",
-					len(sink.Reports()), h.rt.Stats().Anomalies, spilled)
-			}
-			snap := h.rt.Snapshot()
-			if r, u := snap.Counters["shard.spill_redelivered_total"], snap.Counters["shard.spill_undeliverable_total"]; r != int64(spilled) || u != 0 {
-				t.Fatalf("spill pass counted %d redelivered, %d undeliverable; want %d and 0", r, u, spilled)
-			}
-		})
 	}
 }

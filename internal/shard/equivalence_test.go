@@ -114,10 +114,11 @@ func eqEnv() (*core.Detector, lei.Interpreter, *embed.Embedder) {
 }
 
 // eqResult is one run's observable output: per-key score sequences and
-// the alert multiset.
+// the alert multiset (runReference also keeps the reports, in order).
 type eqResult struct {
-	scores map[string][]float64
-	alerts map[string]int
+	scores  map[string][]float64
+	alerts  map[string]int
+	reports []*core.Report
 }
 
 // alertSigs reduces reports to an id-free multiset signature (event-id
@@ -125,10 +126,14 @@ type eqResult struct {
 func alertSigs(reports []*core.Report) map[string]int {
 	sigs := make(map[string]int, len(reports))
 	for _, r := range reports {
-		sig := r.System + "|" + strconv.FormatFloat(r.Score, 'x', -1, 64) + "|" + strings.Join(r.Templates, "\x1f")
-		sigs[sig]++
+		sigs[alertSig(r)]++
 	}
 	return sigs
+}
+
+// alertSig is one report's signature.
+func alertSig(r *core.Report) string {
+	return r.System + "|" + strconv.FormatFloat(r.Score, 'x', -1, 64) + "|" + strings.Join(r.Templates, "\x1f")
 }
 
 // runReference drives the single keyed pipeline over the whole stream.
@@ -151,7 +156,7 @@ func runReference(t *testing.T, lines []string) eqResult {
 		k.Feed(DefaultKeyFunc(line), line)
 	}
 	k.Flush()
-	return eqResult{scores: scores, alerts: alertSigs(sink.Reports())}
+	return eqResult{scores: scores, alerts: alertSigs(sink.Reports()), reports: sink.Reports()}
 }
 
 // shardHarness holds one sharded runtime plus its capture state.

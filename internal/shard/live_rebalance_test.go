@@ -291,7 +291,7 @@ func liveRoundTrip(t *testing.T, path []int, slow func(i int) bool) {
 			t.Fatalf("runtime reports %d partitions after %d→%d", got, was, to)
 		}
 		for i := to; i < was; i++ {
-			st, err := loadState(statePath(partitionDir(dir, i)))
+			st, err := loadState(statePath(PartitionDir(dir, i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -563,7 +563,7 @@ func TestLiveRebalanceFinishFailureKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	h := openHarness(t, dir, 4, nil)
 	h.feed(t, pre)
-	state, aside := statePath(partitionDir(dir, 3)), filepath.Join(dir, "p3-state.aside")
+	state, aside := statePath(PartitionDir(dir, 3)), filepath.Join(dir, "p3-state.aside")
 	_, err := h.rt.liveRebalance(2, func(phase, key string) error {
 		if phase != "finish" {
 			return nil
@@ -739,5 +739,89 @@ func TestCutoverDestCopy(t *testing.T) {
 	}
 	if !grow.destCopy(2, key, 1) {
 		t.Fatal("an added partition has no freeze point: every record of a key it receives is the copy")
+	}
+}
+
+// A shrink must not drop the alerts its retired partition could not yet
+// deliver. The sink is down while keys of partition 2 raise alerts, and
+// comes back at one of four points: just before the 3→2 cutover retires
+// the partition (retries then wait a minute, so only the retirement itself
+// can deliver before Close); after it, while the retired partition's
+// delivery goes on in the background; after a Close and a restart at 2
+// shards, which picks the retired alert log up; or after a regrowth to 3
+// reopens the retired directory. Each time the sink ends up holding every
+// alert exactly once. When undeliverable alerts sat in an in-memory queue
+// the finish closed partition 2 without flushing it, and they were gone.
+func TestLiveRebalanceShrinkDeliversRetiredAlerts(t *testing.T) {
+	keys := eqKeys(12)
+	var retiring []string
+	for _, k := range keys {
+		if NewPartitioner(3).Partition(k) == 2 {
+			retiring = append(retiring, k)
+		}
+	}
+	pre, outage := genEqLines(51, 900, keys), genEqLines(52, 900, retiring)
+	ref := runReference(t, append(append([]string(nil), pre...), outage...))
+	if len(ref.alerts) == 0 {
+		t.Fatal("reference produced no alerts")
+	}
+
+	for _, back := range []string{"before the shrink", "after the shrink", "after a restart", "after a regrowth"} {
+		t.Run("sink back "+back, func(t *testing.T) {
+			dir, sink := t.TempDir(), &flakySink{}
+			withSink := func(cfg *Config) {
+				cfg.Sink = sink
+				cfg.Pipeline.Resilience = fastRetries
+				if back == "before the shrink" {
+					cfg.Pipeline.Resilience = pipeline.ResilienceConfig{RetryBase: time.Minute, RetryMax: time.Minute, Sleep: noSleep}
+				}
+			}
+			h := openHarness(t, dir, 3, withSink)
+			h.feed(t, pre)
+			h.drain(t)
+			sink.down.Store(true)
+			h.feed(t, outage)
+			// Drain would wait on the down sink.
+			waitFor(t, "the outage traffic to be scored", func() bool { return h.rt.Stats().SequencesFormed >= ref.windows() })
+			if back == "before the shrink" {
+				sink.down.Store(false)
+			}
+			if _, err := h.rt.LiveRebalance(2); err != nil {
+				t.Fatalf("LiveRebalance(2): %v", err)
+			}
+			retiredLog := filepath.Join(PartitionDir(dir, 2), alertLogName)
+			if back != "before the shrink" {
+				if h.rt.UndeliveredAlerts()[retiredLog] == 0 || h.rt.Snapshot().Gauges["shard.alerts_undelivered"] == 0 {
+					t.Fatalf("the retired partition's alerts are not counted undelivered: %v", h.rt.UndeliveredAlerts())
+				}
+			}
+			switch back {
+			case "after the shrink":
+				sink.down.Store(false)
+				h.drain(t)
+			case "after a restart":
+				if err := h.rt.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				if h.rt.UndeliveredAlerts()[retiredLog] == 0 {
+					t.Fatalf("Close does not count the retired partition's alerts: %v", h.rt.UndeliveredAlerts())
+				}
+				sink.down.Store(false)
+				h = openHarness(t, dir, 2, withSink)
+				h.drain(t)
+			case "after a regrowth":
+				if _, err := h.rt.LiveRebalance(3); err != nil {
+					t.Fatalf("LiveRebalance(3): %v", err)
+				}
+				sink.down.Store(false)
+				h.drain(t)
+			}
+			if err := h.rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if got := alertSigs(sink.Reports()); !reflect.DeepEqual(got, ref.alerts) {
+				t.Fatalf("the sink holds %d alerts, the reference raised %d", len(sink.Reports()), len(ref.reports))
+			}
+		})
 	}
 }

@@ -144,13 +144,15 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 	var added []*partition
 	abandon := func(err error) (*CutoverBeginResult, error) {
 		for _, pt := range added {
-			pt.cons.Close()
-			pt.bk.Close()
+			pt.closeLogs()
 		}
 		rt.byIdx = rt.byIdx[:spec.From]
 		return nil, err
 	}
 	for i := spec.From; spec.Dest && i < spec.To; i++ {
+		if err := rt.reclaim(i); err != nil {
+			return abandon(fmt.Errorf("shard: reclaiming retired partition %d: %w", i, err))
+		}
 		pt, err := rt.openPartitionAt(i, midCutoverOpts(spec, i, spec.To, cut.newRing))
 		if err != nil {
 			return abandon(fmt.Errorf("shard: opening cutover destination partition %d: %w", i, err))
@@ -171,7 +173,7 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 	rt.cut.Store(cut)
 	rt.reg.Gauge("shard.cutover_active").Set(1)
 	for _, pt := range added {
-		go pt.run()
+		pt.start()
 	}
 	return res, nil
 }
@@ -534,8 +536,20 @@ func (rt *Runtime) ForgetKey(key string) error {
 // Nothing is closed until every partition has persisted: a failure up to
 // there returns with all of them open and the cutover still published, so
 // the runtime keeps serving under it and a restart resumes from the
-// journal.
-func (rt *Runtime) CompleteCutover(to int) error {
+// journal. Retired partitions close their WALs once the route write lock
+// is released; persisted at their WAL tails, their close errors cost
+// nothing recovery reads and are only reported. Their deliveries go on
+// in the background (partition.retire), so a down sink never holds the
+// flip and loses nothing.
+func (rt *Runtime) CompleteCutover(to int) (err error) {
+	var retired []*partition
+	defer func() {
+		for _, pt := range retired {
+			if cerr := pt.retire(); cerr != nil && err == nil {
+				err = fmt.Errorf("shard: closing retired partition %d: %w", pt.idx, cerr)
+			}
+		}
+	}()
 	rt.routeMu.Lock()
 	defer rt.routeMu.Unlock()
 	cut := rt.cut.Load()
@@ -554,24 +568,20 @@ func (rt *Runtime) CompleteCutover(to int) error {
 		}
 	}
 	kept := make([]*partition, 0, len(rt.parts))
-	var closeErr error
 	for _, pt := range rt.parts {
 		if pt.idx < cut.To {
 			sweepSplices(pt.dir)
 			kept = append(kept, pt)
-			continue
-		}
-		// Persisted at its WAL tail: the worker has nothing left to do and
-		// a close error costs nothing recovery reads, so it is reported but
-		// the flip goes through.
-		pt.bk.CloseIntake()
-		<-pt.done
-		pt.cons.Close()
-		if err := pt.bk.Close(); err != nil && closeErr == nil {
-			closeErr = fmt.Errorf("shard: closing retired partition %d: %w", pt.idx, err)
+		} else {
+			retired = append(retired, pt)
 		}
 	}
 	rt.parts = kept
+	rt.retiredMu.Lock()
+	for _, pt := range retired {
+		rt.retired = append(rt.retired, pt.dl)
+	}
+	rt.retiredMu.Unlock()
 	rt.byIdx = rt.byIdx[:cut.To]
 	rt.part = cut.newRing
 	rt.cfg.Shards = cut.To
@@ -583,7 +593,7 @@ func (rt *Runtime) CompleteCutover(to int) error {
 	cut.cond.Broadcast()
 	cut.mu.Unlock()
 	rt.cut.Store(nil)
-	return closeErr
+	return nil
 }
 
 // persistOn restamps the partition on the cutover's new layout and

@@ -3,8 +3,8 @@
 // partitioner keyed by source-system/stream id, runs one independent
 // §VI pipeline (parser → LEI → embed → detect → sink) per partition —
 // each with its own WAL directory, consumer offsets, resilience guards
-// and obs registry — and merges anomaly reports through an
-// order-preserving (per-key) fan-in sink.
+// and obs registry — and delivers anomaly reports from each partition's
+// alert log, committed with its state, into one sink in per-key order.
 //
 // The safety argument is the paper's own: per-system log streams are
 // semantically independent until the shared encoder, so demultiplexing
@@ -23,8 +23,8 @@
 //     rendered by the LLM once process-wide;
 //   - embedding cache: the shared embedder memoizes whole-text vectors.
 //
-// Everything else — drain parser, event table, pattern library, spill
-// queue, offsets, window tails — is per-partition, which is what makes
+// Everything else — drain parser, event table, pattern library, alert
+// log, offsets, window tails — is per-partition, which is what makes
 // a fault injected into one shard invisible to the others.
 package shard
 

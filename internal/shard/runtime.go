@@ -64,7 +64,7 @@ type Config struct {
 	// Faults are overridden per partition.
 	Broker broker.Config
 	// Pipeline is the per-partition pipeline template; Metrics and Faults
-	// are overridden per partition.
+	// are overridden per partition. Its Resilience also paces Sink retries.
 	Pipeline pipeline.Config
 	// Detector is the trained base detector. Each partition scores with
 	// the shared (read-only) model and its own clone of the event table.
@@ -75,9 +75,8 @@ type Config struct {
 	// Embedder is shared across partitions (it memoizes whole-text
 	// vectors, so hot templates embed once process-wide).
 	Embedder *embed.Embedder
-	// Sink receives every partition's anomaly reports through the
-	// order-preserving fan-in (per-key order is the per-partition
-	// delivery order; the fan-in serializes cross-partition delivery).
+	// Sink receives every partition's anomaly reports, one at a time, in
+	// per-key order (a FallibleSink's failures are retried; see alerts.go).
 	Sink pipeline.Sink
 	// Metrics is the runtime-level registry for shared components: the
 	// interp cache, the router, the fan-in (nil = obs.Default()).
@@ -120,7 +119,7 @@ func (c Config) withDefaults() Config {
 
 // Runtime is the assembled sharded detection runtime: N partition
 // workers, each tailing its own WAL through its own pipeline, a
-// consistent-hash router in front, and a fan-in sink behind.
+// consistent-hash router in front, and a sink fed from their alert logs.
 type Runtime struct {
 	cfg   Config
 	part  *Partitioner
@@ -144,22 +143,32 @@ type Runtime struct {
 	// durable and cleared before the journal is removed.
 	cut atomic.Pointer[Cutover]
 
+	// closing is closed when Close begins: every delivery loop then gives
+	// up after one failed retry round.
+	closing   chan struct{}
+	closeOnce sync.Once
+	// retired holds the deliveries of partitions a shrink dropped (or Open
+	// found past the layout): their alert logs outlive them (alerts.go).
+	retiredMu sync.Mutex
+	retired   []*delivery
+
 	faninMu      sync.Mutex
 	faninTotal   *obs.Counter
+	sinkErrs     *obs.Counter
 	routedLines  *obs.Counter
 	rejectedByBP *obs.Counter
 }
 
 // partition is one shard: broker, consumer, pipeline, keyed windower,
-// worker goroutine, and resume bookkeeping.
+// worker goroutine, alert log and delivery loop, and resume bookkeeping.
 type partition struct {
 	idx    int
 	rt     *Runtime
 	dir    string
-	group  string
 	bk     *broker.Broker
 	cons   *broker.Consumer
 	reg    *obs.Registry
+	faults *fault.Registry
 	pipe   *pipeline.Pipeline
 	keyed  *pipeline.Keyed
 	keyFor func(string) string
@@ -196,6 +205,11 @@ type partition struct {
 	forceSave bool
 
 	commitErrs *obs.Counter
+
+	// pending holds the reports raised since the last commit (under
+	// feedMu); dl delivers the alert log they are committed to (alerts.go).
+	pending []*core.Report
+	dl      *delivery
 
 	idle   atomic.Bool
 	killed atomic.Bool
@@ -235,7 +249,7 @@ func Open(cfg Config) (*Runtime, error) {
 	if held, err := broker.HoldsLog(cfg.Dir); err != nil {
 		return nil, err
 	} else if held {
-		p0 := partitionDir(cfg.Dir, 0)
+		p0 := PartitionDir(cfg.Dir, 0)
 		return nil, fmt.Errorf("shard: %[1]s holds a single broker's log at its root, but partition logs live in %[2]s; "+
 			"with the process stopped, move it once — mkdir %[2]s && mv %[1]s/*.wal %[1]s/offsets.json %[2]s/ — "+
 			"and partition 0 resumes at its committed offset + 1", cfg.Dir, p0)
@@ -291,7 +305,9 @@ func Open(cfg Config) (*Runtime, error) {
 		cfg:          cfg,
 		part:         NewPartitionerVnodes(cfg.Shards, cfg.Vnodes),
 		reg:          cfg.Metrics,
+		closing:      make(chan struct{}),
 		faninTotal:   cfg.Metrics.Counter("shard.fanin_reports_total"),
+		sinkErrs:     cfg.Metrics.Counter("shard.sink_errors_total"),
 		routedLines:  cfg.Metrics.Counter("shard.routed_lines_total"),
 		rejectedByBP: cfg.Metrics.Counter("shard.rejected_lines_total"),
 	}
@@ -327,23 +343,29 @@ func Open(cfg Config) (*Runtime, error) {
 				return nil, fmt.Errorf("shard: resuming live cutover: %w", err)
 			}
 		}
-		return rt, nil
-	}
-	for _, i := range own {
-		pt, err := rt.openPartitionAt(i, openOpts{})
-		if err != nil {
-			rt.closePartitions()
-			return nil, fmt.Errorf("shard: opening partition %d: %w", i, err)
+	} else {
+		for _, i := range own {
+			pt, err := rt.openPartitionAt(i, openOpts{})
+			if err != nil {
+				rt.closePartitions()
+				return nil, fmt.Errorf("shard: opening partition %d: %w", i, err)
+			}
+			// Without a journal there is no cutover: staged splice files and
+			// persisted Spliced markers are debris from a finish that crashed
+			// after its journal-removal commit point.
+			sweepSplices(pt.dir)
+			rt.parts = append(rt.parts, pt)
+			rt.byIdx[i] = pt
 		}
-		// Without a journal there is no cutover: staged splice files and
-		// persisted Spliced markers are debris from a finish that crashed
-		// after its journal-removal commit point.
-		sweepSplices(pt.dir)
-		rt.parts = append(rt.parts, pt)
-		rt.byIdx[i] = pt
+		for _, pt := range rt.parts {
+			pt.start()
+		}
 	}
-	for _, pt := range rt.parts {
-		go pt.run()
+	if cfg.Subset == nil {
+		if err := rt.openRetired(slots); err != nil {
+			rt.Close()
+			return nil, err
+		}
 	}
 	return rt, nil
 }
@@ -381,7 +403,7 @@ func (rt *Runtime) openMidCutover(spec CutoverSpec, own []int) error {
 	rt.cut.Store(cut)
 	rt.reg.Gauge("shard.cutover_active").Set(1)
 	for _, pt := range rt.parts {
-		go pt.run()
+		pt.start()
 	}
 	return nil
 }
@@ -403,7 +425,7 @@ type openOpts struct {
 }
 
 // openPartitionAt assembles one shard (no worker started yet).
-func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
+func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) {
 	cfg := rt.cfg
 	if o.layout == 0 {
 		o.layout = cfg.Shards
@@ -411,7 +433,7 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	if o.ring == nil {
 		o.ring = rt.part
 	}
-	dir := partitionDir(cfg.Dir, i)
+	dir := PartitionDir(cfg.Dir, i)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -434,10 +456,18 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	if err != nil {
 		return nil, err
 	}
+	var alerts *broker.Broker
+	defer func() {
+		if err != nil {
+			bk.Close()
+			if alerts != nil {
+				alerts.Close()
+			}
+		}
+	}()
 
 	st, err := loadState(statePath(dir))
 	if err != nil {
-		bk.Close()
 		return nil, err
 	}
 	acceptable := o.acceptStamp
@@ -445,10 +475,12 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 		acceptable = func(s int) bool { return s == 0 || s == o.layout }
 	}
 	if !acceptable(st.Partitions) {
-		bk.Close()
 		return nil, fmt.Errorf("shard: partition %s was laid out for %d shards but the runtime is opening %d; "+
 			"serve at %d shards, then run `logsynergy rebalance -addr host:port -to %d` against it",
 			dir, st.Partitions, cfg.Shards, st.Partitions, cfg.Shards)
+	}
+	if alerts, err = openAlertLog(cfg.Broker, dir, &st); err != nil {
+		return nil, err
 	}
 
 	// Each partition scores with the shared read-only model but owns its
@@ -462,7 +494,6 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	parser := drain.NewDefault()
 	if len(st.Events) > 0 {
 		if err := parser.Import(st.Events); err != nil {
-			bk.Close()
 			return nil, fmt.Errorf("restoring parser state: %w", err)
 		}
 	} else {
@@ -478,9 +509,9 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 		idx:         i,
 		rt:          rt,
 		dir:         dir,
-		group:       cfg.Group,
 		bk:          bk,
 		reg:         reg,
+		faults:      faults,
 		keyFor:      cfg.KeyFunc,
 		layout:      o.layout,
 		ring:        o.ring,
@@ -488,7 +519,8 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 		commitErrs:  reg.Counter("shard.commit_errors_total"),
 		done:        make(chan struct{}),
 	}
-	pt.pipe = pipeline.New(pcfg, parser, det, rt.cache, cfg.Embedder, &faninSink{rt: rt, shard: i})
+	pt.dl = rt.newDelivery(i, faults, alerts, st.Alerts, pt.done)
+	pt.pipe = pipeline.New(pcfg, parser, det, rt.cache, cfg.Embedder, pt)
 	pt.keyed = pipeline.NewKeyed(pt.pipe)
 	if cfg.OnWindow != nil {
 		shardIdx := i
@@ -503,7 +535,6 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	// feed path would mis-assign their vectors.
 	if len(st.Events) > 0 {
 		if err := pt.pipe.SyncTable(); err != nil {
-			bk.Close()
 			return nil, err
 		}
 	}
@@ -521,7 +552,6 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 
 	cons, err := bk.Consumer(cfg.Group)
 	if err != nil {
-		bk.Close()
 		return nil, err
 	}
 	pt.cons = cons
@@ -537,15 +567,18 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (*partition, error) {
 	return pt, nil
 }
 
-// partitionDir renders partition i's directory under root.
-func partitionDir(root string, i int) string {
-	return filepath.Join(root, fmt.Sprintf("p%d", i))
-}
-
 // PartitionDir renders partition i's WAL directory under root — the
 // cluster layer uses it to stake epoch leases in partition directories
 // before opening them.
-func PartitionDir(root string, i int) string { return partitionDir(root, i) }
+func PartitionDir(root string, i int) string {
+	return filepath.Join(root, fmt.Sprintf("p%d", i))
+}
+
+// start launches the partition's worker and its delivery loop.
+func (pt *partition) start() {
+	go pt.run()
+	go pt.dl.run()
+}
 
 // idleCommitDelay is how long a partition's log must stay empty before its
 // worker treats the backlog as drained and commits: longer than the gap
@@ -708,12 +741,16 @@ func (pt *partition) caughtUp() bool {
 	return pt.cons.Position() >= pt.bk.NextOffset()
 }
 
-// flushCommit scores pending windows, persists the resume state, and
-// commits the consumer offset — in that order, so a crash between the
-// two leaves the offset behind the tails (the worker skips the
-// redelivered prefix on restart). Commit failures are counted and
-// retried on the next cadence; consumption continues (at-least-once).
-// Called under feedMu.
+// PointCommit is the fault point at the top of a partition's state save.
+const PointCommit = "shard.commit"
+
+// flushCommit scores pending windows, appends their alerts to the alert
+// log, persists the resume state (with the log's tail as the delivery
+// mark), and commits the consumer offset — in that order, so a crash
+// leaves alerts past the mark (cut on open, re-scored) or the offset
+// behind the tails (the worker skips the redelivered prefix on restart).
+// Failures are counted and retried on the next cadence; consumption
+// continues (at-least-once). Called under feedMu.
 func (pt *partition) flushCommit() error {
 	pt.keyed.Flush()
 	pt.sinceCommit = 0
@@ -721,6 +758,12 @@ func (pt *partition) flushCommit() error {
 		return nil
 	}
 	if pt.consumed != pt.lastSaved || pt.forceSave {
+		if err := pt.appendAlerts(); err != nil {
+			return pt.commitFailed(err)
+		}
+		if err := pt.faults.Check(PointCommit); err != nil {
+			return pt.commitFailed(err)
+		}
 		st := partitionState{
 			Partitions: pt.layout,
 			Consumed:   pt.consumed,
@@ -728,26 +771,31 @@ func (pt *partition) flushCommit() error {
 			Events:     pt.pipe.Parser().Export(),
 			Patterns:   pt.pipe.Library().Export(),
 			Cutover:    pt.cutoverRecord(),
+			Alerts:     pt.dl.log.NextOffset() - 1,
 		}
 		if err := saveState(statePath(pt.dir), st); err != nil {
-			pt.commitErrs.Inc()
-			pt.setErr(err)
-			return err
+			return pt.commitFailed(err)
 		}
 		pt.lastSaved = pt.consumed
 		pt.forceSave = false
+		pt.dl.publish(st.Alerts)
 	}
 	// The state file can be up to date while the broker offset trails it —
 	// e.g. a restart that skipped a redelivered prefix. Commit the offset
 	// whenever it lags what the tails already reflect.
 	pt.cons.Ack(pt.consumed - pt.ackBase)
 	if err := pt.cons.Commit(); err != nil {
-		pt.commitErrs.Inc()
-		pt.setErr(err)
-		return err
+		return pt.commitFailed(err)
 	}
 	pt.lastCommitted = pt.consumed
 	return nil
+}
+
+// commitFailed counts and records a failed commit step.
+func (pt *partition) commitFailed(err error) error {
+	pt.commitErrs.Inc()
+	pt.setErr(err)
+	return err
 }
 
 // cutoverRecord renders the partition's live-cutover state record
@@ -781,14 +829,7 @@ func (pt *partition) workerErr() error {
 }
 
 // finished reports whether the worker goroutine has exited.
-func (pt *partition) finished() bool {
-	select {
-	case <-pt.done:
-		return true
-	default:
-		return false
-	}
-}
+func (pt *partition) finished() bool { return isClosed(pt.done) }
 
 // drained reports whether this partition has nothing left to do: its
 // worker exited, or it is idle (flushed + committed) with an empty
@@ -797,42 +838,7 @@ func (pt *partition) drained() bool {
 	if pt.finished() {
 		return true
 	}
-	return pt.idle.Load() && pt.bk.Lag(pt.group) == 0 && pt.caughtUp()
-}
-
-// faninSink delivers one partition's reports into the shared sink,
-// serialized across partitions. Per-key report order needs no extra
-// work: a key is pinned to one partition, and that partition delivers
-// its reports in window-completion order on a single goroutine.
-type faninSink struct {
-	rt    *Runtime
-	shard int
-}
-
-// Notify implements pipeline.Sink.
-func (f *faninSink) Notify(r *core.Report) {
-	f.rt.faninMu.Lock()
-	defer f.rt.faninMu.Unlock()
-	f.rt.faninTotal.Inc()
-	f.rt.cfg.Sink.Notify(r)
-}
-
-// TryNotify implements pipeline.FallibleSink, propagating delivery
-// errors (and thus retries, breakers and spill) when the merged sink
-// reports them.
-func (f *faninSink) TryNotify(r *core.Report) error {
-	f.rt.faninMu.Lock()
-	defer f.rt.faninMu.Unlock()
-	if fs, ok := f.rt.cfg.Sink.(pipeline.FallibleSink); ok {
-		if err := fs.TryNotify(r); err != nil {
-			return err
-		}
-		f.rt.faninTotal.Inc()
-		return nil
-	}
-	f.rt.faninTotal.Inc()
-	f.rt.cfg.Sink.Notify(r)
-	return nil
+	return pt.idle.Load() && pt.bk.Lag(pt.rt.cfg.Group) == 0 && pt.caughtUp()
 }
 
 // Shards returns the partition count.
@@ -906,7 +912,8 @@ func (rt *Runtime) ShardStats(i int) pipeline.Stats {
 }
 
 // PartitionHealth is one partition's liveness row in a /healthz body:
-// how far its consumer trails its WAL and whether its worker is idle.
+// how far its consumer trails its WAL, whether its worker is idle, and
+// how far its sink trails its alerts.
 type PartitionHealth struct {
 	Partition  int    `json:"partition"`
 	Lag        uint64 `json:"lag"`
@@ -917,6 +924,9 @@ type PartitionHealth struct {
 	// freeze offset to know when the key tails are final.
 	Consumed uint64 `json:"consumed"`
 	Idle     bool   `json:"idle"`
+	// UndeliveredAlerts is the delivery mark minus the delivered offset:
+	// a down sink shows here.
+	UndeliveredAlerts uint64 `json:"undelivered_alerts"`
 }
 
 // Health reports per-partition lag/backlog for every partition this
@@ -934,12 +944,13 @@ func (rt *Runtime) Health() []PartitionHealth {
 		consumed := pt.consumed
 		pt.feedMu.Unlock()
 		out = append(out, PartitionHealth{
-			Partition:  i,
-			Lag:        pt.bk.Lag(pt.group),
-			NextOffset: pt.bk.NextOffset(),
-			Committed:  pt.bk.Committed(pt.group),
-			Consumed:   consumed,
-			Idle:       pt.idle.Load(),
+			Partition:         i,
+			Lag:               pt.bk.Lag(rt.cfg.Group),
+			NextOffset:        pt.bk.NextOffset(),
+			Committed:         pt.bk.Committed(rt.cfg.Group),
+			Consumed:          consumed,
+			Idle:              pt.idle.Load(),
+			UndeliveredAlerts: pt.dl.undelivered(),
 		})
 	}
 	return out
@@ -970,12 +981,13 @@ func (rt *Runtime) AdoptPartition(idx int) error {
 	rt.parts = append(rt.parts, pt)
 	rt.byIdx[idx] = pt
 	rt.reg.Gauge("shard.partitions_owned").Add(1)
-	go pt.run()
+	pt.start()
 	return nil
 }
 
 // DropPartition closes partition idx crash-style — no final flush, no
-// state persist, no offset commit — and removes it from the runtime.
+// state persist, no offset commit, no further alert delivery — and
+// removes it from the runtime.
 // This is the fencing half of cluster failover: a node a newer manifest
 // epoch deposes must stop touching the partition's files on shared
 // storage immediately, because the new owner's crash recovery is about
@@ -1002,10 +1014,7 @@ func (rt *Runtime) DropPartition(idx int) error {
 	}
 	rt.parts = parts
 	rt.routeMu.Unlock()
-	pt.killed.Store(true)
-	pt.bk.Kill()
-	<-pt.done
-	pt.cons.Close()
+	pt.kill()
 	rt.reg.Gauge("shard.partitions_owned").Add(-1)
 	return nil
 }
@@ -1024,10 +1033,7 @@ func (rt *Runtime) Stats() pipeline.Stats {
 		total.NewEvents += s.NewEvents
 		total.Retries += s.Retries
 		total.Degraded += s.Degraded
-		total.Spilled += s.Spilled
-		total.SpillDropped += s.SpillDropped
 		total.BreakerOpens += s.BreakerOpens
-		total.SinkErrors += s.SinkErrors
 		total.ParseFailures += s.ParseFailures
 		total.DetectFailures += s.DetectFailures
 	}
@@ -1047,11 +1053,13 @@ func (rt *Runtime) Committed(i int) uint64 {
 // Snapshot merges the runtime registry with every partition's registry.
 // Each partition's counters and gauges additionally appear under a
 // shard<i>. prefix, so a scrape shows both fleet totals and per-shard
-// breakdowns.
+// breakdowns; shard.alerts_undelivered is read off the alert logs, retired
+// partitions' included.
 func (rt *Runtime) Snapshot() obs.Snapshot {
 	merged := rt.reg.Snapshot()
 	for _, pt := range rt.partitions() {
 		s := pt.reg.Snapshot()
+		s.Gauges["shard.alerts_undelivered"] = int64(pt.dl.undelivered())
 		merged = merged.Merge(s)
 		prefix := fmt.Sprintf("shard%d.", pt.idx)
 		for k, v := range s.Counters {
@@ -1061,22 +1069,29 @@ func (rt *Runtime) Snapshot() obs.Snapshot {
 			merged.Gauges[prefix+k] = v
 		}
 	}
+	for _, d := range rt.retirees() {
+		merged.Gauges["shard.alerts_undelivered"] += int64(d.undelivered())
+	}
 	return merged
 }
 
 // Drain blocks until every partition is drained — its worker exited, or
-// it is idle with an empty backlog and a committed offset — or ctx ends.
-// Appends arriving during Drain extend the wait; a partition parked on an
-// unreleased moving key mid-cutover counts as drained (its position is
-// committed) for as long as the key stays unreleased.
+// it is idle with an empty backlog and a committed offset — and every
+// delivery, retired partitions' included, has caught up with its mark, or
+// ctx ends. Appends arriving during Drain extend the wait; a partition
+// parked on an unreleased moving key mid-cutover counts as drained (its
+// position is committed) for as long as the key stays unreleased.
 func (rt *Runtime) Drain(ctx context.Context) error {
 	for {
 		all := true
 		for _, pt := range rt.partitions() {
-			if !pt.drained() && !pt.parked() {
+			if (!pt.drained() && !pt.parked()) || !pt.dl.delivered() {
 				all = false
 				break
 			}
+		}
+		for _, d := range rt.retirees() {
+			all = all && d.delivered()
 		}
 		if all {
 			return nil
@@ -1099,74 +1114,76 @@ func (rt *Runtime) CloseIntake() {
 }
 
 // Close shuts the runtime down gracefully: intake closes, every worker
-// drains and commits its own partition's offset, spilled alerts get one
-// redelivery pass, then consumers and brokers close. It returns the first
-// error encountered. Closing mid live-cutover is safe: parked workers
-// wake and exit without consuming, the journal stays in place, and the
-// next Open resumes the cutover.
+// drains and commits its own offset, and every delivery — retired
+// partitions' included — runs up to its final mark. The deliveries give
+// up together after one failed retry round, leaving what a down sink
+// refused in the alert logs for the next open (UndeliveredAlerts counts
+// it); a sink that hangs instead holds Close until it returns. Every
+// error is returned, joined. Closing mid live-cutover is safe: parked
+// workers wake and exit without consuming, the journal stays in place,
+// and the next Open resumes the cutover.
 func (rt *Runtime) Close() error {
-	rt.CloseIntake()
+	rt.CloseIntake() // every worker drains at once
 	if cut := rt.cut.Load(); cut != nil {
 		cut.interrupt()
 	}
-	parts := rt.partitions()
-	for _, pt := range parts {
-		<-pt.done
+	rt.closeOnce.Do(func() { close(rt.closing) })
+	var errs []error
+	for _, pt := range rt.partitions() {
+		errs = append(errs, pt.close(), pt.workerErr())
 	}
-	// A sink that was down when an alert fired may be back: the spill
-	// queue lives in memory, so this pass is its last chance. No worker is
-	// left to race it.
-	redelivered := rt.reg.Counter("shard.spill_redelivered_total")
-	undeliverable := rt.reg.Counter("shard.spill_undeliverable_total")
-	for _, pt := range parts {
-		delivered, remaining := pt.pipe.FlushSpill()
-		redelivered.Add(int64(delivered))
-		undeliverable.Add(int64(remaining))
+	for _, d := range rt.retirees() {
+		errs = append(errs, d.close())
 	}
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, pt := range parts {
-		keep(pt.workerErr())
-	}
-	keep(rt.closePartitions())
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // Kill simulates a crash: every worker stops without flushing or
-// committing, and every broker drops its handles with no final fsync or
-// offset persist. Whatever the last flushCommit persisted is what the
-// next Open resumes from.
+// committing, delivery stops where it is, and every broker drops its
+// handles with no final fsync or offset persist. Whatever the last
+// flushCommit persisted is what the next Open resumes from.
 func (rt *Runtime) Kill() {
 	if cut := rt.cut.Load(); cut != nil {
 		cut.interrupt()
 	}
-	parts := rt.partitions()
-	for _, pt := range parts {
-		pt.killed.Store(true)
+	for _, pt := range rt.partitions() {
+		pt.kill()
 	}
-	for _, pt := range parts {
-		pt.bk.Kill()
-	}
-	for _, pt := range parts {
-		<-pt.done
-		pt.cons.Close()
+	for _, d := range rt.retirees() {
+		d.kill()
 	}
 }
 
-// closePartitions releases consumers and brokers (idempotent).
-func (rt *Runtime) closePartitions() error {
-	var firstErr error
+// closePartitions releases every partition's consumer and logs — Open's
+// failure path, before any worker started.
+func (rt *Runtime) closePartitions() {
 	for _, pt := range rt.partitions() {
-		if pt.cons != nil {
-			pt.cons.Close()
-		}
-		if err := pt.bk.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		pt.closeLogs()
 	}
-	return firstErr
+}
+
+// close shuts a started partition down gracefully once Close has begun:
+// the worker drains and commits its own offset, delivery runs up to the
+// final mark, then the logs close.
+func (pt *partition) close() error {
+	pt.bk.CloseIntake()
+	<-pt.done
+	pt.cons.Close()
+	return errors.Join(pt.bk.Close(), pt.dl.close())
+}
+
+// kill stops a started partition crash-style: no flush, no commit, no
+// further delivery, and both logs drop their handles unsynced.
+func (pt *partition) kill() {
+	pt.killed.Store(true)
+	pt.bk.Kill()
+	<-pt.done
+	pt.cons.Close()
+	pt.dl.kill()
+}
+
+// closeLogs releases the consumer and both logs.
+func (pt *partition) closeLogs() error {
+	pt.cons.Close()
+	return errors.Join(pt.bk.Close(), pt.dl.log.Close())
 }

@@ -41,6 +41,8 @@ import (
 // without the marker is re-applied from its staged splice file. The
 // record only means anything while the root's live-cutover journal
 // exists; without the journal it is stale debris and ignored on open.
+// Alerts needs no version bump: a file without it reads as 0, exact for a
+// partition whose alert log is empty or absent.
 
 // stateFileName is the resume file inside a partition's WAL directory.
 const stateFileName = "shard-state.json"
@@ -67,6 +69,9 @@ type partitionState struct {
 	Patterns []pipeline.PatternEntry `json:"patterns,omitempty"`
 	// Cutover is the live-cutover record (nil outside a cutover).
 	Cutover *cutoverState `json:"cutover,omitempty"`
+	// Alerts is the alert-log tail this state covers; later records were
+	// raised by windows it does not reflect.
+	Alerts uint64 `json:"alerts,omitempty"`
 }
 
 // cutoverState is the per-partition half of a live cutover's durable
