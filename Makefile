@@ -9,9 +9,11 @@ build:
 test: build
 	$(GO) test ./...
 
-# Vet tier: static checks, run on every verify.
+# Vet tier: static checks, run on every verify. gofmt -l covers the
+# whole tree, benchmark/ included; any file it lists fails the tier.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists unformatted files:"; gofmt -l .; exit 1; }
 
 # Race tier (nightly): vet + full suite under the race detector. Catches
 # data races in the parallel tensor runtime and batched detection paths.

@@ -37,7 +37,8 @@ type usageError struct{ error }
 func (e usageError) Unwrap() error { return e.error }
 
 // run is the whole command. The subcommand and its flags are checked
-// before the store is opened, so a typo never creates a store file.
+// before the store is opened, and a -store path that does not exist is
+// refused, so a typo never creates a store file.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("alerts", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -111,6 +112,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return usageError{err}
 	}
 
+	// alertstore.Open creates a missing file, which is right for the
+	// writers and wrong here: a mistyped path would read as an empty history.
+	if _, err := os.Stat(*storePath); errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("no alert store at %s", *storePath)
+	}
 	s, err := alertstore.Open(*storePath)
 	if err != nil {
 		return err

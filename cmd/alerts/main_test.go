@@ -104,21 +104,32 @@ func TestCompactDropAcked(t *testing.T) {
 }
 
 // TestUsageErrorsCreateNoStore: a missing or unknown command, or a bad
-// subcommand flag, is a usage error and never creates the store file.
+// subcommand flag, is a usage error, and a -store path that does not
+// exist — a typo, most likely — fails every command (exit 1, naming the
+// path) instead of reporting an empty history. Neither creates the file.
 func TestUsageErrorsCreateNoStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "typo.log")
-	for _, args := range [][]string{
-		{"-store", path, "lst"},
-		{"-store", path},
-		{"-store", path, "list", "-bogus"},
+	for _, tc := range []struct {
+		args  []string
+		usage bool
+	}{
+		{[]string{"-store", path, "lst"}, true},
+		{[]string{"-store", path}, true},
+		{[]string{"-store", path, "list", "-bogus"}, true},
+		{[]string{"-store", path, "list"}, false},
+		{[]string{"-store", path, "ack", "-id", "1"}, false},
+		{[]string{"-store", path, "compact"}, false},
 	} {
-		err := run(args, &bytes.Buffer{}, &bytes.Buffer{})
+		err := run(tc.args, &bytes.Buffer{}, &bytes.Buffer{})
 		var usage usageError
-		if !errors.As(err, &usage) {
-			t.Errorf("alerts %v: %v, want a usage error", args, err)
+		switch {
+		case tc.usage && !errors.As(err, &usage):
+			t.Errorf("alerts %v: %v, want a usage error", tc.args, err)
+		case !tc.usage && (err == nil || errors.As(err, &usage) || !strings.Contains(err.Error(), path)):
+			t.Errorf("alerts %v: %v, want a failure naming the missing store", tc.args, err)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("alerts %v created the store file (stat: %v)", args, err)
+			t.Fatalf("alerts %v created the store file (stat: %v)", tc.args, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -39,8 +40,8 @@ func stalledShards(cfg *shard.Config) {
 }
 
 // openStalledNode starts a fleet node owning both partitions of the stalled
-// layout behind a real listener.
-func openStalledNode(t *testing.T) (*cluster.Node, *cluster.Manifest) {
+// layout behind a real listener, and returns it with its manifest's path.
+func openStalledNode(t *testing.T) (*cluster.Node, string) {
 	t.Helper()
 	srv := httptest.NewUnstartedServer(nil)
 	m := &cluster.Manifest{
@@ -59,7 +60,11 @@ func openStalledNode(t *testing.T) (*cluster.Node, *cluster.Manifest) {
 		Metrics:  obs.NewRegistry(),
 	}
 	stalledShards(&cfg)
-	n, err := cluster.StartNode(cluster.NodeConfig{Manifest: m, Name: "a", Runtime: cfg})
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := cluster.Save(path, m); err != nil {
+		t.Fatal(err)
+	}
+	n, err := cluster.StartNode(cluster.NodeConfig{ManifestPath: path, Name: "a", Runtime: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func openStalledNode(t *testing.T) (*cluster.Node, *cluster.Manifest) {
 	srv.Config.Handler = n.Handler()
 	srv.Start()
 	t.Cleanup(srv.Close)
-	return n, m
+	return n, path
 }
 
 // One intake contract, three tiers: serve's mux, a fleet node and the front
@@ -94,12 +99,12 @@ func TestIntakeContractAcrossTiers(t *testing.T) {
 			return srv.URL, rt.CloseIntake
 		}},
 		{"node", func(t *testing.T) (string, func()) {
-			n, m := openStalledNode(t)
-			return "http://" + m.Nodes["a"].Addr, n.CloseIntake
+			n, _ := openStalledNode(t)
+			return "http://" + n.Manifest().Nodes["a"].Addr, n.CloseIntake
 		}},
 		{"router", func(t *testing.T) (string, func()) {
-			n, m := openStalledNode(t)
-			r, err := cluster.NewRouter(cluster.RouterConfig{Manifest: m, Sleep: func(time.Duration) {}})
+			n, path := openStalledNode(t)
+			r, err := cluster.NewRouter(cluster.RouterConfig{ManifestPath: path, Sleep: func(time.Duration) {}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -102,7 +102,7 @@ func runServe(args []string) error {
 			return err
 		}
 		handler, closeRt = newShardServeMux(rt, *f.maxBatchBytes), rt.Close
-		fmt.Printf("shard runtime: %d partitions under %s (group %q)\n", rt.Shards(), cfg.Dir, cfg.Group)
+		fmt.Printf("shard runtime: %d partitions under %s\n", rt.Shards(), cfg.Dir)
 	}
 	ln, err := net.Listen("tcp", *f.addr)
 	if err != nil {
@@ -187,7 +187,7 @@ type serveFlags struct {
 	fs *flag.FlagSet
 
 	modelPath, logPath, hint, addr                       *string
-	brokerDir, group, fsyncPolicy, backlogPolicy         *string
+	brokerDir, fsyncPolicy, backlogPolicy                *string
 	clusterPath, nodeName                                *string
 	patternCap, retries, breakerThreshold, shards        *int
 	linger, breakerCooldown, interpretTimeout            *time.Duration
@@ -216,7 +216,6 @@ func parseServeFlags(args []string) *serveFlags {
 	f.faultSeed = fs.Int64("fault-seed", 1, "seed for the fault-injection registry")
 	f.brokerDir = fs.String("broker-dir", "", "runtime root: partition i's WAL lives in DIR/p<i>; enables POST /ingest")
 	f.shards = fs.Int("shards", 1, "partition count: lines route to N independent detection shards by stream key (requires -broker-dir)")
-	f.group = fs.String("group", "detector", "broker consumer group the partitions read as")
 	f.fsyncPolicy = fs.String("fsync", "interval", "broker durability policy: always | interval | never")
 	f.fsyncEvery = fs.Duration("fsync-every", 50*time.Millisecond, "background fsync cadence under -fsync interval")
 	f.segmentBytes = fs.Int64("segment-bytes", 8<<20, "broker segment roll size in bytes")
@@ -285,7 +284,6 @@ func (f *serveFlags) shardConfig(det *core.Detector, reg *obs.Registry) (shard.C
 	return shard.Config{
 		Shards: *f.shards,
 		Dir:    *f.brokerDir, // a node falls back to the manifest's shared-storage root
-		Group:  *f.group,
 		Broker: broker.Config{
 			SegmentBytes:     *f.segmentBytes,
 			Fsync:            fp,

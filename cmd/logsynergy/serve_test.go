@@ -168,7 +168,7 @@ func servedShards(t *testing.T, url string) int {
 
 // TestServeFlagValidation: serve without a WAL, and the combinations the
 // three-way fork used to reinterpret silently, are refused with a
-// message; the flag count is down to 26; -shards still defaults to 1.
+// message; the flag count is down to 25; -shards still defaults to 1.
 func TestServeFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -204,8 +204,8 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 	count := 0
 	f.fs.VisitAll(func(*flag.Flag) { count++ })
-	if count > 26 {
-		t.Errorf("serve has %d flags; one serving mode needs no more than 26", count)
+	if count > 25 {
+		t.Errorf("serve has %d flags; one serving mode needs no more than 25", count)
 	}
 }
 

@@ -140,6 +140,10 @@ func ParseFullPolicy(s string) (FullPolicy, error) {
 	return 0, fmt.Errorf("broker: unknown backlog policy %q (want block or reject)", s)
 }
 
+// maxRecordBytes bounds one record's payload: larger appends fail, and
+// recovery treats larger claimed frame lengths as corruption.
+const maxRecordBytes = 1 << 20
+
 // Config assembles a broker. Only Dir is required; zero fields take the
 // defaults documented on each.
 type Config struct {
@@ -150,10 +154,6 @@ type Config struct {
 	// size (default 8 MiB). A single batch larger than the limit still
 	// lands in one segment.
 	SegmentBytes int64
-	// MaxRecordBytes bounds one record's payload (default 1 MiB);
-	// larger appends fail, and recovery treats larger claimed frame
-	// lengths as corruption.
-	MaxRecordBytes int
 	// Fsync is the durability policy (default FsyncInterval).
 	Fsync FsyncPolicy
 	// FsyncEvery is the background sync cadence under FsyncInterval
@@ -181,9 +181,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 8 << 20
-	}
-	if c.MaxRecordBytes <= 0 {
-		c.MaxRecordBytes = 1 << 20
 	}
 	if c.FsyncEvery <= 0 {
 		c.FsyncEvery = 50 * time.Millisecond
@@ -309,7 +306,7 @@ func Open(cfg Config) (*Broker, error) {
 		f.Close()
 	}
 	for i, seg := range segs {
-		recs, valid, scanErr, err := framelog.Scan(seg.path, cfg.MaxRecordBytes, func([]byte) {})
+		recs, valid, scanErr, err := framelog.Scan(seg.path, maxRecordBytes, func([]byte) {})
 		if err != nil {
 			return nil, fmt.Errorf("broker: opening segment %s: %w", seg.path, err)
 		}
@@ -434,9 +431,9 @@ func (b *Broker) appendPayloads(payloads [][]byte) (first, last uint64, err erro
 	}
 	var total int64
 	for _, p := range payloads {
-		if len(p) > b.cfg.MaxRecordBytes {
+		if len(p) > maxRecordBytes {
 			b.om.appendErrors.Inc()
-			return 0, 0, fmt.Errorf("broker: record of %d bytes exceeds limit %d", len(p), b.cfg.MaxRecordBytes)
+			return 0, 0, fmt.Errorf("broker: record of %d bytes exceeds limit %d", len(p), maxRecordBytes)
 		}
 		total += framelog.HeaderSize + int64(len(p))
 	}
@@ -587,7 +584,7 @@ func (b *Broker) TruncateAfter(off uint64) error {
 		keep--
 	}
 	seg, size, n := b.segments[keep], int64(0), off+1-b.segments[keep].base
-	_, _, _, err := framelog.Scan(seg.path, b.cfg.MaxRecordBytes, func(p []byte) {
+	_, _, _, err := framelog.Scan(seg.path, maxRecordBytes, func(p []byte) {
 		if n > 0 {
 			n, size = n-1, size+framelog.HeaderSize+int64(len(p))
 		}

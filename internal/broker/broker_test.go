@@ -523,12 +523,12 @@ func TestPolicyParsing(t *testing.T) {
 }
 
 func TestOversizedRecordRefused(t *testing.T) {
-	b, _ := openTest(t, t.TempDir(), func(c *Config) { c.MaxRecordBytes = 16 })
+	b, _ := openTest(t, t.TempDir(), nil)
 	defer b.Close()
-	if _, err := b.Append(strings.Repeat("z", 17)); err == nil {
+	if _, err := b.Append(strings.Repeat("z", maxRecordBytes+1)); err == nil {
 		t.Fatal("oversized record accepted")
 	}
-	if _, err := b.Append(strings.Repeat("z", 16)); err != nil {
+	if _, err := b.Append(strings.Repeat("z", maxRecordBytes)); err != nil {
 		t.Fatalf("record at the limit refused: %v", err)
 	}
 }

@@ -53,10 +53,6 @@ func brokerLines(start, n int) []string {
 	return lines
 }
 
-// testWindow keeps window arithmetic small: with 4/2, a stream of L
-// lines completes windows ending at lines 4, 6, 8, ...
-var testWindow = window.Config{Length: 4, Step: 2}
-
 // detectorLeg builds one fresh untrained deployment (empty event table,
 // fixed clock) plus a pipeline over it. Two legs fed identical lines
 // mutate identically — the basis for the bit-identical replay check.
@@ -70,7 +66,6 @@ func detectorLeg(t testing.TB, reg *obs.Registry) (*pipeline.Pipeline, *pipeline
 	det.Now = func() time.Time { return time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC) }
 
 	pcfg := pipeline.DefaultConfig("a cloud data management system (SystemB)")
-	pcfg.Window = testWindow
 	pcfg.Metrics = reg
 	sink := &pipeline.MemorySink{}
 	p := pipeline.New(pcfg, drain.NewDefault(), det, lei.NewSimLLM(lei.Config{}), e, sink)
@@ -101,19 +96,21 @@ func runLeg(t *testing.T, b *Broker, group string, reg *obs.Registry) (pipeline.
 }
 
 // windowSeqs reconstructs the event-id windows a fresh leg forms over n
-// cycling-template lines: drain numbers templates in first-seen order, so
-// wherever in the cycle the run starts, its line i is event i mod 6.
+// cycling-template lines with the pipeline's window.Default(): drain
+// numbers templates in first-seen order, so wherever in the cycle the run
+// starts, its line i is event i mod 6.
 func windowSeqs(n int) [][]int {
+	win := window.Default()
 	var seqs [][]int
 	var buf []int
 	since := 0
 	for i := 0; i < n; i++ {
 		buf = append(buf, i%len(brokerTemplates))
 		since++
-		if len(buf) > testWindow.Length {
+		if len(buf) > win.Length {
 			buf = buf[1:]
 		}
-		if len(buf) == testWindow.Length && since >= testWindow.Step {
+		if len(buf) == win.Length && since >= win.Step {
 			seqs = append(seqs, append([]int(nil), buf...))
 			since = 0
 		}

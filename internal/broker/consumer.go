@@ -162,12 +162,12 @@ func (c *Consumer) readAt(seg *segment) ([]byte, error) {
 	for c.nextInSeg < c.pos {
 		// Skip records already consumed in an earlier session (resuming
 		// mid-segment after a restart).
-		if _, err := framelog.Read(c.r, c.b.cfg.MaxRecordBytes); err != nil {
+		if _, err := framelog.Read(c.r, maxRecordBytes); err != nil {
 			return nil, err
 		}
 		c.nextInSeg++
 	}
-	payload, err := framelog.Read(c.r, c.b.cfg.MaxRecordBytes)
+	payload, err := framelog.Read(c.r, maxRecordBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@ import (
 
 	"logsynergy/internal/core"
 	"logsynergy/internal/embed"
+	"logsynergy/internal/fault"
 	"logsynergy/internal/lei"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
@@ -271,6 +272,17 @@ func localListener(t *testing.T) net.Listener {
 	return ln
 }
 
+// saveManifest installs m as cluster.json in a fresh temporary directory
+// and returns its path.
+func saveManifest(t *testing.T, m *Manifest) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := Save(path, m); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // postLines POSTs a newline-delimited batch to a router URL and decodes
 // the shard.IngestResponse every tier answers with.
 func postLines(t *testing.T, url string, lines []string) (int, shard.IngestResponse) {
@@ -424,7 +436,7 @@ func TestClusterFleetEquivalenceWithFailover(t *testing.T) {
 
 	// Fencing: the dead node restarting with its stale epoch-1 manifest
 	// must be refused — its partitions are leased at epoch 2 now.
-	if _, err := StartNode(NodeConfig{Manifest: epoch1, Name: "a", Runtime: shard.Config{
+	if _, err := StartNode(NodeConfig{ManifestPath: saveManifest(t, epoch1), Name: "a", Runtime: shard.Config{
 		Pipeline: pipeline.DefaultConfig(eqHint),
 	}}); err == nil || !strings.Contains(err.Error(), "newer") {
 		t.Fatalf("stale node a restart: %v", err)
@@ -504,8 +516,8 @@ func TestClusterNodeServesOnlyAssignedPartitions(t *testing.T) {
 	det, interp, e := eqEnv()
 	dir := t.TempDir()
 	n, err := StartNode(NodeConfig{
-		Manifest: m,
-		Name:     "a",
+		ManifestPath: saveManifest(t, m),
+		Name:         "a",
 		Runtime: shard.Config{
 			Dir:      dir,
 			Pipeline: pipeline.DefaultConfig(eqHint),
@@ -670,7 +682,7 @@ func TestClusterIngestEpochFence(t *testing.T) {
 		Assignments: []string{"a"},
 	}
 	det, interp, e := eqEnv()
-	n, err := StartNode(NodeConfig{Manifest: m, Name: "a", Runtime: shard.Config{
+	n, err := StartNode(NodeConfig{ManifestPath: saveManifest(t, m), Name: "a", Runtime: shard.Config{
 		Dir:      t.TempDir(),
 		Pipeline: pipeline.DefaultConfig(eqHint),
 		Detector: det,
@@ -825,7 +837,7 @@ func TestClusterRouterBreakerFailsFastOnSendPath(t *testing.T) {
 		Assignments: []string{"gone"},
 	}
 	reg := obs.NewRegistry()
-	r, err := NewRouter(RouterConfig{Manifest: m, Metrics: reg, Attempts: 3, FailAfter: 2, Sleep: func(time.Duration) {}})
+	r, err := NewRouter(RouterConfig{ManifestPath: saveManifest(t, m), Metrics: reg, Attempts: 3, FailAfter: 2, Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -983,7 +995,7 @@ func TestClusterRouterRetryAfterPropagation(t *testing.T) {
 		Assignments: []string{"full", "ok"},
 	}
 	reg := obs.NewRegistry()
-	r, err := NewRouter(RouterConfig{Manifest: m, Metrics: reg, Sleep: func(time.Duration) {}})
+	r, err := NewRouter(RouterConfig{ManifestPath: saveManifest(t, m), Metrics: reg, Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1076,12 +1088,12 @@ func TestRouterRejectsUnverifiableAnswer(t *testing.T) {
 				json.NewEncoder(w).Encode(tc.body)
 			}))
 			defer node.Close()
-			r, err := NewRouter(RouterConfig{Sleep: func(time.Duration) {}, Manifest: &Manifest{
+			r, err := NewRouter(RouterConfig{Sleep: func(time.Duration) {}, ManifestPath: saveManifest(t, &Manifest{
 				Epoch:       1,
 				Shards:      1,
 				Nodes:       map[string]NodeSpec{"only": {Addr: node.URL}},
 				Assignments: []string{"only"},
-			}})
+			})})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1182,7 +1194,7 @@ func TestClusterRouterRetriesTransientFailures(t *testing.T) {
 		Assignments: []string{"only"},
 	}
 	reg := obs.NewRegistry()
-	r, err := NewRouter(RouterConfig{Manifest: m, Metrics: reg, Attempts: 3, Sleep: func(time.Duration) {}})
+	r, err := NewRouter(RouterConfig{ManifestPath: saveManifest(t, m), Metrics: reg, Attempts: 3, Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1194,6 +1206,52 @@ func TestClusterRouterRetriesTransientFailures(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["cluster.router_retries_total"]; got != 2 {
 		t.Fatalf("router_retries_total %d, want 2", got)
+	}
+
+	// The retry schedule: two shares in a row against a node that fails
+	// every attempt each sleep the backoff's Delay(1, s) then Delay(2, s),
+	// with s the share's salt — 1 for the first share, 2 for the second.
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "down", http.StatusInternalServerError)
+	}))
+	defer down.Close()
+	var slept []time.Duration
+	reg = obs.NewRegistry()
+	r2, err := NewRouter(RouterConfig{
+		ManifestPath: saveManifest(t, &Manifest{
+			Epoch:       1,
+			Shards:      1,
+			Nodes:       map[string]NodeSpec{"only": {Addr: down.URL}},
+			Assignments: []string{"only"},
+		}),
+		Metrics:   reg,
+		Attempts:  3,
+		Backoff:   fault.Backoff{Seed: 7},
+		FailAfter: 100, // keep the breaker closed for the second share
+		Sleep: func(d time.Duration) {
+			mu.Lock()
+			slept = append(slept, d)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	for i := 0; i < 2; i++ {
+		if rr := r2.RouteBatch([]string{"k1 hello world"}); rr.Rejected != 1 {
+			t.Fatalf("share %d against a down node: %+v", i+1, rr)
+		}
+	}
+	b := r2.cfg.Backoff
+	want := []time.Duration{b.Delay(1, 1), b.Delay(2, 1), b.Delay(1, 2), b.Delay(2, 2)}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(slept, want) {
+		t.Fatalf("retry delays %v, want %v", slept, want)
+	}
+	if got := reg.Snapshot().Counters["cluster.router_retries_total"]; got != 4 {
+		t.Fatalf("router_retries_total %d after two failed shares, want 4", got)
 	}
 }
 
@@ -1288,7 +1346,7 @@ func TestClusterNodeRefusesLayoutMismatch(t *testing.T) {
 		Assignments: []string{"a", "a", "a", "a"},
 	}
 	det2, interp2, e2 := eqEnv()
-	if _, err := StartNode(NodeConfig{Manifest: m, Name: "a", Runtime: shard.Config{
+	if _, err := StartNode(NodeConfig{ManifestPath: saveManifest(t, m), Name: "a", Runtime: shard.Config{
 		Pipeline: pipeline.DefaultConfig(eqHint),
 		Detector: det2,
 		Interp:   interp2,

@@ -66,9 +66,6 @@ func cutoverJournalPath(manifestPath string) string {
 // is NOT "no cutover": the current overlay stays and the failure is
 // counted.
 func (r *Router) reloadCutover() {
-	if r.cfg.ManifestPath == "" {
-		return
-	}
 	j, err := shard.LoadCutoverJournal(cutoverJournalPath(r.cfg.ManifestPath))
 	if err != nil {
 		r.journalErrs.Inc()
@@ -104,9 +101,6 @@ func (r *Router) reloadCutover() {
 func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport, error) {
 	r.liveMu.Lock()
 	defer r.liveMu.Unlock()
-	if r.cfg.ManifestPath == "" {
-		return nil, fmt.Errorf("cluster: live rebalance needs a ManifestPath (the journal lives next to the manifest)")
-	}
 	start := time.Now()
 	_ = r.Reload() // freshest view; also installs the overlay from any existing journal
 	jpath := cutoverJournalPath(r.cfg.ManifestPath)
@@ -356,11 +350,9 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	for name := range m.Nodes {
 		st.Nodes[name] = !nodes[name].dead.Load()
 	}
-	if r.cfg.ManifestPath != "" {
-		if j, err := shard.LoadCutoverJournal(cutoverJournalPath(r.cfg.ManifestPath)); err == nil && j != nil {
-			st.Cutover = &RouterCutoverStatus{From: j.From, To: j.To, DestNode: j.DestNode,
-				Committed: len(j.KeysAt("committed")), Released: len(j.KeysAt("released"))}
-		}
+	if j, err := shard.LoadCutoverJournal(cutoverJournalPath(r.cfg.ManifestPath)); err == nil && j != nil {
+		st.Cutover = &RouterCutoverStatus{From: j.From, To: j.To, DestNode: j.DestNode,
+			Committed: len(j.KeysAt("committed")), Released: len(j.KeysAt("released"))}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)

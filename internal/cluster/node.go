@@ -26,12 +26,9 @@ const EpochHeader = "X-Cluster-Epoch"
 
 // NodeConfig assembles one cluster node.
 type NodeConfig struct {
-	// ManifestPath is the cluster.json location; Refresh re-reads it.
-	// Optional when Manifest is supplied and Refresh is never used.
+	// ManifestPath is the cluster.json location (required); Refresh
+	// re-reads it, and a live cutover's journal lives next to it.
 	ManifestPath string
-	// Manifest, when set, is used instead of loading ManifestPath at
-	// start (tests build manifests in memory).
-	Manifest *Manifest
 	// Name is this node's name in the manifest.
 	Name string
 	// Runtime is the shard runtime template: Detector, Interp, Embedder,
@@ -72,17 +69,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("cluster: NodeConfig.Name is required")
 	}
-	m := cfg.Manifest
-	if m == nil {
-		if cfg.ManifestPath == "" {
-			return nil, fmt.Errorf("cluster: NodeConfig needs a Manifest or a ManifestPath")
-		}
-		var err error
-		m, err = Load(cfg.ManifestPath)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := m.Validate(); err != nil {
+	m, err := Load(cfg.ManifestPath)
+	if err != nil {
 		return nil, err
 	}
 	if _, ok := m.Nodes[cfg.Name]; !ok {
@@ -110,24 +98,22 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// layout with the recorded freeze offsets, the destination with its
 	// staged splices applied) and waits for the coordinator to resume
 	// driving it.
-	if cfg.ManifestPath != "" {
-		j, err := shard.LoadCutoverJournal(cutoverJournalPath(cfg.ManifestPath))
-		if err != nil {
-			return nil, err
+	j, err := shard.LoadCutoverJournal(cutoverJournalPath(cfg.ManifestPath))
+	if err != nil {
+		return nil, err
+	}
+	if j != nil && j.To != m.Shards {
+		if _, ok := m.Nodes[j.DestNode]; j.From != m.Shards || !ok {
+			return nil, fmt.Errorf("cluster: cutover journal grows %d -> %d onto node %q but the manifest serves %d partitions on nodes %v",
+				j.From, j.To, j.DestNode, m.Shards, m.NodeNames())
 		}
-		if j != nil && j.To != m.Shards {
-			if _, ok := m.Nodes[j.DestNode]; j.From != m.Shards || !ok {
-				return nil, fmt.Errorf("cluster: cutover journal grows %d -> %d onto node %q but the manifest serves %d partitions on nodes %v",
-					j.From, j.To, j.DestNode, m.Shards, m.NodeNames())
-			}
-			rcfg.Shards = j.To
-			if j.DestNode == cfg.Name {
-				own = append(append([]int{}, own...), j.To-1)
-			}
-			rcfg.Subset = own
-			spec := j.Spec(j.DestNode == cfg.Name)
-			rcfg.Cutover = &spec
+		rcfg.Shards = j.To
+		if j.DestNode == cfg.Name {
+			own = append(append([]int{}, own...), j.To-1)
 		}
+		rcfg.Subset = own
+		spec := j.Spec(j.DestNode == cfg.Name)
+		rcfg.Cutover = &spec
 	}
 
 	// Fence before open: the flock refuses a partition whose owner is
@@ -229,9 +215,6 @@ func (n *Node) Refresh() (RefreshReport, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.refreshes.Inc()
-	if n.cfg.ManifestPath == "" {
-		return RefreshReport{Epoch: n.m.Epoch, Stale: true}, fmt.Errorf("cluster: node has no manifest path to refresh from")
-	}
 	m, err := Load(n.cfg.ManifestPath)
 	if err != nil {
 		return RefreshReport{Epoch: n.m.Epoch, Stale: true}, err
@@ -411,7 +394,7 @@ func (n *Node) fenceEpoch(w http.ResponseWriter, r *http.Request) bool {
 			})
 			return false
 		}
-		if reqEpoch > n.Epoch() && n.cfg.ManifestPath != "" {
+		if reqEpoch > n.Epoch() {
 			// Best-effort catch-up; the re-check below is the verdict.
 			n.Refresh()
 		}

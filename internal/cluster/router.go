@@ -63,14 +63,10 @@ import (
 
 // RouterConfig assembles a front router.
 type RouterConfig struct {
-	// ManifestPath locates cluster.json; failover installs epoch bumps
-	// here. Optional when Manifest is supplied and failover is off.
+	// ManifestPath locates cluster.json (required): Reload re-reads it,
+	// failover installs epoch bumps at it, and a live cutover's journal
+	// lives next to it.
 	ManifestPath string
-	// Manifest, when set, is used instead of loading ManifestPath.
-	Manifest *Manifest
-	// KeyFunc extracts the stream key from a line (default
-	// shard.DefaultKeyFunc — must match the nodes').
-	KeyFunc func(string) string
 	// Metrics receives the router's counters (nil = a fresh registry).
 	Metrics *obs.Registry
 	// MaxBatchBytes bounds one /ingest request body (<= 0 selects the
@@ -89,32 +85,24 @@ type RouterConfig struct {
 	// (default 3) — the breaker threshold shared by probes and ingest.
 	FailAfter int
 	// Failover enables automatic reassignment of a dead node's partitions
-	// to a standby (requires shared storage and a ManifestPath).
+	// to a standby (requires shared storage).
 	Failover bool
 	// RequestTimeout bounds one node /ingest round trip (default 10s).
 	RequestTimeout time.Duration
 	// ProbeTimeout bounds one /healthz or /metrics.json round trip
 	// (default 2s).
 	ProbeTimeout time.Duration
-	// Client overrides the pooled HTTP client (tests).
-	Client *http.Client
 	// Sleep overrides the retry sleep (tests; default time.Sleep).
 	Sleep func(time.Duration)
 }
 
 // withDefaults fills zero fields.
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.KeyFunc == nil {
-		c.KeyFunc = shard.DefaultKeyFunc
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = 3
 	}
 	if c.Backoff.Base <= 0 {
 		c.Backoff.Base = 5 * time.Millisecond
@@ -134,9 +122,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
 	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
-	}
 	return c
 }
 
@@ -150,9 +135,10 @@ type nodeState struct {
 // Router consistent-hash routes intake across the fleet and probes node
 // health. All its HTTP handling is safe for concurrent use.
 type Router struct {
-	cfg    RouterConfig
-	client *http.Client
-	sem    chan struct{} // bounded in-flight node requests
+	cfg     RouterConfig
+	client  *http.Client
+	sem     chan struct{}  // bounded in-flight node requests
+	retryer *fault.Retryer // one node share's attempts
 
 	mu    sync.RWMutex // guards m, ring, nodes
 	m     *Manifest
@@ -184,42 +170,25 @@ type Router struct {
 	failovers   *obs.Counter
 	journalErrs *obs.Counter
 	fleetAlive  *obs.Gauge
-	salt        atomic.Uint64
 }
 
 // NewRouter loads/validates the manifest and assembles the router. No
 // probing starts until StartProbing (or explicit ProbeOnce calls).
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
-	m := cfg.Manifest
-	if m == nil {
-		if cfg.ManifestPath == "" {
-			return nil, fmt.Errorf("cluster: RouterConfig needs a Manifest or a ManifestPath")
-		}
-		var err error
-		m, err = Load(cfg.ManifestPath)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := m.Validate(); err != nil {
+	m, err := Load(cfg.ManifestPath)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Failover && cfg.ManifestPath == "" {
-		return nil, fmt.Errorf("cluster: failover needs a ManifestPath to install epoch-bumped manifests at")
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{
+	r := &Router{
+		cfg: cfg,
+		client: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        4 * cfg.MaxInFlight,
 				MaxIdleConnsPerHost: cfg.MaxInFlight,
 				IdleConnTimeout:     90 * time.Second,
 			},
-		}
-	}
-	r := &Router{
-		cfg:         cfg,
-		client:      client,
+		},
 		sem:         make(chan struct{}, cfg.MaxInFlight),
 		m:           m,
 		ring:        shard.NewPartitionerVnodes(m.Shards, m.Vnodes),
@@ -235,6 +204,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		failovers:   cfg.Metrics.Counter("cluster.failovers_total"),
 		journalErrs: cfg.Metrics.Counter("cluster.cutover_journal_errors_total"),
 		fleetAlive:  cfg.Metrics.Gauge("cluster.nodes_alive"),
+	}
+	r.retryer = &fault.Retryer{
+		Attempts: cfg.Attempts,
+		Backoff:  cfg.Backoff,
+		Sleep:    cfg.Sleep,
+		OnRetry:  func(int, error) { r.retries.Inc() },
 	}
 	for name := range m.Nodes {
 		r.nodes[name] = &nodeState{
@@ -269,9 +244,6 @@ func (r *Router) Manifest() *Manifest {
 // one-partition growth; anything else is a rebalance plus fleet restart,
 // not a reload.
 func (r *Router) Reload() error {
-	if r.cfg.ManifestPath == "" {
-		return fmt.Errorf("cluster: router has no manifest path to reload from")
-	}
 	defer r.reloadCutover() // after the unlock below
 	m, err := Load(r.cfg.ManifestPath)
 	if err != nil {
@@ -497,7 +469,7 @@ func (r *Router) RouteBatch(lines []string) shard.IngestResponse {
 	}
 	first := map[string]*nodeShare{}
 	for i, line := range lines {
-		key := r.cfg.KeyFunc(line)
+		key := shard.DefaultKeyFunc(line)
 		primary[i], shadow[i] = ring.Partition(key), -1
 		if rc != nil {
 			primary[i], shadow[i] = rc.Route(key)
@@ -549,7 +521,7 @@ func (r *Router) RouteBatch(lines []string) shard.IngestResponse {
 	if resp.RetryAfterSeconds > 0 {
 		r.retryAfter.Inc()
 	}
-	if stale && r.cfg.ManifestPath != "" {
+	if stale {
 		// A node answered from a newer epoch, or rejected lines as "not
 		// assigned" (the partition moved under an epoch bump or a finished
 		// cutover this router missed) or "cutover in progress" (a live
@@ -601,23 +573,18 @@ func (r *Router) postShare(s *nodeShare, ns *nodeState, epoch uint64) *shareAnsw
 		r.unreachable.Inc()
 		return whole("node unreachable")
 	}
-	salt := r.salt.Add(1)
 	body := []byte(strings.Join(s.lines, "\n"))
-	var lastErr error
-	for attempt := 1; attempt <= r.cfg.Attempts; attempt++ {
-		if attempt > 1 {
-			r.retries.Inc()
-			r.cfg.Sleep(r.cfg.Backoff.Delay(attempt-1, salt))
-		}
-		ans, err := r.postOnce(s, body, epoch)
+	var ans *shareAnswer
+	err := r.retryer.Do(func() (err error) {
+		ans, err = r.postOnce(s, body, epoch)
 		ns.breaker.Record(err)
-		if err == nil {
-			return ans
-		}
-		lastErr = err
+		return err
+	})
+	if err != nil {
+		r.unreachable.Inc()
+		return whole("node unreachable: " + err.Error())
 	}
-	r.unreachable.Inc()
-	return whole("node unreachable: " + lastErr.Error())
+	return ans
 }
 
 // postOnce performs one data-path round trip — /ingest, or a directed
@@ -898,11 +865,11 @@ func (r *Router) scrapeNode(addr string) (obs.Snapshot, error) {
 	return obs.ParseSnapshot(data)
 }
 
-// StartProbing probes every node each interval until Close. When the
-// router has a manifest path, each tick first reloads the manifest —
-// the router-side watch that picks up epoch bumps installed by another
-// router's failover or an operator edit, so this router does not route
-// under a stale assignment until its own failover fires.
+// StartProbing probes every node each interval until Close. Each tick
+// first reloads the manifest — the router-side watch that picks up epoch
+// bumps installed by another router's failover or an operator edit, so
+// this router does not route under a stale assignment until its own
+// failover fires.
 func (r *Router) StartProbing(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
@@ -917,9 +884,7 @@ func (r *Router) StartProbing(interval time.Duration) {
 			case <-r.stop:
 				return
 			case <-t.C:
-				if r.cfg.ManifestPath != "" {
-					_ = r.Reload()
-				}
+				_ = r.Reload()
 				r.ProbeOnce()
 			}
 		}
@@ -932,7 +897,5 @@ func (r *Router) Close() {
 	if r.probeDone != nil {
 		<-r.probeDone
 	}
-	if t, ok := r.client.Transport.(*http.Transport); ok && t != nil {
-		t.CloseIdleConnections()
-	}
+	r.client.CloseIdleConnections()
 }

@@ -63,16 +63,6 @@ func Systems() map[string]*SystemSpec {
 	return m
 }
 
-// PublicGroup returns the three public datasets (Table IV group).
-func PublicGroup() []*SystemSpec {
-	return []*SystemSpec{BGL(), Spirit(), Thunderbird()}
-}
-
-// ISPGroup returns the three ISP production datasets (Table V group).
-func ISPGroup() []*SystemSpec {
-	return []*SystemSpec{SystemA(), SystemB(), SystemC()}
-}
-
 // BGL models the Blue Gene/L supercomputer RAS log: terse kernel-style
 // messages, rich anomaly coverage (it is a "mature" source in the paper).
 func BGL() *SystemSpec {

@@ -175,12 +175,6 @@ func XavierUniform(rng *rand.Rand, fanIn, fanOut int) *tensor.Tensor {
 	return tensor.RandUniform(rng, -limit, limit, fanIn, fanOut)
 }
 
-// HeNormal returns a [fanIn,fanOut] tensor initialized with He-normal
-// (Kaiming) initialization, suited to ReLU activations.
-func HeNormal(rng *rand.Rand, fanIn, fanOut int) *tensor.Tensor {
-	return tensor.Randn(rng, math.Sqrt(2/float64(fanIn)), fanIn, fanOut)
-}
-
 // Ones returns a vector of ones (layer-norm gain initialization).
 func Ones(n int) *tensor.Tensor {
 	t := tensor.New(n)

@@ -105,39 +105,6 @@ func (l *BiLSTM) Forward(g *Graph, x *Node) *Node {
 	return g.StackTime(out)
 }
 
-// StackedLSTM chains LSTM layers: each layer consumes the previous
-// layer's per-step outputs. The paper's baseline configurations use two
-// stacked LSTM layers (DeepLog, LogAnomaly, LogTAD, LogTransfer); the
-// CPU-scale defaults use one, and this type makes the paper-exact
-// configuration constructible.
-type StackedLSTM struct {
-	Layers []*LSTM
-}
-
-// NewStackedLSTM builds depth LSTM layers of width hid over inDim inputs.
-func NewStackedLSTM(ps *ParamSet, prefix string, rng *rand.Rand, inDim, hid, depth int) *StackedLSTM {
-	if depth < 1 {
-		panic("nn: StackedLSTM depth must be at least 1")
-	}
-	s := &StackedLSTM{}
-	dim := inDim
-	for i := 0; i < depth; i++ {
-		s.Layers = append(s.Layers, NewLSTM(ps, prefixIndex(prefix, i), rng, dim, hid))
-		dim = hid
-	}
-	return s
-}
-
-// Forward runs the stack over x [B,T,in], returning the top layer's
-// per-step outputs and final state.
-func (s *StackedLSTM) Forward(g *Graph, x *Node) (seq, last *Node) {
-	seq = x
-	for _, l := range s.Layers {
-		seq, last = l.Forward(g, seq)
-	}
-	return seq, last
-}
-
 // GRU is a single-layer gated recurrent unit network (Cho et al.; gate
 // variants per Dey & Salem, 2017), used by the MetaLog baseline. Gate order
 // in the packed matrices is update (z), reset (r), candidate (n).

@@ -389,8 +389,8 @@ func (s Snapshot) Prefixed(prefix string) Snapshot {
 	return out
 }
 
-// ParseSnapshot decodes the JSON form of a Snapshot (what JSONHandler
-// serves and expvar publishes). Nil maps are normalized to empty so the
+// ParseSnapshot decodes the JSON form of a Snapshot (what
+// SnapshotJSONHandler serves and expvar publishes). Nil maps are normalized to empty so the
 // result is always safe to Merge.
 func ParseSnapshot(data []byte) (Snapshot, error) {
 	var s Snapshot
@@ -423,12 +423,6 @@ func SnapshotJSONHandler(snap func() Snapshot) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(snap())
 	})
-}
-
-// JSONHandler serves the registry's snapshot as JSON (see
-// SnapshotJSONHandler).
-func (r *Registry) JSONHandler() http.Handler {
-	return SnapshotJSONHandler(r.Snapshot)
 }
 
 // Handler returns the /metrics HTTP handler: the text export of the

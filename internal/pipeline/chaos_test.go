@@ -9,6 +9,7 @@ import (
 	"logsynergy/internal/core"
 	"logsynergy/internal/fault"
 	"logsynergy/internal/obs"
+	"logsynergy/internal/window"
 )
 
 // The chaos suite replays seeded fault schedules against the streaming
@@ -53,7 +54,7 @@ func heartbeatLines(n int) []string {
 // seedHeartbeatAnomaly marks the heartbeat window anomalous in the
 // library so every completed window produces a report at score 0.9.
 func seedHeartbeatAnomaly(p *Pipeline) {
-	seq := make([]int, p.cfg.Window.Length)
+	seq := make([]int, window.Default().Length)
 	p.Library().Store(seq, 0.9)
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"logsynergy/internal/tensor"
+	"logsynergy/internal/window"
 )
 
 // Keyed drives a Pipeline one line at a time with an independent sliding
@@ -66,7 +67,7 @@ type pendingWindow struct {
 // deterministically.
 type WindowTail struct {
 	// Lines are the raw log lines in the window buffer, oldest first
-	// (at most Window.Length of them).
+	// (at most window.Default().Length of them).
 	Lines []string `json:"lines"`
 	// SincePrev is how many of those lines arrived after the key's last
 	// completed window.
@@ -107,11 +108,12 @@ func (k *Keyed) Feed(key, line string) {
 	kw.ids = append(kw.ids, eventID)
 	kw.lines = append(kw.lines, line)
 	kw.sincePrev++
-	if len(kw.ids) > p.cfg.Window.Length {
+	win := window.Default()
+	if len(kw.ids) > win.Length {
 		kw.ids = kw.ids[1:]
 		kw.lines = kw.lines[1:]
 	}
-	if len(kw.ids) == p.cfg.Window.Length && kw.sincePrev >= p.cfg.Window.Step {
+	if len(kw.ids) == win.Length && kw.sincePrev >= win.Step {
 		k.pending = append(k.pending, pendingWindow{key: key, seq: append([]int(nil), kw.ids...)})
 		kw.sincePrev = 0
 		if len(k.pending) >= k.batchCap {

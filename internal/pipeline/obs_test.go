@@ -230,7 +230,7 @@ func TestRunCountsWhatItFeeds(t *testing.T) {
 	if stats.LinesCollected != src.handed {
 		t.Fatalf("LinesCollected %d, but the source handed out %d lines", stats.LinesCollected, src.handed)
 	}
-	if want := window.Count(stats.LinesCollected, cfg.Window); stats.SequencesFormed != want {
+	if want := window.Count(stats.LinesCollected, window.Default()); stats.SequencesFormed != want {
 		t.Fatalf("SequencesFormed %d, want %d for %d fed lines on one key", stats.SequencesFormed, want, stats.LinesCollected)
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"logsynergy/internal/fault"
 	"logsynergy/internal/lei"
 	"logsynergy/internal/obs"
-	"logsynergy/internal/window"
 )
 
 // Source supplies raw log lines. Next returns false when the stream ends.
@@ -294,10 +293,10 @@ func (p *PatternLibrary) Size() int {
 	return len(p.entries)
 }
 
-// Config assembles a pipeline.
+// Config assembles a pipeline. Every stream is segmented with
+// window.Default() (paper: length 10, step 5), the shape the model is
+// trained on.
 type Config struct {
-	// Window is the segmentation config (paper: length 10, step 5).
-	Window window.Config
 	// SystemHint feeds LEI prompts for events first seen online.
 	SystemHint string
 	// PatternCap bounds the pattern library (0 = unbounded); over-cap
@@ -330,7 +329,7 @@ type Config struct {
 
 // DefaultConfig returns production defaults.
 func DefaultConfig(systemHint string) Config {
-	return Config{Window: window.Default(), SystemHint: systemHint}
+	return Config{SystemHint: systemHint}
 }
 
 // counter is a registry counter plus its value when this pipeline was
@@ -405,9 +404,6 @@ type Pipeline struct {
 // parser used to build the event table offline (its event-id space extends
 // seamlessly online); interp and embedder must match the offline stages.
 func New(cfg Config, parser *drain.Parser, det *core.Detector, interp lei.Interpreter, e *embed.Embedder, sinks ...Sink) *Pipeline {
-	if cfg.Window.Length == 0 {
-		cfg.Window = window.Default()
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default()

@@ -37,8 +37,6 @@ type ResilienceConfig struct {
 	RetryBase time.Duration
 	// RetryMax caps the exponential backoff (default 250ms).
 	RetryMax time.Duration
-	// RetryJitter in (0,1] spreads each backoff delay (default 0.2).
-	RetryJitter float64
 	// InterpretTimeout bounds one LEI call (0 = no timeout). A timed-out
 	// interpretation keeps running on its goroutine and is discarded.
 	InterpretTimeout time.Duration
@@ -68,9 +66,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	if c.RetryMax <= 0 {
 		c.RetryMax = 250 * time.Millisecond
 	}
-	if c.RetryJitter <= 0 {
-		c.RetryJitter = 0.2
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 5
 	}
@@ -83,12 +78,13 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	return c
 }
 
-// Retryer is the retry policy the fields describe, defaults applied.
+// Retryer is the retry policy the fields describe, defaults applied;
+// every backoff delay is spread ±20% (jitter 0.2).
 func (c ResilienceConfig) Retryer() *fault.Retryer {
 	c = c.withDefaults()
 	return &fault.Retryer{
 		Attempts: c.MaxAttempts,
-		Backoff:  fault.Backoff{Base: c.RetryBase, Max: c.RetryMax, Factor: 2, Jitter: c.RetryJitter, Seed: c.Seed},
+		Backoff:  fault.Backoff{Base: c.RetryBase, Max: c.RetryMax, Factor: 2, Jitter: 0.2, Seed: c.Seed},
 		Sleep:    c.Sleep,
 	}
 }

@@ -507,11 +507,11 @@ func TestShardRoutingAffinityAndSnapshot(t *testing.T) {
 
 // A worker that keeps pace with its producer catches up between any two
 // requests. That must cost a flush, not a commit: the commit waits until the
-// log has stayed empty, so its count follows CommitEvery and not the timing
+// log has stayed empty, so its count follows commitEvery and not the timing
 // of the producer. At the parent of this test every single-line request
 // below is followed by a state save.
 func TestIdleCommitWaitsForQuiet(t *testing.T) {
-	lines := genEqLines(5, 120, eqKeys(4)) // under one CommitEvery stride
+	lines := genEqLines(5, 120, eqKeys(4)) // under one commitEvery stride
 	h := openHarness(t, t.TempDir(), 1, nil)
 	defer h.rt.Close()
 

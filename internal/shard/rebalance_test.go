@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"logsynergy/internal/broker"
@@ -244,34 +242,18 @@ func TestOpenRefusesSingleBrokerRoot(t *testing.T) {
 		}
 	}
 
-	var mu sync.Mutex
-	var seen []string
-	h := openHarness(t, dir, 1, func(cfg *Config) {
-		cfg.KeyFunc = func(line string) string { // the worker keys every record it consumes
-			mu.Lock()
-			seen = append(seen, line)
-			mu.Unlock()
-			return DefaultKeyFunc(line)
-		}
-	})
+	// Exactly the unconsumed suffix, each record once: the per-key window
+	// scores and alerts match a reference fed lines[consumed:] alone.
+	h := openHarness(t, dir, 1, nil)
 	h.drain(t)
 	if err := h.rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if !reflect.DeepEqual(seen, lines[consumed:]) {
-		t.Fatalf("moved log resumed with %d records (first %q), want exactly the %d unconsumed", len(seen), first(seen), len(lines)-consumed)
-	}
+	requireEqual(t, "moved log", h.result(), runReference(t, lines[consumed:]))
 	if got := h.rt.Stats().LinesCollected; got != len(lines)-consumed {
 		t.Fatalf("detected %d lines, want the unconsumed %d", got, len(lines)-consumed)
 	}
 	if got := h.rt.Committed(0); got != uint64(len(lines)) {
 		t.Fatalf("partition 0 committed %d, want the WAL tail %d", got, len(lines))
 	}
-}
-
-func first(lines []string) string {
-	if len(lines) == 0 {
-		return ""
-	}
-	return lines[0]
 }

@@ -137,7 +137,7 @@ func (rt *Runtime) AppendBatch(lines []string) (IngestResponse, error) {
 		units = make([]int, len(lines))
 	}
 	for i, line := range lines {
-		key := rt.cfg.KeyFunc(line)
+		key := DefaultKeyFunc(line)
 		p, shadow := 0, -1
 		if cut == nil {
 			p = rt.part.Partition(key)
@@ -243,7 +243,7 @@ func (rt *Runtime) AppendBatch(lines []string) (IngestResponse, error) {
 			if units != nil {
 				p = units[i]
 			} else {
-				p = rt.part.Partition(rt.cfg.KeyFunc(line))
+				p = rt.part.Partition(DefaultKeyFunc(line))
 			}
 			if rejected[p] {
 				resp.RejectedLines = append(resp.RejectedLines, i)

@@ -29,17 +29,6 @@ type Config struct {
 	Shards int
 	// Dir is the runtime root; partition i owns the WAL directory Dir/p<i>.
 	Dir string
-	// KeyFunc extracts the stream key from a raw line (default
-	// DefaultKeyFunc: the first whitespace-delimited token).
-	KeyFunc func(line string) string
-	// Group is the consumer-group name each partition's pipeline reads as
-	// (default "detector").
-	Group string
-	// CommitEvery is how many fed lines may elapse between a partition's
-	// state persist + offset commit (default 256; 1 commits after every
-	// line). Partitions additionally commit whenever they catch up with
-	// their backlog and on graceful shutdown.
-	CommitEvery int
 	// Vnodes overrides the partitioner's virtual-node count (default
 	// DefaultVirtualNodes).
 	Vnodes int
@@ -81,11 +70,6 @@ type Config struct {
 	// Metrics is the runtime-level registry for shared components: the
 	// interp cache, the router, the fan-in (nil = obs.Default()).
 	Metrics *obs.Registry
-	// ShardMetrics supplies partition i's registry (nil = a fresh
-	// isolated registry per partition). Per-partition pipeline and broker
-	// metrics land here; Snapshot() exposes them both merged and under a
-	// shard<i>. prefix.
-	ShardMetrics func(i int) *obs.Registry
 	// ShardFaults supplies partition i's fault-injection registry,
 	// consulted by both that partition's broker and its pipeline (nil =
 	// nothing injected). Chaos tests use it to break exactly one shard.
@@ -97,19 +81,20 @@ type Config struct {
 	OnWindow func(shard int, key string, seq []int, score float64, abandoned bool)
 }
 
+// Every partition's worker keys each record with DefaultKeyFunc, reads
+// its WAL as consumer group detectorGroup (the broker's lag gauge is
+// broker.lag.detector), and persists its state and commits its offset
+// every commitEvery fed lines — and whenever it catches up with its
+// backlog, and on graceful shutdown.
+const (
+	detectorGroup = "detector"
+	commitEvery   = 256
+)
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.KeyFunc == nil {
-		c.KeyFunc = DefaultKeyFunc
-	}
-	if c.Group == "" {
-		c.Group = "detector"
-	}
-	if c.CommitEvery <= 0 {
-		c.CommitEvery = 256
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.Default()
@@ -171,7 +156,6 @@ type partition struct {
 	faults *fault.Registry
 	pipe   *pipeline.Pipeline
 	keyed  *pipeline.Keyed
-	keyFor func(string) string
 	layout int          // shard count this partition was opened under (persisted stamp)
 	ring   *Partitioner // ownership ring the worker checks records against
 
@@ -183,7 +167,6 @@ type partition struct {
 	// acquisition.
 	feedMu sync.Mutex
 
-	commitEvery   int
 	ackBase       uint64 // committed offset when the consumer opened
 	restored      uint64 // offsets ≤ restored are already reflected in restored tails
 	consumed      uint64 // highest offset handed to this worker
@@ -438,11 +421,6 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	if cfg.ShardMetrics != nil {
-		if r := cfg.ShardMetrics(i); r != nil {
-			reg = r
-		}
-	}
 	var faults *fault.Registry
 	if cfg.ShardFaults != nil {
 		faults = cfg.ShardFaults(i)
@@ -506,18 +484,16 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 	pcfg.Metrics = reg
 	pcfg.Faults = faults
 	pt := &partition{
-		idx:         i,
-		rt:          rt,
-		dir:         dir,
-		bk:          bk,
-		reg:         reg,
-		faults:      faults,
-		keyFor:      cfg.KeyFunc,
-		layout:      o.layout,
-		ring:        o.ring,
-		commitEvery: cfg.CommitEvery,
-		commitErrs:  reg.Counter("shard.commit_errors_total"),
-		done:        make(chan struct{}),
+		idx:        i,
+		rt:         rt,
+		dir:        dir,
+		bk:         bk,
+		reg:        reg,
+		faults:     faults,
+		layout:     o.layout,
+		ring:       o.ring,
+		commitErrs: reg.Counter("shard.commit_errors_total"),
+		done:       make(chan struct{}),
 	}
 	pt.dl = rt.newDelivery(i, faults, alerts, st.Alerts, pt.done)
 	pt.pipe = pipeline.New(pcfg, parser, det, rt.cache, cfg.Embedder, pt)
@@ -550,7 +526,7 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 		}
 	}
 
-	cons, err := bk.Consumer(cfg.Group)
+	cons, err := bk.Consumer(detectorGroup)
 	if err != nil {
 		return nil, err
 	}
@@ -618,7 +594,7 @@ func (pt *partition) run() {
 			break
 		}
 		pt.idle.Store(false)
-		key := pt.keyFor(line)
+		key := DefaultKeyFunc(line)
 		off := pt.cons.Position() - 1
 		if !pt.awaitRelease(key, off) {
 			// Shut down while parked mid-cutover: the record was never
@@ -643,7 +619,7 @@ func (pt *partition) run() {
 		}
 		pt.keyed.Feed(key, line)
 		pt.sinceCommit++
-		if pt.sinceCommit >= pt.commitEvery {
+		if pt.sinceCommit >= commitEvery {
 			pt.flushCommit()
 		}
 		pt.feedMu.Unlock()
@@ -838,7 +814,7 @@ func (pt *partition) drained() bool {
 	if pt.finished() {
 		return true
 	}
-	return pt.idle.Load() && pt.bk.Lag(pt.rt.cfg.Group) == 0 && pt.caughtUp()
+	return pt.idle.Load() && pt.bk.Lag(detectorGroup) == 0 && pt.caughtUp()
 }
 
 // Shards returns the partition count.
@@ -898,9 +874,6 @@ func (rt *Runtime) Owned() []int {
 	return own
 }
 
-// Owns reports whether this runtime serves partition i.
-func (rt *Runtime) Owns(i int) bool { return rt.partitionAt(i) != nil }
-
 // ShardStats returns partition i's pipeline stats (zero when the
 // runtime does not serve partition i).
 func (rt *Runtime) ShardStats(i int) pipeline.Stats {
@@ -945,9 +918,9 @@ func (rt *Runtime) Health() []PartitionHealth {
 		pt.feedMu.Unlock()
 		out = append(out, PartitionHealth{
 			Partition:         i,
-			Lag:               pt.bk.Lag(rt.cfg.Group),
+			Lag:               pt.bk.Lag(detectorGroup),
 			NextOffset:        pt.bk.NextOffset(),
-			Committed:         pt.bk.Committed(rt.cfg.Group),
+			Committed:         pt.bk.Committed(detectorGroup),
 			Consumed:          consumed,
 			Idle:              pt.idle.Load(),
 			UndeliveredAlerts: pt.dl.undelivered(),
@@ -1047,7 +1020,7 @@ func (rt *Runtime) Committed(i int) uint64 {
 	if pt == nil {
 		return 0
 	}
-	return pt.bk.Committed(rt.cfg.Group)
+	return pt.bk.Committed(detectorGroup)
 }
 
 // Snapshot merges the runtime registry with every partition's registry.

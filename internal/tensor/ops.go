@@ -329,11 +329,6 @@ func Dot(a, b *Tensor) float64 {
 	})
 }
 
-// Norm returns the Euclidean norm of all elements.
-func Norm(a *Tensor) float64 {
-	return math.Sqrt(Dot(a, a))
-}
-
 func mustSameShape(op string, a, b *Tensor) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.Shape, b.Shape))
