@@ -38,20 +38,21 @@ import (
 // serve IS a shard.Runtime over a WAL (-broker-dir, or -cluster for one
 // node of a fleet), at -shards 1 by default: /ingest routes each line by
 // its stream key (first token) to DIR/p<i>'s write-ahead log, a worker
-// per partition feeds per-key sliding windows, and progress commits as
-// window tails first, consumer offset second — a restart resumes every
-// key's window phase exactly and never re-scores a committed line. The
+// per partition feeds per-key sliding windows, and each commit is one
+// append to the partition's commit log; a restart loads the partition's
+// snapshot and replays the WAL to its newest commit, so it resumes every
+// key's window phase exactly and never re-raises a committed alert. The
 // flags build one shard.Config; `logsynergy rebalance -addr … -to M`
 // regrows it in place from any count, 1 included. Without a WAL there is
 // nothing to serve: an in-memory replay of a log file is `detect -log F`.
 //
-// Alerts commit with the tails into DIR/p<i>/alerts and reach stdout
-// from there; a failing channel lags and is retried, never skipped.
+// Alerts commit into DIR/p<i>/commits and reach stdout from there; a
+// failing channel lags and is retried, never skipped.
 //
 // SIGINT/SIGTERM is a graceful shutdown: intake closes, every partition
 // drains, commits and delivers, and a final metrics snapshot prints. What
 // a failing channel still refuses after one retry round stays in the
-// alert logs for the next start; a channel that hangs holds the shutdown
+// commit logs for the next start; a channel that hangs holds the shutdown
 // until it returns. A second signal kills the process immediately.
 func runServe(args []string) error {
 	f := parseServeFlags(args)

@@ -290,7 +290,7 @@ func (s *Sink) Notify(r *core.Report) { _ = s.TryNotify(r) }
 // TryNotify appends the report and reports the failure, implementing the
 // shard runtime's FallibleSink interface: a failing append (disk full,
 // closed store) is retried by the delivery loop instead of being
-// swallowed, and the alert stays in the runtime's alert log until it
+// swallowed, and the alert stays in the runtime's commit log until it
 // lands. The error counter still advances for Errors().
 func (s *Sink) TryNotify(r *core.Report) error {
 	_, err := s.Store.Append(r)

@@ -140,9 +140,9 @@ func ParseFullPolicy(s string) (FullPolicy, error) {
 	return 0, fmt.Errorf("broker: unknown backlog policy %q (want block or reject)", s)
 }
 
-// maxRecordBytes bounds one record's payload: larger appends fail, and
+// MaxRecordBytes bounds one record's payload: larger appends fail, and
 // recovery treats larger claimed frame lengths as corruption.
-const maxRecordBytes = 1 << 20
+const MaxRecordBytes = 1 << 20
 
 // Config assembles a broker. Only Dir is required; zero fields take the
 // defaults documented on each.
@@ -256,6 +256,7 @@ type Broker struct {
 	firstOff   uint64 // oldest retained offset (base of segments[0])
 	liveBytes  int64  // total retained WAL bytes
 	lastSynced uint64 // highest offset covered by an fsync (or assumed durable)
+	last       []byte // the newest record's payload (nil for an empty log)
 	failed     error  // sticky write-path failure; appends refuse until reopen
 
 	groups    map[string]uint64 // committed offset per consumer group
@@ -306,7 +307,7 @@ func Open(cfg Config) (*Broker, error) {
 		f.Close()
 	}
 	for i, seg := range segs {
-		recs, valid, scanErr, err := framelog.Scan(seg.path, maxRecordBytes, func([]byte) {})
+		recs, valid, scanErr, err := framelog.Scan(seg.path, MaxRecordBytes, func(p []byte) { b.last = p })
 		if err != nil {
 			return nil, fmt.Errorf("broker: opening segment %s: %w", seg.path, err)
 		}
@@ -431,9 +432,9 @@ func (b *Broker) appendPayloads(payloads [][]byte) (first, last uint64, err erro
 	}
 	var total int64
 	for _, p := range payloads {
-		if len(p) > maxRecordBytes {
+		if len(p) > MaxRecordBytes {
 			b.om.appendErrors.Inc()
-			return 0, 0, fmt.Errorf("broker: record of %d bytes exceeds limit %d", len(p), maxRecordBytes)
+			return 0, 0, fmt.Errorf("broker: record of %d bytes exceeds limit %d", len(p), MaxRecordBytes)
 		}
 		total += framelog.HeaderSize + int64(len(p))
 	}
@@ -474,6 +475,7 @@ func (b *Broker) appendPayloads(payloads [][]byte) (first, last uint64, err erro
 		return 0, 0, b.failed
 	}
 	seg := b.segments[len(b.segments)-1]
+	b.last = payloads[len(payloads)-1]
 	first = b.nextOff
 	last = b.nextOff + uint64(len(payloads)) - 1
 	b.nextOff = last + 1
@@ -562,69 +564,6 @@ func (b *Broker) syncLocked() error {
 	return nil
 }
 
-// TruncateAfter removes every record past off, across segment boundaries:
-// segments that start past off+1 are deleted and the one that would hold
-// off+1 is cut there, so the next append gets off+1. It is Open's
-// torn-tail cut driven by the owner's durable state instead of the CRC.
-// Group offsets past off come back to it, persisted as in Open; a failure
-// part way poisons the broker until reopen.
-func (b *Broker) TruncateAfter(off uint64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch {
-	case b.closed:
-		return ErrClosed
-	case off >= b.nextOff-1:
-		return nil
-	case off+1 < b.firstOff:
-		return fmt.Errorf("broker: cannot truncate after offset %d: the oldest retained record is %d", off, b.firstOff)
-	}
-	keep := len(b.segments) - 1
-	for b.segments[keep].base > off+1 {
-		keep--
-	}
-	seg, size, n := b.segments[keep], int64(0), off+1-b.segments[keep].base
-	_, _, _, err := framelog.Scan(seg.path, maxRecordBytes, func(p []byte) {
-		if n > 0 {
-			n, size = n-1, size+framelog.HeaderSize+int64(len(p))
-		}
-	})
-	b.active.Close()
-	for _, s := range b.segments[keep+1:] {
-		if err == nil {
-			err = os.Remove(s.path)
-		}
-		b.liveBytes -= s.size
-	}
-	if err == nil {
-		err = os.Truncate(seg.path, size)
-	}
-	if err == nil {
-		b.active, err = os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	}
-	if err != nil {
-		b.failed = fmt.Errorf("broker: truncating after offset %d: %w", off, err)
-		return b.failed
-	}
-	b.liveBytes -= seg.size - size
-	seg.recs, seg.size = off+1-seg.base, size
-	b.segments, b.nextOff, b.lastSynced = b.segments[:keep+1], off+1, min(b.lastSynced, off)
-	ahead := false
-	for g, c := range b.groups {
-		if c > off {
-			b.groups[g], ahead = off, true
-		}
-	}
-	b.updateGaugesLocked()
-	if ahead {
-		if err := b.saveOffsetsLocked(); err != nil {
-			b.failed = fmt.Errorf("broker: truncating after offset %d: %w", off, err)
-			return b.failed
-		}
-	}
-	return nil
-}
-
 // segmentFor returns the segment containing off, or nil if off is not
 // retained. Callers hold b.mu.
 func (b *Broker) segmentFor(off uint64) *segment {
@@ -702,12 +641,12 @@ func (b *Broker) NextOffset() uint64 {
 	return b.nextOff
 }
 
-// OldestOffset returns the oldest retained offset (records before it
-// were deleted by retention).
-func (b *Broker) OldestOffset() uint64 {
+// Last returns the newest record's payload, nil for an empty log. After
+// Open it is the last whole frame recovery kept.
+func (b *Broker) Last() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.firstOff
+	return b.last
 }
 
 // Committed returns the committed offset for a consumer group (0 if the
@@ -716,17 +655,6 @@ func (b *Broker) Committed(group string) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.groups[group]
-}
-
-// Lag returns how many records the group has not yet committed.
-func (b *Broker) Lag(group string) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	off, ok := b.groups[group]
-	if !ok {
-		off = b.firstOff - 1
-	}
-	return b.nextOff - 1 - off
 }
 
 // SegmentCount returns the number of retained segments (diagnostics).

@@ -155,7 +155,7 @@ func TestRestartResumesAtCommitted(t *testing.T) {
 			t.Fatalf("Next %d failed: %v", i, c.Err())
 		}
 	}
-	c.Ack(4) // first 4 records fully processed...
+	c.Ack(4) // records through offset 4 fully processed...
 	if got := b.Committed("detector"); got != 0 {
 		t.Fatalf("Ack alone moved the committed offset to %d", got)
 	}
@@ -355,7 +355,7 @@ func TestRetentionDeletesConsumedSegments(t *testing.T) {
 	if after := b.SegmentCount(); after >= before {
 		t.Fatalf("retention kept %d segments (was %d)", after, before)
 	}
-	if b.OldestOffset() == 1 {
+	if b.firstOff == 1 {
 		t.Fatal("oldest offset never advanced")
 	}
 	if snap := reg.Snapshot(); snap.Counters["broker.retention_deleted_total"] == 0 {
@@ -525,10 +525,10 @@ func TestPolicyParsing(t *testing.T) {
 func TestOversizedRecordRefused(t *testing.T) {
 	b, _ := openTest(t, t.TempDir(), nil)
 	defer b.Close()
-	if _, err := b.Append(strings.Repeat("z", maxRecordBytes+1)); err == nil {
+	if _, err := b.Append(strings.Repeat("z", MaxRecordBytes+1)); err == nil {
 		t.Fatal("oversized record accepted")
 	}
-	if _, err := b.Append(strings.Repeat("z", maxRecordBytes)); err != nil {
+	if _, err := b.Append(strings.Repeat("z", MaxRecordBytes)); err != nil {
 		t.Fatalf("record at the limit refused: %v", err)
 	}
 }
@@ -696,93 +696,5 @@ func TestConsumerWaitIdle(t *testing.T) {
 	b.CloseIntake()
 	if c.WaitIdle(30 * time.Second) {
 		t.Fatal("reported idle on a closed intake, where Next returns the end of the stream")
-	}
-}
-
-// TruncateAfter cuts the log back to an offset wherever it falls: inside
-// a segment, on a segment base (the segment stays, empty), or below
-// sealed segments (they go). The next append continues at off+1, group
-// offsets past off come back to it, and a reopen reads exactly the kept
-// records plus what followed.
-func TestTruncateAfter(t *testing.T) {
-	// 14-byte frames in 64-byte segments: four records a segment, so the
-	// segments start at 1, 5, 9, 13.
-	for _, tc := range []struct {
-		name     string
-		n, off   uint64
-		wantSegs int
-	}{
-		{"mid-segment", 10, 6, 2},
-		{"at a segment base", 10, 8, 3},
-		{"across a sealed segment", 14, 3, 1},
-		{"everything", 10, 0, 1},
-		{"at the tail", 10, 10, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			// Retention off: the group commits past the cut point.
-			small := func(c *Config) { c.SegmentBytes, c.DisableRetention = 64, true }
-			b, _ := openTest(t, dir, small)
-			for i := uint64(1); i <= tc.n; i++ {
-				if _, err := b.Append(fmt.Sprintf("rec-%02d", i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c, err := b.Consumer("g")
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Ack(tc.n)
-			if err := c.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.TruncateAfter(tc.off); err != nil {
-				t.Fatalf("TruncateAfter(%d): %v", tc.off, err)
-			}
-			if got := b.NextOffset(); got != tc.off+1 {
-				t.Fatalf("NextOffset %d after the cut, want %d", got, tc.off+1)
-			}
-			if got := b.SegmentCount(); got != tc.wantSegs {
-				t.Fatalf("%d segments after the cut, want %d", got, tc.wantSegs)
-			}
-			if got := b.Committed("g"); got != tc.off {
-				t.Fatalf("group offset %d after the cut, want %d", got, tc.off)
-			}
-			if groups, err := loadOffsets(offsetsPath(dir)); err != nil || groups["g"] != tc.off {
-				t.Fatalf("the offsets file holds group g at %d (%v) after the cut, want %d", groups["g"], err, tc.off)
-			}
-			if off, err := b.Append("next"); err != nil || off != tc.off+1 {
-				t.Fatalf("the next append got offset %d (%v), want %d", off, err, tc.off+1)
-			}
-			if err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			b2, _ := openTest(t, dir, small)
-			defer b2.Close()
-			if got := b2.SegmentCount(); got != tc.wantSegs {
-				t.Fatalf("reopen finds %d segments, want %d", got, tc.wantSegs)
-			}
-			var want []string
-			for i := uint64(1); i <= tc.off; i++ {
-				want = append(want, fmt.Sprintf("rec-%02d", i))
-			}
-			want = append(want, "next")
-			if got := drainAll(t, b2, "fresh"); strings.Join(got, ",") != strings.Join(want, ",") {
-				t.Fatalf("reopen reads %v, want %v", got, want)
-			}
-		})
-	}
-
-	b, _ := openTest(t, t.TempDir(), func(c *Config) { c.SegmentBytes = 64 })
-	defer b.Close()
-	for i := 0; i < 10; i++ {
-		b.Append("rec-xx")
-	}
-	c, _ := b.Consumer("g")
-	c.Ack(8)
-	c.Commit() // retention frees the segments at 1 and 5
-	if err := b.TruncateAfter(3); err == nil {
-		t.Fatal("a cut below the oldest retained record was accepted")
 	}
 }

@@ -88,7 +88,7 @@ func runLeg(t *testing.T, b *Broker, group string, reg *obs.Registry) (pipeline.
 	if cons.Err() != nil {
 		t.Fatalf("consumer error: %v", cons.Err())
 	}
-	cons.Ack(uint64(stats.LinesCollected))
+	cons.Ack(cons.Position() - 1)
 	if err := cons.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}

@@ -17,14 +17,13 @@ import (
 //	until a producer appends more or the intake closes (then it returns
 //	false — the drain signal).
 //
-//	Ack(n) records that the first n records this consumer handed out are
-//	fully processed. Nothing else happens: no offset moves, nothing is
-//	written.
+//	Ack(off) records that every record through offset off is fully
+//	processed. Nothing else happens: no offset moves, nothing is written.
 //
 //	Commit persists the highest acknowledged offset to the offsets file
 //	and lets retention reclaim the sealed segments it covers. A restart
 //	resumes at committed + 1, so whatever the owner must not lose — the
-//	shard runtime's window tails — is made durable before Commit, never
+//	shard runtime's state snapshot — is made durable before Commit, never
 //	after (state, then offsets).
 //
 // A Consumer is owned by one goroutine; concurrent consumers of the
@@ -34,9 +33,8 @@ type Consumer struct {
 	b     *Broker
 	group string
 
-	pos      uint64 // next offset to read
-	startOff uint64 // committed offset when the consumer was opened
-	acked    uint64 // highest offset reported processed via Ack
+	pos   uint64 // next offset to read
+	acked uint64 // highest offset reported processed via Ack
 
 	f         *os.File
 	r         *bufio.Reader
@@ -67,13 +65,7 @@ func (b *Broker) Consumer(group string) (*Consumer, error) {
 	}
 	b.groups[group] = committed
 	b.lagGaugeLocked(group).Set(int64(b.nextOff - 1 - committed))
-	return &Consumer{
-		b:        b,
-		group:    group,
-		pos:      committed + 1,
-		startOff: committed,
-		acked:    committed,
-	}, nil
+	return &Consumer{b: b, group: group, pos: committed + 1, acked: committed}, nil
 }
 
 // Next returns the next record, blocking at the log head until data
@@ -162,12 +154,12 @@ func (c *Consumer) readAt(seg *segment) ([]byte, error) {
 	for c.nextInSeg < c.pos {
 		// Skip records already consumed in an earlier session (resuming
 		// mid-segment after a restart).
-		if _, err := framelog.Read(c.r, maxRecordBytes); err != nil {
+		if _, err := framelog.Read(c.r, MaxRecordBytes); err != nil {
 			return nil, err
 		}
 		c.nextInSeg++
 	}
-	payload, err := framelog.Read(c.r, maxRecordBytes)
+	payload, err := framelog.Read(c.r, MaxRecordBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -190,10 +182,10 @@ func (c *Consumer) Err() error { return c.err }
 // Position returns the offset of the next record Next will return.
 func (c *Consumer) Position() uint64 { return c.pos }
 
-// Ack records that the first done records this consumer returned are
-// fully processed. It only raises the mark Commit persists.
-func (c *Consumer) Ack(done uint64) {
-	if off := c.startOff + done; off > c.acked {
+// Ack records that every record through offset off is fully processed.
+// It only raises the mark Commit persists.
+func (c *Consumer) Ack(off uint64) {
+	if off > c.acked {
 		c.acked = off
 	}
 }

@@ -24,10 +24,11 @@
 //
 // The safety argument stays the single-process one: the ring hash is a
 // fixed function of (shards, vnodes), so a key's partition is identical
-// in every process; a partition's WAL + shard-state.json are the same
-// files whether one process or three serve them; and failover is just
-// the crash-recovery path (WAL replay + exact tail resume) executed by a
-// different process than the one that crashed.
+// in every process; a partition's WAL, commit log and shard-state.json
+// snapshot are the same files whether one process or three serve them;
+// and failover is just the crash-recovery path (snapshot load + WAL replay
+// to the newest commit) executed by a different process than the one that
+// crashed.
 package cluster
 
 import (

@@ -90,6 +90,14 @@ type Event struct {
 	tokens []string
 }
 
+// MintedTemplate is the template the event had when it was minted: its
+// example's masked tokens, before later messages widened positions to
+// wildcards. The event-table row of an event is built from it, so a
+// rebuilt table embeds what the live one did.
+func (e *Event) MintedTemplate() string {
+	return strings.Join(strings.Fields(e.Example), " ")
+}
+
 // Match is the parse result for a single message.
 type Match struct {
 	// EventID identifies the matched template.

@@ -2,7 +2,10 @@ package pipeline
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"logsynergy/internal/window"
 )
 
 // The pattern-key codec must round-trip every rendered sequence and
@@ -162,6 +165,55 @@ func TestSyncTableCoversImportedEvents(t *testing.T) {
 
 	if !reflect.DeepEqual(got["key"], want["key"]) {
 		t.Fatalf("synced scores %v != fresh scores %v", got["key"], want["key"])
+	}
+}
+
+// A template that generalizes after it was minted keeps the table row it
+// was minted with: the live pipeline interpreted the first line's masked
+// text when the event appeared, and the second line only widened the
+// template to "<*>" afterwards. A parser restored from an export must
+// rebuild that row, not one interpreted from the widened template — or the
+// same window scores differently once the state has gone through a save
+// and a restore (or a cutover's merge).
+func TestSyncTableInterpretsTheMintedTemplate(t *testing.T) {
+	lines := []string{
+		"session opened for alice on console today",
+		"session opened for bobby on console today",
+	}
+	for len(lines) < window.Default().Length {
+		lines = append(lines, chaosTemplates[len(lines)%len(chaosTemplates)])
+	}
+	det, parser, interp, e := tinyDeployment(t)
+	k := NewKeyed(New(DefaultConfig("x"), parser, det, interp, e))
+	live := keyedCapture(k, t)
+	for _, line := range lines {
+		k.Feed("key", line)
+	}
+	k.Flush()
+	events := parser.Export()
+	if events[0].Template == strings.Join(strings.Fields(events[0].Example), " ") {
+		t.Fatalf("fixture: event 0 never generalized past %q", events[0].Template)
+	}
+
+	det2, parser2, interp2, e2 := tinyDeployment(t)
+	if err := parser2.Import(events); err != nil {
+		t.Fatal(err)
+	}
+	p2 := New(DefaultConfig("x"), parser2, det2, interp2, e2)
+	if err := p2.SyncTable(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range events {
+		if got, want := det2.Table.Interps[i].Text, det.Table.Interps[i].Text; got != want {
+			t.Fatalf("restored event %d interprets as %q, the live row as %q", i, got, want)
+		}
+	}
+	seq := make([]int, window.Default().Length)
+	for i, line := range lines {
+		seq[i] = parser.Parse(line).EventID
+	}
+	if got, want := det2.ScoreSequences([][]int{seq})[0], live["key"][0]; got != want {
+		t.Fatalf("the restored pipeline scores the window %v, the live one %v", got, want)
 	}
 }
 

@@ -26,7 +26,7 @@
 // interpreter, and graceful degradation — LEI failure falls back to
 // template-text interpretation. Reports go to the sinks as they are
 // raised; making them durable and retrying a failing alert channel is the
-// shard runtime's job (its alert log and delivery loop).
+// shard runtime's job (its commit log and delivery loop).
 package pipeline
 
 import (
@@ -457,7 +457,8 @@ func (p *Pipeline) Parser() *drain.Parser { return p.parser }
 
 // SyncTable extends the detector's event table to cover every template
 // the parser currently knows, in event-id order, interpreting and
-// embedding each exactly as online discovery would. Call it after
+// embedding each exactly as online discovery did: from the template the
+// event was minted with, not the one later messages widened. Call it after
 // importing a persisted parser state and before feeding any line:
 // imported ids have no table rows yet, and letting the feed path extend
 // the table lazily would mis-assign vectors whenever ids arrive out of
@@ -469,7 +470,7 @@ func (p *Pipeline) SyncTable() error {
 		if ev.ID < table.Len() {
 			continue
 		}
-		in := p.interpret(ev.Template)
+		in := p.interpret(ev.MintedTemplate())
 		if err := p.guard(PointEmbed, 0, func() error {
 			table.Extend(in, p.embedder)
 			return nil

@@ -1,13 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,16 +19,15 @@ import (
 	"logsynergy/internal/pipeline"
 )
 
-// Alerts ride the commit (flushCommit): a partition's reports wait in
-// pending until the commit appends them to its alert log, Dir/p<i>/alerts
-// (a broker log of JSON-encoded core.Reports), and saves the log's tail as
-// the delivery mark. The delivery loop reads the log as consumer group
-// sink, never past the mark, so a crash never re-scores an alert that was
-// already delivered; it is at-least-once only across a crash between a
-// Notify and the next group commit.
+// A commit (flushCommit) is one append to the partition's commit log,
+// Dir/p<i>/commits, of the intake offset consumed through and the reports
+// raised since the commit before; they wait in pending until then. The
+// delivery loop reads the log as consumer group sink, so an alert reaches
+// the sink only once its commit was appended, and twice only across a
+// crash between a Notify and the next group commit.
 const (
-	alertLogName = "alerts"
-	sinkGroup    = "sink"
+	commitLogName = "commits"
+	sinkGroup     = "sink"
 )
 
 // FallibleSink is a pipeline.Sink whose delivery can fail. The delivery
@@ -38,75 +37,105 @@ type FallibleSink interface {
 	TryNotify(r *core.Report) error
 }
 
-// openAlertLog opens the alert log in partition directory dir and squares
-// it with the partition's durable state st. Records past st.Alerts came
-// from a commit whose state save never landed: they are cut, and
-// re-scoring appends them again. A log that ends before st.Alerts lost
-// records the state covers (an unsynced tail after a power loss, or a
-// deleted log): st is saved again at the log's tail, so the mark never
-// runs ahead of the log and whatever is appended next waits for its own
-// commit. The log keeps the partition's fsync policy, segment size and
-// retention, but is never full (a down sink lags; it does not push back
-// on intake) and keeps its metrics and faults apart from the intake WAL's.
-func openAlertLog(bcfg broker.Config, dir string, st *partitionState) (*broker.Broker, error) {
-	bcfg.Dir, bcfg.MaxBacklogBytes = filepath.Join(dir, alertLogName), -1
+// commitRecord is one commit-log record: the intake offset consumed
+// through, and the reports raised (commitRecords encodes it).
+type commitRecord struct {
+	Consumed uint64         `json:"consumed"`
+	Alerts   []*core.Report `json:"alerts"`
+}
+
+// commitOverhead bounds a record's bytes besides its alerts.
+const commitOverhead = len(`{"consumed":18446744073709551615,"alerts":[]}`)
+
+// openCommitLog opens the commit log in partition directory dir. It keeps
+// the partition's fsync policy, segment size and retention, but is never
+// full (a down sink lags; it does not push back on intake) and keeps its
+// metrics and faults apart from the intake WAL's. A directory still in the
+// layout before the commit log — an alerts log beside a state file saved
+// on every commit — is refused: nothing reads that log any more.
+func openCommitLog(bcfg broker.Config, dir string) (*broker.Broker, error) {
+	old := filepath.Join(dir, "alerts")
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("shard: %s is an alert log from an earlier version; with the process stopped, "+
+			"let that version deliver it (or accept losing what it holds) and remove it", old)
+	}
+	bcfg.Dir, bcfg.MaxBacklogBytes = filepath.Join(dir, commitLogName), -1
 	bcfg.Metrics, bcfg.Faults = obs.NewRegistry(), nil
-	log, err := broker.Open(bcfg)
-	if err != nil {
-		return nil, err
+	return broker.Open(bcfg)
+}
+
+// decodeCommit parses one commit-log record.
+func decodeCommit(payload string) (commitRecord, error) {
+	var rec commitRecord
+	if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+		return rec, fmt.Errorf("shard: decoding a commit record: %w", err)
 	}
-	if tail := log.NextOffset() - 1; tail < st.Alerts {
-		st.Alerts = tail
-		err = saveState(statePath(dir), *st)
-	} else {
-		err = log.TruncateAfter(st.Alerts)
-	}
-	if err != nil {
-		log.Close()
-		return nil, err
-	}
-	return log, nil
+	return rec, nil
 }
 
 // Notify makes the partition its pipeline's only sink (on the worker,
 // under feedMu).
 func (pt *partition) Notify(r *core.Report) { pt.pending = append(pt.pending, r) }
 
-// appendAlerts appends the pending reports to the alert log as one batch.
-// Templates are full of "<*>", which HTML escaping would quadruple, so the
-// encoder leaves it off. Called under feedMu.
-func (pt *partition) appendAlerts() error {
-	batch := make([]string, len(pt.pending))
-	var b strings.Builder
-	enc := json.NewEncoder(&b)
-	enc.SetEscapeHTML(false)
-	for i, r := range pt.pending {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("shard: encoding an alert: %w", err)
-		}
-		batch[i] = b.String()
-		b.Reset()
+// appendCommit appends the commit — the pending reports and the consumed
+// offset — to the commit log in one append. Called under feedMu.
+func (pt *partition) appendCommit() error {
+	recs, err := commitRecords(pt.committed.Load(), pt.consumed, pt.pending)
+	if err != nil {
+		return err
 	}
-	if _, _, err := pt.dl.log.AppendBatch(batch); err != nil {
-		return fmt.Errorf("shard: appending alerts: %w", err)
+	n := int64(len(pt.pending))
+	pt.dl.queued.Add(n)
+	if _, _, err := pt.dl.log.AppendBatch(recs); err != nil {
+		pt.dl.queued.Add(-n)
+		return fmt.Errorf("shard: appending a commit: %w", err)
 	}
 	pt.pending = pt.pending[:0]
+	pt.committed.Store(pt.consumed)
 	return nil
 }
 
-// delivery is one alert log's delivery loop. A partition runs one beside
+// commitRecords renders one commit: its alerts, as many to a record as
+// fit under the broker's record bound, and only on the last record the
+// consumed offset — any before it carry prev, the log's newest, so a
+// commit cut short reads back as the one before and is scored again.
+// Templates are full of "<*>", which HTML escaping would quadruple.
+func commitRecords(prev, consumed uint64, alerts []*core.Report) ([]string, error) {
+	var recs []string
+	var body, one bytes.Buffer
+	enc := json.NewEncoder(&one)
+	enc.SetEscapeHTML(false)
+	emit := func(c uint64) {
+		recs = append(recs, fmt.Sprintf(`{"consumed":%d,"alerts":[%s]}`, c, body.Bytes()))
+		body.Reset()
+	}
+	for _, r := range alerts {
+		one.Reset()
+		if err := enc.Encode(r); err != nil {
+			return nil, fmt.Errorf("shard: encoding an alert: %w", err)
+		}
+		a := one.Bytes() // its trailing newline is JSON whitespace
+		if body.Len() > 0 && body.Len()+1+len(a)+commitOverhead > broker.MaxRecordBytes {
+			emit(prev)
+		}
+		if body.Len() > 0 {
+			body.WriteByte(',')
+		}
+		body.Write(a)
+	}
+	emit(consumed)
+	return recs, nil
+}
+
+// delivery is one commit log's delivery loop. A partition runs one beside
 // its worker; a retired partition's outlives it (retire, openRetired).
 type delivery struct {
 	rt     *Runtime
 	idx    int
 	faults *fault.Registry
 	log    *broker.Broker
-	// mark is the log offset the durable state covers; marked wakes the
-	// loop when it moves, and final is closed once it no longer can (the
-	// worker exited).
-	mark   atomic.Uint64
-	marked chan struct{}
-	final  <-chan struct{}
+	// queued counts the alerts in the log no sink group commit covers.
+	queued atomic.Int64
 	// stop ends the loop at once; killed makes that a crash, which
 	// commits nothing. done is closed when the loop has ended.
 	stop     chan struct{}
@@ -118,42 +147,46 @@ type delivery struct {
 	err   error
 }
 
-// newDelivery builds partition idx's delivery of log from mark on.
-func (rt *Runtime) newDelivery(idx int, faults *fault.Registry, log *broker.Broker, mark uint64, final <-chan struct{}) *delivery {
-	d := &delivery{rt: rt, idx: idx, faults: faults, log: log, final: final,
-		marked: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
-	d.mark.Store(mark)
-	return d
-}
-
-// publish moves the mark to a newly saved state's alert-log tail.
-func (d *delivery) publish(mark uint64) {
-	if d.mark.Swap(mark) != mark {
-		select {
-		case d.marked <- struct{}{}:
-		default:
-		}
+// newDelivery builds partition idx's delivery of log, counting the alerts
+// the sink group has not committed.
+func (rt *Runtime) newDelivery(idx int, faults *fault.Registry, log *broker.Broker) (*delivery, error) {
+	d := &delivery{rt: rt, idx: idx, faults: faults, log: log, stop: make(chan struct{}), done: make(chan struct{})}
+	cons, err := log.Consumer(sinkGroup)
+	if err != nil {
+		return nil, err
 	}
+	defer cons.Close()
+	for cons.Position() < log.NextOffset() {
+		payload, ok := cons.Next()
+		if !ok {
+			return nil, fmt.Errorf("shard: reading commit %d: %w", cons.Position(), cons.Err())
+		}
+		rec, err := decodeCommit(payload)
+		if err != nil {
+			return nil, err
+		}
+		d.queued.Add(int64(len(rec.Alerts)))
+	}
+	return d, nil
 }
 
-// undelivered is the mark minus the delivered offset.
-func (d *delivery) undelivered() uint64 {
-	done := d.log.Committed(sinkGroup) // first: the mark only grows
-	return d.mark.Load() - done
-}
+// undelivered counts the alerts committed to the log that no sink group
+// commit covers.
+func (d *delivery) undelivered() uint64 { return uint64(d.queued.Load()) }
 
 // delivered reports whether the loop is done with what it can deliver:
-// caught up with the mark, or ended.
+// caught up and committed, or ended.
 func (d *delivery) delivered() bool {
 	return d.undelivered() == 0 || isClosed(d.done)
 }
 
-// run is the delivery loop: every alert up to the mark goes to
+// run is the delivery loop: every alert of every commit-log record goes to
 // Config.Sink, a failure is retried until the sink takes it, and the group
-// offset commits each time the loop catches up. Once the mark is final
-// the loop ends when it catches up. Close gives every loop one round of
-// MaxAttempts failures, leaving the rest for the next open; stop ends it
-// at once, committing what was delivered unless it was killed.
+// offset commits each time the loop catches up; it ends caught up with a
+// log whose intake closed (its worker exited). Close gives every loop one
+// round of MaxAttempts failures, leaving the rest — a record cut short
+// whole — for the next open; stop ends it at once, committing what was
+// delivered unless it was killed.
 func (d *delivery) run() {
 	defer close(d.done)
 	cons, err := d.log.Consumer(sinkGroup)
@@ -163,43 +196,43 @@ func (d *delivery) run() {
 	}
 	defer cons.Close()
 	retry := d.rt.cfg.Pipeline.Resilience.Retryer()
-	base := cons.Position() - 1
-	for !isClosed(d.stop) {
-		off := cons.Position()
-		if off > d.mark.Load() {
-			if err := cons.Commit(); err != nil {
-				d.setErr(err)
-			}
-			select {
-			case <-d.marked:
-			case <-d.stop:
-			case <-d.final:
-				if cons.Position() > d.mark.Load() {
-					return
-				}
-			}
-			continue
-		}
-		var rep core.Report
-		payload, ok := cons.Next()
-		if !ok {
-			err = fmt.Errorf("shard: reading alert %d: %w", off, cons.Err())
-		} else if err = json.Unmarshal([]byte(payload), &rep); err != nil {
-			err = fmt.Errorf("shard: decoding alert %d: %w", off, err)
-		}
-		if err != nil {
+	var handed int64 // alerts of the records delivered since the last commit
+	commit := func() {
+		if err := cons.Commit(); err != nil {
 			d.setErr(err)
 			return
 		}
-		if !d.handOff(retry, &rep, off) {
+		d.queued.Add(-handed)
+		handed = 0
+	}
+records:
+	for !isClosed(d.stop) {
+		if cons.Position() >= d.log.NextOffset() {
+			commit()
+		}
+		payload, ok := cons.Next()
+		if !ok {
+			if err := cons.Err(); err != nil {
+				d.setErr(err)
+			}
 			break
 		}
-		cons.Ack(off - base)
+		off := cons.Position() - 1
+		rec, err := decodeCommit(payload)
+		if err != nil {
+			d.setErr(fmt.Errorf("commit %d: %w", off, err))
+			return
+		}
+		for _, rep := range rec.Alerts {
+			if !d.handOff(retry, rep, off) {
+				break records
+			}
+		}
+		cons.Ack(off)
+		handed += int64(len(rec.Alerts))
 	}
 	if !d.killed.Load() {
-		if err := cons.Commit(); err != nil {
-			d.setErr(err)
-		}
+		commit()
 	}
 }
 
@@ -252,8 +285,8 @@ func (rt *Runtime) notify(faults *fault.Registry, r *core.Report) error {
 	})
 }
 
-// close waits for the loop to end by itself (final mark, or Close's give-up
-// round) and closes the log.
+// close waits for the loop to end by itself (caught up with a closed log,
+// or Close's give-up round) and closes the log.
 func (d *delivery) close() error {
 	<-d.done
 	return errors.Join(d.log.Close(), d.error())
@@ -263,7 +296,7 @@ func (d *delivery) close() error {
 // closes the log.
 func (d *delivery) release() error {
 	d.halt()
-	return errors.Join(d.log.Close(), d.error())
+	return d.close()
 }
 
 // kill stops the loop crash-style and drops the log's handles unsynced.
@@ -276,6 +309,7 @@ func (d *delivery) kill() {
 // halt stops the loop and waits for it to end.
 func (d *delivery) halt() {
 	d.stopOnce.Do(func() { close(d.stop) })
+	d.log.CloseIntake() // wakes a loop waiting at the log's tail
 	<-d.done
 }
 
@@ -298,9 +332,9 @@ func (d *delivery) error() error {
 // retire ends a partition the new layout dropped, persisted at its WAL
 // tail: the worker drains and the WAL closes. Its delivery, already among
 // the runtime's retired ones, goes on — a down sink is retried until
-// Close gives up or Kill stops it — and ends once everything up to the
-// final mark reached the sink; its log stays open until Close, Kill, or a
-// growth that reopens the directory.
+// Close gives up or Kill stops it — and ends once every committed alert
+// reached the sink; its log stays open until Close, Kill, or a growth that
+// reopens the directory.
 func (pt *partition) retire() error {
 	pt.bk.CloseIntake()
 	<-pt.done
@@ -309,9 +343,9 @@ func (pt *partition) retire() error {
 }
 
 // openRetired resumes delivery from the partition directories past the
-// layout (index slots and up) whose alert logs hold alerts no sink has
-// taken: a shrink retired them while the sink was down. Only a full
-// runtime looks; a fleet node serves a subset, and a fleet never shrinks.
+// layout (index slots and up): a shrink retired them, maybe while the sink
+// was down. Only a full runtime looks; a fleet node serves a subset, and a
+// fleet never shrinks.
 func (rt *Runtime) openRetired(slots int) error {
 	for i := slots; ; i++ {
 		dir := PartitionDir(rt.cfg.Dir, i)
@@ -320,32 +354,16 @@ func (rt *Runtime) openRetired(slots int) error {
 		} else if err != nil {
 			return err
 		}
-		if _, err := os.Stat(filepath.Join(dir, alertLogName)); errors.Is(err, fs.ErrNotExist) {
-			continue
-		} else if err != nil {
+		log, err := openCommitLog(rt.cfg.Broker, dir)
+		if err != nil {
+			return fmt.Errorf("shard: opening retired partition %d's commit log: %w", i, err)
+		}
+		d, err := rt.newDelivery(i, rt.faultsFor(i), log)
+		if err != nil {
+			log.Close()
 			return err
 		}
-		st, err := loadState(statePath(dir))
-		if err != nil {
-			return err
-		}
-		log, err := openAlertLog(rt.cfg.Broker, dir, &st)
-		if err != nil {
-			return fmt.Errorf("shard: opening retired partition %d's alert log: %w", i, err)
-		}
-		if log.Committed(sinkGroup) >= st.Alerts {
-			if err := log.Close(); err != nil {
-				return err
-			}
-			continue
-		}
-		var faults *fault.Registry
-		if rt.cfg.ShardFaults != nil {
-			faults = rt.cfg.ShardFaults(i)
-		}
-		final := make(chan struct{})
-		close(final) // no worker: the mark is final
-		d := rt.newDelivery(i, faults, log, st.Alerts, final)
+		log.CloseIntake() // no worker: the loop ends once it has caught up
 		rt.retiredMu.Lock()
 		rt.retired = append(rt.retired, d)
 		rt.retiredMu.Unlock()
@@ -381,7 +399,7 @@ func (rt *Runtime) retirees() []*delivery {
 	return append([]*delivery(nil), rt.retired...)
 }
 
-// UndeliveredAlerts maps the alert-log directory of every partition —
+// UndeliveredAlerts maps the commit-log directory of every partition —
 // retired ones included — that holds committed alerts no sink has taken
 // yet to their count. A down sink shows here; the next open delivers them.
 func (rt *Runtime) UndeliveredAlerts() map[string]uint64 {
@@ -392,7 +410,7 @@ func (rt *Runtime) UndeliveredAlerts() map[string]uint64 {
 	}
 	for _, d := range ds {
 		if n := d.undelivered(); n > 0 {
-			out[filepath.Join(PartitionDir(rt.cfg.Dir, d.idx), alertLogName)] = n
+			out[filepath.Join(PartitionDir(rt.cfg.Dir, d.idx), commitLogName)] = n
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -14,14 +15,14 @@ import (
 	"logsynergy/internal/broker"
 	"logsynergy/internal/core"
 	"logsynergy/internal/fault"
-	"logsynergy/internal/obs"
+	"logsynergy/internal/framelog"
 	"logsynergy/internal/pipeline"
 )
 
-// The alert-delivery proofs: alerts reach the sink only once the state
-// that covers them is durable, a failing sink lags without losing or
+// The alert-delivery proofs: alerts reach the sink only once the commit
+// that covers them is appended, a failing sink lags without losing or
 // duplicating anything, and what a graceful close could not deliver waits
-// in the alert log for the next open.
+// in the commit log for the next open.
 
 // flakySink refuses every delivery while down is set.
 type flakySink struct {
@@ -94,11 +95,11 @@ func sigSequence(reports []*core.Report) []string {
 	return out
 }
 
-// A commit whose state save fails after its windows alerted must not cost
-// a duplicate. The alerts wait in the alert log past the mark, where no
-// delivery reads them; the restart that re-scores those windows cuts them
-// and delivers each once. When alerts went to the sink at scoring time,
-// the restart delivered every one of them a second time.
+// A commit that fails after its windows alerted must not cost a
+// duplicate. The alerts wait in pending, where no delivery reads them; the
+// restart that re-scores those windows raises and delivers each once. When
+// alerts went to the sink at scoring time, the restart delivered every one
+// of them a second time.
 func TestAlertDeliveryCommitFailureNoDuplicates(t *testing.T) {
 	const failing = 1
 	var keys []string
@@ -286,31 +287,24 @@ func TestAlertDeliveryCloseKeepsUndelivered(t *testing.T) {
 	}
 }
 
-// An alert log that ends before the state's mark — an unsynced tail lost
-// to a power cut, or a deleted log — is squared with the state on open:
-// the state is saved again at the log's tail, so delivery never waits for
-// an offset the log does not have (Kill, Drain and Close return) and what
-// is appended next reaches the sink only after its own commit. The sink
-// group's offset, left ahead of the log by the cut, is repaired on disk,
-// so the alerts that reuse its offsets are not counted delivered after a
-// crash. When the mark kept the state's value, delivery blocked on the
-// missing offset and handed out the next appends before their commit.
+// A commit log that lost its records past the snapshot — the unsynced
+// tail a power cut takes under the interval fsync — costs no alert: the
+// restart replays only to the newest commit it still holds and scores the
+// rest of the WAL again, so the lost records' alerts are raised again and
+// each reaches the sink once. A deleted commit log costs only the alerts
+// the sink had not taken from commits the snapshot covers; those past it
+// are raised again too.
 func TestAlertDeliveryLogBehindState(t *testing.T) {
 	lines := genEqLines(31, 1500, eqKeys(8))
-	const split, failing = 500, 900 // before the damage; scored under failing commits
-	ref, before, scored := runReference(t, lines), runReference(t, lines[:split]), runReference(t, lines[:failing])
-	if len(before.reports) < 2 || len(scored.reports) == len(before.reports) || len(ref.reports) == len(scored.reports) {
-		t.Fatalf("fixture: %d, %d, %d alerts at %d, %d, %d lines", len(before.reports), len(scored.reports),
-			len(ref.reports), split, failing, len(lines))
-	}
+	const split = 500
+	ref := runReference(t, lines)
 	for _, damage := range []string{"tail lost", "log deleted"} {
 		t.Run(damage, func(t *testing.T) {
-			dir, sink, freg := t.TempDir(), &flakySink{}, fault.New(1)
+			dir, sink := t.TempDir(), &flakySink{}
 			open := func() *shardHarness {
 				return openHarness(t, dir, 1, func(cfg *Config) {
 					cfg.Sink = sink
 					cfg.Pipeline.Resilience = fastRetries
-					cfg.ShardFaults = func(int) *fault.Registry { return freg }
 				})
 			}
 			h := open()
@@ -320,62 +314,39 @@ func TestAlertDeliveryLogBehindState(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 			delivered := len(sink.Reports())
-			p0 := PartitionDir(dir, 0)
-			alertDir := filepath.Join(p0, alertLogName)
-			keep := uint64(0)
-			if damage == "log deleted" {
-				if err := os.RemoveAll(alertDir); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				// The offsets file was synced; the log's tail was not.
-				keep = uint64(delivered / 2)
-				offsets := filepath.Join(alertDir, "offsets.json")
-				saved, err := os.ReadFile(offsets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				log, err := broker.Open(broker.Config{Dir: alertDir, Metrics: obs.NewRegistry()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := log.TruncateAfter(keep); err != nil {
-					t.Fatal(err)
-				}
-				if err := log.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(offsets, saved, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
 
-			// Commits fail: whatever is scored now must not reach the sink.
-			freg.Enable(fault.Rule{Point: PointCommit, Err: errors.New("state volume gone")})
-			h = open()
-			if st, err := loadState(statePath(p0)); err != nil || st.Alerts != keep {
-				t.Fatalf("the reopened state's mark is %d (%v), over a log that ends at %d", st.Alerts, err, keep)
-			}
-			h.feed(t, lines[split:failing])
-			waitFor(t, "the new windows to be scored and a commit to fail", func() bool {
-				return h.rt.Stats().SequencesFormed >= scored.windows()-before.windows() && freg.Injected(PointCommit) > 0
-			})
-			time.Sleep(50 * time.Millisecond) // room for a delivery that does not wait for the commit
-			if got := len(sink.Reports()); got != delivered {
-				t.Fatalf("%d alerts reached the sink before their commit", got-delivered)
-			}
-			within(t, "Kill", h.rt.Kill)
-
-			// Commits land, the sink is down: every new alert commits and waits.
-			freg.Disable(PointCommit)
+			// The sink is down: every new alert commits and waits.
 			sink.down.Store(true)
 			h = open()
-			h.feed(t, lines[failing:])
+			h.feed(t, lines[split:])
 			want := uint64(len(ref.reports) - delivered)
 			waitFor(t, "every new alert to commit", func() bool { return undelivered(h.rt) == want })
 			within(t, "Kill", h.rt.Kill)
 
-			// The sink is back: each new alert arrives once.
+			p0 := PartitionDir(dir, 0)
+			st, err := loadState(statePath(p0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			past, covered := commitsAround(t, p0, st.Consumed)
+			if len(past) == 0 {
+				t.Fatalf("fixture: no alert was committed past the snapshot at %d", st.Consumed)
+			}
+			wantAlerts := alertSigs(ref.reports)
+			if damage == "tail lost" {
+				cutCommitsAfter(t, p0, st.Consumed)
+			} else {
+				if err := os.RemoveAll(filepath.Join(p0, commitLogName)); err != nil {
+					t.Fatal(err)
+				}
+				for sig, n := range alertSigs(covered) {
+					wantAlerts[sig] -= n
+					if wantAlerts[sig] == 0 {
+						delete(wantAlerts, sig)
+					}
+				}
+			}
+
 			sink.down.Store(false)
 			h = open()
 			within(t, "Drain", func() { h.drain(t) })
@@ -384,9 +355,68 @@ func TestAlertDeliveryLogBehindState(t *testing.T) {
 					t.Errorf("Close: %v", err)
 				}
 			})
-			if !reflect.DeepEqual(alertSigs(sink.Reports()), ref.alerts) {
-				t.Fatalf("the sink holds %d alerts, not the reference's %d", len(sink.Reports()), len(ref.reports))
+			if got := alertSigs(sink.Reports()); !reflect.DeepEqual(got, wantAlerts) {
+				t.Fatalf("the sink holds %d alerts, want %d", len(sink.Reports()), len(ref.reports)-len(covered))
 			}
 		})
+	}
+}
+
+// commitsAround reads partition directory dir's commit log and returns the
+// alerts the sink group has not taken from commits past offset consumed,
+// and from commits at or before it.
+func commitsAround(t *testing.T, dir string, consumed uint64) (past, covered []*core.Report) {
+	t.Helper()
+	log := filepath.Join(dir, commitLogName)
+	var offsets struct{ Groups map[string]uint64 }
+	if data, err := os.ReadFile(filepath.Join(log, "offsets.json")); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(data, &offsets); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(log, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one commit-log segment, found %v (%v)", segs, err)
+	}
+	off := uint64(0)
+	if _, _, _, err := framelog.Scan(segs[0], broker.MaxRecordBytes, func(p []byte) {
+		off++
+		rec, err := decodeCommit(string(p))
+		if err != nil || off <= offsets.Groups[sinkGroup] {
+			return
+		}
+		for _, r := range rec.Alerts {
+			if rec.Consumed > consumed {
+				past = append(past, r)
+			} else {
+				covered = append(covered, r)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return past, covered
+}
+
+// cutCommitsAfter cuts partition directory dir's commit log back to its
+// last record at or below offset consumed.
+func cutCommitsAfter(t *testing.T, dir string, consumed uint64) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, commitLogName, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one commit-log segment, found %v (%v)", segs, err)
+	}
+	var keep int64
+	cut := false
+	if _, _, _, err := framelog.Scan(segs[0], broker.MaxRecordBytes, func(p []byte) {
+		rec, err := decodeCommit(string(p))
+		if cut = cut || err != nil || rec.Consumed > consumed; !cut {
+			keep += framelog.HeaderSize + int64(len(p))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], keep); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -589,8 +589,8 @@ func (c *Coordinator) move(j *CutoverJournal, key string, donor, dest Participan
 	if err := dest.InstallSplice(key); err != nil {
 		return 0, err
 	}
-	// The donor's next persist makes the drop durable; in the interim the
-	// journal, not the donor's state file, is what recovery trusts.
+	// The donor's next snapshot makes the drop durable; in the interim the
+	// journal, not the donor's snapshot, is what recovery trusts.
 	if err := donor.ForgetKey(key); err != nil {
 		return 0, err
 	}

@@ -748,7 +748,7 @@ func TestCutoverDestCopy(t *testing.T) {
 // the partition (retries then wait a minute, so only the retirement itself
 // can deliver before Close); after it, while the retired partition's
 // delivery goes on in the background; after a Close and a restart at 2
-// shards, which picks the retired alert log up; or after a regrowth to 3
+// shards, which picks the retired commit log up; or after a regrowth to 3
 // reopens the retired directory. Each time the sink ends up holding every
 // alert exactly once. When undeliverable alerts sat in an in-memory queue
 // the finish closed partition 2 without flushing it, and they were gone.
@@ -789,7 +789,7 @@ func TestLiveRebalanceShrinkDeliversRetiredAlerts(t *testing.T) {
 			if _, err := h.rt.LiveRebalance(2); err != nil {
 				t.Fatalf("LiveRebalance(2): %v", err)
 			}
-			retiredLog := filepath.Join(PartitionDir(dir, 2), alertLogName)
+			retiredLog := filepath.Join(PartitionDir(dir, 2), commitLogName)
 			if back != "before the shrink" {
 				if h.rt.UndeliveredAlerts()[retiredLog] == 0 || h.rt.Snapshot().Gauges["shard.alerts_undelivered"] == 0 {
 					t.Fatalf("the retired partition's alerts are not counted undelivered: %v", h.rt.UndeliveredAlerts())

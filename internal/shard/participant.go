@@ -195,7 +195,7 @@ func midCutoverOpts(spec CutoverSpec, idx, layout int, ring *Partitioner) openOp
 		acceptStamp: func(s int) bool {
 			return s == 0 || s == spec.From || s == spec.To || (idx >= spec.From && s <= idx)
 		},
-		keepSpliced: true,
+		cutover: true,
 	}
 }
 
@@ -204,34 +204,20 @@ func midCutoverOpts(spec CutoverSpec, idx, layout int, ring *Partitioner) openOp
 // cutover share (BeginCutover on a serving runtime, Open on a root or
 // node restarting mid-cutover). Freeze offsets: the journal's recorded
 // value wins; an owned donor without one captures its next append offset
-// now. Keys the journal already committed are scrubbed from owned donor
-// tails (a donor may have crashed before persisting the drop) and rolled
-// forward on an owned destination from their staged splices — before the
-// cutover is published, because a released key's records are not gated
-// and must never be fed ahead of its restored tail. A Spliced marker
-// survives only where the journal committed its key to this partition;
-// any other is left from an earlier cutover, and one kept by mistake
-// would make a later cutover skip that key's splice. The caller holds
-// the route write lock, or runs before any worker starts.
+// now. Keys the journal already committed roll forward on an owned
+// destination from their staged splices — before the cutover is
+// published, because a released key's records are not gated and must
+// never be fed ahead of its restored tail — then a partition opened into
+// the cutover replays its WAL, and those keys are scrubbed from owned
+// donor tails (a donor may have crashed before snapshotting the drop):
+// the live run's order, since a destination feeds a key's records after
+// its splice and a donor before its drop. A Spliced marker survives only
+// where the journal committed its key to this partition; any other is
+// left from an earlier cutover, and one kept by mistake would make a later
+// cutover skip that key's splice. A change here is owed a snapshot. The
+// caller holds the route write lock, or runs before any worker starts.
 func (rt *Runtime) enterCutover(cut *Cutover, spec CutoverSpec) error {
 	landed := func(k string, i int) bool { return cut.phase[k] >= phaseCommitted && cut.newRing.Partition(k) == i }
-	for i, pt := range rt.byIdx {
-		if pt == nil {
-			continue
-		}
-		if _, journaled := spec.Freeze[i]; i < spec.From && !journaled {
-			cut.freeze[i] = pt.bk.NextOffset()
-		}
-		pt.feedMu.Lock()
-		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted && !landed(k, i) })
-		for k := range pt.spliced {
-			if !landed(k, i) {
-				delete(pt.spliced, k)
-			}
-		}
-		pt.forceSave = true
-		pt.feedMu.Unlock()
-	}
 	moved := make([]string, 0, len(cut.phase))
 	for k := range cut.phase {
 		if rt.byIdx[cut.newRing.Partition(k)] != nil {
@@ -241,6 +227,28 @@ func (rt *Runtime) enterCutover(cut *Cutover, spec CutoverSpec) error {
 	sort.Strings(moved)
 	for _, k := range moved {
 		if err := rt.ensureSpliced(cut, k); err != nil {
+			return err
+		}
+	}
+	for i, pt := range rt.byIdx {
+		if pt == nil {
+			continue
+		}
+		if _, journaled := spec.Freeze[i]; i < spec.From && !journaled {
+			cut.freeze[i] = pt.bk.NextOffset()
+		}
+		pt.feedMu.Lock()
+		err := pt.replay(cut)
+		scrubbed := pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted && !landed(k, i) })
+		pt.forceSave = pt.forceSave || len(scrubbed) > 0
+		for k := range pt.spliced {
+			if !landed(k, i) {
+				delete(pt.spliced, k)
+				pt.forceSave = true
+			}
+		}
+		pt.feedMu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
@@ -350,7 +358,8 @@ func pendingMoving(cut *Cutover, donors []*partition) []string {
 
 // CaptureKey implements Participant: the key's final window tail plus
 // the donor's full event space, captured under the donor's feed lock
-// (pending windows are flushed first so the tail is consistent). Refused
+// (pending windows are flushed and committed first, so the tail is
+// consistent and a restart replays all of it). Refused
 // until the donor has consumed through its freeze point — a non-final
 // tail must never ship.
 func (rt *Runtime) CaptureKey(key string) (KeySplice, error) {
@@ -374,7 +383,9 @@ func (rt *Runtime) CaptureKey(key string) (KeySplice, error) {
 		return KeySplice{}, fmt.Errorf("shard: donor partition %d has consumed through offset %d of its freeze point %d; capture once the tail lands",
 			donorIdx, donor.consumed, cut.freeze[donorIdx])
 	}
-	donor.keyed.Flush()
+	if err := donor.flushCommit(); err != nil {
+		return KeySplice{}, fmt.Errorf("shard: committing donor partition %d before capturing key %q: %w", donorIdx, key, err)
+	}
 	tail, _ := donor.keyed.Tail(key)
 	return KeySplice{
 		Version:  1,
@@ -502,7 +513,7 @@ func translatePatterns(entries []pipeline.PatternEntry, translate map[int]int, d
 	return out
 }
 
-// ForgetKey implements Participant (the next persist makes the drop
+// ForgetKey implements Participant (the next snapshot makes the drop
 // durable).
 func (rt *Runtime) ForgetKey(key string) error {
 	rt.routeMu.RLock()
@@ -596,10 +607,10 @@ func (rt *Runtime) CompleteCutover(to int) (err error) {
 	return nil
 }
 
-// persistOn restamps the partition on the cutover's new layout and
-// persists it. A partition the new layout retires first lets its worker
-// skip through to the WAL tail (the caller holds the route write lock; no
-// append can race it) and must persist and commit there. Every key it
+// persistOn restamps the partition on the cutover's new layout, commits
+// and takes a snapshot. A partition the new layout retires first lets its
+// worker skip through to the WAL tail (the caller holds the route write
+// lock; no append can race it) and must snapshot there. Every key it
 // served has moved away, but its WAL still holds their double-written
 // copies at and past the freeze point: were the directory left short of
 // them, a later growth that reopens it as a destination — under a ring
@@ -620,9 +631,8 @@ func (pt *partition) persistOn(cut *Cutover) error {
 	if err := pt.flushCommit(); err != nil {
 		return err
 	}
-	if retired && (pt.lastSaved < tail || pt.lastCommitted < tail) {
-		return fmt.Errorf("retired partition persisted at offset %d and committed %d, short of its WAL tail %d",
-			pt.lastSaved, pt.lastCommitted, tail)
+	if retired && pt.snapAt < tail {
+		return fmt.Errorf("retired partition persisted at offset %d, short of its WAL tail %d", pt.snapAt, tail)
 	}
 	return nil
 }

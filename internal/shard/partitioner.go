@@ -4,7 +4,8 @@
 // §VI pipeline (parser → LEI → embed → detect → sink) per partition —
 // each with its own WAL directory, consumer offsets, resilience guards
 // and obs registry — and delivers anomaly reports from each partition's
-// alert log, committed with its state, into one sink in per-key order.
+// commit log, where each commit appends them with its consumed offset,
+// into one sink in per-key order.
 //
 // The safety argument is the paper's own: per-system log streams are
 // semantically independent until the shared encoder, so demultiplexing

@@ -257,3 +257,19 @@ func TestOpenRefusesSingleBrokerRoot(t *testing.T) {
 		t.Fatalf("partition 0 committed %d, want the WAL tail %d", got, len(lines))
 	}
 }
+
+// A partition directory from before the commit log — its alerts in an
+// alerts log beside a state file saved on every commit — is refused by
+// name: nothing reads that log any more, so its undelivered alerts are the
+// operator's call.
+func TestOpenRefusesAlertLogLayout(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(PartitionDir(dir, 0), "alerts")
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, err := openRaw(dir, 1)
+	if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "remove it") {
+		t.Fatalf("want a refusal naming %s and what to do, got %v", old, err)
+	}
+}

@@ -82,10 +82,10 @@ type Config struct {
 }
 
 // Every partition's worker keys each record with DefaultKeyFunc, reads
-// its WAL as consumer group detectorGroup (the broker's lag gauge is
-// broker.lag.detector), and persists its state and commits its offset
-// every commitEvery fed lines — and whenever it catches up with its
-// backlog, and on graceful shutdown.
+// its WAL as consumer group detectorGroup (whose offset is the snapshot's,
+// so retention keeps what a restart replays), and commits every
+// commitEvery fed lines — and whenever it catches up with its backlog, and
+// on graceful shutdown.
 const (
 	detectorGroup = "detector"
 	commitEvery   = 256
@@ -104,7 +104,7 @@ func (c Config) withDefaults() Config {
 
 // Runtime is the assembled sharded detection runtime: N partition
 // workers, each tailing its own WAL through its own pipeline, a
-// consistent-hash router in front, and a sink fed from their alert logs.
+// consistent-hash router in front, and a sink fed from their commit logs.
 type Runtime struct {
 	cfg   Config
 	part  *Partitioner
@@ -133,7 +133,7 @@ type Runtime struct {
 	closing   chan struct{}
 	closeOnce sync.Once
 	// retired holds the deliveries of partitions a shrink dropped (or Open
-	// found past the layout): their alert logs outlive them (alerts.go).
+	// found past the layout): their commit logs outlive them (alerts.go).
 	retiredMu sync.Mutex
 	retired   []*delivery
 
@@ -145,7 +145,10 @@ type Runtime struct {
 }
 
 // partition is one shard: broker, consumer, pipeline, keyed windower,
-// worker goroutine, alert log and delivery loop, and resume bookkeeping.
+// worker goroutine, commit log and delivery loop, and resume bookkeeping.
+// Its durable state is the intake WAL, the commit log (alerts.go) and a
+// snapshot at an offset S no later than the newest commit C (state.go):
+// open replays the WAL's records S+1..C with output muted.
 type partition struct {
 	idx    int
 	rt     *Runtime
@@ -160,19 +163,22 @@ type partition struct {
 	ring   *Partitioner // ownership ring the worker checks records against
 
 	// feedMu serializes detection state (keyed windower, pipeline parser
-	// and library, consumed/save bookkeeping) between the worker — which
+	// and library, consumed/commit bookkeeping) between the worker — which
 	// holds it per record — and a live cutover's coordinator, which holds
 	// it to capture tails, apply splices and restamp. Lock order is
 	// routeMu before feedMu; feedMu is never held across a routeMu
 	// acquisition.
 	feedMu sync.Mutex
 
-	ackBase       uint64 // committed offset when the consumer opened
-	restored      uint64 // offsets ≤ restored are already reflected in restored tails
-	consumed      uint64 // highest offset handed to this worker
-	lastSaved     uint64 // Consumed value at the last state persist
-	lastCommitted uint64 // broker offset at the last successful Commit
-	sinceCommit   int
+	consumed  uint64        // highest offset handed to this worker
+	committed atomic.Uint64 // C: the consumed offset of the commit log's newest record
+	snapAt    uint64        // S: the offset the snapshot was taken at
+	replayTo  uint64        // C at open: replay feeds the WAL up to it
+	muted     bool          // until replay is done: its windows were observed before
+	// A snapshot is due once the intake bytes fed since the last one
+	// reach its size (0 after open), which bounds a replay by that size.
+	fedBytes, snapBytes int64
+	sinceCommit         int
 
 	// spliced marks moving keys this (destination) partition has merged
 	// during a live cutover; persisted with the state so recovery knows
@@ -182,15 +188,15 @@ type partition struct {
 	// partition's directory, kept so the InstallSplice that follows in the
 	// same process need not read the file back.
 	staged *KeySplice
-	// forceSave makes the next flushCommit persist state even when the
-	// consumed offset hasn't moved (cutover splices and restamps change
-	// state without consuming records).
+	// forceSave makes the next flushCommit take a snapshot: cutover
+	// splices, scrubs and restamps change state without consuming records,
+	// so replaying the WAL could not rebuild them.
 	forceSave bool
 
 	commitErrs *obs.Counter
 
 	// pending holds the reports raised since the last commit (under
-	// feedMu); dl delivers the alert log they are committed to (alerts.go).
+	// feedMu); dl delivers the commit log they are committed to (alerts.go).
 	pending []*core.Report
 	dl      *delivery
 
@@ -403,8 +409,9 @@ type openOpts struct {
 	// acceptable (default: layout, or 0 — a fresh partition, the only
 	// state loadState returns unstamped).
 	acceptStamp func(int) bool
-	// keepSpliced loads the state's live-cutover Spliced markers.
-	keepSpliced bool
+	// cutover opens the partition into a live cutover: the snapshot's
+	// Spliced markers load, and enterCutover replays the WAL.
+	cutover bool
 }
 
 // openPartitionAt assembles one shard (no worker started yet).
@@ -420,11 +427,7 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	reg := obs.NewRegistry()
-	var faults *fault.Registry
-	if cfg.ShardFaults != nil {
-		faults = cfg.ShardFaults(i)
-	}
+	reg, faults := obs.NewRegistry(), rt.faultsFor(i)
 
 	bcfg := cfg.Broker
 	bcfg.Dir = dir
@@ -434,12 +437,12 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 	if err != nil {
 		return nil, err
 	}
-	var alerts *broker.Broker
+	var log *broker.Broker
 	defer func() {
 		if err != nil {
 			bk.Close()
-			if alerts != nil {
-				alerts.Close()
+			if log != nil {
+				log.Close()
 			}
 		}
 	}()
@@ -457,13 +460,19 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 			"serve at %d shards, then run `logsynergy rebalance -addr host:port -to %d` against it",
 			dir, st.Partitions, cfg.Shards, st.Partitions, cfg.Shards)
 	}
-	if alerts, err = openAlertLog(cfg.Broker, dir, &st); err != nil {
+	if log, err = openCommitLog(cfg.Broker, dir); err != nil {
 		return nil, err
+	}
+	var last commitRecord
+	if p := log.Last(); p != nil {
+		if last, err = decodeCommit(string(p)); err != nil {
+			return nil, err
+		}
 	}
 
 	// Each partition scores with the shared read-only model but owns its
 	// event-table clone and its own parser, so online extension never
-	// crosses shard boundaries. A v2 state file carries the parser's full
+	// crosses shard boundaries. A snapshot carries the parser's full
 	// template groups (offline seeds plus everything the stream taught it)
 	// — import them verbatim so restored ids keep their meaning. A fresh
 	// partition carries none; replay the offline templates.
@@ -493,15 +502,20 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 		layout:     o.layout,
 		ring:       o.ring,
 		commitErrs: reg.Counter("shard.commit_errors_total"),
+		muted:      true,
 		done:       make(chan struct{}),
 	}
-	pt.dl = rt.newDelivery(i, faults, alerts, st.Alerts, pt.done)
+	if pt.dl, err = rt.newDelivery(i, faults, log); err != nil {
+		return nil, err
+	}
 	pt.pipe = pipeline.New(pcfg, parser, det, rt.cache, cfg.Embedder, pt)
 	pt.keyed = pipeline.NewKeyed(pt.pipe)
 	if cfg.OnWindow != nil {
 		shardIdx := i
 		pt.keyed.OnWindow = func(key string, seq []int, score float64, abandoned bool) {
-			cfg.OnWindow(shardIdx, key, seq, score, abandoned)
+			if !pt.muted {
+				cfg.OnWindow(shardIdx, key, seq, score, abandoned)
+			}
 		}
 	}
 
@@ -516,31 +530,63 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 	}
 	pt.pipe.Library().Import(st.Patterns)
 	pt.keyed.Restore(st.Tails)
-	pt.restored = st.Consumed
-	pt.consumed = st.Consumed
-	pt.lastSaved = st.Consumed
-	if o.keepSpliced && st.Cutover != nil && len(st.Cutover.Spliced) > 0 {
+	if o.cutover && st.Cutover != nil && len(st.Cutover.Spliced) > 0 {
 		pt.spliced = make(map[string]bool, len(st.Cutover.Spliced))
 		for _, k := range st.Cutover.Spliced {
 			pt.spliced[k] = true
 		}
 	}
 
-	cons, err := bk.Consumer(detectorGroup)
-	if err != nil {
+	if pt.cons, err = bk.Consumer(detectorGroup); err != nil {
 		return nil, err
 	}
-	pt.cons = cons
-	pt.ackBase = cons.Position() - 1
-	pt.lastCommitted = pt.ackBase
-	if pt.consumed < pt.ackBase {
-		// A state file older than the committed offset (e.g. wiped) —
-		// never ack backwards.
-		pt.consumed = pt.ackBase
-		pt.restored = pt.ackBase
-		pt.lastSaved = pt.ackBase
+	// Records up to the group's offset count as consumed even when the
+	// snapshot is older (a log moved in from elsewhere).
+	pt.snapAt = max(st.Consumed, pt.cons.Position()-1)
+	pt.consumed = pt.snapAt
+	pt.replayTo = max(last.Consumed, pt.snapAt)
+	pt.committed.Store(pt.replayTo)
+	if tail := bk.NextOffset() - 1; pt.replayTo > tail {
+		// The WAL lost an unsynced tail: the lines appended next reuse its
+		// offsets, so replay commits and snapshots at the tail first.
+		pt.replayTo, pt.snapAt, pt.consumed, pt.forceSave = tail, min(pt.snapAt, tail), min(pt.consumed, tail), true
 	}
-	return pt, nil
+	if !o.cutover {
+		err = pt.replay(nil)
+	}
+	return pt, err
+}
+
+// faultsFor returns partition i's fault registry (nil = none).
+func (rt *Runtime) faultsFor(i int) *fault.Registry {
+	if rt.cfg.ShardFaults == nil {
+		return nil
+	}
+	return rt.cfg.ShardFaults(i)
+}
+
+// replay feeds the WAL's records (snapAt, replayTo] through the feed path
+// with output muted — their windows were observed and their alerts
+// committed before the restart — and flushes at replayTo as its commit
+// did. It runs once, before the worker starts, under cut, the live cutover
+// the partition opens into (nil outside one).
+func (pt *partition) replay(cut *Cutover) error {
+	if !pt.muted {
+		return nil
+	}
+	for pt.cons.Position() <= pt.replayTo {
+		line, ok := pt.cons.Next()
+		if !ok {
+			return fmt.Errorf("shard: partition %d replaying offset %d: %v", pt.idx, pt.cons.Position(), pt.cons.Err())
+		}
+		pt.feed(cut, DefaultKeyFunc(line), line, pt.cons.Position()-1)
+	}
+	pt.keyed.Flush()
+	pt.muted, pt.sinceCommit, pt.pending = false, 0, nil
+	if pt.forceSave {
+		return pt.flushCommit()
+	}
+	return nil
 }
 
 // PartitionDir renders partition i's WAL directory under root — the
@@ -563,10 +609,10 @@ func (pt *partition) start() {
 const idleCommitDelay = 2 * time.Millisecond
 
 // run is the partition worker: tail the consumer, demultiplex by key,
-// feed the keyed pipeline, and commit (state file, then offsets) on the
-// configured cadence, when the backlog has drained and stayed empty for
-// idleCommitDelay (pending windows are scored as soon as it drains), and
-// at end of stream.
+// feed the keyed pipeline, and commit on the configured cadence, when the
+// backlog has drained and stayed empty for idleCommitDelay (pending
+// windows are scored as soon as it drains), and at end of stream, which
+// also takes a snapshot.
 // During a live cutover the worker additionally parks before unreleased
 // moving keys (destination side) and skips double-written and
 // foreign-owned records (both sides).
@@ -577,13 +623,15 @@ func (pt *partition) run() {
 			// Score what is pending now, but commit only once the log has
 			// stayed empty for idleCommitDelay. A worker that keeps pace
 			// with its producer catches up between any two requests; paying
-			// a state save and its fsyncs each time would make the commit
-			// count, and with it throughput, a matter of timing.
+			// a commit each time would make the commit count, and with it
+			// throughput, a matter of timing.
 			pt.feedMu.Lock()
 			pt.keyed.Flush()
 			pt.feedMu.Unlock()
 			if pt.cons.WaitIdle(idleCommitDelay) {
 				pt.feedMu.Lock()
+				// Caught up, a snapshot frees every sealed WAL segment.
+				pt.forceSave = pt.forceSave || pt.consumed > pt.snapAt && pt.bk.SegmentCount() > 1
 				pt.flushCommit()
 				pt.feedMu.Unlock()
 				pt.idle.Store(true)
@@ -602,23 +650,7 @@ func (pt *partition) run() {
 			break
 		}
 		pt.feedMu.Lock()
-		if off > pt.consumed {
-			pt.consumed = off
-		}
-		if off <= pt.restored {
-			// Redelivered record already reflected in the restored window
-			// tails; feeding it again would double-count the window phase.
-			pt.feedMu.Unlock()
-			continue
-		}
-		if !pt.shouldFeed(key, off) {
-			// Double-written (the destination's WAL copy is the one that
-			// counts) or no longer owned after a finished cutover.
-			pt.feedMu.Unlock()
-			continue
-		}
-		pt.keyed.Feed(key, line)
-		pt.sinceCommit++
+		pt.feed(pt.rt.cut.Load(), key, line, off)
 		if pt.sinceCommit >= commitEvery {
 			pt.flushCommit()
 		}
@@ -626,12 +658,13 @@ func (pt *partition) run() {
 	}
 	if !pt.killed.Load() {
 		// End of stream (intake closed and backlog drained, or consumer
-		// failure): flush the pending batch and commit this partition's
-		// offset — every partition commits its own offset on shutdown,
-		// not just the last one to drain.
+		// failure): every partition commits and snapshots its own state,
+		// and its delivery ends once it has caught up.
 		pt.feedMu.Lock()
+		pt.forceSave = pt.forceSave || pt.consumed > pt.snapAt
 		pt.flushCommit()
 		pt.feedMu.Unlock()
+		pt.dl.log.CloseIntake()
 	}
 	if err := pt.cons.Err(); err != nil {
 		pt.setErr(err)
@@ -639,16 +672,31 @@ func (pt *partition) run() {
 	pt.idle.Store(true)
 }
 
-// shouldFeed decides whether a consumed record enters detection. Called
-// under feedMu. Mid-cutover a moving key's record is fed by its donor only
+// feed takes the record at off: skipped if the snapshot reflects it, fed
+// to detection if shouldFeed agrees. Called under feedMu.
+func (pt *partition) feed(cut *Cutover, key, line string, off uint64) {
+	if off <= pt.snapAt {
+		return
+	}
+	pt.consumed = off
+	pt.fedBytes += int64(len(line))
+	if pt.shouldFeed(cut, key, off) {
+		pt.keyed.Feed(key, line)
+		pt.sinceCommit++
+	}
+}
+
+// shouldFeed decides whether a consumed record enters detection, under
+// cut, the live cutover (nil outside one). Called under feedMu.
+// Mid-cutover a moving key's record is fed by its donor only
 // below the donor's freeze point — records at or above it are
 // double-written — and by its destination only when it is the
 // destination's authoritative copy. Outside that case the ownership ring
 // decides: a record whose key no longer routes here (a double-written
 // donor copy redelivered after the cutover finished, or a brand-new
 // moving key that only ever double-wrote) is skipped.
-func (pt *partition) shouldFeed(key string, off uint64) bool {
-	if cut := pt.rt.cut.Load(); cut != nil && cut.moving(key) {
+func (pt *partition) shouldFeed(cut *Cutover, key string, off uint64) bool {
+	if cut != nil && cut.moving(key) {
 		if cut.oldRing.Partition(key) == pt.idx {
 			return off < cut.freeze[pt.idx]
 		}
@@ -717,54 +765,68 @@ func (pt *partition) caughtUp() bool {
 	return pt.cons.Position() >= pt.bk.NextOffset()
 }
 
-// PointCommit is the fault point at the top of a partition's state save.
-const PointCommit = "shard.commit"
+// Fault points of a partition's commit: PointCommit before the commit
+// log append, PointSnapshot before a snapshot.
+const (
+	PointCommit   = "shard.commit"
+	PointSnapshot = "shard.snapshot"
+)
 
-// flushCommit scores pending windows, appends their alerts to the alert
-// log, persists the resume state (with the log's tail as the delivery
-// mark), and commits the consumer offset — in that order, so a crash
-// leaves alerts past the mark (cut on open, re-scored) or the offset
-// behind the tails (the worker skips the redelivered prefix on restart).
-// Failures are counted and retried on the next cadence; consumption
-// continues (at-least-once). Called under feedMu.
+// flushCommit scores pending windows and, when the partition consumed
+// anything since its last commit, commits: one append to the commit log,
+// made durable by the log's fsync policy. Then it takes a snapshot if one
+// is due: forceSave, or as many intake bytes fed since the last one as it
+// held. A failed append keeps the alerts pending and a failed snapshot
+// stays due; both are counted and retried on the next cadence — a crash
+// before then re-scores what was not committed. Called under feedMu.
 func (pt *partition) flushCommit() error {
 	pt.keyed.Flush()
 	pt.sinceCommit = 0
-	if pt.consumed == pt.lastSaved && pt.consumed == pt.lastCommitted && !pt.forceSave {
-		return nil
-	}
-	if pt.consumed != pt.lastSaved || pt.forceSave {
-		if err := pt.appendAlerts(); err != nil {
-			return pt.commitFailed(err)
-		}
+	if pt.consumed != pt.committed.Load() {
 		if err := pt.faults.Check(PointCommit); err != nil {
 			return pt.commitFailed(err)
 		}
-		st := partitionState{
-			Partitions: pt.layout,
-			Consumed:   pt.consumed,
-			Tails:      pt.keyed.Tails(),
-			Events:     pt.pipe.Parser().Export(),
-			Patterns:   pt.pipe.Library().Export(),
-			Cutover:    pt.cutoverRecord(),
-			Alerts:     pt.dl.log.NextOffset() - 1,
-		}
-		if err := saveState(statePath(pt.dir), st); err != nil {
+		if err := pt.appendCommit(); err != nil {
 			return pt.commitFailed(err)
 		}
-		pt.lastSaved = pt.consumed
-		pt.forceSave = false
-		pt.dl.publish(st.Alerts)
 	}
-	// The state file can be up to date while the broker offset trails it —
-	// e.g. a restart that skipped a redelivered prefix. Commit the offset
-	// whenever it lags what the tails already reflect.
-	pt.cons.Ack(pt.consumed - pt.ackBase)
-	if err := pt.cons.Commit(); err != nil {
-		return pt.commitFailed(err)
+	if pt.forceSave || pt.consumed > pt.snapAt && pt.fedBytes >= pt.snapBytes {
+		if err := pt.snapshot(); err != nil {
+			return pt.commitFailed(err)
+		}
 	}
-	pt.lastCommitted = pt.consumed
 	return nil
+}
+
+// snapshot installs the detection state at the committed offset: the
+// commit log is synced first, so it never runs ahead of a durable commit,
+// and the detector group's offset moves to it after, so WAL retention
+// keeps what the next replay reads. Called under feedMu after a commit.
+func (pt *partition) snapshot() error {
+	if err := pt.faults.Check(PointSnapshot); err != nil {
+		return err
+	}
+	if err := pt.dl.log.Sync(); err != nil {
+		return err
+	}
+	path := statePath(pt.dir)
+	st := partitionState{
+		Partitions: pt.layout,
+		Consumed:   pt.consumed,
+		Tails:      pt.keyed.Tails(),
+		Events:     pt.pipe.Parser().Export(),
+		Patterns:   pt.pipe.Library().Export(),
+		Cutover:    pt.cutoverRecord(),
+	}
+	if err := saveState(path, st); err != nil {
+		return err
+	}
+	pt.snapAt, pt.fedBytes, pt.forceSave = pt.consumed, 0, false
+	if fi, err := os.Stat(path); err == nil {
+		pt.snapBytes = fi.Size()
+	}
+	pt.cons.Ack(pt.snapAt)
+	return pt.cons.Commit()
 }
 
 // commitFailed counts and records a failed commit step.
@@ -808,13 +870,9 @@ func (pt *partition) workerErr() error {
 func (pt *partition) finished() bool { return isClosed(pt.done) }
 
 // drained reports whether this partition has nothing left to do: its
-// worker exited, or it is idle (flushed + committed) with an empty
-// backlog.
+// worker exited, or it is idle with a commit at its WAL tail.
 func (pt *partition) drained() bool {
-	if pt.finished() {
-		return true
-	}
-	return pt.idle.Load() && pt.bk.Lag(detectorGroup) == 0 && pt.caughtUp()
+	return pt.finished() || pt.idle.Load() && pt.committed.Load() == pt.bk.NextOffset()-1
 }
 
 // Shards returns the partition count.
@@ -885,8 +943,9 @@ func (rt *Runtime) ShardStats(i int) pipeline.Stats {
 }
 
 // PartitionHealth is one partition's liveness row in a /healthz body:
-// how far its consumer trails its WAL, whether its worker is idle, and
-// how far its sink trails its alerts.
+// how far its commits trail its WAL (Committed is the offset its newest
+// commit consumed through), whether its worker is idle, and how far its
+// sink trails its alerts.
 type PartitionHealth struct {
 	Partition  int    `json:"partition"`
 	Lag        uint64 `json:"lag"`
@@ -897,8 +956,8 @@ type PartitionHealth struct {
 	// freeze offset to know when the key tails are final.
 	Consumed uint64 `json:"consumed"`
 	Idle     bool   `json:"idle"`
-	// UndeliveredAlerts is the delivery mark minus the delivered offset:
-	// a down sink shows here.
+	// UndeliveredAlerts counts the committed alerts the sink has not
+	// taken: a down sink shows here.
 	UndeliveredAlerts uint64 `json:"undelivered_alerts"`
 }
 
@@ -916,11 +975,12 @@ func (rt *Runtime) Health() []PartitionHealth {
 		pt.feedMu.Lock()
 		consumed := pt.consumed
 		pt.feedMu.Unlock()
+		committed, next := pt.committed.Load(), pt.bk.NextOffset()
 		out = append(out, PartitionHealth{
 			Partition:         i,
-			Lag:               pt.bk.Lag(detectorGroup),
-			NextOffset:        pt.bk.NextOffset(),
-			Committed:         pt.bk.Committed(detectorGroup),
+			Lag:               next - 1 - committed,
+			NextOffset:        next,
+			Committed:         committed,
 			Consumed:          consumed,
 			Idle:              pt.idle.Load(),
 			UndeliveredAlerts: pt.dl.undelivered(),
@@ -930,8 +990,8 @@ func (rt *Runtime) Health() []PartitionHealth {
 }
 
 // AdoptPartition opens partition idx through the crash-recovery path —
-// WAL replay past the committed offset, window tails and parser state
-// restored from shard-state.json — and starts its worker. Cluster
+// detection state restored from the snapshot, the WAL replayed from it to
+// the newest commit — and starts its worker. Cluster
 // failover uses it: a standby node adopts a dead node's partitions off
 // shared storage and resumes exactly where the dead node's last commit
 // left off. The partition must belong to the runtime's layout and not
@@ -959,15 +1019,14 @@ func (rt *Runtime) AdoptPartition(idx int) error {
 }
 
 // DropPartition closes partition idx crash-style — no final flush, no
-// state persist, no offset commit, no further alert delivery — and
-// removes it from the runtime.
+// commit, no snapshot, no further alert delivery — and removes it from
+// the runtime.
 // This is the fencing half of cluster failover: a node a newer manifest
 // epoch deposes must stop touching the partition's files on shared
 // storage immediately, because the new owner's crash recovery is about
-// to replay them. Whatever the last flushCommit persisted is exactly
-// what the adopter resumes from, so dropping loses nothing that was
-// ever acknowledged; a graceful final commit here would instead race
-// the adopter's writes. Lines keyed to a dropped partition answer
+// to replay them. The adopter resumes from the last commit that reached
+// the commit log, so dropping loses nothing that was ever acknowledged;
+// a graceful final commit here would instead race the adopter's writes. Lines keyed to a dropped partition answer
 // ErrNotAssigned from the moment it returns.
 func (rt *Runtime) DropPartition(idx int) error {
 	rt.routeMu.Lock()
@@ -1013,20 +1072,20 @@ func (rt *Runtime) Stats() pipeline.Stats {
 	return total
 }
 
-// Committed returns partition i's committed consumer offset (0 when the
-// runtime does not serve partition i).
+// Committed returns the offset partition i's newest commit consumed
+// through (0 when the runtime does not serve partition i).
 func (rt *Runtime) Committed(i int) uint64 {
 	pt := rt.partitionAt(i)
 	if pt == nil {
 		return 0
 	}
-	return pt.bk.Committed(detectorGroup)
+	return pt.committed.Load()
 }
 
 // Snapshot merges the runtime registry with every partition's registry.
 // Each partition's counters and gauges additionally appear under a
 // shard<i>. prefix, so a scrape shows both fleet totals and per-shard
-// breakdowns; shard.alerts_undelivered is read off the alert logs, retired
+// breakdowns; shard.alerts_undelivered is read off the deliveries, retired
 // partitions' included.
 func (rt *Runtime) Snapshot() obs.Snapshot {
 	merged := rt.reg.Snapshot()
@@ -1049,9 +1108,9 @@ func (rt *Runtime) Snapshot() obs.Snapshot {
 }
 
 // Drain blocks until every partition is drained — its worker exited, or
-// it is idle with an empty backlog and a committed offset — and every
-// delivery, retired partitions' included, has caught up with its mark, or
-// ctx ends. Appends arriving during Drain extend the wait; a partition
+// it is idle with an empty backlog and a commit at its WAL tail — and
+// every delivery, retired partitions' included, has delivered every
+// committed alert, or ctx ends. Appends arriving during Drain extend the wait; a partition
 // parked on an unreleased moving key mid-cutover counts as drained (its
 // position is committed) for as long as the key stays unreleased.
 func (rt *Runtime) Drain(ctx context.Context) error {
@@ -1087,11 +1146,11 @@ func (rt *Runtime) CloseIntake() {
 }
 
 // Close shuts the runtime down gracefully: intake closes, every worker
-// drains and commits its own offset, and every delivery — retired
-// partitions' included — runs up to its final mark. The deliveries give
-// up together after one failed retry round, leaving what a down sink
-// refused in the alert logs for the next open (UndeliveredAlerts counts
-// it); a sink that hangs instead holds Close until it returns. Every
+// drains, commits and takes a snapshot, and every delivery — retired
+// partitions' included — runs to the end of its commit log. The
+// deliveries give up together after one failed retry round, leaving what
+// a down sink refused in the commit logs for the next open
+// (UndeliveredAlerts counts it); a sink that hangs instead holds Close until it returns. Every
 // error is returned, joined. Closing mid live-cutover is safe: parked
 // workers wake and exit without consuming, the journal stays in place,
 // and the next Open resumes the cutover.
@@ -1113,8 +1172,8 @@ func (rt *Runtime) Close() error {
 
 // Kill simulates a crash: every worker stops without flushing or
 // committing, delivery stops where it is, and every broker drops its
-// handles with no final fsync or offset persist. Whatever the last
-// flushCommit persisted is what the next Open resumes from.
+// handles with no final fsync or offset persist. The next Open resumes
+// from the last commit appended to each commit log.
 func (rt *Runtime) Kill() {
 	if cut := rt.cut.Load(); cut != nil {
 		cut.interrupt()
@@ -1136,13 +1195,10 @@ func (rt *Runtime) closePartitions() {
 }
 
 // close shuts a started partition down gracefully once Close has begun:
-// the worker drains and commits its own offset, delivery runs up to the
-// final mark, then the logs close.
+// the worker drains, commits and takes a snapshot, delivery runs to the
+// end of the commit log, then the logs close.
 func (pt *partition) close() error {
-	pt.bk.CloseIntake()
-	<-pt.done
-	pt.cons.Close()
-	return errors.Join(pt.bk.Close(), pt.dl.close())
+	return errors.Join(pt.retire(), pt.dl.close())
 }
 
 // kill stops a started partition crash-style: no flush, no commit, no

@@ -12,45 +12,38 @@ import (
 	"logsynergy/internal/pipeline"
 )
 
-// Each partition persists a small resume file beside its WAL segments:
-// the broker offset its window state reflects, plus every key's window
-// tail (raw lines + slide counter). Together with the broker's committed
-// consumer offset this makes restart resumption exact, not merely
-// at-least-once: the tails rebuild each key's window phase, and the
-// Consumed watermark tells the worker which redelivered records are
-// already reflected in those tails and must be skipped.
+// Each partition keeps a snapshot of its detection state beside its WAL
+// segments: the broker offset it reflects, every key's window tail (raw
+// lines + slide counter), the parser's template groups and the pattern
+// library's verdicts. A commit does not rewrite it (see flushCommit for
+// when one is taken). A restart loads it, skips the WAL's records up to
+// Consumed and replays the rest up to the newest commit. It is installed
+// after the commit log's sync and before the broker offset's commit, so a
+// crash leaves the offset behind it, never ahead.
 //
-// Write ordering is tails-then-offset: saveState runs before the broker
-// offset commit, so a crash between the two leaves the offset behind the
-// tails — the worker then skips the redelivered prefix up to Consumed.
-// The reverse order would double-feed lines into restored windows.
-//
-// Version 2 adds what a key handoff between partitions needs: the
-// partition-count stamp (so a runtime opened at the wrong shard count
-// refuses instead of silently misrouting keys), the parser's template
-// groups, and the pattern library's cached verdicts. A file that exists
-// must carry version >= 2 and a non-zero stamp; only a missing file (a
-// fresh partition) yields the unstamped zero state.
+// Version 2 added the groups, the verdicts and the partition-count stamp
+// (a runtime opened at the wrong shard count refuses instead of silently
+// misrouting keys). A file that exists must carry version >= 2 and a
+// non-zero stamp; only a missing file (a fresh partition) yields the
+// unstamped zero state.
 //
 // Version 3 adds the live-cutover record: which moving keys a
 // destination partition has already had spliced in. Persisted atomically
 // with Consumed and Tails, it lets a crash mid-cutover resolve each key
 // to exactly one side — a key whose splice landed in the destination's
-// durable state is never re-spliced (which would regress its window
-// phase past records the destination already consumed), while a key
-// without the marker is re-applied from its staged splice file. The
-// record only means anything while the root's live-cutover journal
-// exists; without the journal it is stale debris and ignored on open.
-// Alerts needs no version bump: a file without it reads as 0, exact for a
-// partition whose alert log is empty or absent.
+// snapshot is never re-spliced (which would regress its window phase past
+// records the destination already consumed), while a key without the
+// marker is re-applied from its staged splice file. The record only means
+// anything while the root's live-cutover journal exists; without the
+// journal it is stale debris and ignored on open.
 
-// stateFileName is the resume file inside a partition's WAL directory.
+// stateFileName is the snapshot file inside a partition's WAL directory.
 const stateFileName = "shard-state.json"
 
-// stateVersion is the current resume-file format.
+// stateVersion is the current snapshot format.
 const stateVersion = 3
 
-// partitionState is the serialized resume state.
+// partitionState is the serialized snapshot.
 type partitionState struct {
 	Version int `json:"version"`
 	// Partitions is the shard count the partition was laid out for
@@ -69,9 +62,6 @@ type partitionState struct {
 	Patterns []pipeline.PatternEntry `json:"patterns,omitempty"`
 	// Cutover is the live-cutover record (nil outside a cutover).
 	Cutover *cutoverState `json:"cutover,omitempty"`
-	// Alerts is the alert-log tail this state covers; later records were
-	// raised by windows it does not reflect.
-	Alerts uint64 `json:"alerts,omitempty"`
 }
 
 // cutoverState is the per-partition half of a live cutover's durable
@@ -84,10 +74,10 @@ type cutoverState struct {
 	Spliced []string `json:"spliced,omitempty"`
 }
 
-// statePath renders the resume-file path for a partition directory.
+// statePath renders the snapshot path for a partition directory.
 func statePath(dir string) string { return filepath.Join(dir, stateFileName) }
 
-// loadState reads a partition's resume state; a missing file is a fresh
+// loadState reads a partition's snapshot; a missing file is a fresh
 // partition. Corruption — and a file without a version >= 2 layout stamp,
 // which nothing this program writes lacks — is refused loudly — silently starting from zero
 // would double-feed every restored tail. Stale temp files from an
@@ -140,8 +130,8 @@ func sweepStaleTemp(path string) {
 	}
 }
 
-// saveState stamps the current format version and persists the resume
-// state through writeJSONFile. A failed install leaves the previous good
+// saveState stamps the current format version and installs the snapshot
+// through writeJSONFile. A failed install leaves the previous good
 // file untouched.
 func saveState(path string, st partitionState) error {
 	st.Version = stateVersion

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,5 +169,62 @@ func TestSaveStateFailedInstallKeepsPreviousGoodState(t *testing.T) {
 	}
 	if st.Consumed != 7 {
 		t.Fatalf("good state damaged: %+v", st)
+	}
+}
+
+// A commit costs the same bytes whatever the parser knows: it is one
+// commit-log record of the consumed offset and the alerts raised, and the
+// snapshot is not rewritten by it. When every commit rewrote the whole
+// state, the bytes grew with every template the stream had minted.
+func TestCommitBytesFlatInEventSpace(t *testing.T) {
+	h := openHarness(t, t.TempDir(), 1, nil)
+	defer h.rt.Close()
+	h.feed(t, genEqLines(3, 200, eqKeys(4)))
+	h.drain(t)
+	pt := h.rt.partitionAt(0)
+	snapshot, err := os.ReadFile(statePath(pt.dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(pt.dir, commitLogName, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one commit-log segment, found %v (%v)", segs, err)
+	}
+	logSize := func() int64 {
+		fi, err := os.Stat(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	// word renders i in letters past the hex digits, so no masker touches it.
+	word := func(i int) string {
+		b := []byte("q")
+		for ; i > 0; i /= 20 {
+			b = append(b, byte('g'+i%20))
+		}
+		return string(b)
+	}
+	var frames []int64
+	n := 0
+	for _, templates := range []int{10, 2000} {
+		pt.feedMu.Lock()
+		for ; pt.pipe.Parser().NumEvents() < templates; n++ {
+			pt.pipe.Parser().Parse(word(3*n) + " " + word(3*n+1) + " " + word(3*n+2))
+		}
+		pt.feedMu.Unlock()
+		before := logSize()
+		// One line of a fresh key: it completes no window and raises nothing.
+		if _, err := h.rt.AppendBatch([]string{fmt.Sprintf("%d lone line", 9000+templates)}); err != nil {
+			t.Fatal(err)
+		}
+		h.drain(t)
+		frames = append(frames, logSize()-before)
+	}
+	if frames[0] == 0 || frames[0] != frames[1] {
+		t.Fatalf("a commit over 10 templates appended %d bytes, over 2000 %d", frames[0], frames[1])
+	}
+	if after, err := os.ReadFile(statePath(pt.dir)); err != nil || string(after) != string(snapshot) {
+		t.Fatalf("a commit rewrote the snapshot (%d bytes, then %d; %v)", len(snapshot), len(after), err)
 	}
 }
