@@ -123,17 +123,18 @@ bench-cluster-smoke:
 # Chaos tier: the fault-injection framework and the deterministic chaos
 # suites (seeded fault schedules, breakers, leak checks, Run's
 # cancellation accounting; alert delivery through a failed commit, a down
-# sink, a dead alert store, a close that cannot deliver and a commit log
-# that lost records past the snapshot or was deleted; broker
-# crash-recovery replay; the /ingest contract over a one-partition
-# runtime; torn and corrupt frames in the framed log and the alert store
-# on it) under the race detector. Fast — it uses the untrained tiny
-# deployment.
+# sink, a dead sink, a close that cannot deliver and a commit log that
+# lost records past the snapshot or was deleted; broker crash-recovery
+# replay; the /ingest contract over a one-partition runtime; torn and
+# corrupt frames in the framed log; the read-only log reader's torn,
+# corrupt and vanished segments; the alert ack file's torn tail) under
+# the race detector. Fast — it uses the untrained tiny deployment.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run 'TestChaos|TestPipelineCancel|TestRunCountsWhatItFeeds' ./internal/pipeline/
 	$(GO) test -race -count=1 -run 'TestAlertDelivery' ./internal/shard/
-	$(GO) test -race -count=1 ./internal/broker/ ./internal/framelog/ ./internal/alertstore/
+	$(GO) test -race -count=1 ./internal/broker/ ./internal/framelog/
+	$(GO) test -race -count=1 -run 'TestAckCutsTornTail|TestListLiveRoot' ./cmd/alerts/
 
 # Explore tier: seeded crash schedules over the sharded runtime under the
 # race detector — per schedule a shard count, a WAL segment size, traffic,

@@ -77,8 +77,9 @@ func openStalledNode(t *testing.T) (*cluster.Node, string) {
 
 // One intake contract, three tiers: serve's mux, a fleet node and the front
 // router answer the same cases with the same statuses and the same body,
-// shard.IngestResponse — 202 with everything acked, 429 naming the rejected
-// lines by request index, 503 once intake is closed.
+// shard.IngestResponse — 202 with everything acked, 413 for a line over the
+// record bound, 429 naming the rejected lines by request index, 503 once
+// intake is closed.
 func TestIntakeContractAcrossTiers(t *testing.T) {
 	ring := shard.NewPartitioner(2)
 	keyOf := map[int]string{}
@@ -133,6 +134,18 @@ func TestIntakeContractAcrossTiers(t *testing.T) {
 			status, _, ir, body := post()
 			if status != http.StatusAccepted || ir.Acked != 0 || ir.Rejected != 0 || !strings.Contains(string(body), `"acked":0`) {
 				t.Fatalf("empty batch: status %d, %s", status, body)
+			}
+
+			// A line over the WAL's record bound could never be appended, so
+			// a 429 would have the collector retry it, and its partition's
+			// other lines, forever: the batch is refused whole, naming it.
+			long := healthy + " " + strings.Repeat("x", broker.MaxRecordBytes+2-len(healthy))
+			status, _, ir, body = post(healthy+" hello world", long, healthy+" bye now")
+			if status != http.StatusRequestEntityTooLarge || ir.Acked != 0 || len(ir.RejectedLines) != 0 {
+				t.Fatalf("a line of %d bytes: status %d, %+v", len(long), status, ir)
+			}
+			if d := decodeEnvelope(t, body, "too_large"); !strings.Contains(d.Message, "line 1 is 1048579 bytes") {
+				t.Fatalf("the refusal does not name the line: %q", d.Message)
 			}
 
 			for i := 0; ; i++ {

@@ -1,6 +1,7 @@
 // Production: the §VI deployment workflow end to end — offline training,
-// then a live stream through collection → pattern-library detection →
-// report routing, with workflow statistics.
+// then a live stream through collection → write-ahead log →
+// pattern-library detection → commit log → report routing, with workflow
+// statistics and the alert history read back.
 package main
 
 import (
@@ -10,7 +11,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"logsynergy/internal/alertstore"
+	"logsynergy/internal/broker"
 	"logsynergy/internal/core"
 	"logsynergy/internal/drain"
 	"logsynergy/internal/embed"
@@ -19,8 +20,12 @@ import (
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
 	"logsynergy/internal/repr"
+	"logsynergy/internal/shard"
 	"logsynergy/internal/window"
 )
+
+// stream is the id the collector stamps on every SystemB line.
+const stream = "systemb"
 
 // smsSink mimics the paper's SMS/email alert channel.
 type smsSink struct{ delivered int }
@@ -42,6 +47,11 @@ func main() {
 	spec := logdata.SystemB()
 	parser := drain.NewDefault()
 	offline := logdata.Generate(spec, 1, 12000)
+	// A collector stamps every line with its stream id, the first token;
+	// the parser sees the stamp, so the history is stamped the same way.
+	for i := range offline.Lines {
+		offline.Lines[i].Message = stream + " " + offline.Lines[i].Message
+	}
 	parsed := logdata.Parse(offline, parser)
 	targetSeqs := parsed.Windows(window.Default())
 	train, _ := targetSeqs.SplitTrainTest(400)
@@ -55,25 +65,38 @@ func main() {
 	det := core.NewDetector(model, table)
 
 	// ---- Online phase (§VI): stream fresh traffic. ----
-	fmt.Println("online: streaming 20,000 fresh SystemB lines through the pipeline...")
-	live := logdata.Generate(spec, 99, 20000)
+	// It runs the way `logsynergy serve -broker-dir` does: a shard.Runtime
+	// over a write-ahead log, committing every alert to its commit log and
+	// delivering it from there, here to the SMS gateway.
+	fmt.Println("online: streaming 20,000 fresh SystemB lines through the runtime...")
+	root := filepath.Join(os.TempDir(), "logsynergy-production")
+	check("runtime root", os.RemoveAll(root))
 	sms := &smsSink{}
-	storePath := filepath.Join(os.TempDir(), "logsynergy-alerts.log")
-	os.Remove(storePath)
-	store, err := alertstore.Open(storePath)
-	if err != nil {
-		fmt.Println("alert store:", err)
-		return
+	rt, err := shard.Open(shard.Config{
+		Dir:      root,
+		Broker:   broker.Config{DisableRetention: true}, // keep the whole alert history
+		Pipeline: pipeline.DefaultConfig(repr.SystemHint("SystemB")),
+		Detector: det,
+		Interp:   interp,
+		Embedder: embedder,
+		Sink:     sms,
+		Metrics:  obs.NewRegistry(),
+	})
+	check("runtime", err)
+	live := logdata.Generate(spec, 99, 20000).Messages()
+	for i := range live {
+		live[i] = stream + " " + live[i]
 	}
-	defer store.Close()
-	cfg := pipeline.DefaultConfig(repr.SystemHint("SystemB"))
-	reg := obs.NewRegistry()
-	cfg.Metrics = reg
-	p := pipeline.New(cfg, parser, det, interp, embedder, sms, alertstore.NewSink(store))
 
 	start := time.Now()
-	stats := p.Run(context.Background(), pipeline.NewSliceSource(live.Messages()))
+	for i := 0; i < len(live); i += 500 {
+		_, err := rt.AppendBatch(live[i:min(i+500, len(live))])
+		check("ingest", err)
+	}
+	check("drain", rt.Drain(context.Background()))
 	elapsed := time.Since(start)
+	stats, snap := rt.Stats(), rt.Snapshot()
+	check("close", rt.Close())
 
 	fmt.Printf("\nworkflow statistics (%s):\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("  collected lines:        %d (%.0f lines/sec)\n",
@@ -82,20 +105,35 @@ func main() {
 	fmt.Printf("  pattern library:        %d hits / %d misses (%.1f%% hit rate, %d patterns)\n",
 		stats.PatternHits, stats.PatternMisses,
 		100*float64(stats.PatternHits)/float64(stats.PatternHits+stats.PatternMisses),
-		p.Library().Size())
+		snap.Gauges["pipeline.pattern_library_size"])
 	fmt.Printf("  new templates online:   %d\n", stats.NewEvents)
 	fmt.Printf("  anomaly reports sent:   %d (%d SMS delivered)\n", stats.Anomalies, sms.delivered)
 
-	// The durable alert history supports the post-incident workflow.
-	high := store.Find(alertstore.Query{MinScore: 0.9})
-	fmt.Printf("  alert store:            %d records at %s (%d with score ≥ 0.9)\n",
-		store.Len(), storePath, len(high))
+	// The commit logs are the durable alert history for the post-incident
+	// workflow; `alerts -root DIR list` reads them the same way.
+	var history, high int
+	check("alert history", shard.ReadAlerts(root, func(a shard.Alert) error {
+		history++
+		if a.Report.Score >= 0.9 {
+			high++
+		}
+		return nil
+	}))
+	fmt.Printf("  alert history:          %d alerts (%d with score ≥ 0.9): alerts -root %s list\n", history, high, root)
 
 	// The same run as the observability layer sees it — what `logsynergy
 	// serve` exports at /metrics for a long-running deployment.
 	fmt.Println("\n/metrics view of this run:")
-	reg.WriteText(os.Stdout)
-	if lat, ok := reg.Snapshot().Histograms["pipeline.detect_batch_seconds"]; ok && lat.Count > 0 {
+	snap.WriteText(os.Stdout)
+	if lat, ok := snap.Histograms["pipeline.detect_batch_seconds"]; ok && lat.Count > 0 {
 		fmt.Printf("mean detect-batch latency: %.3fms\n", 1000*lat.Mean())
+	}
+}
+
+// check ends the example at a failed step.
+func check(step string, err error) {
+	if err != nil {
+		fmt.Println(step+":", err)
+		os.Exit(1)
 	}
 }

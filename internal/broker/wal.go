@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"logsynergy/internal/framelog"
 )
 
 // segSuffix names WAL segment files: <base offset, 20 digits>.wal, so a
@@ -68,6 +70,42 @@ func listSegments(dir string) ([]*segment, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
 	return segs, nil
+}
+
+// ReadLog calls fn with the offset and payload of every record in the log
+// directory dir, oldest first, without opening a broker: it recovers,
+// truncates and locks nothing, so it may read beside the broker appending
+// to dir. A torn frame at the newest segment's end — an append in flight,
+// or a crash's leftover the next Open cuts — ends the read; a segment
+// retention deleted after the listing is skipped; a torn frame anywhere
+// else, or a corrupt one, is refused by file and byte. An error fn returns
+// ends the read and is returned as it is.
+func ReadLog(dir string, fn func(off uint64, payload []byte) error) error {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return err
+	}
+	for i, seg := range segs {
+		off := seg.base
+		var fnErr error
+		_, valid, stop, err := framelog.Scan(seg.path, MaxRecordBytes, func(p []byte) {
+			if fnErr == nil {
+				fnErr = fn(off, p)
+			}
+			off++
+		})
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
+			return fmt.Errorf("broker: reading %s: %w", seg.path, err)
+		case fnErr != nil:
+			return fnErr
+		case stop == nil || (errors.Is(stop, framelog.ErrTorn) && i == len(segs)-1):
+		default:
+			return fmt.Errorf("broker: %s at byte %d: %w", seg.path, valid, stop)
+		}
+	}
+	return nil
 }
 
 // HoldsLog reports whether dir itself holds a broker's files — WAL

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"logsynergy/internal/broker"
 	"logsynergy/internal/obs"
 )
 
@@ -51,7 +52,8 @@ const (
 	// CodeConflict: the request is well-formed but the server's state
 	// refuses it (stale epoch, no live cutover, shrink request).
 	CodeConflict = "conflict"
-	// CodeTooLarge: the request body exceeds the configured batch bound.
+	// CodeTooLarge: the request body exceeds the configured batch bound,
+	// or one of its lines the WAL's record bound.
 	CodeTooLarge = "too_large"
 	// CodeBackpressure: a retryable rejection — backlog full or bounded
 	// concurrency exhausted. retry_after_s says when to come back.
@@ -124,8 +126,10 @@ const DefaultMaxBatchBytes = 4 << 20
 // between router, node and collector). refused is 0 on success. Otherwise
 // the envelope has already been written and refused is the status
 // answered: 413 too_large when the body exceeds maxBytes, by
-// Content-Length or mid-stream, or 400 bad_request when the body could
-// not be read.
+// Content-Length or mid-stream, or when a line exceeds the WAL's record
+// bound (broker.MaxRecordBytes: no retry could land it, so the batch is
+// refused before any of it is appended), or 400 bad_request when the body
+// could not be read.
 func ReadBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) (lines []string, refused int) {
 	refuse := func(status int, code, message string) ([]string, int) {
 		Error(w, status, Detail{Code: code, Message: message})
@@ -147,7 +151,14 @@ func ReadBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) (lines []
 	case err != nil:
 		return refuse(http.StatusBadRequest, CodeBadRequest, "reading request body: "+err.Error())
 	}
-	return splitBatch(body), 0
+	lines = splitBatch(body)
+	for i, l := range lines {
+		if len(l) > broker.MaxRecordBytes {
+			return refuse(http.StatusRequestEntityTooLarge, CodeTooLarge,
+				fmt.Sprintf("line %d is %d bytes, over the record limit %d", i, len(l), broker.MaxRecordBytes))
+		}
+	}
+	return lines, 0
 }
 
 func splitBatch(body []byte) []string {

@@ -8,9 +8,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"logsynergy/internal/broker"
 	"logsynergy/internal/core"
@@ -109,12 +113,21 @@ func commitRecords(prev, consumed uint64, alerts []*core.Report) ([]string, erro
 		recs = append(recs, fmt.Sprintf(`{"consumed":%d,"alerts":[%s]}`, c, body.Bytes()))
 		body.Reset()
 	}
-	for _, r := range alerts {
+	encode := func(r *core.Report) ([]byte, error) {
 		one.Reset()
 		if err := enc.Encode(r); err != nil {
 			return nil, fmt.Errorf("shard: encoding an alert: %w", err)
 		}
-		a := one.Bytes() // its trailing newline is JSON whitespace
+		return one.Bytes(), nil // its trailing newline is JSON whitespace
+	}
+	for _, r := range alerts {
+		a, err := encode(r)
+		if err == nil && len(a)+commitOverhead > broker.MaxRecordBytes {
+			a, err = fitAlert(r, encode)
+		}
+		if err != nil {
+			return nil, err
+		}
 		if body.Len() > 0 && body.Len()+1+len(a)+commitOverhead > broker.MaxRecordBytes {
 			emit(prev)
 		}
@@ -125,6 +138,91 @@ func commitRecords(prev, consumed uint64, alerts []*core.Report) ([]string, erro
 	}
 	emit(consumed)
 	return recs, nil
+}
+
+// fitAlert encodes an alert too large for a commit record of its own with
+// its templates and interpretations cut to fit: each to an equal share of
+// the bound, shrunk until the encoding fits, and one cut short ends in
+// "…". System, Timestamp, Score and EventIDs stay whole.
+func fitAlert(r *core.Report, encode func(*core.Report) ([]byte, error)) ([]byte, error) {
+	short := *r
+	for limit := broker.MaxRecordBytes / (len(r.Templates) + len(r.Interpretations)); ; limit = limit * 3 / 4 {
+		short.Templates, short.Interpretations = clip(r.Templates, limit), clip(r.Interpretations, limit)
+		a, err := encode(&short)
+		if err != nil || limit == 0 || len(a)+commitOverhead <= broker.MaxRecordBytes {
+			return a, err
+		}
+	}
+}
+
+// clip returns texts with each one longer than n bytes cut to at most n,
+// at a rune boundary, and marked with a trailing "…".
+func clip(texts []string, n int) []string {
+	out := make([]string, len(texts))
+	for i, s := range texts {
+		if len(s) > n {
+			cut := n
+			for cut > 0 && !utf8.RuneStart(s[cut]) {
+				cut--
+			}
+			s = s[:cut] + "…"
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// Alert is one alert as a commit log holds it.
+type Alert struct {
+	// ID names the alert by partition, commit-log offset and index within
+	// the record: p3-118-0.
+	ID     string
+	Report *core.Report
+}
+
+// ReadAlerts calls fn with every alert in the commit logs under root —
+// retired partition directories included — by partition, oldest first,
+// reading each log with broker.ReadLog: it may run beside the runtime
+// appending to them, and sees what retention has kept. A root with no
+// partition directory is refused.
+func ReadAlerts(root string, fn func(Alert) error) error {
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return fmt.Errorf("shard: reading alerts: %w", err)
+	}
+	var parts []int
+	for _, e := range entries {
+		i, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "p"))
+		if e.IsDir() && err == nil && i >= 0 && e.Name() == fmt.Sprintf("p%d", i) {
+			parts = append(parts, i)
+		}
+	}
+	if len(parts) == 0 {
+		return fmt.Errorf("shard: %s holds no partition directory (p0, p1, …)", root)
+	}
+	sort.Ints(parts)
+	for _, i := range parts {
+		dir := filepath.Join(PartitionDir(root, i), commitLogName)
+		if _, err := os.Stat(dir); errors.Is(err, fs.ErrNotExist) {
+			continue // the partition never committed
+		}
+		err := broker.ReadLog(dir, func(off uint64, payload []byte) error {
+			rec, err := decodeCommit(string(payload))
+			if err != nil {
+				return fmt.Errorf("%s, record %d: %w", dir, off, err)
+			}
+			for j, r := range rec.Alerts {
+				if err := fn(Alert{ID: fmt.Sprintf("p%d-%d-%d", i, off, j), Report: r}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // delivery is one commit log's delivery loop. A partition runs one beside

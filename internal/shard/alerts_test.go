@@ -1,17 +1,19 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"logsynergy/internal/alertstore"
 	"logsynergy/internal/broker"
 	"logsynergy/internal/core"
 	"logsynergy/internal/fault"
@@ -38,9 +40,15 @@ func (f *flakySink) TryNotify(r *core.Report) error {
 	return nil
 }
 
-// The alert store is a FallibleSink: its append errors reach the
-// delivery loop's retries.
-var _ FallibleSink = (*alertstore.Sink)(nil)
+// deadSink refuses every delivery, counting the attempts.
+type deadSink struct{ attempts atomic.Int64 }
+
+func (d *deadSink) Notify(r *core.Report) { _ = d.TryNotify(r) }
+
+func (d *deadSink) TryNotify(*core.Report) error {
+	d.attempts.Add(1)
+	return errors.New("alert gateway unreachable")
+}
 
 // fastRetries keeps a failing sink's backoff in milliseconds.
 var fastRetries = pipeline.ResilienceConfig{RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
@@ -195,19 +203,12 @@ func TestAlertDeliveryOutageLagsLosesNothing(t *testing.T) {
 	}
 }
 
-// A real failing sink — an alert store whose file is closed, so every
-// append errors — drives the retries: every failed attempt reaches the
-// store and counts in shard.sink_errors_total, and Close gives up after
-// one round, leaving every alert undelivered and counted.
+// A sink that fails every delivery drives the retries: every failed
+// attempt reaches the sink and counts in shard.sink_errors_total, and
+// Close gives up after one round, leaving every alert undelivered and
+// counted.
 func TestAlertDeliveryClosedStoreRetries(t *testing.T) {
-	store, err := alertstore.Open(filepath.Join(t.TempDir(), "alerts.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil { // dead gateway: every append fails
-		t.Fatal(err)
-	}
-	sink := alertstore.NewSink(store)
+	sink := &deadSink{}
 	lines := genEqLines(29, 900, eqKeys(6))
 	raised := uint64(len(runReference(t, lines).reports))
 	if raised == 0 {
@@ -219,21 +220,21 @@ func TestAlertDeliveryClosedStoreRetries(t *testing.T) {
 		cfg.Pipeline.Resilience = fastRetries
 	})
 	h.feed(t, lines)
-	waitFor(t, "retries against the closed store", func() bool {
+	waitFor(t, "retries against the dead sink", func() bool {
 		return undelivered(h.rt) == raised && h.rt.Snapshot().Counters["shard.sink_errors_total"] >= 10
 	})
 	if err := h.rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	snap := h.rt.Snapshot()
-	if errs := snap.Counters["shard.sink_errors_total"]; errs != int64(sink.Errors()) {
-		t.Fatalf("shard.sink_errors_total %d, the store refused %d appends", errs, sink.Errors())
+	if errs := snap.Counters["shard.sink_errors_total"]; errs != sink.attempts.Load() {
+		t.Fatalf("shard.sink_errors_total %d, the sink refused %d deliveries", errs, sink.attempts.Load())
 	}
 	if n := snap.Gauges["shard.alerts_undelivered"]; n != int64(raised) || undelivered(h.rt) != raised {
 		t.Fatalf("Close left %d undelivered (gauge %d), want all %d", undelivered(h.rt), n, raised)
 	}
-	if snap.Counters["shard.fanin_reports_total"] != 0 || store.Len() != 0 {
-		t.Fatal("the closed store took an alert")
+	if snap.Counters["shard.fanin_reports_total"] != 0 {
+		t.Fatal("the dead sink took an alert")
 	}
 }
 
@@ -418,5 +419,142 @@ func cutCommitsAfter(t *testing.T, dir string, consumed uint64) {
 	}
 	if err := os.Truncate(segs[0], keep); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An alert whose encoding alone exceeds the record bound — one over ten
+// 110 KiB lines — must not wedge its partition: the commit log refused the
+// record it filled, the alert stayed pending, and every later commit failed
+// the same way. Every record commitRecords returns fits the bound and
+// decodes back to each alert's System, Timestamp, Score and EventIDs; a
+// text cut to fit is a prefix of the original ending in "…".
+func TestCommitRecordsFitTheBound(t *testing.T) {
+	at := time.Date(2023, 9, 1, 12, 0, 0, 0, time.UTC)
+	big := &core.Report{System: "SystemX", Timestamp: at, Score: 0.97}
+	for i := 0; i < 10; i++ {
+		line := fmt.Sprintf("line %d ", i) + strings.Repeat("quote \" slash \\ tab \t é <*> ", 110<<10/26)
+		big.EventIDs = append(big.EventIDs, 40+i)
+		big.Templates = append(big.Templates, line)
+		big.Interpretations = append(big.Interpretations, "it says "+line)
+	}
+	small := &core.Report{System: "SystemX", Timestamp: at, Score: 0.61, EventIDs: []int{3},
+		Templates: []string{"gc freed <*>"}, Interpretations: []string{"memory was reclaimed"}}
+	alerts := []*core.Report{small, big, small}
+
+	recs, err := commitRecords(3, 9, alerts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*core.Report
+	for i, rec := range recs {
+		if len(rec) > broker.MaxRecordBytes {
+			t.Fatalf("record %d is %d bytes, over the bound %d", i, len(rec), broker.MaxRecordBytes)
+		}
+		c, err := decodeCommit(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := i == len(recs)-1; (c.Consumed == 9) != last {
+			t.Fatalf("record %d of %d consumed %d", i, len(recs), c.Consumed)
+		}
+		got = append(got, c.Alerts...)
+	}
+	if len(got) != len(alerts) {
+		t.Fatalf("decoded %d alerts, committed %d", len(got), len(alerts))
+	}
+	for i, g := range got {
+		w := alerts[i]
+		if g.System != w.System || !g.Timestamp.Equal(w.Timestamp) || g.Score != w.Score || !reflect.DeepEqual(g.EventIDs, w.EventIDs) {
+			t.Fatalf("alert %d decoded as %s %v %v %v", i, g.System, g.Timestamp, g.Score, g.EventIDs)
+		}
+		if w == small {
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("alert %d changed: %+v", i, g)
+			}
+			continue
+		}
+		for j, texts := range [][2][]string{{g.Templates, w.Templates}, {g.Interpretations, w.Interpretations}} {
+			if len(texts[0]) != len(texts[1]) {
+				t.Fatalf("alert %d text list %d: %d entries, want %d", i, j, len(texts[0]), len(texts[1]))
+			}
+			for k, cut := range texts[0] {
+				if !strings.HasSuffix(cut, "…") || !strings.HasPrefix(texts[1][k], strings.TrimSuffix(cut, "…")) {
+					t.Fatalf("alert %d text %d/%d is no marked prefix: %.40q…", i, j, k, cut)
+				}
+			}
+		}
+	}
+}
+
+var updateCommitGolden = flag.Bool("update", false, "rewrite testdata/commits-golden from commitRecords")
+
+// goldenCommits are the two commits testdata/commits-golden holds.
+func goldenCommits() (consumed []uint64, alerts [][]*core.Report) {
+	at := time.Date(2023, 9, 1, 8, 30, 0, 0, time.UTC)
+	return []uint64{40, 95}, [][]*core.Report{
+		{
+			{System: "SystemX", Timestamp: at, Score: 0.93, EventIDs: []int{0, 1, 1, 2},
+				Templates:       []string{"gc freed <*>", "cache hit key <*>", "cache hit key <*>", "job <*> queued on partition <*>"},
+				Interpretations: []string{"memory was reclaimed", "a cached key was read", "a cached key was read", "a job was queued"}},
+			{System: "SystemX", Timestamp: at.Add(time.Second), Score: 0.88, EventIDs: []int{3},
+				Templates: []string{`query "ok" rows <*>`}, Interpretations: []string{"a query & its rows"}},
+		},
+		{
+			{System: "SystemY", Timestamp: at.Add(time.Minute), Score: 0.51, EventIDs: []int{7, 8},
+				Templates:       []string{"disk flush wrote <*> bytes", "rpc deadline exceeded"},
+				Interpretations: []string{"a disk flush completed", "an RPC ran out of time"}},
+		},
+	}
+}
+
+// A second program (cmd/alerts) reads the commit log, so a checked-in one
+// pins the commit-record format: ReadAlerts decodes its two records into
+// these ids and fields, and commitRecords still writes it byte for byte.
+// A deliberate format change regenerates it with -update.
+func TestCommitLogGolden(t *testing.T) {
+	root := filepath.Join("testdata", "commits-golden")
+	seg := filepath.Join(PartitionDir(root, 0), commitLogName, "00000000000000000001.wal")
+	consumed, alerts := goldenCommits()
+	var file []byte
+	prev := uint64(0)
+	for i, c := range consumed {
+		recs, err := commitRecords(prev, c, alerts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			file = framelog.Append(file, []byte(r))
+		}
+		prev = c
+	}
+	if *updateCommitGolden {
+		if err := os.MkdirAll(filepath.Dir(seg), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if golden, err := os.ReadFile(seg); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(golden, file) {
+		t.Fatalf("commitRecords no longer writes %s byte for byte:\n got %q\nwant %q", seg, file, golden)
+	}
+
+	want := map[string]*core.Report{
+		"p0-1-0": alerts[0][0], "p0-1-1": alerts[0][1], "p0-2-0": alerts[1][0],
+	}
+	var ids []string
+	if err := ReadAlerts(root, func(a Alert) error {
+		ids = append(ids, a.ID)
+		if w := want[a.ID]; w == nil || !reflect.DeepEqual(a.Report, w) {
+			t.Errorf("%s decoded as %+v, want %+v", a.ID, a.Report, w)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ids, []string{"p0-1-0", "p0-1-1", "p0-2-0"}) {
+		t.Fatalf("ReadAlerts listed %v", ids)
 	}
 }
