@@ -31,8 +31,13 @@ import (
 // a kill point counted in lines fed to detection. The runtime takes the prefix under the fault
 // and is killed where it stands once its workers have fed that many
 // lines, without a Drain; a reopen without the fault takes the rest and
-// drains. Whatever the schedule, the outcome must be the
-// reference's:
+// drains. A drawn share of schedules also walks the runtime to other
+// partition counts with liveRebalance at one of the quiet points — a grow
+// by one or two, a shrink by one or two, or a shrink and a regrow over the
+// directories the shrink retired — and some of those walks fail at a drawn
+// cutover phase: the runtime is then killed at once, and the reopen is at
+// the journal's target, which finishes the cutover before it serves.
+// Whatever the schedule, the outcome must be the reference's:
 //
 //   - every key's window scores, bit for bit: what was scored before the
 //     kill is a prefix of the key's reference sequence, what was scored
@@ -44,7 +49,8 @@ import (
 //     group's commit);
 //   - no acknowledged line is lost: every key ends with the reference's
 //     window tail;
-//   - every partition's commit position is its WAL tail.
+//   - every partition's commit position is its WAL tail;
+//   - no cutover journal is left once the reopened runtime serves.
 //
 // A failing schedule names the command that replays it.
 
@@ -82,11 +88,28 @@ type schedule struct {
 	kill    int   // lines fed to detection before the kill
 	faulted int   // the partition the rule is armed on
 	rule    fault.Rule
+	// walk lists the partition counts liveRebalance moves the runtime to,
+	// in order, at quiet point walkAt (none when empty); crashStep, when
+	// not -1, is the step whose hook fails at crashPhase.
+	walk       []int
+	walkAt     int
+	crashStep  int
+	crashPhase string
 }
 
+// walkPhases are the cutover hook points a walk's crash is drawn from.
+var walkPhases = []string{"double-write", "tail-landed", "staged", "committed", "released", "finish"}
+
 func (s schedule) String() string {
-	return fmt.Sprintf("seed %d: %d shards, %d-byte segments, %d lines, %d sent (quiet after %v) before a kill after %d fed, %s on partition %d (after %d, every %d, limit %d)",
+	str := fmt.Sprintf("seed %d: %d shards, %d-byte segments, %d lines, %d sent (quiet after %v) before a kill after %d fed, %s on partition %d (after %d, every %d, limit %d)",
 		s.seed, s.shards, s.segment, len(s.lines), s.prefix, s.pauses, s.kill, s.rule.Point, s.faulted, s.rule.After, s.rule.Every, s.rule.Limit)
+	if len(s.walk) > 0 {
+		str += fmt.Sprintf(", a walk to %v at quiet point %d", s.walk, s.walkAt)
+		if s.crashStep >= 0 {
+			str += fmt.Sprintf(" failing step %d at %q", s.crashStep, s.crashPhase)
+		}
+	}
+	return str
 }
 
 // drawSchedule derives a schedule from its seed.
@@ -115,6 +138,24 @@ func drawSchedule(seed int64) schedule {
 		if s.rule.Every == 1 && s.rule.Limit == 0 {
 			s.rule.Limit = 5
 		}
+	}
+	s.crashStep = -1
+	if rng.Intn(5) < 2 {
+		return s
+	}
+	k := 1 + rng.Intn(2)
+	switch kind := rng.Intn(3); {
+	case kind == 0 || s.shards == 1:
+		s.walk = []int{s.shards + k}
+	case kind == 1:
+		s.walk = []int{max(1, s.shards-k)}
+	default:
+		s.walk = []int{max(1, s.shards-k), s.shards}
+	}
+	s.walkAt = rng.Intn(len(s.pauses))
+	if rng.Intn(2) == 0 {
+		s.crashStep = rng.Intn(len(s.walk))
+		s.crashPhase = walkPhases[rng.Intn(len(walkPhases))]
 	}
 	return s
 }
@@ -159,29 +200,52 @@ func explore(t *testing.T, s schedule) {
 		}
 	}
 	h := openHarness(t, dir, s.shards, withFaults)
-	sent := 0
-	for _, p := range s.pauses {
+	sent, prefix, walked := 0, s.prefix, false
+	for i, p := range s.pauses {
 		feedAcked(t, h.rt, s.lines[sent:p])
 		awaitFed(h.rt, math.MaxInt)
 		sent = p
+		if i == s.walkAt && len(s.walk) > 0 && !exploreWalk(h.rt, s) {
+			// The walk stopped partway: this is the kill.
+			prefix, walked = sent, true
+			break
+		}
 	}
-	feedAcked(t, h.rt, s.lines[sent:s.prefix])
-	awaitFed(h.rt, s.kill)
+	if !walked {
+		feedAcked(t, h.rt, s.lines[sent:s.prefix])
+		awaitFed(h.rt, s.kill)
+	}
+	shards := h.rt.Shards()
 	h.rt.Kill()
 	before := h.result()
 	uncommitted := map[string]int{}
-	for i := 0; i < s.shards; i++ {
-		for sig, n := range alertSigs(undeliveredCommits(t, PartitionDir(dir, i))) {
+	dirs, err := filepath.Glob(filepath.Join(dir, "p*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pdir := range dirs {
+		for sig, n := range alertSigs(undeliveredCommits(t, pdir)) {
 			uncommitted[sig] += n
 		}
 	}
 
-	after := openHarness(t, dir, s.shards, func(cfg *Config) {
+	// A journal left by the walk pins the reopen to its target.
+	j, err := LoadCutoverJournal(filepath.Join(dir, CutoverJournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j != nil {
+		shards = j.To
+	}
+	after := openHarness(t, dir, shards, func(cfg *Config) {
 		withFaults(cfg)
 		cfg.ShardFaults = nil
 	})
 	defer after.rt.Close()
-	feedAcked(t, after.rt, s.lines[s.prefix:])
+	if _, err := os.Stat(filepath.Join(dir, CutoverJournalName)); !os.IsNotExist(err) {
+		t.Fatalf("the cutover journal is still there after the reopen (stat: %v)", err)
+	}
+	feedAcked(t, after.rt, s.lines[prefix:])
 	after.drain(t)
 
 	for _, h := range after.rt.Health() {
@@ -251,6 +315,24 @@ func explore(t *testing.T, s schedule) {
 		sort.Strings(keys)
 		t.Fatalf("keys %v lost their window tails", keys)
 	}
+}
+
+// exploreWalk moves rt along s.walk, reporting whether every step
+// finished. A step fails at its drawn crash phase, or wherever the armed
+// fault stops it.
+func exploreWalk(rt *Runtime, s schedule) bool {
+	for step, to := range s.walk {
+		_, err := rt.liveRebalance(to, func(phase, _ string) error {
+			if step == s.crashStep && phase == s.crashPhase {
+				return errors.New("explored cutover crash")
+			}
+			return nil
+		})
+		if err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // undeliveredCommits reads the alerts of the commits in partition
