@@ -125,7 +125,7 @@ func pollRebalanceProgress(addr string, done <-chan struct{}) {
 			continue
 		}
 		c := st.Cutover
-		line := fmt.Sprintf("cutover %d -> %d: %d pending, %d committed, %d released",
+		line := fmt.Sprintf("cutover %d -> %d: moves %d pending, %d committed, %d released",
 			c.From, c.To, c.Pending, c.Committed, c.Released)
 		if line != last {
 			fmt.Println(line)

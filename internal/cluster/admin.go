@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -12,14 +12,14 @@ import (
 )
 
 // The node side of the networked live cutover: each handler here wraps
-// one shard-runtime primitive (begin, sync, capture, stage, install,
-// forget, finish, directed append) in the versioned admin surface —
+// one shard-runtime primitive (begin, sync, pending moves, capture, stage,
+// install, forget, finish, directed append) in the versioned admin surface —
 // method-checked, epoch-fenced, envelope-erroring. The coordinator
 // (Router.LiveRebalance) sequences them; a node never initiates.
 
 // maxSpliceBytes bounds one staged-splice request body. A splice
-// carries one key's window tail plus the donor's event space and
-// pattern library — far below this in practice.
+// carries the window tails of every key of one move plus the donor's
+// event space and pattern library.
 const maxSpliceBytes = 32 << 20
 
 // handleDirectedAppend is POST /admin/v1/append?partition=P: append the
@@ -64,23 +64,32 @@ func (n *Node) cutoverPost(w http.ResponseWriter, r *http.Request) bool {
 	return n.fenceEpoch(w, r)
 }
 
+// cutoverBody guards the cutover endpoints that take a JSON body: POST,
+// epoch-fenced, and a body of at most limit bytes (413 too_large, naming
+// the bound, past it) that decodes into v, a what (400 bad_request
+// otherwise). Returns false when it wrote the refusal.
+func (n *Node) cutoverBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	if !n.cutoverPost(w, r) {
+		return false
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpapi.Error(w, http.StatusRequestEntityTooLarge, httpapi.Detail{Code: httpapi.CodeTooLarge,
+			Message: fmt.Sprintf("%s body exceeds the limit of %d bytes", r.URL.Path, limit)})
+	case err != nil:
+		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest,
+			Message: fmt.Sprintf("%s body is not a %s: %v", r.URL.Path, what, err)})
+	default:
+		return true
+	}
+	return false
+}
+
 // conflict writes the uniform 409 envelope for a refused cutover step.
 func conflict(w http.ResponseWriter, err error) {
 	httpapi.Error(w, http.StatusConflict, httpapi.Detail{Code: httpapi.CodeConflict, Message: err.Error()})
-}
-
-// cutoverKey guards the per-key cutover endpoints: POST, epoch-fenced,
-// with a ?key= parameter. Returns false when it wrote the refusal.
-func (n *Node) cutoverKey(w http.ResponseWriter, r *http.Request, step string) (string, bool) {
-	if !n.cutoverPost(w, r) {
-		return "", false
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: step + " needs ?key="})
-		return "", false
-	}
-	return key, true
 }
 
 func answerJSON(w http.ResponseWriter, v any) {
@@ -91,15 +100,8 @@ func answerJSON(w http.ResponseWriter, v any) {
 // handleCutoverBegin is POST /admin/v1/cutover/begin (body:
 // shard.CutoverSpec): flip this node into the journaled live cutover.
 func (n *Node) handleCutoverBegin(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
 	var spec shard.CutoverSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: "cutover begin body is not a CutoverSpec: " + err.Error(),
-		})
+	if !n.cutoverBody(w, r, 1<<20, "CutoverSpec", &spec) {
 		return
 	}
 	res, err := n.beginCutover(spec)
@@ -143,113 +145,78 @@ func (n *Node) beginCutover(spec shard.CutoverSpec) (*shard.CutoverBeginResult, 
 }
 
 // handleCutoverSync is POST /admin/v1/cutover/sync (body:
-// {"keys": {key: "committed"|"released"}}): advance per-key phases from
-// the coordinator's journal.
+// {"moves": {"0>2": "committed"|"released"}}): advance per-move phases
+// from the coordinator's journal.
 func (n *Node) handleCutoverSync(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
 	var body struct {
-		Keys map[string]string `json:"keys"`
+		Moves map[shard.Move]string `json:"moves"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&body); err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: "cutover sync body is not a key-phase map: " + err.Error(),
-		})
+	if !n.cutoverBody(w, r, 1<<20, "move-phase map", &body) {
 		return
 	}
-	if err := n.rt.SyncCutover(body.Keys); err != nil {
+	if err := n.rt.SyncCutover(body.Moves); err != nil {
 		conflict(w, err)
 		return
 	}
-	answerJSON(w, map[string]int{"synced": len(body.Keys)})
+	answerJSON(w, map[string]int{"synced": len(body.Moves)})
 }
 
-// handleCutoverKeys is GET /admin/v1/cutover/keys: the moving keys
-// still pending on this node's donor partitions.
-func (n *Node) handleCutoverKeys(w http.ResponseWriter, r *http.Request) {
+// handleCutoverMoves is GET /admin/v1/cutover/moves: the moves still
+// pending on this node's donor partitions.
+func (n *Node) handleCutoverMoves(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpapi.MethodNotAllowed(w, http.MethodGet, "cutover keys accepts GET only")
+		httpapi.MethodNotAllowed(w, http.MethodGet, "cutover moves accepts GET only")
 		return
 	}
 	if !n.fenceEpoch(w, r) {
 		return
 	}
-	keys, err := n.rt.PendingMovingKeys()
+	moves, err := n.rt.PendingMoves()
 	if err != nil {
 		conflict(w, err)
 		return
 	}
-	answerJSON(w, map[string][]string{"keys": keys})
+	answerJSON(w, map[string][]shard.Move{"moves": moves})
 }
 
-// handleCutoverCapture is POST /admin/v1/cutover/capture?key=K: capture
-// the key's splice from its donor partition. Refused (409, retryable)
-// until the donor has consumed through its freeze point.
-func (n *Node) handleCutoverCapture(w http.ResponseWriter, r *http.Request) {
-	key, ok := n.cutoverKey(w, r, "capture")
-	if !ok {
-		return
+// cutoverStep serves one per-move step — POST
+// /admin/v1/cutover/{capture,install,forget}?move=D>T, epoch-fenced — by
+// answering what do returns for the move. A refused step answers 409,
+// retryable: capture is refused until the donor has consumed through its
+// freeze point.
+func (n *Node) cutoverStep(step string, do func(shard.Move) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !n.cutoverPost(w, r) {
+			return
+		}
+		var m shard.Move
+		if err := m.UnmarshalText([]byte(r.URL.Query().Get("move"))); err != nil {
+			httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: step + " needs ?move=: " + err.Error()})
+			return
+		}
+		out, err := do(m)
+		if err != nil {
+			httpapi.Error(w, http.StatusConflict, httpapi.Detail{Code: httpapi.CodeConflict, Message: err.Error(), RetryAfterS: 1})
+			return
+		}
+		answerJSON(w, out)
 	}
-	sp, err := n.rt.CaptureKey(key)
-	if err != nil {
-		httpapi.Error(w, http.StatusConflict, httpapi.Detail{
-			Code: httpapi.CodeConflict, Message: err.Error(), RetryAfterS: 1,
-		})
-		return
-	}
-	answerJSON(w, sp)
 }
 
 // handleCutoverStage is POST /admin/v1/cutover/stage (body: a
-// shard.KeySplice) — the transfer endpoint: durably write a captured
-// splice into the destination partition's directory.
+// shard.MoveSplice of at most maxSpliceBytes, else 413) — the transfer
+// endpoint: durably write a captured splice into the destination
+// partition's directory.
 func (n *Node) handleCutoverStage(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
-	var sp shard.KeySplice
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxSpliceBytes)).Decode(&sp); err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: "cutover stage body is not a KeySplice: " + err.Error(),
-		})
+	var sp shard.MoveSplice
+	if !n.cutoverBody(w, r, maxSpliceBytes, "MoveSplice", &sp) {
 		return
 	}
 	if err := n.rt.StageSplice(sp); err != nil {
 		conflict(w, err)
 		return
 	}
-	answerJSON(w, map[string]string{"staged": sp.Key})
-}
-
-// handleCutoverInstall is POST /admin/v1/cutover/install?key=K: apply
-// the key's staged splice to the live destination partition.
-func (n *Node) handleCutoverInstall(w http.ResponseWriter, r *http.Request) {
-	key, ok := n.cutoverKey(w, r, "install")
-	if !ok {
-		return
-	}
-	if err := n.rt.InstallSplice(key); err != nil {
-		conflict(w, err)
-		return
-	}
-	answerJSON(w, map[string]string{"installed": key})
-}
-
-// handleCutoverForget is POST /admin/v1/cutover/forget?key=K: drop the
-// moved key's tail from its donor partition.
-func (n *Node) handleCutoverForget(w http.ResponseWriter, r *http.Request) {
-	key, ok := n.cutoverKey(w, r, "forget")
-	if !ok {
-		return
-	}
-	if err := n.rt.ForgetKey(key); err != nil {
-		conflict(w, err)
-		return
-	}
-	answerJSON(w, map[string]string{"forgotten": key})
+	answerJSON(w, map[string]shard.Move{"staged": sp.Move})
 }
 
 // handleCutoverFinish is POST /admin/v1/cutover/finish?to=N: restamp

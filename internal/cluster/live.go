@@ -36,16 +36,16 @@ import (
 //
 // The router routes by the overlay the nodes' runtimes route by: one
 // shard.Cutover, built from the journal (CutoverJournal.Overlay) — both
-// rings and every key's phase — whose Route answers "plain, double-write
+// rings and every move's phase — whose Route answers "plain, double-write
 // or released, and to which partitions" for any plan a journal can
-// describe, and whose Sync advances it as keys release. What the fleet
+// describe, and whose Sync advances it as moves release. What the fleet
 // adds is only where a partition lives: hostOf. LiveRebalance itself
 // still admits one plan, N -> N+1.
 //
 // Zero acknowledged loss holds by the same argument as in-process: a
 // moving key is double-written (donor + destination partition, acked
 // only when both land) from the instant the journal exists until its
-// entry reads "released"; donor freeze offsets are captured under each
+// move's entry reads "released"; donor freeze offsets are captured under each
 // node's route write lock inside cutover/begin and the router's gate
 // stays closed until the journal is durable, so no acknowledged line
 // ever sits past a donor's freeze point without a destination copy.
@@ -76,7 +76,7 @@ func (r *Router) reloadCutover() {
 	case j == nil || j.To == r.Manifest().Shards:
 		r.rcut.Store(nil)
 	case cur != nil && cur.From == j.From && cur.To == j.To:
-		err = cur.Sync(j.Keys)
+		err = cur.Sync(j.Moves)
 	default:
 		var rc *shard.Cutover
 		if rc, err = j.Overlay(); err == nil {
@@ -94,7 +94,7 @@ func (r *Router) reloadCutover() {
 // contributes the routing gate, the double-write overlay, and the
 // epoch-bumped manifest install at finish. destNode names the node that
 // hosts the new partition (empty picks the node owning the fewest
-// partitions). Blocks until every moving key is released and the new
+// partitions). Blocks until every move is released and the new
 // manifest is installed; safe to call again after any crash — the
 // journal decides whether it starts fresh, resumes driving, or only
 // finishes.
@@ -146,9 +146,9 @@ func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport,
 			return flip()
 		},
 		OnBegin: r.reloadCutover,
-		OnRelease: func(key string) {
+		OnRelease: func(m shard.Move) {
 			if rc := r.rcut.Load(); rc != nil {
-				rc.Sync(map[string]string{key: "released"}) // a phase Sync knows: no error
+				rc.Sync(map[shard.Move]string{m: "released"}) // a journaled move and phase: no error
 			}
 		},
 		OnFinish: func() error { return r.installGrown(j) },
@@ -234,36 +234,37 @@ func (c *nodeClient) BeginCutover(spec shard.CutoverSpec, commit func(map[int]ui
 	return &res, nil
 }
 
-// PendingMovingKeys blocks node-side until the donors' tails land; a
-// request that times out first is retried like any transient failure.
-func (c *nodeClient) PendingMovingKeys() ([]string, error) {
+// PendingMoves blocks node-side until the donors' tails land; a request
+// that times out first is retried like any transient failure.
+func (c *nodeClient) PendingMoves() ([]shard.Move, error) {
 	var body struct {
-		Keys []string `json:"keys"`
+		Moves []shard.Move `json:"moves"`
 	}
-	err := c.call("listing pending keys", http.MethodGet, "keys", nil, &body)
-	return body.Keys, err
+	err := c.call("listing pending moves", http.MethodGet, "moves", nil, &body)
+	return body.Moves, err
 }
 
-func (c *nodeClient) CaptureKey(key string) (shard.KeySplice, error) {
-	var sp shard.KeySplice
-	err := c.call(fmt.Sprintf("capturing key %q", key), http.MethodPost, "capture?key="+url.QueryEscape(key), nil, &sp)
+// step runs one per-move step on the node, decoding its answer into out.
+func (c *nodeClient) step(step string, m shard.Move, out any) error {
+	return c.call(step+" move "+m.String(), http.MethodPost, step+"?move="+url.QueryEscape(m.String()), nil, out)
+}
+
+func (c *nodeClient) CaptureMove(m shard.Move) (shard.MoveSplice, error) {
+	var sp shard.MoveSplice
+	err := c.step("capture", m, &sp)
 	return sp, err
 }
 
-func (c *nodeClient) StageSplice(sp shard.KeySplice) error {
-	return c.call(fmt.Sprintf("staging key %q", sp.Key), http.MethodPost, "stage", sp, nil)
+func (c *nodeClient) StageSplice(sp shard.MoveSplice) error {
+	return c.call("stage move "+sp.Move.String(), http.MethodPost, "stage", sp, nil)
 }
 
-func (c *nodeClient) InstallSplice(key string) error {
-	return c.call(fmt.Sprintf("installing key %q", key), http.MethodPost, "install?key="+url.QueryEscape(key), nil, nil)
-}
+func (c *nodeClient) InstallSplice(m shard.Move) error { return c.step("install", m, nil) }
 
-func (c *nodeClient) ForgetKey(key string) error {
-	return c.call(fmt.Sprintf("forgetting key %q", key), http.MethodPost, "forget?key="+url.QueryEscape(key), nil, nil)
-}
+func (c *nodeClient) ForgetMove(m shard.Move) error { return c.step("forget", m, nil) }
 
-func (c *nodeClient) SyncCutover(keys map[string]string) error {
-	return c.call("syncing cutover phases", http.MethodPost, "sync", map[string]map[string]string{"keys": keys}, nil)
+func (c *nodeClient) SyncCutover(moves map[shard.Move]string) error {
+	return c.call("syncing cutover phases", http.MethodPost, "sync", map[string]map[shard.Move]string{"moves": moves}, nil)
 }
 
 func (c *nodeClient) CompleteCutover(to int) error {
@@ -352,7 +353,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	}
 	if j, err := shard.LoadCutoverJournal(cutoverJournalPath(r.cfg.ManifestPath)); err == nil && j != nil {
 		st.Cutover = &RouterCutoverStatus{From: j.From, To: j.To, DestNode: j.DestNode,
-			Committed: len(j.KeysAt("committed")), Released: len(j.KeysAt("released"))}
+			Committed: len(j.MovesAt("committed")), Released: len(j.MovesAt("released"))}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)

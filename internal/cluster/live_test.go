@@ -23,12 +23,12 @@ import (
 // The networked live-rebalance proof, one level up from the shard
 // suite's in-process cutover: a front router grows a 2-node fleet from
 // 2 to 3 partitions while fixed-seed traffic keeps flowing, driving the
-// per-key capture → stage → commit → install → forget → release
+// per-move capture → stage → commit → install → forget → release
 // protocol over the admin API. Traffic is injected from the
 // coordinator's own hook points, so "under traffic" is deterministic:
 // batches land exactly at double-write start (through both the
 // coordinating router and a second router holding a stale view), and at
-// the first key's release. The destination node is killed mid-splice
+// the first move's release. The destination node is killed mid-splice
 // and restarted on the same address; the cluster journal next to the
 // manifest resumes the cutover on exactly one layout per key. The
 // merged fleet output must match a single-process `-shards 3` runtime
@@ -82,7 +82,7 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	pre := genEqLines(6001, 1500, keys)
 	midDW := genEqLines(6002, 200, keys)    // lands the instant double-writing starts
 	midStale := genEqLines(6003, 200, keys) // through a second router with a stale view
-	midRel := genEqLines(6004, 200, keys)   // after the first key flips to dest-only routing
+	midRel := genEqLines(6004, 200, keys)   // after the first move flips to dest-only routing
 	post := genEqLines(6005, 1500, keys)
 	var stream []string
 	for _, seg := range [][]string{pre, midDW, midStale, midRel, post} {
@@ -253,8 +253,8 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	}
 
 	// Resume: the journal decides — re-begin every participant, drive
-	// the remaining keys (the half-staged one re-captures on the donor,
-	// whose tail was never forgotten: exactly one layout owned it
+	// the remaining moves (the half-staged one re-captures on the donor,
+	// whose tails were never forgotten: exactly one layout owned them
 	// throughout), and finish with the epoch-bumped manifest.
 	report, err := r.LiveRebalance(3, "b")
 	if err != nil {
@@ -461,7 +461,7 @@ func TestClusterFailoverRefusedDuringLiveCutover(t *testing.T) {
 				t.Fatal(err)
 			}
 			jpath := cutoverJournalPath(manifestPath)
-			journal := `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":1,"1":1},"keys":{}}`
+			journal := `{"version":2,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":1,"1":1},"moves":{}}`
 			if err := os.WriteFile(jpath, []byte(journal), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -629,4 +629,61 @@ func assertEnvelope(t *testing.T, body []byte, wantCode string) {
 	if env.Err.Message == "" {
 		t.Fatalf("envelope without a message: %s", body)
 	}
+}
+
+// A node's cutover endpoints answer through the envelope: a splice body
+// past maxSpliceBytes is refused as too large, naming the bound (a move's
+// splice carries all its keys' tails, so the bound can be reached), a
+// per-move step without a move is a bad request, and a step outside a
+// cutover is a conflict.
+func TestClusterNodeCutoverAdminSurface(t *testing.T) {
+	dir := t.TempDir()
+	m := &Manifest{
+		Epoch:       1,
+		Shards:      1,
+		Dir:         filepath.Join(dir, "data"),
+		Nodes:       map[string]NodeSpec{"a": {Addr: "127.0.0.1:1"}},
+		Assignments: []string{"a"},
+	}
+	fn := startFleetNode(t, saveManifest(t, m), "a", localListener(t))
+	defer fn.srv.Close()
+	defer fn.node.Close()
+
+	serve := func(method, path string, body io.Reader) (int, []byte) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		fn.node.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, body))
+		return rec.Code, rec.Body.Bytes()
+	}
+
+	oversized := io.MultiReader(strings.NewReader(`{"move":"0>1","events":"`),
+		strings.NewReader(strings.Repeat("a", maxSpliceBytes)), strings.NewReader(`"}`))
+	code, body := serve(http.MethodPost, "/admin/v1/cutover/stage", oversized)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("an over-bound splice: %d, want 413\n%s", code, body)
+	}
+	assertEnvelope(t, body, "too_large")
+	if !strings.Contains(string(body), "33554432") {
+		t.Fatalf("the refusal does not name the %d-byte bound: %s", maxSpliceBytes, body)
+	}
+
+	code, body = serve(http.MethodPost, "/admin/v1/cutover/stage", strings.NewReader(`{"move":`))
+	if code != http.StatusBadRequest {
+		t.Fatalf("a truncated splice: %d, want 400\n%s", code, body)
+	}
+	assertEnvelope(t, body, "bad_request")
+
+	for _, q := range []string{"", "?move=k1", "?move=0%3E"} {
+		code, body = serve(http.MethodPost, "/admin/v1/cutover/install"+q, nil)
+		if code != http.StatusBadRequest {
+			t.Fatalf("install%s: %d, want 400\n%s", q, code, body)
+		}
+		assertEnvelope(t, body, "bad_request")
+	}
+
+	code, body = serve(http.MethodGet, "/admin/v1/cutover/moves", nil)
+	if code != http.StatusConflict {
+		t.Fatalf("pending moves outside a cutover: %d, want 409\n%s", code, body)
+	}
+	assertEnvelope(t, body, "conflict")
 }

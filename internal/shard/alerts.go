@@ -54,17 +54,18 @@ const commitOverhead = len(`{"consumed":18446744073709551615,"alerts":[]}`)
 // openCommitLog opens the commit log in partition directory dir. It keeps
 // the partition's fsync policy, segment size and retention, but is never
 // full (a down sink lags; it does not push back on intake) and keeps its
-// metrics and faults apart from the intake WAL's. A directory still in the
+// metrics (in reg, which Runtime.Snapshot shows under "commits.") and
+// faults apart from the intake WAL's. A directory still in the
 // layout before the commit log — an alerts log beside a state file saved
 // on every commit — is refused: nothing reads that log any more.
-func openCommitLog(bcfg broker.Config, dir string) (*broker.Broker, error) {
+func openCommitLog(bcfg broker.Config, dir string, reg *obs.Registry) (*broker.Broker, error) {
 	old := filepath.Join(dir, "alerts")
 	if _, err := os.Stat(old); err == nil {
 		return nil, fmt.Errorf("shard: %s is an alert log from an earlier version; with the process stopped, "+
 			"let that version deliver it (or accept losing what it holds) and remove it", old)
 	}
 	bcfg.Dir, bcfg.MaxBacklogBytes = filepath.Join(dir, commitLogName), -1
-	bcfg.Metrics, bcfg.Faults = obs.NewRegistry(), nil
+	bcfg.Metrics, bcfg.Faults = reg, nil
 	return broker.Open(bcfg)
 }
 
@@ -232,6 +233,7 @@ type delivery struct {
 	idx    int
 	faults *fault.Registry
 	log    *broker.Broker
+	reg    *obs.Registry // the commit log's metrics
 	// queued counts the alerts in the log no sink group commit covers.
 	queued atomic.Int64
 	// stop ends the loop at once; killed makes that a crash, which
@@ -245,10 +247,10 @@ type delivery struct {
 	err   error
 }
 
-// newDelivery builds partition idx's delivery of log, counting the alerts
-// the sink group has not committed.
-func (rt *Runtime) newDelivery(idx int, faults *fault.Registry, log *broker.Broker) (*delivery, error) {
-	d := &delivery{rt: rt, idx: idx, faults: faults, log: log, stop: make(chan struct{}), done: make(chan struct{})}
+// newDelivery builds partition idx's delivery of log (whose metrics are
+// reg), counting the alerts the sink group has not committed.
+func (rt *Runtime) newDelivery(idx int, faults *fault.Registry, log *broker.Broker, reg *obs.Registry) (*delivery, error) {
+	d := &delivery{rt: rt, idx: idx, faults: faults, log: log, reg: reg, stop: make(chan struct{}), done: make(chan struct{})}
 	cons, err := log.Consumer(sinkGroup)
 	if err != nil {
 		return nil, err
@@ -452,11 +454,12 @@ func (rt *Runtime) openRetired(slots int) error {
 		} else if err != nil {
 			return err
 		}
-		log, err := openCommitLog(rt.cfg.Broker, dir)
+		reg := obs.NewRegistry()
+		log, err := openCommitLog(rt.cfg.Broker, dir, reg)
 		if err != nil {
 			return fmt.Errorf("shard: opening retired partition %d's commit log: %w", i, err)
 		}
-		d, err := rt.newDelivery(i, rt.faultsFor(i), log)
+		d, err := rt.newDelivery(i, rt.faultsFor(i), log, reg)
 		if err != nil {
 			log.Close()
 			return err

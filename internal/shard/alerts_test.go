@@ -558,3 +558,32 @@ func TestCommitLogGolden(t *testing.T) {
 		t.Fatalf("ReadAlerts listed %v", ids)
 	}
 }
+
+// The commit logs' metrics reach the runtime's snapshot under "commits."
+// only: the append histogram there counts every commit append, while the
+// unprefixed broker names stay the intake WAL's and count intake lines.
+func TestCommitLogMetrics(t *testing.T) {
+	lines := genEqLines(5, 900, eqKeys(8))
+	h := openHarness(t, t.TempDir(), 2, nil)
+	defer h.rt.Close()
+	h.feed(t, lines)
+	h.drain(t)
+
+	var commits int64
+	for _, pt := range h.rt.partitions() {
+		commits += int64(pt.dl.log.NextOffset() - 1)
+	}
+	if commits == 0 {
+		t.Fatal("the runtime committed nothing")
+	}
+	snap := h.rt.Snapshot()
+	if got := snap.Histograms["commits.broker.append_seconds"].Count; got != commits {
+		t.Errorf("commits.broker.append_seconds counts %d appends, the commit logs hold %d records", got, commits)
+	}
+	if got := snap.Counters["commits.broker.appended_total"]; got != commits {
+		t.Errorf("commits.broker.appended_total = %d, the commit logs hold %d records", got, commits)
+	}
+	if got := snap.Counters["broker.appended_total"]; got != int64(len(lines)) {
+		t.Errorf("broker.appended_total = %d, want the %d intake lines alone", got, len(lines))
+	}
+}

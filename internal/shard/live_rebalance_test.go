@@ -33,7 +33,7 @@ import (
 // paused) and resume by the finish under a shrink, double-written records
 // are never detected twice (offset rollback redelivers them into the
 // skip-prefix, and a retired partition reopened by a later growth resumes
-// past them), and a crash at every per-key phase resumes on exactly one
+// past them), and a crash at every per-move phase resumes on exactly one
 // layout per key.
 
 // livePlans are the cutovers the under-traffic suites run.
@@ -157,7 +157,7 @@ func liveEquivalenceUnderTraffic(t *testing.T, from, to int) {
 				awaitStaying("mid-cutover", scoresAtStall, committedBefore, true)
 			}
 		case phase == "released" && !fedMidB:
-			// Traffic after the first key flips to destination-only routing.
+			// Traffic after the first move flips to destination-only routing.
 			fedMidB = true
 			h.feed(t, midB)
 		}
@@ -307,6 +307,74 @@ func liveRoundTrip(t *testing.T, path []int, slow func(i int) bool) {
 		t.Fatalf("Close: %v", err)
 	}
 	requireEqual(t, fmt.Sprintf("live %v under traffic", path), h.result(), ref)
+}
+
+// A cutover hands keys over one move at a time: a 2→3 growth over more
+// than a hundred moving keys is two moves, 0>2 and 1>2, and pays per move,
+// not per key — each move commits and releases once, stages one splice
+// file in the destination's directory and takes one journal entry — while
+// the report still counts keys and tail lines: every moving key with a
+// window tail, and its tail's lines, as the unsharded reference holds them.
+func TestLiveRebalanceOneStepPerMove(t *testing.T) {
+	keys := eqKeys(360)
+	pre := genEqLines(81, 3600, keys)
+	ref := runReference(t, pre)
+	moving, _ := liveMovingKeys(keys, 2, 3)
+	if len(moving) < 100 {
+		t.Fatalf("fixture moves %d keys, want at least 100", len(moving))
+	}
+	wantKeys, wantLines := 0, 0
+	for _, k := range moving {
+		if tail, ok := ref.tails[k]; ok {
+			wantKeys++
+			wantLines += len(tail.Lines)
+		}
+	}
+
+	dir := t.TempDir()
+	h := openHarness(t, dir, 2, nil)
+	h.feed(t, pre)
+	h.drain(t)
+	jpath := filepath.Join(dir, CutoverJournalName)
+	fired := map[string][]string{}
+	maxEntries := 0
+	rep, err := h.rt.liveRebalance(3, func(phase, move string) error {
+		fired[phase] = append(fired[phase], move)
+		j, err := LoadCutoverJournal(jpath)
+		if err != nil || j == nil {
+			return fmt.Errorf("journal at %s: %v, %v", phase, j, err)
+		}
+		maxEntries = max(maxEntries, len(j.Moves))
+		if phase == "finish" {
+			staged, _ := filepath.Glob(filepath.Join(PartitionDir(dir, 2), spliceFilePrefix+"*"))
+			for i := range staged {
+				staged[i] = filepath.Base(staged[i])
+			}
+			if want := []string{spliceFilePrefix + "p0.json", spliceFilePrefix + "p1.json"}; !reflect.DeepEqual(staged, want) {
+				t.Errorf("the destination holds splice files %v, want one per move: %v", staged, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("LiveRebalance: %v", err)
+	}
+	wantMoves := []string{"0>2", "1>2"}
+	for _, phase := range []string{"tail-landed", "staged", "committed", "released"} {
+		if !reflect.DeepEqual(fired[phase], wantMoves) {
+			t.Errorf("%q fired for %v, want once per move: %v", phase, fired[phase], wantMoves)
+		}
+	}
+	if maxEntries > 2*3 || maxEntries != len(wantMoves) {
+		t.Errorf("the journal held up to %d entries; want one per move (%d), never more than From×To", maxEntries, len(wantMoves))
+	}
+	if rep.MovedKeys != wantKeys || rep.MovedLines != wantLines {
+		t.Errorf("moved %d keys (%d tail lines), the reference holds tails for %d moving keys (%d lines)",
+			rep.MovedKeys, rep.MovedLines, wantKeys, wantLines)
+	}
+	if err := h.rt.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // A unit is rejected whole and the answer says so line by line: mid-cutover
@@ -467,8 +535,8 @@ func TestLiveRebalanceDuplicateSkipOnRedelivery(t *testing.T) {
 	}
 }
 
-// A crash at every per-key cutover phase must resume on exactly one
-// layout per key: the journal is the per-key authority, the reopened
+// A crash at every per-move cutover phase must resume on exactly one
+// layout per key: the journal is the per-move authority, the reopened
 // runtime (at the target shard count) finishes the cutover inside Open,
 // and the combined pre-crash + post-crash output stays bit-identical to
 // the reference.
@@ -674,7 +742,8 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 	good := func() *CutoverJournal {
 		j := NewCutoverJournal(3, 2, 0, "")
 		j.Freeze = map[int]uint64{0: 1, 1: 5, 2: 9}
-		j.Keys["k"] = "committed"
+		j.Moves[Move{2, 0}] = "committed"
+		j.Moves[Move{1, 0}] = "released"
 		return j
 	}
 	path := filepath.Join(t.TempDir(), CutoverJournalName)
@@ -684,7 +753,7 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 	if err := good().save(path); err != nil {
 		t.Fatal(err)
 	}
-	if j, err := LoadCutoverJournal(path); err != nil || j.From != 3 || j.To != 2 {
+	if j, err := LoadCutoverJournal(path); err != nil || j.From != 3 || j.To != 2 || !reflect.DeepEqual(j.Moves, good().Moves) {
 		t.Fatalf("a consistent shrink journal: %+v, %v", j, err)
 	}
 	for name, bend := range map[string]func(*CutoverJournal){
@@ -693,7 +762,12 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 		"to == from":              func(j *CutoverJournal) { j.To = 3 },
 		"a donor has no freeze":   func(j *CutoverJournal) { delete(j.Freeze, 2) },
 		"freeze names a stranger": func(j *CutoverJournal) { delete(j.Freeze, 1); j.Freeze[7] = 1 },
-		"unknown phase":           func(j *CutoverJournal) { j.Keys["k"] = "staged" },
+		"unknown phase":           func(j *CutoverJournal) { j.Moves[Move{2, 0}] = "staged" },
+		"version 1":               func(j *CutoverJournal) { j.Version = 1 },
+		"a donor past From":       func(j *CutoverJournal) { j.Moves[Move{3, 0}] = "committed" },
+		"a destination past To":   func(j *CutoverJournal) { j.Moves[Move{0, 2}] = "committed" },
+		"a negative side":         func(j *CutoverJournal) { j.Moves[Move{-1, 0}] = "committed" },
+		"both sides the same":     func(j *CutoverJournal) { j.Moves[Move{1, 1}] = "committed" },
 	} {
 		j := good()
 		bend(j)
@@ -710,6 +784,54 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 	if _, err := LoadCutoverJournal(path); err == nil {
 		t.Error("corrupt journal accepted")
 	}
+}
+
+// A journal an earlier build wrote ledgers keys, not moves. Open names it
+// and its version and refuses before it writes anything: the partitions,
+// their states and the journal stay byte for byte as they were.
+func TestLoadCutoverJournalRefusesVersion1(t *testing.T) {
+	dir := t.TempDir()
+	h := openHarness(t, dir, 2, nil)
+	h.feed(t, genEqLines(8, 400, eqKeys(8)))
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, CutoverJournalName)
+	v1 := `{"version":1,"from":2,"to":3,"vnodes":0,"freeze":{"0":120,"1":130},"keys":{"k3":"committed"}}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := treeOf(t, dir)
+	_, err := Open(killedConfig(t, dir, 3))
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Open over a version-1 journal: err = %v, want a refusal naming %s and its version", err, path)
+	}
+	if after := treeOf(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused Open changed the root:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// treeOf maps every file under dir to its contents (directories to "/").
+func treeOf(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if fi.IsDir() {
+			tree[path] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		tree[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
 // destCopy is the rule that keeps an earlier cutover's donor copies out

@@ -27,15 +27,15 @@ import (
 // non-zero stamp; only a missing file (a fresh partition) yields the
 // unstamped zero state.
 //
-// Version 3 adds the live-cutover record: which moving keys a
+// Version 3 adds the live-cutover record: the donors whose moves a
 // destination partition has already had spliced in. Persisted atomically
-// with Consumed and Tails, it lets a crash mid-cutover resolve each key
-// to exactly one side — a key whose splice landed in the destination's
-// snapshot is never re-spliced (which would regress its window phase past
-// records the destination already consumed), while a key without the
-// marker is re-applied from its staged splice file. The record only means
-// anything while the root's live-cutover journal exists; without the
-// journal it is stale debris and ignored on open.
+// with Consumed and Tails, it lets a crash mid-cutover resolve each move
+// to exactly one side — a move whose splice landed in the destination's
+// snapshot is never re-spliced (which would regress its keys' window
+// phases past records the destination already consumed), while a move
+// without the marker is re-applied from its staged splice file. The
+// record only means anything while the root's live-cutover journal
+// exists; without the journal it is stale debris and ignored on open.
 
 // stateFileName is the snapshot file inside a partition's WAL directory.
 const stateFileName = "shard-state.json"
@@ -67,11 +67,12 @@ type partitionState struct {
 // cutoverState is the per-partition half of a live cutover's durable
 // state (the other half is the root journal).
 type cutoverState struct {
-	// Spliced lists the moving keys whose donor tails and event spaces
-	// this destination partition has already merged, sorted. The set is
-	// written in the same atomic save as Consumed/Tails, so "spliced" and
-	// "this state reflects the splice" can never disagree.
-	Spliced []string `json:"spliced,omitempty"`
+	// Donors lists the donor partitions whose moves — their keys' tails
+	// and the donor's event space — this destination partition has
+	// already merged, sorted. The set is written in the same atomic save
+	// as Consumed/Tails, so "spliced" and "this state reflects the splice"
+	// can never disagree.
+	Donors []int `json:"donors,omitempty"`
 }
 
 // statePath renders the snapshot path for a partition directory.
@@ -140,7 +141,7 @@ func saveState(path string, st partitionState) error {
 
 // writeJSONFile installs v as a JSON file through atomicfile.Write — the
 // one write path for partition state, the live-cutover journal and staged
-// per-key splice files. A failure leaves any previous file untouched.
+// splice files. A failure leaves any previous file untouched.
 func writeJSONFile(path string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
