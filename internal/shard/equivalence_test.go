@@ -18,6 +18,7 @@ import (
 	"logsynergy/internal/embed"
 	"logsynergy/internal/framelog"
 	"logsynergy/internal/lei"
+	"logsynergy/internal/logdata"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
 	"logsynergy/internal/repr"
@@ -595,5 +596,81 @@ func TestIdleCommitWaitsForQuiet(t *testing.T) {
 	h.drain(t)
 	if got := h.rt.Committed(0); got != uint64(len(lines)) {
 		t.Fatalf("committed %d of %d after the stream went quiet", got, len(lines))
+	}
+}
+
+// paperCorpus renders the logdata generator's output for spec as keyed
+// traffic: 3000 lines of seed 11, each prefixed with one of 12 integer
+// keys. Unlike genEqLines, these bodies can share Drain leaves, so a
+// line's minted template depends on which lines its parser saw first.
+func paperCorpus(spec *logdata.SystemSpec) []string {
+	corpus := logdata.Generate(spec, 11, 3000)
+	keys := eqKeys(12)
+	rng := rand.New(rand.NewSource(11))
+	lines := make([]string, len(corpus.Lines))
+	for i, l := range corpus.Lines {
+		lines[i] = keys[rng.Intn(len(keys))] + " " + l.Message
+	}
+	return lines
+}
+
+// runCorpus feeds lines through a runtime at shards partitions. A
+// positive killAt crashes the runtime after that many lines and reopens
+// it at the same count for the rest.
+func runCorpus(t *testing.T, lines []string, shards, killAt int) eqResult {
+	t.Helper()
+	dir := t.TempDir()
+	h := openHarness(t, dir, shards, nil)
+	if killAt > 0 {
+		h.feed(t, lines[:killAt])
+		h.drain(t)
+		h.rt.Kill()
+		h = reopenHarness(t, dir, shards, h)
+		lines = lines[killAt:]
+	}
+	h.feed(t, lines)
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return h.result()
+}
+
+// divergentWindows counts the windows whose score differs from want's,
+// a missing or extra window counting as one each.
+func divergentWindows(got, want eqResult) (diff, total int) {
+	for key, wantSeq := range want.scores {
+		gotSeq := got.scores[key]
+		total += len(wantSeq)
+		for i := range max(len(gotSeq), len(wantSeq)) {
+			if i >= len(gotSeq) || i >= len(wantSeq) || gotSeq[i] != wantSeq[i] {
+				diff++
+			}
+		}
+	}
+	return diff, total
+}
+
+// The paper-system corpora hold what this harness can promise on them
+// today: one partition equals the unsharded reference, and a crash and
+// restart at any one partition count changes nothing against the same
+// count uninterrupted. Across counts the scores do not agree yet — one
+// Drain parser per partition mints templates in a different order — so
+// the 2- and 4-partition divergence from the reference is logged, not
+// asserted.
+func TestShardEquivalencePaperCorpora(t *testing.T) {
+	for _, spec := range []*logdata.SystemSpec{logdata.BGL(), logdata.Thunderbird(), logdata.SystemA()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			lines := paperCorpus(spec)
+			ref := runReference(t, lines)
+			requireEqual(t, "1 shard", runCorpus(t, lines, 1, 0), ref)
+			requireEqual(t, "1 shard, crash and restart", runCorpus(t, lines, 1, 1400), ref)
+			for _, shards := range []int{2, 4} {
+				whole := runCorpus(t, lines, shards, 0)
+				requireEqual(t, fmt.Sprintf("%d shards, crash and restart", shards), runCorpus(t, lines, shards, 1400), whole)
+				diff, total := divergentWindows(whole, ref)
+				t.Logf("%s at %d shards: %d of %d windows score differently from the reference", spec.Name, shards, diff, total)
+			}
+		})
 	}
 }
