@@ -90,14 +90,6 @@ type Event struct {
 	tokens []string
 }
 
-// MintedTemplate is the template the event had when it was minted: its
-// example's masked tokens, before later messages widened positions to
-// wildcards. The event-table row of an event is built from it, so a
-// rebuilt table embeds what the live one did.
-func (e *Event) MintedTemplate() string {
-	return strings.Join(strings.Fields(e.Example), " ")
-}
-
 // Match is the parse result for a single message.
 type Match struct {
 	// EventID identifies the matched template.
@@ -468,6 +460,20 @@ func (p *Parser) Events() []*Event {
 		cp := *ev
 		cp.tokens = nil
 		out[i] = &cp
+	}
+	return out
+}
+
+// MintedTemplates returns, in id order from id from onward, the template
+// each event had when it was minted: its example's masked tokens, before
+// later messages widened positions to wildcards. The event-table row of an
+// event is built from it, so a rebuilt table embeds what the live one did.
+func (p *Parser) MintedTemplates(from int) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []string
+	for _, ev := range p.events[min(from, len(p.events)):] {
+		out = append(out, strings.Join(strings.Fields(ev.Example), " "))
 	}
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"logsynergy/internal/core"
+	"logsynergy/internal/obs"
 	"logsynergy/internal/window"
 )
 
@@ -286,5 +288,54 @@ func TestKeyedTakeTailsHandoff(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got["kept"], want["kept"]) {
 		t.Fatalf("kept key scores %v != reference %v", got["kept"], want["kept"])
+	}
+}
+
+// The table grows one way: a line whose event id is past the table's end
+// extends it through SyncTable. A parser imported without a sync and then
+// fed a line that mints a new event must give every missing row its own
+// minted template — the same table a synced pipeline builds — and count
+// each row added as a new event, not grow every row from the line at hand.
+func TestParseLineExtendsThroughSyncTable(t *testing.T) {
+	det, parser, interp, e := tinyDeployment(t)
+	k := NewKeyed(New(DefaultConfig("x"), parser, det, interp, e, &MemorySink{}))
+	for _, line := range chaosLines(12) {
+		k.Feed("seed", line)
+	}
+	k.Flush()
+	events := parser.Export()
+	const fresh = "worker pool resized to 8 threads"
+
+	imported := func(sync bool) (*Pipeline, *core.Detector) {
+		det, parser, interp, e := tinyDeployment(t)
+		if err := parser.Import(events); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig("x")
+		cfg.Metrics = obs.NewRegistry() // Stats reads this pipeline's counters alone
+		p := New(cfg, parser, det, interp, e, &MemorySink{})
+		if sync {
+			if err := p.SyncTable(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		NewKeyed(p).Feed("key", fresh)
+		return p, det
+	}
+	lazy, got := imported(false)
+	_, want := imported(true)
+	if n := got.Table.Len(); n != len(events)+1 {
+		t.Fatalf("the table has %d rows after the line minted event %d", n, len(events))
+	}
+	for i, in := range want.Table.Interps {
+		if got.Table.Interps[i] != in {
+			t.Errorf("row %d interprets %q, want its minted template's %q", i, got.Table.Interps[i].Template, in.Template)
+		}
+	}
+	if !reflect.DeepEqual(got.Table.Vectors, want.Table.Vectors) {
+		t.Error("the lazily grown table embeds different vectors than the synced one")
+	}
+	if s := lazy.Stats(); s.NewEvents != len(events)+1 {
+		t.Errorf("the line counted %d new events, want the %d rows it added", s.NewEvents, len(events)+1)
 	}
 }

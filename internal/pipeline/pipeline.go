@@ -458,24 +458,21 @@ func (p *Pipeline) Parser() *drain.Parser { return p.parser }
 // SyncTable extends the detector's event table to cover every template
 // the parser currently knows, in event-id order, interpreting and
 // embedding each exactly as online discovery did: from the template the
-// event was minted with, not the one later messages widened. Call it after
-// importing a persisted parser state and before feeding any line:
-// imported ids have no table rows yet, and letting the feed path extend
-// the table lazily would mis-assign vectors whenever ids arrive out of
-// order (parseLine grows the table with the template of the line at
-// hand, which is only correct when ids appear in discovery order).
+// event was minted with, not the one later messages widened. It is the
+// one way the table grows: parseLine calls it for a line whose event id is
+// past the table's end, and a restore or a cutover's merge calls it after
+// importing parser state, so rows follow ids even when imported ids have
+// no row yet. New templates are interpreted with breaker-guarded
+// degradation (see interpret) and embedded under PointEmbed.
 func (p *Pipeline) SyncTable() error {
 	table := p.detector.Table
-	for _, ev := range p.parser.Events() {
-		if ev.ID < table.Len() {
-			continue
-		}
-		in := p.interpret(ev.MintedTemplate())
+	for _, tpl := range p.parser.MintedTemplates(table.Len()) {
+		in, id := p.interpret(tpl), table.Len()
 		if err := p.guard(PointEmbed, 0, func() error {
 			table.Extend(in, p.embedder)
 			return nil
 		}); err != nil {
-			return fmt.Errorf("pipeline: extending event table for restored event %d: %w", ev.ID, err)
+			return fmt.Errorf("pipeline: extending event table for event %d: %w", id, err)
 		}
 	}
 	return nil
@@ -506,12 +503,11 @@ func (p *Pipeline) Run(ctx context.Context, src Source) Stats {
 	return p.Stats()
 }
 
-// parseLine structures one raw line, extending the event table when a new
-// template appears online. Parsing runs under the fault layer: a parser
-// panic or injected error is retried, and a terminally failed line is
-// abandoned (reported false) rather than blocking the stream. New
-// templates are interpreted with breaker-guarded degradation (see
-// interpret) and embedded under PointEmbed.
+// parseLine structures one raw line, extending the event table through
+// SyncTable when its event id has no row yet; the rows that adds count as
+// new events. Parsing runs under the fault layer: a parser panic or
+// injected error is retried, and a terminally failed line is abandoned
+// (reported false) rather than blocking the stream.
 func (p *Pipeline) parseLine(line string) (int, bool) {
 	var m drain.Match
 	if err := p.guard(PointParse, 0, func() error {
@@ -521,19 +517,16 @@ func (p *Pipeline) parseLine(line string) (int, bool) {
 		p.om.parseFailures.Inc()
 		return 0, false
 	}
-	table := p.detector.Table
-	for table.Len() <= m.EventID {
-		in := p.interpret(m.Template)
-		if err := p.guard(PointEmbed, 0, func() error {
-			table.Extend(in, p.embedder)
-			return nil
-		}); err != nil {
+	if table := p.detector.Table; table.Len() <= m.EventID {
+		rows := table.Len()
+		err := p.SyncTable()
+		p.om.newEvents.Add(int64(table.Len() - rows))
+		if err != nil {
 			// The table could not grow to cover this event id; scoring the
 			// line would crash, so abandon it.
 			p.om.parseFailures.Inc()
 			return 0, false
 		}
-		p.om.newEvents.Inc()
 	}
 	return m.EventID, true
 }
