@@ -1,6 +1,6 @@
 // Package atomicfile is the one durable file install: partition state,
-// cutover journals and splices, the cluster manifest, partition leases and
-// the compacted alert log all replace a file through Write.
+// cutover journals, the cluster manifest, partition leases and the
+// compacted alert log all replace a file through Write.
 package atomicfile
 
 import (

@@ -12,12 +12,12 @@ import (
 )
 
 // The node side of the networked live cutover: each handler here wraps
-// one shard-runtime primitive (begin, sync, pending moves, capture, stage,
+// one shard-runtime primitive (begin, sync, pending moves, capture,
 // install, forget, finish, directed append) in the versioned admin surface —
 // method-checked, epoch-fenced, envelope-erroring. The coordinator
 // (Router.LiveRebalance) sequences them; a node never initiates.
 
-// maxSpliceBytes bounds one staged-splice request body. A splice
+// maxSpliceBytes bounds one install request body. A splice
 // carries the window tails of every key of one move plus the donor's
 // event space and pattern library.
 const maxSpliceBytes = 32 << 20
@@ -180,7 +180,7 @@ func (n *Node) handleCutoverMoves(w http.ResponseWriter, r *http.Request) {
 }
 
 // cutoverStep serves one per-move step — POST
-// /admin/v1/cutover/{capture,install,forget}?move=D>T, epoch-fenced — by
+// /admin/v1/cutover/{capture,forget}?move=D>T, epoch-fenced — by
 // answering what do returns for the move. A refused step answers 409,
 // retryable: capture is refused until the donor has consumed through its
 // freeze point.
@@ -203,20 +203,20 @@ func (n *Node) cutoverStep(step string, do func(shard.Move) (any, error)) http.H
 	}
 }
 
-// handleCutoverStage is POST /admin/v1/cutover/stage (body: a
+// handleCutoverInstall is POST /admin/v1/cutover/install (body: a
 // shard.MoveSplice of at most maxSpliceBytes, else 413) — the transfer
-// endpoint: durably write a captured splice into the destination
-// partition's directory.
-func (n *Node) handleCutoverStage(w http.ResponseWriter, r *http.Request) {
+// endpoint: apply a captured splice to its destination partition, which
+// answers once its snapshot holds it.
+func (n *Node) handleCutoverInstall(w http.ResponseWriter, r *http.Request) {
 	var sp shard.MoveSplice
 	if !n.cutoverBody(w, r, maxSpliceBytes, "MoveSplice", &sp) {
 		return
 	}
-	if err := n.rt.StageSplice(sp); err != nil {
+	if err := n.rt.InstallSplice(sp); err != nil {
 		conflict(w, err)
 		return
 	}
-	answerJSON(w, map[string]shard.Move{"staged": sp.Move})
+	answerJSON(w, map[string]shard.Move{"installed": sp.Move})
 }
 
 // handleCutoverFinish is POST /admin/v1/cutover/finish?to=N: restamp

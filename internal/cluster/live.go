@@ -25,7 +25,7 @@ import (
 //   - a NODE restarting mid-cutover reads the journal via StartNode and
 //     opens straight into the protocol state (donors at the old layout
 //     with the recorded freeze offsets, the destination with committed
-//     splices applied), then serves passively.
+//     splices in its snapshot), then serves passively.
 //   - a ROUTER restarting (or a second, stale router reloading) reads
 //     the journal and resumes double-write routing for unreleased
 //     moving keys; Router.LiveRebalance called again resumes driving
@@ -255,11 +255,9 @@ func (c *nodeClient) CaptureMove(m shard.Move) (shard.MoveSplice, error) {
 	return sp, err
 }
 
-func (c *nodeClient) StageSplice(sp shard.MoveSplice) error {
-	return c.call("stage move "+sp.Move.String(), http.MethodPost, "stage", sp, nil)
+func (c *nodeClient) InstallSplice(sp shard.MoveSplice) error {
+	return c.call("install move "+sp.Move.String(), http.MethodPost, "install", sp, nil)
 }
-
-func (c *nodeClient) InstallSplice(m shard.Move) error { return c.step("install", m, nil) }
 
 func (c *nodeClient) ForgetMove(m shard.Move) error { return c.step("forget", m, nil) }
 

@@ -21,19 +21,22 @@ import (
 )
 
 // The networked live-rebalance proof, one level up from the shard
-// suite's in-process cutover: a front router grows a 2-node fleet from
-// 2 to 3 partitions while fixed-seed traffic keeps flowing, driving the
-// per-move capture → stage → commit → install → forget → release
-// protocol over the admin API. Traffic is injected from the
-// coordinator's own hook points, so "under traffic" is deterministic:
-// batches land exactly at double-write start (through both the
-// coordinating router and a second router holding a stale view), and at
-// the first move's release. The destination node is killed mid-splice
-// and restarted on the same address; the cluster journal next to the
-// manifest resumes the cutover on exactly one layout per key. The
-// merged fleet output must match a single-process `-shards 3` runtime
-// bit for bit — per-key score sequences score by score, alert multisets
-// signature by signature — with zero acknowledged loss.
+// suite's in-process cutover: a front router grows a 2-node fleet from 2
+// to 3 partitions while fixed-seed traffic keeps flowing, driving the
+// per-move capture → install → commit → forget → release protocol over
+// the admin API. Traffic is injected from the coordinator's own hook
+// points, so "under traffic" is deterministic: batches land exactly at
+// double-write start (through both the coordinating router and a second
+// router holding a stale view), and at the first move's release. The
+// first move fails at "staged", installed on its destination but not
+// committed. Either the destination node is killed there and restarted
+// on the same address, and the cluster journal next to the manifest
+// resumes the cutover on exactly one layout per key; or every node stays
+// alive, and the retried cutover installs the move again over the copy
+// its destination still holds in memory. The merged fleet output must
+// match a single-process `-shards 3` runtime bit for bit — per-key score
+// sequences score by score, alert multisets signature by signature —
+// with zero acknowledged loss.
 
 // liveEqMovingKeys splits keys by whether the 2→3 growth (default
 // vnodes, the manifest's setting here) moves them.
@@ -73,6 +76,14 @@ func retryRejected(t *testing.T, r *Router, batch []string) {
 }
 
 func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
+	t.Run("dest killed at staged", func(t *testing.T) { clusterLiveEquivalence(t, true) })
+	t.Run("every node alive", func(t *testing.T) { clusterLiveEquivalence(t, false) })
+}
+
+// clusterLiveEquivalence runs the 2→3 fleet growth under traffic, failing
+// the first move at "staged" and, when killDest, killing the destination
+// node there.
+func clusterLiveEquivalence(t *testing.T, killDest bool) {
 	keys := eqKeys(12)
 	moving, staying := liveEqMovingKeys(keys)
 	if len(moving) == 0 || len(staying) == 0 {
@@ -163,10 +174,10 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	postAcked(pre, 1)
 
 	// The coordinator's hook injects traffic at the protocol's own
-	// boundaries and crashes the destination node at the first staged
-	// splice.
-	boom := errors.New("injected dest-node crash")
-	fedDW, fedStale, fedRel, killed := false, false, false, false
+	// boundaries and fails the first move once it is installed on its
+	// destination, before the journal commits it.
+	boom := errors.New("injected failure at staged")
+	fedDW, fedStale, fedRel, failed := false, false, false, false
 	r.liveHook = func(phase, key string) error {
 		switch {
 		case phase == "double-write" && !fedDW:
@@ -181,8 +192,8 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 			for i := 0; i < len(midStale); i += 50 {
 				retryRejected(t, r2, midStale[i:min(i+50, len(midStale))])
 			}
-		case phase == "staged" && !killed:
-			killed = true
+		case phase == "staged" && !failed:
+			failed = true
 			return boom
 		case phase == "released" && !fedRel:
 			fedRel = true
@@ -192,70 +203,28 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	}
 
 	if _, err := r.LiveRebalance(3, "b"); !errors.Is(err, boom) {
-		t.Fatalf("LiveRebalance with injected crash: err = %v, want the injected crash", err)
+		t.Fatalf("LiveRebalance with an injected failure: err = %v, want the injected failure", err)
 	}
 	jpath := cutoverJournalPath(manifestPath)
 	if _, err := os.Stat(jpath); err != nil {
-		t.Fatalf("cluster journal missing after the crash: %v", err)
+		t.Fatalf("cluster journal missing after the failure: %v", err)
 	}
-
-	// Crash the destination node mid-splice: quiesce to a committed
-	// boundary (a parked destination consumer counts — the gate commits
-	// before parking), then drop the WAL handles and flocks the way the
-	// OS drops a dead process's.
-	drainCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	if err := b.node.Drain(drainCtx); err != nil {
-		cancel()
-		t.Fatalf("draining node b before the kill: %v", err)
-	}
-	cancel()
-	b.node.Kill()
-	b.srv.Close()
-
-	// Restart it on the same address. StartNode finds the cluster
-	// journal next to the manifest and opens straight into the journaled
-	// cutover: donors at the old layout with the recorded freezes, the
-	// destination partition fenced and staged splices kept.
-	var lnB2 net.Listener
-	for i := 0; ; i++ {
-		var lerr error
-		lnB2, lerr = net.Listen("tcp", addrB)
-		if lerr == nil {
-			break
-		}
-		if i > 100 {
-			t.Fatalf("rebinding %s: %v", addrB, lerr)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	b2 := startFleetNode(t, manifestPath, "b", lnB2)
-	defer b2.srv.Close()
-	defer b2.node.Close()
-	if got := b2.node.Runtime().Shards(); got != 3 {
-		t.Fatalf("restarted dest node serves %d partitions, want 3 (mid-cutover layout)", got)
-	}
-	if got := b2.node.Runtime().Owned(); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("restarted dest node owns %v, want [1 2]", got)
-	}
-
-	// The restarted node's status surface reports the in-flight cutover.
-	sresp, err := http.Get(b2.srv.URL + "/admin/v1/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nst NodeStatus
-	if err := json.NewDecoder(sresp.Body).Decode(&nst); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if nst.Node != "b" || nst.Shards != 3 || nst.Cutover == nil || nst.Cutover.From != 2 || nst.Cutover.To != 3 {
-		t.Fatalf("restarted node status: %+v (cutover %+v)", nst, nst.Cutover)
+	nodes, live := []*fleetNode{a, b}, []*fleetNode{a, b}
+	if killDest {
+		b2 := killAndRestartDest(t, b, manifestPath, addrB)
+		defer b2.srv.Close()
+		defer b2.node.Close()
+		nodes, live = append(nodes, b2), []*fleetNode{a, b2}
+	} else {
+		defer b.srv.Close()
+		defer b.node.Close()
 	}
 
 	// Resume: the journal decides — re-begin every participant, drive
-	// the remaining moves (the half-staged one re-captures on the donor,
+	// the remaining moves (the half-installed one re-captures on the donor,
 	// whose tails were never forgotten: exactly one layout owned them
-	// throughout), and finish with the epoch-bumped manifest.
+	// throughout, and the repeat install replaces the destination's
+	// uncommitted copy), and finish with the epoch-bumped manifest.
 	report, err := r.LiveRebalance(3, "b")
 	if err != nil {
 		t.Fatalf("resuming LiveRebalance: %v", err)
@@ -266,8 +235,8 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	if report.MovedKeys == 0 {
 		t.Fatal("resumed rebalance moved no keys")
 	}
-	if !fedDW || !fedStale || !fedRel || !killed {
-		t.Fatalf("hook coverage: double-write=%v stale=%v released=%v killed=%v", fedDW, fedStale, fedRel, killed)
+	if !fedDW || !fedStale || !fedRel || !failed {
+		t.Fatalf("hook coverage: double-write=%v stale=%v released=%v failed at staged=%v", fedDW, fedStale, fedRel, failed)
 	}
 
 	if _, err := os.Stat(jpath); !os.IsNotExist(err) {
@@ -288,7 +257,7 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	postAcked(post, 2)
 
 	// The router's status surface agrees the cutover is over.
-	sresp, err = http.Get(rsrv.URL + "/admin/v1/status")
+	sresp, err := http.Get(rsrv.URL + "/admin/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +270,7 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 		t.Fatalf("router status after the rebalance: %+v", rst)
 	}
 
-	for _, fn := range []*fleetNode{a, b2} {
+	for _, fn := range live {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		if err := fn.node.Drain(ctx); err != nil {
 			cancel()
@@ -315,7 +284,7 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	// the killed node's pre-crash windows precede its successor's (the
 	// drain pinned them to a committed boundary).
 	merged := eqResult{scores: map[string][]float64{}, alerts: map[string]int{}}
-	for _, fn := range []*fleetNode{a, b, b2} {
+	for _, fn := range nodes {
 		res := fn.result()
 		for k, v := range res.scores {
 			merged.scores[k] = append(merged.scores[k], v...)
@@ -325,6 +294,64 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 		}
 	}
 	requireEqual(t, "live fleet 2→3", merged, ref)
+}
+
+// killAndRestartDest crashes the destination node b mid-cutover and
+// restarts it on the same address from the cluster journal.
+func killAndRestartDest(t *testing.T, b *fleetNode, manifestPath, addrB string) *fleetNode {
+	t.Helper()
+	// Crash the destination node mid-splice: quiesce to a committed
+	// boundary (a parked destination consumer counts — the gate commits
+	// before parking), then drop the WAL handles and flocks the way the
+	// OS drops a dead process's.
+	drainCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	if err := b.node.Drain(drainCtx); err != nil {
+		cancel()
+		t.Fatalf("draining node b before the kill: %v", err)
+	}
+	cancel()
+	b.node.Kill()
+	b.srv.Close()
+
+	// Restart it on the same address. StartNode finds the cluster
+	// journal next to the manifest and opens straight into the journaled
+	// cutover: donors at the old layout with the recorded freezes, the
+	// destination partition fenced, and the uncommitted install in its
+	// snapshot left for the move's next install to replace.
+	var lnB2 net.Listener
+	for i := 0; ; i++ {
+		var lerr error
+		lnB2, lerr = net.Listen("tcp", addrB)
+		if lerr == nil {
+			break
+		}
+		if i > 100 {
+			t.Fatalf("rebinding %s: %v", addrB, lerr)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	b2 := startFleetNode(t, manifestPath, "b", lnB2)
+	if got := b2.node.Runtime().Shards(); got != 3 {
+		t.Fatalf("restarted dest node serves %d partitions, want 3 (mid-cutover layout)", got)
+	}
+	if got := b2.node.Runtime().Owned(); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("restarted dest node owns %v, want [1 2]", got)
+	}
+
+	// The restarted node's status surface reports the in-flight cutover.
+	sresp, err := http.Get(b2.srv.URL + "/admin/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nst NodeStatus
+	if err := json.NewDecoder(sresp.Body).Decode(&nst); err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if nst.Node != "b" || nst.Shards != 3 || nst.Cutover == nil || nst.Cutover.From != 2 || nst.Cutover.To != 3 {
+		t.Fatalf("restarted node status: %+v (cutover %+v)", nst, nst.Cutover)
+	}
+	return b2
 }
 
 // A router that missed a whole cutover costs a rejected batch and a reload,
@@ -461,7 +488,7 @@ func TestClusterFailoverRefusedDuringLiveCutover(t *testing.T) {
 				t.Fatal(err)
 			}
 			jpath := cutoverJournalPath(manifestPath)
-			journal := `{"version":2,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":1,"1":1},"moves":{}}`
+			journal := `{"version":3,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":1,"1":1},"moves":{}}`
 			if err := os.WriteFile(jpath, []byte(journal), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -631,11 +658,11 @@ func assertEnvelope(t *testing.T, body []byte, wantCode string) {
 	}
 }
 
-// A node's cutover endpoints answer through the envelope: a splice body
+// A node's cutover endpoints answer through the envelope: an install body
 // past maxSpliceBytes is refused as too large, naming the bound (a move's
 // splice carries all its keys' tails, so the bound can be reached), a
-// per-move step without a move is a bad request, and a step outside a
-// cutover is a conflict.
+// truncated one or a per-move step without a move is a bad request, and a
+// step outside a cutover is a conflict. There is no stage step any more.
 func TestClusterNodeCutoverAdminSurface(t *testing.T) {
 	dir := t.TempDir()
 	m := &Manifest{
@@ -658,7 +685,7 @@ func TestClusterNodeCutoverAdminSurface(t *testing.T) {
 
 	oversized := io.MultiReader(strings.NewReader(`{"move":"0>1","events":"`),
 		strings.NewReader(strings.Repeat("a", maxSpliceBytes)), strings.NewReader(`"}`))
-	code, body := serve(http.MethodPost, "/admin/v1/cutover/stage", oversized)
+	code, body := serve(http.MethodPost, "/admin/v1/cutover/install", oversized)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("an over-bound splice: %d, want 413\n%s", code, body)
 	}
@@ -667,18 +694,25 @@ func TestClusterNodeCutoverAdminSurface(t *testing.T) {
 		t.Fatalf("the refusal does not name the %d-byte bound: %s", maxSpliceBytes, body)
 	}
 
-	code, body = serve(http.MethodPost, "/admin/v1/cutover/stage", strings.NewReader(`{"move":`))
+	code, body = serve(http.MethodPost, "/admin/v1/cutover/install", strings.NewReader(`{"move":`))
 	if code != http.StatusBadRequest {
 		t.Fatalf("a truncated splice: %d, want 400\n%s", code, body)
 	}
 	assertEnvelope(t, body, "bad_request")
 
-	for _, q := range []string{"", "?move=k1", "?move=0%3E"} {
-		code, body = serve(http.MethodPost, "/admin/v1/cutover/install"+q, nil)
-		if code != http.StatusBadRequest {
-			t.Fatalf("install%s: %d, want 400\n%s", q, code, body)
+	for _, step := range []string{"capture", "forget"} {
+		for _, q := range []string{"", "?move=k1", "?move=0%3E"} {
+			code, body = serve(http.MethodPost, "/admin/v1/cutover/"+step+q, nil)
+			if code != http.StatusBadRequest {
+				t.Fatalf("%s%s: %d, want 400\n%s", step, q, code, body)
+			}
+			assertEnvelope(t, body, "bad_request")
 		}
-		assertEnvelope(t, body, "bad_request")
+	}
+
+	code, body = serve(http.MethodPost, "/admin/v1/cutover/stage", strings.NewReader(`{"move":"0>1"}`))
+	if code != http.StatusNotFound {
+		t.Fatalf("the removed stage step: %d, want 404\n%s", code, body)
 	}
 
 	code, body = serve(http.MethodGet, "/admin/v1/cutover/moves", nil)

@@ -96,8 +96,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// of truth for crash recovery: a node restarting mid-cutover opens
 	// straight into the journaled protocol state (donors at the old
 	// layout with the recorded freeze offsets, the destination with its
-	// staged splices applied) and waits for the coordinator to resume
-	// driving it.
+	// committed splices in its snapshot) and waits for the coordinator to
+	// resume driving it.
 	j, err := shard.LoadCutoverJournal(cutoverJournalPath(cfg.ManifestPath))
 	if err != nil {
 		return nil, err
@@ -345,10 +345,10 @@ func (n *Node) Health() HealthReport {
 //	                                  coordinator's journal
 //	GET  /admin/v1/cutover/moves      moves still pending on owned donors
 //	POST /admin/v1/cutover/capture    capture one move's splice from its donor
-//	POST /admin/v1/cutover/stage      stage a splice file in the destination
-//	                                  partition's directory (the transfer
-//	                                  endpoint)
-//	POST /admin/v1/cutover/install    apply a staged splice to the destination
+//	POST /admin/v1/cutover/install    apply a captured splice to its
+//	                                  destination, durable in its snapshot
+//	                                  before the answer (the transfer
+//	                                  endpoint; body: shard.MoveSplice)
 //	POST /admin/v1/cutover/forget     drop a handed-over move's tails from its donor
 //	POST /admin/v1/cutover/finish     restamp every partition at the new layout
 func (n *Node) Handler() http.Handler {
@@ -374,10 +374,7 @@ func (n *Node) Handler() http.Handler {
 	mux.Handle(httpapi.Prefix+"/cutover/capture", stamp(n.cutoverStep("capture", func(m shard.Move) (any, error) {
 		return n.rt.CaptureMove(m)
 	})))
-	mux.Handle(httpapi.Prefix+"/cutover/stage", stamp(n.handleCutoverStage))
-	mux.Handle(httpapi.Prefix+"/cutover/install", stamp(n.cutoverStep("install", func(m shard.Move) (any, error) {
-		return map[string]shard.Move{"installed": m}, n.rt.InstallSplice(m)
-	})))
+	mux.Handle(httpapi.Prefix+"/cutover/install", stamp(n.handleCutoverInstall))
 	mux.Handle(httpapi.Prefix+"/cutover/forget", stamp(n.cutoverStep("forget", func(m shard.Move) (any, error) {
 		return map[string]shard.Move{"forgotten": m}, n.rt.ForgetMove(m)
 	})))

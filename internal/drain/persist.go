@@ -71,7 +71,8 @@ func (p *Parser) Import(events []SavedEvent) error {
 // the destination parser keeps serving its own streams while a moved
 // key's history arrives. Events whose template this parser already knows
 // keep the local group (the donor's count is not re-added: the merge must
-// be idempotent so a crashed cutover can re-apply it); unknown templates
+// be idempotent, because a move the cutover journal has not committed is
+// installed again after a crash or a failed step); unknown templates
 // are appended at the next local id. The returned map translates every
 // donor id to its local id, so pattern verdicts and window sequences
 // captured in the donor's id space can follow the key across.

@@ -48,16 +48,15 @@ import (
 //     every moving key's in-flight window tail is final.
 //  3. Per move — capture: the WindowTail of every key of the move plus
 //     the donor's full event space and pattern verdicts, exported once,
-//     under the donor's feed lock. Stage: the splice is written to one
-//     file in the destination's directory (atomic, fsynced). Commit: the
-//     journal records the move as "committed" — the move's commit point;
-//     from here its keys are destination-owned and a crash rolls them
-//     forward. Install: the splice merges into the live destination
-//     (donor event ids translated by template, pattern verdicts deduped,
-//     tails restored) in one merge. Forget: the donor drops the move's
-//     tails. Release: the journal records "released", the destination's
-//     parked consumer wakes for the move's keys and routing sends them to
-//     the destination only.
+//     under the donor's feed lock. Install: the splice merges into the
+//     live destination (donor event ids translated by template, pattern
+//     verdicts deduped, tails restored) and the destination takes a
+//     snapshot — the splice's one durable copy. Commit: the journal
+//     records the move as "committed" — the move's commit point; from
+//     here its keys are destination-owned. Forget: the donor drops the
+//     move's tails. Release: the journal records "released", the
+//     destination's parked consumer wakes for the move's keys and routing
+//     sends them to the destination only.
 //  4. Finish. Every participant restamps and persists its partitions on
 //     the new layout, drains each partition the new layout retires to its
 //     WAL tail and drops it, and swaps rings (double-writing ends here);
@@ -67,15 +66,14 @@ import (
 //
 // Crash safety is a per-move ledger: a participant that restarts while
 // the journal exists reopens at the new shard count straight into the
-// journaled state (committed-but-unspliced moves re-apply from their
-// staged files; destinations that already persisted a splice carry the
-// donor's marker in shard-state v3 and are left alone; a pending move's
-// tails are still the donor's, and records past the freeze point live in
-// the destination's WAL), and the Coordinator run again — by Open
-// in-process, by the operator's retry in a fleet — re-begins every
-// participant idempotently and drives what is left. Every key is on
-// exactly one side at every instant: donor until its move's journal entry
-// says "committed", destination after. There is no way back to the old layout
+// journaled state (a committed move's splice is in its destination's
+// snapshot, which was durable before the commit; a pending move's tails
+// are still the donor's, and records past the freeze point live in the
+// destination's WAL), and the Coordinator run again — by Open in-process,
+// by the operator's retry in a fleet — re-begins every participant
+// idempotently and drives what is left. Every key is owned by exactly one
+// side at every instant: donor until its move's journal entry says
+// "committed", destination after. There is no way back to the old layout
 // once the journal exists; the rollback is a copy of the root taken
 // before the command.
 //
@@ -98,20 +96,17 @@ import (
 // after every partition is persisted on the new layout.
 const CutoverJournalName = "live-cutover.json"
 
-// journalVersion is the journal format: version 2 ledgers moves, where
-// version 1 ledgered keys.
-const journalVersion = 2
-
-// spliceFilePrefix names staged splice files inside the destination
-// partition's directory, one per donor.
-const spliceFilePrefix = "cutover-splice-"
+// journalVersion is the journal format. Version 3 commits a move only
+// once its destination's snapshot holds the splice; version 2 ledgered
+// the same moves over staged splice files, and version 1 ledgered keys.
+const journalVersion = 3
 
 // Per-move cutover phases, in order. A move absent from the journal is
 // pending (donor-owned).
 const (
 	phasePending = iota
 	// phaseCommitted: the journal entry exists — the move's keys are
-	// destination-owned; recovery rolls it forward from its splice file.
+	// destination-owned, and its destination's snapshot holds the splice.
 	phaseCommitted
 	// phaseReleased: the destination consumer feeds the move's keys and
 	// the router no longer double-writes them.
@@ -192,7 +187,8 @@ func LoadCutoverJournal(path string) (*CutoverJournal, error) {
 		return nil, fmt.Errorf("shard: corrupt cutover journal %s: %w", path, err)
 	}
 	if j.Version != journalVersion {
-		return nil, fmt.Errorf("shard: cutover journal %s is version %d, but this build reads only version %d (a ledger of moves); "+
+		return nil, fmt.Errorf("shard: cutover journal %s is version %d, but this build reads only version %d "+
+			"(moves committed once their destinations' snapshots hold the splice); "+
 			"finish that cutover with the build that began it", path, j.Version, journalVersion)
 	}
 	if j.From < 1 || j.To < 1 || j.To == j.From || len(j.Freeze) != j.From {
@@ -256,53 +252,18 @@ func sortMoves(moves []Move) []Move {
 	return slices.Compact(moves)
 }
 
-// MoveSplice is one staged handoff: the window tails of every key of a
+// MoveSplice is one move's handoff: the window tails of every key of a
 // move plus the donor's full event space and pattern verdicts at capture
 // time (the keys' parse history is scattered through them, and
 // translation dedups by template). A donor captures it, the coordinator
-// ships it, and the destination stages it as a splice file. Its Version
-// is the journal's.
+// ships it, and the destination installs it. Its Version is the
+// journal's.
 type MoveSplice struct {
 	Version  int                            `json:"version"`
 	Move     Move                           `json:"move"`
 	Tails    map[string]pipeline.WindowTail `json:"tails,omitempty"`
 	Events   []drain.SavedEvent             `json:"events,omitempty"`
 	Patterns []pipeline.PatternEntry        `json:"patterns,omitempty"`
-}
-
-// splicePath renders a move's staged splice file inside its destination
-// partition's directory, named by the donor.
-func splicePath(dir string, m Move) string {
-	return filepath.Join(dir, fmt.Sprintf("%sp%d.json", spliceFilePrefix, m.Donor))
-}
-
-// loadSplice reads a staged splice file.
-func loadSplice(path string) (MoveSplice, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return MoveSplice{}, fmt.Errorf("shard: reading splice file %s: %w", path, err)
-	}
-	var sp MoveSplice
-	if err := json.Unmarshal(data, &sp); err != nil {
-		return MoveSplice{}, fmt.Errorf("shard: corrupt splice file %s: %w", path, err)
-	}
-	return sp, nil
-}
-
-// sweepSplices removes staged splice files — run once a destination's
-// Spliced markers are durable at cutover end, and by journal-less opens
-// (staged files mean nothing without the journal).
-func sweepSplices(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if len(name) > len(spliceFilePrefix) && name[:len(spliceFilePrefix)] == spliceFilePrefix {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
 }
 
 // Cutover is the in-memory overlay of a live rebalance: both rings, the
@@ -446,8 +407,8 @@ func (c *Cutover) interrupt() {
 
 // Coordinator drives one live cutover to completion over a set of
 // Participants: begin every participant and make the journal durable,
-// hand over each pending move (capture → stage → journal "committed" →
-// install → forget → journal "released"), finish. It owns the journal;
+// hand over each pending move (capture → install → journal "committed" →
+// forget → journal "released"), finish. It owns the journal;
 // the host supplies what is transport- or fleet-specific.
 type Coordinator struct {
 	// JournalPath is where the journal lives: the runtime root
@@ -474,12 +435,13 @@ type Coordinator struct {
 	OnFinish func() error
 	// Hook, when set, is invoked at the cutover's named points, in this
 	// order: "double-write" once after begin (move empty); per move
-	// "tail-landed", "staged", "committed", "released", the second
-	// argument naming the move (e.g. "0>2"); "finish" once before the
-	// finish flip (move empty). A move resumed at "committed" fires only
-	// "released". Returning an error aborts exactly there, leaving the
-	// journal in place — the crash-injection suites then kill participants
-	// and prove a second Run resumes.
+	// "tail-landed", "staged" (the destination's snapshot holds the
+	// splice, the journal does not name the move yet), "committed",
+	// "released", the second argument naming the move (e.g. "0>2");
+	// "finish" once before the finish flip (move empty). A move resumed at
+	// "committed" fires only "released". Returning an error aborts exactly
+	// there, leaving the journal in place — the crash-injection suites then
+	// kill participants and prove a second Run resumes.
 	Hook func(phase, move string) error
 }
 
@@ -507,7 +469,7 @@ func (c *Coordinator) Run(j *CutoverJournal) (*RebalanceReport, error) {
 		return nil, err
 	}
 
-	// Moves the journal already committed (a resumed cutover) roll forward
+	// Moves the journal already committed (a resumed cutover) finish
 	// first: they are destination-owned. Then every pending move, until no
 	// donor holds one — records past the freeze point never re-enter donor
 	// tails, so the pending set can only shrink and the empty round proves
@@ -611,11 +573,12 @@ func pendingMoves(active []Participant) ([]Move, error) {
 }
 
 // move hands one move over, from wherever the journal says it stands:
-// capture on the donor → stage on the destination → journal "committed"
-// (the move's commit point: from here its keys are destination-owned and
-// recovery rolls it forward) → install → forget → journal "released".
-// Every step is idempotent. The keys and window-tail lines a capture
-// hands over are counted into rep.
+// capture on the donor → install on the destination, durable in its
+// snapshot → journal "committed" (the move's commit point: from here its
+// keys are destination-owned) → forget → journal "released". A move the
+// journal already committed skips capture and install: its destination's
+// snapshot holds the splice. Every step is idempotent. The keys and
+// window-tail lines a capture hands over are counted into rep.
 func (c *Coordinator) move(j *CutoverJournal, m Move, donor, dest Participant, rep *RebalanceReport) error {
 	if j.Moves[m] != "committed" {
 		if err := c.hook("tail-landed", m.String()); err != nil {
@@ -625,7 +588,7 @@ func (c *Coordinator) move(j *CutoverJournal, m Move, donor, dest Participant, r
 		if err != nil {
 			return err
 		}
-		if err := dest.StageSplice(sp); err != nil {
+		if err := dest.InstallSplice(sp); err != nil {
 			return err
 		}
 		if err := c.hook("staged", m.String()); err != nil {
@@ -641,9 +604,6 @@ func (c *Coordinator) move(j *CutoverJournal, m Move, donor, dest Participant, r
 		for _, tail := range sp.Tails {
 			rep.MovedLines += len(tail.Lines)
 		}
-	}
-	if err := dest.InstallSplice(m); err != nil {
-		return err
 	}
 	// The donor's next snapshot makes the drop durable; in the interim the
 	// journal, not the donor's snapshot, is what recovery trusts.

@@ -31,11 +31,9 @@ type Participant interface {
 	PendingMoves() ([]Move, error)
 	// CaptureMove snapshots one pending move's splice from its donor.
 	CaptureMove(m Move) (MoveSplice, error)
-	// StageSplice durably writes a captured splice into the move's
-	// destination partition's directory.
-	StageSplice(sp MoveSplice) error
-	// InstallSplice applies a move's staged splice to its live destination.
-	InstallSplice(m Move) error
+	// InstallSplice applies a captured splice to the move's live
+	// destination and returns once the destination's snapshot holds it.
+	InstallSplice(sp MoveSplice) error
 	// ForgetMove drops a handed-over move's window tails from its donor.
 	ForgetMove(m Move) error
 	// SyncCutover advances per-move phases from the coordinator's journal.
@@ -185,8 +183,7 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 // shrink's target, a count too small to contain idx, whatever the counts
 // in between (4→2 stamps p3 with 2, and 2→3 then 3→4 reopens it). Such a
 // directory was persisted with Consumed at its WAL tail and no tails, so
-// it opens like a fresh one. Persisted Spliced markers load (enterCutover
-// keeps the ones this cutover's journal vouches for).
+// it opens like a fresh one.
 func midCutoverOpts(spec CutoverSpec, idx, layout int, ring *Partitioner) openOpts {
 	return openOpts{
 		layout: layout,
@@ -203,31 +200,19 @@ func midCutoverOpts(spec CutoverSpec, idx, layout int, ring *Partitioner) openOp
 // cutover share (BeginCutover on a serving runtime, Open on a root or
 // node restarting mid-cutover). Freeze offsets: the journal's recorded
 // value wins; an owned donor without one captures its next append offset
-// now. Moves the journal already committed roll forward on an owned
-// destination from their staged splices — before the cutover is
-// published, because a released move's records are not gated and must
-// never be fed ahead of its restored tails — then a partition opened into
-// the cutover replays its WAL, and committed moves' keys are scrubbed
-// from owned donor tails (a donor may have crashed before snapshotting
-// the drop): the live run's order, since a destination feeds a key's
-// records after its splice and a donor before its drop. A Spliced marker
-// survives only where the journal committed its donor's move to this
-// partition; any other is left from an earlier cutover, and one kept by
-// mistake would make a later cutover skip that move's splice. A change
-// here is owed a snapshot. The caller holds the route write lock, or runs
-// before any worker starts.
+// now. Then a partition opened into the cutover replays its WAL, and the
+// journal decides who keeps a moving key's tail: a committed move's keys
+// are its destination's — whose snapshot took the splice before the
+// commit — and are scrubbed from every other partition (a donor may have
+// crashed before snapshotting the drop). An uncommitted move's keys are
+// the donor's; a copy its destination holds from an install the journal
+// never committed is not scrubbed here but replaced by the move's next
+// install, because a destination whose finish ran before a crash that
+// kept the journal also holds, and must keep, the tails of keys whose
+// move was never journaled (their whole history lies past the freeze
+// point). A scrub is owed a snapshot. The caller holds the route write
+// lock, or runs before any worker starts.
 func (rt *Runtime) enterCutover(cut *Cutover, spec CutoverSpec) error {
-	var landed []Move
-	for m, ph := range cut.phase {
-		if ph >= phaseCommitted && rt.byIdx[m.Dest] != nil {
-			landed = append(landed, m)
-		}
-	}
-	for _, m := range sortMoves(landed) {
-		if err := rt.byIdx[m.Dest].ensureSpliced(m); err != nil {
-			return err
-		}
-	}
 	for i, pt := range rt.byIdx {
 		if pt == nil {
 			continue
@@ -242,12 +227,6 @@ func (rt *Runtime) enterCutover(cut *Cutover, spec CutoverSpec) error {
 			return cut.phase[m] >= phaseCommitted && m.Dest != i
 		})
 		pt.forceSave = pt.forceSave || len(scrubbed) > 0
-		for donor := range pt.spliced {
-			if cut.phase[Move{donor, i}] < phaseCommitted {
-				delete(pt.spliced, donor)
-				pt.forceSave = true
-			}
-		}
 		pt.feedMu.Unlock()
 		if err != nil {
 			return err
@@ -414,54 +393,28 @@ func (rt *Runtime) CaptureMove(m Move) (MoveSplice, error) {
 	}, nil
 }
 
-// StageSplice implements Participant (rewrites the same file on a
-// repeat). The file is durable before the journal commits the move, and
-// InstallSplice applies the move from it.
-func (rt *Runtime) StageSplice(sp MoveSplice) error {
+// InstallSplice implements Participant. Under the destination's feed
+// lock it drops whatever tails the destination holds for the move's keys
+// (an earlier install the journal never committed: a repeat replaces it),
+// merges the donor's events by template into the running parser and
+// extends the event table over them, imports the donor's pattern verdicts
+// translated into the destination's id space (its own verdicts win),
+// restores the move's window tails and takes a snapshot — the splice's
+// one durable copy, on disk before the journal commits the move.
+// Re-merging a donor export translates onto the same ids. A move the
+// cutover already committed is left alone: its destination's snapshot
+// holds the splice, and its keys may have fed since.
+func (rt *Runtime) InstallSplice(sp MoveSplice) error {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
-	_, dest, err := rt.moveSide(sp.Move, false)
-	if err != nil {
+	m := sp.Move
+	cut, dest, err := rt.moveSide(m, false)
+	if err != nil || cut.movePhase(m) >= phaseCommitted {
 		return err
 	}
-	if err := writeJSONFile(splicePath(dest.dir, sp.Move), sp); err != nil {
-		return fmt.Errorf("shard: staging the splice of move %v: %w", sp.Move, err)
-	}
-	return nil
-}
-
-// InstallSplice implements Participant (idempotent via the Spliced
-// marker).
-func (rt *Runtime) InstallSplice(m Move) error {
-	rt.routeMu.RLock()
-	defer rt.routeMu.RUnlock()
-	_, dest, err := rt.moveSide(m, false)
-	if err != nil {
-		return err
-	}
-	return dest.ensureSpliced(m)
-}
-
-// ensureSpliced brings dest, the move's destination, up to its staged
-// splice: a destination whose state already carries the donor's Spliced
-// marker is left alone; otherwise the splice applies from the staged
-// file, which is guaranteed present for a committed move: it was fsynced
-// before the journal entry.
-func (dest *partition) ensureSpliced(m Move) error {
 	dest.feedMu.Lock()
 	defer dest.feedMu.Unlock()
-	if dest.spliced[m.Donor] {
-		return nil
-	}
-	sp, err := loadSplice(splicePath(dest.dir, m))
-	if err != nil {
-		return err
-	}
-	// Donor events merge by template into the running parser, the event
-	// table extends to cover new ids, pattern verdicts translate into the
-	// destination's id space (its own verdicts win), and the move's window
-	// tails restore. Re-merging the same donor export translates onto the
-	// same ids.
+	dest.keyed.TakeTails(func(k string) bool { return cut.moveOf(k) == m })
 	translate, err := dest.pipe.Parser().Merge(sp.Events)
 	if err != nil {
 		return fmt.Errorf("shard: merging donor events of move %v: %w", m, err)
@@ -472,8 +425,10 @@ func (dest *partition) ensureSpliced(m Move) error {
 	lib := dest.pipe.Library()
 	lib.Import(translatePatterns(sp.Patterns, translate, lib.Contains))
 	dest.keyed.Restore(sp.Tails)
-	dest.spliced[m.Donor] = true
 	dest.forceSave = true
+	if err := dest.flushCommit(); err != nil {
+		return fmt.Errorf("shard: persisting the splice of move %v on partition %d: %w", m, m.Dest, err)
+	}
 	return nil
 }
 
@@ -525,9 +480,7 @@ func (rt *Runtime) ForgetMove(m Move) error {
 // ring swaps and the cutover is cleared — double-writing ends here,
 // before the coordinator removes the journal (a record double-written
 // after the journal was gone would be fed twice on the next recovery).
-// Spliced markers stay set, so every later persist keeps them: a crash
-// before the journal's removal must find them, the staged files being
-// swept below. A runtime already serving to partitions answers nil.
+// A runtime already serving to partitions answers nil.
 //
 // Nothing is closed until every partition has persisted: a failure up to
 // there returns with all of them open and the cutover still published, so
@@ -566,7 +519,6 @@ func (rt *Runtime) CompleteCutover(to int) (err error) {
 	kept := make([]*partition, 0, len(rt.parts))
 	for _, pt := range rt.parts {
 		if pt.idx < cut.To {
-			sweepSplices(pt.dir)
 			kept = append(kept, pt)
 		} else {
 			retired = append(retired, pt)

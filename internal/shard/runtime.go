@@ -43,9 +43,9 @@ type Config struct {
 	// Cutover, when non-nil, opens the runtime into a live cutover whose
 	// journal is held elsewhere (a cluster coordinator's directory, not
 	// this root): partitions open under their mid-cutover layouts with
-	// the spec's recorded freeze offsets and per-move phases, committed
-	// moves roll forward from staged splices, and the runtime then serves
-	// passively — the networked coordinator drives the per-move protocol
+	// the spec's recorded freeze offsets and per-move phases (a committed
+	// move's splice is already in its destination's snapshot), and the
+	// runtime then serves passively — the networked coordinator drives the per-move protocol
 	// over the admin surface and calls CompleteCutover. Shards must
 	// equal Cutover.To. Mutually exclusive with a journal at Dir.
 	Cutover *CutoverSpec
@@ -180,10 +180,6 @@ type partition struct {
 	fedBytes, snapBytes int64
 	sinceCommit         int
 
-	// spliced marks the donors whose moves this (destination) partition
-	// has merged during a live cutover; persisted with the state so
-	// recovery knows which splices its durable tails already reflect.
-	spliced map[int]bool
 	// forceSave makes the next flushCommit take a snapshot: cutover
 	// splices, scrubs and restamps change state without consuming records,
 	// so replaying the WAL could not rebuild them.
@@ -217,8 +213,8 @@ type partition struct {
 //
 // A root carrying a live-cutover journal resumes the interrupted cutover
 // before Open returns: the runtime must be opened at the journal's
-// target shard count, partitions open under their mid-cutover layouts,
-// committed moves roll forward from their staged splice files, and the
+// target shard count, partitions open under their mid-cutover layouts
+// (a committed move's splice is in its destination's snapshot), and the
 // remaining moves cut over exactly as if the process had never died.
 func Open(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
@@ -335,10 +331,6 @@ func Open(cfg Config) (*Runtime, error) {
 				rt.closePartitions()
 				return nil, fmt.Errorf("shard: opening partition %d: %w", i, err)
 			}
-			// Without a journal there is no cutover: staged splice files and
-			// persisted Spliced markers are debris from a finish that crashed
-			// after its journal-removal commit point.
-			sweepSplices(pt.dir)
 			rt.parts = append(rt.parts, pt)
 			rt.byIdx[i] = pt
 		}
@@ -405,8 +397,8 @@ type openOpts struct {
 	// acceptable (default: layout, or 0 — a fresh partition, the only
 	// state loadState returns unstamped).
 	acceptStamp func(int) bool
-	// cutover opens the partition into a live cutover: the snapshot's
-	// Spliced markers load, and enterCutover replays the WAL.
+	// cutover opens the partition into a live cutover: enterCutover
+	// replays the WAL under it.
 	cutover bool
 }
 
@@ -499,7 +491,6 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 		layout:     o.layout,
 		ring:       o.ring,
 		commitErrs: reg.Counter("shard.commit_errors_total"),
-		spliced:    make(map[int]bool),
 		muted:      true,
 		done:       make(chan struct{}),
 	}
@@ -528,11 +519,6 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 	}
 	pt.pipe.Library().Import(st.Patterns)
 	pt.keyed.Restore(st.Tails)
-	if o.cutover && st.Cutover != nil {
-		for _, d := range st.Cutover.Donors {
-			pt.spliced[d] = true
-		}
-	}
 
 	if pt.cons, err = bk.Consumer(detectorGroup); err != nil {
 		return nil, err
@@ -804,7 +790,6 @@ func (pt *partition) snapshot() error {
 		Tails:      pt.keyed.Tails(),
 		Events:     pt.pipe.Parser().Export(),
 		Patterns:   pt.pipe.Library().Export(),
-		Cutover:    pt.cutoverRecord(),
 	}
 	if err := saveState(path, st); err != nil {
 		return err
@@ -822,20 +807,6 @@ func (pt *partition) commitFailed(err error) error {
 	pt.commitErrs.Inc()
 	pt.setErr(err)
 	return err
-}
-
-// cutoverRecord renders the partition's live-cutover state record
-// (nil outside a cutover). Called under feedMu.
-func (pt *partition) cutoverRecord() *cutoverState {
-	if len(pt.spliced) == 0 {
-		return nil
-	}
-	donors := make([]int, 0, len(pt.spliced))
-	for d := range pt.spliced {
-		donors = append(donors, d)
-	}
-	sort.Ints(donors)
-	return &cutoverState{Donors: donors}
 }
 
 // setErr records the first worker error.
@@ -998,7 +969,6 @@ func (rt *Runtime) AdoptPartition(idx int) error {
 	if err != nil {
 		return fmt.Errorf("shard: adopting partition %d: %w", idx, err)
 	}
-	sweepSplices(pt.dir)
 	rt.parts = append(rt.parts, pt)
 	rt.byIdx[idx] = pt
 	rt.reg.Gauge("shard.partitions_owned").Add(1)

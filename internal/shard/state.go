@@ -27,15 +27,11 @@ import (
 // non-zero stamp; only a missing file (a fresh partition) yields the
 // unstamped zero state.
 //
-// Version 3 adds the live-cutover record: the donors whose moves a
-// destination partition has already had spliced in. Persisted atomically
-// with Consumed and Tails, it lets a crash mid-cutover resolve each move
-// to exactly one side — a move whose splice landed in the destination's
-// snapshot is never re-spliced (which would regress its keys' window
-// phases past records the destination already consumed), while a move
-// without the marker is re-applied from its staged splice file. The
-// record only means anything while the root's live-cutover journal
-// exists; without the journal it is stale debris and ignored on open.
+// Version 3 added a live-cutover record naming the donors whose moves a
+// destination had spliced in. This build writes none and ignores one it
+// reads, so a file without it is a valid version 3 file: a move's splice
+// lands in its destination's snapshot before the journal commits the
+// move, and the journal alone says who owns a moving key.
 
 // stateFileName is the snapshot file inside a partition's WAL directory.
 const stateFileName = "shard-state.json"
@@ -60,19 +56,6 @@ type partitionState struct {
 	// Patterns are the pattern library's cached verdicts, least recently
 	// used first.
 	Patterns []pipeline.PatternEntry `json:"patterns,omitempty"`
-	// Cutover is the live-cutover record (nil outside a cutover).
-	Cutover *cutoverState `json:"cutover,omitempty"`
-}
-
-// cutoverState is the per-partition half of a live cutover's durable
-// state (the other half is the root journal).
-type cutoverState struct {
-	// Donors lists the donor partitions whose moves — their keys' tails
-	// and the donor's event space — this destination partition has
-	// already merged, sorted. The set is written in the same atomic save
-	// as Consumed/Tails, so "spliced" and "this state reflects the splice"
-	// can never disagree.
-	Donors []int `json:"donors,omitempty"`
 }
 
 // statePath renders the snapshot path for a partition directory.
@@ -140,8 +123,8 @@ func saveState(path string, st partitionState) error {
 }
 
 // writeJSONFile installs v as a JSON file through atomicfile.Write — the
-// one write path for partition state, the live-cutover journal and staged
-// splice files. A failure leaves any previous file untouched.
+// one write path for partition state and the live-cutover journal. A
+// failure leaves any previous file untouched.
 func writeJSONFile(path string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
