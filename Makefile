@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-build bench-broker bench-broker-smoke bench-shard bench-shard-smoke bench-cluster bench-cluster-smoke chaos explore explore-nightly cover fuzz-smoke rebalance-test live-rebalance-test cluster-test cluster-live-test api-check verify verify-nightly
+.PHONY: build test vet race bench bench-build bench-smoke bench-broker bench-broker-smoke bench-shard bench-shard-smoke bench-cluster bench-cluster-smoke chaos explore explore-nightly cover fuzz-smoke rebalance-test live-rebalance-test cluster-test cluster-live-test api-check verify verify-nightly
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,13 @@ bench:
 # it whenever an API it imports may have moved.
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Bench-smoke tier: runs the repo benchmark itself at smoke size (every
+# workload, about 40 s on 2 vCPUs). bench-build only vets and tests the
+# module; this tier fails when a workload cannot run or any run is not
+# `correct`.
+bench-smoke:
+	bash benchmark/run.sh -smoke
 
 # Broker bench tier: measures WAL append throughput/latency, consume
 # throughput, and the overhead of feeding a pipeline from a consumer
@@ -195,9 +202,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 10s ./internal/framelog/
 
 # Verify: the per-PR gate — static checks, tier-1, the benchmark module's
-# build, and the fast -race proof tiers (20 explored crash schedules
-# among them) plus the smoke-sized benches.
-verify: vet test bench-build api-check chaos explore rebalance-test live-rebalance-test cluster-test cluster-live-test bench-broker-smoke bench-shard-smoke bench-cluster-smoke
+# build and a smoke run of it, and the fast -race proof tiers (20 explored
+# crash schedules among them) plus the smoke-sized benches.
+verify: vet test bench-build bench-smoke api-check chaos explore rebalance-test live-rebalance-test cluster-test cluster-live-test bench-broker-smoke bench-shard-smoke bench-cluster-smoke
 
 # Verify-nightly: verify plus the slow tiers — the full suite under the
 # race detector (up to 45 minutes on a small machine), 2 000 explored

@@ -1,4 +1,5 @@
-// Command experiments regenerates the paper's tables and figures.
+// Command experiments regenerates the paper's tables and figures, and the
+// extra ablations, with the settings of the run EXPERIMENTS.md records.
 //
 // Usage:
 //
@@ -9,11 +10,14 @@
 //	experiments -id fig5              # ablations (LEI, SUFE, transfer)
 //	experiments -id fig6              # cross-group transfer study
 //	experiments -id deploy            # §VI deployment workflow
+//	experiments -id labelnoise        # §IV-E1 label-quality threat
 //	experiments -id case              # Fig. 8 case study
-//	experiments -id all               # everything, in paper order
+//	experiments -id omega|da|embeddim # extra ablations (not in the paper)
+//	experiments -id all               # everything, in that order
 //
-// Add -scale smoke|cpu|paper to pick the experiment size (default cpu),
-// and -targets to restrict sweeps to specific systems.
+// -scale smoke|bench|cpu|paper picks the corpus sizes (default bench, the
+// recorded run's); it changes nothing else. -targets replaces the target
+// list of the Fig. 4 sweeps and Fig. 5.
 package main
 
 import (
@@ -47,8 +51,91 @@ type usageError struct{ error }
 
 func (e usageError) Unwrap() error { return e.error }
 
-// ids lists every experiment in paper order; -id all runs them in turn.
-var ids = []string{"table3", "table4", "table5", "fig4a", "fig4b", "fig4c", "fig5", "fig6", "deploy", "labelnoise", "case"}
+// experiment is one -id and the settings of the recorded run.
+type experiment struct {
+	id string
+	// epochs replaces core.DefaultConfig's training epochs; 0 keeps them.
+	epochs int
+	// targets is the default target list; -targets replaces it.
+	targets []string
+	// target, lines, rates and dims are the fixed inputs of the
+	// single-target experiments.
+	target string
+	lines  int
+	rates  []float64
+	dims   []int
+}
+
+var (
+	systems = append(experiments.PublicNames(), experiments.ISPNames()...)
+	// sweepTargets takes one system per anomaly-rate regime (high, medium,
+	// low), which keeps the Fig. 4 sweeps' run count down.
+	sweepTargets = []string{"BGL", "Thunderbird", "SystemC"}
+)
+
+// experimentList holds every id in paper order, then the extra
+// ablations; -id all runs them in turn.
+var experimentList = []experiment{
+	{id: "table3"},
+	{id: "table4"},
+	{id: "table5"},
+	{id: "fig4a", epochs: 6, targets: sweepTargets},
+	{id: "fig4b", epochs: 6, targets: sweepTargets},
+	{id: "fig4c", epochs: 6, targets: sweepTargets},
+	{id: "fig5", epochs: 8, targets: systems},
+	{id: "fig6"},
+	{id: "deploy", target: "SystemB", lines: 20000},
+	{id: "labelnoise", epochs: 6, target: "Thunderbird", rates: []float64{0, 0.05, 0.1, 0.2, 0.4}},
+	{id: "case"},
+	{id: "omega", target: "Thunderbird"},
+	{id: "da", target: "Thunderbird"},
+	{id: "embeddim", target: "Thunderbird", dims: []int{16, 32, 64}},
+}
+
+// config is the training configuration the experiment runs at.
+func (e experiment) config() core.Config {
+	cfg := core.DefaultConfig()
+	if e.epochs > 0 {
+		cfg.Epochs = e.epochs
+	}
+	return cfg
+}
+
+// regenerate runs one experiment on the lab and returns its rendering.
+func regenerate(l *experiments.Lab, e experiment) string {
+	cfg := e.config()
+	switch e.id {
+	case "table3":
+		return experiments.RenderTable3(l.Table3())
+	case "table4":
+		return l.Table4(cfg).Render()
+	case "table5":
+		return l.Table5(cfg).Render()
+	case "fig4a":
+		return l.Fig4a(cfg, e.targets).Render()
+	case "fig4b":
+		return l.Fig4b(cfg, e.targets).Render()
+	case "fig4c":
+		return l.Fig4c(cfg, e.targets).Render()
+	case "fig5":
+		return l.Fig5(cfg, e.targets).Render()
+	case "fig6":
+		return l.Fig6(cfg).Render()
+	case "deploy":
+		return l.Deployment(cfg, e.target, e.lines).Render()
+	case "labelnoise":
+		return l.LabelNoise(cfg, e.target, e.rates).Render()
+	case "case":
+		return l.CaseStudy().Render()
+	case "omega":
+		return l.OmegaAblation(cfg, e.target).Render()
+	case "da":
+		return l.DAAblation(cfg, e.target).Render()
+	case "embeddim":
+		return l.EmbedDimAblation(cfg, e.target, e.dims).Render()
+	}
+	panic("experiments: no runner for id " + e.id)
+}
 
 var scales = map[string]func() experiments.Scale{
 	"smoke": experiments.SmokeScale,
@@ -57,18 +144,26 @@ var scales = map[string]func() experiments.Scale{
 	"paper": experiments.PaperScale,
 }
 
-// newLab builds the lab the experiments share; tests replace it to see
-// that a usage error returns before any corpus is built.
-var newLab = experiments.NewLab
+// newLab builds the lab the experiments share, and render runs one
+// experiment on it; tests replace them to see that a usage error returns
+// before any corpus is built, and which experiments a run selects.
+var (
+	newLab = experiments.NewLab
+	render = regenerate
+)
 
 // run is the whole command. Every flag is checked before the lab is
 // built, so a typo fails at once rather than after corpus generation.
 func run(args []string, stdout, stderr io.Writer) error {
+	ids := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		ids[i] = e.id
+	}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	id := fs.String("id", "all", "experiment id ("+strings.Join(ids, ",")+",all)")
-	scaleName := fs.String("scale", "cpu", "experiment scale: smoke, bench, cpu, paper")
-	targetsFlag := fs.String("targets", "", "comma-separated targets for sweeps (default: all six)")
+	scaleName := fs.String("scale", "bench", "corpus scale: smoke, bench, cpu, paper")
+	targetsFlag := fs.String("targets", "", "comma-separated targets for fig4a-c and fig5 (default: each id's recorded list)")
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
@@ -77,15 +172,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !ok {
 		return usageError{fmt.Errorf("unknown scale %q", *scaleName)}
 	}
-	todo := ids
+	todo := experimentList
 	if *id != "all" {
-		if !slices.Contains(ids, *id) {
+		i := slices.Index(ids, *id)
+		if i < 0 {
 			return usageError{fmt.Errorf("unknown id %q", *id)}
 		}
-		todo = []string{*id}
+		todo = todo[i : i+1]
 	}
-	systems := append(experiments.PublicNames(), experiments.ISPNames()...)
-	targets := systems
+	var targets []string
 	if *targetsFlag != "" {
 		targets = strings.Split(*targetsFlag, ",")
 		for _, t := range targets {
@@ -96,34 +191,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	lab := newLab(scale())
-	cfg := core.DefaultConfig()
-	for _, name := range todo {
-		var out string
-		switch name {
-		case "table3":
-			out = experiments.RenderTable3(lab.Table3())
-		case "table4":
-			out = lab.Table4(cfg).Render()
-		case "table5":
-			out = lab.Table5(cfg).Render()
-		case "fig4a":
-			out = lab.Fig4a(cfg, targets).Render()
-		case "fig4b":
-			out = lab.Fig4b(cfg, targets).Render()
-		case "fig4c":
-			out = lab.Fig4c(cfg, targets).Render()
-		case "fig5":
-			out = lab.Fig5(cfg, targets).Render()
-		case "fig6":
-			out = lab.Fig6(cfg).Render()
-		case "deploy":
-			out = lab.Deployment(cfg, "SystemB", 20000).Render()
-		case "labelnoise":
-			out = lab.LabelNoise(cfg, "Thunderbird", []float64{0, 0.05, 0.1, 0.2, 0.4}).Render()
-		case "case":
-			out = lab.CaseStudy().Render()
+	for _, e := range todo {
+		if targets != nil && e.targets != nil {
+			e.targets = targets
 		}
-		fmt.Fprintln(stdout, out)
+		fmt.Fprintln(stdout, render(lab, e))
 	}
 	return nil
 }

@@ -180,16 +180,6 @@ func loadModel(path string) (*core.Detector, error) {
 	return core.LoadBundle(f)
 }
 
-// seededParser returns a parser that has seen the bundle's templates in
-// table order, so online event ids align with the bundled table.
-func seededParser(det *core.Detector) *drain.Parser {
-	parser := drain.NewDefault()
-	for _, in := range det.Table.Interps {
-		parser.Parse(in.Template)
-	}
-	return parser
-}
-
 // readLog reads the log at path, or stdin when path is empty.
 func readLog(path string) ([]string, error) {
 	if path == "" {
@@ -330,7 +320,7 @@ func runDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	p := pipeline.New(pipeline.DefaultConfig(*hint), seededParser(det), det,
+	p := pipeline.New(pipeline.DefaultConfig(*hint), pipeline.SeededParser(det), det,
 		lei.NewSimLLM(lei.Config{}), embed.New(det.Table.Dim), &printingSink{quiet: *statsOnly})
 	stats := p.Run(context.Background(), pipeline.NewSliceSource(lines))
 	fmt.Printf("lines=%d sequences=%d anomalies=%d pattern-hits=%d new-events=%d\n",

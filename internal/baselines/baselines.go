@@ -21,6 +21,7 @@ import (
 	"logsynergy/internal/nn"
 	"logsynergy/internal/nn/optim"
 	"logsynergy/internal/repr"
+	"logsynergy/internal/tensor"
 )
 
 // Scenario is one cross-system evaluation setting: labeled training slices
@@ -143,26 +144,35 @@ func (c *seqClassifier) fit(d *repr.Dataset, cfg trainCfg, rng *rand.Rand, opt o
 
 // score returns anomaly probabilities over a dataset.
 func (c *seqClassifier) score(d *repr.Dataset) []float64 {
+	return scoreRows(d, func(g *nn.Graph, x *tensor.Tensor) *nn.Node {
+		return c.logits(g, g.Const(x), false)
+	}, sigmoidRow)
+}
+
+// scoreChunk is how many rows one scoring graph holds.
+const scoreChunk = 256
+
+// scoreRows runs forward over d in chunks of scoreChunk rows, each on a
+// fresh graph, and maps every row of the output node to one score.
+func scoreRows(d *repr.Dataset, forward func(g *nn.Graph, x *tensor.Tensor) *nn.Node, row func([]float64) float64) []float64 {
 	out := make([]float64, 0, d.Len())
-	const chunk = 256
-	for start := 0; start < d.Len(); start += chunk {
-		end := start + chunk
-		if end > d.Len() {
-			end = d.Len()
-		}
-		idx := make([]int, end-start)
+	for start := 0; start < d.Len(); start += scoreChunk {
+		idx := make([]int, min(scoreChunk, d.Len()-start))
 		for i := range idx {
 			idx[i] = start + i
 		}
 		x, _ := d.Gather(idx)
-		g := nn.NewGraph()
-		logits := c.logits(g, g.Const(x), false)
-		for _, z := range logits.Value.Data {
-			out = append(out, sigmoid(z))
+		v := forward(nn.NewGraph(), x).Value.Data
+		w := len(v) / len(idx)
+		for i := range idx {
+			out = append(out, row(v[i*w:(i+1)*w]))
 		}
 	}
 	return out
 }
+
+// sigmoidRow maps a one-logit row to its anomaly probability.
+func sigmoidRow(r []float64) float64 { return sigmoid(r[0]) }
 
 func sigmoid(x float64) float64 {
 	if x >= 0 {

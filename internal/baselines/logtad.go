@@ -69,12 +69,12 @@ func (l *LogTAD) Fit(sc *Scenario) {
 	l.center = l.initCenter(parts[0].d)
 
 	batch := l.Train.Batch
-	perDomain := maxInt(batch/len(parts), 1)
+	perDomain := max(batch/len(parts), 1)
 	steps := 0
 	for _, p := range parts {
 		steps += p.d.Len()
 	}
-	steps = maxInt(steps/batch, 1) * l.Train.Epochs
+	steps = max(steps/batch, 1) * l.Train.Epochs
 
 	for s := 0; s < steps; s++ {
 		g := nn.NewGraph()
@@ -147,30 +147,17 @@ func (l *LogTAD) initCenter(d *repr.Dataset) *tensor.Tensor {
 
 // distances returns per-row squared distances to the center.
 func (l *LogTAD) distances(d *repr.Dataset) []float64 {
-	out := make([]float64, 0, d.Len())
-	const chunk = 256
-	for start := 0; start < d.Len(); start += chunk {
-		end := start + chunk
-		if end > d.Len() {
-			end = d.Len()
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, _ := d.Gather(idx)
-		g := nn.NewGraph()
+	return scoreRows(d, func(g *nn.Graph, x *tensor.Tensor) *nn.Node {
 		_, last := l.lstm.Forward(g, g.Const(x))
-		for i := 0; i < end-start; i++ {
-			sum := 0.0
-			for j := 0; j < l.Hidden; j++ {
-				diff := last.Value.Data[i*l.Hidden+j] - l.center.Data[j]
-				sum += diff * diff
-			}
-			out = append(out, sum)
+		return last
+	}, func(r []float64) float64 {
+		sum := 0.0
+		for j, v := range r {
+			diff := v - l.center.Data[j]
+			sum += diff * diff
 		}
-	}
-	return out
+		return sum
+	})
 }
 
 // Score implements Method: distance mapped so the 0.5 threshold coincides

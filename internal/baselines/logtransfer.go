@@ -6,6 +6,7 @@ import (
 	"logsynergy/internal/nn"
 	"logsynergy/internal/nn/optim"
 	"logsynergy/internal/repr"
+	"logsynergy/internal/tensor"
 )
 
 // LogTransfer (Chen et al., ISSRE 2020) is supervised cross-system
@@ -64,7 +65,7 @@ func (l *LogTransfer) trainOn(d *repr.Dataset, trainable *nn.ParamSet) {
 	}
 	opt := optim.NewAdamW(trainable, l.Train.LR)
 	sampler := repr.NewBalancedSampler(d.Labels, l.Train.PosFraction, l.rng)
-	steps := maxInt(d.Len()/l.Train.Batch, 1) * l.Train.Epochs
+	steps := max(d.Len()/l.Train.Batch, 1) * l.Train.Epochs
 	for s := 0; s < steps; s++ {
 		idx := sampler.Sample(l.Train.Batch)
 		x, labels := d.Gather(idx)
@@ -82,25 +83,8 @@ func (l *LogTransfer) trainOn(d *repr.Dataset, trainable *nn.ParamSet) {
 
 // Score implements Method.
 func (l *LogTransfer) Score(sc *Scenario) []float64 {
-	test := sc.Raw(sc.TargetTest)
-	out := make([]float64, 0, test.Len())
-	const chunk = 256
-	for start := 0; start < test.Len(); start += chunk {
-		end := start + chunk
-		if end > test.Len() {
-			end = test.Len()
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, _ := test.Gather(idx)
-		g := nn.NewGraph()
+	return scoreRows(sc.Raw(sc.TargetTest), func(g *nn.Graph, x *tensor.Tensor) *nn.Node {
 		_, last := l.lstm.Forward(g, g.Const(x))
-		logits := l.fc.Forward(g, last)
-		for _, z := range logits.Value.Data {
-			out = append(out, sigmoid(z))
-		}
-	}
-	return out
+		return l.fc.Forward(g, last)
+	}, sigmoidRow)
 }

@@ -75,7 +75,7 @@ func (m *MetaLog) Fit(sc *Scenario) {
 	target := sc.Raw(sc.TargetTrain)
 	sampler := repr.NewBalancedSampler(target.Labels, m.Train.PosFraction, m.rng)
 	opt := optim.NewAdamW(m.ps, m.Train.LR)
-	steps := maxInt(target.Len()/m.Train.Batch, 1) * m.Train.Epochs
+	steps := max(target.Len()/m.Train.Batch, 1) * m.Train.Epochs
 	for s := 0; s < steps; s++ {
 		idx := sampler.Sample(m.Train.Batch)
 		x, labels := target.Gather(idx)
@@ -120,24 +120,5 @@ func (m *MetaLog) snapshot() []*tensor.Tensor {
 
 // Score implements Method.
 func (m *MetaLog) Score(sc *Scenario) []float64 {
-	test := sc.Raw(sc.TargetTest)
-	out := make([]float64, 0, test.Len())
-	const chunk = 256
-	for start := 0; start < test.Len(); start += chunk {
-		end := start + chunk
-		if end > test.Len() {
-			end = test.Len()
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, _ := test.Gather(idx)
-		g := nn.NewGraph()
-		logits := m.logits(g, x)
-		for _, z := range logits.Value.Data {
-			out = append(out, sigmoid(z))
-		}
-	}
-	return out
+	return scoreRows(sc.Raw(sc.TargetTest), m.logits, sigmoidRow)
 }

@@ -79,7 +79,7 @@ func (p *PreLog) Fit(sc *Scenario) {
 	hopt := optim.NewAdamW(p.hps, p.Train.LR)
 	target := sc.Raw(sc.TargetTrain)
 	sampler := repr.NewBalancedSampler(target.Labels, p.Train.PosFraction, p.rng)
-	tuneSteps := maxInt(target.Len()/batch, 1) * p.Train.Epochs
+	tuneSteps := max(target.Len()/batch, 1) * p.Train.Epochs
 	for s := 0; s < tuneSteps; s++ {
 		idx := sampler.Sample(batch)
 		x, labels := target.Gather(idx)
@@ -137,26 +137,9 @@ func (p *PreLog) mask(x *tensor.Tensor) (masked, targets *tensor.Tensor, maskRow
 
 // Score implements Method.
 func (p *PreLog) Score(sc *Scenario) []float64 {
-	test := sc.Raw(sc.TargetTest)
-	out := make([]float64, 0, test.Len())
-	const chunk = 256
-	for start := 0; start < test.Len(); start += chunk {
-		end := start + chunk
-		if end > test.Len() {
-			end = test.Len()
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, _ := test.Gather(idx)
-		g := nn.NewGraph()
-		logits := p.head.Forward(g, p.encodeFrozen(g, x))
-		for _, z := range logits.Value.Data {
-			out = append(out, sigmoid(z))
-		}
-	}
-	return out
+	return scoreRows(sc.Raw(sc.TargetTest), func(g *nn.Graph, x *tensor.Tensor) *nn.Node {
+		return p.head.Forward(g, p.encodeFrozen(g, x))
+	}, sigmoidRow)
 }
 
 func randomIndices(rng *rand.Rand, n, count int) []int {
@@ -165,11 +148,4 @@ func randomIndices(rng *rand.Rand, n, count int) []int {
 		out[i] = rng.Intn(n)
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -118,24 +118,7 @@ func (s *SpikeLog) Fit(sc *Scenario) {
 
 // Score implements Method.
 func (s *SpikeLog) Score(sc *Scenario) []float64 {
-	test := sc.Raw(sc.TargetTest)
-	out := make([]float64, 0, test.Len())
-	const chunk = 256
-	for start := 0; start < test.Len(); start += chunk {
-		end := start + chunk
-		if end > test.Len() {
-			end = test.Len()
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, _ := test.Gather(idx)
-		g := nn.NewGraph()
-		logits := s.out.Forward(g, s.lif(g, g.Const(x)))
-		for _, z := range logits.Value.Data {
-			out = append(out, 1/(1+math.Exp(-z)))
-		}
-	}
-	return out
+	return scoreRows(sc.Raw(sc.TargetTest), func(g *nn.Graph, x *tensor.Tensor) *nn.Node {
+		return s.out.Forward(g, s.lif(g, g.Const(x)))
+	}, func(r []float64) float64 { return 1 / (1 + math.Exp(-r[0])) })
 }

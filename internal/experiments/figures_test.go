@@ -94,3 +94,15 @@ func TestLabelNoiseSmoke(t *testing.T) {
 		t.Fatal("render incomplete")
 	}
 }
+
+// The extra ablations print the lines the recorded run quotes.
+func TestAblationRenders(t *testing.T) {
+	da := &ArmComparison{Title: "Ablation domain adaptation", Arms: []Arm{{"DAAN", 0.9}, {"MMD", 0.85}, {"none", 0.5}}}
+	if got, want := da.Render(), "Ablation domain adaptation: DAAN F1=90.00% MMD F1=85.00% none F1=50.00%"; got != want {
+		t.Errorf("ArmComparison.Render() = %q, want %q", got, want)
+	}
+	dims := &EmbedDimResult{Dims: []int{16, 32}, F1: []float64{0.25, 0.5}}
+	if got, want := dims.Render(), "Ablation embedding dimension:\nembed dim 16: F1=25.00%\nembed dim 32: F1=50.00%\n"; got != want {
+		t.Errorf("EmbedDimResult.Render() = %q, want %q", got, want)
+	}
+}

@@ -3,8 +3,9 @@
 // comparisons (Tables IV and V), the hyper-parameter sensitivity curves
 // (Fig. 4), the ablations (Fig. 5), the cross-group transfer study
 // (Fig. 6), the deployment workflow measurements (§VI) and the Fig. 8
-// case study. Each experiment returns a typed result with a text rendering
-// that mirrors the paper's presentation.
+// case study, plus three extra ablations of design choices. Each
+// experiment returns a typed result with a text rendering that mirrors the
+// paper's presentation; cmd/experiments runs them.
 package experiments
 
 import (
@@ -47,14 +48,15 @@ func CPUScale() Scale {
 	return Scale{Name: "cpu-1/12.5", SourceSeqs: 4000, TargetSeqs: 400, TestSeqs: 4000, SparseTestFactor: 2.5, EmbedDim: 32, Seed: 7}
 }
 
-// BenchScale is the default for `go test -bench`: half the CPU scale's
-// source budget so the full table+figure suite completes on one core in
-// about an hour, while staying above every method's operating point.
+// BenchScale is cmd/experiments' default and the scale of the run
+// EXPERIMENTS.md records: half the CPU scale's source budget so the full
+// table+figure suite completes on one core in about an hour, while staying
+// above every method's operating point.
 func BenchScale() Scale {
 	return Scale{Name: "bench-1/25", SourceSeqs: 2000, TargetSeqs: 400, TestSeqs: 2500, SparseTestFactor: 2.5, EmbedDim: 32, Seed: 7}
 }
 
-// SmokeScale is a tiny scale for -short runs and CI smoke tests.
+// SmokeScale is a tiny scale for plumbing checks and CI smoke tests.
 func SmokeScale() Scale {
 	return Scale{Name: "smoke", SourceSeqs: 800, TargetSeqs: 150, TestSeqs: 800, EmbedDim: 24, Seed: 7}
 }

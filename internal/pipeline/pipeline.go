@@ -455,6 +455,23 @@ func (p *Pipeline) Library() *PatternLibrary { return p.library }
 // Parser exposes the drain parser (state export, diagnostics).
 func (p *Pipeline) Parser() *drain.Parser { return p.parser }
 
+// SeededParser returns a fresh parser whose event i is the detector
+// table's template i, so live event ids align with the table's rows. The
+// templates are imported as saved groups, not parsed: Drain can merge two
+// table templates when it parses them, which hands a live line another
+// row's id and lets the first online mint take an existing row's id.
+func SeededParser(det *core.Detector) *drain.Parser {
+	seeds := make([]drain.SavedEvent, len(det.Table.Interps))
+	for i, in := range det.Table.Interps {
+		seeds[i] = drain.SavedEvent{ID: i, Template: in.Template, Example: in.Template, Count: 1}
+	}
+	p := drain.NewDefault()
+	if err := p.Import(seeds); err != nil {
+		panic(err) // unreachable: the parser is empty and the ids are contiguous
+	}
+	return p
+}
+
 // SyncTable extends the detector's event table to cover every template
 // the parser currently knows, in event-id order, interpreting and
 // embedding each exactly as online discovery did: from the template the

@@ -464,18 +464,17 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 	// crosses shard boundaries. A snapshot carries the parser's full
 	// template groups (offline seeds plus everything the stream taught it)
 	// — import them verbatim so restored ids keep their meaning. A fresh
-	// partition carries none; replay the offline templates.
+	// partition carries none; it is seeded with the offline table's rows.
 	det := core.NewDetector(cfg.Detector.Model, cfg.Detector.Table.Clone())
 	det.Now = cfg.Detector.Now
-	parser := drain.NewDefault()
+	var parser *drain.Parser
 	if len(st.Events) > 0 {
+		parser = drain.NewDefault()
 		if err := parser.Import(st.Events); err != nil {
 			return nil, fmt.Errorf("restoring parser state: %w", err)
 		}
 	} else {
-		for _, in := range det.Table.Interps {
-			parser.Parse(in.Template)
-		}
+		parser = pipeline.SeededParser(det)
 	}
 
 	pcfg := cfg.Pipeline
