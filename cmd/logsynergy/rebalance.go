@@ -147,6 +147,6 @@ func printRebalanceReport(rep *shard.RebalanceReport, quiet bool) {
 	if rep.MovedKeys > 0 {
 		perKey = fmt.Sprintf("%.0fµs/key", float64(rep.Duration.Microseconds())/float64(rep.MovedKeys))
 	}
-	fmt.Printf("rebalanced %d -> %d partitions in %s: moved %d keys (%d tail lines) in %v (%s)\n",
+	fmt.Printf("rebalanced %d -> %d partitions in %s: moved %d keys (%d tail event ids) in %v (%s)\n",
 		rep.From, rep.To, rep.Dir, rep.MovedKeys, rep.MovedLines, rep.Duration, perKey)
 }

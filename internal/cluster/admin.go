@@ -206,13 +206,18 @@ func (n *Node) cutoverStep(step string, do func(shard.Move) (any, error)) http.H
 // handleCutoverInstall is POST /admin/v1/cutover/install (body: a
 // shard.MoveSplice of at most maxSpliceBytes, else 413) — the transfer
 // endpoint: apply a captured splice to its destination partition, which
-// answers once its snapshot holds it.
+// answers once its snapshot holds it. A splice the runtime refuses for
+// what it holds (shard.ErrBadSplice) is a 400; a refusal for the
+// runtime's state is a 409.
 func (n *Node) handleCutoverInstall(w http.ResponseWriter, r *http.Request) {
 	var sp shard.MoveSplice
 	if !n.cutoverBody(w, r, maxSpliceBytes, "MoveSplice", &sp) {
 		return
 	}
-	if err := n.rt.InstallSplice(sp); err != nil {
+	if err := n.rt.InstallSplice(sp); errors.Is(err, shard.ErrBadSplice) {
+		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: err.Error()})
+		return
+	} else if err != nil {
 		conflict(w, err)
 		return
 	}

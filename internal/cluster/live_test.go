@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -720,4 +721,52 @@ func TestClusterNodeCutoverAdminSurface(t *testing.T) {
 		t.Fatalf("pending moves outside a cutover: %d, want 409\n%s", code, body)
 	}
 	assertEnvelope(t, body, "conflict")
+
+	code, body = serve(http.MethodPost, "/admin/v1/cutover/install", strings.NewReader(`{"version":4,"move":"0>1"}`))
+	if code != http.StatusConflict {
+		t.Fatalf("an install outside a cutover: %d, want 409\n%s", code, body)
+	}
+	assertEnvelope(t, body, "conflict")
+
+	// Mid-cutover, a splice refused for what it holds is a 400, and the
+	// destination's snapshot stays byte for byte as it was.
+	code, body = serve(http.MethodPost, "/admin/v1/cutover/begin", strings.NewReader(`{"from":1,"to":2,"dest":true}`))
+	if code != http.StatusOK {
+		t.Fatalf("begin 1 -> 2: %d\n%s", code, body)
+	}
+	ring := shard.NewPartitioner(2)
+	var moving, staying string
+	for i := 0; moving == "" || staying == ""; i++ {
+		if k := strconv.Itoa(7001 + i); ring.Partition(k) == 1 {
+			moving = k
+		} else {
+			staying = k
+		}
+	}
+	events := `"events":[{"id":0,"template":"a <*>","example":"a 1","count":1}]`
+	code, body = serve(http.MethodPost, "/admin/v1/cutover/install",
+		strings.NewReader(`{"version":4,"move":"0>1","tails":{"`+moving+`":{"ids":[0],"since_prev":1}},`+events+`}`))
+	if code != http.StatusOK {
+		t.Fatalf("a well-formed splice: %d, want 200\n%s", code, body)
+	}
+	destState := filepath.Join(shard.PartitionDir(m.Dir, 1), "shard-state.json")
+	before, err := os.ReadFile(destState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, splice := range map[string]string{
+		"a format-3 splice":               `{"version":3,"move":"0>1"}`,
+		"a tail of a key of no move":      `{"version":4,"move":"0>1","tails":{"` + staying + `":{"ids":[0],"since_prev":1}},` + events + `}`,
+		"a tail id the events lack":       `{"version":4,"move":"0>1","tails":{"` + moving + `":{"ids":[0,1],"since_prev":2}},` + events + `}`,
+		"a tail id with no events at all": `{"version":4,"move":"0>1","tails":{"` + moving + `":{"ids":[0],"since_prev":1}}}`,
+	} {
+		code, body = serve(http.MethodPost, "/admin/v1/cutover/install", strings.NewReader(splice))
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: %d, want 400\n%s", name, code, body)
+		}
+		assertEnvelope(t, body, "bad_request")
+		if after, err := os.ReadFile(destState); err != nil || string(after) != string(before) {
+			t.Fatalf("%s changed the destination's snapshot", name)
+		}
+	}
 }

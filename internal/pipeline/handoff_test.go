@@ -266,11 +266,9 @@ func TestKeyedTakeTailsHandoff(t *testing.T) {
 		t.Fatal("donor still holds the moved key's tail")
 	}
 
-	// Receiver is a fresh deployment: Restore re-parses the tail lines.
-	det2, parser2, interp2, e2 := tinyDeployment(t)
-	k2 := NewKeyed(New(DefaultConfig("x"), parser2, det2, interp2, e2, &MemorySink{}))
+	// Receiver is a fresh deployment over the donor's events.
+	k2 := resumeFrom(t, k1, taken)
 	got2 := keyedCapture(k2, t)
-	k2.Restore(taken)
 
 	for i := cut; i < len(lines); i++ {
 		if key(i) == "moved" {

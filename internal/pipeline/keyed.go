@@ -1,7 +1,7 @@
 package pipeline
 
 import (
-	"sort"
+	"fmt"
 
 	"logsynergy/internal/tensor"
 	"logsynergy/internal/window"
@@ -16,11 +16,13 @@ import (
 // shard-vs-single equivalence suite compares against.
 //
 // Keyed owns the package's only window-advance code: Run is a plain loop
-// feeding a Keyed over one constant key. Keyed is synchronous and
-// single-goroutine: the caller owns the consume loop (typically a broker
-// consumer) and calls Feed per line. That makes commit-time snapshots
-// exact — everything fed is reflected in Tails() — which is what lets a
-// restarted partition resume its window phase bit-identically.
+// feeding a Keyed over one constant key. A key's window is its event ids
+// alone: Feed parses each line once, and snapshots, restores and moves
+// carry the ids. Keyed is synchronous and single-goroutine: the caller
+// owns the consume loop (typically a broker consumer) and calls Feed per
+// line. That makes commit-time snapshots exact — everything fed is
+// reflected in Tails() — which is what lets a restarted partition resume
+// its window phase bit-identically.
 type Keyed struct {
 	p        *Pipeline
 	batchCap int
@@ -35,23 +37,20 @@ type Keyed struct {
 	OnWindow func(key string, seq []int, score float64, abandoned bool)
 }
 
-// keyWindow is one key's in-flight sliding window: the event ids, the raw
-// lines they were parsed from (kept so the window phase can be persisted
-// and re-parsed after a restart), and the slide distance since the last
-// completed window.
+// keyWindow is one key's in-flight sliding window: the event ids and the
+// slide distance since the last completed window.
 type keyWindow struct {
 	ids       []int
-	lines     []string
 	sincePrev int
 }
 
 // tail copies the window state out as a WindowTail; ok is false when there
 // is none (an empty buffer at a window boundary).
 func (kw *keyWindow) tail() (WindowTail, bool) {
-	if len(kw.lines) == 0 && kw.sincePrev == 0 {
+	if len(kw.ids) == 0 && kw.sincePrev == 0 {
 		return WindowTail{}, false
 	}
-	return WindowTail{Lines: append([]string(nil), kw.lines...), SincePrev: kw.sincePrev}, true
+	return WindowTail{IDs: append([]int(nil), kw.ids...), SincePrev: kw.sincePrev}, true
 }
 
 // pendingWindow is a completed window waiting for its batch flush.
@@ -60,16 +59,17 @@ type pendingWindow struct {
 	seq []int
 }
 
-// WindowTail is the resumable snapshot of one key's window state: the raw
-// lines currently in the window buffer and the slide counter. Lines are
-// stored raw (not as event ids) because id spaces are assigned per
-// process run; a restart re-parses them, which re-extends the event table
-// deterministically.
+// WindowTail is the resumable snapshot of one key's window state: the
+// event ids currently in the window buffer and the slide counter. The ids
+// are the parser's that minted them, so a tail is only meaningful next to
+// that parser's exported events: a restart imports both, and a move
+// translates the ids into its destination's space. A line is parsed once,
+// when it is fed.
 type WindowTail struct {
-	// Lines are the raw log lines in the window buffer, oldest first
-	// (at most window.Default().Length of them).
-	Lines []string `json:"lines"`
-	// SincePrev is how many of those lines arrived after the key's last
+	// IDs are the event ids in the window buffer, oldest first (at most
+	// window.Default().Length of them).
+	IDs []int `json:"ids"`
+	// SincePrev is how many of those ids arrived after the key's last
 	// completed window.
 	SincePrev int `json:"since_prev"`
 }
@@ -106,12 +106,10 @@ func (k *Keyed) Feed(key, line string) {
 		k.keys[key] = kw
 	}
 	kw.ids = append(kw.ids, eventID)
-	kw.lines = append(kw.lines, line)
 	kw.sincePrev++
 	win := window.Default()
 	if len(kw.ids) > win.Length {
 		kw.ids = kw.ids[1:]
-		kw.lines = kw.lines[1:]
 	}
 	if len(kw.ids) == win.Length && kw.sincePrev >= win.Step {
 		k.pending = append(k.pending, pendingWindow{key: key, seq: append([]int(nil), kw.ids...)})
@@ -164,20 +162,6 @@ func (k *Keyed) Tails() map[string]WindowTail {
 	return out
 }
 
-// Tail snapshots a single key's window state without disturbing it — the
-// capture half of a live key handoff, where the donor partition keeps
-// serving every other key while this one's tail is staged for splicing.
-// Like Tails, the snapshot is only consistent when no completed windows
-// are pending — call Flush first. A key with no state (never seen, or
-// empty buffer at a window boundary) returns ok=false with a zero tail,
-// which Restore treats as a fresh key.
-func (k *Keyed) Tail(key string) (WindowTail, bool) {
-	if kw := k.keys[key]; kw != nil {
-		return kw.tail()
-	}
-	return WindowTail{}, false
-}
-
 // TakeTails removes and returns the window state of every key belongs
 // selects — the donor half of a key handoff (shard rebalancing): the
 // returned map is a Tails-shaped snapshot another Keyed can Restore,
@@ -199,28 +183,23 @@ func (k *Keyed) TakeTails(belongs func(key string) bool) map[string]WindowTail {
 	return out
 }
 
-// Restore rebuilds window state from a Tails snapshot by re-parsing the
-// saved lines (keys in sorted order, so event-table extension is
-// deterministic). Restored lines never complete a window — they were all
-// part of the pre-snapshot stream — and are not re-counted in stats.
-// Lines whose re-parse terminally fails are skipped, mirroring Feed.
-func (k *Keyed) Restore(tails map[string]WindowTail) {
-	keys := make([]string, 0, len(tails))
-	for key := range tails {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		tail := tails[key]
-		kw := &keyWindow{sincePrev: tail.SincePrev}
-		for _, line := range tail.Lines {
-			eventID, ok := k.p.parseLine(line)
-			if !ok {
-				continue
+// Restore copies a Tails snapshot's ids in. The ids must be the ones
+// this pipeline's parser and event table know — the parser imported the
+// events exported beside the snapshot and SyncTable ran — so Restore
+// refuses an id outside the table, naming its key, and restores nothing.
+// Restored ids never complete a window — they were all part of the
+// pre-snapshot stream — and are not re-counted in stats.
+func (k *Keyed) Restore(tails map[string]WindowTail) error {
+	rows := k.p.detector.Table.Len()
+	for key, tail := range tails {
+		for _, id := range tail.IDs {
+			if id < 0 || id >= rows {
+				return fmt.Errorf("pipeline: restoring key %q: event id %d is outside the event table's %d rows", key, id, rows)
 			}
-			kw.ids = append(kw.ids, eventID)
-			kw.lines = append(kw.lines, line)
 		}
-		k.keys[key] = kw
 	}
+	for key, tail := range tails {
+		k.keys[key] = &keyWindow{ids: append([]int(nil), tail.IDs...), sincePrev: tail.SincePrev}
+	}
+	return nil
 }

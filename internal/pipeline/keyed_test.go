@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"logsynergy/internal/drain"
+	"logsynergy/internal/obs"
 	"logsynergy/internal/window"
 )
 
@@ -168,24 +170,20 @@ func TestKeyedTailsRestoreResumesExactly(t *testing.T) {
 	// Tails must round-trip deep copies: mutating the snapshot later must
 	// not reach into live window state (guards the state-file path).
 	for key := range tails {
-		if len(tails[key].Lines) > 0 {
-			tails[key].Lines[0] += " mutated"
+		if len(tails[key].IDs) > 0 {
+			tails[key].IDs[0] += 1000
 		}
 		break
 	}
-	tails = k1.Tails()
 
-	// Second "process": fresh pipeline, restore, continue the stream.
-	det2, parser2, interp2, e2 := tinyDeployment(t)
-	p2 := New(DefaultConfig("x"), parser2, det2, interp2, e2, &MemorySink{})
-	k2 := NewKeyed(p2)
+	// Second "process": a restart's pipeline, restore, continue the stream.
+	k2 := resumeFrom(t, k1, k1.Tails())
 	k2.OnWindow = func(key string, seq []int, score float64, abandoned bool) {
 		if abandoned {
 			t.Errorf("window for key %q abandoned", key)
 		}
 		got[key] = append(got[key], score)
 	}
-	k2.Restore(tails)
 	if n := k2.PendingWindows(); n != 0 {
 		t.Fatalf("restore completed %d windows; restored tails must never re-complete", n)
 	}
@@ -218,15 +216,12 @@ func TestKeyedTailsBookkeeping(t *testing.T) {
 	}
 	k.Flush()
 	tails := k.Tails()
-	if tl, ok := tails["k"]; !ok || len(tl.Lines) != 7 || tl.SincePrev != 7 {
+	if tl, ok := tails["k"]; !ok || len(tl.IDs) != 7 || tl.SincePrev != 7 {
 		t.Fatalf("unexpected tail: %+v", tails)
 	}
 
-	det2, parser2, interp2, e2 := tinyDeployment(t)
-	p2 := New(DefaultConfig("x"), parser2, det2, interp2, e2, &MemorySink{})
-	k2 := NewKeyed(p2)
-	k2.Restore(tails)
-	if c := p2.Stats().LinesCollected; c != 0 {
+	k2 := resumeFrom(t, k, tails)
+	if c := k2.Pipeline().Stats().LinesCollected; c != 0 {
 		t.Fatalf("restore counted %d collected lines, want 0", c)
 	}
 	if k2.Keys() != 1 {
@@ -245,5 +240,81 @@ func TestKeyedTailsBookkeeping(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", k2.Tails()["k"].SincePrev) != "0" {
 		t.Fatalf("sincePrev not reset after completion: %+v", k2.Tails()["k"])
+	}
+}
+
+// resumeFrom builds what a restart builds from a snapshot of k: a fresh
+// deployment whose parser imported k's parser's events and whose event
+// table was synced over them, with tails restored into it.
+func resumeFrom(t *testing.T, k *Keyed, tails map[string]WindowTail) *Keyed {
+	t.Helper()
+	det, parser, interp, e := tinyDeployment(t)
+	if err := parser.Import(k.Pipeline().Parser().Export()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig("x")
+	cfg.Metrics = obs.NewRegistry() // Stats reads this pipeline's counters alone
+	p := New(cfg, parser, det, interp, e, &MemorySink{})
+	if err := p.SyncTable(); err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewKeyed(p)
+	if err := resumed.Restore(tails); err != nil {
+		t.Fatal(err)
+	}
+	return resumed
+}
+
+// A restored window holds the ids its lines were given when they were
+// fed, not what a second parse would give them. Here key a's later lines
+// widen the group key b's first line joined, so parsing that line again
+// lands it in another group; the window b completes must be the one the
+// uninterrupted pipeline completes.
+func TestKeyedRestoreKeepsFedIDs(t *testing.T) {
+	det, parser, interp, e := tinyDeployment(t)
+	k := NewKeyed(New(DefaultConfig("x"), parser, det, interp, e, &MemorySink{}))
+	for _, l := range [][2]string{
+		{"a", "p q r s X Y"}, {"b", "p q r s t u"}, {"a", "p q z z t u"}, {"a", "p q r w X Y"},
+	} {
+		k.Feed(l[0], l[1])
+	}
+	k.Flush()
+	restored := resumeFrom(t, k, k.Tails())
+
+	windowOf := func(k *Keyed) []int {
+		var got []int
+		k.OnWindow = func(key string, seq []int, _ float64, _ bool) {
+			if key == "b" {
+				got = seq
+			}
+		}
+		for range 9 {
+			k.Feed("b", "p q g h t u")
+		}
+		k.Flush()
+		return got
+	}
+	want, got := windowOf(k), windowOf(restored)
+	if len(want) != window.Default().Length || !reflect.DeepEqual(got, want) {
+		t.Fatalf("key b's window after the restore is %v, uninterrupted %v", got, want)
+	}
+}
+
+// Restore refuses a tail whose ids the event table does not cover — a
+// snapshot restored beside another parser's events — naming the key and
+// the id, and restores no key at all.
+func TestKeyedRestoreRefusesUnknownIDs(t *testing.T) {
+	det, parser, interp, e := tinyDeployment(t)
+	k := NewKeyed(New(DefaultConfig("x"), parser, det, interp, e, &MemorySink{}))
+	k.Feed("a", chaosTemplates[0])
+	k.Feed("a", chaosTemplates[1])
+	for _, id := range []int{-1, 2} {
+		err := k.Restore(map[string]WindowTail{"fine": {IDs: []int{0}, SincePrev: 1}, "bad": {IDs: []int{1, id}, SincePrev: 2}})
+		if err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), fmt.Sprint(id)) {
+			t.Fatalf("restoring id %d into a 2-row table: %v, want a refusal naming the key and the id", id, err)
+		}
+		if k.Keys() != 1 {
+			t.Fatalf("a refused restore left %d keys, want the 1 fed", k.Keys())
+		}
 	}
 }

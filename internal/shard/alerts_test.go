@@ -294,7 +294,9 @@ func TestAlertDeliveryCloseKeepsUndelivered(t *testing.T) {
 // rest of the WAL again, so the lost records' alerts are raised again and
 // each reaches the sink once. A deleted commit log costs only the alerts
 // the sink had not taken from commits the snapshot covers; those past it
-// are raised again too.
+// are raised again too. The fixture fails every snapshot after the first
+// one the second run takes, so its kill leaves alerts committed on both
+// sides of the snapshot whatever the snapshots' sizes.
 func TestAlertDeliveryLogBehindState(t *testing.T) {
 	lines := genEqLines(31, 1500, eqKeys(8))
 	const split = 500
@@ -302,13 +304,14 @@ func TestAlertDeliveryLogBehindState(t *testing.T) {
 	for _, damage := range []string{"tail lost", "log deleted"} {
 		t.Run(damage, func(t *testing.T) {
 			dir, sink := t.TempDir(), &flakySink{}
-			open := func() *shardHarness {
+			open := func(faults *fault.Registry) *shardHarness {
 				return openHarness(t, dir, 1, func(cfg *Config) {
 					cfg.Sink = sink
 					cfg.Pipeline.Resilience = fastRetries
+					cfg.ShardFaults = func(int) *fault.Registry { return faults }
 				})
 			}
-			h := open()
+			h := open(nil)
 			h.feed(t, lines[:split])
 			h.drain(t)
 			if err := h.rt.Close(); err != nil {
@@ -316,9 +319,12 @@ func TestAlertDeliveryLogBehindState(t *testing.T) {
 			}
 			delivered := len(sink.Reports())
 
-			// The sink is down: every new alert commits and waits.
+			// The sink is down: every new alert commits and waits. The
+			// snapshot stays where the first one of this run put it.
 			sink.down.Store(true)
-			h = open()
+			stuck := fault.New(1)
+			stuck.Enable(fault.Rule{Point: PointSnapshot, After: 1, Err: errors.New("snapshot refused")})
+			h = open(stuck)
 			h.feed(t, lines[split:])
 			want := uint64(len(ref.reports) - delivered)
 			waitFor(t, "every new alert to commit", func() bool { return undelivered(h.rt) == want })
@@ -349,7 +355,7 @@ func TestAlertDeliveryLogBehindState(t *testing.T) {
 			}
 
 			sink.down.Store(false)
-			h = open()
+			h = open(nil)
 			within(t, "Drain", func() { h.drain(t) })
 			within(t, "Close", func() {
 				if err := h.rt.Close(); err != nil {

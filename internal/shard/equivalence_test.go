@@ -116,13 +116,43 @@ func eqEnv() (*core.Detector, lei.Interpreter, *embed.Embedder) {
 }
 
 // eqResult is one run's observable output: per-key score sequences and
-// the alert multiset (runReference also keeps the reports, in order, and
-// every key's final window tail).
+// the alert multiset (runReference also keeps the reports, in order,
+// every key's final window tail and the parser that minted the tails'
+// ids).
 type eqResult struct {
 	scores  map[string][]float64
 	alerts  map[string]int
 	reports []*core.Report
 	tails   map[string]pipeline.WindowTail
+	parser  *drain.Parser
+}
+
+// sameTail reports whether two window tails hold the same window when
+// each is read through the parser that minted its ids (two partitions
+// number their events apart): the same length and slide counter, and at
+// each position the same minted template.
+func sameTail(a pipeline.WindowTail, pa *drain.Parser, b pipeline.WindowTail, pb *drain.Parser) bool {
+	if len(a.IDs) != len(b.IDs) || a.SincePrev != b.SincePrev {
+		return false
+	}
+	ta, tb := pa.MintedTemplates(0), pb.MintedTemplates(0)
+	for i := range a.IDs {
+		if ta[a.IDs[i]] != tb[b.IDs[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// snapshotParser is a parser holding a snapshot's events: the one that
+// minted its tails' ids.
+func snapshotParser(t *testing.T, st partitionState) *drain.Parser {
+	t.Helper()
+	p := drain.NewDefault()
+	if err := p.Import(st.Events); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // alertSigs reduces reports to an id-free multiset signature (event-id
@@ -147,7 +177,8 @@ func runReference(t *testing.T, lines []string) eqResult {
 	sink := &pipeline.MemorySink{}
 	cfg := pipeline.DefaultConfig(eqHint)
 	cfg.Metrics = obs.NewRegistry()
-	p := pipeline.New(cfg, drain.NewDefault(), det, interp, e, sink)
+	parser := drain.NewDefault()
+	p := pipeline.New(cfg, parser, det, interp, e, sink)
 	k := pipeline.NewKeyed(p)
 	scores := map[string][]float64{}
 	k.OnWindow = func(key string, seq []int, score float64, abandoned bool) {
@@ -160,7 +191,7 @@ func runReference(t *testing.T, lines []string) eqResult {
 		k.Feed(DefaultKeyFunc(line), line)
 	}
 	k.Flush()
-	return eqResult{scores: scores, alerts: alertSigs(sink.Reports()), reports: sink.Reports(), tails: k.Tails()}
+	return eqResult{scores: scores, alerts: alertSigs(sink.Reports()), reports: sink.Reports(), tails: k.Tails(), parser: parser}
 }
 
 // shardHarness holds one sharded runtime plus its capture state.
@@ -338,6 +369,35 @@ func TestShardCrashRestartResumesExactly(t *testing.T) {
 		t.Fatalf("Close after restart: %v", err)
 	}
 	requireEqual(t, "crash/restart", h2.result(), ref)
+}
+
+// A graceful restart resumes each key's window with the ids its lines
+// were given when they were fed. Here key 7001's later lines widen the
+// group key 7002's first line joined, so a second parse of that line
+// would land it in another group and change the score of 7002's first
+// window.
+func TestShardRestartKeepsFedIDs(t *testing.T) {
+	pre := []string{"7001 p q r s v X Y", "7002 p q r s v t u", "7001 p q z z z t u", "7001 p q r w w X Y"}
+	var post []string
+	for range 9 {
+		post = append(post, "7002 p q g h k t u")
+	}
+	ref := runReference(t, append(append([]string(nil), pre...), post...))
+
+	dir := t.TempDir()
+	h := openHarness(t, dir, 1, nil)
+	h.feed(t, pre)
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	h2 := reopenHarness(t, dir, 1, h)
+	h2.feed(t, post)
+	h2.drain(t)
+	if err := h2.rt.Close(); err != nil {
+		t.Fatalf("Close after restart: %v", err)
+	}
+	requireEqual(t, "graceful restart", h2.result(), ref)
 }
 
 // reopenHarness opens a runtime over an existing directory, funneling

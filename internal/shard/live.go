@@ -254,10 +254,11 @@ func sortMoves(moves []Move) []Move {
 
 // MoveSplice is one move's handoff: the window tails of every key of a
 // move plus the donor's full event space and pattern verdicts at capture
-// time (the keys' parse history is scattered through them, and
-// translation dedups by template). A donor captures it, the coordinator
-// ships it, and the destination installs it. Its Version is the
-// journal's.
+// time. The tails' and verdicts' event ids are the donor's; the
+// destination maps both through the translation its merge of the events
+// returns (which dedups by template), so no line is parsed again. A donor
+// captures it, the coordinator ships it, and the destination installs it.
+// Its Version is the snapshot format's, whose tails it carries.
 type MoveSplice struct {
 	Version  int                            `json:"version"`
 	Move     Move                           `json:"move"`
@@ -578,7 +579,7 @@ func pendingMoves(active []Participant) ([]Move, error) {
 // keys are destination-owned) → forget → journal "released". A move the
 // journal already committed skips capture and install: its destination's
 // snapshot holds the splice. Every step is idempotent. The keys and
-// window-tail lines a capture hands over are counted into rep.
+// window-tail ids a capture hands over are counted into rep.
 func (c *Coordinator) move(j *CutoverJournal, m Move, donor, dest Participant, rep *RebalanceReport) error {
 	if j.Moves[m] != "committed" {
 		if err := c.hook("tail-landed", m.String()); err != nil {
@@ -602,7 +603,7 @@ func (c *Coordinator) move(j *CutoverJournal, m Move, donor, dest Participant, r
 		}
 		rep.MovedKeys += len(sp.Tails)
 		for _, tail := range sp.Tails {
-			rep.MovedLines += len(tail.Lines)
+			rep.MovedLines += len(tail.IDs)
 		}
 	}
 	// The donor's next snapshot makes the drop durable; in the interim the
@@ -659,8 +660,8 @@ type RebalanceReport struct {
 	Dir string
 	// MovedKeys is how many stream keys changed partitions.
 	MovedKeys int
-	// MovedLines is the total number of window-tail lines that moved
-	// with them.
+	// MovedLines is the total number of window-tail entries — one event
+	// id per line in a key's window — that moved with them.
 	MovedLines int
 	// AlreadyBalanced reports a no-op: the runtime already serves To
 	// partitions.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -385,7 +386,7 @@ func (rt *Runtime) CaptureMove(m Move) (MoveSplice, error) {
 		}
 	}
 	return MoveSplice{
-		Version:  journalVersion,
+		Version:  stateVersion,
 		Move:     m,
 		Tails:    tails,
 		Events:   donor.pipe.Parser().Export(),
@@ -393,23 +394,37 @@ func (rt *Runtime) CaptureMove(m Move) (MoveSplice, error) {
 	}, nil
 }
 
-// InstallSplice implements Participant. Under the destination's feed
-// lock it drops whatever tails the destination holds for the move's keys
-// (an earlier install the journal never committed: a repeat replaces it),
+// ErrBadSplice marks a splice InstallSplice refuses for what it holds,
+// not for the destination's state: a format this build does not install,
+// a tail of a key the move does not carry, or a tail id the splice's
+// events do not define.
+var ErrBadSplice = errors.New("shard: bad splice")
+
+// InstallSplice implements Participant. It checks the splice whole
+// before it changes anything. Then, under the destination's feed lock,
+// it drops whatever tails the destination holds for the move's keys (an
+// earlier install the journal never committed: a repeat replaces it),
 // merges the donor's events by template into the running parser and
-// extends the event table over them, imports the donor's pattern verdicts
-// translated into the destination's id space (its own verdicts win),
-// restores the move's window tails and takes a snapshot — the splice's
-// one durable copy, on disk before the journal commits the move.
-// Re-merging a donor export translates onto the same ids. A move the
-// cutover already committed is left alone: its destination's snapshot
-// holds the splice, and its keys may have fed since.
+// extends the event table over them, maps the donor's window tails and
+// pattern verdicts through the merge's translation into the
+// destination's id space (its own verdicts win), restores the tails and
+// takes a snapshot — the splice's one durable copy, on disk before the
+// journal commits the move. Re-merging a donor export translates onto the
+// same ids. A move the cutover already committed is left alone: its
+// destination's snapshot holds the splice, and its keys may have fed
+// since.
 func (rt *Runtime) InstallSplice(sp MoveSplice) error {
+	if sp.Version != stateVersion {
+		return fmt.Errorf("%w: move %v is format %d; this build installs format %d", ErrBadSplice, sp.Move, sp.Version, stateVersion)
+	}
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
 	m := sp.Move
 	cut, dest, err := rt.moveSide(m, false)
 	if err != nil || cut.movePhase(m) >= phaseCommitted {
+		return err
+	}
+	if err := checkSpliceTails(cut, sp); err != nil {
 		return err
 	}
 	dest.feedMu.Lock()
@@ -424,12 +439,52 @@ func (rt *Runtime) InstallSplice(sp MoveSplice) error {
 	}
 	lib := dest.pipe.Library()
 	lib.Import(translatePatterns(sp.Patterns, translate, lib.Contains))
-	dest.keyed.Restore(sp.Tails)
+	tails := make(map[string]pipeline.WindowTail, len(sp.Tails))
+	for k, tail := range sp.Tails {
+		tail.IDs, _ = translateSeq(tail.IDs, translate) // checkSpliceTails saw every id defined
+		tails[k] = tail
+	}
+	if err := dest.keyed.Restore(tails); err != nil {
+		return fmt.Errorf("shard: restoring the tails of move %v: %w", m, err)
+	}
 	dest.forceSave = true
 	if err := dest.flushCommit(); err != nil {
 		return fmt.Errorf("shard: persisting the splice of move %v on partition %d: %w", m, m.Dest, err)
 	}
 	return nil
+}
+
+// checkSpliceTails refuses a splice with a tail of a key the move does
+// not carry, or a tail id the splice's events do not define (Merge
+// translates exactly those ids).
+func checkSpliceTails(cut *Cutover, sp MoveSplice) error {
+	defined := make(map[int]bool, len(sp.Events))
+	for _, ev := range sp.Events {
+		defined[ev.ID] = true
+	}
+	for k, tail := range sp.Tails {
+		if m := cut.moveOf(k); m != sp.Move {
+			return fmt.Errorf("%w: move %v carries a tail of key %q, which the cutover places in move %v", ErrBadSplice, sp.Move, k, m)
+		}
+		for _, id := range tail.IDs {
+			if !defined[id] {
+				return fmt.Errorf("%w: move %v's tail of key %q holds event id %d, which its events do not define", ErrBadSplice, sp.Move, k, id)
+			}
+		}
+	}
+	return nil
+}
+
+// translateSeq maps seq through translate into a new slice; ok is false
+// when an id has no translation.
+func translateSeq(seq []int, translate map[int]int) (_ []int, ok bool) {
+	out := make([]int, len(seq))
+	for i, id := range seq {
+		if out[i], ok = translate[id]; !ok {
+			return nil, false
+		}
+	}
+	return out, true
 }
 
 // translatePatterns maps donor pattern verdicts through an id
@@ -440,20 +495,9 @@ func (rt *Runtime) InstallSplice(sp MoveSplice) error {
 func translatePatterns(entries []pipeline.PatternEntry, translate map[int]int, dup func(seq []int) bool) []pipeline.PatternEntry {
 	out := make([]pipeline.PatternEntry, 0, len(entries))
 	for _, pe := range entries {
-		seq := make([]int, len(pe.Seq))
-		ok := true
-		for j, id := range pe.Seq {
-			nid, has := translate[id]
-			if !has {
-				ok = false
-				break
-			}
-			seq[j] = nid
+		if seq, ok := translateSeq(pe.Seq, translate); ok && !dup(seq) {
+			out = append(out, pipeline.PatternEntry{Seq: seq, Score: pe.Score})
 		}
-		if !ok || dup(seq) {
-			continue
-		}
-		out = append(out, pipeline.PatternEntry{Seq: seq, Score: pe.Score})
 	}
 	return out
 }

@@ -415,6 +415,21 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	// The snapshot is read first: a refused one leaves the directory as
+	// it was.
+	st, err := loadState(statePath(dir))
+	if err != nil {
+		return nil, err
+	}
+	acceptable := o.acceptStamp
+	if acceptable == nil {
+		acceptable = func(s int) bool { return s == 0 || s == o.layout }
+	}
+	if !acceptable(st.Partitions) {
+		return nil, fmt.Errorf("shard: partition %s was laid out for %d shards but the runtime is opening %d; "+
+			"serve at %d shards, then run `logsynergy rebalance -addr host:port -to %d` against it",
+			dir, st.Partitions, cfg.Shards, st.Partitions, cfg.Shards)
+	}
 	reg, faults := obs.NewRegistry(), rt.faultsFor(i)
 
 	bcfg := cfg.Broker
@@ -435,19 +450,6 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 		}
 	}()
 
-	st, err := loadState(statePath(dir))
-	if err != nil {
-		return nil, err
-	}
-	acceptable := o.acceptStamp
-	if acceptable == nil {
-		acceptable = func(s int) bool { return s == 0 || s == o.layout }
-	}
-	if !acceptable(st.Partitions) {
-		return nil, fmt.Errorf("shard: partition %s was laid out for %d shards but the runtime is opening %d; "+
-			"serve at %d shards, then run `logsynergy rebalance -addr host:port -to %d` against it",
-			dir, st.Partitions, cfg.Shards, st.Partitions, cfg.Shards)
-	}
 	commitReg := obs.NewRegistry()
 	if log, err = openCommitLog(cfg.Broker, dir, commitReg); err != nil {
 		return nil, err
@@ -517,7 +519,9 @@ func (rt *Runtime) openPartitionAt(i int, o openOpts) (_ *partition, err error) 
 		}
 	}
 	pt.pipe.Library().Import(st.Patterns)
-	pt.keyed.Restore(st.Tails)
+	if err := pt.keyed.Restore(st.Tails); err != nil {
+		return nil, fmt.Errorf("shard: restoring partition %s: %w", dir, err)
+	}
 
 	if pt.cons, err = bk.Consumer(detectorGroup); err != nil {
 		return nil, err

@@ -13,31 +13,29 @@ import (
 )
 
 // Each partition keeps a snapshot of its detection state beside its WAL
-// segments: the broker offset it reflects, every key's window tail (raw
-// lines + slide counter), the parser's template groups and the pattern
-// library's verdicts. A commit does not rewrite it (see flushCommit for
-// when one is taken). A restart loads it, skips the WAL's records up to
-// Consumed and replays the rest up to the newest commit. It is installed
-// after the commit log's sync and before the broker offset's commit, so a
-// crash leaves the offset behind it, never ahead.
+// segments: the broker offset it reflects, every key's window tail (event
+// ids + slide counter), the parser's template groups — the id space the
+// tails and verdicts are written in — and the pattern library's verdicts.
+// A commit does not rewrite it (see flushCommit for when one is taken). A
+// restart loads it, skips the WAL's records up to Consumed and replays the
+// rest up to the newest commit. It is installed after the commit log's
+// sync and before the broker offset's commit, so a crash leaves the offset
+// behind it, never ahead.
 //
 // Version 2 added the groups, the verdicts and the partition-count stamp
 // (a runtime opened at the wrong shard count refuses instead of silently
-// misrouting keys). A file that exists must carry version >= 2 and a
-// non-zero stamp; only a missing file (a fresh partition) yields the
-// unstamped zero state.
-//
-// Version 3 added a live-cutover record naming the donors whose moves a
-// destination had spliced in. This build writes none and ignores one it
-// reads, so a file without it is a valid version 3 file: a move's splice
-// lands in its destination's snapshot before the journal commits the
-// move, and the journal alone says who owns a moving key.
+// misrouting keys). Version 3 added a live-cutover record that later
+// builds ignored. Version 4 writes window tails as event ids instead of
+// raw lines, so a restart never parses a line a second time. A file of
+// any earlier version is refused by path and version: its tails are raw
+// lines, and reading them would mean parsing them again. Only a missing
+// file (a fresh partition) yields the unstamped zero state.
 
 // stateFileName is the snapshot file inside a partition's WAL directory.
 const stateFileName = "shard-state.json"
 
 // stateVersion is the current snapshot format.
-const stateVersion = 3
+const stateVersion = 4
 
 // partitionState is the serialized snapshot.
 type partitionState struct {
@@ -62,8 +60,8 @@ type partitionState struct {
 func statePath(dir string) string { return filepath.Join(dir, stateFileName) }
 
 // loadState reads a partition's snapshot; a missing file is a fresh
-// partition. Corruption — and a file without a version >= 2 layout stamp,
-// which nothing this program writes lacks — is refused loudly — silently starting from zero
+// partition. Corruption, a version other than this build's and a file
+// without a layout stamp are refused loudly — silently starting from zero
 // would double-feed every restored tail. Stale temp files from an
 // interrupted saveState are swept here: they are by construction
 // incomplete and the real file (if any) is the durable truth.
@@ -83,14 +81,14 @@ func loadState(path string) (partitionState, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return partitionState{}, fmt.Errorf("shard: corrupt state file %s: %w", path, err)
 	}
-	if st.Version > stateVersion {
-		return partitionState{}, fmt.Errorf("shard: state file version %d is newer than supported (%d)", st.Version, stateVersion)
+	if st.Version != stateVersion {
+		return partitionState{}, fmt.Errorf("shard: state file %s is version %d; this build reads only version %d, "+
+			"whose window tails are event ids, not raw lines", path, st.Version, stateVersion)
 	}
-	if st.Version < 2 || st.Partitions == 0 {
-		return partitionState{}, fmt.Errorf("shard: state file %s (version %d, partitions %d) carries no layout stamp; "+
-			"a state file must be version >= 2 and record its partition count", path, st.Version, st.Partitions)
+	if st.Partitions == 0 {
+		return partitionState{}, fmt.Errorf("shard: state file %s (version %d) carries no layout stamp; "+
+			"a state file must record its partition count", path, st.Version)
 	}
-	st.Version = stateVersion
 	return st, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,13 +12,13 @@ import (
 	"logsynergy/internal/pipeline"
 )
 
-func TestStateRoundTripV2(t *testing.T) {
+func TestStateRoundTripV4(t *testing.T) {
 	path := statePath(t.TempDir())
 	want := partitionState{
 		Partitions: 3,
 		Consumed:   41,
 		Tails: map[string]pipeline.WindowTail{
-			"7001": {Lines: []string{"a b c", "d e f"}, SincePrev: 2},
+			"7001": {IDs: []int{0, 1}, SincePrev: 2},
 		},
 		Events: []drain.SavedEvent{
 			{ID: 0, Template: "a b <*>", Example: "a b c", Count: 7},
@@ -38,7 +39,7 @@ func TestStateRoundTripV2(t *testing.T) {
 	if got.Version != stateVersion || got.Partitions != 3 || got.Consumed != 41 {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if len(got.Tails) != 1 || got.Tails["7001"].SincePrev != 2 || len(got.Tails["7001"].Lines) != 2 {
+	if len(got.Tails) != 1 || !reflect.DeepEqual(got.Tails["7001"], want.Tails["7001"]) {
 		t.Fatalf("tails mismatch: %+v", got.Tails)
 	}
 	if len(got.Events) != 2 || got.Events[1].Template != "d e f" || got.Events[0].Count != 7 {
@@ -72,16 +73,15 @@ func TestLoadStateRefusesZeroLengthFile(t *testing.T) {
 	}
 }
 
-// Pre-versioning files (no "version" field → 0) and version-1 files (no
-// partition stamp, events or patterns) must still load.
-// A state file that exists must carry version >= 2 and a non-zero
-// partition stamp; pre-v2 and unstamped files are refused naming the file
+// A state file that exists must carry this build's version and a non-zero
+// partition stamp; older and unstamped files are refused naming the file
 // rather than opened against whatever layout the runtime happens to use.
 func TestLoadStateRefusesUnstampedFiles(t *testing.T) {
 	for name, body := range map[string]string{
 		"version-0":    `{"consumed":9,"tails":{"k":{"lines":["x y"],"since_prev":1}}}`,
 		"version-1":    `{"version":1,"partitions":2,"consumed":9,"tails":{"k":{"lines":["x y"],"since_prev":1}}}`,
 		"v2-unstamped": `{"version":2,"consumed":9}`,
+		"v4-unstamped": `{"version":4,"consumed":9}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := statePath(t.TempDir())
@@ -94,11 +94,49 @@ func TestLoadStateRefusesUnstampedFiles(t *testing.T) {
 		})
 	}
 	path := statePath(t.TempDir())
-	if err := os.WriteFile(path, []byte(`{"version":2,"partitions":2,"consumed":9,"tails":null}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"version":4,"partitions":2,"consumed":9,"tails":null}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := loadState(path); err != nil || st.Consumed != 9 || st.Partitions != 2 {
-		t.Fatalf("stamped v2 file: %+v, %v", st, err)
+		t.Fatalf("stamped v4 file: %+v, %v", st, err)
+	}
+}
+
+// A state file from before version 4 holds its window tails as raw
+// lines, which only a second parse could turn back into ids. Open refuses
+// it by path and version before it writes anything: every file under the
+// root stays byte for byte as it was.
+func TestOpenRefusesRawLineState(t *testing.T) {
+	for _, version := range []int{2, 3} {
+		t.Run(fmt.Sprintf("version %d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			h := openHarness(t, dir, 2, nil)
+			h.feed(t, genEqLines(8, 400, eqKeys(8)))
+			h.drain(t)
+			if err := h.rt.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range 2 {
+				st, err := loadState(statePath(PartitionDir(dir, i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				old := fmt.Sprintf(`{"version":%d,"partitions":2,"consumed":%d,"tails":{"7001":{"lines":["7001 gc freed 123456"],"since_prev":1}}}`,
+					version, st.Consumed)
+				if err := os.WriteFile(statePath(PartitionDir(dir, i)), []byte(old), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := treeOf(t, dir)
+			_, err := Open(killedConfig(t, dir, 2))
+			path, want := statePath(PartitionDir(dir, 0)), fmt.Sprintf("version %d", version)
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open over a version-%d state file: err = %v, want a refusal naming %s and its version", version, err, path)
+			}
+			if after := treeOf(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the refused Open changed the root:\nbefore %v\nafter  %v", before, after)
+			}
+		})
 	}
 }
 
