@@ -83,7 +83,7 @@ func TestRebalanceEquivalence(t *testing.T) {
 			if rep.MovedKeys == 0 {
 				t.Fatal("no keys moved; the equivalence run would not exercise a handoff")
 			}
-			t.Logf("rebalance %s moved %d keys (%d tail lines) in %v", label, rep.MovedKeys, rep.MovedLines, rep.Duration)
+			t.Logf("rebalance %s moved %d keys (%d tail ids) in %v", label, rep.MovedKeys, rep.MovedLines, rep.Duration)
 			h2.feed(t, lines[cut:])
 			h2.drain(t)
 			if err := h2.rt.Close(); err != nil {
