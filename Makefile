@@ -77,8 +77,12 @@ rebalance-test:
 # per-key score/alert equivalence against the unsharded reference while
 # traffic flows through the cutover, zero detection stall on non-moving
 # keys under growth, double-write duplicate skipping across a redelivery
-# crash, seeded crash injection at every per-move cutover phase (each
-# must resume on exactly one layout per key), a 2→3 over more than 100
+# crash, seeded crash injection at every per-move cutover phase
+# (tail-landed, staged and committed; each must resume on exactly one
+# layout per key), a destination that feeds a move's keys by its
+# "committed" hook, a committed move scrubbed from its donor by a
+# re-begin, by a fleet node's open and by the restart after a crash right
+# after the journal write, a 2→3 over more than 100
 # moving keys that takes one capture, one install into the destination's
 # snapshot and one journal entry per move (two) while reporting every
 # moved key and tail id, and writes no splice file (at "staged" the
@@ -88,9 +92,10 @@ rebalance-test:
 # destination's tails of keys whose move was never journaled, a shrink
 # that delivers the alerts its retired partition still held (sink back
 # before or after it, after a restart, after a regrowth), and the
-# journal's refusals (among them a version-1 or version-2 journal,
-# refused by name with nothing written, a move outside [0,From)×[0,To)
-# and a move whose two sides are one partition).
+# journal's refusals (among them a version-1, version-2 or version-3
+# journal, refused by name with nothing written, a move outside
+# [0,From)×[0,To), a move listed twice and a move whose two sides are one
+# partition).
 # Includes the CLI/admin surface (`logsynergy rebalance -addr`), among it
 # the 1→2 growth of a root opened with serve's default -shards.
 live-rebalance-test:
@@ -120,7 +125,7 @@ cluster-test:
 # body past its bound, 400 for a truncated one, a step without a move or a
 # splice of another format, with a key outside its move or a tail id its
 # events lack — the destination's snapshot untouched — 404 for the removed
-# stage step, 409 outside a cutover).
+# stage and forget steps, 409 outside a cutover).
 cluster-live-test:
 	$(GO) test -race -count=1 -run 'TestClusterLiveRebalance|TestClusterFailoverRefusedDuringLiveCutover|TestClusterRouterAdminSurface|TestClusterNodeCutoverAdminSurface' ./internal/cluster/
 

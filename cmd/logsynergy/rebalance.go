@@ -116,7 +116,6 @@ func pollRebalanceProgress(addr string, done <-chan struct{}) {
 				To        int `json:"to"`
 				Pending   int `json:"pending"`
 				Committed int `json:"committed"`
-				Released  int `json:"released"`
 			} `json:"cutover"`
 		}
 		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st)
@@ -125,8 +124,7 @@ func pollRebalanceProgress(addr string, done <-chan struct{}) {
 			continue
 		}
 		c := st.Cutover
-		line := fmt.Sprintf("cutover %d -> %d: moves %d pending, %d committed, %d released",
-			c.From, c.To, c.Pending, c.Committed, c.Released)
+		line := fmt.Sprintf("cutover %d -> %d: moves %d pending, %d committed", c.From, c.To, c.Pending, c.Committed)
 		if line != last {
 			fmt.Println(line)
 			last = line

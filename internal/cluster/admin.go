@@ -13,7 +13,7 @@ import (
 
 // The node side of the networked live cutover: each handler here wraps
 // one shard-runtime primitive (begin, sync, pending moves, capture,
-// install, forget, finish, directed append) in the versioned admin surface —
+// install, finish, directed append) in the versioned admin surface —
 // method-checked, epoch-fenced, envelope-erroring. The coordinator
 // (Router.LiveRebalance) sequences them; a node never initiates.
 
@@ -145,20 +145,20 @@ func (n *Node) beginCutover(spec shard.CutoverSpec) (*shard.CutoverBeginResult, 
 }
 
 // handleCutoverSync is POST /admin/v1/cutover/sync (body:
-// {"moves": {"0>2": "committed"|"released"}}): advance per-move phases
-// from the coordinator's journal.
+// {"committed": ["0>2", ...]}): record the moves the coordinator's
+// journal committed.
 func (n *Node) handleCutoverSync(w http.ResponseWriter, r *http.Request) {
 	var body struct {
-		Moves map[shard.Move]string `json:"moves"`
+		Committed []shard.Move `json:"committed"`
 	}
-	if !n.cutoverBody(w, r, 1<<20, "move-phase map", &body) {
+	if !n.cutoverBody(w, r, 1<<20, "committed-move list", &body) {
 		return
 	}
-	if err := n.rt.SyncCutover(body.Moves); err != nil {
+	if err := n.rt.SyncCutover(body.Committed); err != nil {
 		conflict(w, err)
 		return
 	}
-	answerJSON(w, map[string]int{"synced": len(body.Moves)})
+	answerJSON(w, map[string]int{"synced": len(body.Committed)})
 }
 
 // handleCutoverMoves is GET /admin/v1/cutover/moves: the moves still
@@ -179,28 +179,25 @@ func (n *Node) handleCutoverMoves(w http.ResponseWriter, r *http.Request) {
 	answerJSON(w, map[string][]shard.Move{"moves": moves})
 }
 
-// cutoverStep serves one per-move step — POST
-// /admin/v1/cutover/{capture,forget}?move=D>T, epoch-fenced — by
-// answering what do returns for the move. A refused step answers 409,
-// retryable: capture is refused until the donor has consumed through its
-// freeze point.
-func (n *Node) cutoverStep(step string, do func(shard.Move) (any, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !n.cutoverPost(w, r) {
-			return
-		}
-		var m shard.Move
-		if err := m.UnmarshalText([]byte(r.URL.Query().Get("move"))); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: step + " needs ?move=: " + err.Error()})
-			return
-		}
-		out, err := do(m)
-		if err != nil {
-			httpapi.Error(w, http.StatusConflict, httpapi.Detail{Code: httpapi.CodeConflict, Message: err.Error(), RetryAfterS: 1})
-			return
-		}
-		answerJSON(w, out)
+// handleCutoverCapture is POST /admin/v1/cutover/capture?move=D>T,
+// epoch-fenced: the move's splice, captured from its donor. A refused
+// capture answers 409, retryable: capture is refused until the donor has
+// consumed through its freeze point.
+func (n *Node) handleCutoverCapture(w http.ResponseWriter, r *http.Request) {
+	if !n.cutoverPost(w, r) {
+		return
 	}
+	var m shard.Move
+	if err := m.UnmarshalText([]byte(r.URL.Query().Get("move"))); err != nil {
+		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: "capture needs ?move=: " + err.Error()})
+		return
+	}
+	sp, err := n.rt.CaptureMove(m)
+	if err != nil {
+		httpapi.Error(w, http.StatusConflict, httpapi.Detail{Code: httpapi.CodeConflict, Message: err.Error(), RetryAfterS: 1})
+		return
+	}
+	answerJSON(w, sp)
 }
 
 // handleCutoverInstall is POST /admin/v1/cutover/install (body: a

@@ -27,7 +27,7 @@ import (
 //     with the recorded freeze offsets, the destination with committed
 //     splices in its snapshot), then serves passively.
 //   - a ROUTER restarting (or a second, stale router reloading) reads
-//     the journal and resumes double-write routing for unreleased
+//     the journal and resumes double-write routing for uncommitted
 //     moving keys; Router.LiveRebalance called again resumes driving
 //     from the journal, idempotently re-beginning every participant.
 //   - the journal's removal is the cutover's commit point, strictly
@@ -36,16 +36,16 @@ import (
 //
 // The router routes by the overlay the nodes' runtimes route by: one
 // shard.Cutover, built from the journal (CutoverJournal.Overlay) — both
-// rings and every move's phase — whose Route answers "plain, double-write
-// or released, and to which partitions" for any plan a journal can
-// describe, and whose Sync advances it as moves release. What the fleet
+// rings and the committed moves — whose Route answers "plain, double-write
+// or committed, and to which partitions" for any plan a journal can
+// describe, and whose Sync advances it as moves commit. What the fleet
 // adds is only where a partition lives: hostOf. LiveRebalance itself
 // still admits one plan, N -> N+1.
 //
 // Zero acknowledged loss holds by the same argument as in-process: a
 // moving key is double-written (donor + destination partition, acked
-// only when both land) from the instant the journal exists until its
-// move's entry reads "released"; donor freeze offsets are captured under each
+// only when both land) from the instant the journal exists until it
+// lists the move committed; donor freeze offsets are captured under each
 // node's route write lock inside cutover/begin and the router's gate
 // stays closed until the journal is durable, so no acknowledged line
 // ever sits past a donor's freeze point without a destination copy.
@@ -60,7 +60,7 @@ func cutoverJournalPath(manifestPath string) string {
 // a cutover this router coordinates has begun: a journal for a cutover
 // the router does not know about installs the overlay (the stale-router
 // path — double-writes resume immediately); a journal the router already
-// follows only syncs the phases it records (the overlay object stays,
+// follows only syncs the moves it commits (the overlay object stays,
 // because the driving coordinator advances it); no journal, or one the
 // manifest has caught up with, clears it. A journal that fails to load
 // is NOT "no cutover": the current overlay stays and the failure is
@@ -76,7 +76,7 @@ func (r *Router) reloadCutover() {
 	case j == nil || j.To == r.Manifest().Shards:
 		r.rcut.Store(nil)
 	case cur != nil && cur.From == j.From && cur.To == j.To:
-		err = cur.Sync(j.Moves)
+		err = cur.Sync(j.Committed)
 	default:
 		var rc *shard.Cutover
 		if rc, err = j.Overlay(); err == nil {
@@ -94,7 +94,7 @@ func (r *Router) reloadCutover() {
 // contributes the routing gate, the double-write overlay, and the
 // epoch-bumped manifest install at finish. destNode names the node that
 // hosts the new partition (empty picks the node owning the fewest
-// partitions). Blocks until every move is released and the new
+// partitions). Blocks until every move is committed and the new
 // manifest is installed; safe to call again after any crash — the
 // journal decides whether it starts fresh, resumes driving, or only
 // finishes.
@@ -146,9 +146,9 @@ func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport,
 			return flip()
 		},
 		OnBegin: r.reloadCutover,
-		OnRelease: func(m shard.Move) {
+		OnCommit: func(m shard.Move) {
 			if rc := r.rcut.Load(); rc != nil {
-				rc.Sync(map[shard.Move]string{m: "released"}) // a journaled move and phase: no error
+				rc.Sync([]shard.Move{m}) // a journaled move: no error
 			}
 		},
 		OnFinish: func() error { return r.installGrown(j) },
@@ -244,14 +244,9 @@ func (c *nodeClient) PendingMoves() ([]shard.Move, error) {
 	return body.Moves, err
 }
 
-// step runs one per-move step on the node, decoding its answer into out.
-func (c *nodeClient) step(step string, m shard.Move, out any) error {
-	return c.call(step+" move "+m.String(), http.MethodPost, step+"?move="+url.QueryEscape(m.String()), nil, out)
-}
-
 func (c *nodeClient) CaptureMove(m shard.Move) (shard.MoveSplice, error) {
 	var sp shard.MoveSplice
-	err := c.step("capture", m, &sp)
+	err := c.call("capture move "+m.String(), http.MethodPost, "capture?move="+url.QueryEscape(m.String()), nil, &sp)
 	return sp, err
 }
 
@@ -259,10 +254,8 @@ func (c *nodeClient) InstallSplice(sp shard.MoveSplice) error {
 	return c.call("install move "+sp.Move.String(), http.MethodPost, "install", sp, nil)
 }
 
-func (c *nodeClient) ForgetMove(m shard.Move) error { return c.step("forget", m, nil) }
-
-func (c *nodeClient) SyncCutover(moves map[shard.Move]string) error {
-	return c.call("syncing cutover phases", http.MethodPost, "sync", map[string]map[shard.Move]string{"moves": moves}, nil)
+func (c *nodeClient) SyncCutover(committed []shard.Move) error {
+	return c.call("syncing committed moves", http.MethodPost, "sync", map[string][]shard.Move{"committed": committed}, nil)
 }
 
 func (c *nodeClient) CompleteCutover(to int) error {
@@ -326,7 +319,6 @@ type RouterCutoverStatus struct {
 	To        int    `json:"to"`
 	DestNode  string `json:"dest_node"`
 	Committed int    `json:"committed"`
-	Released  int    `json:"released"`
 }
 
 // RouterStatus is the GET /admin/v1/status body of a front router.
@@ -350,8 +342,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		st.Nodes[name] = !nodes[name].dead.Load()
 	}
 	if j, err := shard.LoadCutoverJournal(cutoverJournalPath(r.cfg.ManifestPath)); err == nil && j != nil {
-		st.Cutover = &RouterCutoverStatus{From: j.From, To: j.To, DestNode: j.DestNode,
-			Committed: len(j.MovesAt("committed")), Released: len(j.MovesAt("released"))}
+		st.Cutover = &RouterCutoverStatus{From: j.From, To: j.To, DestNode: j.DestNode, Committed: len(j.Committed)}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)

@@ -24,11 +24,11 @@ import (
 // The networked live-rebalance proof, one level up from the shard
 // suite's in-process cutover: a front router grows a 2-node fleet from 2
 // to 3 partitions while fixed-seed traffic keeps flowing, driving the
-// per-move capture → install → commit → forget → release protocol over
-// the admin API. Traffic is injected from the coordinator's own hook
-// points, so "under traffic" is deterministic: batches land exactly at
-// double-write start (through both the coordinating router and a second
-// router holding a stale view), and at the first move's release. The
+// per-move capture → install → commit protocol over the admin API.
+// Traffic is injected from the coordinator's own hook points, so "under
+// traffic" is deterministic: batches land exactly at double-write start
+// (through both the coordinating router and a second router holding a
+// stale view), and at the first move's commit. The
 // first move fails at "staged", installed on its destination but not
 // committed. Either the destination node is killed there and restarted
 // on the same address, and the cluster journal next to the manifest
@@ -92,12 +92,12 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 	}
 
 	pre := genEqLines(6001, 1500, keys)
-	midDW := genEqLines(6002, 200, keys)    // lands the instant double-writing starts
-	midStale := genEqLines(6003, 200, keys) // through a second router with a stale view
-	midRel := genEqLines(6004, 200, keys)   // after the first move flips to dest-only routing
+	midDW := genEqLines(6002, 200, keys)     // lands the instant double-writing starts
+	midStale := genEqLines(6003, 200, keys)  // through a second router with a stale view
+	midCommit := genEqLines(6004, 200, keys) // after the first move flips to dest-only routing
 	post := genEqLines(6005, 1500, keys)
 	var stream []string
-	for _, seg := range [][]string{pre, midDW, midStale, midRel, post} {
+	for _, seg := range [][]string{pre, midDW, midStale, midCommit, post} {
 		stream = append(stream, seg...)
 	}
 	ref := runShardReference(t, stream, 3)
@@ -178,7 +178,7 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 	// boundaries and fails the first move once it is installed on its
 	// destination, before the journal commits it.
 	boom := errors.New("injected failure at staged")
-	fedDW, fedStale, fedRel, failed := false, false, false, false
+	fedDW, fedStale, fedCommit, failed := false, false, false, false
 	r.liveHook = func(phase, key string) error {
 		switch {
 		case phase == "double-write" && !fedDW:
@@ -196,9 +196,9 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 		case phase == "staged" && !failed:
 			failed = true
 			return boom
-		case phase == "released" && !fedRel:
-			fedRel = true
-			postAcked(midRel, 1)
+		case phase == "committed" && !fedCommit:
+			fedCommit = true
+			postAcked(midCommit, 1)
 		}
 		return nil
 	}
@@ -223,7 +223,7 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 
 	// Resume: the journal decides — re-begin every participant, drive
 	// the remaining moves (the half-installed one re-captures on the donor,
-	// whose tails were never forgotten: exactly one layout owned them
+	// whose tails were never scrubbed: exactly one layout owned them
 	// throughout, and the repeat install replaces the destination's
 	// uncommitted copy), and finish with the epoch-bumped manifest.
 	report, err := r.LiveRebalance(3, "b")
@@ -236,8 +236,8 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 	if report.MovedKeys == 0 {
 		t.Fatal("resumed rebalance moved no keys")
 	}
-	if !fedDW || !fedStale || !fedRel || !failed {
-		t.Fatalf("hook coverage: double-write=%v stale=%v released=%v failed at staged=%v", fedDW, fedStale, fedRel, failed)
+	if !fedDW || !fedStale || !fedCommit || !failed {
+		t.Fatalf("hook coverage: double-write=%v stale=%v committed=%v failed at staged=%v", fedDW, fedStale, fedCommit, failed)
 	}
 
 	if _, err := os.Stat(jpath); !os.IsNotExist(err) {
@@ -489,7 +489,7 @@ func TestClusterFailoverRefusedDuringLiveCutover(t *testing.T) {
 				t.Fatal(err)
 			}
 			jpath := cutoverJournalPath(manifestPath)
-			journal := `{"version":3,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":1,"1":1},"moves":{}}`
+			journal := `{"version":4,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":1,"1":1},"committed":[]}`
 			if err := os.WriteFile(jpath, []byte(journal), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -662,8 +662,9 @@ func assertEnvelope(t *testing.T, body []byte, wantCode string) {
 // A node's cutover endpoints answer through the envelope: an install body
 // past maxSpliceBytes is refused as too large, naming the bound (a move's
 // splice carries all its keys' tails, so the bound can be reached), a
-// truncated one or a per-move step without a move is a bad request, and a
-// step outside a cutover is a conflict. There is no stage step any more.
+// truncated one or a capture without a move is a bad request, and a
+// step outside a cutover is a conflict. There is no stage or forget step
+// any more.
 func TestClusterNodeCutoverAdminSurface(t *testing.T) {
 	dir := t.TempDir()
 	m := &Manifest{
@@ -701,19 +702,19 @@ func TestClusterNodeCutoverAdminSurface(t *testing.T) {
 	}
 	assertEnvelope(t, body, "bad_request")
 
-	for _, step := range []string{"capture", "forget"} {
-		for _, q := range []string{"", "?move=k1", "?move=0%3E"} {
-			code, body = serve(http.MethodPost, "/admin/v1/cutover/"+step+q, nil)
-			if code != http.StatusBadRequest {
-				t.Fatalf("%s%s: %d, want 400\n%s", step, q, code, body)
-			}
-			assertEnvelope(t, body, "bad_request")
+	for _, q := range []string{"", "?move=k1", "?move=0%3E"} {
+		code, body = serve(http.MethodPost, "/admin/v1/cutover/capture"+q, nil)
+		if code != http.StatusBadRequest {
+			t.Fatalf("capture%s: %d, want 400\n%s", q, code, body)
 		}
+		assertEnvelope(t, body, "bad_request")
 	}
 
-	code, body = serve(http.MethodPost, "/admin/v1/cutover/stage", strings.NewReader(`{"move":"0>1"}`))
-	if code != http.StatusNotFound {
-		t.Fatalf("the removed stage step: %d, want 404\n%s", code, body)
+	for _, removed := range []string{"stage", "forget?move=0%3E1"} {
+		code, body = serve(http.MethodPost, "/admin/v1/cutover/"+removed, strings.NewReader(`{"move":"0>1"}`))
+		if code != http.StatusNotFound {
+			t.Fatalf("the removed %s step: %d, want 404\n%s", removed, code, body)
+		}
 	}
 
 	code, body = serve(http.MethodGet, "/admin/v1/cutover/moves", nil)

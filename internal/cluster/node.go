@@ -341,15 +341,14 @@ func (n *Node) Health() HealthReport {
 //	                                  during a live cutover), epoch-fenced
 //	POST /admin/v1/cutover/begin      flip this node into a journaled live
 //	                                  cutover (body: shard.CutoverSpec)
-//	POST /admin/v1/cutover/sync       advance per-move phases from the
-//	                                  coordinator's journal
+//	POST /admin/v1/cutover/sync       record the moves the coordinator's
+//	                                  journal committed
 //	GET  /admin/v1/cutover/moves      moves still pending on owned donors
 //	POST /admin/v1/cutover/capture    capture one move's splice from its donor
 //	POST /admin/v1/cutover/install    apply a captured splice to its
 //	                                  destination, durable in its snapshot
 //	                                  before the answer (the transfer
 //	                                  endpoint; body: shard.MoveSplice)
-//	POST /admin/v1/cutover/forget     drop a handed-over move's tails from its donor
 //	POST /admin/v1/cutover/finish     restamp every partition at the new layout
 func (n *Node) Handler() http.Handler {
 	mux := httpapi.Mux(httpapi.MuxOptions{Snapshot: n.rt.Snapshot})
@@ -371,13 +370,8 @@ func (n *Node) Handler() http.Handler {
 	mux.Handle(httpapi.Prefix+"/cutover/begin", stamp(n.handleCutoverBegin))
 	mux.Handle(httpapi.Prefix+"/cutover/sync", stamp(n.handleCutoverSync))
 	mux.Handle(httpapi.Prefix+"/cutover/moves", stamp(n.handleCutoverMoves))
-	mux.Handle(httpapi.Prefix+"/cutover/capture", stamp(n.cutoverStep("capture", func(m shard.Move) (any, error) {
-		return n.rt.CaptureMove(m)
-	})))
+	mux.Handle(httpapi.Prefix+"/cutover/capture", stamp(n.handleCutoverCapture))
 	mux.Handle(httpapi.Prefix+"/cutover/install", stamp(n.handleCutoverInstall))
-	mux.Handle(httpapi.Prefix+"/cutover/forget", stamp(n.cutoverStep("forget", func(m shard.Move) (any, error) {
-		return map[string]shard.Move{"forgotten": m}, n.rt.ForgetMove(m)
-	})))
 	mux.Handle(httpapi.Prefix+"/cutover/finish", stamp(n.handleCutoverFinish))
 	return mux
 }

@@ -411,7 +411,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 // Outside a live cutover every line is one /ingest share to its
 // partition's owner. During one, the overlay's Route — the decision the
 // nodes' runtimes make too — says where each line goes: a moving key's
-// line is double-written until its journal entry is released, a directed
+// line is double-written until the journal commits its move, a directed
 // append to the donor partition first, then — only if the donor copy
 // landed — a directed append to the destination partition on its node,
 // and the line is acked only when both landed. The donor-first order is
@@ -419,7 +419,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 // destination never holds a copy of a line that was not also in the
 // donor's WAL, so a retry can duplicate only the donor copy, which sits
 // past the freeze point and is never fed. Every other line — a key that
-// stays, or a released one, whose partition is its destination — is an
+// stays, or a committed one, whose partition is its destination — is an
 // /ingest share to its partition's node, which hashes it again and
 // refuses what it does not serve.
 func (r *Router) RouteBatch(lines []string) shard.IngestResponse {

@@ -40,10 +40,10 @@ import (
 //     double-written — appended to both the donor's WAL (which stops
 //     feeding it at the freeze point) and the destination's WAL (whose
 //     consumer parks before the record of any moving key whose move is
-//     unreleased). Non-moving keys keep their partition, their detection
+//     uncommitted). Non-moving keys keep their partition, their detection
 //     and their acks; on a surviving partition that is also a destination
 //     (a shrink) they queue behind a parked record until its move
-//     releases.
+//     commits.
 //  2. Tail landing. Each old partition drains its pre-freeze backlog, so
 //     every moving key's in-flight window tail is final.
 //  3. Per move — capture: the WindowTail of every key of the move plus
@@ -51,12 +51,12 @@ import (
 //     under the donor's feed lock. Install: the splice merges into the
 //     live destination (donor event ids translated by template, pattern
 //     verdicts deduped, tails restored) and the destination takes a
-//     snapshot — the splice's one durable copy. Commit: the journal
-//     records the move as "committed" — the move's commit point; from
-//     here its keys are destination-owned. Forget: the donor drops the
-//     move's tails. Release: the journal records "released", the
-//     destination's parked consumer wakes for the move's keys and routing
-//     sends them to the destination only.
+//     snapshot — the splice's one durable copy. Commit: the journal lists
+//     the move as committed — the move's one commit point. From here its
+//     keys route to the destination alone, the destination's parked
+//     consumer wakes for them, and the donor drops their tails (every
+//     partition but the destination scrubs a committed move's keys,
+//     whenever it learns of the commit).
 //  4. Finish. Every participant restamps and persists its partitions on
 //     the new layout, drains each partition the new layout retires to its
 //     WAL tail and drops it, and swaps rings (double-writing ends here);
@@ -96,25 +96,12 @@ import (
 // after every partition is persisted on the new layout.
 const CutoverJournalName = "live-cutover.json"
 
-// journalVersion is the journal format. Version 3 commits a move only
-// once its destination's snapshot holds the splice; version 2 ledgered
-// the same moves over staged splice files, and version 1 ledgered keys.
-const journalVersion = 3
-
-// Per-move cutover phases, in order. A move absent from the journal is
-// pending (donor-owned).
-const (
-	phasePending = iota
-	// phaseCommitted: the journal entry exists — the move's keys are
-	// destination-owned, and its destination's snapshot holds the splice.
-	phaseCommitted
-	// phaseReleased: the destination consumer feeds the move's keys and
-	// the router no longer double-writes them.
-	phaseReleased
-)
-
-// journalPhaseNames maps journal strings to phases.
-var journalPhaseNames = map[string]int{"committed": phaseCommitted, "released": phaseReleased}
+// journalVersion is the journal format. Version 4 lists the committed
+// moves: a move is pending or committed, and its one journal write hands
+// its keys over. Version 3 journaled a second phase per move, written
+// after the donor dropped the move's tails; version 2 ledgered the same
+// moves over staged splice files, and version 1 ledgered keys.
+const journalVersion = 4
 
 // Move is the unit a live cutover hands over: every key the old ring
 // places on partition Donor and the new ring on partition Dest. It reads
@@ -158,9 +145,11 @@ type CutoverJournal struct {
 	// double-written offset. Donor records below it are donor-fed;
 	// records at or above it belong to the destination's WAL copy.
 	Freeze map[int]uint64 `json:"freeze"`
-	// Moves is the ledger: move → "committed" | "released". Pending moves
-	// are absent, so it never holds more than From×To entries.
-	Moves map[Move]string `json:"moves"`
+	// Committed lists the moves whose commit point has passed, in order:
+	// their keys are destination-owned, and each destination's snapshot
+	// holds its move's splice. Pending moves are absent, so it never holds
+	// more than From×To entries.
+	Committed []Move `json:"committed"`
 }
 
 // NewCutoverJournal describes a cutover that has not begun — it has no
@@ -168,7 +157,7 @@ type CutoverJournal struct {
 // Coordinator collects them and writes the journal at begin.
 func NewCutoverJournal(from, to, vnodes int, destNode string) *CutoverJournal {
 	return &CutoverJournal{Version: journalVersion, From: from, To: to, Vnodes: vnodes, DestNode: destNode,
-		Freeze: make(map[int]uint64, from), Moves: make(map[Move]string)}
+		Freeze: make(map[int]uint64, from), Committed: []Move{}}
 }
 
 // LoadCutoverJournal reads the cutover journal at path; absent means no
@@ -188,7 +177,7 @@ func LoadCutoverJournal(path string) (*CutoverJournal, error) {
 	}
 	if j.Version != journalVersion {
 		return nil, fmt.Errorf("shard: cutover journal %s is version %d, but this build reads only version %d "+
-			"(moves committed once their destinations' snapshots hold the splice); "+
+			"(one commit point per move); "+
 			"finish that cutover with the build that began it", path, j.Version, journalVersion)
 	}
 	if j.From < 1 || j.To < 1 || j.To == j.From || len(j.Freeze) != j.From {
@@ -200,16 +189,13 @@ func LoadCutoverJournal(path string) (*CutoverJournal, error) {
 			return nil, fmt.Errorf("shard: cutover journal %s records no freeze offset for donor partition %d", path, d)
 		}
 	}
-	for m, name := range j.Moves {
+	for i, m := range j.Committed {
 		if !m.in(j.From, j.To) {
 			return nil, fmt.Errorf("shard: cutover journal %s records move %v, which no %d -> %d cutover makes", path, m, j.From, j.To)
 		}
-		if _, ok := journalPhaseNames[name]; !ok {
-			return nil, fmt.Errorf("shard: cutover journal %s has unknown phase %q for move %v", path, name, m)
+		if slices.Contains(j.Committed[:i], m) {
+			return nil, fmt.Errorf("shard: cutover journal %s lists move %v twice", path, m)
 		}
-	}
-	if j.Moves == nil {
-		j.Moves = make(map[Move]string)
 	}
 	return j, nil
 }
@@ -231,19 +217,7 @@ func removeCutoverJournal(path string) error {
 // Spec renders the journal as one participant's begin parameters
 // (dest: the participant hosts the partitions the new layout adds).
 func (j *CutoverJournal) Spec(dest bool) CutoverSpec {
-	return CutoverSpec{From: j.From, To: j.To, Vnodes: j.Vnodes, Freeze: j.Freeze, Moves: j.Moves, Dest: dest}
-}
-
-// MovesAt lists the moves journaled at phase ("committed" | "released"),
-// in order.
-func (j *CutoverJournal) MovesAt(phase string) []Move {
-	var moves []Move
-	for m, ph := range j.Moves {
-		if ph == phase {
-			moves = append(moves, m)
-		}
-	}
-	return sortMoves(moves)
+	return CutoverSpec{From: j.From, To: j.To, Vnodes: j.Vnodes, Freeze: j.Freeze, Committed: j.Committed, Dest: dest}
 }
 
 // sortMoves orders moves by donor, then destination, and drops repeats.
@@ -268,13 +242,13 @@ type MoveSplice struct {
 }
 
 // Cutover is the in-memory overlay of a live rebalance: both rings, the
-// donors' freeze offsets and every move's phase. A runtime publishes one
+// donors' freeze offsets and the committed moves. A runtime publishes one
 // to its router and workers through Runtime.cut; a fleet router holds one
 // built from the journal (CutoverJournal.Overlay). Both ask it the same
 // question per line — Route — and advance it the same way — Sync. Rings
-// and freeze offsets are immutable after publication; the per-move phase
-// map, finished and closed are guarded by mu, with cond waking the
-// destination's parked consumer on every transition.
+// and freeze offsets are immutable after publication; the committed set,
+// finished and closed are guarded by mu, with cond waking the
+// destination's parked consumer on every commit.
 type Cutover struct {
 	// From and To are the old and new partition counts.
 	From, To int
@@ -287,29 +261,29 @@ type Cutover struct {
 	newRing *Partitioner
 	freeze  []uint64 // per old-layout partition: first double-written offset
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	phase    map[Move]int
-	finished bool // set at finish; stale holders treat every move as released
-	closed   bool // set by Kill/Close so a parked consumer can exit
+	mu        sync.Mutex
+	cond      *sync.Cond
+	committed map[Move]bool
+	finished  bool // set at finish; stale holders treat every move as committed
+	closed    bool // set by Kill/Close so a parked consumer can exit
 }
 
 // newCutover builds the overlay spec describes: rings from its counts and
-// vnode override, the freeze offsets and per-move phases it records.
+// vnode override, the freeze offsets and committed moves it records.
 func newCutover(spec CutoverSpec) (*Cutover, error) {
 	c := &Cutover{
-		From:    spec.From,
-		To:      spec.To,
-		oldRing: NewPartitionerVnodes(spec.From, spec.Vnodes),
-		newRing: NewPartitionerVnodes(spec.To, spec.Vnodes),
-		freeze:  make([]uint64, spec.From),
-		phase:   make(map[Move]int),
+		From:      spec.From,
+		To:        spec.To,
+		oldRing:   NewPartitionerVnodes(spec.From, spec.Vnodes),
+		newRing:   NewPartitionerVnodes(spec.To, spec.Vnodes),
+		freeze:    make([]uint64, spec.From),
+		committed: make(map[Move]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	for i := range c.freeze {
 		c.freeze[i] = spec.Freeze[i]
 	}
-	return c, c.Sync(spec.Moves)
+	return c, c.Sync(spec.Committed)
 }
 
 // Overlay builds the routing overlay of the cutover j describes — what a
@@ -325,14 +299,14 @@ func (j *CutoverJournal) Overlay() (*Cutover, error) {
 
 // Route is the one routing decision under a cutover. primary is the
 // partition the line is appended to and reported under. shadow is -1
-// unless key is moving and its move not yet released: then primary is
+// unless key is moving and its move not yet committed: then primary is
 // its donor, shadow its destination, and the line is double-written —
-// donor first, acked only when both copies land. A released moving key
+// donor first, acked only when both copies land. A committed moving key
 // routes to its destination alone; a key that does not move keeps its
 // partition.
 func (c *Cutover) Route(key string) (primary, shadow int) {
 	m := c.moveOf(key)
-	if m.Donor == m.Dest || c.movePhase(m) >= phaseReleased {
+	if m.Donor == m.Dest || c.isCommitted(m) {
 		return m.Dest, -1
 	}
 	return m.Donor, m.Dest
@@ -359,39 +333,30 @@ func (c *Cutover) destCopy(idx int, key string, off uint64) bool {
 	return c.newRing.Partition(key) == idx && (idx >= c.From || off >= c.freeze[idx])
 }
 
-// movePhase returns m's current phase (a finished cutover reads as
-// all-released for workers still holding the pointer).
-func (c *Cutover) movePhase(m Move) int {
+// isCommitted reports whether m's commit point has passed (a finished
+// cutover reads as all-committed for workers still holding the pointer).
+func (c *Cutover) isCommitted(m Move) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.phaseLocked(m)
+	return c.committedLocked(m)
 }
 
-// phaseLocked is movePhase for a caller holding mu.
-func (c *Cutover) phaseLocked(m Move) int {
-	if c.finished {
-		return phaseReleased
-	}
-	return c.phase[m]
+// committedLocked is isCommitted for a caller holding mu.
+func (c *Cutover) committedLocked(m Move) bool {
+	return c.finished || c.committed[m]
 }
 
-// Sync advances per-move phases from a journal view (move → "committed"
-// | "released"), never backwards — syncs can arrive out of order — and
-// wakes the destination's parked consumer.
-func (c *Cutover) Sync(moves map[Move]string) error {
+// Sync adds moves the journal lists as committed — a commit is never
+// undone, so syncs may arrive out of order or twice — and wakes the
+// destination's parked consumer.
+func (c *Cutover) Sync(committed []Move) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for m, name := range moves {
-		ph, ok := journalPhaseNames[name]
-		if !ok {
-			return fmt.Errorf("shard: unknown cutover phase %q for move %v", name, m)
-		}
+	for _, m := range committed {
 		if !m.in(c.From, c.To) {
 			return fmt.Errorf("shard: no %d -> %d cutover makes move %v", c.From, c.To, m)
 		}
-		if ph > c.phase[m] {
-			c.phase[m] = ph
-		}
+		c.committed[m] = true
 	}
 	c.cond.Broadcast()
 	return nil
@@ -408,9 +373,9 @@ func (c *Cutover) interrupt() {
 
 // Coordinator drives one live cutover to completion over a set of
 // Participants: begin every participant and make the journal durable,
-// hand over each pending move (capture → install → journal "committed" →
-// forget → journal "released"), finish. It owns the journal;
-// the host supplies what is transport- or fleet-specific.
+// hand over each pending move (capture → install → journal it committed →
+// sync its two participants), finish. It owns the journal; the host
+// supplies what is transport- or fleet-specific.
 type Coordinator struct {
 	// JournalPath is where the journal lives: the runtime root
 	// in-process, the cluster directory in a fleet.
@@ -428,29 +393,30 @@ type Coordinator struct {
 	// OnBegin runs inside the begin flip once the journal is durable (a
 	// router installs its double-write overlay here).
 	OnBegin func()
-	// OnRelease runs once a move's "released" entry is durable.
-	OnRelease func(m Move)
+	// OnCommit runs once a move's commit is durable and both its
+	// participants know of it (a router syncs its overlay here).
+	OnCommit func(m Move)
 	// OnFinish runs inside the finish flip after every participant
 	// completed and before the journal is removed (a router installs the
 	// epoch-bumped manifest here).
 	OnFinish func() error
 	// Hook, when set, is invoked at the cutover's named points, in this
-	// order: "double-write" once after begin (move empty); per move
-	// "tail-landed", "staged" (the destination's snapshot holds the
-	// splice, the journal does not name the move yet), "committed",
-	// "released", the second argument naming the move (e.g. "0>2");
-	// "finish" once before the finish flip (move empty). A move resumed at
-	// "committed" fires only "released". Returning an error aborts exactly
-	// there, leaving the journal in place — the crash-injection suites then
-	// kill participants and prove a second Run resumes.
+	// order: "double-write" once after begin (move empty); per pending
+	// move "tail-landed", "staged" (the destination's snapshot holds the
+	// splice, the journal does not name the move yet) and "committed" (the
+	// destination feeds the move's keys), the second argument naming the
+	// move (e.g. "0>2"); "finish" once before the finish flip (move empty).
+	// Returning an error aborts exactly there, leaving the journal in
+	// place — the crash-injection suites then kill participants and prove a
+	// second Run resumes.
 	Hook func(phase, move string) error
 }
 
 // Run drives the cutover j describes: a journal loaded from disk
 // resumes (every participant re-begins idempotently with the journaled
-// freezes and phases), one from NewCutoverJournal begins. On error the
-// journal stays in place and Run may be called again with the reloaded
-// journal.
+// freezes and committed moves), one from NewCutoverJournal begins. On
+// error the journal stays in place and Run may be called again with the
+// reloaded journal.
 func (c *Coordinator) Run(j *CutoverJournal) (*RebalanceReport, error) {
 	var parts []Participant // distinct, in partition order
 	for p := 0; p < max(j.From, j.To); p++ {
@@ -470,24 +436,24 @@ func (c *Coordinator) Run(j *CutoverJournal) (*RebalanceReport, error) {
 		return nil, err
 	}
 
-	// Moves the journal already committed (a resumed cutover) finish
-	// first: they are destination-owned. Then every pending move, until no
-	// donor holds one — records past the freeze point never re-enter donor
-	// tails, so the pending set can only shrink and the empty round proves
-	// convergence.
+	// Every pending move, until no donor holds one — records past the
+	// freeze point never re-enter donor tails, so the pending set can only
+	// shrink and the empty round proves convergence. A move the journal
+	// already committed (a resumed cutover) has no step left: the
+	// re-begin scrubbed its keys from every partition but its destination.
 	rep := &RebalanceReport{From: j.From, To: j.To}
-	moves := j.MovesAt("committed")
 	for {
-		for _, m := range moves {
-			if err := c.move(j, m, c.Owner(m.Donor), c.Owner(m.Dest), rep); err != nil {
-				return nil, err
-			}
-		}
-		if moves, err = pendingMoves(active); err != nil {
+		moves, err := pendingMoves(active)
+		if err != nil {
 			return nil, err
 		}
 		if len(moves) == 0 {
 			break
+		}
+		for _, m := range moves {
+			if err := c.move(j, m, c.Owner(m.Donor), c.Owner(m.Dest), rep); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -573,69 +539,49 @@ func pendingMoves(active []Participant) ([]Move, error) {
 	return sortMoves(moves), nil
 }
 
-// move hands one move over, from wherever the journal says it stands:
-// capture on the donor → install on the destination, durable in its
-// snapshot → journal "committed" (the move's commit point: from here its
-// keys are destination-owned) → forget → journal "released". A move the
-// journal already committed skips capture and install: its destination's
-// snapshot holds the splice. Every step is idempotent. The keys and
-// window-tail ids a capture hands over are counted into rep.
+// move hands one pending move over: capture on the donor → install on
+// the destination, durable in its snapshot → journal it committed, the
+// move's one commit point → sync the donor, which drops the move's tails,
+// then the destination, whose parked consumer wakes. A crash after the
+// journal write leaves the drop to whichever comes first, the re-begin or
+// the recovery: both scrub a committed move's keys from every partition
+// but its destination, so the journal, not the donor's snapshot, is what
+// recovery trusts. Every step is idempotent. The keys and window-tail
+// ids a capture hands over are counted into rep.
 func (c *Coordinator) move(j *CutoverJournal, m Move, donor, dest Participant, rep *RebalanceReport) error {
-	if j.Moves[m] != "committed" {
-		if err := c.hook("tail-landed", m.String()); err != nil {
-			return err
-		}
-		sp, err := donor.CaptureMove(m)
-		if err != nil {
-			return err
-		}
-		if err := dest.InstallSplice(sp); err != nil {
-			return err
-		}
-		if err := c.hook("staged", m.String()); err != nil {
-			return err
-		}
-		if err := c.record(j, m, "committed", donor, dest); err != nil {
-			return err
-		}
-		if err := c.hook("committed", m.String()); err != nil {
-			return err
-		}
-		rep.MovedKeys += len(sp.Tails)
-		for _, tail := range sp.Tails {
-			rep.MovedLines += len(tail.IDs)
-		}
-	}
-	// The donor's next snapshot makes the drop durable; in the interim the
-	// journal, not the donor's snapshot, is what recovery trusts.
-	if err := donor.ForgetMove(m); err != nil {
+	if err := c.hook("tail-landed", m.String()); err != nil {
 		return err
 	}
-	if err := c.record(j, m, "released", donor, dest); err != nil {
+	sp, err := donor.CaptureMove(m)
+	if err != nil {
 		return err
 	}
-	if c.OnRelease != nil {
-		c.OnRelease(m)
+	if err := dest.InstallSplice(sp); err != nil {
+		return err
 	}
-	return c.hook("released", m.String())
-}
-
-// record journals a move's new phase durably, then tells its two
-// participants (a "released" sync wakes the destination's parked
-// consumer and ends the move's double-writes).
-func (c *Coordinator) record(j *CutoverJournal, m Move, phase string, donor, dest Participant) error {
-	j.Moves[m] = phase
+	if err := c.hook("staged", m.String()); err != nil {
+		return err
+	}
+	j.Committed = sortMoves(append(j.Committed, m))
 	if err := j.save(c.JournalPath); err != nil {
 		return err
 	}
-	update := map[Move]string{m: phase}
-	if err := donor.SyncCutover(update); err != nil {
+	if err := donor.SyncCutover([]Move{m}); err != nil {
 		return err
 	}
-	if dest == donor {
-		return nil
+	if dest != donor {
+		if err := dest.SyncCutover([]Move{m}); err != nil {
+			return err
+		}
 	}
-	return dest.SyncCutover(update)
+	if c.OnCommit != nil {
+		c.OnCommit(m)
+	}
+	rep.MovedKeys += len(sp.Tails)
+	for _, tail := range sp.Tails {
+		rep.MovedLines += len(tail.IDs)
+	}
+	return c.hook("committed", m.String())
 }
 
 func (c *Coordinator) gate(flip func() error) error {

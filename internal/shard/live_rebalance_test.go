@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ import (
 // alert multisets signature by signature. Traffic is injected from the
 // cutover's own hook points, so "under traffic" is deterministic, not a
 // race: batches land exactly at double-write start, mid-pause, and first
-// release. The suite further proves non-moving keys never stall under
+// commit. The suite further proves non-moving keys never stall under
 // growth (their watermarks and score counts advance while the cutover is
 // paused) and resume by the finish under a shrink, double-written records
 // are never detected twice (offset rollback redelivers them into the
@@ -54,7 +56,7 @@ func liveMovingKeys(keys []string, from, to int) (moving, staying []string) {
 
 // liveNewMovingKey finds a key outside the fixture set that the cutover
 // moves — introduced only mid-cutover, it exercises the straggler path:
-// no donor tail, double-written only, released by the finish flip.
+// no donor tail, double-written only, handed over by the finish flip.
 func liveNewMovingKey(existing []string, from, to int) string {
 	oldRing, newRing := NewPartitioner(from), NewPartitioner(to)
 	used := make(map[string]bool, len(existing))
@@ -142,13 +144,13 @@ func liveEquivalenceUnderTraffic(t *testing.T, from, to int) {
 			h.feed(t, midA)
 		case phase == "tail-landed" && !stalled:
 			// Run while the cutover is mid-pause, before any moving key is
-			// released. Growth — zero stall: a staying key's partition
+			// committed. Growth — zero stall: a staying key's partition
 			// receives no key, so its traffic must keep scoring and its
 			// committed watermark must strictly advance right now. Shrink:
 			// the staying key's partition is a destination, and its worker
-			// may be parked on an unreleased moving key's record queued
+			// may be parked on an uncommitted moving key's record queued
 			// ahead of this traffic; the bound is the finish flip, which
-			// releases every key — checked once the cutover returns.
+			// hands every key over — checked once the cutover returns.
 			stalled = true
 			scoresAtStall = h.scoredWindows(staying[0])
 			committedBefore := h.rt.Committed(stayPart)
@@ -156,7 +158,7 @@ func liveEquivalenceUnderTraffic(t *testing.T, from, to int) {
 			if to > from {
 				awaitStaying("mid-cutover", scoresAtStall, committedBefore, true)
 			}
-		case phase == "released" && !fedMidB:
+		case phase == "committed" && !fedMidB:
 			// Traffic after the first move flips to destination-only routing.
 			fedMidB = true
 			h.feed(t, midB)
@@ -167,7 +169,7 @@ func liveEquivalenceUnderTraffic(t *testing.T, from, to int) {
 		t.Fatalf("LiveRebalance: %v", err)
 	}
 	if !fedMidA || !fedMidB || !stalled {
-		t.Fatalf("hook points missed: double-write %v, tail-landed %v, released %v", fedMidA, stalled, fedMidB)
+		t.Fatalf("hook points missed: double-write %v, tail-landed %v, committed %v", fedMidA, stalled, fedMidB)
 	}
 	awaitStaying("past the finish", scoresAtStall, 0, false)
 	if report.From != from || report.To != to {
@@ -233,7 +235,7 @@ func TestLiveRebalanceShrinkThenRegrow(t *testing.T) {
 // while their slowed workers are still short of those copies. A survivor
 // that took them for the keys' traffic would park on them — below its own
 // freeze point, so its tail would never land and the cutover would hang —
-// and feed them once released.
+// and feed them once committed.
 func TestLiveRebalanceGrowThenShrink(t *testing.T) {
 	liveRoundTrip(t, []int{2, 3, 2}, func(i int) bool { return i < 2 })
 }
@@ -309,8 +311,8 @@ func liveRoundTrip(t *testing.T, path []int, slow func(i int) bool) {
 
 // A cutover hands keys over one move at a time: a 2→3 growth over more
 // than a hundred moving keys is two moves, 0>2 and 1>2, and pays per move,
-// not per key — each move commits and releases once, lands in the
-// destination's snapshot with one install and takes one journal entry —
+// not per key — each move commits once, lands in the destination's
+// snapshot with one install and takes one journal entry —
 // while the report still counts keys and tail ids: every moving key with
 // a window tail, and its tail's ids, as the unsharded reference holds
 // them. The destination numbers its events apart from the reference, so
@@ -345,7 +347,7 @@ func TestLiveRebalanceOneStepPerMove(t *testing.T) {
 		if err != nil || j == nil {
 			return fmt.Errorf("journal at %s: %v, %v", phase, j, err)
 		}
-		maxEntries = max(maxEntries, len(j.Moves))
+		maxEntries = max(maxEntries, len(j.Committed))
 		if phase == "staged" {
 			// One install per move: the destination's snapshot holds the
 			// tails of the moves staged so far, and of no other key.
@@ -375,7 +377,7 @@ func TestLiveRebalanceOneStepPerMove(t *testing.T) {
 		t.Fatalf("LiveRebalance: %v", err)
 	}
 	wantMoves := []string{"0>2", "1>2"}
-	for _, phase := range []string{"tail-landed", "staged", "committed", "released"} {
+	for _, phase := range []string{"tail-landed", "staged", "committed"} {
 		if !reflect.DeepEqual(fired[phase], wantMoves) {
 			t.Errorf("%q fired for %v, want once per move: %v", phase, fired[phase], wantMoves)
 		}
@@ -432,8 +434,8 @@ func TestLiveRebalanceInstallsBeforeCommit(t *testing.T) {
 		if err != nil || j == nil {
 			return fmt.Errorf("journal at %s staged: %v, %v", move, j, err)
 		}
-		if ph, ok := j.Moves[m]; ok {
-			t.Errorf("at %s staged the journal already records the move %q", move, ph)
+		if slices.Contains(j.Committed, m) {
+			t.Errorf("at %s staged the journal already lists the move committed", move)
 		}
 		st, err := loadState(statePath(PartitionDir(dir, m.Dest)))
 		if err != nil {
@@ -473,11 +475,243 @@ func TestLiveRebalanceInstallsBeforeCommit(t *testing.T) {
 	requireEqual(t, "crash at the second move's staged", h2.result(), ref)
 }
 
+// A move's journal commit is its one commit point: by the "committed"
+// hook its keys route to the destination alone and the destination's
+// consumer feeds them. Lines that complete a window for a key of the move,
+// appended at that hook, are scored on the destination before the hook
+// returns. No traffic flows between the begin and the commits, so no
+// record of a move still pending sits ahead of them in the destination's
+// WAL.
+func TestLiveRebalanceDestinationFeedsAtCommit(t *testing.T) {
+	keys := eqKeys(12)
+	moving, _ := liveMovingKeys(keys, 2, 3)
+	var onDest atomic.Int64 // windows scored on partition 2, the destination
+	h := openHarness(t, t.TempDir(), 2, func(cfg *Config) {
+		observe := cfg.OnWindow
+		cfg.OnWindow = func(shard int, key string, seq []int, score float64, abandoned bool) {
+			observe(shard, key, seq, score, abandoned)
+			if shard == 2 {
+				onDest.Add(1)
+			}
+		}
+	})
+	h.feed(t, genEqLines(71, 600, keys))
+	h.drain(t)
+	oldRing, fed := NewPartitioner(2), 0
+	_, err := h.rt.liveRebalance(3, func(phase, move string) error {
+		if phase != "committed" {
+			return nil
+		}
+		var m Move
+		if err := m.UnmarshalText([]byte(move)); err != nil {
+			return err
+		}
+		i := slices.IndexFunc(moving, func(k string) bool { return oldRing.Partition(k) == m.Donor })
+		if i < 0 {
+			return nil
+		}
+		before := onDest.Load()
+		h.feed(t, genEqLines(72, 10, moving[i:i+1]))
+		for deadline := time.Now().Add(10 * time.Second); onDest.Load() == before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("at %s committed the destination scored no window of key %s within 10 s", move, moving[i])
+				break
+			}
+		}
+		fed++
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("LiveRebalance: %v", err)
+	}
+	if fed == 0 {
+		t.Fatal("no committed move had a fixture key to feed")
+	}
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A coordinator can die between a commit's journal write and its syncs;
+// the next one re-begins every participant with the journal's committed
+// moves. The re-begin scrubs as the sync would have: the donor drops the
+// move's tails, and its next snapshot lists none of them, while the
+// destination's tails — the installed splice — stay as they were.
+func TestLiveRebalanceRebeginScrubsCommittedMove(t *testing.T) {
+	dir := t.TempDir()
+	h := openHarness(t, dir, 2, nil)
+	h.feed(t, genEqLines(73, 1200, eqKeys(40)))
+	h.drain(t)
+	m, oldRing, newRing := Move{0, 2}, NewPartitioner(2), NewPartitioner(3)
+	ofMove := func(idx int) map[string]pipeline.WindowTail {
+		h.rt.routeMu.RLock()
+		pt := h.rt.byIdx[idx]
+		h.rt.routeMu.RUnlock()
+		pt.feedMu.Lock()
+		defer pt.feedMu.Unlock()
+		tails := pt.keyed.Tails()
+		for k := range tails {
+			if (Move{oldRing.Partition(k), newRing.Partition(k)}) != m {
+				delete(tails, k)
+			}
+		}
+		return tails
+	}
+	jpath, boom := filepath.Join(dir, CutoverJournalName), errors.New("coordinator died after the journal write")
+	var installed map[string]pipeline.WindowTail
+	_, err := h.rt.liveRebalance(3, func(phase, move string) error {
+		if phase != "staged" || move != m.String() {
+			return nil
+		}
+		installed = ofMove(m.Dest)
+		if len(installed) == 0 || len(ofMove(m.Donor)) != len(installed) {
+			t.Fatalf("fixture: at %s staged the donor holds %d of the move's tails, the destination %d", move, len(ofMove(m.Donor)), len(installed))
+		}
+		j, err := LoadCutoverJournal(jpath)
+		if err != nil {
+			return err
+		}
+		j.Committed = append(j.Committed, m)
+		if err := j.save(jpath); err != nil {
+			return err
+		}
+		if _, err := h.rt.BeginCutover(j.Spec(true), nil); err != nil {
+			return err
+		}
+		if got := ofMove(m.Donor); len(got) != 0 {
+			t.Errorf("after the re-begin the donor still holds %d tails of committed move %v", len(got), m)
+		}
+		if got := ofMove(m.Dest); !reflect.DeepEqual(got, installed) {
+			t.Errorf("the re-begin changed the destination's tails of move %v", m)
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("LiveRebalance error = %v, want the injected failure", err)
+	}
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for idx, want := range map[int]int{m.Donor: 0, m.Dest: len(installed)} {
+		st, err := loadState(statePath(PartitionDir(dir, idx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for k := range st.Tails {
+			if (Move{oldRing.Partition(k), newRing.Partition(k)}) == m {
+				n++
+			}
+		}
+		if n != want {
+			t.Errorf("partition %d's snapshot lists %d tails of move %v, want %d", idx, n, m, want)
+		}
+	}
+	h2 := reopenHarness(t, dir, 3, h)
+	requireTailsOnNewRing(t, h2.rt, 3)
+	if err := h2.rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A crash between a commit's journal write and its syncs leaves the
+// move's tails on its donor as well as in its destination's snapshot. The
+// reopen scrubs them from the donor by the journal and ends equal to the
+// reference, every key's tail on exactly one partition.
+func TestLiveRebalanceCrashAfterCommitWrite(t *testing.T) {
+	keys := eqKeys(10)
+	pre, post := genEqLines(21, 1200, keys), genEqLines(23, 1200, keys)
+	ref := runReference(t, append(append([]string(nil), pre...), post...))
+	dir := t.TempDir()
+	h := openHarness(t, dir, 2, nil)
+	h.feed(t, pre)
+	h.drain(t)
+	jpath, boom := filepath.Join(dir, CutoverJournalName), errors.New("crash after the journal write")
+	_, err := h.rt.liveRebalance(3, func(phase, move string) error {
+		if phase != "staged" {
+			return nil
+		}
+		var m Move
+		if err := m.UnmarshalText([]byte(move)); err != nil {
+			return err
+		}
+		j, err := LoadCutoverJournal(jpath)
+		if err != nil {
+			return err
+		}
+		j.Committed = append(j.Committed, m)
+		if err := j.save(jpath); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("LiveRebalance error = %v, want the injected crash", err)
+	}
+	h.drain(t)
+	h.rt.Kill()
+
+	h2 := reopenHarness(t, dir, 3, h)
+	requireTailsOnNewRing(t, h2.rt, 3)
+	h2.feed(t, post)
+	h2.drain(t)
+	if err := h2.rt.Close(); err != nil {
+		t.Fatalf("Close after resume: %v", err)
+	}
+	requireEqual(t, "crash after a commit's journal write", h2.result(), ref)
+}
+
+// A fleet node that restarts mid-cutover opens from the coordinator's
+// spec and serves passively until the coordinator re-begins it; its open
+// alone already scrubs a committed move's keys from the donor, whose
+// snapshot still holds them.
+func TestLiveRebalanceNodeOpenScrubsCommittedMove(t *testing.T) {
+	dir := t.TempDir()
+	h := openHarness(t, dir, 2, nil)
+	h.feed(t, genEqLines(73, 1200, eqKeys(40)))
+	h.drain(t)
+	spec := CutoverSpec{From: 2, To: 3, Freeze: map[int]uint64{}, Committed: []Move{{0, 2}}, Dest: true}
+	for i, pt := range h.rt.byIdx {
+		spec.Freeze[i] = pt.bk.NextOffset()
+	}
+	if err := h.rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	oldRing, newRing := NewPartitioner(2), NewPartitioner(3)
+	moved := func(k string) bool { return oldRing.Partition(k) == 0 && newRing.Partition(k) == 2 }
+	st, err := loadState(statePath(PartitionDir(dir, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for k := range st.Tails {
+		if moved(k) {
+			held++
+		}
+	}
+	if held == 0 {
+		t.Fatal("fixture: the donor's snapshot holds no tail of move 0>2")
+	}
+
+	node := openHarness(t, dir, 3, func(cfg *Config) { cfg.Cutover = &spec })
+	defer node.rt.Kill()
+	donor := node.rt.byIdx[0]
+	donor.feedMu.Lock()
+	defer donor.feedMu.Unlock()
+	for k := range donor.keyed.Tails() {
+		if moved(k) {
+			t.Errorf("the reopened donor holds a tail of key %s, whose move 0>2 the spec commits", k)
+		}
+	}
+}
+
 // A finish that completed on the runtime while the journal's removal
 // failed leaves the journal naming only the moves that had donor tails. A
 // move none of whose keys has any history before the freeze point is never
-// journaled, and its destination feeds its keys once the finish releases
-// them. A restart that finds the journal must keep those tails: recovery
+// journaled, and its destination feeds its keys once the finish hands
+// them over. A restart that finds the journal must keep those tails: recovery
 // scrubs a committed move's keys from every partition but its destination
 // and leaves an uncommitted move's keys where they are.
 func TestLiveRebalanceRestartAfterFinishKeepsUnjournaledTails(t *testing.T) {
@@ -517,8 +751,8 @@ func TestLiveRebalanceRestartAfterFinishKeepsUnjournaledTails(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, err := LoadCutoverJournal(filepath.Join(dir, CutoverJournalName))
-	if err != nil || j == nil || len(j.Moves) != 1 || j.Moves[Move{0, 2}] != "released" {
-		t.Fatalf("journal after the finish: %+v, %v; want only 0>2 released", j, err)
+	if err != nil || j == nil || !reflect.DeepEqual(j.Committed, []Move{{0, 2}}) {
+		t.Fatalf("journal after the finish: %+v, %v; want only 0>2 committed", j, err)
 	}
 	if st, err := loadState(statePath(PartitionDir(dir, 2))); err != nil || len(st.Tails[newKey].IDs) == 0 {
 		t.Fatalf("fixture: the destination's snapshot holds no tail for %s (%v)", newKey, err)
@@ -559,7 +793,7 @@ func requireTailsOnNewRing(t *testing.T, rt *Runtime, to int) {
 // A unit is rejected whole and the answer says so line by line: mid-cutover
 // a donor's plain lines and its double-written lines are one unit, so when
 // the destination's backlog refuses the double-write's second copy — its
-// consumer is parked before the unreleased key, nothing drains it — the 429
+// consumer is parked before the uncommitted key, nothing drains it — the 429
 // names every line filed under the donor, staying keys' and moving keys'
 // alike, and nothing of the other partition's.
 func TestLiveRebalanceRejectedLinesCoverDonorUnit(t *testing.T) {
@@ -720,7 +954,7 @@ func TestLiveRebalanceDuplicateSkipOnRedelivery(t *testing.T) {
 // and the combined pre-crash + post-crash output stays bit-identical to
 // the reference.
 func TestLiveRebalanceCrashResume(t *testing.T) {
-	phases := []string{"double-write", "tail-landed", "staged", "committed", "released", "finish"}
+	phases := []string{"double-write", "tail-landed", "staged", "committed", "finish"}
 	keys := eqKeys(10)
 	pre := genEqLines(21, 1200, keys)
 	mid := genEqLines(22, 300, keys)
@@ -921,8 +1155,7 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 	good := func() *CutoverJournal {
 		j := NewCutoverJournal(3, 2, 0, "")
 		j.Freeze = map[int]uint64{0: 1, 1: 5, 2: 9}
-		j.Moves[Move{2, 0}] = "committed"
-		j.Moves[Move{1, 0}] = "released"
+		j.Committed = []Move{{1, 0}, {2, 0}}
 		return j
 	}
 	path := filepath.Join(t.TempDir(), CutoverJournalName)
@@ -932,7 +1165,7 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 	if err := good().save(path); err != nil {
 		t.Fatal(err)
 	}
-	if j, err := LoadCutoverJournal(path); err != nil || j.From != 3 || j.To != 2 || !reflect.DeepEqual(j.Moves, good().Moves) {
+	if j, err := LoadCutoverJournal(path); err != nil || j.From != 3 || j.To != 2 || !reflect.DeepEqual(j.Committed, good().Committed) {
 		t.Fatalf("a consistent shrink journal: %+v, %v", j, err)
 	}
 	for name, bend := range map[string]func(*CutoverJournal){
@@ -941,13 +1174,14 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 		"to == from":              func(j *CutoverJournal) { j.To = 3 },
 		"a donor has no freeze":   func(j *CutoverJournal) { delete(j.Freeze, 2) },
 		"freeze names a stranger": func(j *CutoverJournal) { delete(j.Freeze, 1); j.Freeze[7] = 1 },
-		"unknown phase":           func(j *CutoverJournal) { j.Moves[Move{2, 0}] = "staged" },
+		"a move twice":            func(j *CutoverJournal) { j.Committed = append(j.Committed, Move{2, 0}) },
 		"version 1":               func(j *CutoverJournal) { j.Version = 1 },
 		"version 2":               func(j *CutoverJournal) { j.Version = 2 },
-		"a donor past From":       func(j *CutoverJournal) { j.Moves[Move{3, 0}] = "committed" },
-		"a destination past To":   func(j *CutoverJournal) { j.Moves[Move{0, 2}] = "committed" },
-		"a negative side":         func(j *CutoverJournal) { j.Moves[Move{-1, 0}] = "committed" },
-		"both sides the same":     func(j *CutoverJournal) { j.Moves[Move{1, 1}] = "committed" },
+		"version 3":               func(j *CutoverJournal) { j.Version = 3 },
+		"a donor past From":       func(j *CutoverJournal) { j.Committed = append(j.Committed, Move{3, 0}) },
+		"a destination past To":   func(j *CutoverJournal) { j.Committed = append(j.Committed, Move{0, 2}) },
+		"a negative side":         func(j *CutoverJournal) { j.Committed = append(j.Committed, Move{-1, 0}) },
+		"both sides the same":     func(j *CutoverJournal) { j.Committed = append(j.Committed, Move{1, 1}) },
 	} {
 		j := good()
 		bend(j)
@@ -967,14 +1201,16 @@ func TestLoadCutoverJournalRefusesInconsistent(t *testing.T) {
 }
 
 // A journal an earlier build wrote is refused by name: version 1 ledgers
-// keys, and version 2's committed moves may exist only in staged splice
-// files this build never reads. Open names the journal and its version and
-// refuses before it writes anything: the partitions, their states and the
-// journal stay byte for byte as they were.
+// keys, version 2's committed moves may exist only in staged splice files
+// this build never reads, and version 3 maps moves to phases, "committed"
+// and then "released". Open names the journal and its version and refuses
+// before it writes anything: the partitions, their states and the journal
+// stay byte for byte as they were.
 func TestLoadCutoverJournalRefusesVersion1(t *testing.T) {
 	for version, journal := range map[int]string{
 		1: `{"version":1,"from":2,"to":3,"vnodes":0,"freeze":{"0":120,"1":130},"keys":{"k3":"committed"}}`,
 		2: `{"version":2,"from":2,"to":3,"vnodes":0,"freeze":{"0":120,"1":130},"moves":{"0>2":"committed"}}`,
+		3: `{"version":3,"from":2,"to":3,"vnodes":0,"freeze":{"0":120,"1":130},"moves":{"0>2":"released","1>2":"committed"}}`,
 	} {
 		t.Run(fmt.Sprintf("version %d", version), func(t *testing.T) {
 			dir := t.TempDir()

@@ -35,10 +35,10 @@ type Participant interface {
 	// InstallSplice applies a captured splice to the move's live
 	// destination and returns once the destination's snapshot holds it.
 	InstallSplice(sp MoveSplice) error
-	// ForgetMove drops a handed-over move's window tails from its donor.
-	ForgetMove(m Move) error
-	// SyncCutover advances per-move phases from the coordinator's journal.
-	SyncCutover(moves map[Move]string) error
+	// SyncCutover records moves the coordinator's journal committed: their
+	// keys route to their destinations alone, a destination parked on one
+	// wakes, and every other partition drops their tails.
+	SyncCutover(committed []Move) error
 	// CompleteCutover restamps every served partition on the new layout,
 	// drains and drops the ones it retires, and leaves the cutover.
 	CompleteCutover(to int) error
@@ -59,9 +59,9 @@ type CutoverSpec struct {
 	// captures the offset and reports it back; on resume it carries the
 	// journal's recorded offsets.
 	Freeze map[int]uint64 `json:"freeze,omitempty"`
-	// Moves is the journal's ledger (move → "committed" | "released");
-	// pending moves are absent.
-	Moves map[Move]string `json:"moves,omitempty"`
+	// Committed lists the moves the journal committed; pending moves are
+	// absent.
+	Committed []Move `json:"committed,omitempty"`
 	// Dest marks this runtime as the host of the partitions the new
 	// layout adds (From..To-1): it opens them at begin. A shrink adds none.
 	Dest bool `json:"dest,omitempty"`
@@ -85,20 +85,21 @@ type CutoverStatus struct {
 	From int `json:"from"`
 	To   int `json:"to"`
 	// Pending counts moves still donor-owned on partitions this runtime
-	// serves; Committed and Released count journaled move phases the
-	// runtime has been told about.
+	// serves; Committed counts the journal's committed moves the runtime
+	// has been told about.
 	Pending   int `json:"pending"`
 	Committed int `json:"committed"`
-	Released  int `json:"released"`
 }
 
 // BeginCutover implements Participant. The route write lock is held
 // while freeze offsets are captured for owned donors, the partitions the
 // new layout adds open on it (when spec.Dest), commit runs, and the
 // cutover is published — from a producer's view one atomic step.
-// Re-beginning the same (From, To) syncs the spec's per-move phases and
-// reports the existing freeze offsets; a runtime already serving To
-// partitions answers Finished.
+// Re-beginning the same (From, To) syncs the spec's committed moves —
+// scrubbing their keys as SyncCutover does, since a coordinator may have
+// died between a commit's journal write and its syncs — and reports the
+// existing freeze offsets; a runtime already serving To partitions
+// answers Finished.
 func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uint64) error) (*CutoverBeginResult, error) {
 	rt.routeMu.Lock()
 	defer rt.routeMu.Unlock()
@@ -108,7 +109,7 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 			return nil, fmt.Errorf("shard: a live cutover %d -> %d is already in progress; cannot begin %d -> %d",
 				cut.From, cut.To, spec.From, spec.To)
 		}
-		if err := cut.Sync(spec.Moves); err != nil {
+		if err := rt.syncCommitted(cut, spec.Committed); err != nil {
 			return nil, err
 		}
 		return &CutoverBeginResult{Freeze: rt.ownedFreezesLocked(cut)}, nil
@@ -131,7 +132,7 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 		return nil, err
 	}
 	// Every participant's routing table covers both layouts — AppendBatch
-	// indexes byIdx by new-ring partitions for released moves even on
+	// indexes byIdx by new-ring partitions for committed moves even on
 	// pure-donor nodes (where an added slot stays nil and rejects). An
 	// added partition's directory may be an empty shell from an earlier
 	// abandoned begin; records only ever land in it once a journal exists,
@@ -201,18 +202,10 @@ func midCutoverOpts(spec CutoverSpec, idx, layout int, ring *Partitioner) openOp
 // cutover share (BeginCutover on a serving runtime, Open on a root or
 // node restarting mid-cutover). Freeze offsets: the journal's recorded
 // value wins; an owned donor without one captures its next append offset
-// now. Then a partition opened into the cutover replays its WAL, and the
-// journal decides who keeps a moving key's tail: a committed move's keys
-// are its destination's — whose snapshot took the splice before the
-// commit — and are scrubbed from every other partition (a donor may have
-// crashed before snapshotting the drop). An uncommitted move's keys are
-// the donor's; a copy its destination holds from an install the journal
-// never committed is not scrubbed here but replaced by the move's next
-// install, because a destination whose finish ran before a crash that
-// kept the journal also holds, and must keep, the tails of keys whose
-// move was never journaled (their whole history lies past the freeze
-// point). A scrub is owed a snapshot. The caller holds the route write
-// lock, or runs before any worker starts.
+// now. Then a partition opened into the cutover replays its WAL and is
+// scrubbed of the journal's committed moves (a donor may have crashed
+// before snapshotting the drop). The caller holds the route write lock,
+// or runs before any worker starts.
 func (rt *Runtime) enterCutover(cut *Cutover, spec CutoverSpec) error {
 	for i, pt := range rt.byIdx {
 		if pt == nil {
@@ -223,14 +216,43 @@ func (rt *Runtime) enterCutover(cut *Cutover, spec CutoverSpec) error {
 		}
 		pt.feedMu.Lock()
 		err := pt.replay(cut)
-		scrubbed := pt.keyed.TakeTails(func(k string) bool {
-			m := cut.moveOf(k)
-			return cut.phase[m] >= phaseCommitted && m.Dest != i
-		})
-		pt.forceSave = pt.forceSave || len(scrubbed) > 0
+		pt.scrub(cut)
 		pt.feedMu.Unlock()
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// scrub is the one rule for who keeps a moving key's tail: a committed
+// move's keys are its destination's — whose snapshot took the splice
+// before the commit — and every other partition drops their tails, owing
+// a snapshot for the drop. An uncommitted move's keys are the donor's; a
+// copy its destination holds from an install the journal never committed
+// is not scrubbed but replaced by the move's next install, because a
+// destination whose finish ran before a crash that kept the journal also
+// holds, and must keep, the tails of keys whose move was never journaled
+// (their whole history lies past the freeze point). Called under feedMu.
+func (pt *partition) scrub(cut *Cutover) {
+	dropped := pt.keyed.TakeTails(func(k string) bool {
+		m := cut.moveOf(k)
+		return m.Dest != pt.idx && cut.isCommitted(m)
+	})
+	pt.forceSave = pt.forceSave || len(dropped) > 0
+}
+
+// syncCommitted records committed moves on cut and scrubs every
+// partition this runtime serves. Caller holds routeMu.
+func (rt *Runtime) syncCommitted(cut *Cutover, committed []Move) error {
+	if err := cut.Sync(committed); err != nil {
+		return err
+	}
+	for _, pt := range rt.byIdx {
+		if pt != nil {
+			pt.feedMu.Lock()
+			pt.scrub(cut)
+			pt.feedMu.Unlock()
 		}
 	}
 	return nil
@@ -266,15 +288,17 @@ func (rt *Runtime) activeCutover() (*Cutover, []*partition, error) {
 	return cut, donors, nil
 }
 
-// SyncCutover implements Participant. A "released" sync wakes an owned
-// destination's parked consumer and ends the move's double-writes; donor
-// tails are dropped separately via ForgetMove.
-func (rt *Runtime) SyncCutover(moves map[Move]string) error {
-	cut, _, err := rt.activeCutover()
-	if err != nil {
-		return err
+// SyncCutover implements Participant: a committed move's double-writes
+// end, an owned destination parked on it wakes, and an owned donor drops
+// its tails (the donor's next snapshot makes the drop durable).
+func (rt *Runtime) SyncCutover(committed []Move) error {
+	rt.routeMu.RLock()
+	defer rt.routeMu.RUnlock()
+	cut := rt.cut.Load()
+	if cut == nil {
+		return fmt.Errorf("shard: no live cutover in progress (runtime serves %d partitions)", rt.cfg.Shards)
 	}
-	return cut.Sync(moves)
+	return rt.syncCommitted(cut, committed)
 }
 
 // PendingMoves implements Participant: it blocks until every donor this
@@ -283,7 +307,7 @@ func (rt *Runtime) SyncCutover(moves map[Move]string) error {
 // point are never donor-fed — and lists the moves whose keys those
 // donors still hold. A key whose entire history is past the freeze point
 // names no move: its records live only in the destination's WAL, and the
-// finish releases it wholesale.
+// finish hands it over wholesale.
 func (rt *Runtime) PendingMoves() ([]Move, error) {
 	cut, donors, err := rt.activeCutover()
 	if err != nil {
@@ -326,7 +350,7 @@ func pendingMoving(cut *Cutover, donors []*partition) []Move {
 		tails := pt.keyed.Tails()
 		pt.feedMu.Unlock()
 		for k := range tails {
-			if m := cut.moveOf(k); m.Donor != m.Dest && cut.movePhase(m) < phaseCommitted {
+			if m := cut.moveOf(k); m.Donor != m.Dest && !cut.isCommitted(m) {
 				moves = append(moves, m)
 			}
 		}
@@ -421,7 +445,7 @@ func (rt *Runtime) InstallSplice(sp MoveSplice) error {
 	defer rt.routeMu.RUnlock()
 	m := sp.Move
 	cut, dest, err := rt.moveSide(m, false)
-	if err != nil || cut.movePhase(m) >= phaseCommitted {
+	if err != nil || cut.isCommitted(m) {
 		return err
 	}
 	if err := checkSpliceTails(cut, sp); err != nil {
@@ -500,22 +524,6 @@ func translatePatterns(entries []pipeline.PatternEntry, translate map[int]int, d
 		}
 	}
 	return out
-}
-
-// ForgetMove implements Participant (the next snapshot makes the drop
-// durable).
-func (rt *Runtime) ForgetMove(m Move) error {
-	rt.routeMu.RLock()
-	defer rt.routeMu.RUnlock()
-	cut, donor, err := rt.moveSide(m, true)
-	if err != nil {
-		return err
-	}
-	donor.feedMu.Lock()
-	donor.keyed.TakeTails(func(k string) bool { return cut.moveOf(k) == m })
-	donor.forceSave = true
-	donor.feedMu.Unlock()
-	return nil
 }
 
 // CompleteCutover implements Participant: under the route write lock
@@ -627,14 +635,7 @@ func (rt *Runtime) CutoverStatus() *CutoverStatus {
 	}
 	st := &CutoverStatus{From: cut.From, To: cut.To, Pending: len(pendingMoving(cut, donors))}
 	cut.mu.Lock()
-	for _, ph := range cut.phase {
-		switch ph {
-		case phaseCommitted:
-			st.Committed++
-		case phaseReleased:
-			st.Released++
-		}
-	}
+	st.Committed = len(cut.committed)
 	cut.mu.Unlock()
 	return st
 }

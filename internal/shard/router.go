@@ -118,9 +118,9 @@ func (resp IngestResponse) Write(w http.ResponseWriter) {
 // reject — which lines of the batch those were, and the error (if
 // non-nil) wraps the first partition failure. Lines for healthy
 // partitions are durably appended even when another partition rejects
-// its share. Mid-cutover, Cutover.Route decides per line: unreleased
+// its share. Mid-cutover, Cutover.Route decides per line: uncommitted
 // moving keys' shares are double-written (donor first, then destination;
-// acked under the donor only when both land) and released moving keys'
+// acked under the donor only when both land) and committed moving keys'
 // shares route to the destination.
 func (rt *Runtime) AppendBatch(lines []string) (IngestResponse, error) {
 	rt.routeMu.RLock()
@@ -128,9 +128,9 @@ func (rt *Runtime) AppendBatch(lines []string) (IngestResponse, error) {
 	cut := rt.cut.Load()
 	n := len(rt.byIdx)
 	byPart := make([][]string, n)
-	var double [][][]string // unreleased moving shares, [donor][destination]
+	var double [][][]string // uncommitted moving shares, [donor][destination]
 	// units records each line's primary partition mid-cutover, where a key's
-	// phase can advance between routing and reporting; outside one the ring
+	// move can commit between routing and reporting; outside one the ring
 	// answers the same both times.
 	var units []int
 	if cut != nil {

@@ -43,7 +43,7 @@ type Config struct {
 	// Cutover, when non-nil, opens the runtime into a live cutover whose
 	// journal is held elsewhere (a cluster coordinator's directory, not
 	// this root): partitions open under their mid-cutover layouts with
-	// the spec's recorded freeze offsets and per-move phases (a committed
+	// the spec's recorded freeze offsets and committed moves (a committed
 	// move's splice is already in its destination's snapshot), and the
 	// runtime then serves passively — the networked coordinator drives the per-move protocol
 	// over the admin surface and calls CompleteCutover. Shards must
@@ -599,7 +599,7 @@ const idleCommitDelay = 2 * time.Millisecond
 // backlog has drained and stayed empty for idleCommitDelay (pending
 // windows are scored as soon as it drains), and at end of stream, which
 // also takes a snapshot.
-// During a live cutover the worker additionally parks before unreleased
+// During a live cutover the worker additionally parks before uncommitted
 // moving keys (destination side) and skips double-written and
 // foreign-owned records (both sides).
 func (pt *partition) run() {
@@ -630,7 +630,7 @@ func (pt *partition) run() {
 		pt.idle.Store(false)
 		key := DefaultKeyFunc(line)
 		off := pt.cons.Position() - 1
-		if !pt.awaitRelease(key, off) {
+		if !pt.awaitCommit(key, off) {
 			// Shut down while parked mid-cutover: the record was never
 			// consumed, so the resumed cutover redelivers it.
 			break
@@ -691,24 +691,24 @@ func (pt *partition) shouldFeed(cut *Cutover, key string, off uint64) bool {
 	return pt.ring.Partition(key) == pt.idx
 }
 
-// awaitRelease gates a destination's consumer during a live cutover: the
+// awaitCommit gates a destination's consumer during a live cutover: the
 // destination's copy of a record for a moving key whose move has not
-// been released yet parks the worker until the move releases, the
+// been committed yet parks the worker until the move commits, the
 // cutover finishes, or the runtime shuts down (false = stop without consuming
 // the record). The worker flushes and commits before parking, so a crash
 // while parked resumes with nothing to replay. A partition that serves
 // other keys too (a shrink's survivors) holds those behind the parked
-// record; every key is released by the finish at the latest.
-func (pt *partition) awaitRelease(key string, off uint64) bool {
+// record; every key is handed over by the finish at the latest.
+func (pt *partition) awaitCommit(key string, off uint64) bool {
 	cut := pt.rt.cut.Load()
 	if cut == nil || !cut.moving(key) || !cut.destCopy(pt.idx, key, off) {
 		return true
 	}
 	m := cut.moveOf(key)
 	cut.mu.Lock()
-	released, closed := cut.phaseLocked(m) >= phaseReleased, cut.closed
+	committed, closed := cut.committedLocked(m), cut.closed
 	cut.mu.Unlock()
-	if released || closed {
+	if committed || closed {
 		return !closed
 	}
 
@@ -720,21 +720,21 @@ func (pt *partition) awaitRelease(key string, off uint64) bool {
 
 	cut.mu.Lock()
 	defer cut.mu.Unlock()
-	for !cut.closed && cut.phaseLocked(m) < phaseReleased {
+	for !cut.closed && !cut.committedLocked(m) {
 		cut.cond.Wait()
 	}
 	return !cut.closed
 }
 
 // parked reports whether the worker is held in front of a moving key's
-// record that the cutover has not released: its position is committed and
-// it will not consume until the key's move releases. The move's phase is
-// read rather than inferred from parkedOn alone — a worker whose move was
-// just released still carries parkedOn until it is scheduled, and is about
+// record that the cutover has not committed: its position is committed and
+// it will not consume until the key's move commits. The commit is read
+// rather than inferred from parkedOn alone — a worker whose move just
+// committed still carries parkedOn until it is scheduled, and is about
 // to feed everything queued behind that record.
 func (pt *partition) parked() bool {
 	m, cut := pt.parkedOn.Load(), pt.rt.cut.Load()
-	return m != nil && cut != nil && cut.movePhase(*m) < phaseReleased
+	return m != nil && cut != nil && !cut.isCommitted(*m)
 }
 
 // caughtUp reports whether the worker has consumed everything appended.
@@ -1075,8 +1075,8 @@ func (rt *Runtime) Snapshot() obs.Snapshot {
 // it is idle with an empty backlog and a commit at its WAL tail — and
 // every delivery, retired partitions' included, has delivered every
 // committed alert, or ctx ends. Appends arriving during Drain extend the wait; a partition
-// parked on an unreleased moving key mid-cutover counts as drained (its
-// position is committed) for as long as the key stays unreleased.
+// parked on an uncommitted moving key mid-cutover counts as drained (its
+// position is committed) for as long as the key stays uncommitted.
 func (rt *Runtime) Drain(ctx context.Context) error {
 	for {
 		all := true
