@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -146,6 +148,64 @@ func TestPipelineParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("report %d event ids differ at %d", i, j)
 			}
 		}
+	}
+}
+
+// A window's score does not depend on the batch it is scored in or on
+// the tensor worker count: every window of the online stream, scored
+// alone at one worker, gets the same score bit for bit in shuffled
+// batches of 2–64 at 1, 2 and 4 workers. That makes the pattern library
+// a memo of the model's own answer — no verdict it holds, however it was
+// filled, changes a score; it changes only whether the model runs.
+func TestScoreIndependentOfBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	det, parser, interp, e, online := deployment(t)
+	cfg := DefaultConfig("a cloud data management system (SystemB)")
+	cfg.DisablePatternLibrary = true
+	cfg.DetectBatch = 1
+	p := New(cfg, parser, det, interp, e)
+	k := NewKeyed(p)
+	var seqs [][]int
+	var alone []float64
+	k.OnWindow = func(_ string, seq []int, score float64, abandoned bool) {
+		if abandoned {
+			t.Fatal("a window was abandoned")
+		}
+		seqs, alone = append(seqs, seq), append(alone, score)
+	}
+	prev := tensor.SetParallelism(1)
+	for _, line := range online.Messages() {
+		k.Feed("b", line)
+	}
+	k.Flush()
+	tensor.SetParallelism(prev)
+	if len(seqs) < 500 {
+		t.Fatalf("the stream completed %d windows, want at least 500", len(seqs))
+	}
+
+	rng := rand.New(rand.NewSource(16))
+	for _, workers := range []int{1, 2, 4} {
+		prev := tensor.SetParallelism(workers)
+		order := rng.Perm(len(seqs))
+		for i := 0; i < len(order); {
+			n := min(2+rng.Intn(63), len(order)-i)
+			batch := make([][]int, n)
+			for j := range batch {
+				batch[j] = seqs[order[i+j]]
+			}
+			scores, abandoned := p.detectBatch(batch)
+			for j, s := range scores {
+				w := order[i+j]
+				if abandoned[j] || math.Float64bits(s) != math.Float64bits(alone[w]) {
+					tensor.SetParallelism(prev)
+					t.Fatalf("%d workers, batch of %d: window %d scored %v, alone %v", workers, n, w, s, alone[w])
+				}
+			}
+			i += n
+		}
+		tensor.SetParallelism(prev)
 	}
 }
 

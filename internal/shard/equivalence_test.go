@@ -70,35 +70,41 @@ func genEqLines(seed int64, n int, keys []string) []string {
 	rng := rand.New(rand.NewSource(seed))
 	lines := make([]string, n)
 	for i := range lines {
-		body := eqBodies[rng.Intn(len(eqBodies))]
-		var b strings.Builder
-		for len(body) > 0 {
-			j := strings.IndexByte(body, '%')
-			if j < 0 {
-				b.WriteString(body)
-				break
-			}
-			k := strings.IndexByte(body[j+1:], '%')
-			if k < 0 {
-				b.WriteString(body)
-				break
-			}
-			b.WriteString(body[:j])
-			switch body[j+1 : j+1+k] {
-			case "N":
-				fmt.Fprintf(&b, "%d", rng.Intn(1000))
-			case "B":
-				fmt.Fprintf(&b, "%d", 10000+rng.Intn(99999999))
-			case "H":
-				fmt.Fprintf(&b, "0x%08x", rng.Uint32())
-			case "IP":
-				fmt.Fprintf(&b, "%d.%d.%d.%d", 10+rng.Intn(160), rng.Intn(256), rng.Intn(256), 1+rng.Intn(254))
-			}
-			body = body[j+k+2:]
-		}
-		lines[i] = keys[rng.Intn(len(keys))] + " " + b.String()
+		body := renderEqBody(rng, eqBodies[rng.Intn(len(eqBodies))])
+		lines[i] = keys[rng.Intn(len(keys))] + " " + body
 	}
 	return lines
+}
+
+// renderEqBody fills a body's placeholders with random (maskable)
+// parameter values.
+func renderEqBody(rng *rand.Rand, body string) string {
+	var b strings.Builder
+	for len(body) > 0 {
+		j := strings.IndexByte(body, '%')
+		if j < 0 {
+			b.WriteString(body)
+			break
+		}
+		k := strings.IndexByte(body[j+1:], '%')
+		if k < 0 {
+			b.WriteString(body)
+			break
+		}
+		b.WriteString(body[:j])
+		switch body[j+1 : j+1+k] {
+		case "N":
+			fmt.Fprintf(&b, "%d", rng.Intn(1000))
+		case "B":
+			fmt.Fprintf(&b, "%d", 10000+rng.Intn(99999999))
+		case "H":
+			fmt.Fprintf(&b, "0x%08x", rng.Uint32())
+		case "IP":
+			fmt.Fprintf(&b, "%d.%d.%d.%d", 10+rng.Intn(160), rng.Intn(256), rng.Intn(256), 1+rng.Intn(254))
+		}
+		body = body[j+k+2:]
+	}
+	return b.String()
 }
 
 // eqEnv builds a fresh deterministic detection environment: an untrained
