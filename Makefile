@@ -67,8 +67,8 @@ bench-shard-smoke:
 # Rebalance tier: the rebalance-without-traffic equivalence proof under
 # the race detector — LiveRebalance on a drained runtime over 3→4, 2→4
 # and 4→2, close, reopen at the new count: exact key handoff (window
-# tails, template groups, pattern verdicts) and the runtime's
-# layout-stamp refusal.
+# tails and template groups; no pattern verdicts, which the destination
+# re-scores bit for bit) and the runtime's layout-stamp refusal.
 rebalance-test:
 	$(GO) test -race -count=1 -run 'TestRebalance|TestRuntimeRefusesLayoutMismatch' ./internal/shard/
 
@@ -95,7 +95,9 @@ rebalance-test:
 # journal's refusals (among them a version-1, version-2 or version-3
 # journal, refused by name with nothing written, a move outside
 # [0,From)×[0,To), a move listed twice and a move whose two sides are one
-# partition).
+# partition); also the pattern library as a memo (on, off and capped at 4 give
+# byte-identical per-key reports at 1 and 2 shards and through a 2→3
+# cutover) and a splice whose size does not grow with the donor's library.
 # Includes the CLI/admin surface (`logsynergy rebalance -addr`), among it
 # the 1→2 growth of a root opened with serve's default -shards.
 live-rebalance-test:
@@ -121,8 +123,9 @@ cluster-test:
 # the per-key score sequences and alert multisets stay bit-identical to
 # the single-process `-shards 3` run. Also proves failover refuses to
 # fire while a cutover is journaled, and pins the versioned admin surface
-# both participants serve (a node's per-move endpoints: 413 for an install
-# body past its bound, 400 for a truncated one, a step without a move or a
+# both participants serve (a node's per-move endpoints: 200 for an install
+# body that still carries pattern verdicts, which are ignored, 413 for one
+# past its bound, 400 for a truncated one, a step without a move or a
 # splice of another format, with a key outside its move or a tail id its
 # events lack — the destination's snapshot untouched — 404 for the removed
 # stage and forget steps, 409 outside a cutover).

@@ -18,8 +18,9 @@ import (
 // runRebalance asks a RUNNING `logsynergy serve -shards N` process (or a
 // fleet's front router), through its -addr HTTP surface, to move to M
 // partitions in place — more or fewer — carrying each relocated key's
-// window tail, template groups and pattern-library verdicts to its new
-// partition:
+// window tail and template groups to its new partition (pattern-library
+// verdicts stay behind; the new partition's library fills from its own
+// misses with the same scores):
 //
 //	logsynergy rebalance -addr 127.0.0.1:9600 -to 4
 //

@@ -17,9 +17,10 @@ import (
 // method-checked, epoch-fenced, envelope-erroring. The coordinator
 // (Router.LiveRebalance) sequences them; a node never initiates.
 
-// maxSpliceBytes bounds one install request body. A splice
+// maxSpliceBytes bounds one install request body, and the router's read
+// of any node answer (a capture answers with the splice). A splice
 // carries the window tails of every key of one move plus the donor's
-// event space and pattern library.
+// event space.
 const maxSpliceBytes = 32 << 20
 
 // handleDirectedAppend is POST /admin/v1/append?partition=P: append the

@@ -751,9 +751,24 @@ func TestClusterNodeCutoverAdminSurface(t *testing.T) {
 		t.Fatalf("a well-formed splice: %d, want 200\n%s", code, body)
 	}
 	destState := filepath.Join(shard.PartitionDir(m.Dir, 1), "shard-state.json")
+	// A donor of an older build still ships its pattern verdicts beside
+	// the tails: the install is accepted and the verdicts are ignored, so
+	// the destination's snapshot holds none.
+	code, body = serve(http.MethodPost, "/admin/v1/cutover/install",
+		strings.NewReader(`{"version":4,"move":"0>1","tails":{"`+moving+`":{"ids":[0],"since_prev":1}},`+events+
+			`,"patterns":[{"seq":[0,0,0,0,0,0,0,0,0,0],"score":0.99}]}`))
+	if code != http.StatusOK {
+		t.Fatalf("a splice carrying verdicts: %d, want 200\n%s", code, body)
+	}
 	before, err := os.ReadFile(destState)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var snap struct {
+		Patterns []json.RawMessage `json:"patterns"`
+	}
+	if err := json.Unmarshal(before, &snap); err != nil || len(snap.Patterns) != 0 {
+		t.Fatalf("the destination's snapshot holds %d verdicts after an install that carried one (%v)", len(snap.Patterns), err)
 	}
 	for name, splice := range map[string]string{
 		"a format-3 splice":               `{"version":3,"move":"0>1"}`,

@@ -237,9 +237,9 @@ func parsePatternKey(key string) ([]int, bool) {
 
 // PatternEntry is one exported pattern-library verdict: the event-id
 // sequence and its cached score. Event ids are only meaningful alongside
-// the parser state that assigned them, so an entry moved between
-// processes (or shards) must be translated through both parsers' template
-// lists first.
+// the parser state that assigned them, so entries live only beside a
+// snapshot's events, and a restart imports both; a move hands over no
+// verdicts.
 type PatternEntry struct {
 	Seq   []int   `json:"seq"`
 	Score float64 `json:"score"`
@@ -271,19 +271,6 @@ func (p *PatternLibrary) Import(entries []PatternEntry) {
 	for _, e := range entries {
 		p.Store(e.Seq, e.Score)
 	}
-}
-
-// Contains reports whether a verdict for the pattern is cached, without
-// refreshing its LRU position — the dedup check a live splice needs:
-// importing a donor's verdict for a pattern the destination already
-// caches must neither overwrite the destination's verdict nor promote it
-// as if it had just been used.
-func (p *PatternLibrary) Contains(eventIDs []int) bool {
-	key := patternKey(eventIDs)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.entries[key]
-	return ok
 }
 
 // Size returns the number of cached patterns.

@@ -382,11 +382,11 @@ func (rt *Runtime) moveSide(m Move, donor bool) (*Cutover, *partition, error) {
 }
 
 // CaptureMove implements Participant: the final window tails of every
-// key of the move plus the donor's full event space and pattern
-// verdicts, captured under the donor's feed lock (pending windows are
-// flushed and committed first, so the tails are consistent and a restart
-// replays all of them). Refused until the donor has consumed through its
-// freeze point — a non-final tail must never ship.
+// key of the move plus the donor's full event space, captured under the
+// donor's feed lock (pending windows are flushed and committed first, so
+// the tails are consistent and a restart replays all of them). Refused
+// until the donor has consumed through its freeze point — a non-final
+// tail must never ship.
 func (rt *Runtime) CaptureMove(m Move) (MoveSplice, error) {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
@@ -409,13 +409,7 @@ func (rt *Runtime) CaptureMove(m Move) (MoveSplice, error) {
 			delete(tails, k)
 		}
 	}
-	return MoveSplice{
-		Version:  stateVersion,
-		Move:     m,
-		Tails:    tails,
-		Events:   donor.pipe.Parser().Export(),
-		Patterns: donor.pipe.Library().Export(),
-	}, nil
+	return MoveSplice{Version: stateVersion, Move: m, Tails: tails, Events: donor.pipe.Parser().Export()}, nil
 }
 
 // ErrBadSplice marks a splice InstallSplice refuses for what it holds,
@@ -429,14 +423,15 @@ var ErrBadSplice = errors.New("shard: bad splice")
 // it drops whatever tails the destination holds for the move's keys (an
 // earlier install the journal never committed: a repeat replaces it),
 // merges the donor's events by template into the running parser and
-// extends the event table over them, maps the donor's window tails and
-// pattern verdicts through the merge's translation into the
-// destination's id space (its own verdicts win), restores the tails and
-// takes a snapshot — the splice's one durable copy, on disk before the
-// journal commits the move. Re-merging a donor export translates onto the
-// same ids. A move the cutover already committed is left alone: its
-// destination's snapshot holds the splice, and its keys may have fed
-// since.
+// extends the event table over them, maps the donor's window tails
+// through the merge's translation into the destination's id space,
+// restores the tails and takes a snapshot — the splice's one durable
+// copy, on disk before the journal commits the move. Re-merging a donor
+// export translates onto the same ids. No verdict moves: the
+// destination's pattern library fills from its own misses, and a score
+// does not depend on which library answered it. A move the cutover
+// already committed is left alone: its destination's snapshot holds the
+// splice, and its keys may have fed since.
 func (rt *Runtime) InstallSplice(sp MoveSplice) error {
 	if sp.Version != stateVersion {
 		return fmt.Errorf("%w: move %v is format %d; this build installs format %d", ErrBadSplice, sp.Move, sp.Version, stateVersion)
@@ -461,12 +456,13 @@ func (rt *Runtime) InstallSplice(sp MoveSplice) error {
 	if err := dest.pipe.SyncTable(); err != nil {
 		return fmt.Errorf("shard: extending destination event table for move %v: %w", m, err)
 	}
-	lib := dest.pipe.Library()
-	lib.Import(translatePatterns(sp.Patterns, translate, lib.Contains))
 	tails := make(map[string]pipeline.WindowTail, len(sp.Tails))
 	for k, tail := range sp.Tails {
-		tail.IDs, _ = translateSeq(tail.IDs, translate) // checkSpliceTails saw every id defined
-		tails[k] = tail
+		ids := make([]int, len(tail.IDs))
+		for i, id := range tail.IDs {
+			ids[i] = translate[id] // checkSpliceTails saw every id defined
+		}
+		tails[k] = pipeline.WindowTail{IDs: ids, SincePrev: tail.SincePrev}
 	}
 	if err := dest.keyed.Restore(tails); err != nil {
 		return fmt.Errorf("shard: restoring the tails of move %v: %w", m, err)
@@ -497,33 +493,6 @@ func checkSpliceTails(cut *Cutover, sp MoveSplice) error {
 		}
 	}
 	return nil
-}
-
-// translateSeq maps seq through translate into a new slice; ok is false
-// when an id has no translation.
-func translateSeq(seq []int, translate map[int]int) (_ []int, ok bool) {
-	out := make([]int, len(seq))
-	for i, id := range seq {
-		if out[i], ok = translate[id]; !ok {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// translatePatterns maps donor pattern verdicts through an id
-// translation, dropping entries whose sequence cannot be fully
-// translated and those dup reports as already present (the receiver's
-// own verdict wins). Order — and therefore donor LRU order — is
-// preserved.
-func translatePatterns(entries []pipeline.PatternEntry, translate map[int]int, dup func(seq []int) bool) []pipeline.PatternEntry {
-	out := make([]pipeline.PatternEntry, 0, len(entries))
-	for _, pe := range entries {
-		if seq, ok := translateSeq(pe.Seq, translate); ok && !dup(seq) {
-			out = append(out, pipeline.PatternEntry{Seq: seq, Score: pe.Score})
-		}
-	}
-	return out
 }
 
 // CompleteCutover implements Participant: under the route write lock
