@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1357,5 +1358,39 @@ func TestClusterNodeRefusesLayoutMismatch(t *testing.T) {
 		t.Fatal("4-shard manifest opened a 2-shard layout")
 	} else if _, statErr := os.Stat(filepath.Join(dir, "p0", "shard-state.json")); statErr != nil {
 		t.Fatalf("layout probe: %v (and state file missing: %v)", err, statErr)
+	}
+}
+
+// A node's answer past maxSpliceBytes is an error that names the bound and
+// the path, not a body cut at the bound that the caller then fails to
+// decode. The error is final: adminRetry gives up at once instead of
+// capturing and shipping the same oversized answer again until its
+// deadline. An answer of exactly the bound is read whole.
+func TestClusterRouterRefusesOversizedAnswer(t *testing.T) {
+	var size atomic.Int64
+	size.Store(maxSpliceBytes + 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write(make([]byte, size.Load()))
+	}))
+	defer srv.Close()
+	r := &Router{client: srv.Client()}
+	const path = "/admin/v1/cutover/capture?move=0%3E1"
+	calls := 0
+	err := r.adminRetry("capture", func() error {
+		calls++
+		_, _, _, err := r.roundTrip(http.MethodPost, srv.URL, path, 30*time.Second, nil, nil)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "33554432") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("an answer of %d bytes: %v, want an error naming the %d-byte bound and %s", size.Load(), err, maxSpliceBytes, path)
+	}
+	if calls != 1 {
+		t.Fatalf("the oversized answer was fetched %d times, want once", calls)
+	}
+
+	size.Store(maxSpliceBytes)
+	_, _, data, err := r.roundTrip(http.MethodPost, srv.URL, path, 30*time.Second, nil, nil)
+	if err != nil || len(data) != maxSpliceBytes {
+		t.Fatalf("an answer of exactly the bound: %d bytes, %v", len(data), err)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -265,7 +266,8 @@ func (c *nodeClient) CompleteCutover(to int) error {
 // adminRetry retries fn against transient failures (a node restarting
 // mid-splice, a connection refused during failback) with a flat short
 // sleep and a hard deadline. The cutover protocol is idempotent at
-// every step, so blind retry is safe.
+// every step, so blind retry is safe. An answer past the read bound is
+// not transient and ends the retry at once.
 func (r *Router) adminRetry(desc string, fn func() error) error {
 	deadline := time.Now().Add(60 * time.Second)
 	var err error
@@ -273,7 +275,7 @@ func (r *Router) adminRetry(desc string, fn func() error) error {
 		if err = fn(); err == nil {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if errors.Is(err, errAnswerTooLarge) || time.Now().After(deadline) {
 			return fmt.Errorf("%s: %w", desc, err)
 		}
 		time.Sleep(25 * time.Millisecond)

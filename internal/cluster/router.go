@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -656,10 +657,15 @@ func (r *Router) postOnce(s *nodeShare, body []byte, epoch uint64) (*shareAnswer
 	return ans, nil
 }
 
+// errAnswerTooLarge marks a node answer past maxSpliceBytes. Asking again
+// gets the same answer, so adminRetry does not.
+var errAnswerTooLarge = errors.New("answer too large")
+
 // roundTrip is the router's one HTTP exchange with a node — data path,
 // admin call, probe and scrape alike: addr is a host:port or a URL,
 // header is what the caller stamps on the request (nil = nothing), and
-// the answer's body is read whole, up to maxSpliceBytes.
+// the answer's body is read whole. A body past maxSpliceBytes is an
+// error (errAnswerTooLarge) naming the bound and the path.
 func (r *Router) roundTrip(method, addr, path string, timeout time.Duration, header http.Header, body []byte) (status int, hdr http.Header, data []byte, err error) {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
@@ -678,7 +684,10 @@ func (r *Router) roundTrip(method, addr, path string, timeout time.Duration, hea
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err = io.ReadAll(io.LimitReader(resp.Body, maxSpliceBytes))
+	data, err = io.ReadAll(io.LimitReader(resp.Body, maxSpliceBytes+1))
+	if err == nil && len(data) > maxSpliceBytes {
+		return 0, nil, nil, fmt.Errorf("cluster: %s %s: %w: the answer exceeds the limit of %d bytes", method, path, errAnswerTooLarge, maxSpliceBytes)
+	}
 	return resp.StatusCode, resp.Header, data, err
 }
 
