@@ -76,6 +76,33 @@ func genEqLines(seed int64, n int, keys []string) []string {
 	return lines
 }
 
+// genMemoLines renders fixed-seed traffic whose windows repeat, so a
+// pattern library has something to answer: every other key loops a
+// five-body script (a window is ten ids and slides by five, so its
+// windows recur once the loop has filled one), the rest draw a body per
+// line.
+func genMemoLines(seed int64, n int, keys []string) []string {
+	rng := rand.New(rand.NewSource(seed))
+	scripts := make([][]string, len(keys))
+	for i := 0; i < len(keys); i += 2 {
+		for j := 0; j < 5; j++ {
+			scripts[i] = append(scripts[i], eqBodies[rng.Intn(len(eqBodies))])
+		}
+	}
+	next := make([]int, len(keys))
+	lines := make([]string, n)
+	for i := range lines {
+		k := rng.Intn(len(keys))
+		body := eqBodies[rng.Intn(len(eqBodies))]
+		if s := scripts[k]; s != nil {
+			body = s[next[k]%len(s)]
+			next[k]++
+		}
+		lines[i] = keys[k] + " " + renderEqBody(rng, body)
+	}
+	return lines
+}
+
 // renderEqBody fills a body's placeholders with random (maskable)
 // parameter values.
 func renderEqBody(rng *rand.Rand, body string) string {
@@ -318,7 +345,17 @@ func requireEqual(t *testing.T, label string, got, want eqResult) {
 
 func TestShardEquivalenceAcrossShardCounts(t *testing.T) {
 	keys := eqKeys(12)
-	lines := genEqLines(42, 3000, keys)
+	equalAcrossShardCounts(t, genEqLines(42, 3000, keys), false)
+	// genEqLines never repeats a window, so the pattern library never
+	// answers one there; this traffic's windows recur, and a verdict the
+	// library returns must be the score the model would have given.
+	t.Run("repeating", func(t *testing.T) { equalAcrossShardCounts(t, genMemoLines(43, 3000, keys), true) })
+}
+
+// equalAcrossShardCounts runs lines through 1, 2, 4 and 8 shards and
+// requires each run to match the unsharded reference bit for bit; with
+// libraryHits, each run must also have answered windows from the library.
+func equalAcrossShardCounts(t *testing.T, lines []string, libraryHits bool) {
 	ref := runReference(t, lines)
 	if len(ref.alerts) == 0 {
 		t.Fatal("reference produced no alerts; the equivalence comparison is vacuous")
@@ -337,10 +374,14 @@ func TestShardEquivalenceAcrossShardCounts(t *testing.T) {
 			h := openHarness(t, t.TempDir(), shards, nil)
 			h.feed(t, lines)
 			h.drain(t)
+			stats := h.rt.Stats()
 			if err := h.rt.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
 			requireEqual(t, fmt.Sprintf("shards=%d", shards), h.result(), ref)
+			if libraryHits && stats.PatternHits == 0 {
+				t.Fatalf("shards=%d: no window of %d was answered from the pattern library", shards, stats.SequencesFormed)
+			}
 
 			// The shared caches really were shared: every distinct template
 			// was rendered by the inner interpreter exactly once.

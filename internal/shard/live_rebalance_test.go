@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -333,33 +332,6 @@ func TestLiveRebalanceSpliceCarriesNoVerdicts(t *testing.T) {
 	if len(sizes) != 3 || sizes[0] == 0 || sizes[1000] != sizes[0] || sizes[10000] != sizes[0] {
 		t.Fatalf("splice bytes by planted verdicts %v, want one size for 0, 1000 and 10000", sizes)
 	}
-}
-
-// genMemoLines renders fixed-seed traffic whose windows repeat, so a
-// pattern library has something to answer: every other key loops a
-// five-body script (a window is ten ids and slides by five, so its
-// windows recur once the loop has filled one), the rest draw a body per
-// line.
-func genMemoLines(seed int64, n int, keys []string) []string {
-	rng := rand.New(rand.NewSource(seed))
-	scripts := make([][]string, len(keys))
-	for i := 0; i < len(keys); i += 2 {
-		for j := 0; j < 5; j++ {
-			scripts[i] = append(scripts[i], eqBodies[rng.Intn(len(eqBodies))])
-		}
-	}
-	next := make([]int, len(keys))
-	lines := make([]string, n)
-	for i := range lines {
-		k := rng.Intn(len(keys))
-		body := eqBodies[rng.Intn(len(eqBodies))]
-		if s := scripts[k]; s != nil {
-			body = s[next[k]%len(s)]
-			next[k]++
-		}
-		lines[i] = keys[k] + " " + renderEqBody(rng, body)
-	}
-	return lines
 }
 
 // perKeyReport renders a run's output as bytes: every key's scores in
