@@ -11,8 +11,12 @@ test: build
 
 # Vet tier: static checks, run on every verify. gofmt -l covers the
 # whole tree, benchmark/ included; any file it lists fails the tier.
+# go vet's asmdecl checks the row kernel's assembly against its Go
+# declarations; the arm64 pass vets the non-amd64 build of the tensor
+# package, whose Go loop is its only row kernel.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists unformatted files:"; gofmt -l .; exit 1; }
 
 # Race tier (nightly): vet + full suite under the race detector. Catches
@@ -204,8 +208,9 @@ cover:
 	done
 
 # Fuzz-smoke tier (nightly): a short randomized pass over the parser
-# (scanner vs regex chain), window, tape-vs-inference-graph and framed-log
-# scan fuzz targets (the checked-in seed
+# (scanner vs regex chain), window, tape-vs-inference-graph, framed-log
+# scan and row-kernel (every kernel the host has vs the plain loop) fuzz
+# targets (the checked-in seed
 # corpora always run as part of `make test`; this tier actually mutates).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/drain/
@@ -213,6 +218,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSlide -fuzztime 10s ./internal/window/
 	$(GO) test -run '^$$' -fuzz FuzzScoreModes -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 10s ./internal/framelog/
+	$(GO) test -run '^$$' -fuzz '^FuzzMatMulRows$$' -fuzztime 10s ./internal/tensor/
 
 # Verify: the per-PR gate — static checks, tier-1, the benchmark module's
 # build and a smoke run of it, and the fast -race proof tiers (20 explored

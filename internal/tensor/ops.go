@@ -129,19 +129,29 @@ const nzTile = 64
 //
 // Per output element it adds the products a[i,p]*b[p,j] in ascending p and
 // skips every p with a[i,p] == 0 (real work saved behind a ReLU, and what
-// keeps 0*Inf from becoming NaN). It is register-blocked over p: the
-// nonzero p of a row are gathered first, then taken four at a time with the
-// running sum held in a register between the four additions — the same
-// additions in the same order as one p at a time, so the result does not
-// depend on the blocking.
+// keeps 0*Inf from becoming NaN). A row is taken a tile of nzTile entries
+// at a time by one of two kernels, which gather the tile's nonzero p and
+// then do the same additions in the same order, each a multiply rounded
+// before its add, so the result does not depend on which one runs:
+//   - addRowsAVX2 (kernel_amd64.s), where the CPU has AVX2: it gathers
+//     without a branch, holds the output row in YMM registers and adds one
+//     broadcast a[i,p] times b's row p at a time;
+//   - the Go loop below, everywhere else and the reference: it takes the
+//     gathered p four at a time with the running sum held in a register
+//     between the four additions.
 func matMulRows(out, a, b []float64, i0, i1, k, n int) {
 	var nz [nzTile]int32
 	for i := i0; i < i1; i++ {
 		arow := a[i*k : (i+1)*k]
 		o := out[i*n : i*n+n]
 		for base := 0; base < k; base += nzTile {
+			end := min(base+nzTile, k)
+			if useAVX2 {
+				addRowsAVX2(o, arow[base:end], b[base*n:end*n], &nz)
+				continue
+			}
 			c := 0
-			for p, end := base, min(base+nzTile, k); p < end; p++ {
+			for p := base; p < end; p++ {
 				if arow[p] != 0 {
 					nz[c] = int32(p)
 					c++
