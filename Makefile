@@ -79,11 +79,13 @@ rebalance-test:
 # Live-rebalance tier: the N→M move-under-traffic proof under the race
 # detector (1→2, 2→3, 2→4, 3→2, and 3→2→3 over a retired directory) —
 # per-key score/alert equivalence against the unsharded reference while
-# traffic flows through the cutover, zero detection stall on non-moving
-# keys under growth, double-write duplicate skipping across a redelivery
-# crash, seeded crash injection at every per-move cutover phase
-# (tail-landed, staged and committed; each must resume on exactly one
-# layout per key), a destination that feeds a move's keys by its
+# traffic flows through the cutover (over repeating traffic too), zero
+# detection stall on non-moving keys under growth, a moving key's line
+# written once, to its destination (no donor WAL record of it past the
+# freeze point; a full destination refuses only the moving keys' lines),
+# duplicate skipping across a redelivery crash, seeded crash injection
+# at begun and at every per-move cutover phase (tail-landed, staged and
+# committed; each must resume on exactly one layout per key), a destination that feeds a move's keys by its
 # "committed" hook, a committed move scrubbed from its donor by a
 # re-begin, by a fleet node's open and by the restart after a crash right
 # after the journal write, a 2→3 over more than 100

@@ -1,6 +1,6 @@
 // Package atomicfile is the one durable file install: partition state,
-// cutover journals, the cluster manifest, partition leases and the
-// compacted alert log all replace a file through Write.
+// the cutover journal, the cluster manifest and partition leases all
+// replace a file through Write.
 package atomicfile
 
 import (

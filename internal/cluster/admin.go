@@ -13,47 +13,15 @@ import (
 
 // The node side of the networked live cutover: each handler here wraps
 // one shard-runtime primitive (begin, sync, pending moves, capture,
-// install, finish, directed append) in the versioned admin surface —
-// method-checked, epoch-fenced, envelope-erroring. The coordinator
-// (Router.LiveRebalance) sequences them; a node never initiates.
+// install, finish) in the versioned admin surface — method-checked,
+// epoch-fenced, envelope-erroring. The coordinator (Router.LiveRebalance)
+// sequences them; a node never initiates.
 
 // maxSpliceBytes bounds one install request body, and the router's read
 // of any node answer (a capture answers with the splice). A splice
 // carries the window tails of every key of one move plus the donor's
 // event space.
 const maxSpliceBytes = 32 << 20
-
-// handleDirectedAppend is POST /admin/v1/append?partition=P: append the
-// body's lines straight to one owned partition's WAL, bypassing ring
-// routing. This is the router's double-write data path during a live
-// cutover — the router, which knows which node holds the other side of
-// each moving key's double-write, targets donor and destination
-// partitions explicitly. The answer is /ingest's (shard.IngestResponse
-// through its Write), so the router reads directed shares exactly like
-// routed ones.
-func (n *Node) handleDirectedAppend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set(EpochHeader, strconv.FormatUint(n.Epoch(), 10))
-		httpapi.MethodNotAllowed(w, http.MethodPost, "directed append accepts POST only")
-		return
-	}
-	if !n.fenceEpoch(w, r) {
-		return
-	}
-	part, err := strconv.Atoi(r.URL.Query().Get("partition"))
-	if err != nil || part < 0 {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: fmt.Sprintf("directed append needs a partition index: ?partition=%q is not one", r.URL.Query().Get("partition")),
-		})
-		return
-	}
-	lines, refused := httpapi.ReadBatch(w, r, n.cfg.MaxBatchBytes)
-	if refused != 0 {
-		return
-	}
-	n.rt.DirectedAppendBatch(part, lines).Write(w)
-}
 
 // cutoverPost guards the common shape of the cutover endpoints: POST
 // only, epoch-fenced. Returns false when it wrote the refusal.

@@ -28,44 +28,50 @@ import (
 //     with the recorded freeze offsets, the destination with committed
 //     splices in its snapshot), then serves passively.
 //   - a ROUTER restarting (or a second, stale router reloading) reads
-//     the journal and resumes double-write routing for uncommitted
-//     moving keys; Router.LiveRebalance called again resumes driving
-//     from the journal, idempotently re-beginning every participant.
+//     the journal and routes by the new layout's ring;
+//     Router.LiveRebalance called again resumes driving from the journal,
+//     idempotently re-beginning every participant.
 //   - the journal's removal is the cutover's commit point, strictly
 //     after the epoch-bumped manifest with the new shard count is
 //     installed — a crash anywhere in between resumes as finish-only.
 //
-// The router routes by the overlay the nodes' runtimes route by: one
-// shard.Cutover, built from the journal (CutoverJournal.Overlay) — both
-// rings and the committed moves — whose Route answers "plain, double-write
-// or committed, and to which partitions" for any plan a journal can
-// describe, and whose Sync advances it as moves commit. What the fleet
-// adds is only where a partition lives: hostOf. LiveRebalance itself
-// still admits one plan, N -> N+1.
+// Mid-cutover the router routes as the nodes' runtimes do: by the new
+// layout's ring, built from the journal. What the fleet adds is only
+// where a partition lives: hostOf places the partitions the new layout
+// adds on the journal's destination node. A node hashes every line again
+// on its own ring and answers "not assigned" for what it does not serve,
+// so a router that has not seen the cutover costs one rejected share and
+// a reload, never an acknowledged line. LiveRebalance itself still admits
+// one plan, N -> N+1.
 //
-// Zero acknowledged loss holds by the same argument as in-process: a
-// moving key is double-written (donor + destination partition, acked
-// only when both land) from the instant the journal exists until it
-// lists the move committed; donor freeze offsets are captured under each
-// node's route write lock inside cutover/begin and the router's gate
-// stays closed until the journal is durable, so no acknowledged line
-// ever sits past a donor's freeze point without a destination copy.
+// Zero acknowledged loss holds by the same argument as in-process: from
+// begin every node's intake routes by the new ring, so a moving key's
+// line lands once, in its destination partition's WAL, which holds it
+// until the move commits; donor freeze offsets are captured under each
+// node's route write lock inside cutover/begin, and the router's gate
+// stays closed until the journal is durable, so the router routes no
+// line by the new ring before the journal exists.
 
 // cutoverJournalPath locates the journal next to the manifest.
 func cutoverJournalPath(manifestPath string) string {
 	return filepath.Join(filepath.Dir(manifestPath), shard.CutoverJournalName)
 }
 
-// reloadCutover converges the router's routing overlay on the on-disk
-// journal. Called after every manifest reload, at router start and once
-// a cutover this router coordinates has begun: a journal for a cutover
-// the router does not know about installs the overlay (the stale-router
-// path — double-writes resume immediately); a journal the router already
-// follows only syncs the moves it commits (the overlay object stays,
-// because the driving coordinator advances it); no journal, or one the
-// manifest has caught up with, clears it. A journal that fails to load
-// is NOT "no cutover": the current overlay stays and the failure is
-// counted.
+// cutoverView is what a router routes by while a cutover is journaled:
+// the new layout's ring, and where the partitions it adds live.
+type cutoverView struct {
+	from, to int
+	destNode string
+	ring     *shard.Partitioner
+}
+
+// reloadCutover converges the router's cutover view on the on-disk
+// journal. Called after every manifest reload, at router start and once a
+// cutover this router coordinates has begun: a journal for a cutover the
+// router does not follow installs the view (the stale-router path); one
+// it follows keeps it; no journal, or one the manifest has caught up
+// with, clears it. A journal that fails to load is NOT "no cutover": the
+// current view stays and the failure is counted.
 func (r *Router) reloadCutover() {
 	j, err := shard.LoadCutoverJournal(cutoverJournalPath(r.cfg.ManifestPath))
 	if err != nil {
@@ -76,26 +82,18 @@ func (r *Router) reloadCutover() {
 	switch {
 	case j == nil || j.To == r.Manifest().Shards:
 		r.rcut.Store(nil)
-	case cur != nil && cur.From == j.From && cur.To == j.To:
-		err = cur.Sync(j.Committed)
-	default:
-		var rc *shard.Cutover
-		if rc, err = j.Overlay(); err == nil {
-			r.rcut.Store(rc)
-		}
-	}
-	if err != nil {
-		r.journalErrs.Inc()
+	case cur == nil || cur.from != j.From || cur.to != j.To:
+		r.rcut.Store(&cutoverView{from: j.From, to: j.To, destNode: j.DestNode, ring: shard.NewPartitionerVnodes(j.To, j.Vnodes)})
 	}
 }
 
 // LiveRebalance grows the fleet from the manifest's shard count to
 // `to` partitions under traffic — shard.Runtime.LiveRebalance's
 // Coordinator over HTTP participants, with this router as the host: it
-// contributes the routing gate, the double-write overlay, and the
-// epoch-bumped manifest install at finish. destNode names the node that
-// hosts the new partition (empty picks the node owning the fewest
-// partitions). Blocks until every move is committed and the new
+// contributes the routing gate, the cutover view it routes by from begin,
+// and the epoch-bumped manifest install at finish. destNode names the
+// node that hosts the new partition (empty picks the node owning the
+// fewest partitions). Blocks until every move is committed and the new
 // manifest is installed; safe to call again after any crash — the
 // journal decides whether it starts fresh, resumes driving, or only
 // finishes.
@@ -103,7 +101,7 @@ func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport,
 	r.liveMu.Lock()
 	defer r.liveMu.Unlock()
 	start := time.Now()
-	_ = r.Reload() // freshest view; also installs the overlay from any existing journal
+	_ = r.Reload() // freshest view; also installs the cutover view of any existing journal
 	jpath := cutoverJournalPath(r.cfg.ManifestPath)
 	j, err := shard.LoadCutoverJournal(jpath)
 	if err != nil {
@@ -146,12 +144,7 @@ func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport,
 			defer r.gate.Unlock()
 			return flip()
 		},
-		OnBegin: r.reloadCutover,
-		OnCommit: func(m shard.Move) {
-			if rc := r.rcut.Load(); rc != nil {
-				rc.Sync([]shard.Move{m}) // a journaled move: no error
-			}
-		},
+		OnBegin:  r.reloadCutover,
 		OnFinish: func() error { return r.installGrown(j) },
 		Hook:     r.liveHook,
 	}
@@ -186,7 +179,7 @@ func pickDestNode(m *Manifest) string {
 // installGrown is the fleet's half of the finish flip: every participant
 // has restamped at the new layout, so the epoch-bumped manifest with the
 // new shard count installs (idempotent — a finish-only resume finds it
-// in place) and the routing overlay drops. The coordinator removes the
+// in place) and the cutover view drops. The coordinator removes the
 // journal next.
 func (r *Router) installGrown(j *shard.CutoverJournal) error {
 	if cur := r.Manifest(); cur.Shards != j.To {

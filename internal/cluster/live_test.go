@@ -26,11 +26,10 @@ import (
 // to 3 partitions while fixed-seed traffic keeps flowing, driving the
 // per-move capture → install → commit protocol over the admin API.
 // Traffic is injected from the coordinator's own hook points, so "under
-// traffic" is deterministic: batches land exactly at double-write start
-// (through both the coordinating router and a second router holding a
-// stale view), and at the first move's commit. The
-// first move fails at "staged", installed on its destination but not
-// committed. Either the destination node is killed there and restarted
+// traffic" is deterministic: batches land exactly at begin (through both
+// the coordinating router and a second router holding a stale view), and
+// at the first move's commit. The first move fails at "staged", installed
+// on its destination but not committed. Either the destination node is killed there and restarted
 // on the same address, and the cluster journal next to the manifest
 // resumes the cutover on exactly one layout per key; or every node stays
 // alive, and the retried cutover installs the move again over the copy
@@ -92,7 +91,7 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 	}
 
 	pre := genEqLines(6001, 1500, keys)
-	midDW := genEqLines(6002, 200, keys)     // lands the instant double-writing starts
+	midDW := genEqLines(6002, 200, keys)     // lands the instant the cutover begins
 	midStale := genEqLines(6003, 200, keys)  // through a second router with a stale view
 	midCommit := genEqLines(6004, 200, keys) // after the first move flips to dest-only routing
 	post := genEqLines(6005, 1500, keys)
@@ -145,8 +144,8 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 	defer rsrv.Close()
 
 	// The second router: same manifest, its own view. It will not hear
-	// about the cutover until a node's "cutover in progress" rejection
-	// makes it reload.
+	// about the cutover until a node's "not assigned" rejection makes it
+	// reload.
 	r2, err := NewRouter(RouterConfig{
 		ManifestPath: manifestPath,
 		Attempts:     2,
@@ -181,15 +180,16 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 	fedDW, fedStale, fedCommit, failed := false, false, false, false
 	r.liveHook = func(phase, key string) error {
 		switch {
-		case phase == "double-write" && !fedDW:
+		case phase == "begun" && !fedDW:
 			fedDW = true
 			postAcked(midDW, 1)
 		case phase == "tail-landed" && !fedStale:
 			fedStale = true
-			// The stale router first routes moving keys as plain shares;
-			// the begun nodes gate them with retryable "cutover in
-			// progress" rejections, the router reloads its view from the
-			// journal, and the retry double-writes. Nothing acked is lost.
+			// The stale router first routes moving keys by the old ring; a
+			// begun node that does not host a key's destination refuses
+			// it as "not assigned", the router reloads its view from the
+			// journal, and the retry goes to the destination's node.
+			// Nothing acked is lost.
 			for i := 0; i < len(midStale); i += 50 {
 				retryRejected(t, r2, midStale[i:min(i+50, len(midStale))])
 			}
@@ -237,7 +237,7 @@ func clusterLiveEquivalence(t *testing.T, killDest bool) {
 		t.Fatal("resumed rebalance moved no keys")
 	}
 	if !fedDW || !fedStale || !fedCommit || !failed {
-		t.Fatalf("hook coverage: double-write=%v stale=%v committed=%v failed at staged=%v", fedDW, fedStale, fedCommit, failed)
+		t.Fatalf("hook coverage: begun=%v stale=%v committed=%v failed at staged=%v", fedDW, fedStale, fedCommit, failed)
 	}
 
 	if _, err := os.Stat(jpath); !os.IsNotExist(err) {
@@ -456,11 +456,11 @@ func TestClusterStaleRouterAfterFinishedCutover(t *testing.T) {
 }
 
 // Failover is refused while a live cutover is journaled: the journal's
-// freeze offsets and double-write topology are pinned to the current
+// freeze offsets and destination node are pinned to the current
 // assignment, so reassigning a dead node's partitions mid-cutover would
 // strand them. A journal that fails to load is not "no cutover" either:
-// the router keeps the overlay it has, counts the failure, and failover
-// refuses naming the file.
+// the router keeps the cutover view it has, counts the failure, and
+// failover refuses naming the file.
 func TestClusterFailoverRefusedDuringLiveCutover(t *testing.T) {
 	for _, tc := range []struct {
 		name, corruptWith, wantErr string
@@ -507,9 +507,9 @@ func TestClusterFailoverRefusedDuringLiveCutover(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			overlay := r.rcut.Load()
-			if overlay == nil {
-				t.Fatal("router started next to a journal without a double-write overlay")
+			view := r.rcut.Load()
+			if view == nil {
+				t.Fatal("router started next to a journal without a cutover view")
 			}
 			if tc.corruptWith != "" {
 				if err := os.WriteFile(jpath, []byte(tc.corruptWith), 0o644); err != nil {
@@ -544,8 +544,8 @@ func TestClusterFailoverRefusedDuringLiveCutover(t *testing.T) {
 			if got := reg.Snapshot().Counters["cluster.failovers_total"]; got != 0 {
 				t.Fatalf("failovers_total %d, want 0", got)
 			}
-			if r.rcut.Load() != overlay {
-				t.Fatal("the double-write overlay changed while the journal was in place")
+			if r.rcut.Load() != view {
+				t.Fatal("the cutover view changed while the journal was in place")
 			}
 		})
 	}

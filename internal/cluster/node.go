@@ -336,9 +336,6 @@ func (n *Node) Health() HealthReport {
 //	                                  assigned partitions, drop deposed ones
 //	GET  /admin/v1/status             node name, epoch, owned partitions,
 //	                                  live-cutover phase, build info
-//	POST /admin/v1/append?partition=P directed append to one partition's
-//	                                  WAL (the router's double-write path
-//	                                  during a live cutover), epoch-fenced
 //	POST /admin/v1/cutover/begin      flip this node into a journaled live
 //	                                  cutover (body: shard.CutoverSpec)
 //	POST /admin/v1/cutover/sync       record the moves the coordinator's
@@ -366,7 +363,6 @@ func (n *Node) Handler() http.Handler {
 	stamp := func(h http.HandlerFunc) http.Handler { return httpapi.EpochStamp(EpochHeader, n.Epoch, h) }
 	mux.Handle(httpapi.Prefix+"/refresh", stamp(n.handleRefresh))
 	mux.Handle(httpapi.Prefix+"/status", stamp(n.handleStatus))
-	mux.Handle(httpapi.Prefix+"/append", http.HandlerFunc(n.handleDirectedAppend))
 	mux.Handle(httpapi.Prefix+"/cutover/begin", stamp(n.handleCutoverBegin))
 	mux.Handle(httpapi.Prefix+"/cutover/sync", stamp(n.handleCutoverSync))
 	mux.Handle(httpapi.Prefix+"/cutover/moves", stamp(n.handleCutoverMoves))

@@ -149,9 +149,8 @@ type Router struct {
 	// gate write-blocks the routing path across live-cutover flips (the
 	// begin and finish barriers); every RouteBatch holds it for read.
 	gate sync.RWMutex
-	// rcut is the live-cutover routing overlay — the journal's
-	// shard.Cutover, the type a runtime routes by — nil outside one.
-	rcut atomic.Pointer[shard.Cutover]
+	// rcut is the journaled live cutover's view, nil outside one.
+	rcut atomic.Pointer[cutoverView]
 	// liveMu serializes LiveRebalance coordinators on this router.
 	liveMu sync.Mutex
 	// liveHook is the live-rebalance Coordinator's crash hook (tests only).
@@ -224,8 +223,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r.fleetAlive.Set(int64(len(m.Nodes)))
 	cfg.Metrics.Gauge("cluster.router_epoch").Set(int64(m.Epoch))
 	// A journal next to the manifest means a live cutover is in flight:
-	// a router starting (or restarting) mid-cutover must double-write
-	// moving keys from its first batch.
+	// a router starting (or restarting) mid-cutover routes by the new
+	// layout's ring from its first batch.
 	r.reloadCutover()
 	return r, nil
 }
@@ -239,11 +238,10 @@ func (r *Router) Manifest() *Manifest {
 
 // Reload swaps in the manifest at ManifestPath if its epoch is newer
 // (another router's failover, a live rebalance's finish bump, or an
-// operator edit), then converges the live-cutover routing overlay on
-// the on-disk journal. A ring change — another shard count, another
-// vnode count — is accepted only when it is a live rebalance's
-// one-partition growth; anything else is a rebalance plus fleet restart,
-// not a reload.
+// operator edit), then converges the live-cutover view on the on-disk
+// journal. A ring change — another shard count, another vnode count — is
+// accepted only when it is a live rebalance's one-partition growth;
+// anything else is a rebalance plus fleet restart, not a reload.
 func (r *Router) Reload() error {
 	defer r.reloadCutover() // after the unlock below
 	m, err := Load(r.cfg.ManifestPath)
@@ -315,7 +313,6 @@ func (r *Router) fleetView() (*Manifest, *shard.Partitioner, map[string]*nodeSta
 type nodeShare struct {
 	node  string
 	addr  string
-	path  string // /ingest, or a double-write's directed /admin/v1/append
 	lines []string
 	index []int // request-order index of each line
 }
@@ -347,11 +344,9 @@ type shareAnswer struct {
 }
 
 // staleLabel reports whether a rejection says the router's view of the
-// layout is behind: the partition moved under an epoch bump it missed
-// ("not assigned"), or a live cutover began that it has not seen.
-func staleLabel(label string) bool {
-	return label == "not assigned" || label == "cutover in progress"
-}
+// layout is behind: the partition moved under an epoch bump, or a live
+// cutover began or finished, that it missed.
+func staleLabel(label string) bool { return label == "not assigned" }
 
 // hostOf names the node serving partition p while a cutover grows the
 // layout from `from` partitions: the ones it adds live on destNode until
@@ -409,20 +404,10 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 // RouteBatch routes lines to their owning nodes and merges the nodes'
 // per-line verdicts. It is the programmatic form of POST /ingest.
 //
-// Outside a live cutover every line is one /ingest share to its
-// partition's owner. During one, the overlay's Route — the decision the
-// nodes' runtimes make too — says where each line goes: a moving key's
-// line is double-written until the journal commits its move, a directed
-// append to the donor partition first, then — only if the donor copy
-// landed — a directed append to the destination partition on its node,
-// and the line is acked only when both landed. The donor-first order is
-// what makes the collector's retry of a half-landed line safe: the
-// destination never holds a copy of a line that was not also in the
-// donor's WAL, so a retry can duplicate only the donor copy, which sits
-// past the freeze point and is never fed. Every other line — a key that
-// stays, or a committed one, whose partition is its destination — is an
-// /ingest share to its partition's node, which hashes it again and
-// refuses what it does not serve.
+// Every line is one /ingest share to its partition's node, which hashes
+// it again and refuses what it does not serve. During a live cutover the
+// partition is the new layout's, as in the nodes' runtimes: a moving
+// key's line goes to its destination alone and is reported under it.
 func (r *Router) RouteBatch(lines []string) shard.IngestResponse {
 	r.gate.RLock()
 	defer r.gate.RUnlock()
@@ -431,73 +416,45 @@ func (r *Router) RouteBatch(lines []string) shard.IngestResponse {
 	if len(lines) == 0 {
 		return resp
 	}
-	rc := r.rcut.Load()
 	nodeOf := m.NodeFor
-	if rc != nil {
-		nodeOf = func(p int) string { return hostOf(m, rc.From, rc.DestNode, p) }
+	if rc := r.rcut.Load(); rc != nil {
+		ring = rc.ring
+		nodeOf = func(p int) string { return hostOf(m, rc.from, rc.destNode, p) }
 	}
 
-	// Per line: the partition it reports under (the donor's during a
-	// double-write, matching what the collector would see in-process), the
-	// destination a double-write still owes a copy (-1 = none), and the
-	// answer that rejected it (nil = every copy asked for so far landed).
-	primary := make([]int, len(lines))
-	shadow := make([]int, len(lines))
+	// Per line: the partition it reports under, and the answer that
+	// rejected it (nil = acked).
+	part := make([]int, len(lines))
 	verdict := make([]*shareAnswer, len(lines))
-
-	add := func(shares map[string]*nodeShare, part int, directed bool, i int) {
-		node, path := nodeOf(part), "/ingest"
-		if directed {
-			path = fmt.Sprintf("%s/append?partition=%d", httpapi.Prefix, part)
-		}
-		s := shares[node+"\x00"+path]
+	shares := map[string]*nodeShare{}
+	for i, line := range lines {
+		part[i] = ring.Partition(shard.DefaultKeyFunc(line))
+		node := nodeOf(part[i])
+		s := shares[node]
 		if s == nil {
-			s = &nodeShare{node: node, addr: m.Nodes[node].Addr, path: path}
-			shares[node+"\x00"+path] = s
+			s = &nodeShare{node: node, addr: m.Nodes[node].Addr}
+			shares[node] = s
 		}
-		s.lines = append(s.lines, lines[i])
+		s.lines = append(s.lines, line)
 		s.index = append(s.index, i)
 	}
 	stale := false
-	post := func(shares map[string]*nodeShare) {
-		for _, ans := range r.postShares(shares, nodes, m.Epoch) {
-			stale = stale || ans.nodeEpoch > m.Epoch
-			resp.RetryAfterSeconds = max(resp.RetryAfterSeconds, ans.retryAfter)
-			for _, j := range ans.rejected {
-				verdict[ans.share.index[j]] = ans
-			}
+	for _, ans := range r.postShares(shares, nodes, m.Epoch) {
+		stale = stale || ans.nodeEpoch > m.Epoch
+		resp.RetryAfterSeconds = max(resp.RetryAfterSeconds, ans.retryAfter)
+		for _, j := range ans.rejected {
+			verdict[ans.share.index[j]] = ans
 		}
-	}
-	first := map[string]*nodeShare{}
-	for i, line := range lines {
-		key := shard.DefaultKeyFunc(line)
-		primary[i], shadow[i] = ring.Partition(key), -1
-		if rc != nil {
-			primary[i], shadow[i] = rc.Route(key)
-		}
-		add(first, primary[i], shadow[i] >= 0, i)
-	}
-	post(first)
-	if rc != nil {
-		// Second wave: destination copies for double-written lines whose
-		// donor copy landed (donor-first, see above).
-		second := map[string]*nodeShare{}
-		for i := range lines {
-			if shadow[i] >= 0 && verdict[i] == nil {
-				add(second, shadow[i], true, i)
-			}
-		}
-		post(second)
 	}
 
 	// Merge into per-partition rows (ascending) plus the exact
 	// rejected-line index set.
 	byPart := map[int]*shard.PartitionResult{}
 	for i, v := range verdict {
-		row := byPart[primary[i]]
+		row := byPart[part[i]]
 		if row == nil {
-			row = &shard.PartitionResult{Partition: primary[i], Node: nodeOf(primary[i])}
-			byPart[primary[i]] = row
+			row = &shard.PartitionResult{Partition: part[i], Node: nodeOf(part[i])}
+			byPart[part[i]] = row
 		}
 		if v == nil {
 			row.Acked++
@@ -524,11 +481,10 @@ func (r *Router) RouteBatch(lines []string) shard.IngestResponse {
 	}
 	if stale {
 		// A node answered from a newer epoch, or rejected lines as "not
-		// assigned" (the partition moved under an epoch bump or a finished
-		// cutover this router missed) or "cutover in progress" (a live
-		// cutover began that this router has not seen). Reload the manifest
-		// + journal so the collector's retry routes under the current
-		// topology instead of misrouting forever.
+		// assigned" (the partition moved under an epoch bump, or a live
+		// cutover began or finished, that this router missed). Reload the
+		// manifest + journal so the collector's retry routes under the
+		// current topology instead of misrouting forever.
 		_ = r.Reload()
 	}
 	return resp
@@ -588,8 +544,7 @@ func (r *Router) postShare(s *nodeShare, ns *nodeState, epoch uint64) *shareAnsw
 	return ans
 }
 
-// postOnce performs one data-path round trip — /ingest, or a directed
-// /admin/v1/append during a live cutover — stamped with the routing
+// postOnce performs one /ingest round trip, stamped with the routing
 // epoch (EpochHeader) so the node can fence shares routed under a
 // mismatched manifest view, and reads the node's per-line verdict. A
 // transport error or a status outside the intake contract returns err
@@ -602,7 +557,7 @@ func (r *Router) postShare(s *nodeShare, ns *nodeState, epoch uint64) *shareAnsw
 func (r *Router) postOnce(s *nodeShare, body []byte, epoch uint64) (*shareAnswer, error) {
 	r.sem <- struct{}{} // bounded in-flight backpressure
 	defer func() { <-r.sem }()
-	status, hdr, data, err := r.roundTrip(http.MethodPost, s.addr, s.path, r.cfg.RequestTimeout, http.Header{
+	status, hdr, data, err := r.roundTrip(http.MethodPost, s.addr, "/ingest", r.cfg.RequestTimeout, http.Header{
 		"Content-Type": {"text/plain; charset=utf-8"},
 		EpochHeader:    {strconv.FormatUint(epoch, 10)},
 	}, body)
@@ -766,10 +721,10 @@ func (r *Router) probeNode(addr string) (HealthReport, error) {
 // is poked over /admin/v1/refresh so it adopts immediately rather than on
 // its next watch tick.
 func (r *Router) failover(dead string) error {
-	// A journaled live cutover pins its freeze offsets and double-write
-	// topology to the current assignment: reassigning partitions
-	// mid-cutover would strand them. The operator resumes or finishes the
-	// rebalance first, then failover may proceed. A journal that cannot be
+	// A journaled live cutover pins its freeze offsets and destination
+	// node to the current assignment: reassigning partitions mid-cutover
+	// would strand them. The operator resumes or finishes the rebalance
+	// first, then failover may proceed. A journal that cannot be
 	// read might be exactly that, so it refuses too.
 	jpath := cutoverJournalPath(r.cfg.ManifestPath)
 	if j, err := shard.LoadCutoverJournal(jpath); err != nil {

@@ -106,7 +106,7 @@ type schedule struct {
 }
 
 // walkPhases are the cutover hook points a walk's crash is drawn from.
-var walkPhases = []string{"double-write", "tail-landed", "staged", "committed", "finish"}
+var walkPhases = []string{"begun", "tail-landed", "staged", "committed", "finish"}
 
 func (s schedule) String() string {
 	str := fmt.Sprintf("seed %d: %d shards, %d-byte segments, %d lines, %d sent (quiet after %v) before a kill after %d fed, %s on partition %d (after %d, every %d, limit %d)",

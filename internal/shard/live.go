@@ -36,14 +36,13 @@ import (
 //     is captured as its freeze point, and the cutover journal (freeze
 //     points + ring parameters) lands durably — with intake excluded, so
 //     no acknowledged append sits between a freeze capture and the
-//     journal. From this instant every moving key's intake is
-//     double-written — appended to both the donor's WAL (which stops
-//     feeding it at the freeze point) and the destination's WAL (whose
-//     consumer parks before the record of any moving key whose move is
-//     uncommitted). Non-moving keys keep their partition, their detection
-//     and their acks; on a surviving partition that is also a destination
-//     (a shrink) they queue behind a parked record until its move
-//     commits.
+//     journal. From this instant intake routes every line by the new
+//     ring: a moving key's line lands once, in its destination's WAL,
+//     whose consumer parks before the record of any moving key whose move
+//     is uncommitted. Non-moving keys keep their partition, their
+//     detection and their acks; on a surviving partition that is also a
+//     destination (a shrink) they queue behind a parked record until its
+//     move commits.
 //  2. Tail landing. Each old partition drains its pre-freeze backlog, so
 //     every moving key's in-flight window tail is final.
 //  3. Per move — capture: the WindowTail of every key of the move plus
@@ -54,16 +53,14 @@ import (
 //     pattern verdict moves: a library is a memo of the model's score,
 //     and the destination's fills from its own misses. Commit: the
 //     journal lists the move as committed — the move's one commit point.
-//     From here its keys route to the destination alone, the
-//     destination's parked consumer wakes for them, and the donor drops
-//     their tails (every partition but the destination scrubs a committed
-//     move's keys, whenever it learns of the commit).
+//     From here the destination's parked consumer wakes for its keys, and
+//     the donor drops their tails (every partition but the destination
+//     scrubs a committed move's keys, whenever it learns of the commit).
 //  4. Finish. Every participant restamps and persists its partitions on
 //     the new layout, drains each partition the new layout retires to its
-//     WAL tail and drops it, and swaps rings (double-writing ends here);
-//     the host installs whatever names the new layout (a fleet's
-//     epoch-bumped manifest), and the journal is removed — the end
-//     commit point.
+//     WAL tail and drops it, and swaps rings; the host installs whatever
+//     names the new layout (a fleet's epoch-bumped manifest), and the
+//     journal is removed — the end commit point.
 //
 // Crash safety is a per-move ledger: a participant that restarts while
 // the journal exists reopens at the new shard count straight into the
@@ -78,23 +75,26 @@ import (
 // once the journal exists; the rollback is a copy of the root taken
 // before the command.
 //
-// Double-written records are exactly the donor-WAL records at offsets ≥
-// the freeze point for moving keys: the donor consumes and acks them but
-// never feeds them (the destination's copy is the one that counts), and
-// after the cutover the ownership check — a record whose key no longer
-// routes to the partition under its stamped layout is skipped — keeps
-// redelivered copies out of detection. A partition that is later handed
-// one of those keys back must not mistake the old copies for the key's
-// traffic: a surviving destination feeds a moving key only at or past
-// its own freeze point (tail landing has consumed everything below it by
-// the finish), and a retired partition is closed only once its persisted
+// No acknowledged line is lost or fed twice. A line acked before begin
+// sits below its partition's freeze point and is fed there; a moving
+// key's, by its donor, lands in the tail the move's splice carries. A
+// line acked after begin sits in the partition the new ring names; a
+// moving key's is fed by its destination once the move commits, after
+// the splice. The two worker rules that make this so also cover the
+// donor copies an earlier build appended for each uncommitted moving
+// key, so a root it left mid-cutover resumes here with no format change:
+// a donor feeds a moving key only below its freeze point, and a
+// surviving destination only at or past its own (tail landing has
+// consumed everything below it by the finish). After the finish, a record
+// whose key no longer routes to its partition under its stamped layout
+// is skipped, and a retired partition is closed only once its persisted
 // Consumed is its WAL tail, so a growth that reopens the directory
-// resumes past every copy.
+// resumes past everything it holds.
 
 // CutoverJournalName is the cutover journal's file name: at the runtime
 // root in-process, next to cluster.json in a fleet. Its existence IS the
-// cutover: begin writes it before any double-write, finish removes it
-// after every partition is persisted on the new layout.
+// cutover: begin writes it before any line is routed by the new ring,
+// finish removes it after every partition is persisted on the new layout.
 const CutoverJournalName = "live-cutover.json"
 
 // journalVersion is the journal format. Version 4 lists the committed
@@ -142,9 +142,9 @@ type CutoverJournal struct {
 	// DestNode names the fleet node hosting the partitions the new layout
 	// adds until the manifest bump assigns them there; empty in-process.
 	DestNode string `json:"dest_node,omitempty"`
-	// Freeze maps each old-layout partition's index → its first
-	// double-written offset. Donor records below it are donor-fed;
-	// records at or above it belong to the destination's WAL copy.
+	// Freeze maps each old-layout partition's index → the first offset
+	// appended under the cutover. Donor records below it are donor-fed;
+	// a moving key's records at or above it are fed by its destination.
 	Freeze map[int]uint64 `json:"freeze"`
 	// Committed lists the moves whose commit point has passed, in order:
 	// their keys are destination-owned, and each destination's snapshot
@@ -244,23 +244,18 @@ type MoveSplice struct {
 
 // Cutover is the in-memory overlay of a live rebalance: both rings, the
 // donors' freeze offsets and the committed moves. A runtime publishes one
-// to its router and workers through Runtime.cut; a fleet router holds one
-// built from the journal (CutoverJournal.Overlay). Both ask it the same
-// question per line — Route — and advance it the same way — Sync. Rings
-// and freeze offsets are immutable after publication; the committed set,
-// finished and closed are guarded by mu, with cond waking the
-// destination's parked consumer on every commit.
+// to its intake and workers through Runtime.cut; intake routes by its new
+// ring, and Sync advances it as moves commit. Rings and freeze offsets are
+// immutable after publication; the committed set, finished and closed are
+// guarded by mu, with cond waking the destination's parked consumer on
+// every commit.
 type Cutover struct {
 	// From and To are the old and new partition counts.
 	From, To int
-	// DestNode names the fleet node hosting the partitions the new layout
-	// adds (indices >= From) until the manifest assigns them; empty
-	// in-process.
-	DestNode string
 
 	oldRing *Partitioner
 	newRing *Partitioner
-	freeze  []uint64 // per old-layout partition: first double-written offset
+	freeze  []uint64 // per old-layout partition: first offset appended under the cutover
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -287,32 +282,6 @@ func newCutover(spec CutoverSpec) (*Cutover, error) {
 	return c, c.Sync(spec.Committed)
 }
 
-// Overlay builds the routing overlay of the cutover j describes — what a
-// fleet router holds while the journal exists.
-func (j *CutoverJournal) Overlay() (*Cutover, error) {
-	c, err := newCutover(j.Spec(false))
-	if err != nil {
-		return nil, err
-	}
-	c.DestNode = j.DestNode
-	return c, nil
-}
-
-// Route is the one routing decision under a cutover. primary is the
-// partition the line is appended to and reported under. shadow is -1
-// unless key is moving and its move not yet committed: then primary is
-// its donor, shadow its destination, and the line is double-written —
-// donor first, acked only when both copies land. A committed moving key
-// routes to its destination alone; a key that does not move keeps its
-// partition.
-func (c *Cutover) Route(key string) (primary, shadow int) {
-	m := c.moveOf(key)
-	if m.Donor == m.Dest || c.isCommitted(m) {
-		return m.Dest, -1
-	}
-	return m.Donor, m.Dest
-}
-
 // moveOf names key's move: its partitions under the old and new rings
 // (the same one twice when it does not move).
 func (c *Cutover) moveOf(key string) Move {
@@ -326,10 +295,10 @@ func (c *Cutover) moving(key string) bool {
 }
 
 // destCopy reports whether the record at off in partition idx's WAL is
-// the destination's copy of moving key — the one detection consumes.
+// the destination's record of moving key — the one detection consumes.
 // Anything a surviving partition holds for the key below its own freeze
-// point predates this cutover (donor copies from an earlier one that
-// moved the key away) and is not.
+// point predates this cutover (history an earlier cutover moved away, or
+// the donor copies an earlier build appended) and is not.
 func (c *Cutover) destCopy(idx int, key string, off uint64) bool {
 	return c.newRing.Partition(key) == idx && (idx >= c.From || off >= c.freeze[idx])
 }
@@ -392,17 +361,14 @@ type Coordinator struct {
 	// its BeginCutover runs the journal write under its route write lock.
 	Gate func(flip func() error) error
 	// OnBegin runs inside the begin flip once the journal is durable (a
-	// router installs its double-write overlay here).
+	// router starts routing by the new ring here).
 	OnBegin func()
-	// OnCommit runs once a move's commit is durable and both its
-	// participants know of it (a router syncs its overlay here).
-	OnCommit func(m Move)
 	// OnFinish runs inside the finish flip after every participant
 	// completed and before the journal is removed (a router installs the
 	// epoch-bumped manifest here).
 	OnFinish func() error
 	// Hook, when set, is invoked at the cutover's named points, in this
-	// order: "double-write" once after begin (move empty); per pending
+	// order: "begun" once after begin (move empty); per pending
 	// move "tail-landed", "staged" (the destination's snapshot holds the
 	// splice, the journal does not name the move yet) and "committed" (the
 	// destination feeds the move's keys), the second argument naming the
@@ -433,7 +399,7 @@ func (c *Coordinator) Run(j *CutoverJournal) (*RebalanceReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.hook("double-write", ""); err != nil {
+	if err := c.hook("begun", ""); err != nil {
 		return nil, err
 	}
 
@@ -575,9 +541,6 @@ func (c *Coordinator) move(j *CutoverJournal, m Move, donor, dest Participant, r
 			return err
 		}
 	}
-	if c.OnCommit != nil {
-		c.OnCommit(m)
-	}
 	rep.MovedKeys += len(sp.Tails)
 	for _, tail := range sp.Tails {
 		rep.MovedLines += len(tail.IDs)
@@ -619,11 +582,11 @@ type RebalanceReport struct {
 
 // LiveRebalance takes this open runtime from its current partition count
 // to any other count to >= 1 under traffic: intake stays open throughout
-// (moving keys double-write during their window), keys that stay put keep
-// detecting and acking on every partition that receives no key, and each
-// move — the keys of one (donor, destination) pair — cuts over as one
-// once its donor window tails land. With
-// no traffic it is the offline rebalance. On success the runtime serves
+// (a moving key's lines wait in its destination's WAL until its move
+// commits), keys that stay put keep detecting and acking on every
+// partition that receives no key, and each move — the keys of one
+// (donor, destination) pair — cuts over as one once its donor window
+// tails land. With no traffic it is the offline rebalance. On success the runtime serves
 // the new layout; on error the cutover journal stays in place, the
 // runtime keeps serving under it and refuses further rebalances, and a
 // process restart (Open at the new shard count) resumes and finishes it.

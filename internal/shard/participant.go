@@ -54,10 +54,10 @@ type CutoverSpec struct {
 	// Vnodes is the ring's virtual-node override the cutover was
 	// computed with (0 = default).
 	Vnodes int `json:"vnodes"`
-	// Freeze maps donor partition → first double-written offset. At the
-	// initial begin a donor's entry is absent — the runtime serving it
-	// captures the offset and reports it back; on resume it carries the
-	// journal's recorded offsets.
+	// Freeze maps donor partition → first offset appended under the
+	// cutover. At the initial begin a donor's entry is absent — the
+	// runtime serving it captures the offset and reports it back; on
+	// resume it carries the journal's recorded offsets.
 	Freeze map[int]uint64 `json:"freeze,omitempty"`
 	// Committed lists the moves the journal committed; pending moves are
 	// absent.
@@ -132,11 +132,10 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec, commit func(freeze map[int]uin
 		return nil, err
 	}
 	// Every participant's routing table covers both layouts — AppendBatch
-	// indexes byIdx by new-ring partitions for committed moves even on
-	// pure-donor nodes (where an added slot stays nil and rejects). An
-	// added partition's directory may be an empty shell from an earlier
-	// abandoned begin; records only ever land in it once a journal exists,
-	// so that is benign.
+	// indexes byIdx by new-ring partitions even on pure-donor nodes (where
+	// an added slot stays nil and rejects). An added partition's directory
+	// may be an empty shell from an earlier abandoned begin; records only
+	// ever land in it once a journal exists, so that is benign.
 	for len(rt.byIdx) < spec.To {
 		rt.byIdx = append(rt.byIdx, nil)
 	}
@@ -288,9 +287,9 @@ func (rt *Runtime) activeCutover() (*Cutover, []*partition, error) {
 	return cut, donors, nil
 }
 
-// SyncCutover implements Participant: a committed move's double-writes
-// end, an owned destination parked on it wakes, and an owned donor drops
-// its tails (the donor's next snapshot makes the drop durable).
+// SyncCutover implements Participant: an owned destination parked on a
+// committed move wakes, and an owned donor drops its tails (the donor's
+// next snapshot makes the drop durable).
 func (rt *Runtime) SyncCutover(committed []Move) error {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
@@ -498,10 +497,8 @@ func checkSpliceTails(cut *Cutover, sp MoveSplice) error {
 // CompleteCutover implements Participant: under the route write lock
 // every owned partition restamps and persists on the new layout, the
 // partitions the new layout retires are drained and dropped, the routing
-// ring swaps and the cutover is cleared — double-writing ends here,
-// before the coordinator removes the journal (a record double-written
-// after the journal was gone would be fed twice on the next recovery).
-// A runtime already serving to partitions answers nil.
+// ring swaps and the cutover is cleared, before the coordinator removes
+// the journal. A runtime already serving to partitions answers nil.
 //
 // Nothing is closed until every partition has persisted: a failure up to
 // there returns with all of them open and the cutover still published, so
@@ -568,11 +565,11 @@ func (rt *Runtime) CompleteCutover(to int) (err error) {
 // persistOn restamps the partition on the cutover's new layout, commits
 // and takes a snapshot. A partition the new layout retires first lets its
 // worker skip through to the WAL tail (the caller holds the route write
-// lock; no append can race it) and must snapshot there. Every key it
-// served has moved away, but its WAL still holds their double-written
-// copies at and past the freeze point: were the directory left short of
-// them, a later growth that reopens it as a destination — under a ring
-// that routes those keys back to it — would feed the stale copies.
+// lock; no append can race it) and must snapshot there: a later growth
+// that reopens the directory as a destination, under a ring that routes
+// its old keys back to it, opens it like a fresh one (midCutoverOpts) and
+// must not feed what it still holds. Past the freeze point that is only
+// the donor copies an earlier build appended.
 func (pt *partition) persistOn(cut *Cutover) error {
 	retired := pt.idx >= cut.To
 	tail := pt.bk.NextOffset() - 1
@@ -607,34 +604,4 @@ func (rt *Runtime) CutoverStatus() *CutoverStatus {
 	st.Committed = len(cut.committed)
 	cut.mu.Unlock()
 	return st
-}
-
-// DirectedAppendBatch appends lines straight to partition part's WAL,
-// bypassing ring routing — the fleet router's double-write data path
-// during a networked live cutover (the router, not this runtime, knows
-// which node holds the other side of each double-write). The answer has
-// AppendBatch's shape with one row: every line acked, or every line
-// rejected and the caller retries.
-func (rt *Runtime) DirectedAppendBatch(part int, lines []string) IngestResponse {
-	rt.routeMu.RLock()
-	defer rt.routeMu.RUnlock()
-	err := ErrNotAssigned
-	if part >= 0 && part < len(rt.byIdx) && rt.byIdx[part] != nil {
-		_, _, err = rt.byIdx[part].bk.AppendBatch(lines)
-	}
-	n := len(lines)
-	if err == nil {
-		rt.routedLines.Add(int64(n))
-		return IngestResponse{Acked: n, Partitions: []PartitionResult{{Partition: part, Acked: n}}}
-	}
-	rt.rejectedByBP.Add(int64(n))
-	resp := IngestResponse{
-		Rejected:      n,
-		Partitions:    []PartitionResult{{Partition: part, Rejected: n, Error: RejectionLabel(err)}},
-		RejectedLines: make([]int, n),
-	}
-	for i := range resp.RejectedLines {
-		resp.RejectedLines[i] = i
-	}
-	return resp
 }

@@ -68,7 +68,19 @@ func rebalanceDrained(t *testing.T, h *shardHarness, dir string, to int) (*shard
 // keep their window phase across the move, or the sequences would shift.
 func TestRebalanceEquivalence(t *testing.T) {
 	keys := eqKeys(12)
-	lines := genEqLines(4242, 3000, keys)
+	rebalanceEquivalence(t, genEqLines(4242, 3000, keys), false)
+	// genEqLines never repeats a window, so the pattern library never
+	// answers one there; this traffic's windows recur, and a verdict the
+	// library returns after the move must be the score the model would
+	// have given.
+	t.Run("repeating", func(t *testing.T) { rebalanceEquivalence(t, genMemoLines(4243, 3000, keys), true) })
+}
+
+// rebalanceEquivalence runs lines through every rebalance plan, cut at
+// one fixed line, and requires each run to match the unsharded reference
+// bit for bit; with libraryHits, the runtime reopened at the new count
+// must also have answered windows from its library.
+func rebalanceEquivalence(t *testing.T, lines []string, libraryHits bool) {
 	ref := runReference(t, lines)
 	if len(ref.alerts) == 0 {
 		t.Fatal("reference produced no alerts; the comparison is vacuous")
@@ -87,10 +99,14 @@ func TestRebalanceEquivalence(t *testing.T) {
 			t.Logf("rebalance %s moved %d keys (%d tail ids) in %v", label, rep.MovedKeys, rep.MovedLines, rep.Duration)
 			h2.feed(t, lines[cut:])
 			h2.drain(t)
+			stats := h2.rt.Stats()
 			if err := h2.rt.Close(); err != nil {
 				t.Fatalf("Close after rebalance: %v", err)
 			}
 			requireEqual(t, "rebalance "+label, h2.result(), ref)
+			if libraryHits && stats.PatternHits == 0 {
+				t.Fatalf("rebalance %s: no window of %d after the move was answered from the pattern library", label, stats.SequencesFormed)
+			}
 		})
 	}
 }

@@ -11,9 +11,8 @@ import (
 )
 
 // The intake contract, one at every tier. serve's /ingest, a fleet node's
-// /ingest and directed /admin/v1/append, and the front router's /ingest
-// all answer with the same body — IngestResponse — written by the same
-// function, IngestResponse.Write:
+// /ingest and the front router's /ingest all answer with the same body —
+// IngestResponse — written by the same function, IngestResponse.Write:
 //
 //	202  every line of the batch is in some partition's log (durable per
 //	     the broker's fsync policy)
@@ -32,17 +31,10 @@ import (
 // this runtime does not serve (a Subset runtime in a cluster fleet).
 // The rejected lines surface to the collector as a "not assigned"
 // partition rejection; a front router that sees one reloads its
-// manifest view (the assignment has moved under a newer epoch), so the
+// manifest view and the cutover journal (the assignment moved under a
+// newer epoch, or a live cutover began that it has not seen), so the
 // collector's retry routes to the partition's current owner.
 var ErrNotAssigned = errors.New("shard: partition not assigned to this runtime")
-
-// ErrCutover is returned when a line's key is mid-cutover but this
-// runtime does not hold both sides of the double-write (a Subset
-// runtime in a fleet whose live rebalance is driven by a front
-// router). The rejection is retryable: a cutover-aware router routes
-// the key's double-write across nodes; one that is not yet aware
-// reloads its view on seeing the "cutover in progress" label.
-var ErrCutover = errors.New("shard: key is mid-cutover; route it through a cutover-aware router")
 
 // IngestResponse is the JSON body of every intake answer: serve, node
 // and router alike.
@@ -118,112 +110,40 @@ func (resp IngestResponse) Write(w http.ResponseWriter) {
 // reject — which lines of the batch those were, and the error (if
 // non-nil) wraps the first partition failure. Lines for healthy
 // partitions are durably appended even when another partition rejects
-// its share. Mid-cutover, Cutover.Route decides per line: uncommitted
-// moving keys' shares are double-written (donor first, then destination;
-// acked under the donor only when both land) and committed moving keys'
-// shares route to the destination.
+// its share. Mid-cutover the new layout's ring routes every line, so a
+// moving key's line lands once, in its destination's WAL, whose consumer
+// holds it until the key's move commits.
 func (rt *Runtime) AppendBatch(lines []string) (IngestResponse, error) {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
-	cut := rt.cut.Load()
-	n := len(rt.byIdx)
-	byPart := make([][]string, n)
-	var double [][][]string // uncommitted moving shares, [donor][destination]
-	// units records each line's primary partition mid-cutover, where a key's
-	// move can commit between routing and reporting; outside one the ring
-	// answers the same both times.
-	var units []int
-	if cut != nil {
-		units = make([]int, len(lines))
+	ring := rt.part
+	if cut := rt.cut.Load(); cut != nil {
+		ring = cut.newRing
 	}
-	for i, line := range lines {
-		key := DefaultKeyFunc(line)
-		p, shadow := 0, -1
-		if cut == nil {
-			p = rt.part.Partition(key)
-		} else {
-			p, shadow = cut.Route(key)
-			units[i] = p
-		}
-		if shadow < 0 {
-			byPart[p] = append(byPart[p], line)
-			continue
-		}
-		if double == nil {
-			double = make([][][]string, n)
-		}
-		if double[p] == nil {
-			double[p] = make([][]string, n)
-		}
-		double[p][shadow] = append(double[p][shadow], line)
+	byPart := make([][]string, len(rt.byIdx))
+	for _, line := range lines {
+		p := ring.Partition(DefaultKeyFunc(line))
+		byPart[p] = append(byPart[p], line)
 	}
 	var resp IngestResponse
 	var firstErr error
-	reject := func(res *PartitionResult, p, count int, err error) {
-		res.Rejected += count
-		if res.Error == "" {
-			res.Error = RejectionLabel(err)
-		}
-		rt.rejectedByBP.Add(int64(count))
-		if firstErr == nil {
-			firstErr = fmt.Errorf("partition %d: %w", p, err)
-		}
-	}
-	for p := 0; p < n; p++ {
-		plain := byPart[p]
-		var dbl [][]string // this donor's double-write shares, by destination
-		if double != nil {
-			dbl = double[p]
-		}
-		total, destsOpen := len(plain), true
-		for dest, share := range dbl {
-			total += len(share)
-			destsOpen = destsOpen && (len(share) == 0 || rt.byIdx[dest] != nil)
-		}
-		if total == 0 {
+	for p, share := range byPart {
+		if len(share) == 0 {
 			continue
 		}
-		// A partition's answer is all-or-nothing across its plain and
-		// double-write shares: one unit, one row, acked or rejected whole.
-		// rejected_lines is then exactly the lines of the rows that carry
-		// an Error, and retrying them lands each line exactly once.
 		res := PartitionResult{Partition: p}
-		switch {
-		case rt.byIdx[p] == nil:
-			reject(&res, p, total, ErrNotAssigned)
-		case !destsOpen:
-			// This subset runtime lacks a double-write's destination:
-			// bounce the whole partition share before appending anything,
-			// so the router reloads its cutover view and retries all of it.
-			reject(&res, p, total, ErrCutover)
-		default:
-			// Donor copies first, then the plain share, then the
-			// destination copies. A failure rejects the whole unit; at the
-			// first two failure points nothing fed has landed (donor
-			// double-write copies sit past the freeze and are never fed),
-			// so the retry is exact. Only a destination append failing
-			// after the plain share landed — a fresh, near-empty backlog
-			// refusing — would leave the retry with a duplicate.
-			ok := true
-			appendTo := func(idx int, share []string) {
-				if !ok || len(share) == 0 {
-					return
-				}
-				if _, _, err := rt.byIdx[idx].bk.AppendBatch(share); err != nil {
-					reject(&res, idx, total, err)
-					ok = false
-				}
-			}
-			for _, share := range dbl {
-				appendTo(p, share)
-			}
-			appendTo(p, plain)
-			for dest, share := range dbl {
-				appendTo(dest, share)
-			}
-			if ok {
-				res.Acked = total
-				rt.routedLines.Add(int64(total))
+		err := ErrNotAssigned
+		if pt := rt.byIdx[p]; pt != nil {
+			_, _, err = pt.bk.AppendBatch(share)
+		}
+		if err == nil {
+			res.Acked = len(share)
+			rt.routedLines.Add(int64(len(share)))
+		} else {
+			res.Rejected, res.Error = len(share), RejectionLabel(err)
+			rt.rejectedByBP.Add(int64(len(share)))
+			if firstErr == nil {
+				firstErr = fmt.Errorf("partition %d: %w", p, err)
 			}
 		}
 		resp.Acked += res.Acked
@@ -232,20 +152,14 @@ func (rt *Runtime) AppendBatch(lines []string) (IngestResponse, error) {
 	}
 	if resp.Rejected > 0 {
 		// The rejection path only: a second pass names the lines of the
-		// units that rejected.
-		rejected := make([]bool, n)
+		// partitions that rejected.
+		rejected := make([]bool, len(byPart))
 		for _, res := range resp.Partitions {
 			rejected[res.Partition] = res.Rejected > 0
 		}
 		resp.RejectedLines = make([]int, 0, resp.Rejected)
 		for i, line := range lines {
-			var p int
-			if units != nil {
-				p = units[i]
-			} else {
-				p = rt.part.Partition(DefaultKeyFunc(line))
-			}
-			if rejected[p] {
+			if rejected[ring.Partition(DefaultKeyFunc(line))] {
 				resp.RejectedLines = append(resp.RejectedLines, i)
 			}
 		}
@@ -263,8 +177,6 @@ func RejectionLabel(err error) string {
 		return "closed"
 	case errors.Is(err, ErrNotAssigned):
 		return "not assigned"
-	case errors.Is(err, ErrCutover):
-		return "cutover in progress"
 	default:
 		return err.Error()
 	}

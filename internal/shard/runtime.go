@@ -600,8 +600,8 @@ const idleCommitDelay = 2 * time.Millisecond
 // windows are scored as soon as it drains), and at end of stream, which
 // also takes a snapshot.
 // During a live cutover the worker additionally parks before uncommitted
-// moving keys (destination side) and skips double-written and
-// foreign-owned records (both sides).
+// moving keys (destination side) and skips a moving key's records on the
+// wrong side of the freeze point and foreign-owned records (both sides).
 func (pt *partition) run() {
 	defer close(pt.done)
 	for {
@@ -674,13 +674,12 @@ func (pt *partition) feed(cut *Cutover, key, line string, off uint64) {
 
 // shouldFeed decides whether a consumed record enters detection, under
 // cut, the live cutover (nil outside one). Called under feedMu.
-// Mid-cutover a moving key's record is fed by its donor only
-// below the donor's freeze point — records at or above it are
-// double-written — and by its destination only when it is the
-// destination's authoritative copy. Outside that case the ownership ring
-// decides: a record whose key no longer routes here (a double-written
-// donor copy redelivered after the cutover finished, or a brand-new
-// moving key that only ever double-wrote) is skipped.
+// Mid-cutover a moving key's record is fed by its donor only below the
+// donor's freeze point — what sits at or above it is a donor copy an
+// earlier build appended — and by its destination only when destCopy
+// says the record is the key's traffic. Outside that case the ownership
+// ring decides: a record whose key no longer routes here (such a donor
+// copy redelivered after the cutover finished) is skipped.
 func (pt *partition) shouldFeed(cut *Cutover, key string, off uint64) bool {
 	if cut != nil && cut.moving(key) {
 		if cut.oldRing.Partition(key) == pt.idx {
@@ -692,10 +691,9 @@ func (pt *partition) shouldFeed(cut *Cutover, key string, off uint64) bool {
 }
 
 // awaitCommit gates a destination's consumer during a live cutover: the
-// destination's copy of a record for a moving key whose move has not
-// been committed yet parks the worker until the move commits, the
-// cutover finishes, or the runtime shuts down (false = stop without consuming
-// the record). The worker flushes and commits before parking, so a crash
+// destination's record of a moving key whose move has not been committed
+// yet parks the worker until the move commits, the cutover finishes, or
+// the runtime shuts down (false = stop without consuming the record). The worker flushes and commits before parking, so a crash
 // while parked resumes with nothing to replay. A partition that serves
 // other keys too (a shrink's survivors) holds those behind the parked
 // record; every key is handed over by the finish at the latest.
